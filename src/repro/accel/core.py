@@ -461,7 +461,6 @@ class AcceleratorCore:
                 window,
                 weights.array[:, :, weight_lo : weight_lo + instruction.in_chs, :],
                 layer,
-                instruction.rows,
             )
         acc.next_in_ch0 = instruction.in_ch0 + instruction.in_chs
         if is_final:
@@ -489,7 +488,7 @@ class AcceleratorCore:
                 instruction.row0,
                 instruction.rows,
             )
-            acc = fn.depthwise_step(window, weights.array, layer, instruction.rows)
+            acc = fn.depthwise_step(window, weights.array, layer)
             bias = None
             if instruction.bias and layer.bias_region is not None:
                 bias = self.ddr.region(layer.bias_region).array[
@@ -511,7 +510,7 @@ class AcceleratorCore:
                 instruction.rows,
                 pad_value=fn.pool_pad_value(layer),
             )
-            result = fn.pool_step(window, layer, instruction.rows)
+            result = fn.pool_step(window, layer)
         self._append_output(instruction, layer, result)
         return calc_cycles(self.config, layer.out_shape.width, layer.kernel)
 

@@ -3,9 +3,11 @@
 These helpers compute exactly what one CALC instruction computes: a stripe of
 ``Para_height`` output rows across the full output width, for one output
 channel group, from one input-channel step.  They share the datapath
-semantics of :mod:`repro.quant.qops` (int64 accumulate, round-half-up shift,
-int8 saturation) so a tiled, interrupted execution can be compared
-bit-for-bit against the golden whole-layer reference.
+kernel of :mod:`repro.quant.qops` — :mod:`repro.quant.kernels`: exact
+accumulation within the ``ACC_BITS`` = 32-bit bound, held in int64 between
+input-channel steps, round-half-up shift, int8 saturation — so a tiled,
+interrupted execution can be compared bit-for-bit against the golden
+whole-layer reference.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from repro.compiler.layer_config import LayerConfig
 from repro.errors import ExecutionError
-from repro.quant.fixed_point import saturating_shift
+from repro.quant import kernels
 from repro.quant.qops import global_pool
 
 
@@ -65,75 +67,26 @@ def gather_input_window(
 
 
 def conv_step(
-    acc: np.ndarray,
-    window: np.ndarray,
-    weights: np.ndarray,
-    layer: LayerConfig,
-    out_rows: int,
+    acc: np.ndarray, window: np.ndarray, weights: np.ndarray, layer: LayerConfig
 ) -> None:
     """Accumulate one input-channel step of a convolution into ``acc``.
 
     ``window`` is the padded input for this step's channels; ``weights`` has
-    shape ``(kh, kw, step_in_chs, group_chs)``.
+    shape ``(kh, kw, step_in_chs, group_chs)``.  The kernel's ``ACC_BITS``
+    guard sees this step's depth only; the layer's full depth is checked where
+    it is visible, in the golden :func:`repro.quant.qops.conv2d`.
     """
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
-    out_w = layer.out_shape.width
-    w64 = weights.astype(np.int64)
-    for dy in range(kh):
-        for dx in range(kw):
-            sub = window[
-                dy : dy + (out_rows - 1) * sh + 1 : sh,
-                dx : dx + (out_w - 1) * sw + 1 : sw,
-                :,
-            ]
-            acc += np.tensordot(sub.astype(np.int64), w64[dy, dx], axes=([2], [0]))
+    acc += kernels.int8_conv(window, weights, layer.stride)
 
 
-def depthwise_step(
-    window: np.ndarray,
-    weights: np.ndarray,
-    layer: LayerConfig,
-    out_rows: int,
-) -> np.ndarray:
+def depthwise_step(window: np.ndarray, weights: np.ndarray, layer: LayerConfig) -> np.ndarray:
     """Full depthwise accumulation for one channel group (single-step blobs)."""
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
-    out_w = layer.out_shape.width
-    acc = np.zeros((out_rows, out_w, weights.shape[2]), dtype=np.int64)
-    w64 = weights.astype(np.int64)
-    for dy in range(kh):
-        for dx in range(kw):
-            sub = window[
-                dy : dy + (out_rows - 1) * sh + 1 : sh,
-                dx : dx + (out_w - 1) * sw + 1 : sw,
-                :,
-            ]
-            acc += sub.astype(np.int64) * w64[dy, dx].reshape(1, 1, -1)
-    return acc
+    return kernels.int8_depthwise(window, weights, layer.stride)
 
 
-def pool_step(window: np.ndarray, layer: LayerConfig, out_rows: int) -> np.ndarray:
+def pool_step(window: np.ndarray, layer: LayerConfig) -> np.ndarray:
     """Max/avg pooling of one stripe x channel group; returns int8."""
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
-    out_w = layer.out_shape.width
-    stacked = np.stack(
-        [
-            window[
-                dy : dy + (out_rows - 1) * sh + 1 : sh,
-                dx : dx + (out_w - 1) * sw + 1 : sw,
-                :,
-            ]
-            for dy in range(kh)
-            for dx in range(kw)
-        ],
-        axis=0,
-    )
-    if layer.mode == "max":
-        return stacked.max(axis=0).astype(np.int8)
-    total = stacked.astype(np.int64).sum(axis=0)
-    return (total // (kh * kw)).astype(np.int8)
+    return kernels.int8_pool(window, layer.kernel, layer.stride, layer.mode)
 
 
 def pool_pad_value(layer: LayerConfig) -> int:
@@ -143,20 +96,9 @@ def pool_pad_value(layer: LayerConfig) -> int:
     return 0
 
 
-def finalize(
-    acc: np.ndarray,
-    bias: np.ndarray | None,
-    shift: int,
-    relu: bool,
-) -> np.ndarray:
+def finalize(acc: np.ndarray, bias: np.ndarray | None, shift: int, relu: bool) -> np.ndarray:
     """CALC_F epilogue: bias add, requantization shift, saturation, ReLU."""
-    acc = acc.astype(np.int64)
-    if bias is not None:
-        acc = acc + bias.astype(np.int64).reshape(1, 1, -1)
-    out = saturating_shift(acc, shift)
-    if relu:
-        out = np.maximum(out, 0).astype(np.int8)
-    return out
+    return kernels.requantize(acc, bias, shift, relu)
 
 
 def eltwise_step(lhs: np.ndarray, rhs: np.ndarray, relu: bool) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Angel-Eye (the paper's host accelerator) uses 8-bit activations and weights
 with a *per-tensor* binary point: a value ``v`` is stored as the signed
-integer ``round(v * 2**frac_bits)`` clipped to ``[-128, 127]``.  Accumulation
-happens in 32-bit, and requantization between layers is a single arithmetic
-shift — which is what makes interrupted/resumed execution trivially
-bit-exact as long as the integer state is preserved.
+integer ``round(v * 2**frac_bits)`` clipped to ``[-128, 127]``.  Accumulators
+are ``ACC_BITS`` = 32 bits wide — :mod:`repro.quant.kernels` refuses any dot
+product whose worst case would not fit, so the int64 arrays the simulator
+holds them in never carry more — and requantization between layers is a
+single arithmetic shift, which is what makes interrupted/resumed execution
+trivially bit-exact as long as the integer state is preserved.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ DATA_BITS = 8
 INT8_MIN = -(2 ** (DATA_BITS - 1))
 INT8_MAX = 2 ** (DATA_BITS - 1) - 1
 
-#: Accumulator width inside the MAC array.
+#: Accumulator width inside the MAC array (enforced by repro.quant.kernels).
 ACC_BITS = 32
 
 #: Shared activation format across the deployment: Q3.4 (range +-7.94,

@@ -14,10 +14,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.quant import kernels
 from repro.quant.fixed_point import ACTIVATION_FRAC_BITS
+from repro.quant.qops import pad_hw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compile import CompiledNetwork
+    from repro.compiler.layer_config import LayerConfig
 
 
 def float_inference(
@@ -39,7 +42,7 @@ def float_inference(
     for layer in compiled.graph.layers[1:]:
         cfg = by_name[layer.name]
         sources = [outputs[src] for src in layer.inputs]
-        if cfg.kind in ("conv", "depthwise"):
+        if cfg.kind in ("conv", "depthwise") and cfg.weight_region is not None:
             quant = compiled.quantization.get(cfg.name)
             if quant is None:
                 raise ExecutionError(
@@ -51,13 +54,13 @@ def float_inference(
             bias_scale = 2.0 ** -(ACTIVATION_FRAC_BITS + quant.weight_format.frac_bits)
             bias = (
                 ddr.region(cfg.bias_region).array.astype(np.float64) * bias_scale
-                if cfg.bias
+                if cfg.bias and cfg.bias_region is not None
                 else None
             )
-            if cfg.kind == "conv":
-                result = _float_conv(sources[0], weights, bias, cfg)
-            else:
-                result = _float_depthwise(sources[0], weights, bias, cfg)
+            op = kernels.conv if cfg.kind == "conv" else kernels.depthwise
+            result = op(pad_hw(sources[0], cfg.padding), weights, cfg.stride)
+            if bias is not None:
+                result += bias
             if cfg.relu:
                 result = np.maximum(result, 0.0)
         elif cfg.kind == "pool":
@@ -74,71 +77,19 @@ def float_inference(
     return outputs
 
 
-def _pad(data: np.ndarray, padding: tuple[int, int], value: float = 0.0) -> np.ndarray:
-    ph, pw = padding
-    if ph == 0 and pw == 0:
-        return data
-    return np.pad(data, ((ph, ph), (pw, pw), (0, 0)), constant_values=value)
-
-
-def _float_conv(data, weights, bias, cfg) -> np.ndarray:
-    kh, kw, _, cout = weights.shape
-    sh, sw = cfg.stride
-    padded = _pad(data, cfg.padding)
-    out_h = (padded.shape[0] - kh) // sh + 1
-    out_w = (padded.shape[1] - kw) // sw + 1
-    acc = np.zeros((out_h, out_w, cout))
-    for dy in range(kh):
-        for dx in range(kw):
-            window = padded[dy : dy + out_h * sh : sh, dx : dx + out_w * sw : sw, :]
-            acc += np.tensordot(window, weights[dy, dx], axes=([2], [0]))
-    if bias is not None:
-        acc += bias.reshape(1, 1, -1)
-    return acc
-
-
-def _float_depthwise(data, weights, bias, cfg) -> np.ndarray:
-    kh, kw, channels = weights.shape
-    sh, sw = cfg.stride
-    padded = _pad(data, cfg.padding)
-    out_h = (padded.shape[0] - kh) // sh + 1
-    out_w = (padded.shape[1] - kw) // sw + 1
-    acc = np.zeros((out_h, out_w, channels))
-    for dy in range(kh):
-        for dx in range(kw):
-            window = padded[dy : dy + out_h * sh : sh, dx : dx + out_w * sw : sw, :]
-            acc += window * weights[dy, dx].reshape(1, 1, -1)
-    if bias is not None:
-        acc += bias.reshape(1, 1, -1)
-    return acc
-
-
-def _float_pool(data, cfg) -> np.ndarray:
-    kh, kw = cfg.kernel
-    sh, sw = cfg.stride
+def _float_pool(data: np.ndarray, cfg: LayerConfig) -> np.ndarray:
     pad_value = -np.inf if cfg.mode == "max" else 0.0
-    padded = _pad(data, cfg.padding, value=pad_value)
-    out_h = (padded.shape[0] - kh) // sh + 1
-    out_w = (padded.shape[1] - kw) // sw + 1
-    stacked = np.stack(
-        [
-            padded[dy : dy + out_h * sh : sh, dx : dx + out_w * sw : sw, :]
-            for dy in range(kh)
-            for dx in range(kw)
-        ]
-    )
-    if cfg.mode == "max":
-        return stacked.max(axis=0)
-    return stacked.mean(axis=0)
+    stack = kernels.tap_stack(pad_hw(data, cfg.padding, pad_value), cfg.kernel, cfg.stride)
+    pooled: np.ndarray = stack.max(axis=0) if cfg.mode == "max" else stack.mean(axis=0)
+    return pooled
 
 
-def _float_global(data, cfg) -> np.ndarray:
+def _float_global(data: np.ndarray, cfg: LayerConfig) -> np.ndarray:
     if cfg.mode == "max":
-        return data.max(axis=(0, 1), keepdims=True)
-    if cfg.mode == "avg":
-        return data.mean(axis=(0, 1), keepdims=True)
-    clipped = np.maximum(data, 1e-6)
-    return np.power(
-        np.mean(np.power(clipped, cfg.gem_p), axis=(0, 1), keepdims=True),
-        1.0 / cfg.gem_p,
-    )
+        pooled: np.ndarray = data.max(axis=(0, 1), keepdims=True)
+    elif cfg.mode == "avg":
+        pooled = data.mean(axis=(0, 1), keepdims=True)
+    else:
+        mean = np.mean(np.power(np.maximum(data, 1e-6), cfg.gem_p), axis=(0, 1), keepdims=True)
+        pooled = np.power(mean, 1.0 / cfg.gem_p)
+    return pooled

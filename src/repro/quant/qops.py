@@ -2,12 +2,13 @@
 
 These numpy implementations define the bit-exact semantics of every layer the
 accelerator executes: int8 feature maps in HWC layout, int8 weights in
-``(kh, kw, cin, cout)`` layout, int32/int64 accumulation, round-half-up
+``(kh, kw, cin, cout)`` layout, exact accumulation within the ``ACC_BITS`` =
+32-bit bound (:mod:`repro.quant.kernels` enforces it), round-half-up
 requantization shift, saturation, then ReLU.
 
-The simulator in :mod:`repro.accel.functional` computes the *same* arithmetic
-tile by tile; tests assert equality code-for-code, including across
-interrupts.
+The simulator in :mod:`repro.accel.functional` runs the *same* kernel stripe
+by stripe; tests assert equality code-for-code, including across interrupts,
+and against a tap-loop oracle that shares none of it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import QuantizationError
-from repro.quant.fixed_point import saturating_shift
+from repro.quant import kernels
 
 
 def _check_feature_map(data: np.ndarray, name: str) -> np.ndarray:
@@ -27,12 +28,12 @@ def _check_feature_map(data: np.ndarray, name: str) -> np.ndarray:
     return data
 
 
-def pad_hw(data: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
-    """Zero-pad the spatial dims of an HWC map."""
+def pad_hw(data: np.ndarray, padding: tuple[int, int], value: float = 0) -> np.ndarray:
+    """Pad the spatial dims of an HWC map with ``value``."""
     ph, pw = padding
     if ph == 0 and pw == 0:
         return data
-    return np.pad(data, ((ph, ph), (pw, pw), (0, 0)), mode="constant")
+    return np.pad(data, ((ph, ph), (pw, pw), (0, 0)), mode="constant", constant_values=value)
 
 
 def conv2d(
@@ -54,29 +55,13 @@ def conv2d(
     weights = np.asarray(weights)
     if weights.ndim != 4:
         raise QuantizationError(f"conv weights must be (kh, kw, cin, cout), got {weights.shape}")
-    kh, kw, cin, cout = weights.shape
-    if cin != data.shape[2]:
+    if weights.shape[2] != data.shape[2]:
         raise QuantizationError(
-            f"conv weights expect {cin} input channels, feature map has {data.shape[2]}"
+            f"conv weights expect {weights.shape[2]} input channels, "
+            f"feature map has {data.shape[2]}"
         )
-    sh, sw = stride
-    padded = pad_hw(data, padding)
-    out_h = (padded.shape[0] - kh) // sh + 1
-    out_w = (padded.shape[1] - kw) // sw + 1
-
-    acc = np.zeros((out_h, out_w, cout), dtype=np.int64)
-    w64 = weights.astype(np.int64)
-    for dy in range(kh):
-        for dx in range(kw):
-            # Strided window of the padded input aligned to tap (dy, dx).
-            window = padded[dy : dy + out_h * sh : sh, dx : dx + out_w * sw : sw, :]
-            acc += np.tensordot(window.astype(np.int64), w64[dy, dx], axes=([2], [0]))
-    if bias is not None:
-        acc += np.asarray(bias, dtype=np.int64).reshape(1, 1, cout)
-    out = saturating_shift(acc, shift)
-    if relu:
-        out = np.maximum(out, 0).astype(np.int8)
-    return out
+    acc = kernels.int8_conv(pad_hw(data, padding), weights, stride)
+    return kernels.requantize(acc, bias, shift, relu)
 
 
 def depthwise_conv2d(
@@ -93,28 +78,13 @@ def depthwise_conv2d(
     weights = np.asarray(weights)
     if weights.ndim != 3:
         raise QuantizationError(f"depthwise weights must be (kh, kw, c), got {weights.shape}")
-    kh, kw, channels = weights.shape
-    if channels != data.shape[2]:
+    if weights.shape[2] != data.shape[2]:
         raise QuantizationError(
-            f"depthwise weights expect {channels} channels, feature map has {data.shape[2]}"
+            f"depthwise weights expect {weights.shape[2]} channels, "
+            f"feature map has {data.shape[2]}"
         )
-    sh, sw = stride
-    padded = pad_hw(data, padding)
-    out_h = (padded.shape[0] - kh) // sh + 1
-    out_w = (padded.shape[1] - kw) // sw + 1
-
-    acc = np.zeros((out_h, out_w, channels), dtype=np.int64)
-    w64 = weights.astype(np.int64)
-    for dy in range(kh):
-        for dx in range(kw):
-            window = padded[dy : dy + out_h * sh : sh, dx : dx + out_w * sw : sw, :]
-            acc += window.astype(np.int64) * w64[dy, dx].reshape(1, 1, channels)
-    if bias is not None:
-        acc += np.asarray(bias, dtype=np.int64).reshape(1, 1, channels)
-    out = saturating_shift(acc, shift)
-    if relu:
-        out = np.maximum(out, 0).astype(np.int8)
-    return out
+    acc = kernels.int8_depthwise(pad_hw(data, padding), weights, stride)
+    return kernels.requantize(acc, bias, shift, relu)
 
 
 def pool2d(
@@ -127,33 +97,9 @@ def pool2d(
     """Quantized max/average pooling (average truncates toward -inf, as a
     hardware shift-based divider does for power-of-two windows)."""
     data = _check_feature_map(data, "pool input")
-    kh, kw = kernel
-    sh, sw = stride
-    if mode == "max":
-        # Pad with the most negative code so padding never wins the max.
-        ph, pw = padding
-        padded = np.pad(
-            data, ((ph, ph), (pw, pw), (0, 0)), mode="constant", constant_values=-128
-        )
-    elif mode == "avg":
-        padded = pad_hw(data, padding)
-    else:
-        raise QuantizationError(f"pool mode must be 'max' or 'avg', got {mode!r}")
-    out_h = (padded.shape[0] - kh) // sh + 1
-    out_w = (padded.shape[1] - kw) // sw + 1
-
-    stacked = np.stack(
-        [
-            padded[dy : dy + out_h * sh : sh, dx : dx + out_w * sw : sw, :]
-            for dy in range(kh)
-            for dx in range(kw)
-        ],
-        axis=0,
-    )
-    if mode == "max":
-        return stacked.max(axis=0).astype(np.int8)
-    total = stacked.astype(np.int64).sum(axis=0)
-    return (total // (kh * kw)).astype(np.int8)
+    # Max-pool pads with the most negative code so padding never wins.
+    padded = pad_hw(data, padding, value=-128 if mode == "max" else 0)
+    return kernels.int8_pool(padded, kernel, stride, mode)
 
 
 def eltwise_add(lhs: np.ndarray, rhs: np.ndarray, relu: bool) -> np.ndarray:
@@ -181,18 +127,13 @@ def fully_connected(
     weights = np.asarray(weights)
     if weights.ndim != 2:
         raise QuantizationError(f"fc weights must be (in, out), got {weights.shape}")
-    flat = data.reshape(-1).astype(np.int64)
-    if flat.shape[0] != weights.shape[0]:
+    if data.size != weights.shape[0]:
         raise QuantizationError(
-            f"fc expects {weights.shape[0]} inputs, feature map flattens to {flat.shape[0]}"
+            f"fc expects {weights.shape[0]} inputs, feature map flattens to {data.size}"
         )
-    acc = flat @ weights.astype(np.int64)
-    if bias is not None:
-        acc = acc + np.asarray(bias, dtype=np.int64)
-    out = saturating_shift(acc, shift)
-    if relu:
-        out = np.maximum(out, 0).astype(np.int8)
-    return out.reshape(1, 1, -1)
+    # A dense layer is a 1x1 conv over the flattened map: same GEMM, same guard.
+    acc = kernels.int8_conv(data.reshape(1, 1, -1), weights[None, None], (1, 1))
+    return kernels.requantize(acc, bias, shift, relu)
 
 
 def global_pool(data: np.ndarray, mode: str, p: float = 3.0) -> np.ndarray:
@@ -204,12 +145,15 @@ def global_pool(data: np.ndarray, mode: str, p: float = 3.0) -> np.ndarray:
     """
     data = _check_feature_map(data, "global pool input")
     if mode == "max":
-        return data.max(axis=(0, 1), keepdims=True).astype(np.int8)
-    if mode == "avg":
-        total = data.astype(np.int64).sum(axis=(0, 1), keepdims=True)
-        return (total // (data.shape[0] * data.shape[1])).astype(np.int8)
-    if mode == "gem":
+        pooled: np.ndarray = data.max(axis=(0, 1), keepdims=True)
+    elif mode == "avg":
+        pooled = data.sum(axis=(0, 1), keepdims=True, dtype=np.int64) // (
+            data.shape[0] * data.shape[1]
+        )
+    elif mode == "gem":
         real = np.maximum(data.astype(np.float64), 1e-6)
-        pooled = np.power(np.mean(np.power(real, p), axis=(0, 1), keepdims=True), 1.0 / p)
-        return np.clip(np.rint(pooled), -128, 127).astype(np.int8)
-    raise QuantizationError(f"global pool mode must be max/avg/gem, got {mode!r}")
+        mean = np.mean(np.power(real, p), axis=(0, 1), keepdims=True)
+        pooled = np.clip(np.rint(np.power(mean, 1.0 / p)), -128, 127)
+    else:
+        raise QuantizationError(f"global pool mode must be max/avg/gem, got {mode!r}")
+    return pooled.astype(np.int8)

@@ -84,7 +84,7 @@ class TestConvStep:
                 window = fn.gather_input_window(
                     data[:, :, in_ch0 : in_ch0 + 2], 0, layer, row0, 4
                 )
-                fn.conv_step(acc, window, weights[:, :, in_ch0 : in_ch0 + 2, :], layer, 4)
+                fn.conv_step(acc, window, weights[:, :, in_ch0 : in_ch0 + 2, :], layer)
             out[row0 : row0 + 4] = fn.finalize(acc, bias, 6, relu=True)
         assert np.array_equal(out, golden)
 
