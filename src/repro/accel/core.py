@@ -17,8 +17,7 @@ about tasks or interrupts; it executes whatever the IAU hands it.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from repro.isa.opcodes import Opcode
 from repro.obs.bus import EventBus
 from repro.obs.config import ObsConfig
 from repro.obs.events import EventKind
+from repro.state import Stateful
 
 
 @dataclass
@@ -111,8 +111,13 @@ class CoreStats:
     bytes_saved: int = 0
 
 
-class AcceleratorCore:
+class AcceleratorCore(Stateful):
     """Executes original-ISA instructions against DDR and on-chip buffers."""
+
+    #: Every on-chip buffer + the counters.  Unlike the CPU-like
+    #: :meth:`snapshot` (which aliases live tiles to model a hardware
+    #: spill), a captured state is a *deep* copy.
+    STATE = ("data_tiles", "weight_tile", "acc", "out", "stats")
 
     def __init__(
         self,
@@ -179,30 +184,6 @@ class AcceleratorCore:
         if self.out is not None:
             total += self.out.nbytes
         return total
-
-    # -- snapshot/restore ------------------------------------------------------
-
-    def capture_state(self) -> dict:
-        """Picklable mid-run state: every on-chip buffer + the counters.
-
-        Unlike the CPU-like :meth:`snapshot` (which aliases live tiles to
-        model a hardware spill), this is a *deep* copy that stays valid
-        after the core keeps running — the system-snapshot contract.
-        """
-        return {
-            "buffers": copy.deepcopy(
-                (self.data_tiles, self.weight_tile, self.acc, self.out)
-            ),
-            "stats": replace(self.stats),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore buffers and counters from a captured state (copied, so
-        the same snapshot can be restored more than once)."""
-        self.data_tiles, self.weight_tile, self.acc, self.out = copy.deepcopy(
-            state["buffers"]
-        )
-        self.stats = replace(state["stats"])
 
     # -- execution ---------------------------------------------------------------
 

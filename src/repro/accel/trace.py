@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.isa.opcodes import Opcode
+from repro.state import Shared, Stateful
 
 if TYPE_CHECKING:  # import cycle: obs is imported by accel.core at runtime
     from repro.obs.bus import EventBus
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # import cycle: obs is imported by accel.core at runtime
 
 
 @dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Shared):
     """One executed instruction with its time span (accelerator cycles)."""
 
     task_id: int
@@ -37,7 +38,7 @@ class TraceEvent:
 
 
 @dataclass
-class ExecutionTrace:
+class ExecutionTrace(Stateful):
     """An append-only instruction log with simple queries.
 
     Acts as an event-bus sink: attach it with ``bus.attach(trace)`` (or
@@ -45,6 +46,8 @@ class ExecutionTrace:
     :class:`TraceEvent`.  Direct :meth:`record` calls still work for code
     that builds traces by hand.
     """
+
+    STATE = ("events",)
 
     events: list[TraceEvent] = field(default_factory=list)
     enabled: bool = True

@@ -16,11 +16,11 @@ content-addressed store that makes the reuse cross-process:
   (layout, layer configs, plans, quantization, all vi-mode programs) plus
   the precomputed :class:`~repro.iau.fastpath.ProgramMeta` prefix sums, so
   ``execution_meta`` is warm from the very first job of a fresh process.
-* **format** — the snapshot idiom proven by :mod:`repro.serve.snapshot`:
-  a magic + CRC32 header over the payload, written atomically
-  (tmp + fsync + ``os.replace``), so concurrent farm/gateway workers can
-  share one cache directory; a reader never sees a torn entry, and racing
-  writers simply last-write-win an identical artefact.
+* **format** — the :mod:`repro.container` frame snapshots use: a magic +
+  CRC32 header over the payload, written atomically (tmp + fsync +
+  rename), so concurrent farm/gateway workers can share one cache
+  directory; a reader never sees a torn entry, and racing writers simply
+  last-write-win an identical artefact.
 * **failure policy** — a missing, truncated, bit-flipped or
   version-mismatched entry is a *miss*, never an error: the caller falls
   back to a fresh compile and overwrites the bad entry.
@@ -33,17 +33,8 @@ gateway worker subprocesses pick the cache up without any plumbing.
 ``python -m repro.compiler.cache`` warms, lists, garbage-collects and
 clears a cache directory (see ``--help``).
 
-Layout (big-endian)::
-
-    offset  size  field
-    ------  ----  --------------------------------------------------
-    0       8     magic  b"INCACCHE"
-    8       2     format version (this module's VERSION)
-    10      2     flags (reserved, 0)
-    12      4     CRC32 of the payload bytes
-    16      8     payload length in bytes
-    24      n     payload: pickle of {"meta", "body", "programs", "plans"}
-
+An entry is one :mod:`repro.container` frame (magic ``INCACCHE``) around a
+pickle of ``{"meta", "body", "programs", "plans"}``.
 ``meta`` is a small mapping (key, graph/config names, instruction count,
 creation time, compiler fingerprint) readable without decompressing the
 artefact — what ``entries()``/the CLI ``ls`` report.  ``body`` is a
@@ -63,7 +54,6 @@ import hashlib
 import io
 import os
 import pickle
-import struct
 import time
 import zlib
 from dataclasses import dataclass
@@ -73,6 +63,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping
 import numpy as np
 
 from repro.compiler.vi_pass import DEFAULT_VI_POLICY
+from repro.container import frame, unframe, write_atomic
 from repro.obs.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,7 +88,6 @@ VERSION = 2
 #: gateway worker subprocesses, which inherit the parent's environment.
 CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 
-_HEADER = struct.Struct(">8sHHIQ")
 _SUFFIX = ".inca"
 
 #: Program variants whose :class:`ProgramMeta` is precomputed at store time
@@ -443,22 +433,11 @@ class CompileCache:
             {"meta": meta, "body": body, "programs": programs, "plans": plans},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        header = _HEADER.pack(MAGIC, VERSION, 0, zlib.crc32(payload), len(payload))
         path = self.path_for(key)
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
         try:
-            with open(tmp, "wb") as handle:
-                handle.write(header)
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            write_atomic(path, frame(MAGIC, VERSION, payload))
         except OSError:
             self.stats.store_failures += 1
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
             return None
         self.stats.stores += 1
         return path
@@ -471,24 +450,10 @@ class CompileCache:
             raw = path.read_bytes()
         except OSError:
             return None
-        if len(raw) < _HEADER.size:
-            self.stats.corrupt += 1
-            return None
-        magic, version, _flags, crc, length = _HEADER.unpack_from(raw)
-        payload = raw[_HEADER.size :]
-        if (
-            magic != MAGIC
-            or version != VERSION
-            or len(payload) != length
-            or zlib.crc32(payload) != crc
-        ):
-            self.stats.corrupt += 1
-            return None
         try:
-            document = pickle.loads(payload)
-        except Exception:
-            self.stats.corrupt += 1
-            return None
+            document = pickle.loads(unframe(raw, MAGIC, VERSION))
+        except Exception:  # every unframe reason and unpickle failure alike
+            document = None
         if not isinstance(document, dict) or "body" not in document:
             self.stats.corrupt += 1
             return None

@@ -107,6 +107,19 @@ class InvariantViolation(IncaError):
     """
 
 
+class StateError(IncaError):
+    """A captured state does not fit the object asked to restore it."""
+
+
+class ContainerError(IncaError):
+    """A framed blob failed validation; :attr:`reason` names the check
+    (see :func:`repro.container.unframe`)."""
+
+    def __init__(self, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.reason = reason
+
+
 class DslamError(IncaError):
     """A DSLAM component failed (no landmarks in view, bad trajectory...)."""
 

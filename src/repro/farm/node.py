@@ -148,11 +148,11 @@ def submit_assignment(
     (and a restored system — whose request heap rides in the snapshot —
     skips this phase entirely).
     """
-    per_slot: dict[int, list[tuple[int, int]]] = {}
-    for job_id, service, cycle in assignment.dispatches:
+    # Dispatch order, not slot order: the submit sequence number breaks
+    # same-cycle ties between slots.
+    for _job_id, service, cycle in assignment.dispatches:
         system.submit(service, cycle)
-        per_slot.setdefault(service, []).append((job_id, cycle))
-    return per_slot
+    return expected_per_slot(assignment)
 
 
 def expected_per_slot(

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.analysis.tables import format_table
+from repro.container import HEADER
 from repro.errors import SchedulerError
 from repro.farm.metrics import build_report, join_outcomes
 from repro.farm.node import NodeJobResult, build_node_system
@@ -303,7 +304,7 @@ def poison_snapshot_file(path: str | Path, *, seed: int = 0) -> int:
     """
     path = Path(path)
     blob = bytearray(path.read_bytes())
-    header = 24
+    header = HEADER.size
     if len(blob) <= header:
         raise SchedulerError(f"snapshot {path} too small to poison")
     offset = header + random.Random(seed).randrange(len(blob) - header)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import FaultError
+from repro.state import Shared, Stateful
 
 
 class FaultSite(enum.Enum):
@@ -61,7 +62,7 @@ ALL_SITES: tuple[FaultSite, ...] = tuple(FaultSite)
 
 
 @dataclass(frozen=True)
-class InjectedFault:
+class InjectedFault(Shared):
     """One fault the plan actually fired (the campaign's ground truth)."""
 
     site: FaultSite
@@ -112,13 +113,19 @@ class DegradationPolicy:
             )
 
 
-class FaultPlan:
+class FaultPlan(Stateful):
     """Deterministic, seeded fault-injection schedule.
 
     ``rates`` maps sites (or their string values) to per-opportunity firing
     probabilities in [0, 1].  Two plans with equal seeds and rates inject
     the identical fault sequence into a deterministic simulation.
     """
+
+    #: The fired-fault log and the per-site RNG positions: restoring the
+    #: streams is what makes a resumed run draw the *identical* fault
+    #: sequence an uninterrupted run would — the bit-exactness oracle for
+    #: armed snapshots.
+    STATE = ("injected", "_rngs")
 
     def __init__(
         self,
@@ -262,24 +269,8 @@ class FaultPlan:
 
     # -- snapshot/restore ----------------------------------------------------
 
-    def capture_state(self) -> dict[str, Any]:
-        """Picklable mid-run state: per-site RNG positions + fired faults.
-
-        Restoring the RNG states is what makes a resumed run draw the
-        *identical* fault sequence an uninterrupted run would — the
-        bit-exactness oracle for armed snapshots.
-        """
-        return {
-            "rng_states": {
-                site.value: rng.getstate() for site, rng in self._rngs.items()
-            },
-            "injected": list(self.injected),
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        for value, rng_state in state["rng_states"].items():
-            self._rngs[FaultSite(value)].setstate(rng_state)
-        self.injected = list(state["injected"])
+    def _reset_derived(self) -> None:
+        """The fire-oracle cache is a function of the stream positions."""
         self._safe_ahead.clear()
 
     # -- bookkeeping ---------------------------------------------------------

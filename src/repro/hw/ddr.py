@@ -9,13 +9,13 @@ functional simulation reads and writes real data.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
 from repro.errors import EccError, MemoryMapError
+from repro.state import Stateful
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> hw)
     from repro.faults.plan import FaultPlan
@@ -51,7 +51,7 @@ class _PendingFlip:
 
 
 @dataclass
-class Ddr:
+class Ddr(Stateful):
     """A flat DDR address space with named, non-overlapping regions.
 
     When a :class:`~repro.faults.plan.FaultPlan` is attached (see
@@ -62,6 +62,10 @@ class Ddr:
     uncorrectable flip raises :class:`~repro.errors.EccError`.  With no plan
     attached none of this code runs.
     """
+
+    STATE = ("_cursor", "_pending_flips")
+    #: Region arrays are copied out and written back *in place* by hand.
+    EXTRA = ("regions",)
 
     capacity: int = 1 << 32
     base: int = 0
@@ -140,7 +144,7 @@ class Ddr:
 
     # -- snapshot/restore ------------------------------------------------------
 
-    def capture_state(self) -> dict:
+    def capture_state(self) -> dict[str, Any]:
         """Picklable mid-run state: region contents + pending ECC flips.
 
         The region *layout* (names, bases, sizes) is structural — it is
@@ -148,21 +152,14 @@ class Ddr:
         system-level snapshot fingerprint — so only the mutable payload is
         captured here.
         """
-        return {
-            "cursor": self._cursor,
-            "regions": {
-                name: region.array.copy() for name, region in self._regions.items()
-            },
-            "pending_flips": copy.deepcopy(self._pending_flips),
+        state = super().capture_state()
+        state["regions"] = {
+            name: region.array.copy() for name, region in self._regions.items()
         }
+        return state
 
-    def restore_state(self, state: dict) -> None:
-        """Overwrite region contents *in place* from a captured state.
-
-        In-place writes matter: compiled networks keep references to the
-        same backing arrays (``compiled.layout.ddr``), so both views of the
-        address space observe the restore.
-        """
+    def _check_state(self, state: Mapping[str, Any]) -> None:
+        super()._check_state(state)
         regions = state["regions"]
         if set(regions) != set(self._regions):
             raise MemoryMapError(
@@ -177,9 +174,17 @@ class Ddr:
                     f"{array.dtype}, expected {region.array.shape} "
                     f"{region.array.dtype}"
                 )
-            region.array[...] = array
-        self._cursor = state["cursor"]
-        self._pending_flips = copy.deepcopy(state["pending_flips"])
+
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        """Overwrite region contents *in place* from a captured state.
+
+        In-place writes matter: compiled networks keep references to the
+        same backing arrays (``compiled.layout.ddr``), so both views of the
+        address space observe the restore.
+        """
+        super().restore_state(state)
+        for name, array in state["regions"].items():
+            self._regions[name].array[...] = array
 
     # -- fault injection (ECC model) -----------------------------------------
 

@@ -9,16 +9,16 @@ interrupted.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.compiler.compile import CompiledNetwork
 from repro.errors import IauError
 from repro.faults.plan import DeadlineMissed
 from repro.isa.instructions import NO_SAVE_ID
 from repro.isa.program import Program
+from repro.state import Stateful
 
 
 @dataclass
@@ -86,8 +86,19 @@ class Checkpoint:
 
 
 @dataclass
-class TaskContext:
+class TaskContext(Stateful):
     """One IAU task slot."""
+
+    #: Registers, queue and job records; ``queue`` / ``current_job`` /
+    #: ``completed`` share records, which the single capture copy preserves.
+    STATE = (
+        "priority", "instr_index", "input_offset", "output_offset", "save_id",
+        "saved_chs", "in_recovery", "active", "snapshot", "queue", "current_job",
+        "completed", "busy_cycles", "deadline_cycles", "checkpoint",
+        "good_checkpoint", "checkpoint_retries", "want_degraded",
+    )
+    #: Programs are captured by variant key (see :meth:`variant_key`).
+    EXTRA = ("program", "base_program", "degraded_program")
 
     task_id: int
     compiled: CompiledNetwork
@@ -228,64 +239,15 @@ class TaskContext:
 
     def capture_state(self) -> dict[str, Any]:
         """Picklable mid-run state of this slot (registers, queue, jobs)."""
-        # One deepcopy call preserves identity links between the queue, the
-        # in-flight record and the completed list (memoised copy).
-        jobs = copy.deepcopy(
-            {
-                "queue": list(self.queue),
-                "current_job": self.current_job,
-                "completed": self.completed,
-            }
-        )
-        return {
-            "program": self.variant_key(self.program),
-            "base_program": self.variant_key(self.base_program),
-            "degraded_program": (
-                None
-                if self.degraded_program is None
-                else self.variant_key(self.degraded_program)
-            ),
-            "priority": self.priority,
-            "instr_index": self.instr_index,
-            "input_offset": self.input_offset,
-            "output_offset": self.output_offset,
-            "save_id": self.save_id,
-            "saved_chs": self.saved_chs,
-            "in_recovery": self.in_recovery,
-            "active": self.active,
-            "snapshot": copy.deepcopy(self.snapshot),
-            "jobs": jobs,
-            "busy_cycles": self.busy_cycles,
-            "deadline_cycles": self.deadline_cycles,
-            "checkpoints": copy.deepcopy((self.checkpoint, self.good_checkpoint)),
-            "checkpoint_retries": self.checkpoint_retries,
-            "want_degraded": self.want_degraded,
-        }
+        state = super().capture_state()
+        for name in self.EXTRA:
+            program = getattr(self, name)
+            state[name] = None if program is None else self.variant_key(program)
+        return state
 
-    def restore_state(self, state: dict[str, Any]) -> None:
+    def restore_state(self, state: Mapping[str, Any]) -> None:
         """Restore this slot from a captured state (copied, reusable)."""
-        self.program = self.compiled.program_for(state["program"])
-        self.base_program = self.compiled.program_for(state["base_program"])
-        self.degraded_program = (
-            None
-            if state["degraded_program"] is None
-            else self.compiled.program_for(state["degraded_program"])
-        )
-        self.priority = state["priority"]
-        self.instr_index = state["instr_index"]
-        self.input_offset = state["input_offset"]
-        self.output_offset = state["output_offset"]
-        self.save_id = state["save_id"]
-        self.saved_chs = state["saved_chs"]
-        self.in_recovery = state["in_recovery"]
-        self.active = state["active"]
-        self.snapshot = copy.deepcopy(state["snapshot"])
-        jobs = copy.deepcopy(state["jobs"])
-        self.queue = deque(jobs["queue"])
-        self.current_job = jobs["current_job"]
-        self.completed = jobs["completed"]
-        self.busy_cycles = state["busy_cycles"]
-        self.deadline_cycles = state["deadline_cycles"]
-        self.checkpoint, self.good_checkpoint = copy.deepcopy(state["checkpoints"])
-        self.checkpoint_retries = state["checkpoint_retries"]
-        self.want_degraded = state["want_degraded"]
+        super().restore_state(state)
+        for name in self.EXTRA:
+            key = state[name]
+            setattr(self, name, None if key is None else self.compiled.program_for(key))

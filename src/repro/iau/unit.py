@@ -41,6 +41,7 @@ from repro.obs.events import EventKind
 from repro.qos.admission import AdmissionController
 from repro.qos.config import QosConfig
 from repro.qos.monitor import InvariantMonitor
+from repro.state import Stateful
 
 from repro.iau.fastpath import MIN_BATCH
 
@@ -54,8 +55,15 @@ MAX_TASKS = 4
 IAU_MODES = ("virtual", "cpu")
 
 
-class Iau:
+class Iau(Stateful):
     """Behavioural model of the Instruction Arrangement Unit."""
+
+    STATE = (
+        "clock", "current", "backup_cycles", "restore_cycles", "num_switches",
+        "num_rollbacks", "num_deadline_misses", "num_inversions", "_inversions_seen",
+    )
+    #: The slot table: a restore requires the same slots attached.
+    PARTS = ("contexts",)
 
     def __init__(
         self,
@@ -454,53 +462,6 @@ class Iau:
             )
         if monitor is not None:
             monitor.exit_stretch()
-
-    # -- snapshot/restore ------------------------------------------------------
-
-    def capture_state(self) -> dict[str, Any]:
-        """Picklable mid-run state: clock, counters, and every task slot."""
-        return {
-            "clock": self.clock,
-            "current": self.current,
-            "backup_cycles": self.backup_cycles,
-            "restore_cycles": self.restore_cycles,
-            "num_switches": self.num_switches,
-            "num_rollbacks": self.num_rollbacks,
-            "num_deadline_misses": self.num_deadline_misses,
-            "num_inversions": self.num_inversions,
-            "inversions_seen": set(self._inversions_seen),
-            "contexts": {
-                task_id: context.capture_state()
-                for task_id, context in enumerate(self.contexts)
-                if context is not None
-            },
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Restore from a captured state; the same tasks must be attached."""
-        attached = {
-            task_id
-            for task_id, context in enumerate(self.contexts)
-            if context is not None
-        }
-        if attached != set(state["contexts"]):
-            raise IauError(
-                f"snapshot task slots {sorted(state['contexts'])} do not "
-                f"match the attached slots {sorted(attached)}"
-            )
-        self.clock = state["clock"]
-        self.current = state["current"]
-        self.backup_cycles = state["backup_cycles"]
-        self.restore_cycles = state["restore_cycles"]
-        self.num_switches = state["num_switches"]
-        self.num_rollbacks = state["num_rollbacks"]
-        self.num_deadline_misses = state["num_deadline_misses"]
-        self.num_inversions = state["num_inversions"]
-        self._inversions_seen = set(state["inversions_seen"])
-        for task_id, context_state in state["contexts"].items():
-            context = self.contexts[task_id]
-            assert context is not None  # slot membership validated above
-            context.restore_state(context_state)
 
     # -- switching ------------------------------------------------------------
 

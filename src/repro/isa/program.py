@@ -2,29 +2,28 @@
 
 A :class:`Program` is an ordered instruction sequence for one network, as
 dumped by the compiler and loaded into the FPGA's DDR instruction space in
-the paper's flow.  The on-disk format is a small header followed by packed
-32-byte instruction words.
+the paper's flow.  The on-disk format is one :mod:`repro.container` frame
+(magic ``INCAPROG``) around the packed 32-byte instruction words.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from repro.errors import ProgramError
-from repro.isa.encoding import INSTRUCTION_BYTES, decode_stream, encode_stream
+from repro.container import frame, unframe
+from repro.errors import ContainerError, ProgramError
+from repro.isa.encoding import decode_stream, encode_stream
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 
-_MAGIC = b"INCA"
-#: v2 adds a CRC32 of the body so any corruption of a stored
-#: ``instruction.bin`` is caught at load time, before decode.
-_VERSION = 2
-_HEADER = struct.Struct("<4sHHII")  # magic, version, reserved, count, body crc32
+_MAGIC = b"INCAPROG"
+#: v2 added a CRC32 of the body so any corruption of a stored
+#: ``instruction.bin`` is caught at load time, before decode; v3 is the
+#: shared 24-byte :mod:`repro.container` header.
+_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -108,38 +107,16 @@ class Program:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        body = encode_stream(self.instructions)
-        header = _HEADER.pack(
-            _MAGIC, _VERSION, 0, len(self.instructions), zlib.crc32(body)
-        )
-        return header + body
+        return frame(_MAGIC, _VERSION, encode_stream(self.instructions))
 
     @classmethod
     def from_bytes(cls, blob: bytes, name: str = "loaded") -> "Program":
-        if len(blob) < _HEADER.size:
-            raise ProgramError("blob too short to hold a program header")
-        magic, version, reserved, count, crc = _HEADER.unpack_from(blob, 0)
-        if magic != _MAGIC:
-            raise ProgramError(f"bad magic {magic!r}; not an instruction.bin")
-        if version != _VERSION:
-            raise ProgramError(f"unsupported instruction.bin version {version}")
-        if reserved != 0:
-            # Every header bit is load-bearing: a flipped reserved field means
-            # the blob did not come out of this serializer intact.
-            raise ProgramError(f"reserved header field must be 0, got {reserved:#x}")
-        body = blob[_HEADER.size :]
-        expected = count * INSTRUCTION_BYTES
-        if len(body) != expected:
-            raise ProgramError(
-                f"instruction.bin declares {count} instructions ({expected} bytes), "
-                f"body has {len(body)} bytes"
-            )
-        actual = zlib.crc32(body)
-        if actual != crc:
-            raise ProgramError(
-                f"instruction.bin body CRC mismatch "
-                f"(header {crc:#010x}, computed {actual:#010x}): corrupted blob"
-            )
+        """Decode an ``instruction.bin`` blob; every header bit is
+        load-bearing, so any damage is a :class:`ProgramError`."""
+        try:
+            body = unframe(blob, _MAGIC, _VERSION)
+        except ContainerError as exc:
+            raise ProgramError(f"not a loadable instruction.bin: {exc}") from exc
         return cls(name=name, instructions=tuple(decode_stream(body)))
 
     def dump(self, path: str | Path) -> Path:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Protocol
 
 from repro.obs.events import Event, EventKind
+from repro.state import Stateful
 
 
 class Sink(Protocol):
@@ -60,8 +61,14 @@ class CallbackSink:
         self._callback(event)
 
 
-class EventBus:
+class EventBus(Stateful):
     """Cycle-stamped structured event stream with attached sinks."""
+
+    #: The clock and the recorded stream.  Sinks are wiring, not state:
+    #: whoever rebuilds the system reattaches them, a restore does *not*
+    #: replay into them, and their own state is captured by their owners
+    #: (e.g. :class:`~repro.obs.metrics.Metrics`).
+    STATE = ("cycle", "events")
 
     def __init__(self, record: bool = True, sinks: tuple[Sink, ...] = ()):
         self.cycle = 0
@@ -116,22 +123,6 @@ class EventBus:
         for sink in self._sinks:
             sink.handle(event)
         return event
-
-    # -- snapshot/restore --------------------------------------------------
-
-    def capture_state(self) -> dict:
-        """Picklable mid-run state: the clock and the recorded stream.
-
-        Events are immutable, so the list is copied shallowly.  Sinks are
-        wiring, not state — they are reattached by whoever rebuilds the
-        system, and are *not* replayed on restore (their own state is
-        captured by their owners, e.g. :class:`~repro.obs.metrics.Metrics`).
-        """
-        return {"cycle": self.cycle, "events": list(self.events)}
-
-    def restore_state(self, state: dict) -> None:
-        self.cycle = state["cycle"]
-        self.events = list(state["events"])
 
     # -- queries -----------------------------------------------------------
 

@@ -81,6 +81,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.state import Shared
+
 
 class EventKind(enum.Enum):
     """The closed set of event types the stack emits."""
@@ -120,7 +122,7 @@ class EventKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Event:
+class Event(Shared):
     """One cycle-stamped observation.
 
     ``duration`` is non-zero for events that span time (instruction

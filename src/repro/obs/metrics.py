@@ -9,10 +9,10 @@ update instruments directly for domain-specific signals.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.obs.events import Event, EventKind
+from repro.state import Stateful
 
 #: A label set in canonical (hashable) form.
 LabelKey = tuple[tuple[str, object], ...]
@@ -91,8 +91,10 @@ class Histogram:
         return ordered[rank]
 
 
-class Metrics:
+class Metrics(Stateful):
     """Registry of named, labelled instruments."""
+
+    STATE = ("_counters", "_gauges", "_histograms")
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
@@ -116,26 +118,6 @@ class Metrics:
         if key not in self._histograms:
             self._histograms[key] = Histogram()
         return self._histograms[key]
-
-    # -- snapshot/restore --------------------------------------------------
-
-    def capture_state(self) -> dict:
-        """Picklable deep copy of every instrument (system snapshots)."""
-        return copy.deepcopy(
-            {
-                "counters": self._counters,
-                "gauges": self._gauges,
-                "histograms": self._histograms,
-            }
-        )
-
-    def restore_state(self, state: dict) -> None:
-        """Replace all instruments with a captured state (copied, so the
-        same snapshot can be restored more than once)."""
-        state = copy.deepcopy(state)
-        self._counters = state["counters"]
-        self._gauges = state["gauges"]
-        self._histograms = state["histograms"]
 
     # -- aggregation -------------------------------------------------------
 

@@ -19,13 +19,13 @@ event — overload never manifests as a silently growing queue.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
 
 from repro.estimate import estimate_job_cycles
 from repro.obs.events import EventKind
 from repro.qos.config import AdmissionPolicy, QosConfig
+from repro.state import Stateful
 
 __all__ = ["AdmissionController", "AdmissionDenied", "estimate_job_cycles"]
 
@@ -43,8 +43,10 @@ class AdmissionDenied:
     projected_overrun_cycles: int | None = None
 
 
-class AdmissionController:
+class AdmissionController(Stateful):
     """Bounded-queue + slack admission for the IAU's task slots."""
+
+    STATE = ("denied", "outcomes", "_estimates", "_parked")
 
     def __init__(self, config: QosConfig, bus=None):
         self.config = config
@@ -124,28 +126,6 @@ class AdmissionController:
 
     def parked_count(self, task_id: int) -> int:
         return len(self._parked.get(task_id, ()))
-
-    # -- snapshot/restore --------------------------------------------------
-
-    def capture_state(self) -> dict:
-        """Picklable mid-run state: denials, estimates, parked requests."""
-        return {
-            "denied": dict(self.denied),
-            "outcomes": list(self.outcomes),
-            "estimates": dict(self._estimates),
-            "parked": copy.deepcopy(
-                {task_id: list(queue) for task_id, queue in self._parked.items()}
-            ),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.denied = dict(state["denied"])
-        self.outcomes = list(state["outcomes"])
-        self._estimates = dict(state["estimates"])
-        self._parked = {
-            task_id: deque(records)
-            for task_id, records in copy.deepcopy(state["parked"]).items()
-        }
 
     # -- internals ---------------------------------------------------------
 

@@ -33,6 +33,7 @@ from typing import Iterable, Mapping
 
 from repro.errors import InvariantViolation, QosError
 from repro.obs.events import Event, EventKind
+from repro.state import Stateful
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,13 @@ class Violation:
         return f"[{self.check}]{task} @ {self.cycle}: {self.detail}"
 
 
-class InvariantMonitor:
+class InvariantMonitor(Stateful):
     """Event-bus sink checking runtime invariants as they stream past."""
+
+    #: The *runtime* state only: the expectation maps (bounds, deadlines,
+    #: region owners) are wiring, re-registered by whoever rebuilds the
+    #: system's task set.
+    STATE = ("violations", "_floor", "_preempted", "_queued", "_missed", "_burst_regions")
 
     def __init__(
         self,
@@ -96,29 +102,6 @@ class InvariantMonitor:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    # -- snapshot/restore --------------------------------------------------
-
-    def capture_state(self) -> dict:
-        """Picklable *runtime* state (the expectation maps — bounds,
-        deadlines, region owners — are wiring, re-registered by whoever
-        rebuilds the system's task set)."""
-        return {
-            "violations": list(self.violations),
-            "floor": self._floor,
-            "preempted": set(self._preempted),
-            "queued": dict(self._queued),
-            "missed": dict(self._missed),
-            "burst_regions": list(self._burst_regions),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.violations = list(state["violations"])
-        self._floor = state["floor"]
-        self._preempted = set(state["preempted"])
-        self._queued = dict(state["queued"])
-        self._missed = dict(state["missed"])
-        self._burst_regions = list(state["burst_regions"])
 
     # -- sink protocol -----------------------------------------------------
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.accel.core import AcceleratorCore
 from repro.accel.trace import ExecutionTrace
 from repro.compiler.compile import CompiledNetwork, compile_network
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, StateError
 from repro.faults.plan import DegradationPolicy, FaultPlan
 from repro.hw.config import AcceleratorConfig
 from repro.hw.ddr import Ddr
@@ -44,6 +45,7 @@ from repro.obs.spans import Span, job_spans
 from repro.qos.admission import AdmissionController
 from repro.qos.config import QosConfig
 from repro.qos.monitor import InvariantMonitor
+from repro.state import Shared, Stateful
 from repro.units import MIB
 
 
@@ -61,7 +63,7 @@ class ArrivalPolicy(enum.Enum):
 
 
 @dataclass(frozen=True, order=True)
-class TimedRequest:
+class TimedRequest(Shared):
     """An inference request scheduled for a future cycle."""
 
     cycle: int
@@ -140,8 +142,13 @@ class SubmitSurface:
         raise SchedulerError(f"unknown arrival policy {policy!r}")  # pragma: no cover
 
 
-class MultiTaskSystem(SubmitSurface):
+class MultiTaskSystem(SubmitSurface, Stateful):
     """One accelerator, up to four prioritised tasks, timed job arrivals."""
+
+    #: Scheduler bookkeeping (``_requests`` keeps its heap order in a copy).
+    STATE = ("_requests", "_sequence", "_pending", "shed")
+    PARTS = ("ddr", "core", "iau", "bus", "metrics", "trace", "monitor", "admission", "faults")
+    EXTRA = ("fingerprint",)
 
     def __init__(
         self,
@@ -388,10 +395,10 @@ class MultiTaskSystem(SubmitSurface):
 
     def _fingerprint(self) -> dict:
         """Structural identity a snapshot must match to be restorable here:
-        the accelerator design, the attached task set (slot → program
-        variant + length + regions), and which optional subsystems are
-        armed.  All derived from construction arguments, never mutated by a
-        run."""
+        the accelerator design, the execution mode and the attached task set
+        (slot → program variant + length + regions).  All derived from
+        construction arguments, never mutated by a run.  *Which* optional
+        subsystems are armed needs no entry: it is the state's key set."""
         tasks = {}
         for task_id in self._task_ids:
             context = self.iau.context(task_id)
@@ -405,17 +412,9 @@ class MultiTaskSystem(SubmitSurface):
         return {
             "config": repr(self.config),
             "iau_mode": self.iau.mode,
+            "functional": self.core.functional,
+            "degradation": repr(self.degradation),
             "tasks": tasks,
-            "armed": {
-                "bus": self.bus is not None,
-                "metrics": self.metrics is not None,
-                "trace": self.trace is not None,
-                "monitor": self.monitor is not None,
-                "admission": self.admission is not None,
-                "faults": self.faults is not None,
-                "degradation": self.degradation is not None,
-                "functional": self.core.functional,
-            },
         }
 
     def capture_state(self) -> dict:
@@ -434,65 +433,24 @@ class MultiTaskSystem(SubmitSurface):
                 "cannot snapshot a system with an on_complete hook: "
                 "callback closures (e.g. ROS executors) are not serializable"
             )
-        state: dict = {
-            "fingerprint": self._fingerprint(),
-            "ddr": self.ddr.capture_state(),
-            "core": self.core.capture_state(),
-            "iau": self.iau.capture_state(),
-            "requests": list(self._requests),
-            "sequence": self._sequence,
-            "pending": dict(self._pending),
-            "shed": dict(self.shed),
-        }
-        if self.bus is not None:
-            state["bus"] = self.bus.capture_state()
-        if self.metrics is not None:
-            state["metrics"] = self.metrics.capture_state()
-        if self.trace is not None:
-            state["trace"] = list(self.trace.events)
-        if self.monitor is not None:
-            state["monitor"] = self.monitor.capture_state()
-        if self.admission is not None:
-            state["admission"] = self.admission.capture_state()
-        if self.faults is not None:
-            state["faults"] = self.faults.capture_state()
+        state = super().capture_state()
+        state["fingerprint"] = self._fingerprint()
         return state
 
-    def restore_state(self, state: dict) -> None:
-        """Restore a captured state into this (identically-built) system.
-
-        The snapshot's structural fingerprint must match exactly — same
-        accelerator config, same task set and program variants, same armed
-        subsystems — otherwise :class:`~repro.errors.SchedulerError` is
-        raised before anything is touched.  The state dict itself is never
-        mutated, so one snapshot can seed many restores.
-        """
-        fingerprint = self._fingerprint()
-        if state.get("fingerprint") != fingerprint:
+    def _check_state(self, state: Mapping[str, Any]) -> None:
+        """The snapshot's armed subsystems and structural fingerprint must
+        match exactly, otherwise :class:`~repro.errors.SchedulerError` is
+        raised before anything is touched."""
+        try:
+            super()._check_state(state)
+        except StateError as exc:
+            raise SchedulerError(f"snapshot does not fit this system: {exc}") from exc
+        if state["fingerprint"] != self._fingerprint():
             raise SchedulerError(
                 "snapshot does not fit this system: the accelerator config, "
-                "attached task set, or armed subsystems differ from the "
+                "execution mode or attached task set differs from the "
                 "capturing system"
             )
-        self.ddr.restore_state(state["ddr"])
-        self.core.restore_state(state["core"])
-        self.iau.restore_state(state["iau"])
-        self._requests = list(state["requests"])  # heap order is preserved
-        self._sequence = state["sequence"]
-        self._pending = dict(state["pending"])
-        self.shed = dict(state["shed"])
-        if self.bus is not None:
-            self.bus.restore_state(state["bus"])
-        if self.metrics is not None:
-            self.metrics.restore_state(state["metrics"])
-        if self.trace is not None:
-            self.trace.events = list(state["trace"])
-        if self.monitor is not None:
-            self.monitor.restore_state(state["monitor"])
-        if self.admission is not None:
-            self.admission.restore_state(state["admission"])
-        if self.faults is not None:
-            self.faults.restore_state(state["faults"])
 
     # -- results -------------------------------------------------------------------
 

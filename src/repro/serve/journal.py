@@ -81,6 +81,7 @@ SNAPSHOT = "snapshot"
 WORKER_DEATH = "worker_death"
 SNAPSHOT_CORRUPT = "snapshot_corrupt"
 SNAPSHOT_DISCARDED = "snapshot_discarded"
+SNAPSHOT_WRITE_FAILED = "snapshot_write_failed"
 RESUMED = "resumed"
 RETRY = "retry"
 COMPLETED = "completed"

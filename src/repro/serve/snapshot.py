@@ -8,42 +8,31 @@ monitor, admission and fault-plan RNG states), written atomically so a
 worker killed mid-write can never leave a half-snapshot that passes
 validation.
 
-Layout (big-endian)::
-
-    offset  size  field
-    ------  ----  --------------------------------------------------
-    0       8     magic  b"INCASNAP"
-    8       2     format version (this module's VERSION)
-    10      2     flags (reserved, 0)
-    12      4     CRC32 of the payload bytes
-    16      8     payload length in bytes
-    24      n     payload: pickle of {"meta": ..., "state": ...}
-
-The CRC covers the pickled payload, so truncation, torn writes and bit rot
-are all caught before unpickling; any validation failure raises a typed
+The file is one :mod:`repro.container` frame (magic ``INCASNAP``; header
+table and validation reasons in ``docs/architecture.md`` §Persistence)
+around a pickle of ``{"meta": ..., "state": ...}``.  The CRC covers the
+pickled payload, so truncation, torn writes and bit rot are all caught
+before unpickling; any validation failure raises a typed
 :class:`~repro.errors.SnapshotError`.  ``meta`` is a small caller-owned
 mapping (job id, cycle, attempt) readable without restoring anything.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.errors import SnapshotError
+from repro.container import HEADER, frame, unframe, write_atomic
+from repro.errors import IncaError, SnapshotError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.system import MultiTaskSystem
 
 MAGIC = b"INCASNAP"
-VERSION = 1
-
-_HEADER = struct.Struct(">8sHHIQ")
+#: v2: the state is laid out by :class:`repro.state.Stateful` declarations.
+VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -57,9 +46,14 @@ class SnapshotInfo:
     meta: Mapping[str, Any]
 
 
+def _info(path: Path, blob: bytes, meta: Mapping[str, Any]) -> SnapshotInfo:
+    _magic, version, _flags, crc, length = HEADER.unpack_from(blob)
+    return SnapshotInfo(str(path), version, crc, length, meta)
+
+
 def write_snapshot(
     path: str | Path,
-    state: dict,
+    state: dict[str, Any],
     *,
     meta: Mapping[str, Any] | None = None,
 ) -> SnapshotInfo:
@@ -77,88 +71,46 @@ def write_snapshot(
         )
     except Exception as exc:
         raise SnapshotError(f"snapshot state is not picklable: {exc}") from exc
-    crc = zlib.crc32(payload)
-    header = _HEADER.pack(MAGIC, VERSION, 0, crc, len(payload))
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    blob = frame(MAGIC, VERSION, payload)
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_atomic(path, blob)
     except OSError as exc:
-        try:
-            tmp.unlink(missing_ok=True)
-        finally:
-            pass
         raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc
-    return SnapshotInfo(
-        path=str(path), version=VERSION, crc=crc, payload_bytes=len(payload), meta=meta
-    )
+    return _info(path, blob, meta)
 
 
-def read_snapshot(path: str | Path) -> tuple[Mapping[str, Any], dict]:
-    """Validate and load one snapshot file → ``(meta, state)``.
-
-    Every failure mode — missing file, short header, wrong magic, future
-    version, truncated payload, CRC mismatch, unpicklable payload — raises
-    :class:`~repro.errors.SnapshotError` with a message naming the cause.
-    """
-    path = Path(path)
+def _read(path: Path) -> tuple[bytes, dict[str, Any]]:
+    """One read of ``path`` → ``(raw blob, validated payload document)``."""
     try:
-        raw = path.read_bytes()
-    except OSError as exc:
+        blob = path.read_bytes()
+        document = pickle.loads(unframe(blob, MAGIC, VERSION))
+    except Exception as exc:  # OSError, any unframe reason, any unpickle failure
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise SnapshotError(
-            f"snapshot {path} is truncated: {len(raw)} bytes, "
-            f"need at least the {_HEADER.size}-byte header"
-        )
-    magic, version, _flags, crc, length = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise SnapshotError(f"snapshot {path} has bad magic {magic!r}")
-    if version > VERSION:
-        raise SnapshotError(
-            f"snapshot {path} is format version {version}; this build reads "
-            f"up to {VERSION}"
-        )
-    payload = raw[_HEADER.size :]
-    if len(payload) != length:
-        raise SnapshotError(
-            f"snapshot {path} is truncated: header promises {length} payload "
-            f"bytes, found {len(payload)}"
-        )
-    actual = zlib.crc32(payload)
-    if actual != crc:
-        raise SnapshotError(
-            f"snapshot {path} failed CRC verification "
-            f"(header {crc:#010x}, payload {actual:#010x})"
-        )
-    try:
-        document = pickle.loads(payload)
-    except Exception as exc:
-        raise SnapshotError(f"snapshot {path} payload does not unpickle: {exc}") from exc
     if not isinstance(document, dict) or "state" not in document:
         raise SnapshotError(f"snapshot {path} payload has no state document")
+    return blob, document
+
+
+def read_snapshot(path: str | Path) -> tuple[Mapping[str, Any], dict[str, Any]]:
+    """Validate and load one snapshot file → ``(meta, state)``.
+
+    Every failure mode — missing file, any :func:`repro.container.unframe`
+    reason (short header, wrong magic, older or newer version, flags,
+    truncation, CRC mismatch), unpicklable payload — raises
+    :class:`~repro.errors.SnapshotError` with a message naming the cause.
+    """
+    _blob, document = _read(Path(path))
     return document.get("meta", {}), document["state"]
 
 
 def probe_snapshot(path: str | Path) -> SnapshotInfo:
-    """Header + meta only (cheap validity check; the state stays on disk)."""
-    meta, state = read_snapshot(path)
-    raw_size = Path(path).stat().st_size
-    magic, version, _flags, crc, length = _HEADER.unpack_from(
-        Path(path).read_bytes()[: _HEADER.size]
-    )
-    del state, raw_size
-    return SnapshotInfo(
-        path=str(path),
-        version=version,
-        crc=crc,
-        payload_bytes=length,
-        meta=meta,
-    )
+    """Validity check returning the header fields + meta.
+
+    The payload is one pickle, so the whole file is read, CRC-checked and
+    unpickled (once); nothing is restored into any system.
+    """
+    blob, document = _read(Path(path))
+    return _info(Path(path), blob, document.get("meta", {}))
 
 
 def snapshot_system(
@@ -168,22 +120,20 @@ def snapshot_system(
     meta: Mapping[str, Any] | None = None,
 ) -> SnapshotInfo:
     """Capture ``system`` and write it in one call."""
-    meta = dict(meta or {})
-    meta.setdefault("cycle", system.clock)
+    meta = {"cycle": system.clock, **(meta or {})}
     return write_snapshot(path, system.capture_state(), meta=meta)
 
 
 def restore_system(system: "MultiTaskSystem", path: str | Path) -> Mapping[str, Any]:
     """Load a snapshot into an identically-built ``system``; returns meta.
 
-    Structural mismatches (different task set, config, or armed features)
-    surface as :class:`~repro.errors.SnapshotError`.
+    Every restore-time refusal of a CRC-clean file (different task set,
+    config, armed subsystems, DDR regions, IAU slots) surfaces as
+    :class:`~repro.errors.SnapshotError`.
     """
-    from repro.errors import SchedulerError
-
     meta, state = read_snapshot(path)
     try:
         system.restore_state(state)
-    except SchedulerError as exc:
-        raise SnapshotError(str(exc)) from exc
+    except IncaError as exc:
+        raise SnapshotError(f"snapshot {path} does not fit: {exc}") from exc
     return meta

@@ -36,7 +36,9 @@ from repro.farm.node import (
     submit_assignment,
 )
 from repro.obs.config import ObsConfig
-from repro.serve.journal import FAILED, SNAPSHOT_CORRUPT, JobJournal, JobState
+from repro.serve.journal import (
+    FAILED, SNAPSHOT_CORRUPT, SNAPSHOT_WRITE_FAILED, JobJournal, JobState,
+)
 from repro.serve.snapshot import restore_system, snapshot_system
 
 #: Exit code of a worker that simulated a hard crash (test hook).
@@ -116,12 +118,13 @@ def execute_job(
     Resume: build the *same* system, restore the journal's last snapshot
     (which carries the pending request heap — the plan is NOT re-submitted),
     continue from the captured cycle.  A snapshot that fails to restore —
-    truncated write, bit rot, poisoned by a chaos plan — is not fatal: the
-    corruption is journaled (``snapshot_corrupt``), the snapshot is
-    discarded from the journal, and the attempt falls back to a fresh
-    start (exactness is preserved; only the resume shortcut is lost).
-    Either way the run proceeds in ``snapshot_every_cycles`` chunks with a
-    journaled snapshot at each boundary.
+    truncated write, bit rot, another format version, poisoned by a chaos
+    plan — is not fatal: the corruption is journaled (``snapshot_corrupt``),
+    the snapshot is discarded from the journal, and the attempt falls back
+    to a fresh start (exactness is preserved; only the resume shortcut is
+    lost).  Either way the run proceeds in ``snapshot_every_cycles`` chunks
+    with a journaled snapshot at each boundary; a snapshot that cannot be
+    *written* is journaled (``snapshot_write_failed``) and skipped.
     """
     assignment = spec.assignment
     record = journal.get(job_id)
@@ -160,11 +163,22 @@ def execute_job(
             system.run(until_cycle=system.clock + spec.snapshot_every_cycles)
             if system.done:
                 break
-            snapshot_system(
-                system,
-                snapshot_path,
-                meta={"job_id": job_id, "attempt": attempt},
-            )
+            try:
+                snapshot_system(
+                    system,
+                    snapshot_path,
+                    meta={"job_id": job_id, "attempt": attempt},
+                )
+            except SnapshotError as exc:
+                # Full disk, read-only directory: the job keeps running
+                # un-checkpointed (the previous snapshot, if any, stays
+                # valid) instead of burning the gateway's retry budget.
+                journal.record_event(
+                    job_id,
+                    SNAPSHOT_WRITE_FAILED,
+                    {"attempt": attempt, "cycle": system.clock, "error": str(exc)},
+                )
+                continue
             journal.record_snapshot(job_id, str(snapshot_path), system.clock)
             snapshots += 1
             if (

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
-import os
 import pickle
 import weakref
 from fractions import Fraction
@@ -38,6 +37,7 @@ from repro.farm.node import (
 from repro.farm.traffic import SloClass
 from repro.isa.program import Program
 from repro.obs import EventBus, EventKind
+from tests.test_container import MUTATIONS
 
 BIG = AcceleratorConfig.big()
 SMALL = AcceleratorConfig.small()
@@ -203,34 +203,33 @@ class TestCorruptionFallback:
         assert cache.stats.misses == before + 1
         assert network.programs["vi"].instructions
 
-    def test_truncated_file(self, cache, graph):
+    def counted_miss(self, cache, graph, mutation: str):
+        """Cache *policy*: whatever ``repro.container`` refuses (fuzzed in
+        ``tests/test_container.py``) is a counted miss, never an error and
+        never stale data."""
         path = self.entry_path(cache, graph)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        assert cache.load(cache_key(graph, BIG, weights="zeros")) is None
+        path.write_bytes(MUTATIONS[mutation][1](path.read_bytes()))
+        key = cache_key(graph, BIG, weights="zeros")
+        before = cache.stats.corrupt
+        assert cache.load(key) is None and cache.probe(key) is None
+        assert cache.stats.corrupt == before + 2
         self.recompiles_cleanly(cache, graph)
+
+    def test_truncated_file(self, cache, graph):
+        self.counted_miss(cache, graph, "truncated")
 
     def test_bit_flip(self, cache, graph):
-        path = self.entry_path(cache, graph)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        assert cache.probe(cache_key(graph, BIG, weights="zeros")) is None
-        self.recompiles_cleanly(cache, graph)
-        assert cache.stats.corrupt >= 1
+        self.counted_miss(cache, graph, "payload_bit")
 
     def test_bad_magic(self, cache, graph):
-        path = self.entry_path(cache, graph)
-        raw = bytearray(path.read_bytes())
-        raw[:8] = b"NOTACCHE"
-        path.write_bytes(bytes(raw))
-        self.recompiles_cleanly(cache, graph)
+        self.counted_miss(cache, graph, "magic")
 
     def test_future_version(self, cache, graph):
-        path = self.entry_path(cache, graph)
-        raw = bytearray(path.read_bytes())
-        raw[8:10] = (999).to_bytes(2, "big")
-        path.write_bytes(bytes(raw))
-        self.recompiles_cleanly(cache, graph)
+        self.counted_miss(cache, graph, "future_version")
+
+    def test_flags_and_trailing_bytes(self, cache, graph):
+        self.counted_miss(cache, graph, "flags")
+        self.counted_miss(cache, graph, "trailing")
 
     def test_pre_bump_entry_is_clean_miss(self, cache, graph):
         # A v1 entry predates the fault-opportunity table on ProgramMeta: if
@@ -255,9 +254,7 @@ class TestCorruptionFallback:
         )
 
     def test_empty_file(self, cache, graph):
-        path = self.entry_path(cache, graph)
-        path.write_bytes(b"")
-        self.recompiles_cleanly(cache, graph)
+        self.counted_miss(cache, graph, "empty")
 
     def test_foreign_fingerprint(self, cache, graph, monkeypatch):
         self.entry_path(cache, graph)

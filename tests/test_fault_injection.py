@@ -12,6 +12,7 @@ import pytest
 
 from repro.accel.core import AcceleratorCore
 from repro.compiler.compile import compile_network
+from repro.container import HEADER
 from repro.errors import (
     CampaignError,
     EccError,
@@ -43,8 +44,7 @@ def preemption_scenario():
 class TestCorruptedBinaries:
     def test_bitflip_in_opcode_caught(self, tiny_cnn_compiled):
         blob = bytearray(tiny_cnn_compiled.program.to_bytes())
-        header = 12
-        blob[header] ^= 0xF0  # first instruction's opcode byte
+        blob[HEADER.size] ^= 0xF0  # first instruction's opcode byte
         with pytest.raises((ProgramError, IsaError)):
             Program.from_bytes(bytes(blob))
 

@@ -25,6 +25,7 @@ from repro.isa import (
     validate_program,
 )
 from repro.isa.instructions import FLAG_OPERAND_B, FLAG_SWITCH_POINT
+from tests.test_container import MUTATIONS
 
 
 def make(opcode=Opcode.CALC_F, **kwargs):
@@ -216,13 +217,31 @@ class TestProgram:
         assert loaded.instructions == program.instructions
 
     def test_from_bytes_rejects_bad_magic(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match="bad magic"):
             Program.from_bytes(b"NOPE" + b"\x00" * 64)
 
     def test_from_bytes_rejects_truncated_body(self):
         blob = self.make_program().to_bytes()
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match="truncated"):
             Program.from_bytes(blob[:-1])
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_every_container_refusal_is_a_program_error(self, mutation):
+        """Program *policy* (the mechanism is fuzzed in test_container): a
+        v2 ``instruction.bin``, a flipped flag, ... are all ProgramError."""
+        damaged = MUTATIONS[mutation][1](self.make_program().to_bytes())
+        with pytest.raises(ProgramError, match="not a loadable instruction.bin"):
+            Program.from_bytes(damaged)
+
+    def test_v2_instruction_bin_is_refused(self):
+        """The pre-container layout (``<4sHHII``: 4-byte magic, count, CRC)."""
+        import struct
+        import zlib
+
+        body = self.make_program().to_bytes()[24:]
+        v2 = struct.pack("<4sHHII", b"INCA", 2, 0, len(body) // 32, zlib.crc32(body))
+        with pytest.raises(ProgramError):
+            Program.from_bytes(v2 + body)
 
 
 class TestValidator:

@@ -10,13 +10,13 @@ literal-SIGKILL benchmark lives in ``benchmarks/test_crash_recovery.py``).
 
 from __future__ import annotations
 
+import errno
+import os
 import pickle
-import struct
-import time
-import zlib
 
 import pytest
 
+from repro.container import HEADER, frame
 from repro.errors import ServeError, SnapshotError
 from repro.farm import (
     Farm,
@@ -41,7 +41,8 @@ from repro.serve import (
     snapshot_system,
     write_snapshot,
 )
-from repro.serve.snapshot import _HEADER, MAGIC, probe_snapshot
+from repro.serve.snapshot import MAGIC, VERSION, probe_snapshot
+from tests.test_container import MUTATIONS
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=400_000)
 BEST = SloClass("best", rank=1, weight=1.0, deadline_cycles=4_000_000)
@@ -78,6 +79,17 @@ def record_tuples(records):
 
 
 class TestSnapshotFormat:
+    """Snapshot *policy*: every container refusal is a ``SnapshotError``
+    (the mechanism itself is fuzzed in ``tests/test_container.py``)."""
+
+    def refused(self, tmp_path, mutation: str, match: str):
+        path = tmp_path / "a.snap"
+        write_snapshot(path, {"x": list(range(100))})
+        path.write_bytes(MUTATIONS[mutation][1](path.read_bytes()))
+        for reader in (read_snapshot, probe_snapshot):
+            with pytest.raises(SnapshotError, match=match):
+                reader(path)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.snap"
         state = {"x": [1, 2, 3], "y": {"z": b"\x00\xff"}}
@@ -85,58 +97,53 @@ class TestSnapshotFormat:
         meta, loaded = read_snapshot(path)
         assert loaded == state
         assert meta == {"job_id": "j1", "cycle": 42}
-        assert info.payload_bytes == path.stat().st_size - _HEADER.size
+        assert info.payload_bytes == path.stat().st_size - HEADER.size
+        assert info == probe_snapshot(path)
 
     def test_probe_reads_meta_without_restoring(self, tmp_path):
         path = tmp_path / "a.snap"
         write_snapshot(path, {"big": 0}, meta={"cycle": 7})
         info = probe_snapshot(path)
         assert info.meta["cycle"] == 7
-        assert info.version == 1
+        assert info.version == VERSION == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
             read_snapshot(tmp_path / "absent.snap")
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "a.snap"
-        write_snapshot(path, {"x": 1})
-        raw = bytearray(path.read_bytes())
-        raw[:8] = b"NOTASNAP"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotError, match="bad magic"):
-            read_snapshot(path)
+        self.refused(tmp_path, "magic", "bad magic")
 
     def test_truncated_header(self, tmp_path):
-        path = tmp_path / "a.snap"
-        path.write_bytes(MAGIC[:4])
-        with pytest.raises(SnapshotError, match="truncated"):
-            read_snapshot(path)
+        self.refused(tmp_path, "short_header", "truncated")
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "a.snap"
-        write_snapshot(path, {"x": list(range(100))})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-10])
-        with pytest.raises(SnapshotError, match="truncated"):
-            read_snapshot(path)
+        self.refused(tmp_path, "truncated", "truncated")
 
     def test_crc_catches_bit_rot(self, tmp_path):
-        path = tmp_path / "a.snap"
-        write_snapshot(path, {"x": list(range(100))})
-        raw = bytearray(path.read_bytes())
-        raw[-5] ^= 0x40  # flip one payload bit
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotError, match="CRC"):
-            read_snapshot(path)
+        self.refused(tmp_path, "payload_bit", "CRC")
 
     def test_future_version_refused(self, tmp_path):
+        self.refused(tmp_path, "future_version", "version 999")
+
+    def test_past_version_and_flags_refused(self, tmp_path):
+        self.refused(tmp_path, "past_version", "version 1")
+        self.refused(tmp_path, "flags", "flags")
+        self.refused(tmp_path, "trailing", "padded")
+
+    def test_failed_write_is_a_snapshot_error(self, tmp_path, monkeypatch):
         path = tmp_path / "a.snap"
-        payload = pickle.dumps({"meta": {}, "state": {}})
-        header = _HEADER.pack(MAGIC, 99, 0, zlib.crc32(payload), len(payload))
-        path.write_bytes(header + payload)
-        with pytest.raises(SnapshotError, match="version 99"):
-            read_snapshot(path)
+        write_snapshot(path, {"x": 1})
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", no_space)
+        with pytest.raises(SnapshotError, match="cannot write"):
+            write_snapshot(path, {"x": 2})
+        monkeypatch.undo()
+        assert read_snapshot(path)[1] == {"x": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["a.snap"]
 
     def test_unpicklable_state_refused(self, tmp_path):
         with pytest.raises(SnapshotError, match="not picklable"):
@@ -172,6 +179,28 @@ class TestSnapshotFormat:
         other = build_node_system(assignment.config, assignment.services[:1])
         with pytest.raises(SnapshotError, match="snapshot"):
             restore_system(other, path)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda state: state["ddr"]["regions"].popitem(),  # MemoryMapError
+            lambda state: state["iau"].pop("contexts[0]"),  # StateError (slot)
+            lambda state: state["core"].pop("stats"),  # StateError (field)
+            lambda state: state.pop("iau"),  # SchedulerError
+        ],
+        ids=["ddr-region", "iau-slot", "core-field", "system-part"],
+    )
+    def test_every_restore_refusal_is_a_snapshot_error(
+        self, tmp_path, assignment, tamper
+    ):
+        """A CRC-clean file whose *state* does not fit must not leak the
+        subsystem's own error type out of ``restore_system``."""
+        system = build_node_system(assignment.config, assignment.services)
+        state = system.capture_state()
+        tamper(state)
+        write_snapshot(tmp_path / "sys.snap", state)
+        with pytest.raises(SnapshotError, match="does not fit"):
+            restore_system(system, tmp_path / "sys.snap")
 
 
 class TestJournal:
@@ -441,6 +470,74 @@ class TestCorruptSnapshotFallback:
         assert "snapshot_corrupt" in kinds
         assert "snapshot_discarded" in kinds
 
+    @pytest.mark.parametrize("version", [1, VERSION])
+    def test_old_layout_snapshot_falls_back_to_fresh_start(
+        self, tmp_path, assignment, golden, version
+    ):
+        """Version skew is a typed refusal, not a worker crash: a CRC-clean
+        v1 file (and a v2-stamped file carrying the v1 state layout, which
+        only the restore itself can refuse) is journaled as corrupt and the
+        job completes from cycle 0."""
+        from repro.serve import execute_job
+
+        golden_records, golden_clock = golden
+        journal = JobJournal(tmp_path / "journal.db")
+        spec = JobSpec(assignment=assignment, snapshot_every_cycles=4_000)
+        journal.submit("j1", spec)
+        journal.start_attempt("j1")
+        v1_state = {
+            "fingerprint": {},
+            "ddr": {"cursor": 0, "regions": {}, "pending_flips": []},
+            "requests": [],
+            "sequence": 0,
+        }
+        snap = tmp_path / "j1.snap"
+        payload = pickle.dumps({"meta": {"cycle": 8_000}, "state": v1_state})
+        snap.write_bytes(frame(MAGIC, version, payload))
+        journal.record_snapshot("j1", str(snap), 8_000)
+        with pytest.raises(SnapshotError):
+            restore_system(
+                build_node_system(assignment.config, assignment.services), snap
+            )
+
+        attempt = journal.start_attempt("j1", resumed=True)
+        result = execute_job("j1", spec, journal, tmp_path, attempt=attempt)
+        assert record_tuples(result.records) == record_tuples(golden_records)
+        assert result.final_cycle == golden_clock
+        assert result.resumed_from_cycle == 0
+        kinds = [event.kind for event in journal.events("j1")]
+        assert kinds.count("snapshot_corrupt") == 1
+
+    def test_failed_checkpoint_write_does_not_kill_the_job(
+        self, tmp_path, assignment, golden, monkeypatch
+    ):
+        """ENOSPC on one checkpoint: journaled, skipped, job bit-identical."""
+        from repro.serve import execute_job
+
+        golden_records, golden_clock = golden
+        journal = JobJournal(tmp_path / "journal.db")
+        spec = JobSpec(assignment=assignment, snapshot_every_cycles=4_000)
+        journal.submit("j1", spec)
+        attempt = journal.start_attempt("j1")
+        real_fsync, calls = os.fsync, []
+
+        def fsync_full_once(fd):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_full_once)
+        result = execute_job("j1", spec, journal, tmp_path, attempt=attempt)
+        assert record_tuples(result.records) == record_tuples(golden_records)
+        assert result.final_cycle == golden_clock
+        assert len(calls) > 2 and result.snapshots_written == len(calls) - 1
+        failed = [e for e in journal.events("j1") if e.kind == "snapshot_write_failed"]
+        assert len(failed) == 1 and "No space left" in failed[0].detail["error"]
+        # The surviving file is the last *successful* checkpoint, intact.
+        assert probe_snapshot(tmp_path / "j1.snap").meta["job_id"] == "j1"
+        assert [p.name for p in tmp_path.glob("*.tmp.*")] == []
+
     def test_clear_snapshot(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.db")
         journal.submit("j1", {"spec": 1})
@@ -455,6 +552,5 @@ class TestCorruptSnapshotFallback:
 
 def test_header_layout_is_stable():
     """The on-disk header is part of the format contract."""
-    assert _HEADER.size == 24
-    assert struct.calcsize(">8sHHIQ") == _HEADER.size
+    assert HEADER.size == 24 and HEADER.format == ">8sHHIQ"
     assert MAGIC == b"INCASNAP"
