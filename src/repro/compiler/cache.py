@@ -79,8 +79,10 @@ MAGIC = b"INCACCHE"
 #: rather than unreadable.  v2: :class:`ProgramMeta` grew the per-site
 #: fault-opportunity prefix sums armed batching depends on — a v1 meta
 #: would silently batch through fault fires, so v1 entries must degrade to
-#: a clean miss.
-VERSION = 2
+#: a clean miss.  v3: the pickled :class:`~repro.hw.ddr.Ddr` inside a
+#: network's layout carries its base-sorted region index; a v2 ``Ddr``
+#: lacks it and could not list or adopt regions.
+VERSION = 3
 
 #: Environment variable naming the default cache directory.  When set,
 #: every :func:`~repro.compiler.compile.compile_network` call without an

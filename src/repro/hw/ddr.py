@@ -9,6 +9,7 @@ functional simulation reads and writes real data.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -72,6 +73,8 @@ class Ddr(Stateful):
     _cursor: int = field(init=False)
     _regions: dict[str, DdrRegion] = field(init=False, default_factory=dict)
     _by_base: dict[int, DdrRegion] = field(init=False, default_factory=dict)
+    #: Region bases in ascending order: the index adopt() checks overlap in.
+    _bases: list[int] = field(init=False, default_factory=list)
     faults: "FaultPlan | None" = field(init=False, default=None)
     bus: "EventBus | None" = field(init=False, default=None)
     _pending_flips: list[_PendingFlip] = field(init=False, default_factory=list)
@@ -100,9 +103,8 @@ class Ddr(Stateful):
                 f"({size} bytes at {self._cursor:#x}, capacity {self.capacity:#x})"
             )
         region = DdrRegion(name=name, base=self._cursor, size=size, array=array)
+        self._insert(region)
         self._cursor += size
-        self._regions[name] = region
-        self._by_base[region.base] = region
         return region
 
     def adopt(self, region: DdrRegion) -> DdrRegion:
@@ -110,15 +112,28 @@ class Ddr(Stateful):
         composition: each compiled network brings its own regions)."""
         if region.name in self._regions:
             raise MemoryMapError(f"region {region.name!r} already present")
-        for existing in self._regions.values():
+        self._insert(region)
+        return region
+
+    def _insert(self, region: DdrRegion) -> None:
+        """Index ``region``, refusing any overlap with a present one.
+
+        Present regions are disjoint and sorted by base, so only the two
+        neighbours of the new base can overlap it: everything before the
+        predecessor ends at or before the predecessor's base, and a region
+        reaching past its successor overlaps the successor first.
+        """
+        position = bisect_right(self._bases, region.base)
+        for base in self._bases[max(position - 1, 0) : position + 1]:
+            existing = self._by_base[base]
             if region.base < existing.end and existing.base < region.end:
                 raise MemoryMapError(
                     f"region {region.name!r} [{region.base:#x}, {region.end:#x}) "
                     f"overlaps {existing.name!r} [{existing.base:#x}, {existing.end:#x})"
                 )
+        self._bases.insert(position, region.base)
         self._regions[region.name] = region
         self._by_base[region.base] = region
-        return region
 
     # -- lookup ----------------------------------------------------------------
 
@@ -140,7 +155,7 @@ class Ddr(Stateful):
             raise MemoryMapError(f"no DDR region based at address {base:#x}") from None
 
     def regions(self) -> list[DdrRegion]:
-        return sorted(self._regions.values(), key=lambda region: region.base)
+        return [self._by_base[base] for base in self._bases]
 
     # -- snapshot/restore ------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.hw import (
     AcceleratorConfig,
     Ddr,
     DdrConfig,
+    DdrRegion,
     TaggedBuffer,
     ZU9_RESOURCES,
     blob_calc_count,
@@ -184,6 +185,70 @@ class TestDdr:
         ddr = Ddr()
         ddr.allocate("a", (100,))
         assert ddr.used_bytes == 128  # aligned up
+
+
+def region(name: str, base: int, size: int) -> DdrRegion:
+    return DdrRegion(name=name, base=base, size=size, array=np.zeros(size, dtype=np.int8))
+
+
+class TestDdrAdoptIndex:
+    """adopt() looks only at the two neighbours in its base-sorted index;
+    every overlap is still refused."""
+
+    @staticmethod
+    def host() -> Ddr:
+        ddr = Ddr()
+        for name, base in (("c", 0x300), ("a", 0x100), ("b", 0x200)):  # out of order
+            ddr.adopt(region(name, base, 0x80))
+        return ddr
+
+    @pytest.mark.parametrize(
+        "base, size",
+        [
+            (0x140, 0x80),  # tail of the predecessor
+            (0x1C0, 0x80),  # head of the successor
+            (0x210, 0x20),  # fully inside one region
+            (0x200, 0x80),  # exactly one region
+            (0x180, 0x100),  # swallows a whole region
+            (0x0C0, 0x300),  # spans all of them
+            (0x17F, 0x2),  # one byte into the predecessor
+            (0x1FF, 0x2),  # one byte into the successor
+        ],
+    )
+    def test_overlap_refused(self, base, size):
+        ddr = self.host()
+        with pytest.raises(MemoryMapError, match="overlaps"):
+            ddr.adopt(region("new", base, size))
+        assert [r.name for r in ddr.regions()] == ["a", "b", "c"]  # nothing indexed
+
+    def test_duplicate_name_refused_even_when_disjoint(self):
+        with pytest.raises(MemoryMapError, match="already present"):
+            self.host().adopt(region("b", 0x1000, 0x80))
+
+    def test_adjacent_regions_accepted(self):
+        ddr = self.host()
+        ddr.adopt(region("gap_ab", 0x180, 0x80))  # touches both neighbours
+        ddr.adopt(region("before", 0x80, 0x80))
+        ddr.adopt(region("after", 0x380, 0x80))
+        assert [r.name for r in ddr.regions()] == [
+            "before", "a", "gap_ab", "b", "c", "after",
+        ]
+
+    def test_lookup_unchanged_by_adoption_order(self):
+        ddr = self.host()
+        assert [r.base for r in ddr.regions()] == [0x100, 0x200, 0x300]
+        for found in ddr.regions():
+            assert ddr.region_at(found.base) is found is ddr.region(found.name)
+        with pytest.raises(MemoryMapError):
+            ddr.region_at(0x140)  # exact bases only
+        assert ddr.used_bytes == 3 * 0x80
+
+    def test_allocate_refuses_an_adopted_window(self):
+        ddr = Ddr()
+        ddr.adopt(region("foreign", 0x40, 0x80))
+        ddr.allocate("fits", (0x40,))  # [0, 0x40): adjacent
+        with pytest.raises(MemoryMapError, match="overlaps"):
+            ddr.allocate("collides", (0x40,))
 
 
 class TestTaggedBuffer:

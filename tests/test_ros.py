@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import RosError
+from repro.faults.plan import FaultPlan, FaultSite
+from repro.obs.config import ObsConfig
 from repro.ros import Executor, Node
 from repro.ros.topic import TopicRegistry
 from repro.runtime.system import MultiTaskSystem
@@ -160,6 +162,68 @@ class TestExecutorWithAccelerator:
         executor.schedule(5_000, lambda: executor.submit_job(0))
         executor.run()
         assert system.job(0).request_cycle == 5_000
+
+
+class TestExecutorPausePoints:
+    """``run(until_cycle=)`` is a pause, not a different run."""
+
+    @staticmethod
+    def mission(tiny_pair, faults=None):
+        """PR at 0, FE pre-empting it at 3,000, a second PR at 30,000."""
+        low, high = tiny_pair
+        system = MultiTaskSystem(low.config, obs=ObsConfig(events=True), faults=faults)
+        system.add_task(0, high, vi_mode="vi")
+        system.add_task(1, low, vi_mode="vi")
+        executor = Executor(system)
+        done = []
+        executor.schedule(0, lambda: executor.submit_job(1, done.append))
+        executor.schedule(3_000, lambda: executor.submit_job(0, done.append))
+        executor.schedule(30_000, lambda: executor.submit_job(1, done.append))
+        return executor, system, done
+
+    def test_pause_bounds_the_accelerator_with_no_event_left(self, tiny_pair):
+        low, _ = tiny_pair
+        system = MultiTaskSystem(low.config)
+        system.add_task(1, low, vi_mode="vi")
+        executor = Executor(system)
+        executor.submit_job(1)  # no event scheduled: only the pause bounds it
+        paused_at = executor.run(until_cycle=1_000)
+        assert system.jobs(1) == []  # still in flight
+        # At most the instruction that straddles the pause runs past it.
+        assert 1_000 <= paused_at == system.iau.clock < 1_500
+        assert executor.run() > paused_at and len(system.jobs(1)) == 1
+
+    def test_chunked_run_equals_one_run(self, tiny_pair):
+        executor, system, done = self.mission(tiny_pair)
+        final = executor.run()
+        for chunk in (700, 2_000, 4_999):
+            paused, paused_system, paused_done = self.mission(tiny_pair)
+            for pause in range(chunk, 30_000, chunk):
+                assert paused.run(until_cycle=pause) >= pause
+            assert paused.run() == final
+            assert paused_done == done and len(done) == 3
+            assert paused_system.bus.events == system.bus.events
+
+    def test_pause_keeps_latent_ecc_flips(self, tiny_pair):
+        """Scrubbing at a pause would correct flips an uninterrupted run
+        still carries (and report them at the wrong cycle)."""
+
+        def plan():
+            return FaultPlan(seed=5, rates={FaultSite.DDR_BIT_FLIP: 0.05})
+
+        executor, system, done = self.mission(tiny_pair, faults=plan())
+        final = executor.run()
+        paused, paused_system, paused_done = self.mission(tiny_pair, faults=plan())
+        pending = []
+        for pause in range(2_000, 30_000, 2_000):
+            paused.run(until_cycle=pause)
+            pending.append(paused_system.ddr.pending_flip_count)
+        assert max(pending) > 0  # some pause really had a flip to keep
+        assert paused.run() == final
+        assert paused_system.ddr.pending_flip_count == 0  # drained: scrubbed
+        assert paused_system.faults.injected == system.faults.injected
+        assert paused_system.bus.events == system.bus.events
+        assert paused_done == done
 
 
 class TestNode:
