@@ -26,19 +26,34 @@ Headline claims:
 The day itself is compile-heavy on purpose (six distinct accelerator
 designs, two large networks each): it models the farm's real morning —
 many heterogeneous nodes coming up at once to serve a few early jobs.
+
+A second, in-process row isolates what a hit hydrates: one ResNet-50@112
+``vi`` program adopted from its stored ``INCAPROG`` frame against the pickle
+of ~69k ``Instruction`` objects entries held before cache format v4, at
+least :data:`HYDRATE_FLOOR` x faster and byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
+import zlib
 from pathlib import Path
 
 from benchmarks.conftest import write_result
+from repro.compiler.cache import MAGIC, VERSION, CompileCache, cache_key
+from repro.compiler.compile import compile_network
+from repro.container import unframe
+from repro.isa.program import Program
+from repro.nn import TensorShape
+from repro.zoo import build_resnet
 
 SPEEDUP_FLOOR = 3.0
+HYDRATE_FLOOR = 10.0
 
 #: Runs inside a fresh interpreter; prints one JSON line. Timing starts
 #: after imports (interpreter/numpy start-up is identical across runs and
@@ -175,3 +190,41 @@ def test_warm_cache_speedup_and_bit_identity(tmp_path):
         f"warm-cache farm day only {speedup:.2f}x faster than cold "
         f"(cold {cold['seconds']:.2f}s, warm {warm['seconds']:.2f}s)"
     )
+
+
+def test_program_hydrate_vs_pickle_oracle(tmp_path, big_config):
+    graph = build_resnet("resnet50", TensorShape(112, 112, 3))
+    cache = CompileCache(tmp_path / "compile-cache")
+    fresh = compile_network(graph, big_config, weights="zeros", cache=cache)
+    golden = fresh.program_for("vi")
+    entry = cache.path_for(cache_key(graph, big_config, weights="zeros"))
+    name, stored = pickle.loads(unframe(entry.read_bytes(), MAGIC, VERSION))["programs"]["vi"]
+    # The oracle: the object graph a pre-v4 entry pickled for the same program.
+    pickled = zlib.compress(pickle.dumps((golden.name, golden.instructions), protocol=5), 3)
+
+    def best_of(hydrate):
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            hydrated = hydrate()
+            best = min(best, time.perf_counter() - start)
+        return best, hydrated
+
+    words_s, adopted = best_of(lambda: Program.from_bytes(zlib.decompress(stored), name))
+    pickle_s, unpickled = best_of(lambda: pickle.loads(zlib.decompress(pickled)))
+    assert adopted == golden and adopted.to_bytes() == golden.to_bytes()
+    assert Program(*unpickled).to_bytes() == golden.to_bytes()
+
+    speedup = pickle_s / words_s
+    lines = [
+        "compile cache: hydrating one program variant from a populated entry",
+        f"workload: ResNet-50@112x112 `vi` on {big_config.name}, {len(golden):,} instructions",
+        f"pickle oracle (zlib + unpickle objects) : {pickle_s * 1e3:>8.1f} ms   "
+        f"({len(pickled):>9,} bytes stored)",
+        f"word frame (zlib + CRC + opcode check)  : {words_s * 1e3:>8.1f} ms   "
+        f"({len(stored):>9,} bytes stored, {speedup:.0f}x)",
+        "to_bytes()                              : identical, and equal to the fresh compile",
+        f"acceptance floor                        : {HYDRATE_FLOOR:.0f}x",
+    ]
+    write_result("program_hydrate", "\n".join(lines))
+    assert speedup >= HYDRATE_FLOOR, f"word-frame hydrate only {speedup:.1f}x over the pickle"

@@ -13,8 +13,9 @@ content-addressed store that makes the reuse cross-process:
   (package version + cache format).  Any delta in any input produces a new
   key — invalidation is automatic, stale entries are simply never read.
 * **value** — the pickled :class:`~repro.compiler.compile.CompiledNetwork`
-  (layout, layer configs, plans, quantization, all vi-mode programs) plus
-  the precomputed :class:`~repro.iau.fastpath.ProgramMeta` prefix sums, so
+  (layout, layer configs, plans, quantization), every vi-mode program as
+  its ``instruction.bin`` frame, plus the precomputed
+  :class:`~repro.iau.fastpath.ProgramMeta` prefix sums, so
   ``execution_meta`` is warm from the very first job of a fresh process.
 * **format** — the :mod:`repro.container` frame snapshots use: a magic +
   CRC32 header over the payload, written atomically (tmp + fsync +
@@ -40,10 +41,11 @@ creation time, compiler fingerprint) readable without decompressing the
 artefact — what ``entries()``/the CLI ``ls`` report.  ``body`` is a
 zlib-compressed pickle of the network shell (layout, layer configs,
 quantization) plus its precomputed metas; ``programs`` maps each vi-mode
-to its own zlib-compressed pickled :class:`~repro.isa.program.Program`
-and ``plans`` holds the tiling plans the same way.  Both hydrate lazily:
-a serving worker runs one program variant and never reads the plans, so
-most of the artefact stays compressed on the warm path.
+to ``(name, zlib-compressed INCAPROG frame)`` — the program's
+``instruction.bin``, adopted on load as a word array with no per-instruction
+work, so all variants hydrate eagerly; ``plans`` is a zlib-compressed
+pickle that hydrates lazily, because the runtime never reads the tiling
+plans.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import numpy as np
 
 from repro.compiler.vi_pass import DEFAULT_VI_POLICY
 from repro.container import frame, unframe, write_atomic
+from repro.isa.program import Program
 from repro.obs.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,8 +84,9 @@ MAGIC = b"INCACCHE"
 #: would silently batch through fault fires, so v1 entries must degrade to
 #: a clean miss.  v3: the pickled :class:`~repro.hw.ddr.Ddr` inside a
 #: network's layout carries its base-sorted region index; a v2 ``Ddr``
-#: lacks it and could not list or adopt regions.
-VERSION = 3
+#: lacks it and could not list or adopt regions.  v4: programs are stored
+#: as ``INCAPROG`` frames, not pickles.
+VERSION = 4
 
 #: Environment variable naming the default cache directory.  When set,
 #: every :func:`~repro.compiler.compile.compile_network` call without an
@@ -186,85 +190,6 @@ class CacheEntry:
     @property
     def age_s(self) -> float:
         return max(0.0, time.time() - self.created_unix)
-
-
-class _LazyPrograms(dict):
-    """``vi_mode -> Program`` mapping that hydrates variants on demand.
-
-    A cache load hands back three pickled program blobs; most consumers
-    only ever run one variant (the farm runs ``"vi"``), so the other blobs
-    stay compressed until first access — and a dispatcher that prices jobs
-    off the stored :class:`ProgramMeta` never unpickles *any* of them; its
-    forked measure workers hydrate their own variant in parallel.
-    ``on_hydrate`` fires once per variant as it materializes (the cache
-    uses it to prime the network's ``execution_meta``).  Whole-mapping
-    views (iteration, ``items``/``keys``/``values``, equality, pickling)
-    hydrate everything first, so the mapping is indistinguishable from the
-    plain dict a fresh compile produces.
-    """
-
-    def __init__(self, blobs: Mapping[str, bytes], on_hydrate: Any = None):
-        super().__init__()
-        self._blobs = dict(blobs)
-        self._on_hydrate = on_hydrate
-
-    def _hydrate(self, key: str) -> None:
-        blob = self._blobs.pop(key, None)
-        if blob is not None:
-            program = pickle.loads(zlib.decompress(blob))
-            super().__setitem__(key, program)
-            if self._on_hydrate is not None:
-                self._on_hydrate(key, program)
-
-    def _hydrate_all(self) -> None:
-        for key in list(self._blobs):
-            self._hydrate(key)
-
-    def __getitem__(self, key: str):
-        if not super().__contains__(key):
-            self._hydrate(key)
-        return super().__getitem__(key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key: object) -> bool:
-        return super().__contains__(key) or key in self._blobs
-
-    def __len__(self) -> int:
-        return super().__len__() + len(self._blobs)
-
-    def __iter__(self) -> Iterator[str]:
-        self._hydrate_all()
-        return super().__iter__()
-
-    def keys(self):  # type: ignore[override]
-        self._hydrate_all()
-        return super().keys()
-
-    def items(self):  # type: ignore[override]
-        self._hydrate_all()
-        return super().items()
-
-    def values(self):  # type: ignore[override]
-        self._hydrate_all()
-        return super().values()
-
-    def __eq__(self, other: object) -> bool:
-        self._hydrate_all()
-        if isinstance(other, _LazyPrograms):
-            other._hydrate_all()
-        return super().__eq__(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self):
-        # Pickles (and deep-copies) as the plain dict it stands in for.
-        self._hydrate_all()
-        return (dict, (dict(super().items()),))
 
 
 def _zeros(shape: tuple, dtype: str) -> np.ndarray:
@@ -390,12 +315,9 @@ class CompileCache:
     def store(self, key: str, network: "CompiledNetwork") -> Path | None:
         """Write one compiled artefact atomically; returns its path.
 
-        The program variants are pickled as separate compressed blobs so a
-        loader can hydrate only the variant it runs (a farm worker needs
-        ``"vi"`` alone; the others decompress on first access).  This is
-        where most of the warm-start win comes from: instruction tuples
-        dominate deserialization cost and two of the three variants are
-        usually never touched.
+        Each program variant is stored as its compressed ``instruction.bin``
+        frame, which a loader adopts as a word array without building one
+        :class:`~repro.isa.instructions.Instruction`.
 
         Never raises on I/O trouble (a read-only or full cache directory
         must not break the compile that just succeeded): failures count in
@@ -407,9 +329,7 @@ class CompileCache:
             if mode in network.programs
         }
         programs = {
-            mode: zlib.compress(
-                pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL), 3
-            )
+            mode: (program.name, zlib.compress(program.to_bytes(), 3))
             for mode, program in network.programs.items()
         }
         plans = zlib.compress(
@@ -463,11 +383,11 @@ class CompileCache:
 
     def load(self, key: str) -> "CompiledNetwork | None":
         """The cached artefact for ``key``, or ``None`` (always a miss,
-        never an error).  The stored :class:`ProgramMeta` objects land in
-        the network's mode-keyed meta table immediately (so cycle
-        estimates are warm without touching any program); program variants
-        and tiling plans hydrate lazily on first access, and hydrating a
-        variant primes its ``execution_meta`` as a side effect."""
+        never an error).  Every program variant is adopted from its stored
+        frame (a damaged one — bad CRC, unknown opcode byte, reserved bits —
+        is a counted ``corrupt`` miss) and the stored :class:`ProgramMeta`
+        objects prime ``execution_meta`` and the mode-keyed meta table;
+        only the tiling plans hydrate lazily."""
         document = self._read_document(self.path_for(key))
         if document is None:
             return None
@@ -475,17 +395,15 @@ class CompileCache:
         if meta.get("fingerprint") != compiler_fingerprint():
             return None  # copied in from another build: recompile
         try:
-            blobs = document["programs"]
             inner = pickle.loads(zlib.decompress(document["body"]))
             network: "CompiledNetwork" = inner["network"]
             metas: dict[str, "ProgramMeta"] = inner["metas"]
-
-            def _prime(mode: str, program: Any) -> None:
-                stored = metas.get(mode)
-                if stored is not None:
-                    network.prime_execution_meta(program, stored)
-
-            network.programs = _LazyPrograms(blobs, on_hydrate=_prime)
+            network.programs = {
+                mode: Program.from_bytes(zlib.decompress(blob), name=name)
+                for mode, (name, blob) in document["programs"].items()
+            }
+            for mode, stored in metas.items():
+                network.prime_execution_meta(network.programs[mode], stored)
             network.plans = _LazyPlans(document["plans"])
             network._mode_metas = dict(metas)
         except Exception:

@@ -65,7 +65,7 @@ class CompiledNetwork:
         #: Mode-keyed ProgramMeta table, filled by the on-disk compile
         #: cache at load time.  Unlike ``_meta_cache`` it is keyed by
         #: vi-mode name, not program identity, so consumers can read
-        #: precomputed totals without materializing the program itself.
+        #: precomputed totals by name.
         self._mode_metas = {}
 
     # -- program access ----------------------------------------------------
@@ -123,8 +123,7 @@ class CompiledNetwork:
         """The stored meta of the ``vi_mode`` variant, or ``None``.
 
         Served from the mode-keyed table the on-disk compile cache fills at
-        load time, so it never materializes the program — the peek behind
-        O(1) warm-start cycle estimates (see
+        load time — the peek behind O(1) warm-start cycle estimates (see
         :func:`~repro.estimate.estimate_service_cycles`).
         """
         return self._mode_metas.get(vi_mode)

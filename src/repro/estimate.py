@@ -66,10 +66,9 @@ def estimate_service_cycles(
     """:func:`estimate_job_cycles` for a vi-mode, by name.
 
     Same value, but when the network came out of the on-disk compile cache
-    the answer is read from the stored mode-keyed :class:`ProgramMeta`
-    without materializing the program variant at all — a warm-started
-    dispatcher prices every (node, service) pair in O(1) and leaves the
-    instruction tuples compressed for its measure workers to hydrate.
+    the answer is read from the stored mode-keyed :class:`ProgramMeta` —
+    a warm-started dispatcher prices every (node, service) pair in O(1)
+    without decoding one instruction of the adopted word arrays.
     """
     if config == compiled.config:
         meta = compiled.cached_mode_meta(vi_mode)

@@ -129,12 +129,6 @@ class Farm:
                 for network in compiled
             ]
             estimates.append(row)
-            for network in compiled:
-                # Materialize the served variant now, pre-fork: cache-loaded
-                # networks keep program blobs compressed, and hydrating here
-                # means measure workers inherit the decoded program instead
-                # of each decoding its own copy.
-                network.program_for(self.vi_mode)
         return FarmView(
             num_nodes=len(self.node_configs),
             slos=[service.slo for service in self.services],

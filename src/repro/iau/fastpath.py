@@ -42,12 +42,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+import numpy as np
 
 from repro.accel.core import DataTile, WeightTile
 from repro.faults.plan import FaultSite
 from repro.hw.timing import fetch_cycles, instruction_cycles
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import FLAG_OPERAND_B, FLAG_SWITCH_POINT, Instruction
 from repro.isa.opcodes import Opcode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -312,153 +315,146 @@ class ProgramMeta:
         return data_tiles, weight_tile
 
 
+def _kind_template(
+    compiled: "CompiledNetwork", instruction: Instruction
+) -> tuple[int, _EventSpec | None, tuple[FaultSite, ...]]:
+    """``(cycles, event template, batch draws)`` of one instruction — a
+    function of its opcode, layer, length, ``chs != 0`` and the operand-B /
+    switch-point flags only, which is what :func:`build_program_meta` keys
+    its per-kind table on."""
+    layer = compiled.layer_config(instruction.layer_id)
+    cycles = instruction_cycles(compiled.config, instruction, layer)
+    draws = batch_draws(instruction)
+    if instruction.is_virtual:
+        # Discarded after the fetch: no event, no stats, no bookkeeping.
+        return cycles, None, draws
+    opcode = instruction.opcode
+    burst: tuple[str | None, str | None, int] = (None, None, 0)
+    if opcode == Opcode.LOAD_D:
+        region = layer.input2_region if instruction.operand_b else layer.input_region
+        burst = ("load", region, instruction.length)
+    elif opcode == Opcode.LOAD_W:
+        burst = ("load", layer.weight_region, instruction.length)
+    elif opcode == Opcode.SAVE and instruction.chs:
+        burst = ("save", layer.output_region, instruction.length)
+    return cycles, (instruction.layer_id, opcode.name, cycles, *burst), draws
+
+
+def _prefix(values: np.ndarray) -> list[int]:
+    """Prefix sums of one per-instruction column: length n+1, plain ints,
+    one shared int object per run of equal sums (most counters move at a
+    few opcodes only, and a 100k-entry list of distinct ints is 3 MiB)."""
+    sums = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
+    distinct = np.array(sums[starts].tolist(), dtype=object)
+    shared: list[int] = np.repeat(distinct, np.diff(np.append(starts, len(sums)))).tolist()
+    return shared
+
+
 def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> ProgramMeta:
-    """Walk ``program`` once, mirroring the step-wise timing/bookkeeping.
+    """Precompute ``program``'s step-wise timing and bookkeeping from its
+    word columns.
 
     The replay assumes the uninterrupted path (virtual instructions are
     discarded after their fetch) — exactly the regime ``run_batched``
-    restricts itself to.
+    restricts itself to.  Cycles, event templates and fault draws come from
+    a table with one row per instruction *kind* (see :func:`_kind_template`),
+    built by the per-instruction functions ``step()`` itself uses, and every
+    prefix sum is one ``cumsum`` of a column gathered from it.
     """
-    config = compiled.config
-    fetch = fetch_cycles(config)
-    n = len(program)
+    words = program.words
+    opcode, layer_id = words["opcode"], words["layer_id"]
+    length = words["length"].astype(np.int64)
+    has_chs = words["chs"] != 0
+    operand_b = (words["flags"] & FLAG_OPERAND_B) != 0
+    switch_point = (words["flags"] & FLAG_SWITCH_POINT) != 0
+    kind = (
+        opcode
+        | (layer_id.astype(np.int64) << 8)
+        | (has_chs.astype(np.int64) << 24)
+        | (operand_b.astype(np.int64) << 25)
+        | (switch_point.astype(np.int64) << 26)
+        | (length << 27)
+    )
+    _, first, inverse = np.unique(kind, return_index=True, return_inverse=True)
+    table = [_kind_template(compiled, program[index]) for index in first.tolist()]
+    cycles = np.array([row[0] for row in table], dtype=np.int64)[inverse]
+    events = [table[row][1] for row in inverse.tolist()]
 
-    cum = [0] * (n + 1)
-    stats = _StatsPrefix(*([0] * (n + 1) for _ in range(7)))
-    events: list[_EventSpec | None] = [None] * n
-    boundaries: list[int] = []
-    boundary_tiles: dict[
-        int, tuple[tuple[tuple[int, _DataSpec], ...], _WeightSpec | None]
-    ] = {}
-    opportunities: dict[str, list[int]] = {
-        site.value: [0] * (n + 1) for site in BATCH_FAULT_SITES
+    fetch = fetch_cycles(compiled.config)
+    is_load = (opcode == Opcode.LOAD_D) | (opcode == Opcode.LOAD_W)
+    is_calc = (opcode == Opcode.CALC_I) | (opcode == Opcode.CALC_F)
+    is_save = (opcode == Opcode.SAVE) & has_chs  # a fully pre-saved SAVE moves nothing
+    stats = _StatsPrefix(
+        instructions=_prefix(~program.virtual_mask),
+        cycles=_prefix(cycles),
+        load_cycles=_prefix(cycles * is_load),
+        calc_cycles=_prefix(cycles * is_calc),
+        save_cycles=_prefix(cycles * is_save),
+        bytes_loaded=_prefix(length * is_load),
+        bytes_saved=_prefix(length * is_save),
+    )
+    opportunities = {
+        site.value: _prefix(np.array([site in row[2] for row in table])[inverse])
+        for site in BATCH_FAULT_SITES
     }
 
-    # Replayed on-chip bookkeeping (timing-only: descriptors, no arrays).
+    # Replayed on-chip bookkeeping (timing-only: descriptors, no arrays):
+    # a boundary is clean when no accumulator and no un-saved output
+    # section is in flight; the resident tiles are snapshotted there.
+    is_conv = {
+        config.layer_id: config.kind == "conv" for config in compiled.layer_configs
+    }
+    load_d, load_w = int(Opcode.LOAD_D), int(Opcode.LOAD_W)
+    calc_i, calc_f, save = int(Opcode.CALC_I), int(Opcode.CALC_F), int(Opcode.SAVE)
     data_tiles: dict[int, _DataSpec] = {}
     weight: _WeightSpec | None = None
-    # (layer, row0, rows, ch0, chs); next_in_ch0 untracked
-    acc: tuple[int, int, int, int, int] | None = None
-    # (layer, row0, rows, [groups (ch0, chs, nbytes)])
-    out: tuple[int, int, int, list[tuple[int, int, int]]] | None = None
-
-    def snapshot(index: int) -> None:
-        boundaries.append(index)
-        boundary_tiles[index] = (
-            tuple(sorted(data_tiles.items())),
-            weight,
-        )
-
-    snapshot(0)
-    clock = 0
-    for j, instruction in enumerate(program):
-        layer = compiled.layer_config(instruction.layer_id)
-        cycles = instruction_cycles(config, instruction, layer)
-        clock += fetch + cycles
-        cum[j + 1] = clock
-
-        opcode = instruction.opcode
-        for prefix in (
-            stats.instructions,
-            stats.cycles,
-            stats.load_cycles,
-            stats.calc_cycles,
-            stats.save_cycles,
-            stats.bytes_loaded,
-            stats.bytes_saved,
-        ):
-            prefix[j + 1] = prefix[j]
-        for opp in opportunities.values():
-            opp[j + 1] = opp[j]
-        for site in batch_draws(instruction):
-            opportunities[site.value][j + 1] += 1
-
-        if not instruction.is_virtual:
-            stats.instructions[j + 1] += 1
-            stats.cycles[j + 1] += cycles
-
-        if opcode == Opcode.LOAD_D:
-            slot = 1 if instruction.operand_b else 0
-            for key in [k for k, t in data_tiles.items() if t[0] != instruction.layer_id]:
-                del data_tiles[key]
-            data_tiles[slot] = (
-                instruction.layer_id,
-                instruction.row0,
-                instruction.rows,
-                instruction.ch0,
-                instruction.chs,
-                instruction.length,
-            )
-            stats.load_cycles[j + 1] += cycles
-            stats.bytes_loaded[j + 1] += instruction.length
-            region = layer.input2_region if instruction.operand_b else layer.input_region
-            events[j] = (
-                instruction.layer_id, opcode.name, cycles, "load", region, instruction.length,
-            )
-        elif opcode == Opcode.LOAD_W:
-            weight = (
-                instruction.layer_id,
-                instruction.ch0,
-                instruction.chs,
-                instruction.in_ch0,
-                instruction.in_chs,
-                instruction.length,
-            )
-            stats.load_cycles[j + 1] += cycles
-            stats.bytes_loaded[j + 1] += instruction.length
-            events[j] = (
-                instruction.layer_id, opcode.name, cycles, "load",
-                layer.weight_region, instruction.length,
-            )
-        elif opcode in (Opcode.CALC_I, Opcode.CALC_F):
-            blob_key = (
-                instruction.layer_id,
-                instruction.row0,
-                instruction.rows,
-                instruction.ch0,
-                instruction.chs,
-            )
-            if layer.kind == "conv":
-                if instruction.in_ch0 == 0:
-                    acc = blob_key
-                finalize = opcode == Opcode.CALC_F
-            else:
-                finalize = True  # non-conv kinds never hold an accumulator
-            if finalize:
-                section_key = (instruction.layer_id, instruction.row0, instruction.rows)
-                if out is None or out[:3] != section_key:
-                    out = (*section_key, [])
-                out[3].append(
-                    (
-                        instruction.ch0,
-                        instruction.chs,
-                        instruction.rows * layer.out_shape.width * instruction.chs,
-                    )
-                )
-                if layer.kind == "conv":
-                    acc = None
-            stats.calc_cycles[j + 1] += cycles
-            events[j] = (instruction.layer_id, opcode.name, cycles, None, None, 0)
-        elif opcode == Opcode.SAVE:
-            if instruction.chs:
-                lo, hi = instruction.ch0, instruction.ch0 + instruction.chs
-                if out is not None:
-                    remaining = [g for g in out[3] if not (lo <= g[0] < hi)]
-                    out = (*out[:3], remaining) if remaining else None
-                stats.save_cycles[j + 1] += cycles
-                stats.bytes_saved[j + 1] += instruction.length
-                events[j] = (
-                    instruction.layer_id, opcode.name, cycles, "save",
-                    layer.output_region, instruction.length,
-                )
-            else:
-                events[j] = (instruction.layer_id, opcode.name, 0, None, None, 0)
-        # Virtual instructions: discarded after their fetch — no event, no
-        # stats, no bookkeeping.
-
-        if acc is None and out is None:
-            snapshot(j + 1)
+    tiles: tuple[tuple[tuple[int, _DataSpec], ...], _WeightSpec | None] = ((), None)
+    accumulating = False
+    section: tuple[int, int, int] | None = None  # (layer, row0, rows) being finalized
+    unsaved: list[int] = []  # ch0 of each finalized, un-saved channel group
+    boundaries = [0]
+    boundary_tiles = {0: tiles}
+    columns = [opcode, layer_id, operand_b] + [
+        words[name] for name in ("row0", "rows", "ch0", "chs", "in_ch0", "in_chs", "length")
+    ]
+    walk = chain.from_iterable(  # column lists, a chunk at a time: bounded transient
+        zip(*(column[start : start + 8192].tolist() for column in columns))
+        for start in range(0, len(words), 8192)
+    )
+    for j, (op, layer, second, row0, rows, ch0, chs, in_ch0, in_chs, nbytes) in enumerate(walk):
+        if op == load_d:
+            for slot in [s for s, tile in data_tiles.items() if tile[0] != layer]:
+                del data_tiles[slot]
+            data_tiles[1 if second else 0] = (layer, row0, rows, ch0, chs, nbytes)
+            tiles = (tuple(sorted(data_tiles.items())), weight)
+        elif op == load_w:
+            weight = (layer, ch0, chs, in_ch0, in_chs, nbytes)
+            tiles = (tuple(sorted(data_tiles.items())), weight)
+        elif op == calc_i or op == calc_f:
+            conv = is_conv[layer]
+            if conv and in_ch0 == 0:
+                accumulating = True
+            if op == calc_f or not conv:  # non-conv kinds never hold an accumulator
+                if section != (layer, row0, rows):
+                    section, unsaved = (layer, row0, rows), []
+                unsaved.append(ch0)
+                if conv:
+                    accumulating = False
+        elif op == save and chs and section is not None:
+            unsaved = [c for c in unsaved if not ch0 <= c < ch0 + chs]
+            if not unsaved:
+                section = None
+        if not accumulating and section is None:
+            boundaries.append(j + 1)
+            boundary_tiles[j + 1] = tiles
 
     return ProgramMeta(
-        fetch, cum, stats, events, boundaries, boundary_tiles, opportunities
+        fetch,
+        _prefix(cycles + fetch),
+        stats,
+        events,
+        boundaries,
+        boundary_tiles,
+        opportunities,
     )

@@ -4,11 +4,18 @@ Each instruction encodes to exactly :data:`INSTRUCTION_BYTES` bytes,
 little-endian.  The layout matches the field table in
 :mod:`repro.isa.instructions`; two reserved u16 fields pad the word to a
 power-of-two size, as a DMA-friendly hardware instruction fetcher wants.
+
+:data:`WORD_DTYPE` is the same layout as a numpy structured dtype, so a
+whole stream is one array (:func:`words_from_bytes`) whose fields are
+columns; :func:`decode_word` turns one element back into an
+:class:`Instruction` and is the only place that does.
 """
 
 from __future__ import annotations
 
 import struct
+
+import numpy as np
 
 from repro.errors import IsaError
 from repro.isa.instructions import Instruction
@@ -21,13 +28,24 @@ _WORD = struct.Struct("<BBHHhIIHHHHHHHH")
 INSTRUCTION_BYTES = _WORD.size
 assert INSTRUCTION_BYTES == 32
 
+#: :data:`_WORD` field for field (packed, little-endian).
+WORD_DTYPE = np.dtype(
+    [("opcode", "u1"), ("flags", "u1"), ("layer_id", "<u2"), ("save_id", "<u2"),
+     ("shift", "<i2"), ("ddr_addr", "<u4"), ("length", "<u4"), ("row0", "<u2"),
+     ("rows", "<u2"), ("ch0", "<u2"), ("chs", "<u2"), ("in_ch0", "<u2"),
+     ("in_chs", "<u2"), ("reserved0", "<u2"), ("reserved1", "<u2")]
+)
+assert WORD_DTYPE.itemsize == INSTRUCTION_BYTES
+
+_OPCODES = {int(opcode): opcode for opcode in Opcode}
+_KNOWN_OPCODE = np.zeros(256, dtype=bool)
+_KNOWN_OPCODE[list(_OPCODES)] = True
+
 
 def encode_instruction(instruction: Instruction) -> bytes:
     """Encode one instruction to its 32-byte word."""
-    if instruction.flags > 0xFF:
-        raise IsaError(f"flags={instruction.flags:#x} exceed the encoded u8 field")
     return _WORD.pack(
-        int(instruction.opcode),
+        instruction.opcode,
         instruction.flags,
         instruction.layer_id,
         instruction.save_id,
@@ -45,60 +63,54 @@ def encode_instruction(instruction: Instruction) -> bytes:
     )
 
 
-def decode_instruction(word: bytes) -> Instruction:
-    """Decode one 32-byte word back into an :class:`Instruction`."""
-    if len(word) != INSTRUCTION_BYTES:
-        raise IsaError(f"instruction word must be {INSTRUCTION_BYTES} bytes, got {len(word)}")
-    (
-        opcode_value,
-        flags,
-        layer_id,
-        save_id,
-        shift,
-        ddr_addr,
-        length,
-        row0,
-        rows,
-        ch0,
-        chs,
-        in_ch0,
-        in_chs,
-        _reserved0,
-        _reserved1,
-    ) = _WORD.unpack(word)
-    try:
-        opcode = Opcode(opcode_value)
-    except ValueError as exc:
-        raise IsaError(f"unknown opcode byte {opcode_value:#04x}") from exc
-    return Instruction(
-        opcode=opcode,
-        layer_id=layer_id,
-        save_id=save_id,
-        ddr_addr=ddr_addr,
-        length=length,
-        row0=row0,
-        rows=rows,
-        ch0=ch0,
-        chs=chs,
-        in_ch0=in_ch0,
-        in_chs=in_chs,
-        shift=shift,
-        flags=flags,
-    )
-
-
-def encode_stream(instructions: list[Instruction] | tuple[Instruction, ...]) -> bytes:
-    """Concatenate the encodings of a whole instruction sequence."""
-    return b"".join(encode_instruction(instruction) for instruction in instructions)
-
-
-def decode_stream(blob: bytes) -> list[Instruction]:
-    """Decode a concatenated instruction stream."""
+def words_from_bytes(blob: bytes) -> np.ndarray:
+    """A concatenated stream as a read-only :data:`WORD_DTYPE` array over
+    ``blob`` (no copy).  One vectorised pass refuses what no encoder emits:
+    an unknown opcode byte or a non-zero reserved field."""
     if len(blob) % INSTRUCTION_BYTES != 0:
         raise IsaError(
             f"stream length {len(blob)} is not a multiple of {INSTRUCTION_BYTES}"
         )
-    return [
-        decode_instruction(blob[offset : offset + INSTRUCTION_BYTES])
-        for offset in range(0, len(blob), INSTRUCTION_BYTES)
-    ]
+    words = np.frombuffer(blob, dtype=WORD_DTYPE)
+    bad = ~_KNOWN_OPCODE[words["opcode"]]
+    if bad.any():
+        index = int(bad.argmax())
+        raise IsaError(
+            f"unknown opcode byte {int(words['opcode'][index]):#04x} at word {index}"
+        )
+    reserved = (words["reserved0"] | words["reserved1"]) != 0
+    if reserved.any():
+        raise IsaError(f"reserved bits set in word {int(reserved.argmax())}")
+    return words
+
+
+def decode_word(word: np.void) -> Instruction:
+    """One checked :data:`WORD_DTYPE` element as an :class:`Instruction`."""
+    (opcode, flags, layer_id, save_id, shift, ddr_addr, length,
+     row0, rows, ch0, chs, in_ch0, in_chs, _, _) = word.item()
+    return Instruction(
+        _OPCODES[opcode], layer_id, save_id, ddr_addr, length,
+        row0, rows, ch0, chs, in_ch0, in_chs, shift, flags,
+    )
+
+
+def decode_instruction(word: bytes) -> Instruction:
+    """Decode one 32-byte word back into an :class:`Instruction`."""
+    if len(word) != INSTRUCTION_BYTES:
+        raise IsaError(f"instruction word must be {INSTRUCTION_BYTES} bytes, got {len(word)}")
+    return decode_word(words_from_bytes(word)[0])
+
+
+def encode_stream(instructions: list[Instruction] | tuple[Instruction, ...]) -> bytes:
+    """Concatenate the encodings of a whole instruction sequence (joined in
+    chunks, so the per-word ``bytes`` objects of a 100k-instruction program
+    never all exist at once)."""
+    return b"".join(
+        b"".join(map(encode_instruction, instructions[start : start + 4096]))
+        for start in range(0, len(instructions), 4096)
+    )
+
+
+def decode_stream(blob: bytes) -> list[Instruction]:
+    """Decode a concatenated instruction stream."""
+    return [decode_word(word) for word in words_from_bytes(blob)]

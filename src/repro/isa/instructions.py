@@ -41,11 +41,13 @@ FLAG_OPERAND_B = 1 << 3
 #: there would skip the backup that VIR_SAVE encodes.
 FLAG_SWITCH_POINT = 1 << 4
 
+#: ``flags`` is the one u8 field of the encoded word.
+_U8 = 0xFF
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One 32-byte (VI-)ISA instruction word."""
 
@@ -66,6 +68,21 @@ class Instruction:
     def __post_init__(self) -> None:
         if not isinstance(self.opcode, Opcode):
             raise IsaError(f"opcode must be an Opcode, got {self.opcode!r}")
+        # One OR-mask range test: every field is shifted so that "fits its
+        # encoded width" means "fits in 16 bits" (flags is a u8, the two u32s
+        # lose their low half, shift is biased to unsigned), and a negative
+        # value sign-extends into the masked bits.  The per-field walk below
+        # runs only to name the offender.
+        if (
+            self.layer_id | self.save_id | self.row0 | self.rows
+            | self.ch0 | self.chs | self.in_ch0 | self.in_chs
+            | self.flags << 8
+            | (self.ddr_addr | self.length) >> 16
+            | self.shift + 0x8000
+        ) & -0x10000:
+            self._raise_out_of_range()
+
+    def _raise_out_of_range(self) -> None:
         for name, limit in (
             ("layer_id", _U16),
             ("save_id", _U16),
@@ -75,7 +92,7 @@ class Instruction:
             ("chs", _U16),
             ("in_ch0", _U16),
             ("in_chs", _U16),
-            ("flags", _U16),
+            ("flags", _U8),
         ):
             value = getattr(self, name)
             if not 0 <= value <= limit:
@@ -84,8 +101,7 @@ class Instruction:
             value = getattr(self, name)
             if not 0 <= value <= _U32:
                 raise IsaError(f"{name}={value} outside u32 range")
-        if not -(1 << 15) <= self.shift < (1 << 15):
-            raise IsaError(f"shift={self.shift} outside i16 range")
+        raise IsaError(f"shift={self.shift} outside i16 range")
 
     # -- classification ----------------------------------------------------
 

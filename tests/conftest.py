@@ -67,3 +67,24 @@ def random_input(compiled: CompiledNetwork, seed: int = 0) -> np.ndarray:
     return rng.integers(
         -128, 128, size=(shape.height, shape.width, shape.channels), dtype=np.int64
     ).astype(np.int8)
+
+
+@pytest.fixture()
+def structural_oracle(monkeypatch):
+    """Hold every ``structural_pass`` the verify engine runs equal to the
+    per-instruction walk it replaced (``tests/program_walk_oracle.py``):
+    same diagnostics, same order.  The verifier test modules opt in, so each
+    mutation they generate is also a differential case."""
+    from repro.verify import engine
+    from repro.verify.diagnostics import Report
+    from tests import program_walk_oracle
+
+    columns = engine.structural_pass
+
+    def checked(program, report, layers=None):
+        before, walked = len(report), Report()
+        columns(program, report, layers)
+        program_walk_oracle.structural_pass(program, walked, layers)
+        assert list(report)[before:] == list(walked)
+
+    monkeypatch.setattr(engine, "structural_pass", checked)

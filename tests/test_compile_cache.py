@@ -8,6 +8,7 @@ import gc
 import multiprocessing
 import pickle
 import weakref
+import zlib
 from fractions import Fraction
 from math import ceil
 
@@ -19,6 +20,8 @@ from repro.accel.reference import golden_output
 from repro.accel.runner import run_program
 from repro.compiler.cache import (
     CACHE_ENV_VAR,
+    MAGIC,
+    VERSION,
     CompileCache,
     cache_key,
     compiler_fingerprint,
@@ -26,6 +29,7 @@ from repro.compiler.cache import (
     main as cache_main,
 )
 from repro.compiler.vi_pass import ViPolicy
+from repro.container import frame, unframe
 from repro.errors import SchedulerError
 from repro.farm.metrics import percentile
 from repro.farm.node import (
@@ -38,6 +42,7 @@ from repro.farm.traffic import SloClass
 from repro.isa.program import Program
 from repro.obs import EventBus, EventKind
 from tests.test_container import MUTATIONS
+from tests.test_isa import UNENCODABLE, reframed
 
 BIG = AcceleratorConfig.big()
 SMALL = AcceleratorConfig.small()
@@ -135,21 +140,24 @@ class TestRoundTrip:
         monkeypatch.setattr("repro.iau.fastpath.build_program_meta", explode)
         assert warm.execution_meta(warm.programs["vi"]) is not None
 
-    def test_mode_meta_estimate_skips_hydration(self, cache, graph):
+    def test_mode_meta_estimate_skips_hydration(self, cache, graph, monkeypatch):
         from repro.estimate import estimate_service_cycles
 
         cold = compile_network(graph, BIG, weights="zeros", cache=cache)
+
+        def explode(word):
+            raise AssertionError("a warm load and its estimate decode no Instruction")
+
+        monkeypatch.setattr("repro.isa.program.decode_word", explode)
         warm = compile_network(graph, BIG, weights="zeros", cache=cache)
+        # All three variants are adopted as word arrays at load, the stored
+        # meta is primed, and the estimate reads it: no object is built.
+        assert type(warm.programs) is dict and sorted(warm.programs) == sorted(cold.programs)
         assert warm.cached_mode_meta("vi") is not None
-        estimate = estimate_service_cycles(BIG, warm, "vi")
-        # The estimate came from the stored mode-keyed meta: the vi program
-        # blob must still be compressed (never unpickled).
-        assert "vi" in warm.programs._blobs
-        assert estimate == estimate_job_cycles(BIG, cold, cold.program_for("vi"))
-        # First touch hydrates and primes execution_meta as a side effect.
-        program = warm.program_for("vi")
-        assert "vi" not in warm.programs._blobs
-        assert warm.cached_execution_meta(program) is not None
+        assert warm.cached_execution_meta(warm.program_for("vi")) is warm.cached_mode_meta("vi")
+        assert estimate_service_cycles(BIG, warm, "vi") == estimate_job_cycles(
+            BIG, cold, cold.program_for("vi")
+        )
 
     def test_zero_ddr_elision_round_trips(self, cache, graph):
         cold = compile_network(graph, BIG, weights="zeros", cache=cache)
@@ -255,6 +263,26 @@ class TestCorruptionFallback:
 
     def test_empty_file(self, cache, graph):
         self.counted_miss(cache, graph, "empty")
+
+    @pytest.mark.parametrize("damage", sorted(UNENCODABLE))
+    def test_unencodable_program_inside_a_valid_entry(self, cache, graph, damage):
+        """An otherwise valid v4 entry whose ``vi`` frame is CRC-clean but
+        carries a reserved bit / unknown opcode: counted miss + recompile."""
+        path = self.entry_path(cache, graph)
+        document = pickle.loads(unframe(path.read_bytes(), MAGIC, VERSION))
+        name, blob = document["programs"]["vi"]
+        program = Program.from_bytes(zlib.decompress(blob), name)
+        document["programs"]["vi"] = (
+            name, zlib.compress(reframed(program, *UNENCODABLE[damage]))
+        )
+        path.write_bytes(frame(MAGIC, VERSION, pickle.dumps(document)))
+        key = cache_key(graph, BIG, weights="zeros")
+        before = cache.stats.corrupt
+        assert cache.probe(key) is not None  # the entry itself reads fine
+        assert cache.load(key) is None
+        assert cache.stats.corrupt == before + 1
+        self.recompiles_cleanly(cache, graph)
+        assert cache.load(key) is not None  # and the bad entry was overwritten
 
     def test_foreign_fingerprint(self, cache, graph, monkeypatch):
         self.entry_path(cache, graph)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.container import HEADER, frame
 from repro.errors import IsaError, ProgramError
 from repro.isa import (
     FLAG_BIAS,
@@ -24,8 +25,22 @@ from repro.isa import (
     is_virtual,
     validate_program,
 )
+from repro.isa import program as program_format
 from repro.isa.instructions import FLAG_OPERAND_B, FLAG_SWITCH_POINT
 from tests.test_container import MUTATIONS
+
+
+def reframed(program: Program, offset: int, value: int) -> bytes:
+    """``program``'s ``instruction.bin`` with one body byte overwritten and
+    the frame rebuilt, so the CRC is valid for the damaged body."""
+    body = bytearray(program.to_bytes()[HEADER.size :])
+    body[offset] = value
+    return frame(program_format._MAGIC, program_format._VERSION, bytes(body))
+
+
+#: What no encoder emits but a CRC cannot see, as ``(byte offset, value)``
+#: in the second word: a reserved bit, an unknown opcode byte.
+UNENCODABLE = {"reserved_bit": (32 + 29, 0x01), "unknown_opcode": (32, 0xEE)}
 
 
 def make(opcode=Opcode.CALC_F, **kwargs):
@@ -107,6 +122,29 @@ class TestInstruction:
 
     def test_str_mentions_opcode(self):
         assert "CALC_F" in str(make())
+
+    def test_unencodable_flags_cannot_be_constructed(self):
+        """The word has a u8: ``flags=0x100`` used to construct, validate
+        and pickle into the cache, then fail in ``to_bytes``."""
+        with pytest.raises(IsaError, match=r"flags=256 outside \[0, 255\]"):
+            Instruction(opcode=Opcode.SAVE, flags=0x100)
+        assert Instruction(opcode=Opcode.SAVE, flags=0xFF).flags == 0xFF
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("layer_id", -1, r"layer_id=-1 outside \[0, 65535\]"),
+            ("in_chs", 1 << 16, r"in_chs=65536 outside \[0, 65535\]"),
+            ("flags", -1, r"flags=-1 outside \[0, 255\]"),
+            ("ddr_addr", 1 << 32, "ddr_addr=4294967296 outside u32 range"),
+            ("length", -5, "length=-5 outside u32 range"),
+            ("shift", 1 << 15, "shift=32768 outside i16 range"),
+            ("shift", -(1 << 15) - 1, "shift=-32769 outside i16 range"),
+        ],
+    )
+    def test_range_errors_name_the_field(self, field, value, message):
+        with pytest.raises(IsaError, match=message):
+            Instruction(opcode=Opcode.SAVE, **{field: value})
 
 
 class TestEncoding:
@@ -232,6 +270,15 @@ class TestProgram:
         damaged = MUTATIONS[mutation][1](self.make_program().to_bytes())
         with pytest.raises(ProgramError, match="not a loadable instruction.bin"):
             Program.from_bytes(damaged)
+
+    @pytest.mark.parametrize("damage", sorted(UNENCODABLE))
+    def test_crc_clean_but_unencodable_stream_is_refused(self, damage):
+        """``decode`` used to drop the reserved halves, so such a file loaded
+        and ``from_bytes(b).to_bytes() != b``."""
+        program = self.make_program()
+        assert Program.from_bytes(program.to_bytes()).to_bytes() == program.to_bytes()
+        with pytest.raises(ProgramError, match="not a loadable instruction.bin"):
+            Program.from_bytes(reframed(program, *UNENCODABLE[damage]))
 
     def test_v2_instruction_bin_is_refused(self):
         """The pre-container layout (``<4sHHII``: 4-byte magic, count, CRC)."""

@@ -35,6 +35,10 @@ from repro.verify import (
 from repro.verify.engine import layer_table
 from repro.zoo import build_tiny_cnn, build_tiny_conv
 
+#: Every structural pass below also runs the per-instruction walk it
+#: replaced and must report the same diagnostics (see conftest.py).
+pytestmark = pytest.mark.usefixtures("structural_oracle")
+
 
 # -- program surgery helpers -------------------------------------------------
 

@@ -22,6 +22,10 @@ from repro.verify import verify_program, verify_task_set
 from repro.verify.engine import layer_table
 from repro.zoo import build_tiny_cnn, build_tiny_conv
 
+#: Every structural pass below also runs the per-instruction walk it
+#: replaced and must report the same diagnostics (see conftest.py).
+pytestmark = pytest.mark.usefixtures("structural_oracle")
+
 SETTINGS = settings(
     max_examples=30,
     deadline=None,
