@@ -4,8 +4,8 @@
 
 1. quantize the model (synthetic weights stand in for the trained Caffe model),
 2. allocate the DDR layout,
-3. lower topology + quantization to the original ISA,
-4. run the virtual-instruction pass,
+3. lower topology + quantization to the original ISA (a word array),
+4. run the virtual-instruction pass (an insert into that array),
 
 yielding a :class:`CompiledNetwork` holding the DDR image, the layer-config
 table and three program variants: ``"none"`` (original ISA), ``"vi"`` (the
@@ -290,14 +290,12 @@ def compile_network(
     original, plans = lower_network(config, layer_configs, layout)
 
     programs = {
-        "none": Program(name=f"{graph.name}.orig", instructions=tuple(original)),
-        "vi": Program(
-            name=f"{graph.name}.vi",
-            instructions=tuple(insert_virtual_instructions(original, vi_policy)),
+        "none": Program.from_words(f"{graph.name}.orig", original),
+        "vi": Program.from_words(
+            f"{graph.name}.vi", insert_virtual_instructions(original, vi_policy)
         ),
-        "layer": Program(
-            name=f"{graph.name}.layer",
-            instructions=tuple(insert_layer_barriers(original)),
+        "layer": Program.from_words(
+            f"{graph.name}.layer", insert_layer_barriers(original)
         ),
     }
     if mode == "structural":

@@ -4,22 +4,34 @@ This is the "original compiler" stage of the paper's Fig. 1(c): it translates
 the network topology plus quantization information into the original
 (non-interruptible) LOAD/CALC/SAVE sequence.  The virtual-instruction pass
 (:mod:`repro.compiler.vi_pass`) then decorates that sequence.
+
+The product is the word array itself, not objects: each layer's tiling plan
+is emitted as int64 :data:`~repro.isa.encoding.COLUMN_DTYPE` blocks — one
+CalcBlob template per distinct group, one stripe block per distinct
+``(out_rows, sections)``, copied per stripe with ``row0`` patched — and
+:func:`~repro.isa.encoding.pack_words` range-checks and narrows each
+layer's rows once.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
+import numpy as np
+
 from repro.compiler.allocator import NetworkLayout
 from repro.compiler.layer_config import LayerConfig
-from repro.compiler.tiling import LayerPlan, plan_layer
+from repro.compiler.tiling import GroupPlan, LayerPlan, StripePlan, plan_layer
 from repro.compiler.weights import DEFAULT_SHIFT, LayerQuantization
 from repro.errors import CompileError
 from repro.hw.config import AcceleratorConfig
+from repro.hw.ddr import Ddr
+from repro.isa.encoding import COLUMN_DTYPE, WORD_DTYPE, column_rows, pack_words
 from repro.isa.instructions import (
     FLAG_BIAS,
     FLAG_LAST_SAVE_OF_LAYER,
     FLAG_OPERAND_B,
     FLAG_RELU,
-    Instruction,
 )
 from repro.isa.opcodes import Opcode
 from repro.nn.graph import NetworkGraph
@@ -50,7 +62,7 @@ def build_layer_configs(
         input_region = layout.feature_regions[layer.inputs[0]]
         output_region = layout.feature_regions[layer.name]
         shift = quantization[layer.name].shift if layer.name in quantization else DEFAULT_SHIFT
-        common = dict(
+        common: dict[str, Any] = dict(
             layer_id=layer_id,
             name=layer.name,
             in_shape=in_shape,
@@ -142,17 +154,24 @@ def lower_network(
     config: AcceleratorConfig,
     layer_configs: list[LayerConfig],
     layout: NetworkLayout,
-) -> tuple[list[Instruction], list[LayerPlan]]:
-    """Emit the original-ISA sequence for the whole network."""
-    instructions: list[Instruction] = []
-    plans: list[LayerPlan] = []
-    for layer in layer_configs:
-        plan = plan_layer(config, layer)
-        plans.append(plan)
-        instructions.extend(_lower_layer(config, layer, plan, layout))
-    if not instructions:
+) -> tuple[np.ndarray, list[LayerPlan]]:
+    """Emit the original-ISA word array for the whole network."""
+    plans = [plan_layer(config, layer) for layer in layer_configs]
+    if not plans:
         raise CompileError("network lowered to an empty instruction stream")
-    return instructions, plans
+    # Packed layer by layer, so the int64 columns of only one layer exist at
+    # a time; every value is still range-checked exactly once.
+    blocks = [
+        pack_words(_lower_layer(config, layer, plan, layout))
+        for layer, plan in zip(layer_configs, plans)
+    ]
+    return np.concatenate([block.view(np.uint8) for block in blocks]).view(WORD_DTYPE), plans
+
+
+def _join(blocks: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` of column blocks through their flat int64 view:
+    on structured arrays it promotes the dtype field by field, per block."""
+    return np.concatenate([block.view(np.int64) for block in blocks]).view(COLUMN_DTYPE)
 
 
 def _lower_layer(
@@ -160,171 +179,116 @@ def _lower_layer(
     layer: LayerConfig,
     plan: LayerPlan,
     layout: NetworkLayout,
-) -> list[Instruction]:
+) -> np.ndarray:
     ddr = layout.ddr
-    input_base = ddr.region(layer.input_region).base
-    output_base = ddr.region(layer.output_region).base
-    weight_base = ddr.region(layer.weight_region).base if layer.weight_region else 0
-    out_width = layer.out_shape.width
-    emitted: list[Instruction] = []
-
-    saves: list[int] = []  # indices of SAVE instructions (to flag the last one)
-    for tile in plan.tiles:
-        emitted.extend(_tile_loads(layer, tile, input_base, ddr))
-        for stripe in tile.stripes:
-            for section in stripe.sections:
-                for group in section.groups:
-                    emitted.extend(
-                        _blob_instructions(config, layer, stripe, group, weight_base)
-                    )
-                saves.append(len(emitted))
-                emitted.append(
-                    Instruction(
-                        opcode=Opcode.SAVE,
-                        layer_id=layer.layer_id,
-                        ddr_addr=output_base,
-                        length=stripe.out_rows * out_width * section.chs,
-                        row0=stripe.out_row0,
-                        rows=stripe.out_rows,
-                        ch0=section.ch0,
-                        chs=section.chs,
-                    )
-                )
-    last_save = saves[-1]
-    emitted[last_save] = Instruction(
-        opcode=Opcode.SAVE,
-        layer_id=layer.layer_id,
-        ddr_addr=emitted[last_save].ddr_addr,
-        length=emitted[last_save].length,
-        row0=emitted[last_save].row0,
-        rows=emitted[last_save].rows,
-        ch0=emitted[last_save].ch0,
-        chs=emitted[last_save].chs,
-        flags=FLAG_LAST_SAVE_OF_LAYER,
-    )
-    return emitted
-
-
-def _tile_loads(layer: LayerConfig, tile, input_base: int, ddr) -> list[Instruction]:
-    """LOAD_D instruction(s) bringing a tile's input rows on chip."""
     width = layer.in_shape.width
-    loads = [
-        Instruction(
-            opcode=Opcode.LOAD_D,
-            layer_id=layer.layer_id,
-            ddr_addr=input_base,
-            length=tile.in_rows * width * tile.in_chs,
-            row0=tile.in_row0,
-            rows=tile.in_rows,
-            ch0=tile.in_ch0,
-            chs=tile.in_chs,
-        )
-    ]
+    # LOAD_D row(s) bringing a tile's input rows on chip: one per operand.
+    loads = column_rows(1, Opcode.LOAD_D, ddr_addr=ddr.region(layer.input_region).base)
     if layer.kind == "add":
-        second_base = ddr.region(layer.input2_region).base
-        loads.append(
-            Instruction(
-                opcode=Opcode.LOAD_D,
-                layer_id=layer.layer_id,
-                ddr_addr=second_base,
-                length=tile.in_rows * width * tile.in_chs,
-                row0=tile.in_row0,
-                rows=tile.in_rows,
-                ch0=tile.in_ch0,
-                chs=tile.in_chs,
-                flags=FLAG_OPERAND_B,
-            )
-        )
-    return loads
+        assert layer.input2_region is not None  # LayerConfig refuses an add without one
+        second = ddr.region(layer.input2_region).base
+        loads = _join([loads, column_rows(1, Opcode.LOAD_D, ddr_addr=second, flags=FLAG_OPERAND_B)])
+    blobs: dict[tuple[int, Any], np.ndarray] = {}  # by group shape, see _stripe_block
+    stripes: dict[tuple[int, Any], np.ndarray] = {}  # by (out_rows, sections)
+    emitted: list[np.ndarray] = []
+    for tile in plan.tiles:
+        tile_loads = loads.copy()
+        tile_loads["length"] = tile.in_rows * width * tile.in_chs
+        tile_loads["row0"], tile_loads["rows"] = tile.in_row0, tile.in_rows
+        tile_loads["ch0"], tile_loads["chs"] = tile.in_ch0, tile.in_chs
+        emitted.append(tile_loads)
+        for stripe in tile.stripes:
+            key = (stripe.out_rows, stripe.sections)
+            if key not in stripes:
+                stripes[key] = _stripe_block(config, layer, stripe, blobs, ddr)
+            block = stripes[key].copy()
+            block["row0"] = stripe.out_row0
+            emitted.append(block)
+    rows = _join(emitted)
+    rows["layer_id"] = layer.layer_id
+    rows["flags"][-1] = FLAG_LAST_SAVE_OF_LAYER  # a stripe block ends on its SAVE
+    return rows
 
 
-def _blob_instructions(
+def _stripe_block(
     config: AcceleratorConfig,
     layer: LayerConfig,
-    stripe,
-    group,
-    weight_base: int,
-) -> list[Instruction]:
-    """LOAD_W + CALC_I*/CALC_F for one CalcBlob."""
-    final_flags = (FLAG_RELU if layer.relu else 0) | (FLAG_BIAS if layer.bias else 0)
-    common = dict(
-        layer_id=layer.layer_id,
-        row0=stripe.out_row0,
-        rows=stripe.out_rows,
-        ch0=group.ch0,
-        chs=group.chs,
-    )
-    emitted: list[Instruction] = []
+    stripe: StripePlan,
+    blobs: dict[tuple[int, Any], np.ndarray],
+    ddr: Ddr,
+) -> np.ndarray:
+    """Every CalcBlob and SAVE of one stripe, ``row0`` left for the caller."""
+    output_base = ddr.region(layer.output_region).base
+    emitted: list[np.ndarray] = []
+    ch0: list[int] = []
+    for section in stripe.sections:
+        for group in section.groups:
+            # One template per distinct group shape, emitted at channel 0.
+            shape = (group.chs, group.weight_chunks)
+            if shape not in blobs:
+                blobs[shape] = _blob_block(config, layer, group, ddr)
+            emitted.append(blobs[shape])
+            ch0.append(group.ch0)
+        emitted.append(
+            column_rows(
+                1,
+                Opcode.SAVE,
+                ddr_addr=output_base,
+                length=stripe.out_rows * layer.out_shape.width * section.chs,
+                chs=section.chs,
+            )
+        )
+        ch0.append(section.ch0)
+    rows = _join(emitted)
+    rows["rows"] = stripe.out_rows
+    rows["ch0"] = np.repeat(ch0, [len(block) for block in emitted])
+    if layer.kind != "conv":  # a blob's input window is the group's own channels
+        rows["in_ch0"] = np.where(rows["opcode"] == Opcode.SAVE, 0, rows["ch0"])
+    return rows
 
-    if layer.kind == "conv":
-        kh, kw = layer.kernel
-        for chunk_index, (chunk0, chunk_len) in enumerate(group.weight_chunks):
-            weight_bytes = kh * kw * chunk_len * group.chs
-            if chunk_index == 0 and layer.bias:
-                weight_bytes += 4 * group.chs
+
+def _blob_block(
+    config: AcceleratorConfig, layer: LayerConfig, group: GroupPlan, ddr: Ddr
+) -> np.ndarray:
+    """LOAD_W + CALC_I*/CALC_F for one CalcBlob, its ``ch0`` left for the caller."""
+    chs = group.chs
+    if layer.kind not in ("conv", "depthwise"):
+        # pool / add / global: one CALC_F over the group's own channels.
+        relu = FLAG_RELU if (layer.kind == "add" and layer.relu) else 0
+        return column_rows(1, Opcode.CALC_F, chs=chs, in_chs=chs, flags=relu)
+
+    kh, kw = layer.kernel
+    assert layer.weight_region is not None  # LayerConfig refuses these kinds without one
+    weight_base = ddr.region(layer.weight_region).base
+    bias_bytes = 4 * chs if layer.bias else 0
+    if layer.kind == "depthwise":
+        emitted = [
+            column_rows(1, Opcode.LOAD_W, ddr_addr=weight_base, length=kh * kw * chs + bias_bytes),
+            column_rows(1, Opcode.CALC_I),
+        ]
+    else:
+        emitted = []
+        for index, (chunk0, chunk_len) in enumerate(group.weight_chunks):
+            weight_bytes = kh * kw * chunk_len * chs + (bias_bytes if index == 0 else 0)
             emitted.append(
-                Instruction(
-                    opcode=Opcode.LOAD_W,
+                column_rows(
+                    1,
+                    Opcode.LOAD_W,
                     ddr_addr=weight_base,
                     length=weight_bytes,
                     in_ch0=chunk0,
                     in_chs=chunk_len,
-                    **common,
                 )
             )
-            chunk_steps = [
-                (start, min(config.para_in, chunk0 + chunk_len - start))
-                for start in range(chunk0, chunk0 + chunk_len, config.para_in)
-            ]
-            for step_index, (in_ch0, in_chs) in enumerate(chunk_steps):
-                is_last_chunk = chunk_index == len(group.weight_chunks) - 1
-                is_final = is_last_chunk and step_index == len(chunk_steps) - 1
-                emitted.append(
-                    Instruction(
-                        opcode=Opcode.CALC_F if is_final else Opcode.CALC_I,
-                        in_ch0=in_ch0,
-                        in_chs=in_chs,
-                        shift=layer.shift if is_final else 0,
-                        flags=final_flags if is_final else 0,
-                        **common,
-                    )
-                )
-        return emitted
-
+            starts = np.arange(chunk0, chunk0 + chunk_len, config.para_in)
+            steps = np.minimum(config.para_in, chunk0 + chunk_len - starts)
+            emitted.append(column_rows(len(starts), Opcode.CALC_I, in_ch0=starts, in_chs=steps))
+    rows = _join(emitted)
+    rows["chs"] = chs
     if layer.kind == "depthwise":
-        kh, kw = layer.kernel
-        weight_bytes = kh * kw * group.chs + (4 * group.chs if layer.bias else 0)
-        emitted.append(
-            Instruction(
-                opcode=Opcode.LOAD_W,
-                ddr_addr=weight_base,
-                length=weight_bytes,
-                in_ch0=group.ch0,
-                in_chs=group.chs,
-                **common,
-            )
-        )
-        emitted.append(
-            Instruction(
-                opcode=Opcode.CALC_F,
-                in_ch0=group.ch0,
-                in_chs=group.chs,
-                shift=layer.shift,
-                flags=final_flags,
-                **common,
-            )
-        )
-        return emitted
-
-    # pool / add / global: one CALC_F over the group's own channels.
-    emitted.append(
-        Instruction(
-            opcode=Opcode.CALC_F,
-            in_ch0=group.ch0,
-            in_chs=group.chs,
-            shift=0,
-            flags=FLAG_RELU if (layer.kind == "add" and layer.relu) else 0,
-            **common,
-        )
-    )
-    return emitted
+        rows["in_chs"] = chs
+    # The blob's last CALC finalizes: requantize, bias, ReLU.
+    rows["opcode"][-1] = Opcode.CALC_F
+    rows["shift"][-1] = layer.shift
+    rows["flags"][-1] = (FLAG_RELU if layer.relu else 0) | (FLAG_BIAS if layer.bias else 0)
+    return rows

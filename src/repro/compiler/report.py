@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.compiler.compile import CompiledNetwork
 from repro.hw.timing import blob_cycles, calc_cycles, transfer_cycles
 from repro.isa.opcodes import Opcode
@@ -22,34 +24,34 @@ class ProgramStats:
 
 
 def program_stats(compiled: CompiledNetwork, vi_mode: str = "vi") -> ProgramStats:
-    """Count instructions and estimate straight-line cycles for a program."""
+    """Count instructions and estimate straight-line cycles for a program,
+    from its opcode histogram and its ``length`` / ``layer_id`` columns."""
     program = compiled.program_for(vi_mode)
-    loads = calcs = saves = 0
-    cycles = 0
     config = compiled.config
-    for instruction in program:
-        if instruction.is_virtual:
-            continue
-        if instruction.opcode in (Opcode.LOAD_W, Opcode.LOAD_D):
-            loads += 1
-            cycles += transfer_cycles(config, instruction.length)
-        elif instruction.is_calc:
-            calcs += 1
-            layer = compiled.layer_config(instruction.layer_id)
-            if layer.kind == "global":
-                cycles += layer.in_shape.height * layer.in_shape.width
-            else:
-                cycles += calc_cycles(config, layer.out_shape.width, layer.kernel)
-        elif instruction.opcode == Opcode.SAVE:
-            saves += 1
-            cycles += transfer_cycles(config, instruction.length)
-    cycles += config.instruction_fetch_cycles * len(program)
+    histogram = program.opcode_histogram()
+    opcode = program.words["opcode"]
+    cycles = config.instruction_fetch_cycles * len(program)
+
+    # Every real LOAD / SAVE pays its descriptor: one price per distinct length.
+    transfers = np.isin(opcode, (Opcode.LOAD_W, Opcode.LOAD_D, Opcode.SAVE))
+    lengths, counts = np.unique(program.words["length"][transfers], return_counts=True)
+    for length, count in zip(lengths.tolist(), counts.tolist()):
+        cycles += count * transfer_cycles(config, length)
+    # Every CALC of a layer costs the same.
+    calcs = np.isin(opcode, (Opcode.CALC_I, Opcode.CALC_F))
+    layer_ids, counts = np.unique(program.words["layer_id"][calcs], return_counts=True)
+    for layer_id, count in zip(layer_ids.tolist(), counts.tolist()):
+        layer = compiled.layer_config(layer_id)
+        if layer.kind == "global":
+            cycles += count * layer.in_shape.height * layer.in_shape.width
+        else:
+            cycles += count * calc_cycles(config, layer.out_shape.width, layer.kernel)
     return ProgramStats(
         instructions=len(program),
         virtual=program.num_virtual(),
-        loads=loads,
-        calcs=calcs,
-        saves=saves,
+        loads=histogram.get(Opcode.LOAD_W, 0) + histogram.get(Opcode.LOAD_D, 0),
+        calcs=histogram.get(Opcode.CALC_I, 0) + histogram.get(Opcode.CALC_F, 0),
+        saves=histogram.get(Opcode.SAVE, 0),
         estimated_cycles=cycles,
     )
 

@@ -16,15 +16,21 @@ makes the extra interrupt cost *recovery-only* (t_cost = t4).
 
 A second entry point builds the **layer-by-layer baseline**: interrupt points
 only at layer boundaries (``VIR_BARRIER`` after each layer's last SAVE).
+
+Both passes are array operations on the lowered word array
+(:data:`~repro.isa.encoding.WORD_DTYPE`): every decision above is a mask
+over its columns, and the output is one ``np.insert`` of the virtual rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import CompileError
-from repro.isa.instructions import FLAG_SWITCH_POINT, NO_SAVE_ID, Instruction
+from repro.isa.encoding import column_rows, pack_words
+from repro.isa.instructions import FLAG_LAST_SAVE_OF_LAYER, FLAG_SWITCH_POINT, NO_SAVE_ID
 from repro.isa.opcodes import Opcode
 
 #: save_id values wrap below NO_SAVE_ID; pairing is always adjacent (a
@@ -59,143 +65,115 @@ DEFAULT_VI_POLICY = ViPolicy()
 
 
 def insert_virtual_instructions(
-    instructions: Sequence[Instruction],
+    words: np.ndarray,
     policy: ViPolicy = DEFAULT_VI_POLICY,
-) -> list[Instruction]:
-    """Produce the VI-ISA sequence from the original ISA (paper's VI method)."""
-    annotated = _assign_save_ids(instructions)
-    next_save = _next_save_indices(annotated)
+) -> np.ndarray:
+    """Produce the VI-ISA word array from the original ISA (paper's VI method)."""
+    count = len(words)
+    index = np.arange(count)
+    opcode, layer, flags = words["opcode"], words["layer_id"], words["flags"]
+    next_opcode = np.append(opcode[1:], 0)  # 0 is no opcode: the end of the program
+    # First index of the run of equal ``layer_id`` each instruction is in.
+    layer_start = np.maximum.accumulate(
+        np.where(np.append(True, layer[1:] != layer[:-1]), index, 0)
+    )
 
-    result: list[Instruction] = []
-    active_loads: dict[int, Instruction] = {}
-    current_layer = -1
-    calc_f_count = 0
-    for index, instruction in enumerate(annotated):
-        if instruction.layer_id != current_layer:
-            current_layer = instruction.layer_id
-            active_loads.clear()
-            calc_f_count = 0
-        result.append(instruction)
+    is_save = opcode == Opcode.SAVE
+    annotated = words.copy()
+    annotated["save_id"][is_save] = np.arange(is_save.sum()) % _SAVE_ID_LIMIT
 
-        if instruction.opcode == Opcode.LOAD_D:
-            # A new tile (or add-operand / channel-chunk) load supersedes the
-            # previous one in the same operand slot.
-            active_loads[instruction.flags] = instruction
-            continue
+    # After a CALC_F that its SAVE does not drain at once (the SAVE right
+    # after is itself an interrupt point), thinned by the selection policy.
+    is_calc_f = opcode == Opcode.CALC_F
+    seen = np.cumsum(is_calc_f)
+    calc_f_count = seen - (seen - is_calc_f)[layer_start]
+    backup = (
+        is_calc_f
+        & (next_opcode != Opcode.SAVE)
+        & (calc_f_count % policy.calc_f_stride == 0)
+    )
+    # After a SAVE nothing needs backup: recovery loads when the tile
+    # continues, a free barrier when the next instruction reloads its own
+    # state, nothing at the end of the program.
+    continues = np.append(layer[1:] == layer[:-1], False) & (next_opcode != Opcode.LOAD_D)
+    recover = is_save & continues
+    barrier = is_save & ~continues & (index < count - 1)
 
-        if instruction.opcode == Opcode.CALC_F:
-            calc_f_count += 1
-            following = annotated[index + 1] if index + 1 < len(annotated) else None
-            if following is not None and following.opcode == Opcode.SAVE:
-                continue  # the SAVE right after is itself an interrupt point
-            if calc_f_count % policy.calc_f_stride != 0:
-                continue  # thinned out by the selection policy
-            save_index = next_save[index]
-            if save_index is None:
-                raise CompileError(
-                    f"CALC_F at {index} has no covering SAVE — malformed lowering"
-                )
-            result.append(_vir_save_for(instruction, annotated[save_index]))
-            # The trailing recovery loads are NOT switch points: the VIR_SAVE
-            # is the entry to this interrupt point and owns the backup.
-            result.extend(_recovery_loads(active_loads, switch_point=False))
-            continue
-
-        if instruction.opcode == Opcode.SAVE:
-            following = annotated[index + 1] if index + 1 < len(annotated) else None
-            if following is None:
-                continue  # end of program: nothing left to pre-empt
-            same_layer = following.layer_id == instruction.layer_id
-            if same_layer and following.opcode != Opcode.LOAD_D:
-                # After a SAVE nothing needs backup; the first recovery load
-                # is the switch point and the rest replay behind it.
-                result.extend(_recovery_loads(active_loads, switch_point=True))
-            else:
-                # Next instruction reloads its own state: a free barrier.
-                result.append(
-                    Instruction(
-                        opcode=Opcode.VIR_BARRIER,
-                        layer_id=instruction.layer_id,
-                        flags=FLAG_SWITCH_POINT,
-                    )
-                )
-    return result
+    at = np.flatnonzero(backup)
+    positions, rows = [at], [_vir_saves(annotated, at)]
+    # VIR_LOAD_D clones of the live tile loads, one operand slot at a time
+    # in ``flags`` order.  Behind a VIR_SAVE they are NOT switch points (the
+    # VIR_SAVE is the entry and owns the backup); after a SAVE the first one
+    # is (the pack must be entered from its head so every operand reloads).
+    is_load_d = opcode == Opcode.LOAD_D
+    head = recover.copy()
+    # (bincount, not a bare np.unique: that one imports numpy.ma, ~1 MiB.)
+    for slot in np.flatnonzero(np.bincount(flags[is_load_d])):
+        # The slot's latest LOAD_D; one from before this layer is dead.
+        live = np.maximum.accumulate(np.where(is_load_d & (flags == slot), index, -1))
+        at = np.flatnonzero((backup | recover) & (live >= layer_start))
+        clones = words[live[at]]
+        clones["opcode"] = Opcode.VIR_LOAD_D
+        clones["flags"][head[at]] |= FLAG_SWITCH_POINT
+        head[at] = False
+        positions.append(at)
+        rows.append(clones)
+    at = np.flatnonzero(barrier)
+    positions.append(at)
+    rows.append(_barriers(layer[at]))
+    # Equal positions keep their order here: VIR_SAVE, then the clones.
+    return np.insert(annotated, np.concatenate(positions) + 1, np.concatenate(rows))
 
 
-def insert_layer_barriers(instructions: Sequence[Instruction]) -> list[Instruction]:
+def insert_layer_barriers(words: np.ndarray) -> np.ndarray:
     """The layer-by-layer baseline: interrupt points only between layers."""
-    result: list[Instruction] = []
-    for instruction in instructions:
-        result.append(instruction)
-        if instruction.opcode == Opcode.SAVE and instruction.is_last_save_of_layer:
-            result.append(
-                Instruction(
-                    opcode=Opcode.VIR_BARRIER,
-                    layer_id=instruction.layer_id,
-                    flags=FLAG_SWITCH_POINT,
-                )
-            )
-    return result
+    last_save = (words["flags"] & FLAG_LAST_SAVE_OF_LAYER) != 0
+    at = np.flatnonzero((words["opcode"] == Opcode.SAVE) & last_save)
+    return np.insert(words, at + 1, _barriers(words["layer_id"][at]))
 
 
-def _assign_save_ids(instructions: Sequence[Instruction]) -> list[Instruction]:
-    annotated: list[Instruction] = []
-    counter = 0
-    for instruction in instructions:
-        if instruction.opcode == Opcode.SAVE:
-            annotated.append(replace(instruction, save_id=counter))
-            counter = (counter + 1) % _SAVE_ID_LIMIT
-        else:
-            annotated.append(instruction)
-    return annotated
-
-
-def _next_save_indices(instructions: Sequence[Instruction]) -> list[int | None]:
-    """For each index, the index of the next SAVE at or after it."""
-    next_save: list[int | None] = [None] * len(instructions)
-    upcoming: int | None = None
-    for index in range(len(instructions) - 1, -1, -1):
-        if instructions[index].opcode == Opcode.SAVE:
-            upcoming = index
-        next_save[index] = upcoming
-    return next_save
-
-
-def _vir_save_for(calc_f: Instruction, save: Instruction) -> Instruction:
-    """VIR_SAVE backing up all finalized groups of ``save``'s section so far."""
-    finalized_chs = calc_f.ch0 + calc_f.chs - save.ch0
-    if finalized_chs <= 0 or save.chs <= 0:
-        raise CompileError(
-            f"CALC_F channels [{calc_f.ch0}, {calc_f.ch0 + calc_f.chs}) fall outside "
-            f"covering SAVE section [{save.ch0}, {save.ch0 + save.chs})"
+def _barriers(layer_ids: np.ndarray) -> np.ndarray:
+    """One switch-point ``VIR_BARRIER`` word per entry of ``layer_ids``."""
+    return pack_words(
+        column_rows(
+            len(layer_ids), Opcode.VIR_BARRIER, layer_id=layer_ids, flags=FLAG_SWITCH_POINT
         )
-    bytes_per_channel = save.length // save.chs
-    return Instruction(
-        opcode=Opcode.VIR_SAVE,
-        layer_id=save.layer_id,
-        save_id=save.save_id,
-        ddr_addr=save.ddr_addr,
-        length=bytes_per_channel * finalized_chs,
-        row0=save.row0,
-        rows=save.rows,
-        ch0=save.ch0,
-        chs=finalized_chs,
-        flags=FLAG_SWITCH_POINT,
     )
 
 
-def _recovery_loads(
-    active_loads: dict[int, Instruction], switch_point: bool
-) -> list[Instruction]:
-    """VIR_LOAD_D clones of the live tile loads, in load order.
-
-    When ``switch_point`` is set, the *first* clone carries the switch-point
-    flag (the pack must be entered from its head so every operand reloads).
-    """
-    clones = [
-        replace(load, opcode=Opcode.VIR_LOAD_D)
-        for load in sorted(active_loads.values(), key=lambda load: load.flags)
-    ]
-    if switch_point and clones:
-        clones[0] = replace(clones[0], flags=clones[0].flags | FLAG_SWITCH_POINT)
-    return clones
+def _vir_saves(annotated: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """For each CALC_F index in ``at``, the VIR_SAVE backing up all finalized
+    groups of its covering SAVE's section so far."""
+    count = len(annotated)
+    # The next SAVE at or after each index; ``count`` when there is none.
+    save_index = np.where(annotated["opcode"] == Opcode.SAVE, np.arange(count), count)
+    next_save = np.minimum.accumulate(save_index[::-1])[::-1]
+    covered = at[next_save[at] < count]
+    calc_f, save = annotated[covered], annotated[next_save[covered]]
+    calc_f_end = calc_f["ch0"].astype(np.int64) + calc_f["chs"]
+    save_chs = save["chs"].astype(np.int64)
+    finalized_chs = calc_f_end - save["ch0"]
+    outside = (finalized_chs <= 0) | (save_chs <= 0)
+    if outside.any():
+        bad = int(outside.argmax())
+        raise CompileError(
+            f"CALC_F channels [{calc_f['ch0'][bad]}, {calc_f_end[bad]}) fall outside "
+            f"covering SAVE section [{save['ch0'][bad]}, {save['ch0'][bad] + save_chs[bad]})"
+        )
+    if len(covered) < len(at):  # only ever the tail: past the last SAVE
+        raise CompileError(
+            f"CALC_F at {at[len(covered)]} has no covering SAVE — malformed lowering"
+        )
+    copied = {
+        name: save[name] for name in ("layer_id", "save_id", "ddr_addr", "row0", "rows", "ch0")
+    }
+    return pack_words(
+        column_rows(
+            len(covered),
+            Opcode.VIR_SAVE,
+            flags=FLAG_SWITCH_POINT,
+            chs=finalized_chs,
+            length=save["length"] // save_chs * finalized_chs,
+            **copied,
+        )
+    )

@@ -6,7 +6,7 @@ gate (:mod:`repro.qos.admission`) and the farm's predictive scheduler
 the cycle.  This module is the one documented estimator they share:
 
 * :func:`estimate_job_cycles` — static cost of one *uninterrupted* job,
-  computed instruction by instruction from the same
+  computed instruction kind by instruction kind from the same
   :mod:`repro.hw.timing` model the core uses.  Exact on the
   no-interrupt path (equal to ``RunResult.total_cycles`` of
   :func:`~repro.accel.runner.run_program`).
@@ -36,11 +36,14 @@ def estimate_job_cycles(
 ) -> int:
     """Static cycle estimate of one uninterrupted job of ``program``.
 
-    Mirrors the simulator's timing model instruction by instruction (fetch
-    for everything, DMA transfer for LOAD/SAVE, MAC-array occupancy for
-    CALC) without touching DDR, so a scheduler can price a job it has not
-    run yet.  Virtual instructions cost their fetch only — exactly what
-    they cost on the uninterrupted path.
+    Mirrors the simulator's timing model (fetch for everything, DMA
+    transfer for LOAD/SAVE, MAC-array occupancy for CALC) without touching
+    DDR, so a scheduler can price a job it has not run yet.  Virtual
+    instructions cost their fetch only — exactly what they cost on the
+    uninterrupted path.  The sum runs over the program's instruction
+    *kinds* (:meth:`~repro.isa.program.Program.kinds`), one
+    ``instruction_cycles`` each times how often the kind occurs, so pricing
+    a fresh compile decodes a few hundred instructions, not all of them.
 
     When the network already carries fast-path metadata for this program
     (built by a previous run, or primed by the on-disk compile cache), the
@@ -51,12 +54,13 @@ def estimate_job_cycles(
         meta = compiled.cached_execution_meta(program)
         if meta is not None:
             return meta.total_cycles
+    first, _, counts = program.kinds()
     total = fetch_cycles(config) * len(program)
-    for instruction in program:
-        if not instruction.is_virtual:
-            total += instruction_cycles(
-                config, instruction, compiled.layer_config(instruction.layer_id)
-            )
+    for index, count in zip(first.tolist(), counts.tolist()):
+        instruction = program[index]  # one decode per kind, not per instruction
+        total += count * instruction_cycles(
+            config, instruction, compiled.layer_config(instruction.layer_id)
+        )
     return total
 
 

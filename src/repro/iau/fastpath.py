@@ -50,7 +50,7 @@ import numpy as np
 from repro.accel.core import DataTile, WeightTile
 from repro.faults.plan import FaultSite
 from repro.hw.timing import fetch_cycles, instruction_cycles
-from repro.isa.instructions import FLAG_OPERAND_B, FLAG_SWITCH_POINT, Instruction
+from repro.isa.instructions import FLAG_OPERAND_B, Instruction
 from repro.isa.opcodes import Opcode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -321,7 +321,7 @@ def _kind_template(
     """``(cycles, event template, batch draws)`` of one instruction — a
     function of its opcode, layer, length, ``chs != 0`` and the operand-B /
     switch-point flags only, which is what :func:`build_program_meta` keys
-    its per-kind table on."""
+    its per-kind table on (:meth:`Program.kinds`)."""
     layer = compiled.layer_config(instruction.layer_id)
     cycles = instruction_cycles(compiled.config, instruction, layer)
     draws = batch_draws(instruction)
@@ -367,16 +367,7 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     length = words["length"].astype(np.int64)
     has_chs = words["chs"] != 0
     operand_b = (words["flags"] & FLAG_OPERAND_B) != 0
-    switch_point = (words["flags"] & FLAG_SWITCH_POINT) != 0
-    kind = (
-        opcode
-        | (layer_id.astype(np.int64) << 8)
-        | (has_chs.astype(np.int64) << 24)
-        | (operand_b.astype(np.int64) << 25)
-        | (switch_point.astype(np.int64) << 26)
-        | (length << 27)
-    )
-    _, first, inverse = np.unique(kind, return_index=True, return_inverse=True)
+    first, inverse, _ = program.kinds()
     table = [_kind_template(compiled, program[index]) for index in first.tolist()]
     cycles = np.array([row[0] for row in table], dtype=np.int64)[inverse]
     events = [table[row][1] for row in inverse.tolist()]

@@ -8,17 +8,22 @@ power-of-two size, as a DMA-friendly hardware instruction fetcher wants.
 :data:`WORD_DTYPE` is the same layout as a numpy structured dtype, so a
 whole stream is one array (:func:`words_from_bytes`) whose fields are
 columns; :func:`decode_word` turns one element back into an
-:class:`Instruction` and is the only place that does.
+:class:`Instruction` and is the only place that does.  The compiler goes
+the other way without objects: it computes :data:`COLUMN_DTYPE` rows (the
+same fields, all int64) and :func:`pack_words` narrows them, which is where
+the field-width check of ``Instruction.__post_init__`` lives for streams.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
 from repro.errors import IsaError
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import NO_SAVE_ID, Instruction
 from repro.isa.opcodes import Opcode
 
 #: struct layout: opcode, flags(u8), layer, save_id, shift(i16), addr, length,
@@ -36,6 +41,20 @@ WORD_DTYPE = np.dtype(
      ("in_chs", "<u2"), ("reserved0", "<u2"), ("reserved1", "<u2")]
 )
 assert WORD_DTYPE.itemsize == INSTRUCTION_BYTES
+
+#: The instruction fields of :data:`WORD_DTYPE`, each widened to int64, so a
+#: value too large for its field survives until :func:`pack_words` names it.
+COLUMN_DTYPE = np.dtype(
+    [(name, "<i8") for name in WORD_DTYPE.names if not name.startswith("reserved")]
+)
+
+_FIELD_MIN, _FIELD_MAX = np.array(
+    [
+        (np.iinfo(WORD_DTYPE[name]).min, np.iinfo(WORD_DTYPE[name]).max)
+        for name in COLUMN_DTYPE.names
+    ],
+    dtype=np.int64,
+).T
 
 _OPCODES = {int(opcode): opcode for opcode in Opcode}
 _KNOWN_OPCODE = np.zeros(256, dtype=bool)
@@ -84,13 +103,57 @@ def words_from_bytes(blob: bytes) -> np.ndarray:
     return words
 
 
+def column_rows(count: int, opcode: Opcode, **fields: Any) -> np.ndarray:
+    """``count`` :data:`COLUMN_DTYPE` rows of one opcode; ``fields`` are
+    scalars or per-row arrays, every other field the instruction default."""
+    rows = np.zeros(count, dtype=COLUMN_DTYPE)
+    rows["opcode"] = opcode
+    rows["save_id"] = NO_SAVE_ID
+    for name, value in fields.items():
+        rows[name] = value
+    return rows
+
+
+def pack_words(columns: np.ndarray) -> np.ndarray:
+    """:data:`COLUMN_DTYPE` rows narrowed to a :data:`WORD_DTYPE` array.
+
+    Every value is range-checked against its field's width before the cast,
+    so an overflowing one is the :class:`IsaError` that building its row as
+    an :class:`Instruction` raises — never a wrapped word."""
+    values = np.ascontiguousarray(columns).view(np.int64).reshape(-1, len(COLUMN_DTYPE))
+    bad = ((values < _FIELD_MIN) | (values > _FIELD_MAX)).any(axis=1)
+    if bad.any():
+        index = int(bad.argmax())
+        fields = dict(zip(COLUMN_DTYPE.names, columns[index].item()))
+        code = fields.pop("opcode")
+        if code not in _OPCODES:
+            raise IsaError(f"unknown opcode byte {code:#04x} at word {index}")
+        Instruction(_OPCODES[code], **fields)  # raises, naming the field
+    words = np.zeros(len(columns), dtype=WORD_DTYPE)
+    for name in COLUMN_DTYPE.names:
+        words[name] = columns[name]
+    return words
+
+
+#: One int object per distinct value of the fields that usually exceed
+#: CPython's small-int cache.  Programs draw these from a small alphabet
+#: (region bases, per-layer lengths, channel offsets, ``NO_SAVE_ID``), so
+#: sharing them takes a decoded instruction from ~200 to ~140 bytes.
+_SHARED: dict[int, int] = {}
+_SHARED_LIMIT = 1 << 16
+
+
 def decode_word(word: np.void) -> Instruction:
     """One checked :data:`WORD_DTYPE` element as an :class:`Instruction`."""
     (opcode, flags, layer_id, save_id, shift, ddr_addr, length,
      row0, rows, ch0, chs, in_ch0, in_chs, _, _) = word.item()
+    shared: Callable[[int, int], int] = (
+        _SHARED.setdefault if len(_SHARED) < _SHARED_LIMIT else _SHARED.get
+    )
     return Instruction(
-        _OPCODES[opcode], layer_id, save_id, ddr_addr, length,
-        row0, rows, ch0, chs, in_ch0, in_chs, shift, flags,
+        _OPCODES[opcode], layer_id, shared(save_id, save_id),
+        shared(ddr_addr, ddr_addr), shared(length, length),
+        row0, rows, shared(ch0, ch0), chs, shared(in_ch0, in_ch0), in_chs, shift, flags,
     )
 
 

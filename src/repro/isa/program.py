@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.container import frame, unframe
 from repro.errors import ContainerError, IsaError, ProgramError
-from repro.isa.encoding import decode_word, encode_stream, words_from_bytes
-from repro.isa.instructions import FLAG_SWITCH_POINT, Instruction
+from repro.isa.encoding import WORD_DTYPE, decode_word, encode_stream, words_from_bytes
+from repro.isa.instructions import FLAG_OPERAND_B, FLAG_SWITCH_POINT, Instruction
 from repro.isa.opcodes import VIRTUAL_OPCODES, Opcode
 
 _MAGIC = b"INCAPROG"
@@ -39,8 +39,9 @@ class Program:
 
     ``words`` is the read-only word array; ``program[i]``, iteration and
     ``.instructions`` decode :class:`Instruction` objects from it on first
-    use (a program built from objects starts with all of them).  Equality,
-    hashing and pickling go through ``(name, word bytes)``.
+    use (a program built from objects starts with all of them; the compiler
+    builds from words and starts with none).  Equality, hashing and pickling
+    go through ``(name, word bytes)``.
     """
 
     def __init__(self, name: str, instructions: Iterable[Instruction]) -> None:
@@ -64,6 +65,15 @@ class Program:
         program = cls.__new__(cls)
         program._adopt(name, body)
         return program
+
+    @classmethod
+    def from_words(cls, name: str, words: np.ndarray) -> "Program":
+        """Adopt a :data:`~repro.isa.encoding.WORD_DTYPE` array (copied once
+        into the program's bytes) under the same opcode and reserved-field
+        check as :meth:`from_bytes`; nothing is decoded."""
+        if words.dtype != WORD_DTYPE:
+            raise ProgramError(f"program {name!r}: words have dtype {words.dtype}")
+        return cls._from_body(name, words.tobytes())
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -111,6 +121,32 @@ class Program:
         return {
             Opcode(int(codes[k])): int(counts[k]) for k in np.argsort(first)
         }
+
+    def kinds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct instruction *kinds*, as ``(first, inverse, counts)``
+        of one ``np.unique``.
+
+        A kind is (opcode, layer, ``length``, has-``chs``, operand-B,
+        switch-point): everything an instruction's cycles, event template
+        and fault draws depend on.  ``program[first[k]]`` stands for all
+        ``counts[k]`` instructions of kind ``k`` and ``table[inverse]``
+        spreads a per-kind table back over the program; a 100k-instruction
+        network has a few hundred kinds.
+        """
+        words = self.words
+        flags = words["flags"]
+        kind = (
+            words["opcode"]
+            | (words["layer_id"].astype(np.int64) << 8)
+            | ((words["chs"] != 0).astype(np.int64) << 24)
+            | (((flags & FLAG_OPERAND_B) != 0).astype(np.int64) << 25)
+            | (((flags & FLAG_SWITCH_POINT) != 0).astype(np.int64) << 26)
+            | (words["length"].astype(np.int64) << 27)
+        )
+        _, first, inverse, counts = np.unique(
+            kind, return_index=True, return_inverse=True, return_counts=True
+        )
+        return first, inverse, counts
 
     @cached_property
     def virtual_indices(self) -> tuple[int, ...]:

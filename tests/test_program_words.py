@@ -15,13 +15,17 @@ through the ``structural_oracle`` fixture in ``conftest.py``.
 from __future__ import annotations
 
 import pickle
+import tokenize
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.compiler.compile as compile_module
 from repro.compiler import CompileCache, compile_network
+from repro.estimate import estimate_service_cycles
 from repro.hw.config import AcceleratorConfig
 from repro.iau.fastpath import build_program_meta
 from repro.isa import Instruction, Opcode, Program, encode_instruction
@@ -118,6 +122,16 @@ class TestProgramIdentity:
     def test_words_are_read_only(self, tiny_cnn_compiled):
         with pytest.raises(ValueError):
             tiny_cnn_compiled.program.words["opcode"][0] = 0
+
+    def test_decoded_instructions_share_their_large_ints(self, tiny_cnn_compiled):
+        """Values past CPython's small-int cache are one object per value."""
+        program = tiny_cnn_compiled.program
+        decoded = Program.from_bytes(program.to_bytes(), program.name).instructions
+        for name in ("save_id", "ddr_addr", "length", "ch0", "in_ch0"):
+            held: dict[int, int] = {}
+            for instruction in decoded:
+                value = getattr(instruction, name)
+                assert held.setdefault(value, value) is value, name
 
     def test_column_queries_match_the_objects(self, tiny_cnn_compiled):
         for built in tiny_cnn_compiled.programs.values():
@@ -262,22 +276,23 @@ def decodes(monkeypatch):
     return seen
 
 
-def warm_pair(tmp_path, weights: str):
+def warm_pair(tmp_path, weights: str, decodes: list[int]):
+    """The pair loaded from a cache the same call just filled; ``decodes``
+    is cleared in between, so it counts the warm load and what follows."""
     graphs = [
         build_gem(TensorShape(60, 80, 3), backbone="resnet18"),
         build_superpoint(TensorShape(60, 80, 1), head="detector"),
     ]
     cache = CompileCache(tmp_path / "cache")
     compile_tasks(graphs, BIG, weights=weights, cache=cache)
+    decodes.clear()  # the cold compile's kind-table decodes are another program's
     pair = compile_tasks(graphs, BIG, weights=weights, cache=cache)
     assert cache.stats.hits == 2
     return pair
 
 
-def test_batched_run_after_warm_load_decodes_under_five_percent(tmp_path, decodes):
-    """A silent fall-back to whole-program iteration (or to ``step()``)
-    would pass every differential; it cannot pass this count."""
-    low, high = warm_pair(tmp_path, "zeros")
+def run_preempted_pair(low, high) -> None:
+    """One low-priority job pre-empted three times, on the batched engine."""
     system = MultiTaskSystem(BIG)
     system.add_task(0, high)
     system.add_task(1, low)
@@ -288,12 +303,61 @@ def test_batched_run_after_warm_load_decodes_under_five_percent(tmp_path, decode
     system.run(batched=True)
     assert system.iau.num_switches >= 7  # three pre-emptions of the one low-priority job
     assert len(system.jobs(0)) == 3 and len(system.jobs(1)) == 1
+
+
+def test_batched_run_after_warm_load_decodes_under_five_percent(tmp_path, decodes):
+    """A silent fall-back to whole-program iteration (or to ``step()``)
+    would pass every differential; it cannot pass this count."""
+    low, high = warm_pair(tmp_path, "zeros", decodes)
+    run_preempted_pair(low, high)
     assert len(decodes) == len(set(decodes))
     assert 0 < len(decodes) < 0.05 * len(low.program)
 
 
+def test_fresh_compile_to_batched_run_decodes_under_five_percent(decodes):
+    """The compiler builds words, not objects, and nothing downstream of a
+    fresh compile — structural verify, the meta build, the cycle estimate,
+    a batched pre-empted run — asks for more than a handful of them."""
+    graphs = [
+        build_gem(TensorShape(60, 80, 3), backbone="resnet18"),
+        build_superpoint(TensorShape(60, 80, 1), head="detector"),
+    ]
+    low, high = compile_tasks(graphs, BIG, weights="zeros", cache=False)
+    assert decodes == []  # compiled and structurally verified on columns alone
+    for net in (low, high):
+        assert estimate_service_cycles(BIG, net) == net.execution_meta(net.program).total_cycles
+    run_preempted_pair(low, high)
+    assert len(decodes) == len(set(decodes))
+    held = sum(
+        slot is not None
+        for net in (low, high)
+        for program in net.programs.values()
+        for slot in program._objects
+    )
+    assert held == len(decodes)  # kind tables and pre-emption points, kept once decoded
+    assert 0 < held < 0.05 * (len(low.program) + len(high.program))
+
+
+def test_the_compiler_constructs_no_instruction():
+    """``Instruction(`` appears in ``src/repro/compiler`` in docstrings only."""
+    package = Path(compile_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        with tokenize.open(path) as source:
+            tokens = [
+                token
+                for token in tokenize.generate_tokens(source.readline)
+                if token.type in (tokenize.NAME, tokenize.OP)
+            ]
+        calls = [
+            name.start[0]
+            for name, after in zip(tokens, tokens[1:])
+            if name.string == "Instruction" and after.string == "("
+        ]
+        assert not calls, f"{path.name} builds an Instruction at line(s) {calls}"
+
+
 def test_functional_run_decodes_each_index_once(tmp_path, decodes):
-    low, high = warm_pair(tmp_path, "random")
+    low, high = warm_pair(tmp_path, "random", decodes)
     system = MultiTaskSystem(BIG, obs=ObsConfig(functional=True))
     system.add_task(0, high)
     system.add_task(1, low)

@@ -5,6 +5,7 @@ import pytest
 from repro.compiler.vi_pass import insert_virtual_instructions
 from repro.isa.instructions import NO_SAVE_ID
 from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.isa.validate import validate_program
 
 
@@ -116,11 +117,10 @@ class TestViInsertion:
             assert {ins.operand_b for ins in pack} == {False, True}
 
     def test_idempotent_on_real_instruction_multiset(self, tiny_conv_compiled):
-        once = insert_virtual_instructions(
-            list(compiled_instructions(tiny_conv_compiled, "none"))
-        )
+        original = tiny_conv_compiled.programs["none"]
+        once = Program.from_words("once", insert_virtual_instructions(original.words))
         reals = [ins for ins in once if not ins.is_virtual]
-        assert len(reals) == len(tiny_conv_compiled.programs["none"])
+        assert len(reals) == len(original)
 
 
 class TestLayerBarriers:

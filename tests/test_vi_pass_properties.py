@@ -5,12 +5,17 @@ synthetic-but-wellformed LOAD/CALC/SAVE sequences and check the VI pass's
 contract on all of them: real instructions preserved verbatim (modulo
 save-id annotation), validator-clean output, interrupt points only at legal
 positions, and deterministic output.
+
+The generators hand-build ``Instruction`` lists; the pass is fed their word
+array (``Program(...).words``) and its output is read back through
+``Program.from_words``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,17 +114,21 @@ def synthetic_program(draw) -> list[Instruction]:
     return instructions
 
 
+def vi_pass(original: list[Instruction], policy: ViPolicy = ViPolicy()) -> Program:
+    words = insert_virtual_instructions(Program("fuzz", original).words, policy)
+    return Program.from_words("fuzz", words)
+
+
 @settings(max_examples=60, deadline=None)
 @given(original=synthetic_program())
 def test_vi_pass_output_validates(original):
-    result = insert_virtual_instructions(original)
-    validate_program(Program(name="fuzz", instructions=tuple(result)))
+    validate_program(vi_pass(original))
 
 
 @settings(max_examples=60, deadline=None)
 @given(original=synthetic_program())
 def test_vi_pass_preserves_real_instructions(original):
-    result = insert_virtual_instructions(original)
+    result = vi_pass(original)
     reals = [replace(i, save_id=NO_SAVE_ID) for i in result if not i.is_virtual]
     assert reals == [replace(i, save_id=NO_SAVE_ID) for i in original]
 
@@ -127,29 +136,32 @@ def test_vi_pass_preserves_real_instructions(original):
 @settings(max_examples=60, deadline=None)
 @given(original=synthetic_program())
 def test_vi_pass_deterministic(original):
-    assert insert_virtual_instructions(original) == insert_virtual_instructions(original)
+    words = Program("fuzz", original).words
+    assert np.array_equal(
+        insert_virtual_instructions(words), insert_virtual_instructions(words)
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(original=synthetic_program(), stride=st.integers(1, 5))
 def test_policy_monotone_in_stride(original, stride):
     """A larger stride never yields more virtual instructions."""
-    dense = insert_virtual_instructions(original, ViPolicy(calc_f_stride=1))
-    sparse = insert_virtual_instructions(original, ViPolicy(calc_f_stride=stride))
-    dense_virtual = sum(1 for i in dense if i.is_virtual)
-    sparse_virtual = sum(1 for i in sparse if i.is_virtual)
-    assert sparse_virtual <= dense_virtual
-    validate_program(Program(name="fuzz", instructions=tuple(sparse)))
+    dense = vi_pass(original, ViPolicy(calc_f_stride=1))
+    sparse = vi_pass(original, ViPolicy(calc_f_stride=stride))
+    assert sparse.num_virtual() <= dense.num_virtual()
+    validate_program(sparse)
 
 
 @settings(max_examples=60, deadline=None)
 @given(original=synthetic_program())
 def test_layer_barriers_one_per_layer(original):
-    result = insert_layer_barriers(original)
+    result = Program.from_words(
+        "fuzz", insert_layer_barriers(Program("fuzz", original).words)
+    )
     layers = {i.layer_id for i in original}
     barriers = [i for i in result if i.opcode == Opcode.VIR_BARRIER]
     assert len(barriers) == len(layers)
-    validate_program(Program(name="fuzz", instructions=tuple(result)))
+    validate_program(result)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,7 +170,7 @@ def test_every_switch_point_recoverable(original):
     """After any switch point, the remaining stream must re-establish its
     data before the next CALC: either the switch point starts a recovery
     pack, or the next same-layer CALC is preceded by a LOAD_D."""
-    result = insert_virtual_instructions(original)
+    result = vi_pass(original).instructions
     for index, instruction in enumerate(result):
         if not (instruction.is_virtual and instruction.is_switch_point):
             continue
