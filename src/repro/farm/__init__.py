@@ -44,11 +44,10 @@ from repro.farm.resilience import (
     HealthState,
     NodeHealth,
     ResilienceConfig,
+    ResiliencePolicy,
     ResilienceReport,
-    ResilientServeResult,
     poison_snapshot_file,
     run_chaos_campaign,
-    serve_resilient,
 )
 from repro.farm.metrics import (
     ClassReport,
@@ -102,8 +101,8 @@ __all__ = [
     "NodeJobResult",
     "PredictiveScheduler",
     "ResilienceConfig",
+    "ResiliencePolicy",
     "ResilienceReport",
-    "ResilientServeResult",
     "Scheduler",
     "ServeResult",
     "ServiceSpec",
@@ -118,6 +117,5 @@ __all__ = [
     "percentile",
     "poison_snapshot_file",
     "run_chaos_campaign",
-    "serve_resilient",
     "simulate_node",
 ]

@@ -22,12 +22,16 @@ even the first compile of a fresh worker a cheap artefact load.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import os
+import signal
+from collections import OrderedDict, deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import repro.zoo as zoo
 from repro.errors import SchedulerError
 from repro.hw.config import AcceleratorConfig
+from repro.iau.context import JobRecord
 from repro.obs.config import ObsConfig
 from repro.runtime.system import MultiTaskSystem, compile_tasks
 from repro.farm.traffic import SloClass
@@ -166,39 +170,56 @@ def expected_per_slot(
     return per_slot
 
 
+def join_slot(
+    node: int,
+    service: int,
+    pending: deque[tuple[int, int]],
+    records: Iterable[JobRecord],
+) -> Iterator[NodeJobResult]:
+    """The per-slot FIFO join: completed records against hand-overs.
+
+    Within one node each service slot serves FIFO and dispatch cycles are
+    monotone per slot, so completed ``records`` join with the ``pending``
+    ``(job_id, dispatch_cycle)`` hand-overs by order.  Consumes ``pending``
+    from the left; whatever is left afterwards has not completed yet.
+    """
+    for record in records:
+        if not pending:
+            raise SchedulerError(
+                f"node {node} slot {service} completed a job the loop "
+                f"never submitted"
+            )
+        job_id, cycle = pending.popleft()
+        if record.request_cycle != cycle:
+            raise SchedulerError(
+                f"node {node} slot {service}: dispatch/record "
+                f"order mismatch at job {job_id}"
+            )
+        yield NodeJobResult(
+            job_id=job_id,
+            node=node,
+            service=service,
+            dispatch_cycle=cycle,
+            start_cycle=record.start_cycle,
+            complete_cycle=record.complete_cycle,
+        )
+
+
 def collect_assignment(
     assignment: NodeAssignment,
     system: MultiTaskSystem,
     per_slot: dict[int, list[tuple[int, int]]],
 ) -> list[NodeJobResult]:
-    """Phase 2 of a replay: join completed records with the plan.
-
-    Within one node each service slot serves FIFO and dispatch cycles are
-    monotone per slot, so completed records join with the plan by order.
-    """
+    """Phase 2 of a replay: join a drained system's records with the plan."""
     results: list[NodeJobResult] = []
     for service, submitted in per_slot.items():
+        pending = deque(submitted)
         completed = system.jobs(service)
-        if len(completed) != len(submitted):
+        results.extend(join_slot(assignment.node, service, pending, completed))
+        if pending:
             raise SchedulerError(
                 f"node {assignment.node} slot {service}: submitted "
                 f"{len(submitted)} jobs but completed {len(completed)}"
-            )
-        for (job_id, cycle), record in zip(submitted, completed):
-            if record.request_cycle != cycle:
-                raise SchedulerError(
-                    f"node {assignment.node} slot {service}: dispatch/record "
-                    f"order mismatch at job {job_id}"
-                )
-            results.append(
-                NodeJobResult(
-                    job_id=job_id,
-                    node=assignment.node,
-                    service=service,
-                    dispatch_cycle=cycle,
-                    start_cycle=record.start_cycle,
-                    complete_cycle=record.complete_cycle,
-                )
             )
     return results
 
@@ -223,31 +244,15 @@ def simulate_node(assignment: NodeAssignment) -> list[NodeJobResult]:
 
 
 def _maybe_crash_for_test(assignment: NodeAssignment) -> None:
-    """Deterministic worker-crash hooks for the farm's retry machinery.
+    """The deterministic worker-crash hook for the farm's retry machinery.
 
-    Two chaos channels, both inert unless their environment variable is
-    set (never in production paths):
-
-    * ``REPRO_FARM_CRASH_FILE`` — the first worker to claim the named file
-      (atomic unlink) dies abruptly, once.  Node-agnostic.
-    * ``REPRO_FARM_CHAOS_DIR`` — a directory of per-node kill budgets
-      written by :meth:`~repro.farm.resilience.ChaosPlan.arm_worker_kills`:
-      a worker whose assignment matches an armed ``kill-node-<n>`` file
-      decrements the budget (unlinking at zero) and dies by real SIGKILL,
-      exercising the exact signal path an OOM killer takes.
+    Inert unless ``REPRO_FARM_CHAOS_DIR`` is set (never in production
+    paths).  It names a directory of per-node kill budgets written by
+    :meth:`~repro.farm.resilience.ChaosPlan.arm_worker_kills`: a worker
+    whose assignment matches an armed ``kill-node-<n>`` file decrements the
+    budget (unlinking at zero) and dies by real SIGKILL, exercising the
+    exact signal path an OOM killer takes.
     """
-    import os
-    import signal
-
-    sentinel = os.environ.get("REPRO_FARM_CRASH_FILE")
-    if sentinel:
-        try:
-            os.unlink(sentinel)
-        except FileNotFoundError:
-            pass
-        else:
-            os._exit(113)  # simulated hard crash: no cleanup, no exception
-
     chaos_dir = os.environ.get("REPRO_FARM_CHAOS_DIR")
     if not chaos_dir:
         return

@@ -1,8 +1,8 @@
 """Farm resilience: health-monitored nodes, feedback re-planning, chaos.
 
-The plain :meth:`~repro.farm.farm.Farm.serve` pipeline plans a whole day
-up front and assumes every node survives it — one node lost mid-day kills
-the run.  This module makes the farm survive exactly the interruptions
+A whole-day plan assumes every node survives the day.  This module is the
+optional layer that lets the farm's one serving loop
+(:meth:`repro.farm.farm.Farm._serve`) survive exactly the interruptions
 INCA's single accelerator survives, one level up:
 
 * :class:`NodeHealth` — a per-node heartbeat state machine
@@ -13,18 +13,18 @@ INCA's single accelerator survives, one level up:
   :class:`~repro.farm.scheduler.Scheduler` with per-``(node, service)``
   EWMA corrections learned from measured completions, closing the
   plan→measure→re-plan loop;
-* :func:`serve_resilient` — an incremental serving loop in fixed-size
-  epochs: plan the epoch's arrivals on the *healthy* nodes, measure one
-  epoch of simulated time per node, harvest completions (feeding the
-  corrections and the heartbeats), then re-plan.  Jobs stranded on a dead
-  node are migrated (re-planned from the death point onward — no time
+* :class:`ResiliencePolicy` — what
+  :meth:`~repro.farm.farm.Farm.serve_resilient` adds to each phase of the
+  loop: the epoch's arrivals are planned on the *healthy* nodes only;
+  completions feed the corrections and the heartbeats; jobs stranded on a
+  dead node are migrated (re-planned from the death point onward — no time
   travel, exactly-once outcomes); overdue jobs on a *suspect* node are
   hedged (speculatively duplicated with first-result-wins dedup); and a
   MESC-style :class:`~repro.qos.config.ModeSwitchPolicy` sheds
   low-criticality classes when surviving capacity drops;
 * :class:`ChaosPlan` — a seeded, deterministic fault plan at farm level:
-  kill (or transiently hang) a node at a simulated cycle, SIGKILL a
-  measure worker process, or poison a journaled snapshot;
+  kill (or transiently hang) a node at a simulated cycle, or SIGKILL a
+  measure worker process;
 * :func:`run_chaos_campaign` — replays one day under a set of chaos plans
   against the no-fault golden run and checks the hard invariants: zero
   lost jobs, zero duplicated outcomes, a gold-class attainment floor.
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
@@ -56,7 +57,7 @@ from repro.obs.events import EventKind
 from repro.qos.config import ModeSwitchPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (farm imports us)
-    from repro.farm.farm import Farm
+    from repro.farm.farm import Farm, NodeBackend, ServeResult
 
 
 # -- node health -----------------------------------------------------------
@@ -174,9 +175,8 @@ class NodeHealth:
 
 KILL_NODE = "kill_node"
 KILL_WORKER = "kill_worker"
-POISON_SNAPSHOT = "poison_snapshot"
 
-_CHAOS_KINDS = (KILL_NODE, KILL_WORKER, POISON_SNAPSHOT)
+_CHAOS_KINDS = (KILL_NODE, KILL_WORKER)
 
 #: Environment variable naming the armed worker-kill directory (see
 #: :meth:`ChaosPlan.arm_worker_kills` / ``repro.farm.node``).
@@ -195,9 +195,6 @@ class ChaosAction:
     * ``kill_worker`` — SIGKILL the measure-phase worker *process* of this
       node ``count`` times (armed via :meth:`ChaosPlan.arm_worker_kills`;
       exercises the farm's retry budget and the gateway's recovery).
-    * ``poison_snapshot`` — corrupt this node's journaled snapshot file
-      (see :func:`poison_snapshot_file`) so a resuming worker must detect
-      the corruption and fall back to a fresh start.
     """
 
     kind: str
@@ -272,9 +269,6 @@ class ChaosPlan:
                 kills[action.node] = kills.get(action.node, 0) + action.count
         return kills
 
-    def poison_targets(self) -> list[ChaosAction]:
-        return [a for a in self.actions if a.kind == POISON_SNAPSHOT]
-
     def arm_worker_kills(self, directory: str | Path) -> dict[str, str]:
         """Write per-node kill budgets the measure workers consume.
 
@@ -300,7 +294,7 @@ def poison_snapshot_file(path: str | Path, *, seed: int = 0) -> int:
     Returns the flipped offset.  The CRC-checked snapshot format
     (:mod:`repro.serve.snapshot`) is guaranteed to detect the corruption;
     the serve worker then discards the snapshot and restarts the job from
-    scratch instead of failing it (the ``poison_snapshot`` chaos story).
+    scratch instead of failing it.
     """
     path = Path(path)
     blob = bytearray(path.read_bytes())
@@ -325,8 +319,8 @@ class FeedbackScheduler:
     (dispatch→completion) against the static estimate the plan used, and
     :meth:`dispatch` hands the base policy a view whose estimates are
     scaled by the learned factors.  Used standalone it behaves like its
-    base policy until fed; inside :func:`serve_resilient` it closes the
-    incremental plan→measure→re-plan loop ROADMAP item 1 asks for.
+    base policy until fed; under a :class:`ResiliencePolicy` it closes the
+    incremental plan→measure→re-plan loop.
     """
 
     def __init__(
@@ -348,6 +342,10 @@ class FeedbackScheduler:
     def correction(self, node: int, service: int) -> float:
         return self._correction.get((node, service), 1.0)
 
+    def corrected(self, node: int, service: int, estimate: int) -> int:
+        """``estimate`` as this scheduler prices it on farm node ``node``."""
+        return max(1, round(estimate * self.correction(node, service)))
+
     def observe(
         self, node: int, service: int, *, estimated: int, measured: int
     ) -> None:
@@ -364,72 +362,49 @@ class FeedbackScheduler:
         )
 
     def corrected_view(self, view: FarmView) -> FarmView:
-        """``view`` with every estimate scaled by its learned correction."""
+        """``view`` with every estimate scaled by its learned correction
+        (keyed by farm-wide node index, so a restricted view corrects
+        each surviving node by its own history)."""
         rows = [
-            [
-                max(1, round(view.estimates[node][service]
-                             * self.correction(node, service)))
-                for service in range(len(view.estimates[node]))
-            ]
-            for node in range(view.num_nodes)
+            [self.corrected(node, service, est) for service, est in enumerate(row)]
+            for node, row in zip(view.nodes, view.estimates)
         ]
         return FarmView(
-            view.num_nodes, view.slos, rows, available=view.available
+            view.num_nodes, view.slos, rows, view.available, view.nodes
         )
 
     def dispatch(self, jobs: Sequence[Job], view: FarmView) -> list[Dispatch]:
         return self.base.dispatch(jobs, self.corrected_view(view))
 
 
-# -- the resilient serving loop --------------------------------------------
+# -- the resilience policy -------------------------------------------------
+
+#: Speculative duplicates one epoch may dispatch (bounds the wasted work).
+MAX_HEDGES_PER_EPOCH = 8
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs of the incremental serving loop.
+    """Knobs of a resilient day.
 
-    ``epoch_cycles`` is the re-planning cadence (and heartbeat period).
+    ``epoch_cycles`` is the re-planning cadence, the heartbeat period, and
+    how far past its estimated completion a job on a *suspect* node may
+    run before ``hedge`` lets a speculative duplicate go out.
     ``suspect_after_cycles`` / ``dead_after_cycles`` default to one and
-    three epochs of stalled progress.  ``hedge_grace_cycles`` is how far
-    past its estimated completion a job on a *suspect* node may run before
-    a speculative duplicate is dispatched (default: one epoch);
-    ``max_hedges_per_epoch`` bounds the duplicated work.  ``mode_switch``
-    arms MESC-style shedding of low-criticality classes when surviving
-    capacity drops (see :class:`~repro.qos.config.ModeSwitchPolicy`).
+    three epochs of stalled progress.  ``mode_switch`` arms MESC-style
+    shedding of low-criticality classes when surviving capacity drops (see
+    :class:`~repro.qos.config.ModeSwitchPolicy`).
     """
 
     epoch_cycles: int = 250_000
     suspect_after_cycles: int | None = None
     dead_after_cycles: int | None = None
     hedge: bool = True
-    hedge_grace_cycles: int | None = None
-    max_hedges_per_epoch: int = 8
     mode_switch: ModeSwitchPolicy | None = None
-    max_epochs: int = 100_000
 
     def __post_init__(self):
         if self.epoch_cycles <= 0:
             raise SchedulerError("epoch_cycles must be positive")
-        if self.max_hedges_per_epoch < 0:
-            raise SchedulerError("max_hedges_per_epoch must be >= 0")
-        if self.max_epochs <= 0:
-            raise SchedulerError("max_epochs must be positive")
-
-    @property
-    def suspect_cycles(self) -> int:
-        return self.suspect_after_cycles or self.epoch_cycles
-
-    @property
-    def dead_cycles(self) -> int:
-        return self.dead_after_cycles or 3 * self.epoch_cycles
-
-    @property
-    def hedge_grace(self) -> int:
-        return (
-            self.hedge_grace_cycles
-            if self.hedge_grace_cycles is not None
-            else self.epoch_cycles
-        )
 
 
 @dataclass(frozen=True)
@@ -445,7 +420,7 @@ class NodeSummary:
 
 @dataclass(frozen=True)
 class ResilienceReport:
-    """What the resilient loop did beyond serving: the failure ledger."""
+    """What a resilient day did beyond serving: the failure ledger."""
 
     epochs: int
     nodes: tuple[NodeSummary, ...]
@@ -492,17 +467,6 @@ class ResilienceReport:
         return table
 
 
-@dataclass(frozen=True)
-class ResilientServeResult:
-    """One resilient day: report, exactly-once outcomes, failure ledger."""
-
-    report: "object"
-    outcomes: tuple
-    shed: tuple[Job, ...]
-    dispatches: tuple[Dispatch, ...]
-    resilience: ResilienceReport
-
-
 @dataclass
 class _InFlight:
     """One submitted copy of a job on one node."""
@@ -513,416 +477,304 @@ class _InFlight:
     is_hedge: bool = False
 
 
-class _LoopState:
-    """Mutable bookkeeping of one :func:`serve_resilient` run."""
+class ResiliencePolicy:
+    """Everything only a resilient day needs, as phases of the serving loop.
 
-    def __init__(self, num_nodes: int, num_services: int):
-        self.inflight: list[dict[int, deque[_InFlight]]] = [
-            {service: deque() for service in range(num_services)}
-            for _ in range(num_nodes)
+    :meth:`~repro.farm.farm.Farm._serve` calls one method per phase, in
+    this order every epoch: :meth:`open_epoch`, :meth:`admit` (mode switch,
+    shedding, where the plan may land), :meth:`submit` per hand-over,
+    :meth:`hedge`, :meth:`measure` (advance under chaos), :meth:`settle`
+    (first result wins, heartbeats, migration); and :meth:`ledger` once at
+    the end.  The policy owns the state those phases share — the epoch
+    clock, the in-flight copies table, node health, the chaos freeze — so a
+    day served without a policy pays for none of it.
+    """
+
+    def __init__(
+        self,
+        farm: "Farm",
+        nodes: "NodeBackend",
+        config: ResilienceConfig,
+        chaos: ChaosPlan | None = None,
+    ):
+        if chaos is not None and chaos.worker_kills():
+            raise SchedulerError(
+                "serve_resilient runs its nodes in-process: kill_worker "
+                "actions are honoured by serve(max_workers=) and "
+                "serve_durable (arm them with ChaosPlan.arm_worker_kills)"
+            )
+        self.nodes = nodes
+        self.config = config
+        self.view = farm.view
+        self.bus = farm.bus
+        scheduler = farm.scheduler
+        self.feedback = scheduler if isinstance(scheduler, FeedbackScheduler) else None
+        self.health = NodeHealth(
+            self.view.num_nodes,
+            suspect_after_cycles=config.suspect_after_cycles or config.epoch_cycles,
+            dead_after_cycles=config.dead_after_cycles or 3 * config.epoch_cycles,
+            bus=self.bus,
+        )
+        self.kills = chaos.node_kills() if chaos is not None else {}
+        self.frozen: set[int] = set()  # killed, not (yet) healed: never advances
+        self.healed: set[int] = set()
+        #: Per-node throughput proxy: inverse mean service estimate.
+        self.weights = [
+            len(row) / sum(row) if sum(row) else 0.0 for row in self.view.estimates
         ]
-        self.harvested: list[list[int]] = [
-            [0] * num_services for _ in range(num_nodes)
+        self.now = self.epoch_end = 0
+        #: ``inflight[node][service]``: the copies handed over, FIFO.
+        self.inflight: list[list[deque[_InFlight]]] = [
+            [deque() for _ in self.view.slos] for _ in self.view.nodes
         ]
-        self.busy_est: list[int] = [0] * num_nodes
-        self.completed: dict[int, NodeJobResult] = {}
-        self.copies: dict[int, int] = {}
+        self.busy_est = [0] * self.view.num_nodes
+        self.copies: dict[int, int] = {}  # live copies per job id
+        self.done: set[int] = set()
         self.hedged: set[int] = set()
-        self.requeue: list[Job] = []
         self.shed: list[Job] = []
-        self.dispatch_log: list[Dispatch] = []
-        self.migrations = 0
-        self.hedges_dispatched = 0
-        self.hedges_won = 0
-        self.hedges_wasted = 0
+        self.log: list[Dispatch] = []
         self.mode = "normal"
         self.mode_switches: list[tuple[int, str]] = []
+        #: What the ledger counts is what the bus was told, by event kind.
+        self.told: Counter[EventKind] = Counter()
 
-    def node_busy(self, node: int) -> bool:
-        return any(queue for queue in self.inflight[node].values())
+    def estimate(self, node: int, service: int) -> int:
+        """Cycles of one job as the scheduler currently prices it: the
+        static estimate times the learned correction."""
+        base = self.view.estimate(node, service)
+        if self.feedback is None:
+            return base
+        return self.feedback.corrected(node, service, base)
 
+    def capacity_fraction(self) -> float:
+        total = sum(self.weights)
+        alive = sum(self.weights[node] for node in self.health.alive_nodes())
+        return alive / total if total else 0.0
 
-def _node_weights(view: FarmView) -> list[float]:
-    """Per-node throughput proxy: inverse mean service estimate."""
-    return [
-        len(row) / sum(row) if sum(row) else 0.0 for row in view.estimates
-    ]
-
-
-def _capacity_fraction(view: FarmView, alive: Sequence[int]) -> float:
-    weights = _node_weights(view)
-    total = sum(weights)
-    return sum(weights[node] for node in alive) / total if total else 0.0
-
-
-def serve_resilient(
-    farm: "Farm",
-    jobs: Sequence[Job],
-    *,
-    resilience: ResilienceConfig | None = None,
-    chaos: ChaosPlan | None = None,
-) -> ResilientServeResult:
-    """Serve a day through the incremental plan→measure→re-plan loop.
-
-    Runs serially (node systems persist across epochs), so per-node obs
-    is allowed.  ``chaos`` applies planned ``kill_node`` faults — worker
-    and snapshot faults target the process-sharded paths and are ignored
-    here.  The result's outcome set is exactly-once by construction: every
-    arrival is either measured on some node or shed by the mode switch,
-    and hedged duplicates are deduplicated first-result-wins before the
-    join (which independently rejects duplicates).
-    """
-    cfg = resilience if resilience is not None else ResilienceConfig()
-    num_nodes = len(farm.node_configs)
-    num_services = len(farm.services)
-    base_view = farm.view
-    bus = farm.bus
-    health = NodeHealth(
-        num_nodes,
-        suspect_after_cycles=cfg.suspect_cycles,
-        dead_after_cycles=cfg.dead_cycles,
-        bus=bus,
-    )
-    feedback = farm.scheduler if isinstance(farm.scheduler, FeedbackScheduler) else None
-    inner: Scheduler = feedback.base if feedback is not None else farm.scheduler
-
-    kills = chaos.node_kills() if chaos is not None else {}
-    frozen: set[int] = set()  # killed, not (yet) healed: sim never advances
-    healed: set[int] = set()
-
-    systems = [
-        build_node_system(config, farm.services, farm.vi_mode, obs=farm.obs)
-        for config in farm.node_configs
-    ]
-    farm.node_systems = systems
-    state = _LoopState(num_nodes, num_services)
-
-    ordered = sorted(jobs, key=lambda job: (job.arrival_cycle, job.job_id))
-    next_index = 0
-    now = 0
-    epochs = 0
-    policy = cfg.mode_switch
-
-    def corrected() -> FarmView:
-        return feedback.corrected_view(base_view) if feedback else base_view
-
-    def submit(node: int, job: Job, cycle: int, *, is_hedge: bool) -> None:
-        estimate = corrected().estimate(node, job.service)
-        systems[node].submit(job.service, cycle)
-        state.inflight[node][job.service].append(
-            _InFlight(job, cycle, estimate, is_hedge=is_hedge)
+    def _emit(self, kind: EventKind, job: Job, **data: object) -> None:
+        self.told[kind] += 1
+        self.bus.emit(
+            kind, cycle=self.now, task_id=job.service, job_id=job.job_id, **data
         )
-        state.copies[job.job_id] = state.copies.get(job.job_id, 0) + 1
-        state.busy_est[node] = max(state.busy_est[node], cycle + estimate)
-        state.dispatch_log.append(Dispatch(job=job, node=node, dispatch_cycle=cycle))
 
-    def migrate_dead_node(node: int, cycle: int) -> None:
-        for service, queue in state.inflight[node].items():
-            while queue:
-                entry = queue.popleft()
-                job_id = entry.job.job_id
-                state.copies[job_id] -= 1
-                if job_id in state.completed or state.copies[job_id] > 0:
-                    continue  # a hedge copy already covers (or covered) it
-                state.requeue.append(entry.job)
-                state.migrations += 1
-                if bus is not None:
-                    bus.emit(
-                        EventKind.JOB_MIGRATED,
-                        cycle=cycle,
-                        task_id=service,
-                        job_id=job_id,
-                        from_node=node,
-                    )
+    def open_epoch(self, idle_until: int | None) -> int:
+        """Start the next epoch; returns the cycle it ends at.
 
-    while len(state.completed) + len(state.shed) < len(jobs):
-        epochs += 1
-        if epochs > cfg.max_epochs:
+        ``idle_until`` is the next arrival when nothing waits to be
+        re-planned: with nothing in flight either, the epoch grid jumps
+        ahead to the epoch that arrival falls in.
+        """
+        epoch = self.config.epoch_cycles
+        self.now = self.epoch_end
+        self.epoch_end = self.now + epoch
+        if idle_until is not None and idle_until >= self.epoch_end:
+            if not any(chain.from_iterable(self.inflight)):
+                self.epoch_end = (idle_until // epoch + 1) * epoch
+        return self.epoch_end
+
+    # -- mode: shed low-criticality work under capacity loss (MESC) ---------
+
+    def admit(
+        self, batch: list[Job], unserved: int
+    ) -> tuple[list[Job], list[int], list[int]]:
+        """The jobs of ``batch`` to plan this epoch (the rest are shed), the
+        healthy nodes they may land on, and when each can take new work."""
+        if not self.health.alive_nodes():
             raise SchedulerError(
-                f"resilient serve did not converge in {cfg.max_epochs} epochs "
-                f"({len(jobs) - len(state.completed) - len(state.shed)} jobs "
-                f"unaccounted)"
+                f"farm lost all {self.view.num_nodes} nodes with {unserved} "
+                f"jobs unserved"
             )
-        epoch_end = now + cfg.epoch_cycles
-        # Idle fast-forward: nothing in flight, nothing to re-plan, next
-        # arrival beyond this epoch — jump the epoch grid to it.
-        if (
-            not state.requeue
-            and next_index < len(ordered)
-            and not any(state.node_busy(node) for node in range(num_nodes))
-        ):
-            gap = ordered[next_index].arrival_cycle
-            if gap >= epoch_end:
-                epoch_end = (gap // cfg.epoch_cycles + 1) * cfg.epoch_cycles
-
-        alive = health.alive_nodes()
-        if not alive:
-            raise SchedulerError(
-                f"farm lost all {num_nodes} nodes with "
-                f"{len(jobs) - len(state.completed) - len(state.shed)} jobs "
-                f"unserved"
-            )
-
-        # -- mode switch (MESC): shed low-criticality work under capacity loss
-        if policy is not None:
-            fraction = _capacity_fraction(base_view, alive)
-            if state.mode == "normal" and fraction < policy.capacity_threshold:
-                state.mode = "degraded"
-                state.mode_switches.append((now, "degraded"))
-                if bus is not None:
-                    bus.emit(
-                        EventKind.MODE_SWITCH, cycle=now,
-                        mode="degraded", capacity=fraction,
-                    )
-            elif (
-                state.mode == "degraded"
-                and policy.restore
-                and fraction >= policy.capacity_threshold
+        switch = self.config.mode_switch
+        if switch is not None:
+            fraction = self.capacity_fraction()
+            degraded = fraction < switch.capacity_threshold
+            if (self.mode == "normal" and degraded) or (
+                self.mode == "degraded" and switch.restore and not degraded
             ):
-                state.mode = "normal"
-                state.mode_switches.append((now, "normal"))
-                if bus is not None:
-                    bus.emit(
-                        EventKind.MODE_SWITCH, cycle=now,
-                        mode="normal", capacity=fraction,
-                    )
-
-        # -- plan: this epoch's arrivals + migrated jobs onto healthy nodes
-        batch = list(state.requeue)
-        state.requeue = []
-        while (
-            next_index < len(ordered)
-            and ordered[next_index].arrival_cycle < epoch_end
-        ):
-            batch.append(ordered[next_index])
-            next_index += 1
-        if state.mode == "degraded" and policy is not None:
-            kept = []
-            for job in batch:
-                if base_view.slos[job.service].rank >= policy.shed_min_rank:
-                    state.shed.append(job)
-                    if bus is not None:
-                        bus.emit(
-                            EventKind.JOB_DEGRADED, cycle=now,
-                            task_id=job.service, job_id=job.job_id,
-                            action="mode_shed", tenant_id=job.tenant_id,
-                        )
-                else:
-                    kept.append(job)
-            batch = kept
-        if batch:
-            healthy = health.healthy_nodes()
-            if not healthy:
-                state.requeue = batch  # all survivors suspect: wait an epoch
-            else:
-                view = corrected()
-                sub_view = FarmView(
-                    len(healthy),
-                    view.slos,
-                    [view.estimates[node] for node in healthy],
-                    available=[
-                        max(state.busy_est[node], systems[node].clock, now)
-                        for node in healthy
-                    ],
+                self.mode = "degraded" if degraded else "normal"
+                self.mode_switches.append((self.now, self.mode))
+                self.bus.emit(
+                    EventKind.MODE_SWITCH,
+                    cycle=self.now, mode=self.mode, capacity=fraction,
                 )
-                batch.sort(key=lambda job: (job.arrival_cycle, job.job_id))
-                plan = inner.dispatch(batch, sub_view)
-                if len(plan) != len(batch):
-                    raise SchedulerError(
-                        f"scheduler {inner.name!r} planned {len(plan)} "
-                        f"dispatches for {len(batch)} jobs"
+            if self.mode == "degraded":
+                ranks = [slo.rank for slo in self.view.slos]
+                doomed = [j for j in batch if ranks[j.service] >= switch.shed_min_rank]
+                batch = [j for j in batch if ranks[j.service] < switch.shed_min_rank]
+                self.shed.extend(doomed)
+                for job in doomed:
+                    self._emit(
+                        EventKind.JOB_DEGRADED, job,
+                        action="mode_shed", tenant_id=job.tenant_id,
                     )
-                for entry in sorted(
-                    plan, key=lambda d: (d.dispatch_cycle, d.job.job_id)
-                ):
-                    submit(
-                        healthy[entry.node],
-                        entry.job,
-                        entry.dispatch_cycle,
-                        is_hedge=False,
-                    )
+        healthy = self.health.healthy_nodes()
+        return batch, healthy, [self._free_at(node) for node in healthy]
 
-        # -- hedge: duplicate overdue work held by suspect nodes
-        if cfg.hedge:
-            hedges_left = cfg.max_hedges_per_epoch
-            for node in range(num_nodes):
-                if health.state(node) is not HealthState.SUSPECT:
-                    continue
-                for service, queue in state.inflight[node].items():
-                    for entry in queue:
-                        if hedges_left <= 0:
-                            break
-                        job_id = entry.job.job_id
-                        if (
-                            job_id in state.hedged
-                            or job_id in state.completed
-                            or state.copies.get(job_id, 0) > 1
-                        ):
-                            continue
-                        if now < entry.dispatch_cycle + entry.estimate + cfg.hedge_grace:
-                            continue
-                        healthy = health.healthy_nodes()
-                        if not healthy:
-                            break
-                        view = corrected()
-                        target = min(
-                            healthy,
-                            key=lambda n: (
-                                max(now, state.busy_est[n], systems[n].clock)
-                                + view.estimate(n, service),
-                                n,
-                            ),
-                        )
-                        cycle = max(
-                            now, state.busy_est[target], systems[target].clock
-                        )
-                        submit(target, entry.job, cycle, is_hedge=True)
-                        state.hedged.add(job_id)
-                        state.hedges_dispatched += 1
-                        hedges_left -= 1
-                        if bus is not None:
-                            bus.emit(
-                                EventKind.HEDGE_DISPATCH, cycle=now,
-                                task_id=service, job_id=job_id,
-                                from_node=node, to_node=target,
-                            )
+    def _free_at(self, node: int) -> int:
+        return max(self.now, self.busy_est[node], self.nodes.clock(node))
 
-        # -- measure: one epoch of simulated time per surviving node
-        for node in range(num_nodes):
-            if not health.alive(node):
+    # -- submit: enter every hand-over in the copies table -------------------
+
+    def submit(self, dispatch: Dispatch, is_hedge: bool = False) -> None:
+        job, node, cycle = dispatch.job, dispatch.node, dispatch.dispatch_cycle
+        estimate = self.estimate(node, job.service)
+        self.nodes.submit(dispatch)
+        self.inflight[node][job.service].append(
+            _InFlight(job, cycle, estimate, is_hedge)
+        )
+        self.copies[job.job_id] = self.copies.get(job.job_id, 0) + 1
+        self.busy_est[node] = max(self.busy_est[node], cycle + estimate)
+        self.log.append(dispatch)
+
+    # -- hedge: duplicate overdue work held by suspect nodes ----------------
+
+    def hedge(self) -> None:
+        healthy = self.health.healthy_nodes()
+        if not self.config.hedge or not healthy:
+            return
+        hedges_left = MAX_HEDGES_PER_EPOCH
+        for node in self.view.nodes:
+            if self.health.state(node) is not HealthState.SUSPECT:
                 continue
-            kill = kills.get(node)
-            if kill is not None and node not in healed:
-                if kill.heal_cycle is not None and epoch_end > kill.heal_cycle:
+            for entry in chain.from_iterable(self.inflight[node]):
+                if hedges_left <= 0:
+                    return
+                job = entry.job
+                grace = entry.estimate + self.config.epoch_cycles
+                if (
+                    self.now < entry.dispatch_cycle + grace
+                    or job.job_id in self.hedged
+                    or job.job_id in self.done
+                    or self.copies[job.job_id] > 1
+                ):
+                    continue
+                target = min(
+                    healthy,
+                    key=lambda n: (self._free_at(n) + self.estimate(n, job.service), n),
+                )
+                copy = Dispatch(job, target, self._free_at(target))
+                self.submit(copy, is_hedge=True)
+                self.hedged.add(job.job_id)
+                hedges_left -= 1
+                self._emit(
+                    EventKind.HEDGE_DISPATCH, job, from_node=node, to_node=target
+                )
+
+    # -- measure: one epoch of simulated time per surviving node ------------
+
+    def measure(self) -> None:
+        """Advance every live node to the end of the epoch — except where
+        the chaos plan says it died (or hung) on the way."""
+        for node in self.health.alive_nodes():
+            kill = self.kills.get(node)
+            if kill is not None and node not in self.healed:
+                if kill.heal_cycle is not None and self.epoch_end > kill.heal_cycle:
                     # The hang ends inside this epoch: the node did nothing
                     # while frozen, so its clock jumps to the heal point.
-                    healed.add(node)
-                    frozen.discard(node)
-                    system = systems[node]
-                    system.iau.clock = max(system.iau.clock, kill.heal_cycle)
-                elif node in frozen:
+                    self.healed.add(node)
+                    self.frozen.discard(node)
+                    self.nodes.hang(node, kill.heal_cycle)
+                elif node in self.frozen:
                     continue
-                elif kill.at_cycle < epoch_end:
+                elif kill.at_cycle < self.epoch_end:
                     # Run up to the kill point, then freeze.
-                    if systems[node].clock < kill.at_cycle:
-                        systems[node].run(until_cycle=kill.at_cycle)
-                    frozen.add(node)
+                    if self.nodes.clock(node) < kill.at_cycle:
+                        self.nodes.advance(kill.at_cycle, node)
+                    self.frozen.add(node)
                     continue
-            systems[node].run(until_cycle=epoch_end)
+            self.nodes.advance(self.epoch_end, node)
 
-        # -- harvest: join completions, feed corrections and heartbeats
-        for node in range(num_nodes):
-            if not health.alive(node):
-                continue
-            system = systems[node]
-            for service in range(num_services):
-                records = system.jobs(service)
-                queue = state.inflight[node][service]
-                while state.harvested[node][service] < len(records):
-                    record = records[state.harvested[node][service]]
-                    state.harvested[node][service] += 1
-                    if not queue:
-                        raise SchedulerError(
-                            f"node {node} slot {service} completed a job "
-                            f"the loop never submitted"
-                        )
-                    entry = queue.popleft()
-                    if record.request_cycle != entry.dispatch_cycle:
-                        raise SchedulerError(
-                            f"node {node} slot {service}: dispatch/record "
-                            f"order mismatch at job {entry.job.job_id}"
-                        )
-                    job_id = entry.job.job_id
-                    state.copies[job_id] -= 1
-                    if feedback is not None:
-                        feedback.observe(
-                            node,
-                            service,
-                            estimated=base_view.estimate(node, service),
-                            measured=record.complete_cycle - entry.dispatch_cycle,
-                        )
-                    if job_id in state.completed:
-                        state.hedges_wasted += 1
-                        if bus is not None:
-                            bus.emit(
-                                EventKind.HEDGE_WASTED, cycle=epoch_end,
-                                task_id=service, job_id=job_id, node=node,
-                            )
-                        continue
-                    state.completed[job_id] = NodeJobResult(
-                        job_id=job_id,
-                        node=node,
-                        service=service,
-                        dispatch_cycle=entry.dispatch_cycle,
-                        start_cycle=record.start_cycle,
-                        complete_cycle=record.complete_cycle,
-                    )
-                    if job_id in state.hedged:
-                        state.hedges_won += 1
-                        if bus is not None:
-                            bus.emit(
-                                EventKind.HEDGE_WIN, cycle=epoch_end,
-                                task_id=service, job_id=job_id, node=node,
-                                source="hedge" if entry.is_hedge else "primary",
-                            )
-            was_alive = health.alive(node)
-            new_state = health.beat(
+    # -- harvest: first result wins; then beat, and migrate off the dead ----
+
+    def settle(
+        self, fresh: list[NodeJobResult], stranded: list[Job]
+    ) -> list[NodeJobResult]:
+        """The completions of ``fresh`` that count: per job, the first.
+
+        Node by node, each node's heartbeat follows its completions; a node
+        the beat declares dead has its unfinished jobs appended to
+        ``stranded``, for the next epoch's plan.
+        """
+        self.now = self.epoch_end
+        by_node: dict[int, list[NodeJobResult]] = {}
+        for result in fresh:
+            by_node.setdefault(result.node, []).append(result)
+        winners = []
+        for node in self.health.alive_nodes():
+            winners += [r for r in by_node.get(node, ()) if self._first_result(r)]
+            state = self.health.beat(
                 node,
-                clock=system.clock,
-                busy=state.node_busy(node),
-                now=epoch_end,
+                clock=self.nodes.clock(node),
+                busy=any(self.inflight[node]),
+                now=self.now,
             )
-            if was_alive and new_state is HealthState.DEAD:
-                migrate_dead_node(node, epoch_end)
+            if state is HealthState.DEAD:
+                self._migrate(node, stranded)
+        return winners
 
-        now = epoch_end
+    def _first_result(self, result: NodeJobResult) -> bool:
+        node, service, job_id = result.node, result.service, result.job_id
+        entry = self.inflight[node][service].popleft()
+        if entry.job.job_id != job_id:
+            raise SchedulerError(
+                f"node {node} slot {service} completed job {job_id}, not the "
+                f"oldest copy on it (job {entry.job.job_id})"
+            )
+        self.copies[job_id] -= 1
+        if self.feedback is not None:
+            self.feedback.observe(
+                node,
+                service,
+                estimated=self.view.estimate(node, service),
+                measured=result.complete_cycle - result.dispatch_cycle,
+            )
+        if job_id in self.done:
+            self._emit(EventKind.HEDGE_WASTED, entry.job, node=node)
+            return False
+        self.done.add(job_id)
+        if job_id in self.hedged:
+            source = "hedge" if entry.is_hedge else "primary"
+            self._emit(EventKind.HEDGE_WIN, entry.job, node=node, source=source)
+        return True
 
-    # Hedge copies still in flight when the day completes are abandoned
-    # redundant work: count them as wasted.
-    for node in range(num_nodes):
-        for queue in state.inflight[node].values():
-            state.hedges_wasted += sum(1 for entry in queue if entry.is_hedge)
+    def _migrate(self, node: int, stranded: list[Job]) -> None:
+        for queue in self.inflight[node]:
+            while queue:
+                job = queue.popleft().job
+                self.copies[job.job_id] -= 1
+                if job.job_id in self.done or self.copies[job.job_id] > 0:
+                    continue  # a hedge copy already covers (or covered) it
+                stranded.append(job)
+                self._emit(EventKind.JOB_MIGRATED, job, from_node=node)
 
-    results = [state.completed[job_id] for job_id in sorted(state.completed)]
-    outcomes = join_outcomes(list(jobs), results, shed=state.shed)
-    report = build_report(
-        farm.scheduler.name,
-        outcomes,
-        [service.slo for service in farm.services],
-        estimates=base_view.estimates,
-        shed=state.shed,
-    )
-    per_node_completed = [0] * num_nodes
-    for result in results:
-        per_node_completed[result.node] += 1
-    summary = tuple(
-        NodeSummary(
-            node=node,
-            state=health.state(node),
-            final_cycle=systems[node].clock,
-            completed=per_node_completed[node],
-            killed_at=kills[node].at_cycle if node in kills else None,
+    # -- the end-of-day ledger ----------------------------------------------
+
+    def ledger(self, epochs: int, results: Sequence[NodeJobResult]) -> ResilienceReport:
+        # Hedge copies still in flight when the day completes are abandoned
+        # redundant work: count them as wasted.
+        copies = chain.from_iterable(chain.from_iterable(self.inflight))
+        abandoned = sum(1 for entry in copies if entry.is_hedge)
+        completed = Counter(result.node for result in results)
+        return ResilienceReport(
+            epochs=epochs,
+            nodes=tuple(
+                NodeSummary(
+                    node=node,
+                    state=self.health.state(node),
+                    final_cycle=self.nodes.clock(node),
+                    completed=completed[node],
+                    killed_at=self.kills[node].at_cycle if node in self.kills else None,
+                )
+                for node in self.view.nodes
+            ),
+            migrations=self.told[EventKind.JOB_MIGRATED],
+            hedges_dispatched=self.told[EventKind.HEDGE_DISPATCH],
+            hedges_won=self.told[EventKind.HEDGE_WIN],
+            hedges_wasted=self.told[EventKind.HEDGE_WASTED] + abandoned,
+            shed_jobs=len(self.shed),
+            mode_switches=tuple(self.mode_switches),
+            capacity_fraction=self.capacity_fraction(),
         )
-        for node in range(num_nodes)
-    )
-    resilience_report = ResilienceReport(
-        epochs=epochs,
-        nodes=summary,
-        migrations=state.migrations,
-        hedges_dispatched=state.hedges_dispatched,
-        hedges_won=state.hedges_won,
-        hedges_wasted=state.hedges_wasted,
-        shed_jobs=len(state.shed),
-        mode_switches=tuple(state.mode_switches),
-        capacity_fraction=_capacity_fraction(base_view, health.alive_nodes()),
-    )
-    return ResilientServeResult(
-        report=report,
-        outcomes=tuple(outcomes),
-        shed=tuple(state.shed),
-        dispatches=tuple(state.dispatch_log),
-        resilience=resilience_report,
-    )
 
 
 # -- chaos campaigns -------------------------------------------------------
@@ -933,7 +785,7 @@ class ChaosTrial:
     """One chaos plan's run, checked against the golden invariants."""
 
     plan: ChaosPlan
-    result: ResilientServeResult
+    result: "ServeResult"
     lost_jobs: int
     duplicated_jobs: int
     gold_attainment: float
@@ -945,7 +797,7 @@ class ChaosTrial:
 class ChaosCampaignReport:
     """A golden run plus every chaos trial, with the invariant table."""
 
-    golden: ResilientServeResult
+    golden: "ServeResult"
     trials: tuple[ChaosTrial, ...]
     gold_class: str
     floor: float
@@ -1018,13 +870,13 @@ def run_chaos_campaign(
     times the golden run's.  Violations are reported, not raised — the
     caller (benchmark / CI) decides what gates.
     """
-    golden = serve_resilient(farm_factory(), jobs, resilience=resilience)
+    golden = farm_factory().serve_resilient(jobs, resilience=resilience)
     golden_gold = golden.report.by_class(gold_class).attainment
     all_ids = sorted(job.job_id for job in jobs)
     trials = []
     for plan in plans:
-        result = serve_resilient(
-            farm_factory(), jobs, resilience=resilience, chaos=plan
+        result = farm_factory().serve_resilient(
+            jobs, resilience=resilience, chaos=plan
         )
         seen = sorted(
             [outcome.job_id for outcome in result.outcomes]
@@ -1063,12 +915,18 @@ __all__ = [
     "ChaosTrial",
     "FeedbackScheduler",
     "HealthState",
+    "MAX_HEDGES_PER_EPOCH",
     "NodeHealth",
     "NodeSummary",
     "ResilienceConfig",
+    "ResiliencePolicy",
     "ResilienceReport",
-    "ResilientServeResult",
     "poison_snapshot_file",
     "run_chaos_campaign",
-    "serve_resilient",
+    # Re-exported for callers that look them up here (the perf harness
+    # wraps these attributes); the serving loop in repro.farm.farm calls
+    # the originals, not these bindings.
+    "build_node_system",
+    "build_report",
+    "join_outcomes",
 ]

@@ -47,8 +47,10 @@ class FarmView:
     """What a scheduler may know about the farm: sizes and estimates.
 
     ``available`` is the cycle each node frees up (all zeros for a fresh
-    day); the incremental feedback loop re-plans mid-day by handing the
-    scheduler a view whose nodes are already busy.
+    day); the serving loop re-plans mid-day by handing the scheduler a
+    view whose nodes are already busy.  ``nodes`` names the farm-wide
+    index behind each row: the identity for a whole farm, the surviving
+    subset for a view made by :meth:`restrict`.
     """
 
     def __init__(
@@ -57,6 +59,7 @@ class FarmView:
         slos: Sequence[SloClass],
         estimates: Sequence[Sequence[int]],
         available: Sequence[int] | None = None,
+        nodes: Sequence[int] | None = None,
     ):
         if num_nodes < 1:
             raise SchedulerError(f"num_nodes must be >= 1, got {num_nodes}")
@@ -64,6 +67,8 @@ class FarmView:
             raise SchedulerError("estimates must have one row per node")
         if available is not None and len(available) != num_nodes:
             raise SchedulerError("available must have one entry per node")
+        if nodes is not None and len(nodes) != num_nodes:
+            raise SchedulerError("nodes must have one entry per node")
         self.num_nodes = num_nodes
         #: SLO class per service index.
         self.slos = tuple(slos)
@@ -73,9 +78,23 @@ class FarmView:
         self.available = (
             tuple(available) if available is not None else (0,) * num_nodes
         )
+        #: Farm-wide index of each row.
+        self.nodes = tuple(nodes) if nodes is not None else tuple(range(num_nodes))
 
     def estimate(self, node: int, service: int) -> int:
         return self.estimates[node][service]
+
+    def restrict(
+        self, nodes: Sequence[int], available: Sequence[int] | None = None
+    ) -> "FarmView":
+        """The view of only ``nodes`` (rows of this view), free at ``available``."""
+        return FarmView(
+            len(nodes),
+            self.slos,
+            [self.estimates[node] for node in nodes],
+            available=available,
+            nodes=[self.nodes[node] for node in nodes],
+        )
 
 
 @runtime_checkable
@@ -174,6 +193,3 @@ class PredictiveScheduler:
         tokens = slo.weight * (now - job.arrival_cycle + 1)
         # Ties: more urgent class first, then oldest arrival.
         return (tokens, -slo.rank, -job.arrival_cycle)
-
-
-BASELINES = (FcfsScheduler, StaticPartitionScheduler, PredictiveScheduler)

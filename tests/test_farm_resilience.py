@@ -398,19 +398,20 @@ def test_property_crash_subset_preserves_outcome_multiset(kill_mask, kill_cycle)
     assert golden_ids == chaos_ids == sorted(j.job_id for j in jobs)
 
 
+def arm_one_worker_kill(farm, jobs, directory, monkeypatch):
+    """SIGKILL, once, the measure worker of a node the plan gives work."""
+    node = farm.plan(jobs)[0].node
+    plan = ChaosPlan(actions=(ChaosAction("kill_worker", node),))
+    for name, value in plan.arm_worker_kills(directory).items():
+        monkeypatch.setenv(name, value)
+
+
 class TestMeasureRetries:
-    def test_retry_budget_configurable(self, tmp_path, jobs):
-        crash = tmp_path / "crash-once"
-        crash.write_text("armed")
+    def test_retry_budget_configurable(self, tmp_path, jobs, monkeypatch):
         farm = make_farm(PredictiveScheduler())
         farm.measure_retries = 2
-        import os
-
-        os.environ["REPRO_FARM_CRASH_FILE"] = str(crash)
-        try:
-            result = farm.serve(jobs, max_workers=2)
-        finally:
-            del os.environ["REPRO_FARM_CRASH_FILE"]
+        arm_one_worker_kill(farm, jobs, tmp_path, monkeypatch)
+        result = farm.serve(jobs, max_workers=2)
         # One crash poisons the whole executor: every assignment sharing it
         # counts as retried, so the count is >= 1 (and the day completes).
         assert result.report.worker_retries >= 1
@@ -419,23 +420,16 @@ class TestMeasureRetries:
         assert retry_events[0].data["attempt"] == 1
         assert len(result.outcomes) == len(jobs)
 
-    def test_zero_retries_fails_fast(self, tmp_path, jobs):
-        crash = tmp_path / "crash-once"
-        crash.write_text("armed")
+    def test_zero_retries_fails_fast(self, tmp_path, jobs, monkeypatch):
         farm = Farm(
             default_design_grid()[:3],
             SERVICES,
             PredictiveScheduler(),
             measure_retries=0,
         )
-        import os
-
-        os.environ["REPRO_FARM_CRASH_FILE"] = str(crash)
-        try:
-            with pytest.raises(SchedulerError, match="1 attempt"):
-                farm.serve(jobs, max_workers=2)
-        finally:
-            del os.environ["REPRO_FARM_CRASH_FILE"]
+        arm_one_worker_kill(farm, jobs, tmp_path, monkeypatch)
+        with pytest.raises(SchedulerError, match="1 attempt"):
+            farm.serve(jobs, max_workers=2)
 
     def test_retry_validation(self):
         with pytest.raises(SchedulerError):
@@ -444,11 +438,4 @@ class TestMeasureRetries:
                 SERVICES,
                 PredictiveScheduler(),
                 measure_retries=-1,
-            )
-        with pytest.raises(SchedulerError):
-            Farm(
-                default_design_grid()[:1],
-                SERVICES,
-                PredictiveScheduler(),
-                retry_backoff_s=-0.1,
             )

@@ -19,6 +19,8 @@ import pytest
 from repro.container import HEADER, frame
 from repro.errors import ServeError, SnapshotError
 from repro.farm import (
+    ChaosAction,
+    ChaosPlan,
     Farm,
     FcfsScheduler,
     NodeAssignment,
@@ -410,9 +412,11 @@ class TestFarmWorkerRetry:
         baseline = farm.serve(jobs, max_workers=2)
         assert baseline.report.worker_retries == 0
 
-        sentinel = tmp_path / "crash-once"
-        sentinel.touch()
-        monkeypatch.setenv("REPRO_FARM_CRASH_FILE", str(sentinel))
+        one_kill = ChaosPlan(actions=(ChaosAction("kill_worker", 0),))
+        for name, value in one_kill.arm_worker_kills(tmp_path).items():
+            monkeypatch.setenv(name, value)
+        sentinel = tmp_path / "kill-node-0"
+        assert sentinel.exists()
         crashed = farm.serve(jobs, max_workers=2)
         assert crashed.report.worker_retries >= 1
         assert crashed.outcomes == baseline.outcomes
