@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compiler.compile import CompiledNetwork
-from repro.hw.timing import calc_cycles, fetch_cycles, transfer_cycles
+from repro.hw import timing
 from repro.interrupt.base import InterruptMethod
 from repro.isa.opcodes import Opcode
 
@@ -48,55 +48,52 @@ def instruction_cycles(compiled: CompiledNetwork, vi_mode: str) -> np.ndarray:
     """Duration of each instruction in straight-line (no-interrupt) flow.
 
     Virtual instructions cost only their fetch; real instructions cost fetch
-    plus execution, matching the IAU's accounting.
+    plus execution, matching the IAU's accounting: one
+    :func:`repro.hw.timing.instruction_cycles` per instruction *kind*
+    (:meth:`~repro.isa.program.Program.kinds`), spread back over the program.
     """
     program = compiled.program_for(vi_mode)
     config = compiled.config
-    fetch = fetch_cycles(config)
-    durations = np.empty(len(program), dtype=np.int64)
-    for index, instruction in enumerate(program):
-        cycles = fetch
-        if not instruction.is_virtual:
-            if instruction.opcode in (Opcode.LOAD_D, Opcode.LOAD_W, Opcode.SAVE):
-                cycles += transfer_cycles(config, instruction.length)
-            else:
-                layer = compiled.layer_config(instruction.layer_id)
-                if layer.kind == "global":
-                    cycles += (
-                        layer.in_shape.height * layer.in_shape.width
-                        + config.calc_overhead_cycles
-                    )
-                elif layer.kind == "add":
-                    cycles += calc_cycles(config, layer.out_shape.width, (1, 1))
-                else:
-                    cycles += calc_cycles(config, layer.out_shape.width, layer.kernel)
-        durations[index] = cycles
-    return durations
+    first, inverse, _ = program.kinds()
+    per_kind = np.array(
+        [
+            timing.instruction_cycles(
+                config, program[index], compiled.layer_config(program[index].layer_id)
+            )
+            for index in first.tolist()
+        ],
+        dtype=np.int64,
+    )
+    return per_kind[inverse] + timing.fetch_cycles(config)
 
 
 def switch_events(
-    compiled: CompiledNetwork, method: InterruptMethod
+    compiled: CompiledNetwork,
+    method: InterruptMethod,
+    durations: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """(per-instruction durations, [(opportunity time, backup cycles), ...]).
 
-    Opportunity times are completion times along the straight-line schedule.
+    Opportunity times are completion times along the straight-line schedule
+    (or along ``durations``, for a caller with a timeline of its own).
     """
     config = compiled.config
-    durations = instruction_cycles(compiled, method.vi_mode)
+    if durations is None:
+        durations = instruction_cycles(compiled, method.vi_mode)
     ends = np.cumsum(durations)
     program = compiled.program_for(method.vi_mode)
 
     events: list[tuple[int, int]] = []
     if method.iau_mode == "cpu":
-        spill = transfer_cycles(config, config.total_buffer_bytes)
+        spill = timing.transfer_cycles(config, config.total_buffer_bytes)
         events = [(int(end), spill) for end in ends]
     else:
-        for index, instruction in enumerate(program):
-            if instruction.is_virtual and instruction.is_switch_point:
-                backup = 0
-                if instruction.opcode == Opcode.VIR_SAVE:
-                    backup = transfer_cycles(config, instruction.length)
-                events.append((int(ends[index]), backup))
+        for index in program.switch_point_indices:
+            instruction = program[index]
+            backup = 0
+            if instruction.opcode == Opcode.VIR_SAVE:
+                backup = timing.transfer_cycles(config, instruction.length)
+            events.append((int(ends[index]), backup))
     # The end of the program is always a free opportunity (the task is done).
     events.append((int(ends[-1]), 0))
     return durations, events

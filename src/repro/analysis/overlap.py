@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.latency import instruction_cycles, window_profile
+from repro.analysis.latency import instruction_cycles, switch_events, window_profile
 from repro.compiler.compile import CompiledNetwork
-from repro.hw.timing import transfer_cycles
 from repro.interrupt.base import InterruptMethod
 from repro.isa.opcodes import Opcode
 
@@ -91,23 +90,9 @@ def overlapped_mean_latency(
     Mirrors :func:`repro.analysis.latency.whole_program_profile` but on the
     overlapped timeline.
     """
-    durations = overlapped_instruction_cycles(compiled, method.vi_mode)
-    ends = np.cumsum(durations)
-    program = compiled.program_for(method.vi_mode)
-    config = compiled.config
-
-    events: list[tuple[int, int]] = []
-    if method.iau_mode == "cpu":
-        spill = transfer_cycles(config, config.total_buffer_bytes)
-        events = [(int(end), spill) for end in ends]
-    else:
-        for index, instruction in enumerate(program):
-            if instruction.is_virtual and instruction.is_switch_point:
-                backup = 0
-                if instruction.opcode == Opcode.VIR_SAVE:
-                    backup = transfer_cycles(config, instruction.length)
-                events.append((int(ends[index]), backup))
-    events.append((int(ends[-1]), 0))
+    durations, events = switch_events(
+        compiled, method, overlapped_instruction_cycles(compiled, method.vi_mode)
+    )
     total = int(np.sum(durations))
     profile = window_profile(compiled.graph.name, method, events, (0, total))
     return profile.mean_cycles

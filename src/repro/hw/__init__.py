@@ -1,6 +1,5 @@
-"""Hardware models: configuration, DDR, on-chip buffers, timing, resources."""
+"""Hardware models: configuration, DDR, timing, energy, resources."""
 
-from repro.hw.buffers import TaggedBuffer
 from repro.hw.config import AcceleratorConfig, DdrConfig
 from repro.hw.ddr import DDR_ALIGNMENT, Ddr, DdrRegion
 from repro.hw.energy import (
@@ -41,7 +40,6 @@ __all__ = [
     "cpu_like_switch_energy",
     "inference_energy",
     "interrupt_energy_overhead",
-    "TaggedBuffer",
     "ZU9_RESOURCES",
     "blob_calc_count",
     "blob_cycles",

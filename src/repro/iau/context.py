@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.compiler.compile import CompiledNetwork
 from repro.errors import IauError
@@ -19,6 +19,9 @@ from repro.faults.plan import DeadlineMissed
 from repro.isa.instructions import NO_SAVE_ID
 from repro.isa.program import Program
 from repro.state import Stateful
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.accel.core import CoreSnapshot
 
 
 @dataclass
@@ -121,7 +124,7 @@ class TaskContext(Stateful):
     #: Whether a job is currently in flight on this slot.
     active: bool = False
     #: CPU-like interrupts snapshot the whole core state here.
-    snapshot: object | None = None
+    snapshot: CoreSnapshot | None = None
     #: Pending (not yet started) requests.
     queue: deque[JobRecord] = field(default_factory=deque)
     #: The in-flight job's record.

@@ -1,99 +1,35 @@
-"""Abstract buffer-state dataflow (BUF001-BUF007).
+"""Buffer-state dataflow (BUF001-BUF007).
 
-A :class:`BufferSim` interprets the real (non-virtual) instruction stream
-over an *abstract* copy of the accelerator's on-chip state — data-tile slots,
-the weight tile, the CalcBlob accumulator and the finalized-output section —
-mirroring :class:`repro.accel.core.AcceleratorCore` check for check, but
-recording diagnostics instead of raising and then *recovering* so one run
-surfaces every violation.
+A :class:`BufferSim` runs the real (non-virtual) instruction stream through
+:class:`repro.accel.core.BufferMachine` — the one state machine over the
+on-chip data-tile slots, weight tile, CalcBlob accumulator and
+finalized-output section that :class:`~repro.accel.core.AcceleratorCore`
+itself executes on — with a sink that records a diagnostic where the core
+would raise.  The machine then patches its state and carries on, so one run
+surfaces every violation, and a program this pass accepts cannot trip a
+buffer rule in the simulator: there is no second copy of the rules to drift.
 
-Beyond the dynamic checks, the abstract view also catches what the simulator
-silently tolerates: an unfinished output section being replaced by a new one
-(the core just starts a new section; the finalized data is gone) and unsaved
-results left resident at program end — both :data:`BUF007`.
+The only check made here rather than in the machine is the one no
+instruction-at-a-time executor can make: results still unsaved when the
+program *ends* (:meth:`BufferSim.finish`, the whole-program half of
+``BUF007``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from repro.errors import IncaError
+from repro.accel.core import BufferMachine
+from repro.compiler.layer_config import LayerConfig
 from repro.hw.config import AcceleratorConfig
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.verify.diagnostics import Report
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler -> isa)
-    from repro.compiler.layer_config import LayerConfig
 
-
-@dataclass
-class AbstractTile:
-    """Shape of a data-buffer operand slot (no payload, just coverage)."""
-
-    layer_id: int
-    row0: int
-    rows: int
-    ch0: int
-    chs: int
-    nbytes: int
-
-
-@dataclass
-class AbstractWeights:
-    """Shape of the resident weight chunk."""
-
-    layer_id: int
-    ch0: int
-    chs: int
-    in_ch0: int
-    in_chs: int
-    nbytes: int
-
-
-@dataclass
-class AbstractAccumulator:
-    """The in-flight CalcBlob chain (CALC_I ... CALC_F)."""
-
-    layer_id: int
-    row0: int
-    rows: int
-    ch0: int
-    chs: int
-    next_in_ch0: int
-
-
-@dataclass
-class AbstractGroup:
-    """One finalized output-channel group awaiting SAVE."""
-
-    ch0: int
-    chs: int
-    nbytes: int
-
-
-@dataclass
-class AbstractSection:
-    """The finalized groups of the current output stripe section."""
-
-    layer_id: int
-    row0: int
-    rows: int
-    groups: list[AbstractGroup] = field(default_factory=list)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(group.nbytes for group in self.groups)
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.layer_id, self.row0, self.rows)
-
-
-class BufferSim:
-    """Abstract interpreter over the on-chip buffer state.
+class BufferSim(BufferMachine):
+    """The on-chip buffer machine, reporting into a :class:`Report`.
 
     Feed it real instructions in program order via :meth:`step`; virtual
     instructions must be skipped by the caller (they do not touch buffers on
@@ -105,39 +41,41 @@ class BufferSim:
         self,
         program: Program,
         config: AcceleratorConfig,
-        layers: Mapping[int, "LayerConfig"],
+        layers: Mapping[int, LayerConfig],
         report: Report,
     ) -> None:
+        super().__init__(config)
         self.program = program
-        self.config = config
         self.layers = layers
         self.report = report
-        self.data_tiles: dict[int, AbstractTile] = {}
-        self.weights: AbstractWeights | None = None
-        self.acc: AbstractAccumulator | None = None
-        self.out: AbstractSection | None = None
+        self.index = 0  # of the instruction being stepped: where findings anchor
 
-    # -- driving -----------------------------------------------------------
+    def _violation(
+        self, code: str, layer: LayerConfig, message: str, hint: str | None = None
+    ) -> None:
+        self.report.add(
+            code, message, program=self.program.name, index=self.index, hint=hint
+        )
 
     def step(self, index: int, instruction: Instruction) -> None:
         layer = self.layers.get(instruction.layer_id)
         if layer is None:
             return  # PRG004 already reported by the structural pass
+        self.index = index
         opcode = instruction.opcode
         if opcode == Opcode.LOAD_D:
-            self._load_d(index, instruction)
+            self._install_data(instruction, layer)
         elif opcode == Opcode.LOAD_W:
-            self._load_w(index, instruction)
+            self._install_weights(instruction, layer)
         elif opcode in (Opcode.CALC_I, Opcode.CALC_F):
-            self._calc(index, instruction, layer)
+            self._advance_calc(instruction, layer)
         elif opcode == Opcode.SAVE:
-            self._save(index, instruction, layer)
+            self._drain_output(instruction, layer)
 
     def finish(self, index: int) -> None:
         """End-of-program check: nothing finalized may be left unsaved."""
         if self.out is not None and self.out.groups:
-            lo = min(group.ch0 for group in self.out.groups)
-            hi = max(group.ch0 + group.chs for group in self.out.groups)
+            lo, hi = self.out.channel_span()
             self.report.add(
                 "BUF007",
                 f"program ends with finalized-but-unsaved output "
@@ -149,280 +87,12 @@ class BufferSim:
                 "the program ends",
             )
 
-    # -- loads --------------------------------------------------------------
-
-    def _load_d(self, index: int, instruction: Instruction) -> None:
-        slot = 1 if instruction.operand_b else 0
-        # A load for a new layer implicitly retires the previous layer's tiles.
-        stale = [
-            key
-            for key, tile in self.data_tiles.items()
-            if tile.layer_id != instruction.layer_id
-        ]
-        for key in stale:
-            del self.data_tiles[key]
-        other_bytes = sum(
-            tile.nbytes for key, tile in self.data_tiles.items() if key != slot
-        )
-        if other_bytes + instruction.length > self.config.data_buffer_bytes:
-            self.report.add(
-                "BUF003",
-                f"LOAD_D of {instruction.length} bytes overflows the "
-                f"{self.config.data_buffer_bytes}-byte data buffer "
-                f"({other_bytes} bytes already resident)",
-                program=self.program.name,
-                index=index,
-                hint="shrink the tile (more stripes) or compile for a larger "
-                "data buffer",
-            )
-        self.data_tiles[slot] = AbstractTile(
-            layer_id=instruction.layer_id,
-            row0=instruction.row0,
-            rows=instruction.rows,
-            ch0=instruction.ch0,
-            chs=instruction.chs,
-            nbytes=instruction.length,
-        )
-
-    def _load_w(self, index: int, instruction: Instruction) -> None:
-        if instruction.length > self.config.weight_buffer_bytes:
-            self.report.add(
-                "BUF004",
-                f"LOAD_W of {instruction.length} bytes exceeds the "
-                f"{self.config.weight_buffer_bytes}-byte weight buffer",
-                program=self.program.name,
-                index=index,
-                hint="split the chunk over more input channels or output groups",
-            )
-        self.weights = AbstractWeights(
-            layer_id=instruction.layer_id,
-            ch0=instruction.ch0,
-            chs=instruction.chs,
-            in_ch0=instruction.in_ch0,
-            in_chs=instruction.in_chs,
-            nbytes=instruction.length,
-        )
-
-    # -- calc ----------------------------------------------------------------
-
-    def _calc(self, index: int, instruction: Instruction, layer: "LayerConfig") -> None:
-        self._require_tile(index, instruction, layer, slot=0)
-        if layer.kind == "add":
-            self._require_tile(index, instruction, layer, slot=1)
-        if layer.kind in ("conv", "depthwise"):
-            self._require_weights(index, instruction, layer)
-        if layer.kind == "conv":
-            self._calc_conv(index, instruction, layer)
-        else:
-            # depthwise / pool / add / global finalize in a single CALC.
-            self._append_output(index, instruction, layer)
-
-    def _require_tile(
-        self, index: int, instruction: Instruction, layer: "LayerConfig", slot: int
-    ) -> None:
-        tile = self.data_tiles.get(slot)
-        operand = "second operand" if slot else "input tile"
-        if tile is None or tile.layer_id != instruction.layer_id:
-            self.report.add(
-                "BUF001",
-                f"CALC with no {operand} resident (slot {slot}) — "
-                f"missing LOAD_D",
-                program=self.program.name,
-                index=index,
-                hint="every CALC consumes a tile a preceding LOAD_D of the same "
-                "layer installed",
-            )
-            return
-        try:
-            in_row0, in_rows = layer.input_rows_for(instruction.row0, instruction.rows)
-        except IncaError as exc:
-            self.report.add(
-                "BUF001",
-                f"CALC output rows are unsatisfiable: {exc}",
-                program=self.program.name,
-                index=index,
-            )
-            return
-        if slot == 1:
-            # The add second operand is indexed like the output (1:1 rows).
-            in_row0, in_rows = instruction.row0, instruction.rows
-        if in_row0 < tile.row0 or in_row0 + in_rows > tile.row0 + tile.rows:
-            self.report.add(
-                "BUF001",
-                f"CALC needs input rows [{in_row0}, {in_row0 + in_rows}) but "
-                f"{operand} holds [{tile.row0}, {tile.row0 + tile.rows})",
-                program=self.program.name,
-                index=index,
-                hint="the LOAD_D must cover the halo rows of every stripe it serves",
-            )
-        lo, hi = instruction.in_ch0, instruction.in_ch0 + instruction.in_chs
-        if lo < tile.ch0 or hi > tile.ch0 + tile.chs:
-            self.report.add(
-                "BUF001",
-                f"CALC needs input channels [{lo}, {hi}) but {operand} holds "
-                f"[{tile.ch0}, {tile.ch0 + tile.chs})",
-                program=self.program.name,
-                index=index,
-            )
-
-    def _require_weights(
-        self, index: int, instruction: Instruction, layer: "LayerConfig"
-    ) -> None:
-        weights = self.weights
-        if (
-            weights is None
-            or weights.layer_id != instruction.layer_id
-            or weights.ch0 != instruction.ch0
-            or weights.chs != instruction.chs
-        ):
-            self.report.add(
-                "BUF002",
-                f"CALC group [{instruction.ch0}, {instruction.ch0 + instruction.chs}) "
-                f"has no matching weights resident",
-                program=self.program.name,
-                index=index,
-                hint="every CalcBlob begins with the LOAD_W of its own chunk",
-            )
-            return
-        if layer.kind == "conv":
-            lo, hi = instruction.in_ch0, instruction.in_ch0 + instruction.in_chs
-            if lo < weights.in_ch0 or hi > weights.in_ch0 + weights.in_chs:
-                self.report.add(
-                    "BUF002",
-                    f"CALC input channels [{lo}, {hi}) not in resident weight "
-                    f"chunk [{weights.in_ch0}, {weights.in_ch0 + weights.in_chs})",
-                    program=self.program.name,
-                    index=index,
-                )
-
-    def _calc_conv(self, index: int, instruction: Instruction, layer: "LayerConfig") -> None:
-        blob_key = (
-            instruction.layer_id,
-            instruction.row0,
-            instruction.rows,
-            instruction.ch0,
-            instruction.chs,
-        )
-        if instruction.in_ch0 == 0:
-            self.acc = AbstractAccumulator(*blob_key, next_in_ch0=0)
-        acc = self.acc
-        if (
-            acc is None
-            or (acc.layer_id, acc.row0, acc.rows, acc.ch0, acc.chs) != blob_key
-            or acc.next_in_ch0 != instruction.in_ch0
-        ):
-            self.report.add(
-                "BUF001",
-                f"CALC at in_ch {instruction.in_ch0} does not continue the "
-                f"in-flight accumulator chain",
-                program=self.program.name,
-                index=index,
-                hint="a CalcBlob's CALCs must walk in_ch0 contiguously from 0",
-            )
-            # Recover: pretend the chain restarted here.
-            self.acc = AbstractAccumulator(
-                *blob_key, next_in_ch0=instruction.in_ch0 + instruction.in_chs
-            )
-        else:
-            acc.next_in_ch0 = instruction.in_ch0 + instruction.in_chs
-        if instruction.opcode == Opcode.CALC_F:
-            self._append_output(index, instruction, layer)
-            self.acc = None
-
-    def _append_output(
-        self, index: int, instruction: Instruction, layer: "LayerConfig"
-    ) -> None:
-        key = (instruction.layer_id, instruction.row0, instruction.rows)
-        if self.out is not None and self.out.key != key and self.out.groups:
-            lo = min(group.ch0 for group in self.out.groups)
-            hi = max(group.ch0 + group.chs for group in self.out.groups)
-            self.report.add(
-                "BUF007",
-                f"starting output section {key} overwrites unsaved section "
-                f"{self.out.key} (channels [{lo}, {hi}) were finalized but "
-                f"never saved)",
-                program=self.program.name,
-                index=index,
-                hint="drain the previous section with a SAVE before finalizing "
-                "results for a new one",
-            )
-        if self.out is None or self.out.key != key:
-            self.out = AbstractSection(
-                layer_id=instruction.layer_id,
-                row0=instruction.row0,
-                rows=instruction.rows,
-            )
-        nbytes = instruction.rows * layer.out_shape.width * instruction.chs
-        if self.out.nbytes + nbytes > self.config.output_buffer_bytes:
-            self.report.add(
-                "BUF005",
-                f"finalized results overflow the "
-                f"{self.config.output_buffer_bytes}-byte output buffer "
-                f"({self.out.nbytes} + {nbytes} bytes)",
-                program=self.program.name,
-                index=index,
-                hint="drain groups with SAVEs more often (max_groups_per_save)",
-            )
-        self.out.groups.append(
-            AbstractGroup(ch0=instruction.ch0, chs=instruction.chs, nbytes=nbytes)
-        )
-
-    # -- save ----------------------------------------------------------------
-
-    def _save(self, index: int, instruction: Instruction, layer: "LayerConfig") -> None:
-        if instruction.chs == 0:
-            return  # fully pre-saved by a VIR_SAVE; retires for free
-        section = self.out
-        key = (instruction.layer_id, instruction.row0, instruction.rows)
-        if section is None or section.key != key:
-            self.report.add(
-                "BUF006",
-                f"SAVE rows [{instruction.row0}, "
-                f"{instruction.row0 + instruction.rows}) but no matching "
-                f"finalized section is resident",
-                program=self.program.name,
-                index=index,
-                hint="a SAVE drains the section the preceding CALC_Fs finalized",
-            )
-            return
-        lo, hi = instruction.ch0, instruction.ch0 + instruction.chs
-        chosen = sorted(
-            (group for group in section.groups if lo <= group.ch0 < hi),
-            key=lambda group: group.ch0,
-        )
-        cursor = lo
-        for group in chosen:
-            if group.ch0 != cursor:
-                self.report.add(
-                    "BUF006",
-                    f"SAVE range [{lo}, {hi}) has a gap at channel {cursor}",
-                    program=self.program.name,
-                    index=index,
-                )
-                break
-            cursor = group.ch0 + group.chs
-        else:
-            if cursor != hi:
-                self.report.add(
-                    "BUF006",
-                    f"SAVE range [{lo}, {hi}) only finalized up to channel {cursor}",
-                    program=self.program.name,
-                    index=index,
-                    hint="the covering CALC_Fs must finalize every channel the "
-                    "SAVE drains",
-                )
-        # Recover: drain whatever overlapped, like the core would have.
-        for group in chosen:
-            section.groups.remove(group)
-        if not section.groups:
-            self.out = None
-
 
 def bufferflow_pass(
     program: Program,
     report: Report,
     config: AcceleratorConfig,
-    layers: Mapping[int, "LayerConfig"],
+    layers: Mapping[int, LayerConfig],
 ) -> None:
     """Interpret the real-instruction stream, recording BUF diagnostics."""
     sim = BufferSim(program, config, layers, report)

@@ -7,7 +7,8 @@ on-chip state the instructions after the point still consume.  This pass
 *proves* that statically:
 
 1. a :class:`~repro.verify.bufferflow.BufferSim` replays the uninterrupted
-   path, so at each virtual instruction the abstract buffer state is exactly
+   path, so at each virtual instruction its buffer state — the same
+   :class:`~repro.accel.core.BufferMachine` the core executes on — is exactly
    what the IAU would find on a preemption there;
 2. a forward liveness query determines which resident tiles / weights are
    still read before being redefined — only those must be restored;
@@ -20,17 +21,16 @@ on-chip state the instructions after the point still consume.  This pass
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
+from repro.accel.core import DataTile
+from repro.compiler.layer_config import LayerConfig
 from repro.hw.config import AcceleratorConfig
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.verify.bufferflow import AbstractTile, BufferSim
+from repro.verify.bufferflow import BufferSim
 from repro.verify.diagnostics import Report, Severity
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler -> isa)
-    from repro.compiler.layer_config import LayerConfig
 
 _PACK_OPS = (Opcode.VIR_LOAD_D, Opcode.VIR_LOAD_W)
 _WEIGHTED_KINDS = ("conv", "depthwise")
@@ -42,7 +42,7 @@ class _CheckpointPass:
         program: Program,
         report: Report,
         config: AcceleratorConfig,
-        layers: Mapping[int, "LayerConfig"],
+        layers: Mapping[int, LayerConfig],
     ) -> None:
         self.program = program
         self.report = report
@@ -214,7 +214,7 @@ class _CheckpointPass:
                     hint="a task switch here invalidates the buffers; a barrier "
                     "is only free where every tile is reloaded anyway",
                 )
-        if weights_live and self.sim.weights is not None:
+        if weights_live and self.sim.weight_tile is not None:
             self.report.add(
                 "CHK002",
                 "free VIR_BARRIER but the resident weight chunk is still "
@@ -228,8 +228,7 @@ class _CheckpointPass:
             self._live_acc(index, self.program[index])
         section = self.sim.out
         if section is not None and section.groups:
-            lo = min(group.ch0 for group in section.groups)
-            hi = max(group.ch0 + group.chs for group in section.groups)
+            lo, hi = section.channel_span()
             self.report.add(
                 "CHK001",
                 f"switch point with finalized-but-unsaved output resident "
@@ -321,8 +320,8 @@ class _CheckpointPass:
                         severity=Severity.WARNING,
                     )
 
-        if weights_live and self.sim.weights is not None:
-            weights = self.sim.weights
+        if weights_live and self.sim.weight_tile is not None:
+            weights = self.sim.weight_tile
             matches = weight_clone is not None and (
                 weight_clone[1].layer_id,
                 weight_clone[1].ch0,
@@ -352,7 +351,7 @@ class _CheckpointPass:
                 )
 
     @staticmethod
-    def _clone_matches(clone: Instruction, tile: AbstractTile) -> bool:
+    def _clone_matches(clone: Instruction, tile: DataTile) -> bool:
         return (
             clone.layer_id == tile.layer_id
             and clone.row0 == tile.row0
@@ -377,7 +376,7 @@ class _CheckpointPass:
         unresolved: dict[int, int] = {
             slot: tile.layer_id for slot, tile in self.sim.data_tiles.items()
         }
-        weights_unresolved = self.sim.weights is not None
+        weights_unresolved = self.sim.weight_tile is not None
         live = {slot: False for slot in unresolved}
         weights_live = False
         for index in range(start, len(self.program)):
@@ -417,7 +416,7 @@ def checkpoint_pass(
     program: Program,
     report: Report,
     config: AcceleratorConfig,
-    layers: Mapping[int, "LayerConfig"],
+    layers: Mapping[int, LayerConfig],
 ) -> None:
     """Prove backup/recovery coverage at every virtual instruction."""
     _CheckpointPass(program, report, config, layers).run()

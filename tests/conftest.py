@@ -12,8 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accel import AcceleratorCore
 from repro.compiler.compile import CompiledNetwork, compile_network
+from repro.errors import ExecutionError
 from repro.hw.config import AcceleratorConfig
+from repro.obs import ObsConfig
 from repro.runtime.system import compile_tasks
 from repro.zoo import build_tiny_cnn, build_tiny_conv, build_tiny_residual
 
@@ -88,3 +91,25 @@ def structural_oracle(monkeypatch):
         assert list(report)[before:] == list(walked)
 
     monkeypatch.setattr(engine, "structural_pass", checked)
+
+
+def core_error_index(
+    compiled: CompiledNetwork, program, *, functional: bool, config=None
+) -> int | None:
+    """Run ``program``'s real instructions front to back through a fresh
+    core; the program index at which it raises ``ExecutionError`` (``None``:
+    ran to completion).  Any other exception escapes — a core that dies of a
+    numpy error instead of a buffer-rule violation is itself the bug."""
+    core = AcceleratorCore(
+        config or compiled.config,
+        compiled.layout.ddr,
+        obs=ObsConfig(functional=functional),
+    )
+    for index, instruction in enumerate(program):
+        if instruction.is_virtual:
+            continue
+        try:
+            core.execute(instruction, compiled.layer_config(instruction.layer_id))
+        except ExecutionError:
+            return index
+    return None

@@ -1,5 +1,7 @@
 """Accelerator core: functional bit-exactness, buffer policing, timing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from repro.compiler import compile_network
 from repro.errors import ExecutionError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.nn import GraphBuilder, TensorShape
 from repro.obs import ObsConfig
 
-from tests.conftest import random_input
+from tests.conftest import core_error_index, random_input
 
 
 class TestBitExactness:
@@ -178,6 +181,48 @@ class TestCorePolicing:
         layer = tiny_conv_compiled.layer_config(save.layer_id)
         with pytest.raises(ExecutionError):
             core.execute(save, layer)
+
+    @pytest.mark.parametrize("functional", [False, True], ids=["timing", "functional"])
+    @pytest.mark.parametrize(
+        "shrink",
+        [
+            lambda load: dict(row0=load.row0 + 1, rows=load.rows - 1),
+            lambda load: dict(chs=load.chs // 2),
+        ],
+        ids=["missing_row0", "missing_top_channel_group"],
+    )
+    def test_short_residual_second_operand_rejected(
+        self, tiny_residual_compiled, shrink, functional
+    ):
+        """The residual operand-B tile is coverage-checked like operand A: a
+        recovery pack that restores too little of it must raise at the first
+        CALC reading the missing part — in timing-only mode too, and never
+        as a numpy broadcast error."""
+        program = tiny_residual_compiled.programs["none"]
+        instructions = list(program)
+        load_b = next(i for i, ins in enumerate(instructions) if ins.operand_b)
+        instructions[load_b] = replace(
+            instructions[load_b], **shrink(instructions[load_b])
+        )
+        mutated = Program(name=program.name, instructions=tuple(instructions))
+        raised = core_error_index(
+            tiny_residual_compiled, mutated, functional=functional
+        )
+        assert raised is not None and mutated[raised].is_calc
+        assert load_b < raised < load_b + 3  # one of the stripe's first two CALCs
+
+    @pytest.mark.parametrize("functional", [False, True], ids=["timing", "functional"])
+    def test_unsatisfiable_calc_rows_rejected(self, tiny_conv_compiled, functional):
+        """Output rows that read no input row are a buffer-rule violation,
+        not whatever ``LayerConfig.input_rows_for`` happens to raise."""
+        program = tiny_conv_compiled.programs["none"]
+        instructions = list(program)
+        calc = next(i for i, ins in enumerate(instructions) if ins.is_calc)
+        instructions[calc] = replace(instructions[calc], row0=1000)
+        mutated = Program(name=program.name, instructions=tuple(instructions))
+        assert core_error_index(
+            tiny_conv_compiled, mutated, functional=functional
+        ) == calc
 
     def test_invalidate_forces_reload(self, tiny_conv_compiled):
         """After an invalidate (= task switch), CALC must fail until LOAD_D."""

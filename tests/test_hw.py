@@ -1,15 +1,14 @@
-"""Hardware models: config, DDR, buffers, timing, resources."""
+"""Hardware models: config, DDR, timing, resources."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError, HardwareError, MemoryMapError
+from repro.errors import HardwareError, MemoryMapError
 from repro.hw import (
     AcceleratorConfig,
     Ddr,
     DdrConfig,
     DdrRegion,
-    TaggedBuffer,
     ZU9_RESOURCES,
     blob_calc_count,
     blob_cycles,
@@ -249,41 +248,6 @@ class TestDdrAdoptIndex:
         ddr.allocate("fits", (0x40,))  # [0, 0x40): adjacent
         with pytest.raises(MemoryMapError, match="overlaps"):
             ddr.allocate("collides", (0x40,))
-
-
-class TestTaggedBuffer:
-    def test_fill_and_read(self):
-        buffer = TaggedBuffer("data", 1024)
-        payload = np.zeros(16, dtype=np.int8)
-        buffer.fill("tag", payload)
-        assert buffer.read("tag") is payload
-
-    def test_read_with_wrong_tag_fails(self):
-        buffer = TaggedBuffer("data", 1024)
-        buffer.fill("tag", np.zeros(16, dtype=np.int8))
-        with pytest.raises(ExecutionError):
-            buffer.read("other")
-
-    def test_capacity_enforced(self):
-        buffer = TaggedBuffer("data", 8)
-        with pytest.raises(ExecutionError):
-            buffer.fill("big", np.zeros(64, dtype=np.int8))
-
-    def test_snapshot_restore(self):
-        buffer = TaggedBuffer("data", 1024)
-        buffer.fill("tag", np.ones(4, dtype=np.int8))
-        state = buffer.snapshot()
-        buffer.invalidate()
-        assert buffer.tag is None
-        buffer.restore(state)
-        assert buffer.holds("tag")
-
-    def test_non_array_needs_explicit_size(self):
-        buffer = TaggedBuffer("data", 1024)
-        with pytest.raises(HardwareError):
-            buffer.fill("tag", object())
-        buffer.fill("tag", object(), num_bytes=10)
-        assert buffer.occupied_bytes == 10
 
 
 class TestResources:

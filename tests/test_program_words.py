@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.compiler.compile as compile_module
+from repro.analysis.latency import instruction_cycles
 from repro.compiler import CompileCache, compile_network
 from repro.estimate import estimate_service_cycles
 from repro.hw.config import AcceleratorConfig
@@ -209,10 +210,10 @@ def test_zoo_meta_and_diagnostics_match_the_walk(name):
         adopted = Program.from_bytes(program.to_bytes(), program.name)
         assert diagnostics(structural_pass, adopted, layers) == []
         assert diagnostics(oracle.structural_pass, program, layers) == []
-        assert_same_meta(
-            build_program_meta(compiled, adopted),
-            oracle.build_program_meta(compiled, program),
-        )
+        meta = build_program_meta(compiled, adopted)
+        assert_same_meta(meta, oracle.build_program_meta(compiled, program))
+        # The analysis-side timeline is the same hw.timing model, per kind.
+        assert np.array_equal(instruction_cycles(compiled, mode), np.diff(meta.cum))
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,12 @@ from repro.compiler.compile import compile_network
 from repro.isa.instructions import FLAG_SWITCH_POINT, NO_SAVE_ID, Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.verify import verify_program, verify_task_set
+from repro.nn import GraphBuilder, TensorShape
+from repro.verify import BufferSim, Report, verify_program, verify_task_set
 from repro.verify.engine import layer_table
-from repro.zoo import build_tiny_cnn, build_tiny_conv
+from repro.zoo import build_tiny_cnn, build_tiny_conv, build_tiny_residual
+
+from tests.conftest import core_error_index
 
 #: Every structural pass below also runs the per-instruction walk it
 #: replaced and must report the same diagnostics (see conftest.py).
@@ -184,3 +187,117 @@ class TestNoFalsePositives:
         first = verify_program(program, **context)
         second = verify_program(program, **context)
         assert [d.to_json() for d in first] == [d.to_json() for d in second]
+
+
+# -- verifier and core run one buffer machine ---------------------------------
+
+
+def _depthwise_net():
+    builder = GraphBuilder("dwnet", input_shape=TensorShape(16, 16, 8))
+    builder.depthwise("dw1", kernel=3, stride=1, padding=1)
+    builder.conv("pw1", out_channels=16, kernel=1)
+    return builder.build()
+
+
+NETWORKS = {
+    "tiny_cnn": build_tiny_cnn,
+    "tiny_residual": build_tiny_residual,
+    "depthwise": _depthwise_net,
+}
+
+
+def _swap(program: Program, index: int) -> Program:
+    instructions = list(program.instructions)
+    instructions[index : index + 2] = instructions[index + 1], instructions[index]
+    return Program(name=program.name, instructions=tuple(instructions))
+
+
+def _buffer_mutations(program: Program) -> dict[str, list[int]]:
+    """Mutation kind -> the program indices it may be applied at."""
+    loads_d = _indices(program, Opcode.LOAD_D)
+    chained = [
+        index
+        for index in _indices(program, Opcode.CALC_I)
+        if program[index + 1].is_calc
+    ]
+    kinds = {
+        "intact": [0],
+        "drop_load_d": loads_d,
+        "drop_load_w": _indices(program, Opcode.LOAD_W),
+        "drop_save": _indices(program, Opcode.SAVE),
+        "shift_rows": [i for i in loads_d if program[i].rows > 1],
+        "halve_channels": [i for i in loads_d if program[i].chs > 1],
+        "swap_chain": chained,
+        "shrink_data_buffer": [0],
+        "shrink_weight_buffer": [0],
+        "shrink_output_buffer": [0],
+    }
+    return {kind: indices for kind, indices in kinds.items() if indices}
+
+
+def _apply(data, program: Program, config, kind: str, index: int):
+    """(mutated program, mutated config) for one drawn mutation."""
+    if kind.startswith("drop_"):
+        return _drop(program, index), config
+    if kind == "shift_rows":
+        load = program[index]
+        return _mutate(program, index, row0=load.row0 + 1, rows=load.rows - 1), config
+    if kind == "halve_channels":
+        return _mutate(program, index, chs=program[index].chs // 2), config
+    if kind == "swap_chain":
+        return _swap(program, index), config
+    if kind.startswith("shrink_"):
+        field, opcode = {
+            "shrink_data_buffer": ("data_buffer_bytes", Opcode.LOAD_D),
+            "shrink_weight_buffer": ("weight_buffer_bytes", Opcode.LOAD_W),
+            "shrink_output_buffer": ("output_buffer_bytes", Opcode.SAVE),
+        }[kind]
+        largest = max(ins.length for ins in program if ins.opcode == opcode)
+        size = data.draw(st.integers(min_value=1, max_value=largest - 1))
+        return program, replace(config, **{field: size})
+    return program, config
+
+
+@pytest.fixture(scope="module")
+def buffer_networks(example_config):
+    return {
+        name: compile_network(build(), example_config, weights="random", seed=11)
+        for name, build in NETWORKS.items()
+    }
+
+
+@pytest.mark.parametrize("network", sorted(NETWORKS))
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_verifier_and_core_trip_at_the_same_instruction(network, data, buffer_networks):
+    """The verifier's first mid-stream BUF finding sits at the instruction
+    where the core raises — timing-only and functional alike — and a program
+    with no such finding runs to completion."""
+    compiled = buffer_networks[network]
+    vi_mode = data.draw(st.sampled_from(["none", "vi"]))
+    program = compiled.program_for(vi_mode)
+    candidates = _buffer_mutations(program)
+    kind = data.draw(st.sampled_from(sorted(candidates)))
+    index = data.draw(st.sampled_from(candidates[kind]))
+    mutated, config = _apply(data, program, compiled.config, kind, index)
+
+    report = Report()
+    sim = BufferSim(mutated, config, layer_table(compiled), report)
+    for position, instruction in enumerate(mutated):
+        if not instruction.is_virtual:
+            sim.step(position, instruction)
+    expected = report.diagnostics[0].index if report.diagnostics else None
+    assert all(d.rule.startswith("BUF00") for d in report)
+
+    for functional in (False, True):
+        raised = core_error_index(
+            compiled, mutated, functional=functional, config=config
+        )
+        assert raised == expected, (kind, index, functional, report.format())
+    if kind == "intact":
+        assert expected is None
+
