@@ -32,7 +32,7 @@ def density_rows(big_config):
             graph,
             big_config,
             weights="zeros",
-            validate=False,
+            verify="off",
             vi_policy=ViPolicy(calc_f_stride=stride),
         )
         if baseline_cycles is None:

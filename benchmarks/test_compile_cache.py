@@ -12,16 +12,21 @@ fresh Python process (so no in-process memo can leak warmth between runs):
 * **warm**     — same directory, now populated: every compile is an
   artefact load.
 
-Cold and warm each run twice (the directory is re-emptied before every
-cold attempt) and the timing comparison takes the fastest attempt per
-mode; every attempt, fast or slow, must still be bit-identical.
+Every mode runs twice (the directory is re-emptied before every cold
+attempt) and the timing comparison takes the fastest attempt per mode;
+every attempt, fast or slow, must still be bit-identical.
 
-Headline claims:
+Headline claims — none of them depends on how fast the compiler is (a
+warm-vs-cold *ratio* floor did: it started failing the day lowering got 2-3x
+cheaper, with the cache no slower than before):
 
-* warm is at least :data:`SPEEDUP_FLOOR` x faster than cold end-to-end;
+* the warm day compiles nothing and stores nothing — every lookup is a hit —
+  and is faster than the uncached day;
 * the warm run is bit-identical to the uncached run — same
   :class:`~repro.farm.metrics.FarmReport`, same outcome multiset — so the
-  cache is a pure wall-clock optimization.
+  cache is a pure wall-clock optimization;
+* per entry, in process, a hit is cheaper than what it replaces: compiling
+  the network and building its ``vi`` :class:`~repro.iau.fastpath.ProgramMeta`.
 
 The day itself is compile-heavy on purpose (six distinct accelerator
 designs, two large networks each): it models the farm's real morning —
@@ -48,11 +53,11 @@ from benchmarks.conftest import write_result
 from repro.compiler.cache import MAGIC, VERSION, CompileCache, cache_key
 from repro.compiler.compile import compile_network
 from repro.container import unframe
+from repro.iau.fastpath import build_program_meta
 from repro.isa.program import Program
 from repro.nn import TensorShape
-from repro.zoo import build_resnet
+from repro.zoo import build_darknet19, build_mobilenet_v1, build_resnet
 
-SPEEDUP_FLOOR = 3.0
 HYDRATE_FLOOR = 10.0
 
 #: Runs inside a fresh interpreter; prints one JSON line. Timing starts
@@ -117,6 +122,9 @@ print(json.dumps({
         for o in result.outcomes
     ),
     "cache": cache.stats.format() if cache is not None else "disabled",
+    "lookups": cache.stats.hits + cache.stats.misses if cache is not None else 0,
+    "hits": cache.stats.hits if cache is not None else 0,
+    "stores": cache.stats.stores if cache is not None else 0,
 }))
 """
 
@@ -145,25 +153,30 @@ def best_of(runs: list[dict]) -> dict:
     return min(runs, key=lambda run: run["seconds"])
 
 
-def test_warm_cache_speedup_and_bit_identity(tmp_path):
+def test_warm_day_compiles_nothing_and_is_bit_identical(tmp_path):
     cache_dir = tmp_path / "compile-cache"
 
-    uncached = run_day(None)
+    uncached_runs = []
     cold_runs = []
     warm_runs = []
     for _ in range(2):
+        uncached_runs.append(run_day(None))
         for entry in cache_dir.glob("*"):  # re-cold: drop every entry
             entry.unlink()
         cold_runs.append(run_day(str(cache_dir)))
         warm_runs.append(run_day(str(cache_dir)))
+    uncached = best_of(uncached_runs)
     cold = best_of(cold_runs)
     warm = best_of(warm_runs)
 
-    for run in cold_runs + warm_runs:
+    for run in uncached_runs + cold_runs + warm_runs:
         assert run["report"] == uncached["report"]
         assert run["outcomes"] == uncached["outcomes"]
+    for run in cold_runs:
+        assert run["hits"] == 0 and run["stores"] == run["lookups"] > 0
+    for run in warm_runs:
+        assert run["hits"] == run["lookups"] > 0 and run["stores"] == 0
 
-    speedup = cold["seconds"] / warm["seconds"]
     speedup_vs_uncached = uncached["seconds"] / warm["seconds"]
 
     lines = [
@@ -178,7 +191,8 @@ def test_warm_cache_speedup_and_bit_identity(tmp_path):
         f"{cold['seconds'] / warm['seconds']:>8.2f}x  {cold['cache']}",
         f"  {'warm':<10} {warm['seconds']:>8.2f}s {1.0:>8.2f}x  {warm['cache']}",
         "",
-        f"  warm-vs-cold speedup: {speedup:.2f}x (floor {SPEEDUP_FLOOR:.1f}x)",
+        f"  warm day: {warm['hits']}/{warm['lookups']} lookups hit, 0 compiles, "
+        f"0 stores; {speedup_vs_uncached:.2f}x faster than uncached (must be > 1)",
         "  bit-identity: cold == warm == uncached "
         "(FarmReport and outcome multiset)",
         "",
@@ -186,10 +200,61 @@ def test_warm_cache_speedup_and_bit_identity(tmp_path):
     ]
     write_result("compile_cache", "\n".join(lines))
 
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"warm-cache farm day only {speedup:.2f}x faster than cold "
-        f"(cold {cold['seconds']:.2f}s, warm {warm['seconds']:.2f}s)"
+    assert warm["seconds"] < uncached["seconds"], (
+        f"warm-cache farm day ({warm['seconds']:.2f}s) no faster than "
+        f"compiling everything ({uncached['seconds']:.2f}s)"
     )
+
+
+def timed(action, repeats: int = 5):
+    """``(fastest wall seconds, last result)`` of ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = action()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def test_hit_is_cheaper_than_what_it_replaces(tmp_path, big_config):
+    """Per entry, in process: loading an entry must beat compiling the
+    network plus building the ``vi`` meta the entry carries."""
+    rows = []
+    for label, graph in (
+        ("mobilenet_v1@224", build_mobilenet_v1()),
+        ("darknet19@224", build_darknet19()),
+    ):
+        cache = CompileCache(tmp_path / label)
+        key = cache_key(graph, big_config, weights="zeros")
+        compile_s, fresh = timed(
+            lambda: compile_network(graph, big_config, weights="zeros", cache=False)
+        )
+        meta_s, _ = timed(lambda: build_program_meta(fresh, fresh.program))
+        first_store_s, _ = timed(lambda: cache.store(key, fresh), repeats=1)
+        store_s, _ = timed(lambda: cache.store(key, fresh))  # meta already built
+        hit_s, warm = timed(lambda: cache.load(key))
+        assert warm is not None and warm.cached_mode_meta("vi") is not None
+        assert warm.program.to_bytes() == fresh.program.to_bytes()
+        plans_s, _ = timed(lambda: warm.plans)
+        entry = cache.probe(key)
+        rows.append(
+            f"  {label:<18} {len(fresh.program):>8,} {compile_s * 1e3:>9.1f} "
+            f"{meta_s * 1e3:>9.1f} {first_store_s * 1e3:>11.1f} {store_s * 1e3:>9.1f} "
+            f"{hit_s * 1e3:>8.1f} {plans_s * 1e3:>9.1f} {entry.payload_bytes / 1024:>9.1f}"
+        )
+        assert hit_s < compile_s + meta_s, (
+            f"{label}: a hit ({hit_s * 1e3:.1f} ms) costs more than compiling "
+            f"({compile_s * 1e3:.1f} ms) and building the meta ({meta_s * 1e3:.1f} ms)"
+        )
+    lines = [
+        f"compile cache: one entry on {big_config.name}, in process, best of 5 (ms)",
+        f"  {'network':<18} {'instrs':>8} {'compile':>9} {'vi meta':>9} "
+        f"{'first store':>11} {'re-store':>9} {'hit':>8} {'.plans':>9} {'KiB':>9}",
+        *rows,
+        "  invariant: hit < compile + vi meta (what a hit replaces); `first store`",
+        "  builds the vi meta, `.plans` is derived on read and stored nowhere",
+    ]
+    write_result("compile_cache_entry", "\n".join(lines))
 
 
 def test_program_hydrate_vs_pickle_oracle(tmp_path, big_config):
@@ -202,16 +267,8 @@ def test_program_hydrate_vs_pickle_oracle(tmp_path, big_config):
     # The oracle: the object graph a pre-v4 entry pickled for the same program.
     pickled = zlib.compress(pickle.dumps((golden.name, golden.instructions), protocol=5), 3)
 
-    def best_of(hydrate):
-        best = float("inf")
-        for _ in range(5):
-            start = time.perf_counter()
-            hydrated = hydrate()
-            best = min(best, time.perf_counter() - start)
-        return best, hydrated
-
-    words_s, adopted = best_of(lambda: Program.from_bytes(zlib.decompress(stored), name))
-    pickle_s, unpickled = best_of(lambda: pickle.loads(zlib.decompress(pickled)))
+    words_s, adopted = timed(lambda: Program.from_bytes(zlib.decompress(stored), name))
+    pickle_s, unpickled = timed(lambda: pickle.loads(zlib.decompress(pickled)))
     assert adopted == golden and adopted.to_bytes() == golden.to_bytes()
     assert Program(*unpickled).to_bytes() == golden.to_bytes()
 

@@ -36,7 +36,7 @@ def e2_result():
     rows = []
     for config in (AcceleratorConfig.big(), AcceleratorConfig.small()):
         for _, factory in _NETWORKS:
-            compiled = compile_network(factory(), config, weights="zeros", validate=False)
+            compiled = compile_network(factory(), config, weights="zeros", verify="off")
             rows.extend(experiment_network_sweep([compiled]).rows)
             del compiled  # free ~100s of MB before the next compile
     from repro.analysis.experiments import E2Result
@@ -52,7 +52,7 @@ def test_e2_regenerate_figure(benchmark):
             build_mobilenet_v1(TensorShape(224, 224, 3)),
             AcceleratorConfig.big(),
             weights="zeros",
-            validate=False,
+            verify="off",
         )
         return experiment_network_sweep([compiled])
 

@@ -30,8 +30,8 @@ Quickstart::
     print(system.summary())             # per-task table: jobs, latency, DDR, preempts
 
 Instrumentation is off by default (``obs=None``) and costs nothing when
-disabled; ``ObsConfig`` selects event recording, the legacy flat trace, and
-the metrics registry independently.
+disabled; ``ObsConfig`` selects event recording and the metrics registry
+independently.
 """
 
 from repro.accel.reference import golden_inference, golden_output

@@ -14,18 +14,15 @@ from repro.accel.pipelined import (
     engine_busy_cycles,
     pipelined_schedule,
 )
-from repro.accel.trace import ExecutionTrace, TraceEvent
 
 __all__ = [
     "AcceleratorCore",
     "Accumulator",
     "CoreStats",
     "DataTile",
-    "ExecutionTrace",
     "OutputGroup",
     "OutputSection",
     "PipelinedSchedule",
-    "TraceEvent",
     "WeightTile",
     "engine_busy_cycles",
     "pipelined_schedule",

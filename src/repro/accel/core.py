@@ -35,7 +35,7 @@ from repro.compiler.layer_config import LayerConfig
 from repro.errors import ExecutionError, IncaError
 from repro.hw.config import AcceleratorConfig
 from repro.hw.ddr import Ddr
-from repro.hw.timing import calc_cycles, transfer_cycles
+from repro.hw.timing import layer_calc_instruction_cycles, transfer_cycles
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.obs.bus import EventBus
@@ -579,15 +579,7 @@ class AcceleratorCore(BufferMachine, Stateful):
                 group.array = result
             elif self.acc is not None:
                 self.acc.array = result
-        kind = layer.kind
-        if kind == "global":
-            cycles = (
-                layer.in_shape.height * layer.in_shape.width
-                + self.config.calc_overhead_cycles
-            )
-        else:
-            kernel = (1, 1) if kind == "add" else layer.kernel
-            cycles = calc_cycles(self.config, layer.out_shape.width, kernel)
+        cycles = layer_calc_instruction_cycles(self.config, layer)
         self.stats.calc_cycles += cycles
         return cycles
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.core import AcceleratorCore
-from repro.accel.trace import ExecutionTrace
 from repro.compiler.compile import CompiledNetwork
 from repro.hw.timing import fetch_cycles
 from repro.obs.bus import EventBus
@@ -39,7 +38,6 @@ def run_program(
     vi_mode: str = "none",
     functional: bool = True,
     input_map: np.ndarray | None = None,
-    trace: ExecutionTrace | None = None,
     bus: EventBus | None = None,
 ) -> RunResult:
     """Execute one inference front to back; returns cycle totals.
@@ -49,16 +47,11 @@ def run_program(
     (skipped) virtual instructions, which is exactly the no-interrupt
     overhead of deploying the VI-ISA.
 
-    ``bus`` receives structured events (instruction retires, DDR bursts);
-    ``trace`` is the legacy flat log, attached to the bus as a sink.
+    ``bus`` receives structured events (instruction retires, DDR bursts).
     """
     if input_map is not None:
         compiled.set_input(input_map)
     program = compiled.program_for(vi_mode)
-    if trace is not None:
-        if bus is None:
-            bus = EventBus(record=False)
-        bus.attach(trace)
     core = AcceleratorCore(
         compiled.config,
         compiled.layout.ddr,

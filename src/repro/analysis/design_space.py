@@ -105,7 +105,7 @@ def explore(
     points = []
     for config in configs:
         try:
-            compiled = compile_network(graph, config, weights="zeros", validate=False)
+            compiled = compile_network(graph, config, weights="zeros", verify="off")
         except CompileError:
             continue  # infeasible design point
         run = run_program(compiled, vi_mode="vi", functional=False)

@@ -48,23 +48,12 @@ def instruction_cycles(compiled: CompiledNetwork, vi_mode: str) -> np.ndarray:
     """Duration of each instruction in straight-line (no-interrupt) flow.
 
     Virtual instructions cost only their fetch; real instructions cost fetch
-    plus execution, matching the IAU's accounting: one
-    :func:`repro.hw.timing.instruction_cycles` per instruction *kind*
-    (:meth:`~repro.isa.program.Program.kinds`), spread back over the program.
+    plus execution, matching the IAU's accounting: the per-kind prices of
+    :func:`repro.hw.timing.kind_cycles` spread back over the program.
     """
-    program = compiled.program_for(vi_mode)
     config = compiled.config
-    first, inverse, _ = program.kinds()
-    per_kind = np.array(
-        [
-            timing.instruction_cycles(
-                config, program[index], compiled.layer_config(program[index].layer_id)
-            )
-            for index in first.tolist()
-        ],
-        dtype=np.int64,
-    )
-    return per_kind[inverse] + timing.fetch_cycles(config)
+    priced = timing.kind_cycles(config, compiled, compiled.program_for(vi_mode))
+    return priced.cycles[priced.inverse] + timing.fetch_cycles(config)
 
 
 def switch_events(
@@ -141,18 +130,13 @@ def window_profile(
 
 def layer_windows(compiled: CompiledNetwork, vi_mode: str, durations: np.ndarray) -> dict[int, tuple[int, int]]:
     """layer_id -> (start, stop) cycle window along the straight-line run."""
-    program = compiled.program_for(vi_mode)
+    layer_id = compiled.program_for(vi_mode).words["layer_id"]
     ends = np.cumsum(durations)
     starts = ends - durations
     windows: dict[int, tuple[int, int]] = {}
-    for index, instruction in enumerate(program):
-        lo, hi = windows.get(
-            instruction.layer_id, (int(starts[index]), int(ends[index]))
-        )
-        windows[instruction.layer_id] = (
-            min(lo, int(starts[index])),
-            max(hi, int(ends[index])),
-        )
+    for layer in np.unique(layer_id).tolist():
+        mask = layer_id == layer
+        windows[layer] = (int(starts[mask].min()), int(ends[mask].max()))
     return windows
 
 

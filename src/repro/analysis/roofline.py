@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.tables import format_table
 from repro.compiler.compile import CompiledNetwork
-from repro.hw.timing import calc_cycles, transfer_cycles
+from repro.hw.timing import kind_cycles
 from repro.isa.opcodes import Opcode
 
 
@@ -87,30 +89,29 @@ class RooflineReport:
 
 
 def roofline_report(compiled: CompiledNetwork) -> RooflineReport:
-    """Accumulate per-layer CALC and DMA cycles from the compiled program."""
-    config = compiled.config
-    calc: dict[int, int] = {}
-    dma: dict[int, int] = {}
-    for instruction in compiled.programs["none"]:
-        layer = compiled.layer_config(instruction.layer_id)
-        if instruction.opcode in (Opcode.LOAD_D, Opcode.LOAD_W, Opcode.SAVE):
-            dma[layer.layer_id] = dma.get(layer.layer_id, 0) + transfer_cycles(
-                config, instruction.length
-            )
-        elif instruction.is_calc:
-            if layer.kind == "global":
-                cycles = layer.in_shape.height * layer.in_shape.width
-            elif layer.kind == "add":
-                cycles = calc_cycles(config, layer.out_shape.width, (1, 1))
-            else:
-                cycles = calc_cycles(config, layer.out_shape.width, layer.kernel)
-            calc[layer.layer_id] = calc.get(layer.layer_id, 0) + cycles
+    """Per-layer CALC and DMA cycles of the original program: its kind
+    prices (the simulator's own) times their counts, summed by layer."""
+    program = compiled.programs["none"]
+    priced = kind_cycles(compiled.config, compiled, program)
+    totals = priced.cycles * priced.counts
+    opcode = program.words["opcode"][priced.first]
+    layer_id = program.words["layer_id"][priced.first]
+    num_ids = max(layer.layer_id for layer in compiled.layer_configs) + 1
+
+    def by_layer(opcodes: tuple[Opcode, ...]) -> np.ndarray:
+        mask = np.isin(opcode, opcodes)
+        sums = np.zeros(num_ids, dtype=np.int64)
+        np.add.at(sums, layer_id[mask], totals[mask])
+        return sums
+
+    calc = by_layer((Opcode.CALC_I, Opcode.CALC_F))
+    dma = by_layer((Opcode.LOAD_D, Opcode.LOAD_W, Opcode.SAVE))
     layers = [
         LayerRoofline(
             name=layer.name,
             kind=layer.kind,
-            calc_cycles=calc.get(layer.layer_id, 0),
-            dma_cycles=dma.get(layer.layer_id, 0),
+            calc_cycles=int(calc[layer.layer_id]),
+            dma_cycles=int(dma[layer.layer_id]),
         )
         for layer in compiled.layer_configs
     ]

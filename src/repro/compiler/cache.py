@@ -12,11 +12,13 @@ content-addressed store that makes the reuse cross-process:
   quantization percentile, verify gate) and the compiler fingerprint
   (package version + cache format).  Any delta in any input produces a new
   key — invalidation is automatic, stale entries are simply never read.
-* **value** — the pickled :class:`~repro.compiler.compile.CompiledNetwork`
-  (layout, layer configs, plans, quantization), every vi-mode program as
-  its ``instruction.bin`` frame, plus the precomputed
-  :class:`~repro.iau.fastpath.ProgramMeta` prefix sums, so
-  ``execution_meta`` is warm from the very first job of a fresh process.
+* **value** — what is expensive to rebuild: the pickled
+  :class:`~repro.compiler.compile.CompiledNetwork` shell (layout, layer
+  configs, quantization) with its ``vi_mode ->``
+  :class:`~repro.iau.fastpath.ProgramMeta` table, so ``execution_meta`` is
+  warm from the very first job of a fresh process, and every vi-mode
+  program as its ``instruction.bin`` frame.  What is a millisecond function
+  of fields the network already holds (the tiling plans) is not stored.
 * **format** — the :mod:`repro.container` frame snapshots use: a magic +
   CRC32 header over the payload, written atomically (tmp + fsync +
   rename), so concurrent farm/gateway workers can share one cache
@@ -35,30 +37,27 @@ gateway worker subprocesses pick the cache up without any plumbing.
 clears a cache directory (see ``--help``).
 
 An entry is one :mod:`repro.container` frame (magic ``INCACCHE``) around a
-pickle of ``{"meta", "body", "programs", "plans"}``.
+pickle of ``{"meta", "body", "programs"}``.
 ``meta`` is a small mapping (key, graph/config names, instruction count,
 creation time, compiler fingerprint) readable without decompressing the
 artefact — what ``entries()``/the CLI ``ls`` report.  ``body`` is a
 zlib-compressed pickle of the network shell (layout, layer configs,
-quantization) plus its precomputed metas; ``programs`` maps each vi-mode
-to ``(name, zlib-compressed INCAPROG frame)`` — the program's
-``instruction.bin``, adopted on load as a word array with no per-instruction
-work, so all variants hydrate eagerly; ``plans`` is a zlib-compressed
-pickle that hydrates lazily, because the runtime never reads the tiling
-plans.
+quantization, its meta table); ``programs`` maps each vi-mode to ``(name,
+zlib-compressed INCAPROG frame)`` — the program's ``instruction.bin``,
+adopted on load as a word array with no per-instruction work, so all
+variants hydrate eagerly.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import io
 import os
 import pickle
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
@@ -72,7 +71,6 @@ from repro.obs.events import EventKind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compile import CompiledNetwork
     from repro.hw.config import AcceleratorConfig
-    from repro.iau.fastpath import ProgramMeta
     from repro.nn.graph import NetworkGraph
     from repro.obs.bus import EventBus
 
@@ -85,8 +83,9 @@ MAGIC = b"INCACCHE"
 #: a clean miss.  v3: the pickled :class:`~repro.hw.ddr.Ddr` inside a
 #: network's layout carries its base-sorted region index; a v2 ``Ddr``
 #: lacks it and could not list or adopt regions.  v4: programs are stored
-#: as ``INCAPROG`` frames, not pickles.
-VERSION = 4
+#: as ``INCAPROG`` frames, not pickles.  v5: the network shell carries its
+#: own meta table (no sibling ``metas``) and no tiling plans are stored.
+VERSION = 5
 
 #: Environment variable naming the default cache directory.  When set,
 #: every :func:`~repro.compiler.compile.compile_network` call without an
@@ -96,10 +95,10 @@ CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 
 _SUFFIX = ".inca"
 
-#: Program variants whose :class:`ProgramMeta` is precomputed at store time
-#: (the deployment artefact's fast path is warm from the first job; the
-#: other variants rebuild lazily as before).
-DEFAULT_META_MODES = ("vi",)
+#: Program variants whose :class:`~repro.iau.fastpath.ProgramMeta` is built
+#: at store time (the deployment artefact's fast path is warm from the first
+#: job; the other variants build on first use).
+STORED_META_MODES = ("vi",)
 
 
 def compiler_fingerprint() -> str:
@@ -225,60 +224,6 @@ def _dumps_body(document: Any) -> bytes:
     return buffer.getvalue()
 
 
-class _LazyPlans(list):
-    """Tiling-plan list that hydrates from its compressed blob on first use.
-
-    ``CompiledNetwork.plans`` is a compiler- and test-facing artefact
-    (tiling inspection); the runtime never reads it, so a warm load keeps
-    it compressed until something actually looks.  Any observation
-    (length, indexing, iteration, equality, pickling) hydrates the whole
-    list, after which it is indistinguishable from the plain list a fresh
-    compile produces.
-    """
-
-    def __init__(self, blob: bytes):
-        super().__init__()
-        self._blob: bytes | None = blob
-
-    def _hydrate(self) -> None:
-        if self._blob is not None:
-            blob, self._blob = self._blob, None
-            super().extend(pickle.loads(zlib.decompress(blob)))
-
-    def __len__(self) -> int:
-        self._hydrate()
-        return super().__len__()
-
-    def __getitem__(self, index):
-        self._hydrate()
-        return super().__getitem__(index)
-
-    def __iter__(self):
-        self._hydrate()
-        return super().__iter__()
-
-    def __reversed__(self):
-        self._hydrate()
-        return super().__reversed__()
-
-    def __contains__(self, item: object) -> bool:
-        self._hydrate()
-        return super().__contains__(item)
-
-    def __eq__(self, other: object) -> bool:
-        self._hydrate()
-        if isinstance(other, _LazyPlans):
-            other._hydrate()
-        return super().__eq__(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self):
-        # Pickles (and deep-copies) as the plain list it stands in for.
-        self._hydrate()
-        return (list, (list(iter(self)),))
-
-
 class CompileCache:
     """A content-addressed directory of compiled networks.
 
@@ -287,19 +232,12 @@ class CompileCache:
     CRC32 before unpickling.  All read-path failures degrade to a miss.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        bus: "EventBus | None" = None,
-        meta_modes: tuple[str, ...] = DEFAULT_META_MODES,
-    ):
+    def __init__(self, root: str | Path, *, bus: "EventBus | None" = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: Optional obs bus: COMPILE_CACHE_HIT / COMPILE_CACHE_MISS events
         #: (cycle 0 — compile time is host time, not simulated time).
         self.bus = bus
-        self.meta_modes = tuple(meta_modes)
         self.stats = CacheStats()
 
     # -- paths -------------------------------------------------------------
@@ -323,26 +261,17 @@ class CompileCache:
         must not break the compile that just succeeded): failures count in
         ``stats.store_failures`` and return ``None``.
         """
-        metas = {
-            mode: network.execution_meta(network.programs[mode])
-            for mode in self.meta_modes
-            if mode in network.programs
-        }
+        for mode in STORED_META_MODES:
+            network.meta(mode)
         programs = {
             mode: (program.name, zlib.compress(program.to_bytes(), 3))
             for mode, program in network.programs.items()
         }
-        plans = zlib.compress(
-            pickle.dumps(list(network.plans), protocol=pickle.HIGHEST_PROTOCOL), 3
-        )
-        # Shallow clone with programs and plans detached: the body then
-        # carries layout/configs/quantization only (instructions and tiling
-        # plans are flat records with no references into the rest of the
-        # artefact, so splitting them out loses no shared structure).
-        shell = copy.copy(network)
-        shell.programs = {}
-        shell.plans = []
-        body = zlib.compress(_dumps_body({"network": shell, "metas": metas}), 3)
+        # Shallow clone with the programs detached: the body then carries
+        # layout / configs / quantization / metas only (instructions are
+        # flat records with no references into the rest of the artefact,
+        # so splitting them out loses no shared structure).
+        body = zlib.compress(_dumps_body(replace(network, programs={})), 3)
         meta = {
             "key": key,
             "graph": network.graph.name,
@@ -352,7 +281,7 @@ class CompileCache:
             "fingerprint": compiler_fingerprint(),
         }
         payload = pickle.dumps(
-            {"meta": meta, "body": body, "programs": programs, "plans": plans},
+            {"meta": meta, "body": body, "programs": programs},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         path = self.path_for(key)
@@ -385,9 +314,8 @@ class CompileCache:
         """The cached artefact for ``key``, or ``None`` (always a miss,
         never an error).  Every program variant is adopted from its stored
         frame (a damaged one — bad CRC, unknown opcode byte, reserved bits —
-        is a counted ``corrupt`` miss) and the stored :class:`ProgramMeta`
-        objects prime ``execution_meta`` and the mode-keyed meta table;
-        only the tiling plans hydrate lazily."""
+        is a counted ``corrupt`` miss); the shell arrives with its meta
+        table, so nothing is built or planned here."""
         document = self._read_document(self.path_for(key))
         if document is None:
             return None
@@ -395,17 +323,11 @@ class CompileCache:
         if meta.get("fingerprint") != compiler_fingerprint():
             return None  # copied in from another build: recompile
         try:
-            inner = pickle.loads(zlib.decompress(document["body"]))
-            network: "CompiledNetwork" = inner["network"]
-            metas: dict[str, "ProgramMeta"] = inner["metas"]
+            network: "CompiledNetwork" = pickle.loads(zlib.decompress(document["body"]))
             network.programs = {
                 mode: Program.from_bytes(zlib.decompress(blob), name=name)
                 for mode, (name, blob) in document["programs"].items()
             }
-            for mode, stored in metas.items():
-                network.prime_execution_meta(network.programs[mode], stored)
-            network.plans = _LazyPlans(document["plans"])
-            network._mode_metas = dict(metas)
         except Exception:
             self.stats.corrupt += 1
             return None

@@ -15,16 +15,15 @@ paper's VI-ISA) and ``"layer"`` (the layer-by-layer interrupt baseline).
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
 from repro.compiler.allocator import NetworkLayout, allocate_network
 from repro.compiler.layer_config import LayerConfig
 from repro.compiler.lowering import build_layer_configs, lower_network
-from repro.compiler.tiling import LayerPlan
+from repro.compiler.tiling import LayerPlan, plan_layer
 from repro.compiler.vi_pass import (
     DEFAULT_VI_POLICY,
     ViPolicy,
@@ -40,6 +39,7 @@ from repro.nn.graph import NetworkGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.cache import CompileCache
+    from repro.iau.fastpath import ProgramMeta
 
 #: Program variants a compile produces.
 VI_MODES = ("none", "vi", "layer")
@@ -53,20 +53,16 @@ class CompiledNetwork:
     config: AcceleratorConfig
     layout: NetworkLayout
     layer_configs: list[LayerConfig]
-    plans: list[LayerPlan]
     quantization: dict[str, LayerQuantization]
     programs: dict[str, Program]
-    _configs_by_id: dict[int, LayerConfig] = field(init=False)
-    _meta_cache: dict = field(init=False, repr=False)
+    #: The static description of each program variant, ``vi_mode ->
+    #: ProgramMeta``: filled on first use by :meth:`meta`, pickled with the
+    #: network, and stored in (hence warm from) the on-disk compile cache.
+    metas: dict[str, ProgramMeta] = field(default_factory=dict, repr=False)
+    _configs_by_id: dict[int, LayerConfig] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._configs_by_id = {cfg.layer_id: cfg for cfg in self.layer_configs}
-        self._meta_cache = {}
-        #: Mode-keyed ProgramMeta table, filled by the on-disk compile
-        #: cache at load time.  Unlike ``_meta_cache`` it is keyed by
-        #: vi-mode name, not program identity, so consumers can read
-        #: precomputed totals by name.
-        self._mode_metas = {}
 
     # -- program access ----------------------------------------------------
 
@@ -80,6 +76,14 @@ class CompiledNetwork:
             raise CompileError(f"unknown vi_mode {vi_mode!r}; choose from {VI_MODES}")
         return self.programs[vi_mode]
 
+    def variant_of(self, program: Program) -> str | None:
+        """The vi-mode under which ``program`` *is* (by identity) one of this
+        network's variants, or ``None`` for a hand-built program."""
+        for vi_mode, candidate in self.programs.items():
+            if candidate is program:
+                return vi_mode
+        return None
+
     def layer_config(self, layer_id: int) -> LayerConfig:
         try:
             return self._configs_by_id[layer_id]
@@ -88,80 +92,48 @@ class CompiledNetwork:
                 f"network {self.graph.name!r} has no layer id {layer_id}"
             ) from None
 
-    def execution_meta(self, program: Program):
-        """Fast-path metadata of ``program`` on this network's accelerator.
+    @property
+    def plans(self) -> list[LayerPlan]:
+        """The tiling plan of every layer, derived when read: a millisecond
+        function of ``(config, layer_configs)`` that only tiling inspection
+        looks at, so it is neither kept nor stored."""
+        return [plan_layer(self.config, layer) for layer in self.layer_configs]
 
-        Built lazily and cached for the lifetime of the *program*, so every
-        system simulating the same workload shares one O(n) precomputation
-        (see :mod:`repro.iau.fastpath`).  The cache holds weak references:
-        when a program dies, its entry (and the ``ProgramMeta`` it pinned)
-        is evicted, so transient programs cannot accumulate — and an id
-        reused by the allocator can never alias a dead entry.
-        """
-        entry = self._meta_cache.get(id(program))
-        if entry is not None and entry[0]() is program:
-            return entry[1]
-        from repro.iau.fastpath import build_program_meta
+    # -- static description ------------------------------------------------
 
-        meta = build_program_meta(self, program)
-        self.prime_execution_meta(program, meta)
+    def meta(self, vi_mode: str) -> ProgramMeta:
+        """Fast-path metadata of the ``vi_mode`` variant on this network's
+        accelerator (see :mod:`repro.iau.fastpath`): built on first use,
+        then shared by every system simulating the same workload."""
+        meta = self.metas.get(vi_mode)
+        if meta is None:
+            # Deferred (fastpath imports the core, which imports the
+            # compiler's types) and looked up on the module at call time.
+            from repro.iau import fastpath
+
+            meta = fastpath.build_program_meta(self, self.program_for(vi_mode))
+            self.metas[vi_mode] = meta
         return meta
 
-    def cached_execution_meta(self, program: Program):
-        """The already-built/primed meta of ``program``, or ``None``.
+    def execution_meta(self, program: Program) -> ProgramMeta:
+        """:meth:`meta` of the variant ``program`` is.  A hand-built program
+        is priced when asked and not kept."""
+        vi_mode = self.variant_of(program)
+        if vi_mode is not None:
+            return self.meta(vi_mode)
+        from repro.iau import fastpath
+
+        return fastpath.build_program_meta(self, program)
+
+    def cached_mode_meta(self, vi_mode: str) -> ProgramMeta | None:
+        """The ``vi_mode`` variant's meta if it has been built (in this
+        process, or before the network was pickled / stored), else ``None``.
 
         A peek that never triggers the O(n) precomputation — consumers that
-        only *prefer* the meta (e.g. the cycle estimator) use this to avoid
-        building one they would use a single field of.
+        only *prefer* the meta (the cycle estimator) use it to avoid
+        building one they would read a single field of.
         """
-        entry = self._meta_cache.get(id(program))
-        if entry is not None and entry[0]() is program:
-            return entry[1]
-        return None
-
-    def cached_mode_meta(self, vi_mode: str):
-        """The stored meta of the ``vi_mode`` variant, or ``None``.
-
-        Served from the mode-keyed table the on-disk compile cache fills at
-        load time — the peek behind O(1) warm-start cycle estimates (see
-        :func:`~repro.estimate.estimate_service_cycles`).
-        """
-        return self._mode_metas.get(vi_mode)
-
-    def prime_execution_meta(self, program: Program, meta) -> None:
-        """Install precomputed fast-path metadata for ``program``.
-
-        Used by the on-disk compile cache to make ``execution_meta`` warm
-        from the first job of a fresh process; also the sole writer of the
-        internal meta cache.
-        """
-        key = id(program)
-        cache = self._meta_cache
-
-        def _evict(ref: weakref.ref) -> None:
-            entry = cache.get(key)
-            # Only drop the entry this ref owns: by the time the callback
-            # runs, the id may already name a different, live program.
-            if entry is not None and entry[0] is ref:
-                del cache[key]
-
-        cache[key] = (weakref.ref(program, _evict), meta)
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        # Weak references and the id-keyed caches do not survive a process
-        # boundary; both rebuild cheaply (or are re-primed by the cache).
-        state = dict(self.__dict__)
-        state.pop("_meta_cache", None)
-        state.pop("_configs_by_id", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._configs_by_id = {cfg.layer_id: cfg for cfg in self.layer_configs}
-        self._meta_cache = {}
-        self.__dict__.setdefault("_mode_metas", {})
+        return self.metas.get(vi_mode)
 
     # -- host-side I/O -------------------------------------------------------
 
@@ -190,9 +162,6 @@ class CompiledNetwork:
 
     # -- reporting -------------------------------------------------------------
 
-    def num_interrupt_points(self) -> int:
-        return self.program.num_virtual()
-
     def report(self) -> str:
         vi = self.programs["vi"]
         original = self.programs["none"]
@@ -215,11 +184,10 @@ def compile_network(
     base_addr: int = 0,
     weights: str = "random",
     seed: int = 0,
-    validate: bool = True,
     vi_policy: ViPolicy = DEFAULT_VI_POLICY,
     weight_percentile: float = 99.9,
-    verify: str | None = None,
-    cache: "CompileCache | bool | None" = None,
+    verify: str = "structural",
+    cache: "CompileCache | Literal[False] | None" = None,
 ) -> CompiledNetwork:
     """Compile ``graph`` for ``config``.
 
@@ -229,13 +197,11 @@ def compile_network(
     multiple compiled networks can share one address space.  ``vi_policy``
     controls interrupt-position selection (default: every legal point).
 
-    ``verify`` selects the static-verification gate: ``"structural"`` runs
-    the program-shape rules (the default when ``validate`` is true),
-    ``"full"`` additionally runs the abstract-interpretation passes of
-    :mod:`repro.verify` over the compiled artefact, and ``"off"`` skips
-    verification entirely.  When ``verify`` is given it overrides the legacy
-    ``validate`` flag.  Violations raise :class:`~repro.errors.ProgramError`
-    carrying the full diagnostics report.
+    ``verify`` selects the static-verification gate: ``"structural"`` (the
+    default) runs the program-shape rules, ``"full"`` additionally runs the
+    abstract-interpretation passes of :mod:`repro.verify` over the compiled
+    artefact, and ``"off"`` skips verification entirely.  Violations raise
+    :class:`~repro.errors.ProgramError` carrying the full diagnostics report.
 
     ``cache`` is a :class:`~repro.compiler.cache.CompileCache`: a hit skips
     the whole pipeline (including verification — the artefact was verified
@@ -244,10 +210,9 @@ def compile_network(
     uses the directory named by ``REPRO_COMPILE_CACHE`` when set; pass
     ``False`` to force a fresh compile even then.
     """
-    mode = verify if verify is not None else ("structural" if validate else "off")
-    if mode not in ("off", "structural", "full"):
+    if verify not in ("off", "structural", "full"):
         raise CompileError(
-            f"unknown verify mode {mode!r}; choose 'off', 'structural' or 'full'"
+            f"unknown verify mode {verify!r}; choose 'off', 'structural' or 'full'"
         )
     if cache is None:
         from repro.compiler.cache import default_cache
@@ -268,7 +233,7 @@ def compile_network(
             seed=seed,
             vi_policy=vi_policy,
             weight_percentile=weight_percentile,
-            verify_mode=mode,
+            verify_mode=verify,
         )
         start = time.perf_counter()
         hit = cache.load(key)
@@ -287,7 +252,7 @@ def compile_network(
     layer_configs = build_layer_configs(graph, layout, quantization)
     if not layer_configs:
         raise CompileError(f"network {graph.name!r} has no accelerator layers")
-    original, plans = lower_network(config, layer_configs, layout)
+    original = lower_network(config, layer_configs, layout)
 
     programs = {
         "none": Program.from_words(f"{graph.name}.orig", original),
@@ -298,7 +263,7 @@ def compile_network(
             f"{graph.name}.layer", insert_layer_barriers(original)
         ),
     }
-    if mode == "structural":
+    if verify == "structural":
         for program in programs.values():
             validate_program(program)
     compiled = CompiledNetwork(
@@ -306,11 +271,10 @@ def compile_network(
         config=config,
         layout=layout,
         layer_configs=layer_configs,
-        plans=plans,
         quantization=quantization,
         programs=programs,
     )
-    if mode == "full":
+    if verify == "full":
         # Imported lazily: repro.verify is a downstream consumer of the
         # compiler's types and must not be a hard import dependency here.
         from repro.verify.engine import verify_network

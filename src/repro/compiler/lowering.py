@@ -154,18 +154,18 @@ def lower_network(
     config: AcceleratorConfig,
     layer_configs: list[LayerConfig],
     layout: NetworkLayout,
-) -> tuple[np.ndarray, list[LayerPlan]]:
+) -> np.ndarray:
     """Emit the original-ISA word array for the whole network."""
-    plans = [plan_layer(config, layer) for layer in layer_configs]
-    if not plans:
+    if not layer_configs:
         raise CompileError("network lowered to an empty instruction stream")
-    # Packed layer by layer, so the int64 columns of only one layer exist at
-    # a time; every value is still range-checked exactly once.
+    # Planned and packed layer by layer, so the tiling plan and the int64
+    # columns of only one layer exist at a time; every value is still
+    # range-checked exactly once.
     blocks = [
-        pack_words(_lower_layer(config, layer, plan, layout))
-        for layer, plan in zip(layer_configs, plans)
+        pack_words(_lower_layer(config, layer, plan_layer(config, layer), layout))
+        for layer in layer_configs
     ]
-    return np.concatenate([block.view(np.uint8) for block in blocks]).view(WORD_DTYPE), plans
+    return np.concatenate([block.view(np.uint8) for block in blocks]).view(WORD_DTYPE)
 
 
 def _join(blocks: list[np.ndarray]) -> np.ndarray:

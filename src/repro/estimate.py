@@ -6,10 +6,10 @@ gate (:mod:`repro.qos.admission`) and the farm's predictive scheduler
 the cycle.  This module is the one documented estimator they share:
 
 * :func:`estimate_job_cycles` — static cost of one *uninterrupted* job,
-  computed instruction kind by instruction kind from the same
-  :mod:`repro.hw.timing` model the core uses.  Exact on the
-  no-interrupt path (equal to ``RunResult.total_cycles`` of
-  :func:`~repro.accel.runner.run_program`).
+  computed instruction kind by instruction kind
+  (:func:`repro.hw.timing.kind_cycles`) from the same timing model the core
+  uses.  Exact on the no-interrupt path (equal to
+  ``RunResult.total_cycles`` of :func:`~repro.accel.runner.run_program`).
 * :class:`RemainingCycles` — the same prediction at every instruction
   boundary, backed by the fast path's cached
   :class:`~repro.iau.fastpath.ProgramMeta` prefix sums, so "how many
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import SchedulerError
-from repro.hw.timing import fetch_cycles, instruction_cycles
+from repro.hw.timing import fetch_cycles, kind_cycles
 
 if TYPE_CHECKING:
     from repro.compiler.compile import CompiledNetwork
@@ -41,51 +41,37 @@ def estimate_job_cycles(
     DDR, so a scheduler can price a job it has not run yet.  Virtual
     instructions cost their fetch only — exactly what they cost on the
     uninterrupted path.  The sum runs over the program's instruction
-    *kinds* (:meth:`~repro.isa.program.Program.kinds`), one
-    ``instruction_cycles`` each times how often the kind occurs, so pricing
-    a fresh compile decodes a few hundred instructions, not all of them.
+    *kinds*, one price each times how often the kind occurs, so pricing a
+    fresh compile decodes a few hundred instructions, not all of them, and
+    builds no meta to answer.
 
-    When the network already carries fast-path metadata for this program
-    (built by a previous run, or primed by the on-disk compile cache), the
-    answer is read off its prefix sums instead — same timing model, same
-    value, O(1).
+    When the network's meta table already describes this program (built by
+    a previous run, or stored with the network in the on-disk compile
+    cache), the answer is read off its prefix sums instead — same timing
+    model, same value, O(1), no instruction decoded.
     """
-    if config == compiled.config:
-        meta = compiled.cached_execution_meta(program)
+    vi_mode = compiled.variant_of(program)
+    if vi_mode is not None and config == compiled.config:
+        meta = compiled.cached_mode_meta(vi_mode)
         if meta is not None:
             return meta.total_cycles
-    first, _, counts = program.kinds()
-    total = fetch_cycles(config) * len(program)
-    for index, count in zip(first.tolist(), counts.tolist()):
-        instruction = program[index]  # one decode per kind, not per instruction
-        total += count * instruction_cycles(
-            config, instruction, compiled.layer_config(instruction.layer_id)
-        )
-    return total
+    priced = kind_cycles(config, compiled, program)
+    return fetch_cycles(config, len(program)) + int(priced.cycles @ priced.counts)
 
 
 def estimate_service_cycles(
     config: "AcceleratorConfig", compiled: "CompiledNetwork", vi_mode: str = "vi"
 ) -> int:
-    """:func:`estimate_job_cycles` for a vi-mode, by name.
-
-    Same value, but when the network came out of the on-disk compile cache
-    the answer is read from the stored mode-keyed :class:`ProgramMeta` —
-    a warm-started dispatcher prices every (node, service) pair in O(1)
-    without decoding one instruction of the adopted word arrays.
-    """
-    if config == compiled.config:
-        meta = compiled.cached_mode_meta(vi_mode)
-        if meta is not None:
-            return meta.total_cycles
+    """:func:`estimate_job_cycles` of a variant, by vi-mode name — how a
+    dispatcher prices every (node, service) pair."""
     return estimate_job_cycles(config, compiled, compiled.program_for(vi_mode))
 
 
 class RemainingCycles:
     """Exact remaining-cycle predictions over a program's prefix sums.
 
-    Wraps the :class:`~repro.iau.fastpath.ProgramMeta` cached on the
-    compiled network (built once per ``(network, program)`` pair), exposing
+    Wraps the :class:`~repro.iau.fastpath.ProgramMeta` in the compiled
+    network's table (built once per ``(network, variant)`` pair), exposing
     the cumulative-cycle table as a prediction surface::
 
         predictor = RemainingCycles(compiled)           # the "vi" program

@@ -14,7 +14,9 @@ paper's backup-vs-convolution table (e.g. the 30x40x512->512 3x3 layer:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro.errors import HardwareError
 from repro.hw.config import AcceleratorConfig
@@ -22,8 +24,10 @@ from repro.isa.opcodes import Opcode
 from repro.units import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.compiler.compile import CompiledNetwork
     from repro.compiler.layer_config import LayerConfig
     from repro.isa.instructions import Instruction
+    from repro.isa.program import Program
 
 
 def calc_cycles(
@@ -38,6 +42,20 @@ def calc_cycles(
     if kh <= 0 or kw <= 0:
         raise HardwareError(f"kernel must be positive, got {kernel}")
     return out_width * kh * kw + config.calc_overhead_cycles
+
+
+def layer_calc_instruction_cycles(config: AcceleratorConfig, layer: "LayerConfig") -> int:
+    """Cycles of one CALC of ``layer`` — the price the core charges and
+    every estimator quotes.
+
+    conv / depthwise / pool share the MAC-array formula; an elementwise add
+    is a 1x1 window per output column; global pooling sweeps the whole input
+    plane, one position per cycle.
+    """
+    if layer.kind == "global":
+        return calc_cycles(config, layer.in_shape.height * layer.in_shape.width, (1, 1))
+    kernel = (1, 1) if layer.kind == "add" else layer.kernel
+    return calc_cycles(config, layer.out_shape.width, kernel)
 
 
 def blob_calc_count(in_channels: int, para_in: int) -> int:
@@ -96,16 +114,38 @@ def instruction_cycles(
         # A fully pre-saved SAVE (chs == 0) retires for free.
         return transfer_cycles(config, instruction.length) if instruction.chs else 0
     if opcode in (Opcode.CALC_I, Opcode.CALC_F):
-        if layer.kind == "add":
-            return calc_cycles(config, layer.out_shape.width, (1, 1))
-        if layer.kind == "global":
-            return (
-                layer.in_shape.height * layer.in_shape.width
-                + config.calc_overhead_cycles
-            )
-        # conv / depthwise / pool share the MAC-array formula.
-        return calc_cycles(config, layer.out_shape.width, layer.kernel)
+        return layer_calc_instruction_cycles(config, layer)
     raise HardwareError(f"no timing model for opcode {opcode.name}")
+
+
+class KindCycles(NamedTuple):
+    """A program priced kind by kind (see :func:`kind_cycles`)."""
+
+    #: Execute cycles of each instruction kind, excluding its fetch (int64).
+    cycles: np.ndarray
+    #: The kind table it was priced from: ``program[first[k]]`` stands for
+    #: kind ``k``, ``cycles[inverse]`` is the per-instruction column and
+    #: ``cycles @ counts`` the program's execute total.
+    first: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
+
+
+def kind_cycles(
+    config: AcceleratorConfig, compiled: "CompiledNetwork", program: "Program"
+) -> KindCycles:
+    """Price ``program`` on ``config``: one :func:`instruction_cycles` per
+    instruction *kind* (:meth:`~repro.isa.program.Program.kinds`), so a
+    100k-instruction network decodes a few hundred instructions.
+
+    Every straight-line price — the job estimate, the latency profiles'
+    duration column, ``ProgramMeta``'s prefix sums, the compile report and
+    the roofline — is a gather or a weighted sum over this one table.
+    """
+    first, inverse, counts = program.kinds()
+    kinds = [program[index] for index in first.tolist()]  # one decode per kind
+    cycles = [instruction_cycles(config, ins, compiled.layer_config(ins.layer_id)) for ins in kinds]
+    return KindCycles(np.array(cycles, dtype=np.int64), first, inverse, counts)
 
 
 def fetch_cycles(config: AcceleratorConfig, num_instructions: int = 1) -> int:

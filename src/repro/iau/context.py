@@ -230,11 +230,11 @@ class TaskContext(Stateful):
         Programs are captured *by reference key*, not by value: the restore
         side resolves the key against its own (identical) compiled network,
         which keeps snapshots small and guarantees the restored context runs
-        the exact Program object its ``execution_meta`` cache is keyed on.
+        the exact Program object the network's meta table describes.
         """
-        for key, candidate in self.compiled.programs.items():
-            if candidate is program:
-                return key
+        key = self.compiled.variant_of(program)
+        if key is not None:
+            return key
         raise IauError(
             f"task {self.task_id}: program is not a variant of its compiled "
             "network (cannot snapshot a hand-built program)"

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.accel.core import DataTile, WeightTile
 from repro.faults.plan import FaultSite
-from repro.hw.timing import fetch_cycles, instruction_cycles
+from repro.hw.timing import fetch_cycles, kind_cycles
 from repro.isa.instructions import FLAG_OPERAND_B, Instruction
 from repro.isa.opcodes import Opcode
 
@@ -316,18 +316,18 @@ class ProgramMeta:
 
 
 def _kind_template(
-    compiled: "CompiledNetwork", instruction: Instruction
-) -> tuple[int, _EventSpec | None, tuple[FaultSite, ...]]:
-    """``(cycles, event template, batch draws)`` of one instruction — a
-    function of its opcode, layer, length, ``chs != 0`` and the operand-B /
-    switch-point flags only, which is what :func:`build_program_meta` keys
-    its per-kind table on (:meth:`Program.kinds`)."""
+    compiled: "CompiledNetwork", instruction: Instruction, cycles: int
+) -> tuple[_EventSpec | None, tuple[FaultSite, ...]]:
+    """``(event template, batch draws)`` of one instruction costing
+    ``cycles`` — a function of its opcode, layer, length, ``chs != 0`` and
+    the operand-B / switch-point flags only, which is what
+    :func:`build_program_meta` keys its per-kind table on
+    (:meth:`Program.kinds`)."""
     layer = compiled.layer_config(instruction.layer_id)
-    cycles = instruction_cycles(compiled.config, instruction, layer)
     draws = batch_draws(instruction)
     if instruction.is_virtual:
         # Discarded after the fetch: no event, no stats, no bookkeeping.
-        return cycles, None, draws
+        return None, draws
     opcode = instruction.opcode
     burst: tuple[str | None, str | None, int] = (None, None, 0)
     if opcode == Opcode.LOAD_D:
@@ -337,7 +337,7 @@ def _kind_template(
         burst = ("load", layer.weight_region, instruction.length)
     elif opcode == Opcode.SAVE and instruction.chs:
         burst = ("save", layer.output_region, instruction.length)
-    return cycles, (instruction.layer_id, opcode.name, cycles, *burst), draws
+    return (instruction.layer_id, opcode.name, cycles, *burst), draws
 
 
 def _prefix(values: np.ndarray) -> list[int]:
@@ -357,20 +357,25 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
 
     The replay assumes the uninterrupted path (virtual instructions are
     discarded after their fetch) — exactly the regime ``run_batched``
-    restricts itself to.  Cycles, event templates and fault draws come from
-    a table with one row per instruction *kind* (see :func:`_kind_template`),
-    built by the per-instruction functions ``step()`` itself uses, and every
-    prefix sum is one ``cumsum`` of a column gathered from it.
+    restricts itself to.  Cycles (:func:`repro.hw.timing.kind_cycles`),
+    event templates and fault draws (:func:`_kind_template`) come from a
+    table with one row per instruction *kind*, built by the per-instruction
+    functions ``step()`` itself uses, and every prefix sum is one ``cumsum``
+    of a column gathered from it.
     """
     words = program.words
     opcode, layer_id = words["opcode"], words["layer_id"]
     length = words["length"].astype(np.int64)
     has_chs = words["chs"] != 0
     operand_b = (words["flags"] & FLAG_OPERAND_B) != 0
-    first, inverse, _ = program.kinds()
-    table = [_kind_template(compiled, program[index]) for index in first.tolist()]
-    cycles = np.array([row[0] for row in table], dtype=np.int64)[inverse]
-    events = [table[row][1] for row in inverse.tolist()]
+    priced = kind_cycles(compiled.config, compiled, program)
+    inverse = priced.inverse
+    table = [
+        _kind_template(compiled, program[index], price)
+        for index, price in zip(priced.first.tolist(), priced.cycles.tolist())
+    ]
+    cycles = priced.cycles[inverse]
+    events = [table[row][0] for row in inverse.tolist()]
 
     fetch = fetch_cycles(compiled.config)
     is_load = (opcode == Opcode.LOAD_D) | (opcode == Opcode.LOAD_W)
@@ -386,7 +391,7 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
         bytes_saved=_prefix(length * is_save),
     )
     opportunities = {
-        site.value: _prefix(np.array([site in row[2] for row in table])[inverse])
+        site.value: _prefix(np.array([site in row[1] for row in table])[inverse])
         for site in BATCH_FAULT_SITES
     }
 

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.accel.core import AcceleratorCore
-from repro.accel.trace import ExecutionTrace
 from repro.compiler.compile import CompiledNetwork
 from repro.errors import CheckpointError, IauError
 from repro.faults.plan import DeadlineMissed, FaultPlan, FaultSite
@@ -69,7 +68,6 @@ class Iau(Stateful):
         self,
         core: AcceleratorCore,
         mode: str = "virtual",
-        trace: ExecutionTrace | None = None,
         *,
         bus: EventBus | None = None,
         obs_scope: str | None = None,
@@ -83,13 +81,6 @@ class Iau(Stateful):
         self.core = core
         self.config = core.config
         self.mode = mode
-        # A legacy ExecutionTrace rides the bus as a sink; create a private,
-        # non-recording bus for it when the caller didn't provide one.
-        if trace is not None:
-            if bus is None:
-                bus = EventBus(record=False)
-            bus.attach(trace)
-        self.trace = trace
         self.bus = bus
         self.obs_scope = obs_scope
         if bus is not None and core.bus is None:

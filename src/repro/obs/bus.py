@@ -8,7 +8,7 @@ constructs the :class:`~repro.obs.events.Event` and fans it out:
 * to the bus's own in-memory list when ``record=True`` (the default the
   runtime uses — queries and exporters read ``bus.events``), and
 * to every attached sink (``NullSink`` for overhead measurement,
-  ``MetricsSink`` for the registry, a legacy ``ExecutionTrace``, …).
+  ``MetricsSink`` for the registry, the QoS invariant monitor, …).
 
 The bus carries the emitter's clock (``bus.cycle``, advanced by whoever
 owns time — the IAU or the straight-line runner) so components that have no

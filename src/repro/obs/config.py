@@ -8,8 +8,6 @@ should this run record?" question:
 
 * ``functional`` — run real int8 arithmetic (vs timing-only);
 * ``events`` — record structured events on the system's :class:`EventBus`;
-* ``trace`` — maintain a legacy :class:`~repro.accel.trace.ExecutionTrace`
-  (a thin adapter over the bus);
 * ``metrics`` — maintain a :class:`~repro.obs.metrics.Metrics` registry;
 * ``sinks`` — extra sinks attached to the bus (e.g. ``NullSink`` for
   overhead measurement, a streaming JSONL writer).
@@ -28,14 +26,13 @@ class ObsConfig:
 
     functional: bool = False
     events: bool = False
-    trace: bool = False
     metrics: bool = False
     sinks: tuple[Sink, ...] = field(default_factory=tuple)
 
     @property
     def enabled(self) -> bool:
         """Whether any instrumentation (hence an event bus) is wanted."""
-        return self.events or self.trace or self.metrics or bool(self.sinks)
+        return self.events or self.metrics or bool(self.sinks)
 
     @classmethod
     def off(cls, functional: bool = False) -> ObsConfig:
@@ -44,5 +41,5 @@ class ObsConfig:
 
     @classmethod
     def full(cls, functional: bool = False) -> ObsConfig:
-        """Everything on: events + legacy trace + metrics."""
-        return cls(functional=functional, events=True, trace=True, metrics=True)
+        """Everything on: events + metrics."""
+        return cls(functional=functional, events=True, metrics=True)

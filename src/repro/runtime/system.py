@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.accel.core import AcceleratorCore
-from repro.accel.trace import ExecutionTrace
 from repro.compiler.compile import CompiledNetwork, compile_network
 from repro.errors import SchedulerError, StateError
 from repro.faults.plan import DegradationPolicy, FaultPlan
@@ -147,7 +146,7 @@ class MultiTaskSystem(SubmitSurface, Stateful):
 
     #: Scheduler bookkeeping (``_requests`` keeps its heap order in a copy).
     STATE = ("_requests", "_sequence", "_pending", "shed")
-    PARTS = ("ddr", "core", "iau", "bus", "metrics", "trace", "monitor", "admission", "faults")
+    PARTS = ("ddr", "core", "iau", "bus", "metrics", "monitor", "admission", "faults")
     EXTRA = ("fingerprint",)
 
     def __init__(
@@ -166,14 +165,11 @@ class MultiTaskSystem(SubmitSurface, Stateful):
 
         self.bus: EventBus | None = None
         self.metrics: Metrics | None = None
-        self.trace: ExecutionTrace | None = None
         if self.obs.enabled:
             self.bus = EventBus(record=self.obs.events, sinks=self.obs.sinks)
             if self.obs.metrics:
                 self.metrics = Metrics()
                 self.bus.attach(MetricsSink(self.metrics))
-            if self.obs.trace:
-                self.trace = ExecutionTrace.from_bus(self.bus)
 
         #: QoS layer: admission controller + online invariant monitor
         #: (both None unless a QosConfig arms them — the pre-QoS fast path).

@@ -1,6 +1,6 @@
 """Developer tools: disassembler, trace timeline, and map rendering."""
 
-from repro.tools.chrome_trace import trace_to_chrome_events, write_chrome_trace
+from repro.tools.chrome_trace import write_chrome_trace
 from repro.tools.disasm import disassemble, format_instruction, layer_summary
 from repro.tools.mapviz import render_map, render_merged
 from repro.tools.report import network_report
@@ -14,7 +14,6 @@ __all__ = [
     "render_map",
     "render_merged",
     "render_timeline",
-    "trace_to_chrome_events",
     "utilisation_report",
     "write_chrome_trace",
 ]

@@ -1,75 +1,15 @@
-"""Chrome-tracing export of execution traces.
+"""Chrome-tracing export of an execution's event stream.
 
 Writes the ``chrome://tracing`` / Perfetto JSON format so a pre-emption
 schedule can be inspected interactively: one row per task, one duration
-event per executed instruction, microsecond timestamps at the accelerator
-clock.
+event per executed instruction, DDR burst and VI expansion, instants for
+pre-emptions and job / ROS traffic, microsecond timestamps at the
+accelerator clock.
 
-:func:`write_chrome_trace` accepts the legacy :class:`ExecutionTrace`, an
-:class:`~repro.obs.bus.EventBus`, or a plain list of
-:class:`~repro.obs.events.Event`; the bus forms additionally carry
-pre-emptions, VI expansions, DDR bursts, and job/ROS instants.
+:func:`write_chrome_trace` accepts an :class:`~repro.obs.bus.EventBus` or a
+plain list of :class:`~repro.obs.events.Event`.
 """
 
-from __future__ import annotations
+from repro.obs.export import write_chrome_trace_events as write_chrome_trace
 
-import json
-from pathlib import Path
-from typing import Iterable
-
-from repro.accel.trace import ExecutionTrace
-from repro.obs.bus import EventBus
-from repro.obs.events import Event
-from repro.obs.export import events_to_chrome
-from repro.units import Frequency
-
-#: Anything :func:`write_chrome_trace` can render.
-TraceSource = ExecutionTrace | EventBus | Iterable[Event]
-
-
-def trace_to_chrome_events(trace: ExecutionTrace, clock: Frequency) -> list[dict]:
-    """Convert a legacy flat trace into Chrome 'X' (complete) events."""
-    events = []
-    for event in trace.events:
-        events.append(
-            {
-                "name": event.opcode.name,
-                "cat": f"layer{event.layer_id}",
-                "ph": "X",
-                "ts": clock.cycles_to_us(event.start_cycle),
-                "dur": clock.cycles_to_us(event.cycles),
-                "pid": 0,
-                "tid": event.task_id,
-                "args": {
-                    "layer_id": event.layer_id,
-                    "program_index": event.program_index,
-                    "cycles": event.cycles,
-                },
-            }
-        )
-    return events
-
-
-def _chrome_events(source: TraceSource, clock: Frequency) -> list[dict]:
-    if isinstance(source, ExecutionTrace):
-        return trace_to_chrome_events(source, clock)
-    if isinstance(source, EventBus):
-        return events_to_chrome(source.events, clock)
-    return events_to_chrome(list(source), clock)
-
-
-def write_chrome_trace(
-    source: TraceSource, clock: Frequency, path: str | Path
-) -> Path:
-    """Write the trace file; open it in chrome://tracing or ui.perfetto.dev."""
-    path = Path(path)
-    payload = {
-        "traceEvents": _chrome_events(source, clock),
-        "displayTimeUnit": "ns",
-        "metadata": {
-            "tool": "repro (INCA reproduction)",
-            "clock_hz": clock.hz,
-        },
-    }
-    path.write_text(json.dumps(payload))
-    return path
+__all__ = ["write_chrome_trace"]

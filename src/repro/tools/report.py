@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
 
     graph = MODELS[args.model]()
     config = CONFIGS[args.config]()
-    compiled = compile_network(graph, config, weights="zeros", validate=False)
+    compiled = compile_network(graph, config, weights="zeros", verify="off")
     print(network_report(compiled))
     return 0
 

@@ -1,8 +1,8 @@
-"""ASCII timeline (Gantt) rendering of execution traces.
+"""ASCII timeline (Gantt) rendering of an execution's event stream.
 
-Turns an :class:`~repro.accel.trace.ExecutionTrace` into a per-task timeline
-showing who held the accelerator when — the quickest way to *see* a
-pre-emption:
+Turns the ``INSTR_RETIRE`` events of an :class:`~repro.obs.bus.EventBus` (or
+a plain event list) into a per-task timeline showing who held the
+accelerator when — the quickest way to *see* a pre-emption:
 
     task 0 |                    HHHH                |
     task 1 | LLLLLLLLLLLLLLLLLLL....LLLLLLLLLLLLLLL |
@@ -14,37 +14,41 @@ pre-empted while another task ran.
 
 from __future__ import annotations
 
-from repro.accel.trace import ExecutionTrace
-from repro.isa.opcodes import Opcode
+from typing import Iterable
 
-_OPCODE_GLYPHS = {
-    Opcode.LOAD_D: "L",
-    Opcode.LOAD_W: "l",
-    Opcode.CALC_I: "c",
-    Opcode.CALC_F: "C",
-    Opcode.SAVE: "S",
-}
+from repro.obs.bus import EventBus
+from repro.obs.events import Event, EventKind
+
+#: Glyph per retired opcode (``INSTR_RETIRE`` carries the opcode's name).
+_OPCODE_GLYPHS = {"LOAD_D": "L", "LOAD_W": "l", "CALC_I": "c", "CALC_F": "C", "SAVE": "S"}
 
 
-def render_timeline(trace: ExecutionTrace, width: int = 100) -> str:
+def _retires(source: EventBus | Iterable[Event]) -> list[Event]:
+    """The executed instructions in ``source``, in emission order."""
+    events = source.events if isinstance(source, EventBus) else source
+    return [event for event in events if event.kind is EventKind.INSTR_RETIRE]
+
+
+def render_timeline(source: EventBus | Iterable[Event], width: int = 100) -> str:
     """Render one row per task over ``width`` time buckets."""
-    if not trace.events:
+    retires = _retires(source)
+    if not retires:
         return "(empty trace)"
-    total = trace.total_cycles()
-    start = min(event.start_cycle for event in trace.events)
+    total = max(event.end_cycle for event in retires)
+    start = min(event.cycle for event in retires)
     span = max(total - start, 1)
     bucket = span / width
 
-    task_ids = sorted({event.task_id for event in trace.events})
+    task_ids = sorted({event.task_id or 0 for event in retires})
     rows = {task_id: [" "] * width for task_id in task_ids}
     busy = [False] * width
 
-    for event in trace.events:
-        glyph = _OPCODE_GLYPHS.get(event.opcode, "?")
-        first = int((event.start_cycle - start) / bucket)
+    for event in retires:
+        glyph = _OPCODE_GLYPHS.get(event.data["opcode"], "?")
+        first = int((event.cycle - start) / bucket)
         last = int((event.end_cycle - 1 - start) / bucket)
         for column in range(max(first, 0), min(last, width - 1) + 1):
-            rows[event.task_id][column] = glyph
+            rows[event.task_id or 0][column] = glyph
             busy[column] = True
 
     # Mark pre-empted stretches: a task that ran both before and after a
@@ -66,13 +70,17 @@ def render_timeline(trace: ExecutionTrace, width: int = 100) -> str:
     return "\n".join(lines + [clock_note, legend])
 
 
-def utilisation_report(trace: ExecutionTrace) -> str:
+def utilisation_report(source: EventBus | Iterable[Event]) -> str:
     """Per-task busy share of the traced span."""
-    total = max(trace.total_cycles(), 1)
+    retires = _retires(source)
+    total = max([event.end_cycle for event in retires] + [1])
+    busy_by_task: dict[int, int] = {}
+    for event in retires:
+        task_id = event.task_id or 0
+        busy_by_task[task_id] = busy_by_task.get(task_id, 0) + event.duration
     lines = ["utilisation:"]
-    for task_id in sorted({event.task_id for event in trace.events}):
-        busy = trace.busy_cycles(task_id)
+    for task_id, busy in sorted(busy_by_task.items()):
         lines.append(f"  task {task_id}: {busy} cycles ({100.0 * busy / total:.1f}%)")
-    idle = total - trace.busy_cycles(None)
+    idle = total - sum(busy_by_task.values())
     lines.append(f"  idle/arbitration: {idle} cycles ({100.0 * idle / total:.1f}%)")
     return "\n".join(lines)

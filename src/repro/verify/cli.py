@@ -35,7 +35,7 @@ def _verify_one(
 
     graph = MODELS[model]()
     config = CONFIGS[config_name]()
-    compiled = compile_network(graph, config, weights="zeros", validate=False)
+    compiled = compile_network(graph, config, weights="zeros", verify="off")
     report = verify_network(compiled, max_response_cycles=max_response_cycles)
     layers = layer_table(compiled)
     bounds: dict[str, Any] = {}

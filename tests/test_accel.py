@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.accel import AcceleratorCore, ExecutionTrace
+from repro.accel import AcceleratorCore
 from repro.accel.reference import golden_inference, golden_output
 from repro.accel.runner import run_program
 from repro.compiler import compile_network
@@ -14,7 +14,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.nn import GraphBuilder, TensorShape
-from repro.obs import ObsConfig
+from repro.obs import EventBus, EventKind, ObsConfig
 
 from tests.conftest import core_error_index, random_input
 
@@ -118,10 +118,11 @@ class TestRunResult:
         )
 
     def test_trace_records_all_real_instructions(self, tiny_conv_compiled):
-        trace = ExecutionTrace()
-        result = run_program(tiny_conv_compiled, "none", functional=False, trace=trace)
-        assert len(trace) == result.instructions
-        assert trace.total_cycles() == result.total_cycles
+        bus = EventBus()
+        result = run_program(tiny_conv_compiled, "none", functional=False, bus=bus)
+        retires = bus.of_kind(EventKind.INSTR_RETIRE)
+        assert len(retires) == result.instructions
+        assert max(event.end_cycle for event in retires) == result.total_cycles
 
 
 class TestCorePolicing:
@@ -262,7 +263,6 @@ class TestCorePolicing:
         core.execute(calc, layer)
 
     def test_stats_accumulate(self, tiny_conv_compiled):
-        trace = ExecutionTrace()
         core = AcceleratorCore(
             tiny_conv_compiled.config, tiny_conv_compiled.layout.ddr, obs=ObsConfig()
         )

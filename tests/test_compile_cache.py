@@ -1,13 +1,11 @@
 """The persistent compile cache: keys, round-trips, corruption fallback,
-cross-process races, the meta-cache leak fix, the node compile memo, and
+cross-process races, the network's meta table, the node compile memo, and
 the exact nearest-rank percentile."""
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import pickle
-import weakref
 import zlib
 from fractions import Fraction
 from math import ceil
@@ -150,11 +148,12 @@ class TestRoundTrip:
 
         monkeypatch.setattr("repro.isa.program.decode_word", explode)
         warm = compile_network(graph, BIG, weights="zeros", cache=cache)
-        # All three variants are adopted as word arrays at load, the stored
-        # meta is primed, and the estimate reads it: no object is built.
+        # All three variants are adopted as word arrays at load, the shell
+        # arrives with its meta table, and the estimate reads it: no object
+        # is built.
         assert type(warm.programs) is dict and sorted(warm.programs) == sorted(cold.programs)
         assert warm.cached_mode_meta("vi") is not None
-        assert warm.cached_execution_meta(warm.program_for("vi")) is warm.cached_mode_meta("vi")
+        assert warm.execution_meta(warm.program_for("vi")) is warm.cached_mode_meta("vi")
         assert estimate_service_cycles(BIG, warm, "vi") == estimate_job_cycles(
             BIG, cold, cold.program_for("vi")
         )
@@ -168,12 +167,29 @@ class TestRoundTrip:
             assert restored.dtype == region.array.dtype
             assert restored.flags.writeable
 
-    def test_plans_hydrate_lazily_and_match(self, cache, graph):
+    def test_plans_hydrate_lazily_and_match(self, cache, graph, monkeypatch):
+        """Plans are derived when read, not stored: the load plans nothing
+        (nor builds a meta, nor decodes a word) and a warm network's plans
+        equal the fresh compile's."""
         cold = compile_network(graph, BIG, weights="zeros", cache=cache)
-        warm = compile_network(graph, BIG, weights="zeros", cache=cache)
-        assert warm.plans._blob is not None  # untouched: still compressed
-        assert list(warm.plans) == list(cold.plans)
-        assert warm.plans._blob is None  # observation hydrated it
+
+        def explode(*args, **kwargs):
+            raise AssertionError("a warm load plans, builds and decodes nothing")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.compiler.compile.plan_layer", explode)
+            patched.setattr("repro.compiler.lowering.plan_layer", explode)
+            patched.setattr("repro.iau.fastpath.build_program_meta", explode)
+            patched.setattr("repro.isa.program.decode_word", explode)
+            warm = compile_network(graph, BIG, weights="zeros", cache=cache)
+        assert cache.stats.hits == 1
+        assert warm.plans == cold.plans and len(warm.plans) == len(warm.layer_configs)
+
+    def test_entry_holds_meta_body_programs_only(self, cache, graph):
+        compile_network(graph, BIG, weights="zeros", cache=cache)
+        (path,) = cache.root.glob("*.inca")
+        document = pickle.loads(unframe(path.read_bytes(), MAGIC, VERSION))
+        assert sorted(document) == ["body", "meta", "programs"]
 
     def test_loaded_network_pickles_as_plain_dict(self, cache, graph):
         compile_network(graph, BIG, weights="zeros", cache=cache)
@@ -242,15 +258,18 @@ class TestCorruptionFallback:
     def test_pre_bump_entry_is_clean_miss(self, cache, graph):
         # A v1 entry predates the fault-opportunity table on ProgramMeta: if
         # it loaded, armed batching would silently sail past fault fires off
-        # a stale stretch table.  Stamping an on-disk entry with the old
-        # version must degrade to a clean miss, and the recompile must carry
-        # the new table.
+        # a stale stretch table.  A v4 entry keeps its metas beside the
+        # network and a plans blob; its shell has no table of its own.
+        # Stamping an on-disk entry with an old version must degrade to a
+        # clean miss, and the recompile must carry the new table.
+        assert VERSION == 5
         path = self.entry_path(cache, graph)
-        raw = bytearray(path.read_bytes())
-        raw[8:10] = (1).to_bytes(2, "big")
-        path.write_bytes(bytes(raw))
-        assert cache.load(cache_key(graph, BIG, weights="zeros")) is None
-        self.recompiles_cleanly(cache, graph)
+        for old_version in (1, 4):
+            raw = bytearray(path.read_bytes())
+            raw[8:10] = old_version.to_bytes(2, "big")
+            path.write_bytes(bytes(raw))
+            assert cache.load(cache_key(graph, BIG, weights="zeros")) is None
+            self.recompiles_cleanly(cache, graph)
         network = compile_network(graph, BIG, weights="zeros", cache=cache)
         meta = network.execution_meta(network.programs["vi"])
         from repro.iau.fastpath import BATCH_FAULT_SITES
@@ -266,7 +285,7 @@ class TestCorruptionFallback:
 
     @pytest.mark.parametrize("damage", sorted(UNENCODABLE))
     def test_unencodable_program_inside_a_valid_entry(self, cache, graph, damage):
-        """An otherwise valid v4 entry whose ``vi`` frame is CRC-clean but
+        """An otherwise valid entry whose ``vi`` frame is CRC-clean but
         carries a reserved bit / unknown opcode: counted miss + recompile."""
         path = self.entry_path(cache, graph)
         document = pickle.loads(unframe(path.read_bytes(), MAGIC, VERSION))
@@ -323,35 +342,36 @@ class TestConcurrency:
         assert entry.instructions == lengths[0]
 
 
-class TestMetaCacheLeak:
-    def test_transient_programs_are_evicted(self, graph):
-        compiled = compile_network(graph, BIG, weights="zeros")
-        vi = compiled.programs["vi"]
-        for _ in range(50):
-            transient = Program(name=vi.name, instructions=vi.instructions)
-            compiled.execution_meta(transient)
-            del transient
-        gc.collect()
-        # The three own programs may be cached; dead transients must not be.
-        assert len(compiled._meta_cache) <= len(compiled.programs)
+class TestMetaTable:
+    """One ``vi_mode -> ProgramMeta`` table per network, one way in."""
 
-    def test_id_reuse_cannot_alias(self, graph):
-        compiled = compile_network(graph, BIG, weights="zeros")
-        vi = compiled.programs["vi"]
-        first = Program(name=vi.name, instructions=vi.instructions)
-        meta_first = compiled.execution_meta(first)
-        ref = weakref.ref(first)
-        del first
-        gc.collect()
-        assert ref() is None
-        second = Program(name=vi.name, instructions=vi.instructions)
-        meta_second = compiled.execution_meta(second)
-        assert meta_second is not meta_first
+    def test_peek_sees_a_meta_built_in_this_process(self, graph):
+        compiled = compile_network(graph, BIG, weights="zeros", cache=False)
+        assert compiled.cached_mode_meta("vi") is None  # a fresh compile builds none
+        built = compiled.execution_meta(compiled.program_for("vi"))
+        assert compiled.cached_mode_meta("vi") is built
+        assert compiled.meta("vi") is built and compiled.cached_mode_meta("none") is None
+        assert estimate_job_cycles(BIG, compiled, compiled.program) == built.total_cycles
 
-    def test_live_program_meta_is_stable(self, graph):
-        compiled = compile_network(graph, BIG, weights="zeros")
-        vi = compiled.programs["vi"]
-        assert compiled.execution_meta(vi) is compiled.execution_meta(vi)
+    def test_table_survives_pickle(self, graph, monkeypatch):
+        compiled = compile_network(graph, BIG, weights="zeros", cache=False)
+        total = compiled.meta("vi").total_cycles
+        clone = pickle.loads(pickle.dumps(compiled))
+
+        def explode(*args, **kwargs):
+            raise AssertionError("a pickled network keeps its metas")
+
+        monkeypatch.setattr("repro.iau.fastpath.build_program_meta", explode)
+        assert clone.execution_meta(clone.program_for("vi")).total_cycles == total
+        assert clone.layer_config(0) == compiled.layer_config(0)
+
+    def test_hand_built_program_is_priced_not_kept(self, graph):
+        compiled = compile_network(graph, BIG, weights="zeros", cache=False)
+        vi = compiled.program_for("vi")
+        twin = Program(name=vi.name, instructions=vi.instructions)
+        assert compiled.variant_of(twin) is None and compiled.variant_of(vi) == "vi"
+        assert compiled.execution_meta(twin).total_cycles == compiled.meta("vi").total_cycles
+        assert sorted(compiled.metas) == ["vi"]
 
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=100_000)

@@ -40,9 +40,7 @@ class TestProgramStats:
                 assert (stats.virtual == 0) == (mode == "none")
 
     def test_estimated_cycles_match_simulation(self, stat_networks):
-        # Not gem: program_stats prices a global-pooling CALC without
-        # calc_overhead_cycles, 256 cycles under the simulator (as before).
-        for compiled in stat_networks[:2]:
+        for compiled in stat_networks:
             for mode in ("none", "vi", "layer"):
                 stats = program_stats(compiled, mode)
                 simulated = run_program(compiled, mode, functional=False)

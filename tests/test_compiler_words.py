@@ -187,7 +187,7 @@ def test_estimate_without_meta_prices_kinds_like_the_walk_and_the_run(mode, exam
             instruction_cycles(config, ins, compiled.layer_config(ins.layer_id))
             for ins in Program.from_words("walk", program.words)
         )
-        assert compiled.cached_execution_meta(program) is None
+        assert compiled.cached_mode_meta(mode) is None
         assert estimate_job_cycles(config, compiled, program) == walked
     held = sum(slot is not None for slot in program._objects)
     assert 0 < held < len(program) / 2  # one decode per kind, even on a tiny program

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import TensorShape
-from repro.obs import ObsConfig
+from repro.obs import EventKind, ObsConfig
 from repro.nn.stats import conv_layer_stats, is_depthwise, is_pointwise
 from repro.zoo import build_mobilenet_v1
 
@@ -136,26 +136,27 @@ class TestProgramEdgeCases:
         from repro.runtime import MultiTaskSystem
 
         low, high = tiny_pair
-        system = MultiTaskSystem(low.config, obs=ObsConfig(trace=True))
+        system = MultiTaskSystem(low.config, obs=ObsConfig(events=True))
         system.add_task(0, high)
         system.add_task(1, low)
         system.submit(1, 0)
         system.submit(0, 5_000)
         system.run()
-        first_high = system.trace.first_event_of_task(0)
-        assert first_high is not None
-        assert first_high.start_cycle >= 5_000
-        assert system.trace.first_event_of_task(3) is None
+        retires = system.bus.of_kind(EventKind.INSTR_RETIRE)
+        first_high = next(event for event in retires if event.task_id == 0)
+        assert first_high.cycle >= 5_000
+        assert not any(event.task_id == 3 for event in retires)
 
     def test_layer_spans_ordered(self, tiny_pair):
         from repro.runtime import MultiTaskSystem
 
         low, _ = tiny_pair
-        system = MultiTaskSystem(low.config, obs=ObsConfig(trace=True))
+        system = MultiTaskSystem(low.config, obs=ObsConfig(events=True))
         system.add_task(1, low)
         system.submit(1, 0)
         system.run()
-        spans = system.trace.layer_spans(1)
-        ordered = sorted(spans.items())
-        for (_, (start_a, _)), (_, (start_b, _)) in zip(ordered, ordered[1:]):
-            assert start_a <= start_b
+        first_start: dict[int, int] = {}
+        for event in system.bus.of_kind(EventKind.INSTR_RETIRE):
+            first_start.setdefault(event.layer_id, event.cycle)
+        starts = [start for _, start in sorted(first_start.items())]
+        assert starts == sorted(starts)

@@ -14,8 +14,8 @@ from repro.dslam import (
     perimeter_trajectory,
 )
 from repro.dslam.loop_closure import LoopCloser
-from repro.obs import ObsConfig
-from repro.tools.chrome_trace import trace_to_chrome_events, write_chrome_trace
+from repro.obs import EventKind, ObsConfig, events_to_chrome
+from repro.tools.chrome_trace import write_chrome_trace
 from repro.units import Frequency
 
 
@@ -108,18 +108,18 @@ class TestChromeTrace:
         from repro.runtime import MultiTaskSystem
 
         low, high = tiny_pair
-        system = MultiTaskSystem(low.config, obs=ObsConfig(trace=True))
+        system = MultiTaskSystem(low.config, obs=ObsConfig(events=True))
         system.add_task(0, high)
         system.add_task(1, low)
         system.submit(1, 0)
         system.submit(0, 4000)
         system.run()
-        return system.trace
+        return system.bus.of_kind(EventKind.INSTR_RETIRE)
 
     def test_events_complete(self, tiny_pair):
         trace = self.make_trace(tiny_pair)
-        events = trace_to_chrome_events(trace, Frequency.mhz(300))
-        assert len(events) == len(trace.events)
+        events = events_to_chrome(trace, Frequency.mhz(300))
+        assert len(events) == len(trace)
         for event in events:
             assert event["ph"] == "X"
             assert event["dur"] > 0
@@ -134,6 +134,6 @@ class TestChromeTrace:
 
     def test_timestamps_in_microseconds(self, tiny_pair):
         trace = self.make_trace(tiny_pair)
-        events = trace_to_chrome_events(trace, Frequency.mhz(300))
+        events = events_to_chrome(trace, Frequency.mhz(300))
         first = events[0]
-        assert first["ts"] == pytest.approx(trace.events[0].start_cycle / 300)
+        assert first["ts"] == pytest.approx(trace[0].cycle / 300)

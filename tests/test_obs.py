@@ -9,7 +9,6 @@ import warnings
 import pytest
 
 from repro.accel.runner import run_program
-from repro.accel.trace import ExecutionTrace
 from repro.errors import SchedulerError
 from repro.multicore.system import MultiCoreSystem
 from repro.obs import (
@@ -107,7 +106,7 @@ class TestObsConfig:
     def test_disabled_by_default(self, tiny_pair):
         low, _ = tiny_pair
         system = MultiTaskSystem(low.config)
-        assert system.bus is None and system.trace is None and system.metrics is None
+        assert system.bus is None and system.metrics is None
 
     def test_obs_keyword_emits_no_warning(self, tiny_pair):
         low, _ = tiny_pair
@@ -121,11 +120,6 @@ class TestObsConfig:
         assert system.obs.functional is True
         assert system.bus is None
 
-    def test_trace_via_obsconfig(self, tiny_pair):
-        low, _ = tiny_pair
-        system = MultiTaskSystem(low.config, obs=ObsConfig(trace=True))
-        assert isinstance(system.trace, ExecutionTrace)
-
     def test_boolean_flags_removed_in_v2(self, tiny_pair):
         # The pre-2.0 functional=/trace= constructor booleans are gone, not
         # silently accepted.
@@ -134,6 +128,8 @@ class TestObsConfig:
             MultiTaskSystem(low.config, functional=True)
         with pytest.raises(TypeError):
             MultiTaskSystem(low.config, trace=True)
+        with pytest.raises(TypeError):  # nor is there an ObsConfig flag for it
+            ObsConfig(trace=True)
         with pytest.raises(TypeError):
             MultiCoreSystem(low.config, num_cores=1, functional=True)
 
@@ -156,7 +152,7 @@ class TestObsConfig:
 class TestInstrumentedPreemption:
     @pytest.fixture(scope="class")
     def system(self, tiny_pair):
-        return preempting_system(tiny_pair, events=True, metrics=True, trace=True)
+        return preempting_system(tiny_pair, events=True, metrics=True)
 
     def test_cycle_stamps_are_monotone(self, system):
         cycles = [event.cycle for event in system.bus.events]
@@ -204,16 +200,6 @@ class TestInstrumentedPreemption:
         span = system.spans(0)[0]
         job = system.job(0)
         assert span.end_cycle == job.complete_cycle
-
-    def test_trace_adapter_equals_legacy_trace(self, system, tiny_pair):
-        low, high = tiny_pair
-        legacy = MultiTaskSystem(low.config, obs=ObsConfig(trace=True))
-        legacy.add_task(0, high)
-        legacy.add_task(1, low)
-        legacy.submit(1, at_cycle=0)
-        legacy.submit(0, at_cycle=PREEMPT_AT)
-        legacy.run()
-        assert legacy.trace.events == system.trace.events
 
     def test_metrics_registry(self, system):
         metrics = system.metrics
@@ -273,7 +259,7 @@ class TestDisabledPathExactness:
 
         baseline = final_clock()
         assert final_clock(sinks=(NullSink(),)) == baseline
-        assert final_clock(events=True, metrics=True, trace=True) == baseline
+        assert final_clock(events=True, metrics=True) == baseline
 
     def test_runner_bus_does_not_change_cycles(self, tiny_cnn_compiled):
         baseline = run_program(tiny_cnn_compiled, "vi", functional=False)

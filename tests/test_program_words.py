@@ -204,7 +204,7 @@ def assert_same_meta(meta, walked) -> None:
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_zoo_meta_and_diagnostics_match_the_walk(name):
     build, config = ZOO[name]
-    compiled = compile_network(build(), config, weights="zeros", validate=False, cache=False)
+    compiled = compile_network(build(), config, weights="zeros", verify="off", cache=False)
     layers = layer_table(compiled)
     for mode, program in compiled.programs.items():
         adopted = Program.from_bytes(program.to_bytes(), program.name)

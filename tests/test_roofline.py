@@ -1,11 +1,15 @@
 """Roofline analysis of compiled networks."""
 
 
+import pytest
+
 from repro.analysis.latency import instruction_cycles
 from repro.analysis.roofline import roofline_report
 from repro.compiler import compile_network
 from repro.hw.config import AcceleratorConfig
 from repro.nn import GraphBuilder, TensorShape
+from repro.runtime import MultiTaskSystem
+from repro.zoo import build_gem
 
 
 class TestRooflineReport:
@@ -22,6 +26,25 @@ class TestRooflineReport:
         fetch = tiny_cnn_compiled.config.instruction_fetch_cycles
         execution_total = int(np.sum(durations)) - fetch * len(durations)
         assert report.total_calc_cycles() + report.total_dma_cycles() == execution_total
+
+    @pytest.mark.parametrize("network", ["tiny_cnn", "tiny_residual", "gem_resnet18"])
+    def test_totals_match_the_core_counters(self, network, request, big_config):
+        """The roofline is the simulator's own accounting, layer by layer: a
+        timing-only single-task run of the ``none`` program spends exactly
+        its calc and dma totals (conv, add and global-pooling layers)."""
+        if network == "gem_resnet18":
+            graph = build_gem(TensorShape(64, 64, 3), backbone="resnet18")
+            compiled = compile_network(graph, big_config, weights="zeros", cache=False)
+        else:
+            compiled = request.getfixturevalue(f"{network}_compiled")
+        system = MultiTaskSystem(compiled.config)
+        system.add_task(0, compiled, vi_mode="none")
+        system.submit(0, at_cycle=0)
+        system.run()
+        stats = system.core.stats
+        report = roofline_report(compiled)
+        assert report.total_calc_cycles() == stats.calc_cycles
+        assert report.total_dma_cycles() == stats.load_cycles + stats.save_cycles
 
     def test_memory_bound_fraction_in_range(self, tiny_cnn_compiled):
         report = roofline_report(tiny_cnn_compiled)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchedulerError
 from repro.hw.config import AcceleratorConfig
 from repro.iau.context import JobRecord
-from repro.obs import ObsConfig
+from repro.obs import EventKind, ObsConfig
 from repro.runtime import (
     ArrivalPolicy,
     MultiTaskSystem,
@@ -77,12 +77,13 @@ class TestMultiTaskSystem:
 
     def test_trace_capture(self, tiny_pair):
         low, high = tiny_pair
-        system = MultiTaskSystem(low.config, obs=ObsConfig(trace=True))
+        system = MultiTaskSystem(low.config, obs=ObsConfig(events=True))
         system.add_task(0, high)
         system.submit(0, 0)
         system.run()
-        assert len(system.trace) > 0
-        assert system.trace.for_task(0)
+        retires = system.bus.of_kind(EventKind.INSTR_RETIRE)
+        assert len(retires) > 0
+        assert all(event.task_id == 0 for event in retires)
 
 
 class TestStats:

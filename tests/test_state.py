@@ -63,7 +63,7 @@ def build_armed() -> MultiTaskSystem:
     down-tiered, checkpoints roll back, deadlines are missed."""
     system = MultiTaskSystem(
         CONFIG,
-        obs=ObsConfig(events=True, metrics=True, trace=True),
+        obs=ObsConfig(events=True, metrics=True),
         faults=FaultPlan(seed=0, rates=RATES, overrun_cycles=3_000),
         degradation=DegradationPolicy(max_pending=2, min_task_id=2, downtier_pending=1),
         qos=QosConfig(
@@ -157,7 +157,7 @@ class TestConformance:
         names = {type(obj).__name__ for obj in stateful_objects(system)}
         assert names == {
             "MultiTaskSystem", "Ddr", "AcceleratorCore", "Iau", "TaskContext",
-            "EventBus", "Metrics", "ExecutionTrace", "InvariantMonitor",
+            "EventBus", "Metrics", "InvariantMonitor",
             "AdmissionController", "FaultPlan",
         }
         system.run()
@@ -255,7 +255,6 @@ def observables(system: MultiTaskSystem) -> dict[str, object]:
             for e in system.bus.events
         ],
         "faults": list(system.faults.injected),
-        "trace": list(system.trace.events),
         "metrics": system.metrics.snapshot(),
         "violations": [str(v) for v in system.monitor.violations],
         "denied": list(system.admission.outcomes),

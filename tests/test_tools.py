@@ -4,9 +4,7 @@ import subprocess
 import sys
 
 
-from repro.accel.trace import ExecutionTrace, TraceEvent
-from repro.isa.opcodes import Opcode
-from repro.obs import ObsConfig
+from repro.obs import Event, EventBus, EventKind, ObsConfig
 from repro.runtime import MultiTaskSystem
 from repro.tools import (
     disassemble,
@@ -69,13 +67,13 @@ class TestDisassembler:
 class TestTimeline:
     def make_trace(self, tiny_pair):
         low, high = tiny_pair
-        system = MultiTaskSystem(low.config, obs=ObsConfig(trace=True))
+        system = MultiTaskSystem(low.config, obs=ObsConfig(events=True))
         system.add_task(0, high)
         system.add_task(1, low)
         system.submit(1, 0)
         system.submit(0, 5000)
         system.run()
-        return system.trace
+        return system.bus
 
     def test_renders_both_tasks(self, tiny_pair):
         timeline = render_timeline(self.make_trace(tiny_pair), width=80)
@@ -90,17 +88,18 @@ class TestTimeline:
         assert "." in task1_row
 
     def test_empty_trace(self):
-        assert render_timeline(ExecutionTrace()) == "(empty trace)"
+        assert render_timeline([]) == "(empty trace)"
+        assert render_timeline(EventBus()) == "(empty trace)"
 
     def test_utilisation_report(self, tiny_pair):
         report = utilisation_report(self.make_trace(tiny_pair))
         assert "task 0" in report and "task 1" in report and "idle" in report
 
     def test_glyphs_reflect_opcodes(self):
-        trace = ExecutionTrace()
-        trace.record(TraceEvent(0, 0, Opcode.LOAD_D, 0, 0, 50))
-        trace.record(TraceEvent(0, 1, Opcode.CALC_F, 0, 50, 50))
-        trace.record(TraceEvent(0, 2, Opcode.SAVE, 0, 100, 50))
+        trace = [
+            Event(EventKind.INSTR_RETIRE, cycle, task_id=0, duration=50, data={"opcode": name})
+            for cycle, name in ((0, "LOAD_D"), (50, "CALC_F"), (100, "SAVE"))
+        ]
         timeline = render_timeline(trace, width=30)
         row = timeline.splitlines()[0]
         assert "L" in row and "C" in row and "S" in row

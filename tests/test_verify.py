@@ -471,10 +471,11 @@ class TestCompileWiring:
                 build_tiny_conv(), example_config, weights="zeros", verify="bogus"
             )
 
-    def test_legacy_validate_flag_still_works(self, example_config):
-        compile_network(
-            build_tiny_conv(), example_config, weights="zeros", validate=False
-        )
+    def test_legacy_validate_flag_removed(self, example_config):
+        with pytest.raises(TypeError):
+            compile_network(
+                build_tiny_conv(), example_config, weights="zeros", validate=False
+            )
 
 
 class TestCli:
