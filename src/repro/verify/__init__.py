@@ -1,16 +1,17 @@
 """Static VI-ISA verifier.
 
 An abstract-interpretation diagnostics engine over compiled programs: typed
-:class:`Diagnostic` findings with stable rule IDs, buffer-state dataflow,
-DDR aliasing proofs, checkpoint-coverage proofs of the Vir_SAVE/Vir_LOAD
-expansion, and a static worst-case interrupt response latency (WCIRL).
+:class:`Diagnostic` findings with stable rule IDs, one replay of each
+program through the core's buffer machine (buffer-state dataflow and the
+checkpoint-coverage proofs of the Vir_SAVE/Vir_LOAD expansion read it),
+DDR aliasing proofs, and a static worst-case interrupt response latency
+(WCIRL).
 
 ``python -m repro.verify`` runs the engine over the model zoo; the rule
 catalog is documented in ``docs/static-analysis.md``.
 """
 
-from repro.verify.bufferflow import BufferSim, bufferflow_pass
-from repro.verify.checkpoint import checkpoint_pass
+from repro.verify.bufferflow import BufferSim
 from repro.verify.ddr import cross_task_aliasing, ddr_pass
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 from repro.verify.engine import (
@@ -37,8 +38,6 @@ __all__ = [
     "Severity",
     "StaticWcirl",
     "StretchCoverage",
-    "bufferflow_pass",
-    "checkpoint_pass",
     "cross_task_aliasing",
     "ddr_pass",
     "interference_pass",

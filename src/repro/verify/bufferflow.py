@@ -6,7 +6,7 @@ on-chip data-tile slots, weight tile, CalcBlob accumulator and
 finalized-output section that :class:`~repro.accel.core.AcceleratorCore`
 itself executes on — with a sink that records a diagnostic where the core
 would raise.  The machine then patches its state and carries on, so one run
-surfaces every violation, and a program this pass accepts cannot trip a
+surfaces every violation, and a program the replay accepts cannot trip a
 buffer rule in the simulator: there is no second copy of the rules to drift.
 
 The only check made here rather than in the machine is the one no
@@ -19,13 +19,20 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.accel.core import BufferMachine
+from repro.accel.core import BufferMachine, DataTile, WeightTile
 from repro.compiler.layer_config import LayerConfig
 from repro.hw.config import AcceleratorConfig
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.verify.diagnostics import Report
+
+
+#: What one replay leaves behind: every index at which the machine is
+#: *clean* (``acc is None and out is None`` with the instruction at that
+#: index about to be fetched; 0 always is, ``len(program)`` is the end), in
+#: ascending order, mapped to the data tiles and weight chunk resident there.
+Replay = dict[int, tuple[dict[int, DataTile], WeightTile | None]]
 
 
 class BufferSim(BufferMachine):
@@ -86,18 +93,3 @@ class BufferSim(BufferMachine):
                 hint="every finalized group must be drained by a SAVE before "
                 "the program ends",
             )
-
-
-def bufferflow_pass(
-    program: Program,
-    report: Report,
-    config: AcceleratorConfig,
-    layers: Mapping[int, LayerConfig],
-) -> None:
-    """Interpret the real-instruction stream, recording BUF diagnostics."""
-    sim = BufferSim(program, config, layers, report)
-    for index, instruction in enumerate(program):
-        if instruction.is_virtual:
-            continue
-        sim.step(index, instruction)
-    sim.finish(len(program) - 1)

@@ -1,4 +1,5 @@
-"""Checkpoint-coverage proof (CHK001-CHK004).
+"""The one replay of the uninterrupted path (:func:`replay_pass`), and the
+checkpoint-coverage proof (CHK001-CHK004) made on it.
 
 At every interrupt point the paper's guarantee is exact state transfer: the
 VIR_SAVE must back up precisely the finalized-but-unsaved output resident at
@@ -7,9 +8,12 @@ on-chip state the instructions after the point still consume.  This pass
 *proves* that statically:
 
 1. a :class:`~repro.verify.bufferflow.BufferSim` replays the uninterrupted
-   path, so at each virtual instruction its buffer state — the same
-   :class:`~repro.accel.core.BufferMachine` the core executes on — is exactly
-   what the IAU would find on a preemption there;
+   path — the verifier's only walk through the buffer machine: its BUF
+   findings go to the caller's report, and the
+   :data:`~repro.verify.bufferflow.Replay` it leaves is what ``INT003`` holds
+   ``ProgramMeta`` to — so at each virtual instruction its buffer state, the
+   same :class:`~repro.accel.core.BufferMachine` the core executes on, is
+   exactly what the IAU would find on a preemption there;
 2. a forward liveness query determines which resident tiles / weights are
    still read before being redefined — only those must be restored;
 3. the VIR_SAVE window is compared against the resident output section, the
@@ -23,58 +27,62 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from repro.accel.core import DataTile
 from repro.compiler.layer_config import LayerConfig
 from repro.hw.config import AcceleratorConfig
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.verify.bufferflow import BufferSim
+from repro.verify.bufferflow import BufferSim, Replay
 from repro.verify.diagnostics import Report, Severity
 
 _PACK_OPS = (Opcode.VIR_LOAD_D, Opcode.VIR_LOAD_W)
 _WEIGHTED_KINDS = ("conv", "depthwise")
 
 
-class _CheckpointPass:
-    def __init__(
-        self,
-        program: Program,
-        report: Report,
-        config: AcceleratorConfig,
-        layers: Mapping[int, LayerConfig],
-    ) -> None:
-        self.program = program
-        self.report = report
-        self.layers = layers
-        # The replay uses a scratch report: BUF findings belong to the
-        # bufferflow pass; this pass only cares about the state itself.
-        self.sim = BufferSim(program, config, layers, Report())
+class _Replay:
+    def __init__(self, sim: BufferSim) -> None:
+        self.sim = sim
+        self.program = sim.program
+        self.layers = sim.layers
+        # CHK findings wait here until the walk ends, so that a program's
+        # BUF findings precede them in the caller's report (``sim.report``).
+        self.report = Report()
         self.paired_save = self._pair_saves()
 
     def _pair_saves(self) -> dict[int, int]:
         """VIR_SAVE index -> index of the next real SAVE with its save_id."""
+        opcode, save_id = self.program.words["opcode"], self.program.words["save_id"]
+        events = np.flatnonzero((opcode == Opcode.VIR_SAVE) | (opcode == Opcode.SAVE))
         pending: dict[int, list[int]] = {}
         paired: dict[int, int] = {}
-        for index, instruction in enumerate(self.program):
-            if instruction.opcode == Opcode.VIR_SAVE:
-                pending.setdefault(instruction.save_id, []).append(index)
-            elif instruction.opcode == Opcode.SAVE:
-                for vir_index in pending.pop(instruction.save_id, []):
+        for index, code, sid in zip(
+            events.tolist(), opcode[events].tolist(), save_id[events].tolist()
+        ):
+            if code == Opcode.VIR_SAVE:
+                pending.setdefault(sid, []).append(index)
+            else:
+                for vir_index in pending.pop(sid, []):
                     paired[vir_index] = index
         return paired
 
     # -- driving -----------------------------------------------------------
 
-    def run(self) -> None:
-        consumed: set[int] = set()
+    def run(self) -> Replay:
+        sim = self.sim
+        clean: Replay = {0: ({}, None)}
+        resident = clean[0]
+        consumed: set[int] = set()  # pack members already checked from their head
         for index, instruction in enumerate(self.program):
             if not instruction.is_virtual:
-                self.sim.step(index, instruction)
-                continue
-            if index in consumed:
-                continue
-            if instruction.opcode == Opcode.VIR_SAVE:
+                sim.step(index, instruction)
+                if instruction.opcode in (Opcode.LOAD_D, Opcode.LOAD_W):
+                    resident = (dict(sim.data_tiles), sim.weight_tile)
+            elif index in consumed:
+                pass
+            elif instruction.opcode == Opcode.VIR_SAVE:
                 self._check_vir_save(index, instruction)
                 pack = self._collect_pack(index + 1)
                 consumed.update(idx for idx, _ in pack)
@@ -98,6 +106,11 @@ class _CheckpointPass:
                         hint="recovery loads are replayed from their pack head; "
                         "a pack without an entry point is dead code",
                     )
+            if sim.acc is None and sim.out is None:
+                clean[index + 1] = resident
+        sim.finish(len(self.program) - 1)
+        sim.report.extend(self.report)
+        return clean
 
     def _collect_pack(self, start: int) -> list[tuple[int, Instruction]]:
         pack: list[tuple[int, Instruction]] = []
@@ -412,11 +425,13 @@ class _CheckpointPass:
         return live, weights_live
 
 
-def checkpoint_pass(
+def replay_pass(
     program: Program,
     report: Report,
     config: AcceleratorConfig,
     layers: Mapping[int, LayerConfig],
-) -> None:
-    """Prove backup/recovery coverage at every virtual instruction."""
-    _CheckpointPass(program, report, config, layers).run()
+) -> Replay:
+    """Walk ``program`` through the buffer machine once: BUF findings, then
+    the CHK findings of every virtual instruction, go to ``report``; the
+    clean points and the tiles resident there come back."""
+    return _Replay(BufferSim(program, config, layers, report)).run()

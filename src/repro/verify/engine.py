@@ -3,13 +3,14 @@
 Three entry points, in increasing scope:
 
 * :func:`verify_program` — one instruction stream.  Structural rules always
-  run; the abstract-interpretation passes (buffer dataflow, checkpoint
-  coverage), the DDR pass and the static WCIRL join in as the layer table /
-  layout / hardware config are supplied.
+  run; the replay (one walk through the buffer machine: buffer dataflow and
+  checkpoint coverage), the DDR pass and the static WCIRL join in as the
+  layer table / layout / hardware config are supplied.
 * :func:`verify_network` — all three program variants of a
   :class:`~repro.compiler.compile.CompiledNetwork` with the right
   interruptibility expectations per variant, plus the armed-stretch
-  interference analysis (``INT``) over the cached execution metadata.
+  interference analysis (``INT``) of the cached execution metadata against
+  what each variant's replay found.
 * :func:`verify_task_set` — several compiled networks meant to share the
   accelerator, adding the cross-task DDR aliasing proof (DDR002).
 """
@@ -20,8 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.hw.config import AcceleratorConfig
 from repro.isa.program import Program
-from repro.verify.bufferflow import bufferflow_pass
-from repro.verify.checkpoint import checkpoint_pass
+from repro.verify.bufferflow import Replay
+from repro.verify.checkpoint import replay_pass
 from repro.verify.ddr import cross_task_aliasing, ddr_pass
 from repro.verify.diagnostics import Report
 from repro.verify.interference import interference_pass
@@ -49,10 +50,25 @@ def verify_program(
     instructions is held to the interruptibility rules (WCL001).
     """
     report = Report()
+    _run_passes(report, program, config, layers, layout, expect_interruptible, max_response_cycles)
+    return report
+
+
+def _run_passes(
+    report: Report,
+    program: Program,
+    config: AcceleratorConfig | None,
+    layers: Mapping[int, "LayerConfig"] | None,
+    layout: "NetworkLayout | None",
+    expect_interruptible: bool | None,
+    max_response_cycles: int | None,
+) -> Replay | None:
+    """:func:`verify_program` into ``report``; hands back the replay record
+    (``None`` when ``config`` / ``layers`` were not there to replay with)."""
+    replay = None
     structural_pass(program, report, layers)
     if config is not None and layers is not None:
-        bufferflow_pass(program, report, config, layers)
-        checkpoint_pass(program, report, config, layers)
+        replay = replay_pass(program, report, config, layers)
     if layers is not None and layout is not None:
         ddr_pass(program, report, layers, layout)
     if config is not None and layers is not None:
@@ -66,7 +82,7 @@ def verify_program(
             expect_interruptible=expect_interruptible,
             max_response_cycles=max_response_cycles,
         )
-    return report
+    return replay
 
 
 def layer_table(compiled: "CompiledNetwork") -> dict[int, "LayerConfig"]:
@@ -85,21 +101,18 @@ def verify_network(
     """
     report = Report()
     layers = layer_table(compiled)
+    replays: dict[str, Replay] = {}
     for vi_mode, program in compiled.programs.items():
         interruptible = vi_mode in ("vi", "layer")
-        report.extend(
-            verify_program(
-                program,
-                config=compiled.config,
-                layers=layers,
-                layout=compiled.layout,
-                expect_interruptible=interruptible,
-                max_response_cycles=max_response_cycles if interruptible else None,
-            )
+        budget = max_response_cycles if interruptible else None
+        replay = _run_passes(
+            report, program, compiled.config, layers, compiled.layout, interruptible, budget
         )
+        assert replay is not None  # config and layers were given
+        replays[vi_mode] = replay
     # Armed-safe stretch analysis needs the compiled network (its cached
     # ProgramMeta is the artefact under test), so it runs at network scope.
-    interference_pass(compiled, report)
+    interference_pass(compiled, report, replays)
     return report
 
 

@@ -16,8 +16,9 @@ proves those claims per compiled variant:
   every burst carries its region, so the monitor's batch-aggregate floor
   check is equivalent to per-event dispatch.
 * **INT003** — every stretch ends at a *clean* boundary: no CalcBlob
-  accumulator and no finalized-but-unsaved output section in flight, so a
-  later ``step()`` resumes on exactly the state it expects.
+  accumulator and no finalized-but-unsaved output section in flight, and
+  the tile descriptors the meta would install there are the ones resident,
+  so a later ``step()`` resumes on exactly the state it expects.
 * **INT004** — the per-instruction fault-surface classification is
   consistent with the instruction fields: checkpoint corruption only at a
   switch-point ``VIR_SAVE``, preemption glitches only at switch points,
@@ -26,17 +27,18 @@ proves those claims per compiled variant:
 * **INT005** — the program keeps enough armed-stretch coverage for
   batching to pay off (a warning below the floor, never an error).
 
-INT001 and INT003 re-derive their ground truth from the instruction
-stream independently of :func:`~repro.iau.fastpath.build_program_meta`'s
-own bookkeeping, so a drift between builder and runtime is caught here as
-a named diagnostic instead of as a silent bit-divergence deep inside a
-fault campaign.
+Neither INT001 nor INT003 takes :func:`~repro.iau.fastpath.build_program_meta`'s
+bookkeeping on trust: INT001 recounts with the per-instruction function
+``step()`` itself uses, and INT003's ground truth is the core's own buffer
+machine (the :data:`~repro.verify.bufferflow.Replay` of each variant), so a
+drift between builder and runtime is caught here as a named diagnostic
+instead of as a silent bit-divergence deep inside a fault campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.faults.plan import FaultSite
 from repro.iau.fastpath import (
@@ -48,6 +50,7 @@ from repro.iau.fastpath import (
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
+from repro.verify.bufferflow import Replay
 from repro.verify.diagnostics import Report, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler -> isa)
@@ -104,13 +107,16 @@ def stretch_coverage(compiled: "CompiledNetwork", vi_mode: str = "vi") -> Stretc
     return _coverage(program, meta)
 
 
-def interference_pass(compiled: "CompiledNetwork", report: Report) -> None:
-    """Run INT001-INT005 over every program variant of ``compiled``."""
-    for program in compiled.programs.values():
+def interference_pass(
+    compiled: "CompiledNetwork", report: Report, replays: Mapping[str, Replay]
+) -> None:
+    """Run INT001-INT005 over every program variant of ``compiled``;
+    ``replays`` holds each variant's replay record, keyed by vi-mode."""
+    for vi_mode, program in compiled.programs.items():
         meta = compiled.execution_meta(program)
         _opportunity_accounting(program, meta, report)
         _monitor_stream(program, meta, report)
-        _boundaries(compiled, program, meta, report)
+        _boundaries(program, meta, replays[vi_mode], report)
         _surfaces(program, report)
         _coverage_floor(program, meta, report)
 
@@ -138,9 +144,16 @@ def _opportunity_accounting(program: Program, meta: ProgramMeta, report: Report)
             hint="rebuild the ProgramMeta; stale caches are rejected by the "
             "compile-cache format version",
         )
-    for value in sorted(expected & tracked):
-        opp = meta.opportunities[value]
-        site = FaultSite(value)
+    tables = {FaultSite(value): meta.opportunities[value] for value in sorted(expected & tracked)}
+    sized = {site: opp for site, opp in tables.items() if len(opp) == n + 1}
+    drift: dict[FaultSite, int] = {}  # site -> first index its table gets wrong
+    for index, instruction in enumerate(program):  # one walk, every site
+        draws = batch_draws(instruction)
+        for site, opp in sized.items():
+            if site not in drift and opp[index + 1] - opp[index] != draws.count(site):
+                drift[site] = index
+    for site, opp in tables.items():
+        value = site.value
         if len(opp) != n + 1:
             report.add(
                 "INT001",
@@ -148,21 +161,19 @@ def _opportunity_accounting(program: Program, meta: ProgramMeta, report: Report)
                 f"expected {n + 1}",
                 program=program.name,
             )
-            continue
-        for index, instruction in enumerate(program):
-            want = batch_draws(instruction).count(site)
+        elif site in drift:  # one finding per site localizes the drift
+            index = drift[site]
+            want = batch_draws(program[index]).count(site)
             got = opp[index + 1] - opp[index]
-            if got != want:
-                report.add(
-                    "INT001",
-                    f"{instruction.opcode.name} draws {want}x {value} on the "
-                    f"armed step path but the table accounts {got}",
-                    program=program.name,
-                    index=index,
-                    hint="run_batched burns exactly the table's draws after a "
-                    "batch; any mismatch desynchronizes the site's RNG stream",
-                )
-                break  # one finding per site localizes the drift
+            report.add(
+                "INT001",
+                f"{program[index].opcode.name} draws {want}x {value} on the "
+                f"armed step path but the table accounts {got}",
+                program=program.name,
+                index=index,
+                hint="run_batched burns exactly the table's draws after a "
+                "batch; any mismatch desynchronizes the site's RNG stream",
+            )
 
 
 # -- INT002: monitor-visible stream inside a stretch -------------------------
@@ -201,46 +212,7 @@ def _monitor_stream(program: Program, meta: ProgramMeta, report: Report) -> None
 # -- INT003: stretches end at clean boundaries -------------------------------
 
 
-def _clean_indices(compiled: "CompiledNetwork", program: Program) -> set[int]:
-    """Indices where the uninterrupted core holds no accumulator and no
-    finalized-but-unsaved output section, re-derived from the instruction
-    semantics (independently of ``build_program_meta``)."""
-    clean = {0}
-    acc_open = False
-    section: tuple[int, int, int] | None = None
-    groups: set[int] = set()  # ch0 of finalized-but-unsaved channel groups
-    for index, instruction in enumerate(program):
-        opcode = instruction.opcode
-        if not instruction.is_virtual:
-            if opcode in (Opcode.CALC_I, Opcode.CALC_F):
-                layer = compiled.layer_config(instruction.layer_id)
-                if layer.kind == "conv":
-                    if instruction.in_ch0 == 0:
-                        acc_open = True
-                    finalize = opcode is Opcode.CALC_F
-                else:
-                    finalize = True  # non-conv kinds never hold an accumulator
-                if finalize:
-                    key = (instruction.layer_id, instruction.row0, instruction.rows)
-                    if section != key:
-                        section = key
-                        groups = set()
-                    groups.add(instruction.ch0)
-                    if layer.kind == "conv":
-                        acc_open = False
-            elif opcode is Opcode.SAVE and instruction.chs:
-                lo, hi = instruction.ch0, instruction.ch0 + instruction.chs
-                groups = {ch0 for ch0 in groups if not lo <= ch0 < hi}
-                if not groups:
-                    section = None
-        if not acc_open and section is None:
-            clean.add(index + 1)
-    return clean
-
-
-def _boundaries(
-    compiled: "CompiledNetwork", program: Program, meta: ProgramMeta, report: Report
-) -> None:
+def _boundaries(program: Program, meta: ProgramMeta, replay: Replay, report: Report) -> None:
     n = len(program)
     boundaries = meta.boundaries
     if boundaries != sorted(set(boundaries)):
@@ -250,25 +222,33 @@ def _boundaries(
             program=program.name,
         )
         return
-    clean = _clean_indices(compiled, program)
     for boundary in boundaries:
-        if boundary not in clean:
-            report.add(
-                "INT003",
-                f"stretch boundary at index {boundary} is not clean — an "
-                f"accumulator or unsaved output section is in flight, so a "
-                f"batch ending there would desynchronize the core",
-                program=program.name,
-                index=min(boundary, n - 1) if n else None,
+        if boundary not in replay:
+            problem = (
+                "is not clean — an accumulator or unsaved output section is in "
+                "flight, so a batch ending there would desynchronize the core"
             )
-    for index in sorted(clean - set(boundaries)):
+        elif meta.tiles_at(boundary) != replay[boundary]:
+            problem = (
+                "records tiles the buffer machine does not hold resident there — "
+                "retire_batch would leave a core that step() would not have produced"
+            )
+        else:
+            continue
+        report.add(
+            "INT003",
+            f"stretch boundary at index {boundary} {problem}",
+            program=program.name,
+            index=min(boundary, n - 1),
+        )
+    for index in sorted(replay.keys() - set(boundaries)):
         report.add(
             "INT003",
             f"clean index {index} is missing from the boundary table — armed "
             f"batches end earlier than the program allows",
             severity=Severity.WARNING,
             program=program.name,
-            index=min(index, n - 1) if n else None,
+            index=min(index, n - 1),
         )
 
 

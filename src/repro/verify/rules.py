@@ -212,9 +212,10 @@ _RULES: tuple[RuleInfo, ...] = (
     RuleInfo(
         "INT003",
         "stretches end at clean boundaries",
-        "every stretch boundary carries no in-flight accumulator or unsaved "
-        "output section, so a later step() resumes on exactly the state it "
-        "expects (missing clean indices only cost coverage, a warning).",
+        "every stretch boundary is a point the core's buffer machine calls "
+        "clean (no in-flight accumulator or unsaved output section) and "
+        "records the tiles resident there, so a later step() resumes on exactly "
+        "the state it expects (missing clean indices only cost coverage, a warning).",
         "§IV-C interrupt only between CalcBlobs",
     ),
     RuleInfo(

@@ -10,6 +10,7 @@ checks where the mutation is local enough to invert.
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.validate import validate_program
 from repro.verify import (
+    RULES,
     Report,
     Severity,
     rule_info,
@@ -441,16 +443,16 @@ class TestEngineBehaviour:
         report.raise_if_errors()
 
     def test_rule_catalog_covers_all_emitted_ids(self):
-        for rule in (
-            "PRG001", "PRG002", "PRG003", "PRG004",
-            "VI001", "VI002", "VI003",
-            "BUF001", "BUF002", "BUF003", "BUF004", "BUF005", "BUF006", "BUF007",
-            "DDR001", "DDR002", "DDR003",
-            "CHK001", "CHK002", "CHK003", "CHK004",
-            "WCL001", "WCL002",
-        ):
+        for rule in RULES:
             info = rule_info(rule)
             assert info.title and info.invariant and info.paper
+
+    def test_every_cataloged_rule_has_a_triggering_fixture(self):
+        """No rule ships unseen to fire: for each ID in the catalog some test
+        under ``tests/`` asserts it ``in`` a report's ``rule_ids()``."""
+        sources = "".join(path.read_text() for path in Path(__file__).parent.glob("test_*.py"))
+        untested = [rule for rule in RULES if f'"{rule}" in report.rule_ids()' not in sources]
+        assert untested == []
 
 
 class TestCompileWiring:
