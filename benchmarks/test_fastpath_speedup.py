@@ -1,5 +1,5 @@
 """Fast-path speedup guards: the horizon-batched dispatch loop must beat the
-step-wise loop by >= 5x disarmed, >= 3x with a live FaultPlan, and >= 5x
+step-wise loop by >= 5x disarmed, >= 8x with a live FaultPlan, and >= 5x
 under the ROS executor (the whole two-agent E10 mission, CPU-side DSLAM
 included).
 
@@ -12,12 +12,16 @@ Correctness (cycle- and event-exactness) is covered by
 file pins the *performance* claims and records the tables under
 ``benchmarks/results/``.
 
-The armed run pays for the static interference analysis at every batch:
-``ProgramMeta.stop_for_faults`` intersects the stretch with the fire
-oracle, and each fired fault ends the batch and drops to ``step()`` for
-the recovery window.  A pending SECDED flip disables batching entirely
-until the flipped region is next read (the correction mutates DDR
-mid-stretch), which is why the flip rate dominates the armed cost.
+The armed run pays for the static interference analysis once per fire
+interval: ``ProgramMeta.stop_for_faults`` intersects the stretch with the
+fire oracle, a peek that found the next fire answers every later consult
+from its cache until the stream reaches it, and each fired fault ends the
+batch and drops to ``step()`` for the recovery window.  What is left is the
+stepping itself (recovery replays, pending SAVEs, the window a pending
+SECDED flip keeps batching off until the flipped region is next read) and
+the low-rate sites' limit-capped peeks, which only prove a lower bound and
+are redone when a longer program asks.  The deterministic side of this
+(draw and consult counts) is gated in ``tests/test_fastpath_armed.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.zoo import build_resnet, build_superpoint
 from .conftest import write_result
 
 SPEEDUP_FLOOR = 5.0
-ARMED_SPEEDUP_FLOOR = 3.0
+ARMED_SPEEDUP_FLOOR = 8.0
 ROS_SPEEDUP_FLOOR = 5.0
 
 #: Survivable long-run rates: every instruction-hosted site armed, but dialled
@@ -121,7 +125,7 @@ def test_fastpath_speedup(fastpath_pair):
 
 
 def test_fastpath_speedup_armed(fastpath_pair):
-    """Same workload with a live FaultPlan: batching must still pay >= 3x.
+    """Same workload with a live FaultPlan: batching must still pay >= 8x.
 
     Both paths draw the identical per-site RNG streams (the batched path
     burns the oracle-vouched safe draws it skipped), so with equal seeds

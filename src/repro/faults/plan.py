@@ -164,10 +164,13 @@ class FaultPlan(Stateful):
         }
         #: Every fault fired so far, in injection order.
         self.injected: list[InjectedFault] = []
-        # Fire-oracle cache: per site, how many upcoming draws are *known*
-        # to not fire (a lower bound; maintained by ``safe_draws``/``burn``
-        # and invalidated whenever the stream moves in any other way).
-        self._safe_ahead: dict[FaultSite, int] = {}
+        # Fire-oracle cache: per site, ``(count, exact)`` — how many upcoming
+        # draws are *known* to not fire, and whether the peek that counted
+        # them ended at a fire (``exact``: draw ``count`` is the next fire) or
+        # was cut by its limit (a lower bound).  Counted down by
+        # ``fires``/``burn`` and dropped whenever the stream moves in any
+        # other way; derived from the stream positions, never snapshotted.
+        self._safe_ahead: dict[FaultSite, tuple[int, bool]] = {}
 
     @staticmethod
     def _coerce_site(site: FaultSite | str) -> FaultSite:
@@ -195,10 +198,14 @@ class FaultPlan(Stateful):
         if fired:
             self._safe_ahead.pop(site, None)
         else:
-            cached = self._safe_ahead.get(site)
-            if cached is not None:
-                self._safe_ahead[site] = max(0, cached - 1)
+            self._consume(site, 1)
         return fired
+
+    def _consume(self, site: FaultSite, count: int) -> None:
+        """Count the oracle cache down by ``count`` non-firing draws."""
+        cached = self._safe_ahead.get(site)
+        if cached is not None:
+            self._safe_ahead[site] = (max(0, cached[0] - count), cached[1])
 
     def draw_index(self, site: FaultSite, bound: int) -> int:
         """A uniform index in [0, bound) from the site's stream."""
@@ -226,6 +233,12 @@ class FaultPlan(Stateful):
         every opportunity is safe.  The result is a prefix: the caller may
         :meth:`burn` up to that many draws and is guaranteed none of them
         would have fired.
+
+        The answer is cached with its kind.  A peek that *found* the next
+        fire knows its distance exactly, so until the stream moves past it
+        every later query — whatever its ``limit`` — is answered from the
+        cache without touching the RNG; a peek cut by ``limit`` only proved
+        a lower bound, good for queries up to that many draws.
         """
         if limit <= 0:
             return 0
@@ -233,8 +246,8 @@ class FaultPlan(Stateful):
         if rate <= 0.0:
             return limit
         cached = self._safe_ahead.get(site)
-        if cached is not None and cached >= limit:
-            return limit
+        if cached is not None and (cached[1] or cached[0] >= limit):
+            return min(cached[0], limit)
         rng = self._rngs[site]
         state = rng.getstate()
         safe = 0
@@ -243,7 +256,7 @@ class FaultPlan(Stateful):
                 break
             safe += 1
         rng.setstate(state)
-        self._safe_ahead[site] = safe
+        self._safe_ahead[site] = (safe, safe < limit)
         return safe
 
     def burn(self, site: FaultSite, count: int) -> None:
@@ -252,20 +265,26 @@ class FaultPlan(Stateful):
         Replays exactly the RNG consumption ``count`` non-firing
         :meth:`fires` calls would have performed (none at rate 0 — ``fires``
         does not draw there), keeping a batched run's stream position
-        bit-identical to the step-wise run it replaces.  Only call for draws
-        :meth:`safe_draws` has vouched for.
+        bit-identical to the step-wise run it replaces.  Only draws
+        :meth:`safe_draws` has vouched for may be burned: going past them
+        would swallow a firing draw and desynchronise the stream from the
+        stepped run, so that raises :class:`~repro.errors.FaultError`.
         """
         if count <= 0:
             return
         rate = self._rates.get(site, 0.0)
         if rate <= 0.0:
             return
+        vouched = self._safe_ahead.get(site, (0, False))[0]
+        if count > vouched:
+            raise FaultError(
+                f"burn({site.value}, {count}) exceeds the {vouched} draws "
+                "safe_draws has vouched for"
+            )
         rng = self._rngs[site]
         for _ in range(count):
             rng.random()
-        cached = self._safe_ahead.get(site)
-        if cached is not None:
-            self._safe_ahead[site] = max(0, cached - count)
+        self._consume(site, count)
 
     # -- snapshot/restore ----------------------------------------------------
 

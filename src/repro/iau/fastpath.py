@@ -73,9 +73,9 @@ BATCH_FAULT_SITES: tuple[FaultSite, ...] = (
 )
 
 #: Stretches shorter than this are not worth the batching overhead —
-#: ``Iau.run_batched`` falls back to ``step()`` below it, and the coverage
-#: statistics (INT005, ``stretch_coverage``) count only stretches at or
-#: above it as batchable.
+#: ``Iau.run_batched`` steps through them (and their bounding instruction)
+#: instead, and the coverage statistics (INT005, ``stretch_coverage``)
+#: count only stretches at or above it as batchable.
 MIN_BATCH = 2
 
 #: Event template of one real instruction: (layer_id, opcode name, exec

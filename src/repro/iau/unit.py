@@ -53,6 +53,14 @@ MAX_TASKS = 4
 #: Interrupt disciplines.
 IAU_MODES = ("virtual", "cpu")
 
+#: Keys of :attr:`Iau.dispatch_counts`: the bail reasons in the order
+#: ``_bail_reason`` tests them, the two short-stretch bounds, whole batches,
+#: and the instructions retired by batch / by step.
+DISPATCH_KEYS = (
+    "functional", "recovery", "pending_save", "preempting_task", "pending_flip",
+    "short_fault", "short_horizon", "batched", "instr_batched", "instr_stepped",
+)
+
 
 class Iau(Stateful):
     """Behavioural model of the Instruction Arrangement Unit."""
@@ -113,6 +121,17 @@ class Iau(Stateful):
         #: Optional hook called as ``on_complete(task_id, job)`` whenever a
         #: job finishes (the ROS layer uses it to schedule callbacks).
         self.on_complete: Callable[[int, JobRecord], None] | None = None
+        #: Why each :meth:`run_batched` call that dispatched instructions
+        #: ended the way it did — one increment per call under ``batched``,
+        #: a :meth:`_bail_reason`, or ``short_fault`` / ``short_horizon``
+        #: (the bound that left less than ``MIN_BATCH`` to retire) — plus
+        #: the instructions retired each way (``instr_batched`` /
+        #: ``instr_stepped``).  Host-side diagnostics only: outside ``STATE``
+        #: and off the bus, so batched and stepped runs keep identical event
+        #: streams, metrics and snapshots.  A plain pre-seeded dict, not a
+        #: ``collections.Counter``: a disarmed farm day makes two increments
+        #: per job here, and a dict subclass pays ~3x per item update.
+        self.dispatch_counts: dict[str, int] = dict.fromkeys(DISPATCH_KEYS, 0)
 
     # -- task management -----------------------------------------------------
 
@@ -309,8 +328,9 @@ class Iau(Stateful):
     #: Stretches shorter than this are not worth the batching overhead.
     _MIN_BATCH = MIN_BATCH
 
-    def _fast_path_ok(self, context: TaskContext) -> bool:
-        """True when the run is provably uninterruptible from here.
+    def _bail_reason(self, context: TaskContext) -> str | None:
+        """Why the fast path cannot engage here (a ``dispatch_counts`` key),
+        or None when the run is provably uninterruptible from here.
 
         Timing-only, the task mid-stream clean (not replaying recovery
         loads, no pending SAVE rewriting) and no strictly-higher-priority
@@ -332,14 +352,17 @@ class Iau(Stateful):
           byte-identical to what ``step()`` would emit (checked in its
           aggregate stretch mode, proven equivalent per-event).
         """
-        if (
-            self.core.functional
-            or context.in_recovery
-            or context.save_id != NO_SAVE_ID
-            or self._preempting_task(context) is not None
-        ):
-            return False
-        return self.faults is None or self.core.ddr.pending_flip_count == 0
+        if self.core.functional:
+            return "functional"
+        if context.in_recovery:
+            return "recovery"
+        if context.save_id != NO_SAVE_ID:
+            return "pending_save"
+        if self._preempting_task(context) is not None:
+            return "preempting_task"
+        if self.faults is not None and self.core.ddr.pending_flip_count:
+            return "pending_flip"
+        return None
 
     def run_batched(self, horizon: int | None = None) -> bool:
         """Retire a whole uninterruptible stretch of instructions at once.
@@ -349,12 +372,16 @@ class Iau(Stateful):
         bookkeeping advance in aggregate from metadata precomputed on the
         compiled network, and an armed bus receives the identical event
         stream.  Falls back to a single :meth:`step` whenever the fast path
-        cannot engage (armed features, recovery state, a runnable
-        higher-priority task, or a stretch too short to matter).
+        cannot engage (functional arithmetic, recovery state, a runnable
+        higher-priority task, a pending SECDED flip).
 
         ``horizon`` bounds the batch to instructions that *start* strictly
         before it — the caller's next scheduled arrival, after which
         delivery (and hence pre-emption eligibility) must be re-evaluated.
+        When the horizon or the fault plan's fire oracle leaves fewer than
+        ``MIN_BATCH`` instructions to retire, the call *steps out*: it
+        ``step()``s through the bounding instruction instead of asking for
+        the same bound again before every one of them.
         Returns False when nothing is runnable, like :meth:`step`.
         """
         if self.current is None:
@@ -363,27 +390,38 @@ class Iau(Stateful):
                 return False
             self._switch_in(context)
         context = self.context(self.current)
+        counts = self.dispatch_counts
 
         index = context.instr_index
         if index >= len(context.program):
             self._complete_job(context)
             return True
-        if not self._fast_path_ok(context):
+        reason = self._bail_reason(context)
+        if reason is not None:
+            counts[reason] += 1
+            counts["instr_stepped"] += 1
             return self.step()
 
         meta = context.compiled.execution_meta(context.program)
         base = self.clock - meta.cum[index]
         stop = meta.stop_for_horizon(index, base, horizon)
+        short = "short_horizon"
         if self.faults is not None:
             # Intersect with the fire oracle: the batch may not reach the
             # instruction hosting the first possible fault fire.
-            stop = min(stop, meta.stop_for_faults(index, self.faults))
+            fault_stop = meta.stop_for_faults(index, self.faults)
+            if fault_stop < stop:
+                stop, short = fault_stop, "short_fault"
         # A batch may only end where no accumulator / output section is in
         # flight, so a later step() finds exactly the state it expects.
         boundary = meta.boundary_at_or_before(stop)
         if boundary - index < self._MIN_BATCH:
-            return self.step()
+            counts[short] += 1
+            self._step_out(context, stop, horizon)
+            return True
 
+        counts["batched"] += 1
+        counts["instr_batched"] += boundary - index
         if self.bus is not None:
             self._replay_events(context, meta, index, boundary)
         delta = meta.cum[boundary] - meta.cum[index]
@@ -401,6 +439,35 @@ class Iau(Stateful):
             for site, count in meta.opportunity_counts(index, boundary).items():
                 self.faults.burn(site, count)
         return True
+
+    def _step_out(self, context: TaskContext, stop: int, horizon: int | None) -> None:
+        """``step()`` through the instruction at ``stop`` that bounds a
+        stretch too short to batch.
+
+        Returns at the first point where handing control back is what a
+        one-``step()``-per-call loop does anyway: the running task changed
+        (a fire pre-empted it), the job reached its last instruction (a
+        completion stays its own :meth:`run_batched` call — the ROS executor
+        relies on that), the clock reached ``horizon`` (the caller's next
+        arrival is due), or the index passed ``stop`` (the bound is spent
+        and must be asked for again).  Between those points every caller
+        would call straight back in, so the loop is ``step()``-exact by
+        construction.
+        """
+        last = len(context.program)
+        steps = 0
+        while True:
+            self.step()
+            steps += 1
+            index = context.instr_index
+            if (
+                self.current != context.task_id
+                or index >= last
+                or index > stop
+                or (horizon is not None and self.clock >= horizon)
+            ):
+                break
+        self.dispatch_counts["instr_stepped"] += steps
 
     def _replay_events(
         self, context: TaskContext, meta: ProgramMeta, start: int, stop: int

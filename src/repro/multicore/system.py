@@ -184,8 +184,9 @@ class MultiCoreSystem(SubmitSurface):
     def _advance_core_to(self, core: Iau, cycle: int, max_steps: int) -> None:
         steps = 0
         while not core.idle and core.clock < cycle:
-            # Batch up to the dispatch horizon; falls back to step() at
-            # every switch point or armed feature (cycle-exact either way).
+            # Batch up to the dispatch horizon; steps at every switch point
+            # and through a stretch too short to batch (cycle-exact either
+            # way).
             core.run_batched(cycle)
             steps += 1
             if steps > max_steps:
@@ -213,7 +214,12 @@ class MultiCoreSystem(SubmitSurface):
         return min(self.cores, key=load)
 
     def run(self, max_steps: int = 500_000_000) -> int:
-        """Dispatch every request and drain every core; returns max clock."""
+        """Dispatch every request and drain every core; returns max clock.
+
+        ``max_steps`` bounds dispatch iterations (``run_batched`` calls),
+        not instructions: one call retires a whole stretch, or steps
+        through a short one.
+        """
         while self._requests:
             request = heapq.heappop(self._requests)
             self._pending[request.task_id] -= 1

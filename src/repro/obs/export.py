@@ -8,6 +8,7 @@ multi-core, full DSLAM — exports the same way.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -118,7 +119,10 @@ def summarize(source) -> str:
     """Render a per-task summary table from any instrumented source.
 
     ``source`` may be an :class:`EventBus`, a plain event list, or any
-    object exposing a ``bus`` attribute (e.g. a ``MultiTaskSystem``).
+    object exposing a ``bus`` attribute (e.g. a ``MultiTaskSystem``).  A
+    source that also has an ``iau`` gets a "Dispatch" line: how its
+    ``run_batched`` calls ended (``Iau.dispatch_counts``, host-side counters
+    that never ride the bus).
     """
     bus = getattr(source, "bus", None)
     events = _as_events(bus if isinstance(bus, EventBus) else source)
@@ -219,6 +223,16 @@ def summarize(source) -> str:
             f"transition(s), {migrated} job(s) migrated, {hedges} hedge(s) "
             f"({won} won, {wasted} wasted), {switches} mode switch(es), "
             f"{measure_retries} measure retry(ies)"
+        )
+    # Unary plus drops the reasons that never happened.
+    counts = +Counter(getattr(getattr(source, "iau", None), "dispatch_counts", ()))
+    if counts:
+        batched = counts.pop("instr_batched", 0)
+        stepped = counts.pop("instr_stepped", 0)
+        calls = ", ".join(f"{reason} {count}" for reason, count in counts.most_common())
+        lines += (
+            f"\nDispatch: {batched} instr batched, {stepped} stepped; "
+            f"{sum(counts.values())} run_batched call(s): {calls}"
         )
     return lines
 

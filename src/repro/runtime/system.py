@@ -346,6 +346,10 @@ class MultiTaskSystem(SubmitSurface, Stateful):
         ``batched=False``, which forces the per-instruction ``step()`` loop
         (the differential-testing reference).
 
+        ``max_steps`` bounds dispatch iterations of this loop, not
+        instructions: batched, one iteration retires a whole stretch or
+        steps through one too short to batch.
+
         ``until_cycle`` pauses the run at the first step boundary at or past
         that clock instead of draining — the serving layer's snapshot
         points.  A chunked run (repeated ``until_cycle`` calls) is cycle-

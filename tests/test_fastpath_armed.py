@@ -7,7 +7,13 @@ with a :class:`~repro.faults.plan.FaultPlan` and the runtime
 runtime half of that contract:
 
 * the fire oracle (``FaultPlan.safe_draws``/``burn``) peeks without
-  perturbing any RNG stream and vouches only for draws that provably miss;
+  perturbing any RNG stream and vouches only for draws that provably miss
+  — checked against a cache-free model of the stream — and ``burn``
+  refuses to go past what was vouched;
+* a stretch too short to batch is stepped through its bounding instruction
+  in one call, and pausing at any cycle inside that span changes nothing;
+* the work an armed batched run does is bounded in counts (RNG draws,
+  oracle consults), with no wall clock;
 * armed batched runs are bit-identical to armed ``step()`` runs — final
   clock, job records, injected faults, event streams, monitor state, and
   even the position of detected-fatal crashes;
@@ -19,10 +25,13 @@ runtime half of that contract:
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
+
 import pytest
 
 from repro.accel.core import AcceleratorCore
-from repro.errors import CheckpointError, EccError
+from repro.errors import CheckpointError, EccError, FaultError
 from repro.faults.campaign import default_rates, make_preemption_scenario
 from repro.faults.plan import FaultPlan, FaultSite
 from repro.iau.fastpath import BATCH_FAULT_SITES, MIN_BATCH
@@ -36,6 +45,49 @@ from repro.runtime.system import MultiTaskSystem
 
 
 # -- the fire oracle ----------------------------------------------------------
+
+
+class CountingRandom(random.Random):
+    """A site stream that counts its Bernoulli draws (peeked or consumed)."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class StreamModel:
+    """One site's stream with no cache at all: a ``Random`` seeded the way
+    :class:`FaultPlan` seeds the site, sitting at the logical position, and a
+    throw-away clone of it for every look ahead."""
+
+    def __init__(self, seed, site, rate, share=0.0):
+        self.rng = random.Random(f"{seed}:{site.value}")
+        self.rate = rate
+        self.share = share
+        self.consumed = 0  # Bernoulli draws taken so far
+        self.fired_last = False
+
+    def safe(self, limit):
+        clone = random.Random()
+        clone.setstate(self.rng.getstate())
+        safe = 0
+        while safe < limit and clone.random() >= self.rate:
+            safe += 1
+        return safe
+
+    def fires(self):
+        self.consumed += 1
+        self.fired_last = self.rng.random() < self.rate
+        return self.fired_last
+
+    def skip(self, count):
+        for _ in range(count):
+            assert not self.fires()
+
+    def uncorrectable(self):
+        return self.rng.random() < self.share
 
 
 class TestFireOracle:
@@ -82,18 +134,88 @@ class TestFireOracle:
         ]
 
     def test_oracle_cache_survives_interleaved_queries(self):
+        """Seeded interleavings of every call that moves or peeks a stream,
+        against :class:`StreamModel` — the same stream with no cache."""
+        site = FaultSite.DDR_BIT_FLIP  # the one site draw_uncorrectable moves
+        for seed in range(24):
+            ops = random.Random(seed)
+            rate = ops.choice((0.02, 0.1, 0.4))
+            plan = FaultPlan(seed=seed, rates={site: rate}, uncorrectable_share=0.3)
+            model = StreamModel(seed, site, rate, share=0.3)
+            fired: list[int] = []
+            saved = None
+            for _ in range(300):
+                op = ops.choice(
+                    ("peek", "peek", "peek_burn", "fires", "fires", "index",
+                     "uncorrectable", "capture", "restore")
+                )
+                if op in ("peek", "peek_burn"):
+                    # Growing and shrinking limits, straddling the next fire.
+                    limit = ops.choice((1, 2, 5, 17, 60, 400))
+                    safe = plan.safe_draws(site, limit)
+                    assert safe == model.safe(limit)
+                    if op == "peek_burn":
+                        take = ops.randint(0, safe)
+                        plan.burn(site, take)
+                        model.skip(take)
+                elif op == "fires":
+                    for _ in range(ops.choice((1, 1, 3, 25))):
+                        assert plan.fires(site) == model.fires()
+                        if model.fired_last:
+                            fired.append(model.consumed)
+                elif op == "index":
+                    bound = ops.choice((2, 7, 1 << 20))
+                    assert plan.draw_index(site, bound) == model.rng.randrange(bound)
+                elif op == "uncorrectable":
+                    assert plan.draw_uncorrectable() == model.uncorrectable()
+                elif op == "capture":
+                    saved = (plan.capture_state(), model.rng.getstate(), model.consumed)
+                elif saved is not None:
+                    plan.restore_state(saved[0])
+                    model.rng.setstate(saved[1])
+                    model.consumed = saved[2]
+                    del fired[bisect_right(fired, model.consumed):]
+            assert plan._rngs[site].getstate() == model.rng.getstate()
+            assert fired  # every interleaving crosses fires
+
+    def test_exact_answer_is_not_recomputed(self):
+        """A peek that found the fire serves every later limit from the
+        cache; a peek cut by its limit serves only limits it covers."""
         site = FaultSite.DDR_STALL
-        cached = FaultPlan(seed=11, rates={site: 0.4})
-        control = FaultPlan(seed=11, rates={site: 0.4})
-        for limit in (3, 7, 2, 30, 1):
-            safe = cached.safe_draws(site, limit)
-            assert safe == min(limit, control.safe_draws(site, limit))
-            take = min(safe, 2)
-            cached.burn(site, take)
-            control.burn(site, take)
-        assert [cached.fires(site) for _ in range(32)] == [
-            control.fires(site) for _ in range(32)
-        ]
+        plan = FaultPlan(seed=11, rates={site: 0.05})
+        rng = plan._rngs[site] = CountingRandom(f"11:{site.value}")
+        distance = plan.safe_draws(site, 10_000)
+        assert distance < 10_000 and rng.draws == distance + 1
+        for limit in (1, distance, distance + 1, 10_000, 50_000):
+            assert plan.safe_draws(site, limit) == min(distance, limit)
+        plan.burn(site, distance // 2)
+        assert plan.safe_draws(site, 10_000) == distance - distance // 2
+        for _ in range(distance - distance // 2):
+            assert not plan.fires(site)
+        assert plan.safe_draws(site, 10_000) == 0
+        assert rng.draws == 2 * distance + 1  # one peek, then only consumption
+        assert plan.fires(site)  # the fire drops the answer ...
+        capped = plan.safe_draws(site, 3)  # ... and the next peek is cut at 3
+        assert capped == 3 and rng.draws == 2 * distance + 2 + 3
+        assert plan.safe_draws(site, 2) == 2 and rng.draws == 2 * distance + 2 + 3
+        plan.safe_draws(site, 4)  # a lower bound of 3 cannot answer for 4
+        assert rng.draws > 2 * distance + 2 + 3
+
+    def test_burn_past_the_vouched_prefix_is_refused(self):
+        site = FaultSite.DDR_STALL
+        plan = FaultPlan(seed=9, rates={site: 0.25})
+        with pytest.raises(FaultError, match="vouched"):
+            plan.burn(site, 1)  # nothing vouched yet
+        safe = plan.safe_draws(site, 40)
+        assert 0 < safe < 40
+        state = plan._rngs[site].getstate()
+        with pytest.raises(FaultError, match="vouched"):
+            plan.burn(site, safe + 1)  # would swallow the firing draw
+        assert plan._rngs[site].getstate() == state  # refused before drawing
+        plan.burn(site, safe)
+        assert plan.fires(site)
+        with pytest.raises(FaultError, match="vouched"):
+            plan.burn(site, 1)  # the fire dropped the answer
 
     def test_restore_state_clears_the_oracle_cache(self):
         site = FaultSite.DDR_STALL
@@ -450,3 +572,168 @@ class TestProgramMetaEdges:
 
         for tail in range(1, MIN_BATCH + 1):
             assert drain(True, tail) == drain(False, tail)
+
+
+# -- the step-out: a short stretch is bounded once ------------------------------
+
+
+def compile_tiny_pair():
+    """A private compile (injected flips write the DDR arrays a compiled
+    network shares with its system) and its pristine region contents."""
+    from repro.hw.config import AcceleratorConfig
+    from repro.runtime.system import compile_tasks
+    from repro.zoo import build_tiny_cnn, build_tiny_residual
+
+    pair = compile_tasks(
+        [build_tiny_cnn(), build_tiny_residual()],
+        AcceleratorConfig.worked_example(),
+        weights="random",
+        seed=4,
+    )
+    pristine = [
+        {region.name: region.array.copy() for region in compiled.layout.ddr.regions()}
+        for compiled in pair
+    ]
+    return pair, pristine
+
+
+def armed_tiny_system(pair, pristine, seed=0):
+    """Overlapping periodic jobs on the tiny pair under campaign rates."""
+    for compiled, regions in zip(pair, pristine):
+        for region in compiled.layout.ddr.regions():
+            region.array[...] = regions[region.name]
+    system = MultiTaskSystem(
+        pair[0].config,
+        obs=ObsConfig(events=True),
+        faults=FaultPlan(seed=seed, rates=default_rates()),
+    )
+    system.add_task(0, pair[0])
+    system.add_task(1, pair[1])
+    for index in range(4):
+        system.submit(1, index * 30_000)
+        system.submit(0, 8_000 + index * 25_000)
+    return system
+
+
+def observable(system):
+    return (
+        system.clock,
+        list(system.bus.events),
+        list(system.faults.injected),
+        [list(system.jobs(task_id)) for task_id in (0, 1)],
+        system.core.stats,
+        system.ddr.pending_flip_count,
+    )
+
+
+def test_step_out_chunked_at_every_cycle_equals_one_run(monkeypatch):
+    """Pause at *every* cycle inside one step-out span — before, between
+    and after each of its steps.  Each pause lands where the stepped run
+    pauses, in the same state, and resuming equals one uninterrupted run:
+    every point the loop runs through is one where returning to the caller
+    changes nothing."""
+    pair, pristine = compile_tiny_pair()
+    spans: list[tuple[int, int, int]] = []
+    original = Iau._step_out
+
+    def recording(self, context, stop, horizon):
+        entry, first = self.clock, context.instr_index
+        original(self, context, stop, horizon)
+        spans.append((entry, self.clock, context.instr_index - first))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Iau, "_step_out", recording)
+        whole = armed_tiny_system(pair, pristine)
+        whole.run()
+    expected = observable(whole)
+
+    # The shortest span that still covers several steps keeps this quick.
+    entry, exit_, steps = min(
+        (span for span in spans if span[2] >= 5), key=lambda span: span[1] - span[0]
+    )
+    assert exit_ - entry < 2_000
+    # The stepped reference walks the span once, pausing at every cycle.
+    stepped = armed_tiny_system(*compile_tiny_pair())
+    pauses = set()
+    for cycle in range(entry, exit_ + 2):
+        stepped.run(batched=False, until_cycle=cycle)
+        pauses.add(stepped.clock)
+        chunked = armed_tiny_system(pair, pristine)
+        chunked.run(until_cycle=cycle)
+        assert not chunked.done
+        assert observable(chunked) == observable(stepped), cycle
+        chunked.run()
+        assert observable(chunked) == expected, cycle
+    assert len(pauses) >= steps  # the pauses really fell between the steps
+    stepped.run(batched=False)
+    assert observable(stepped) == expected
+
+
+# -- deterministic work guard (no wall clock) -----------------------------------
+
+#: ``benchmarks/test_fastpath_speedup.py``'s armed schedule.
+GUARD_RATES = {
+    FaultSite.DDR_BIT_FLIP: 0.0002,
+    FaultSite.DDR_STALL: 0.01,
+    FaultSite.IAU_DROP_PREEMPT: 0.05,
+    FaultSite.IAU_SPURIOUS_PREEMPT: 0.005,
+    FaultSite.CHECKPOINT_CORRUPT: 0.02,
+}
+
+
+def test_armed_batched_run_bounds_each_fire_interval_once(big_config, monkeypatch):
+    """The performance gate of the armed fast path, in counts: on the
+    14-job ResNet-18 + SuperPoint schedule (seed 0) a batched run may peek,
+    but draws at most 3x what the stepped run consumes (5.6x before the
+    oracle kept exact answers) and consults the oracle at most 520 times
+    (1,542 when every step after a short stretch asked again)."""
+    from repro.iau.fastpath import ProgramMeta
+    from repro.nn import TensorShape
+    from repro.runtime.system import ArrivalPolicy, compile_tasks
+    from repro.zoo import build_resnet, build_superpoint
+
+    low, high = compile_tasks(
+        [
+            build_resnet("resnet18", TensorShape(240, 320, 3)),
+            build_superpoint(TensorShape(120, 160, 1), head="detector"),
+        ],
+        big_config,
+        weights="zeros",
+    )
+    consults = 0
+    original = ProgramMeta.stop_for_faults
+
+    def counting(self, start, plan):
+        nonlocal consults
+        consults += 1
+        return original(self, start, plan)
+
+    monkeypatch.setattr(ProgramMeta, "stop_for_faults", counting)
+
+    def run(batched):
+        plan = FaultPlan(seed=0, rates=GUARD_RATES)
+        plan._rngs = {site: CountingRandom(f"0:{site.value}") for site in FaultSite}
+        system = MultiTaskSystem(low.config, faults=plan)
+        system.add_task(0, high)
+        system.add_task(1, low)
+        system.submit(
+            1, at_cycle=0, policy=ArrivalPolicy.PERIODIC, period_cycles=600_000, count=6
+        )
+        system.submit(
+            0, at_cycle=150_000, policy=ArrivalPolicy.PERIODIC,
+            period_cycles=450_000, count=8,
+        )
+        clock = system.run(batched=batched)
+        draws = sum(rng.draws for rng in plan._rngs.values())
+        return clock, plan.count(), draws, system.iau.dispatch_counts
+
+    clock, faults, stepped_draws, _ = run(batched=False)
+    assert (clock, faults) == (53_659_940, 174) and consults == 0
+    clock, faults, batched_draws, counts = run(batched=True)
+    assert (clock, faults) == (53_659_940, 174)
+    assert batched_draws <= 3 * stepped_draws
+    assert consults <= 520
+    # Why the stretches ended: about one short stretch per injected fault,
+    # and nearly every instruction retired by a batch.
+    assert counts["short_fault"] + counts["short_horizon"] <= 2 * faults
+    assert counts["instr_batched"] > 20 * counts["instr_stepped"]

@@ -232,6 +232,26 @@ class TestInstrumentedPreemption:
         assert "task" in text and "0" in text and "1" in text
         assert summarize(system.bus.events) == text
 
+    def test_summary_of_a_system_says_how_dispatch_went(self, system):
+        """``Iau.dispatch_counts`` never rides the bus: the line appears only
+        when the source has an ``iau``, and accounts for every instruction."""
+        counts = system.iau.dispatch_counts
+        assert counts["batched"] > 0 and counts["functional"] == 0
+        reasons = sum(
+            count for key, count in counts.items() if not key.startswith("instr_")
+        )
+        line = summarize(system).splitlines()[-1]
+        assert line.startswith(
+            f"Dispatch: {counts['instr_batched']} instr batched, "
+            f"{counts['instr_stepped']} stepped; {reasons} run_batched call(s): "
+        )
+        assert f"batched {counts['batched']}" in line and "functional" not in line
+        assert summarize(system).rsplit("\n", 1)[0] == system.summary()
+        programs = sum(len(system.iau.context(task).program) for task in (0, 1))
+        # Every instruction retired one way or the other; the VIR_LOAD the
+        # pre-emption landed on is fetched twice (expanded, then replayed).
+        assert counts["instr_batched"] + counts["instr_stepped"] == programs + 1
+
     def test_spans_require_events(self, tiny_pair):
         low, _ = tiny_pair
         system = MultiTaskSystem(low.config)

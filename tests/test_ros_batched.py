@@ -298,3 +298,69 @@ def test_plain_run_retires_in_stretches_not_steps(monkeypatch):
         agent.pr_node.jobs
     )  # FE really pre-empted PR
     assert steps < 0.05 * retired
+
+
+# -- a completion inside a step-out ---------------------------------------------
+
+
+def drive_completions(pair, seed: int) -> tuple[list[tuple], int]:
+    """FE on a timer pre-empting a queue of PR jobs, under faults.  Every
+    completion handler records what the accelerator had retired when it ran;
+    also returns how many step-outs ended on a job's last instruction with
+    other work runnable (0 under the stepped oracle, which has none)."""
+    fe, pr = pair
+    system = MultiTaskSystem(fe.config, faults=fault_plan(seed))
+    system.add_task(0, fe)
+    system.add_task(1, pr)
+    executor = Executor(system)
+    iau = system.iau
+    seen: list[tuple] = []
+    at_job_end = 0
+    original = Iau._step_out
+
+    def watching(self, context, stop, horizon):
+        nonlocal at_job_end
+        original(self, context, stop, horizon)
+        if context.instr_index >= len(context.program) and any(
+            other is not None and other is not context and other.runnable
+            for other in self.contexts
+        ):
+            at_job_end += 1
+
+    def done(task_id: int):
+        def handler(job) -> None:
+            seen.append(
+                (task_id, job.complete_cycle, iau.clock, system.core.stats.instructions)
+            )
+            if task_id == 1 and len(seen) < 40:
+                executor.submit_job(1, done(1))  # PR: back to back
+
+        return handler
+
+    executor.create_timer(
+        1_700 + 37 * seed, lambda: executor.submit_job(0, done(0)), count=16
+    )
+    executor.submit_job(1, done(1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Iau, "_step_out", watching)
+        try:
+            executor.run()
+        except (EccError, CheckpointError) as exc:
+            seen.append((type(exc).__name__, str(exc)))
+    return seen, at_job_end
+
+
+def test_completion_inside_a_step_out_is_its_own_call(tiny_fe_pr):
+    """A step-out that reaches the job's last instruction returns before
+    completing it, so the handler the completion schedules runs before the
+    next task's first instruction — at the same retired-instruction count
+    as under the stepped oracle."""
+    landed = 0
+    for seed in SEEDS:
+        real, at_job_end = drive_completions(tiny_fe_pr, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            stepped(patch)
+            oracle, _ = drive_completions(tiny_fe_pr, seed)
+        assert real == oracle and len(real) > 16
+        landed += at_job_end
+    assert landed > 0  # some step-out really ran into a job's end

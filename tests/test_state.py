@@ -28,6 +28,7 @@ from repro.faults import DegradationPolicy, FaultPlan, FaultSite
 from repro.hw.config import AcceleratorConfig
 from repro.hw.ddr import Ddr
 from repro.iau.context import TaskContext
+from repro.iau.unit import Iau
 from repro.obs.config import ObsConfig
 from repro.qos import AdmissionPolicy, QosConfig
 from repro.runtime.system import MultiTaskSystem, compile_tasks
@@ -54,6 +55,9 @@ HAND_CAPTURED = {Ddr: {"_regions", "_by_base"}}
 #: slot's compiled network (whose lazily filled meta caches and DDR arrays
 #: — the latter shared with, and captured by, the system ``Ddr`` — do move).
 WIRING = {TaskContext: {"compiled"}}
+#: Host-side diagnostics: what the dispatch loop did on this object, not
+#: simulated state — a restore rewinds the simulation, not the host's work.
+HOST_ONLY = {Iau: {"dispatch_counts"}}
 
 
 def build_armed() -> MultiTaskSystem:
@@ -126,6 +130,7 @@ def attribute_images(objects: list[Stateful]) -> list[dict[str, bytes]]:
             name: image(value)
             for name, value in vars(obj).items()
             if name not in WIRING.get(type(obj), ())
+            and name not in HOST_ONLY.get(type(obj), ())
         }
         for obj in objects
     ]
