@@ -1,7 +1,9 @@
 """Regenerate ``tests/data/verify_digests.json``: the sha256 of
 ``[d.to_json() for d in verify_program(...).diagnostics]`` for a seeded
 corpus of mutated programs — six mutation kinds x three small networks x
-``big`` / ``small`` x the three program variants.
+``big`` / ``small`` x the three program variants.  Every program is verified
+under a 1-cycle response budget, so each digest also pins the static WCIRL
+(the WCL002 finding quotes the worst response and its instruction index).
 
 Run it on the commit whose diagnostics are the reference — *before* a change
 to the verifier, not after — from the repository root::
@@ -101,6 +103,7 @@ def digests(name: str, config: str) -> dict[str, str]:
                     layers=layers,
                     layout=compiled.layout,
                     expect_interruptible=mode != "none",
+                    max_response_cycles=1,
                 )
                 listing = json.dumps([d.to_json() for d in report.diagnostics], sort_keys=True)
                 pinned[f"{name}|{config}|{mode}|{kind}|{draw}"] = hashlib.sha256(

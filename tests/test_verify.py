@@ -16,6 +16,7 @@ import pytest
 
 from repro.compiler.compile import compile_network
 from repro.errors import CompileError, ProgramError
+from repro.hw.timing import layer_calc_instruction_cycles
 from repro.isa.instructions import (
     FLAG_SWITCH_POINT,
     NO_SAVE_ID,
@@ -33,6 +34,7 @@ from repro.verify import (
     verify_program,
     verify_task_set,
     wcirl_bound,
+    wcirl_pass,
 )
 from repro.verify.engine import layer_table
 from repro.zoo import build_tiny_cnn, build_tiny_conv
@@ -370,6 +372,20 @@ class TestWcirlRules:
             max_response_cycles=bound.worst_response_cycles,
         )
         assert "WCL002" not in report.rule_ids()
+
+    def test_calc_of_unknown_layer_prices_at_zero(self, compiled, vi_program):
+        index = first_index(vi_program, Opcode.CALC_F)
+        bad = replace_at(vi_program, index, layer_id=999)
+        layers = layer_table(compiled)
+        report = verify_program(bad, **ctx(compiled))
+        assert "PRG004" in report.rule_ids()
+        bound = wcirl_pass(bad, Report(), compiled.config, layers)
+        clean = wcirl_bound(vi_program, compiled.config, layers)
+        calc = layer_calc_instruction_cycles(
+            compiled.config, layers[vi_program[index].layer_id]
+        )
+        assert bound.total_cycles == clean.total_cycles - calc
+        assert bound.switch_points == clean.switch_points
 
     def test_bound_fields_consistent(self, compiled, vi_program):
         bound = wcirl_bound(vi_program, compiled.config, layer_table(compiled))

@@ -3,7 +3,8 @@ same order, with the same words, on a seeded corpus of broken programs.
 
 ``tests/data/verify_digests.json`` holds one sha256 per mutated program —
 six mutation kinds x three small networks x ``big`` / ``small`` x the three
-variants — generated on the commit named in the file by
+variants, each under a 1-cycle response budget so its WCL002 finding pins
+the static WCIRL — generated on the commit named in the file by
 ``tests/regen_verify_digests.py``.  A verifier refactor is held to it without
 regenerating; a deliberate change of a rule's findings regenerates it from a
 *reference* checkout and says so.
