@@ -11,8 +11,10 @@ opportunity* at or after ``t`` plus that opportunity's backup cost:
 * layer-by-layer — opportunities are the end-of-layer barriers, free;
 * CPU-like — every instruction boundary, paying a full buffer spill.
 
-The profiles here are exact under that straight-line model and are
-cross-validated against full IAU simulations in the test suite.
+The profiles here are exact under that straight-line model — computed from
+the same timeline columns as the verifier's static WCIRL
+(:mod:`repro.verify.wcirl`) — and are cross-validated against full IAU
+simulations in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from repro.compiler.compile import CompiledNetwork
 from repro.hw import timing
 from repro.interrupt.base import InterruptMethod
-from repro.isa.opcodes import Opcode
+from repro.verify.wcirl import straight_line_cycles, switch_opportunities
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,12 @@ class LatencyProfile:
 
 
 def instruction_cycles(compiled: CompiledNetwork, vi_mode: str) -> np.ndarray:
-    """Duration of each instruction in straight-line (no-interrupt) flow.
-
-    Virtual instructions cost only their fetch; real instructions cost fetch
-    plus execution, matching the IAU's accounting: the per-kind prices of
-    :func:`repro.hw.timing.kind_cycles` spread back over the program.
-    """
-    config = compiled.config
-    priced = timing.kind_cycles(config, compiled, compiled.program_for(vi_mode))
-    return priced.cycles[priced.inverse] + timing.fetch_cycles(config)
+    """Duration of each instruction in straight-line (no-interrupt) flow:
+    :func:`repro.verify.wcirl.straight_line_cycles`, the column the static
+    WCIRL bound is computed from."""
+    return straight_line_cycles(
+        compiled.program_for(vi_mode), compiled.config, compiled.layer_config
+    )
 
 
 def switch_events(
@@ -70,19 +69,14 @@ def switch_events(
     if durations is None:
         durations = instruction_cycles(compiled, method.vi_mode)
     ends = np.cumsum(durations)
-    program = compiled.program_for(method.vi_mode)
-
-    events: list[tuple[int, int]] = []
     if method.iau_mode == "cpu":
         spill = timing.transfer_cycles(config, config.total_buffer_bytes)
-        events = [(int(end), spill) for end in ends]
+        times, backups = ends, np.full(len(ends), spill)
     else:
-        for index in program.switch_point_indices:
-            instruction = program[index]
-            backup = 0
-            if instruction.opcode == Opcode.VIR_SAVE:
-                backup = timing.transfer_cycles(config, instruction.length)
-            events.append((int(ends[index]), backup))
+        program = compiled.program_for(method.vi_mode)
+        indices, backups = switch_opportunities(program, config)
+        times = ends[indices]
+    events = list(zip(times.tolist(), backups.tolist()))
     # The end of the program is always a free opportunity (the task is done).
     events.append((int(ends[-1]), 0))
     return durations, events

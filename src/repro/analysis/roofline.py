@@ -92,7 +92,7 @@ def roofline_report(compiled: CompiledNetwork) -> RooflineReport:
     """Per-layer CALC and DMA cycles of the original program: its kind
     prices (the simulator's own) times their counts, summed by layer."""
     program = compiled.programs["none"]
-    priced = kind_cycles(compiled.config, compiled, program)
+    priced = kind_cycles(compiled.config, compiled.layer_config, program)
     totals = priced.cycles * priced.counts
     opcode = program.words["opcode"][priced.first]
     layer_id = program.words["layer_id"][priced.first]

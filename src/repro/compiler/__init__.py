@@ -13,7 +13,7 @@ from repro.compiler.cache import (
 from repro.compiler.compile import VI_MODES, CompiledNetwork, compile_network
 from repro.compiler.layer_config import LAYER_KINDS, LayerConfig
 from repro.compiler.lowering import build_layer_configs, lower_network
-from repro.compiler.report import ProgramStats, per_layer_worst_wait, program_stats
+from repro.compiler.report import ProgramStats, program_stats
 from repro.compiler.tiling import (
     GroupPlan,
     LayerPlan,
@@ -66,7 +66,6 @@ __all__ = [
     "insert_layer_barriers",
     "insert_virtual_instructions",
     "lower_network",
-    "per_layer_worst_wait",
     "plan_layer",
     "program_stats",
 ]

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from repro.compiler.compile import CompiledNetwork
 from repro.estimate import estimate_service_cycles
-from repro.hw.timing import blob_cycles
 from repro.isa.opcodes import Opcode
 
 
@@ -36,17 +35,3 @@ def program_stats(compiled: CompiledNetwork, vi_mode: str = "vi") -> ProgramStat
         estimated_cycles=estimate_service_cycles(compiled.config, compiled, vi_mode),
     )
 
-
-def per_layer_worst_wait(compiled: CompiledNetwork) -> dict[str, int]:
-    """Worst-case VI-method wait (one CalcBlob, Eq. 1 numerator) per conv layer."""
-    waits: dict[str, int] = {}
-    for layer in compiled.layer_configs:
-        if layer.kind != "conv":
-            continue
-        waits[layer.name] = blob_cycles(
-            compiled.config,
-            layer.in_channels,
-            layer.out_shape.width,
-            layer.kernel,
-        )
-    return waits

@@ -55,7 +55,7 @@ def estimate_job_cycles(
         meta = compiled.cached_mode_meta(vi_mode)
         if meta is not None:
             return meta.total_cycles
-    priced = kind_cycles(config, compiled, program)
+    priced = kind_cycles(config, compiled.layer_config, program)
     return fetch_cycles(config, len(program)) + int(priced.cycles @ priced.counts)
 
 

@@ -14,7 +14,7 @@ paper's backup-vs-convolution table (e.g. the 30x40x512->512 3x3 layer:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.isa.opcodes import Opcode
 from repro.units import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compiler.compile import CompiledNetwork
     from repro.compiler.layer_config import LayerConfig
     from repro.isa.instructions import Instruction
     from repro.isa.program import Program
@@ -132,19 +131,31 @@ class KindCycles(NamedTuple):
 
 
 def kind_cycles(
-    config: AcceleratorConfig, compiled: "CompiledNetwork", program: "Program"
+    config: AcceleratorConfig,
+    layer_of: Callable[[int], "LayerConfig | None"],
+    program: "Program",
 ) -> KindCycles:
     """Price ``program`` on ``config``: one :func:`instruction_cycles` per
     instruction *kind* (:meth:`~repro.isa.program.Program.kinds`), so a
     100k-instruction network decodes a few hundred instructions.
 
-    Every straight-line price — the job estimate, the latency profiles'
-    duration column, ``ProgramMeta``'s prefix sums, the compile report and
+    ``layer_of`` maps a layer id to its config (``compiled.layer_config``,
+    or a verifier's ``layers.get``); a CALC whose layer it does not know
+    prices at 0 — the verifier has already reported the id (PRG004).
+
+    Every straight-line price — the job estimate, the static WCIRL and the
+    latency profiles, ``ProgramMeta``'s prefix sums, the compile report and
     the roofline — is a gather or a weighted sum over this one table.
     """
     first, inverse, counts = program.kinds()
-    kinds = [program[index] for index in first.tolist()]  # one decode per kind
-    cycles = [instruction_cycles(config, ins, compiled.layer_config(ins.layer_id)) for ins in kinds]
+    cycles: list[int] = []
+    for index in first.tolist():
+        ins = program[index]  # one decode per kind
+        layer = layer_of(ins.layer_id)
+        if layer is None and ins.opcode in (Opcode.CALC_I, Opcode.CALC_F):
+            cycles.append(0)
+        else:
+            cycles.append(instruction_cycles(config, ins, layer))  # type: ignore[arg-type]
     return KindCycles(np.array(cycles, dtype=np.int64), first, inverse, counts)
 
 

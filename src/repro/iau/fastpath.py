@@ -368,7 +368,7 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     length = words["length"].astype(np.int64)
     has_chs = words["chs"] != 0
     operand_b = (words["flags"] & FLAG_OPERAND_B) != 0
-    priced = kind_cycles(compiled.config, compiled, program)
+    priced = kind_cycles(compiled.config, compiled.layer_config, program)
     inverse = priced.inverse
     table = [
         _kind_template(compiled, program[index], price)

@@ -39,7 +39,6 @@ from repro.obs.bus import EventBus
 from repro.obs.events import EventKind
 from repro.qos.admission import AdmissionController
 from repro.qos.config import QosConfig
-from repro.qos.monitor import InvariantMonitor
 from repro.state import Stateful
 
 from repro.iau.fastpath import MIN_BATCH
@@ -82,7 +81,6 @@ class Iau(Stateful):
         faults: FaultPlan | None = None,
         qos: QosConfig | None = None,
         admission: AdmissionController | None = None,
-        monitor: InvariantMonitor | None = None,
     ) -> None:
         if mode not in IAU_MODES:
             raise IauError(f"mode must be one of {IAU_MODES}, got {mode!r}")
@@ -107,13 +105,9 @@ class Iau(Stateful):
         self.num_deadline_misses = 0
         if faults is not None and core.ddr.faults is None:
             core.ddr.attach_faults(faults, bus)
-        #: QoS machinery (all three are None/off on the pre-QoS fast path).
+        #: QoS machinery (both None on the pre-QoS fast path).
         self.qos = qos
         self.admission = admission
-        #: The runtime's invariant monitor, when one rides the bus: the fast
-        #: path brackets event replay in its stretch mode so a whole batch
-        #: is checked with one aggregate pass instead of per-event dispatch.
-        self.monitor = monitor
         self._edf = qos is not None and qos.edf_tiebreak
         self._detect_inversion = qos is not None and qos.detect_inversion
         self.num_inversions = 0
@@ -316,13 +310,6 @@ class Iau(Stateful):
             self._handle_real(context, instruction)
         return True
 
-    def run_until_idle(self, max_steps: int = 100_000_000) -> None:
-        """Drain every queued job (no new arrivals)."""
-        for _ in range(max_steps):
-            if not self.step():
-                return
-        raise IauError(f"IAU did not go idle within {max_steps} steps")
-
     # -- horizon-batched fast path --------------------------------------------
 
     #: Stretches shorter than this are not worth the batching overhead.
@@ -349,8 +336,8 @@ class Iau(Stateful):
           higher-priority task is runnable — guaranteed here and unchanged
           for the whole batch, since arrivals bound the horizon;
         * the invariant monitor sees the replayed stream, which is
-          byte-identical to what ``step()`` would emit (checked in its
-          aggregate stretch mode, proven equivalent per-event).
+          byte-identical to what ``step()`` would emit, and checks it event
+          by event as it would the stepped one.
         """
         if self.core.functional:
             return "functional"
@@ -475,13 +462,6 @@ class Iau(Stateful):
         """Emit the exact DDR_BURST / INSTR_RETIRE stream step() would."""
         bus = self.bus
         assert bus is not None  # callers gate on an armed bus
-        monitor = self.monitor
-        if monitor is not None:
-            # Batch-aggregate invariant checking: the monitor buffers the
-            # replayed stretch and verifies it in one pass on exit (falling
-            # back to per-event dispatch whenever the aggregate proof does
-            # not apply), instead of paying full dispatch per event.
-            monitor.enter_stretch()
         base = self.clock - meta.cum[start]
         fetch = meta.fetch
         scope: dict[str, str] = (
@@ -518,8 +498,6 @@ class Iau(Stateful):
                 program_index=j,
                 **scope,
             )
-        if monitor is not None:
-            monitor.exit_stretch()
 
     # -- switching ------------------------------------------------------------
 

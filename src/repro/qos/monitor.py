@@ -80,10 +80,6 @@ class InvariantMonitor(Stateful):
         self._queued: dict[int, int] = {}
         self._missed: dict[int, int] = {}  # task -> DEADLINE_MISS events seen
         self._burst_regions: list[tuple[str, int]] = []  # (region, cycle) buffer
-        #: Batched-stretch buffer (None = normal per-event dispatch).  Only
-        #: live inside one ``Iau._replay_events`` call, never across steps
-        #: or snapshots.
-        self._stretch: list[Event] | None = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -106,10 +102,6 @@ class InvariantMonitor(Stateful):
     # -- sink protocol -----------------------------------------------------
 
     def handle(self, event: Event) -> None:
-        if self._stretch is not None:
-            # Inside a batched stretch: defer everything to exit_stretch().
-            self._stretch.append(event)
-            return
         if event.kind is EventKind.INVARIANT_VIOLATION:
             return  # our own mirror events; never re-check them
         if event.data.get("scope") is not None:
@@ -139,85 +131,6 @@ class InvariantMonitor(Stateful):
             self._check_deadline_miss(event)
         elif kind is EventKind.JOB_COMPLETE:
             self._check_complete(event)
-
-    # -- batched stretches ---------------------------------------------------
-
-    def enter_stretch(self) -> None:
-        """Start buffering events for one batched fast-path stretch.
-
-        The fast path replays a provably-uninterruptible instruction span as
-        one event burst; the monitor checks it with a single aggregate pass
-        on :meth:`exit_stretch` instead of full per-event dispatch.  The
-        aggregate path is *proven equivalent*: it engages only when one
-        cheap scan shows the per-event replay could not have tripped any
-        check and every state update it would make is reproduced exactly;
-        anything else falls back to replaying the buffer per event.
-        """
-        self._stretch = []
-
-    def exit_stretch(self) -> None:
-        """Flush the buffered stretch: aggregate check, or exact fallback."""
-        events = self._stretch
-        self._stretch = None
-        if not events:
-            return
-        floor = self._aggregate_floor(events)
-        if floor is None:
-            for event in events:
-                self.handle(event)
-            return
-        # Per-event this stretch would (a) record no violation and (b)
-        # change no state but the monotonic high-water mark — apply that.
-        self._floor = floor
-
-    def _aggregate_floor(self, events: list[Event]) -> int | None:
-        """The post-stretch high-water mark, or None when aggregation is unsound.
-
-        A stretch aggregates only when it has the exact shape the fast-path
-        replay produces — unscoped ``DDR_BURST``/``INSTR_RETIRE`` events,
-        one task, each burst immediately popped by its retire — and the
-        replayed ``_check_monotonic``/``_check_burst_ownership`` sequence
-        provably records nothing.  Each condition below mirrors one way the
-        per-event path could diverge from "floor update only".
-        """
-        if self._burst_regions:
-            return None  # a pre-stretch burst would be popped mid-stretch
-        run_floor = self._floor
-        task_id: int | None = None
-        burst_pending = False
-        regions: list[str] = []
-        for event in events:
-            if event.data.get("scope") is not None:
-                return None  # scoped streams are skipped per event
-            kind = event.kind
-            if kind is EventKind.DDR_BURST:
-                if burst_pending:
-                    return None  # two bursts before a retire: not replay-shaped
-                region = event.data.get("region")
-                if region is not None:
-                    burst_pending = True
-                    regions.append(region)
-            elif kind is EventKind.INSTR_RETIRE:
-                if task_id is None:
-                    task_id = event.task_id
-                elif event.task_id != task_id:
-                    return None
-                burst_pending = False
-            else:
-                return None
-            # Mirror _check_monotonic exactly.
-            if event.end_cycle < run_floor:
-                return None
-            if event.cycle > run_floor:
-                run_floor = event.cycle
-        if burst_pending:
-            return None  # a trailing unpopped burst would stay buffered
-        if task_id is not None and self.region_owners:
-            for region in regions:
-                owner = self.region_owners.get(region)
-                if owner is not None and owner != task_id:
-                    return None  # per-event would record a ddr_ownership violation
-        return run_floor
 
     # -- individual checks -------------------------------------------------
 

@@ -8,9 +8,13 @@ deadlines will hold before running a single simulation — which the tests
 then confirm against the simulator.
 
 The response-time analysis is adapted to INCA's pre-emption granularity:
-a lower-priority task adds *blocking* of up to one interrupt-point gap (the
-worst CalcBlob plus its backup), because the accelerator switches only at
-virtual instructions.
+a lower-priority task adds *blocking* of up to its static worst-case
+interrupt response latency — the longest gap between switch opportunities
+plus the backup paid at its end (:func:`repro.verify.wcirl.wcirl_bound`) —
+because the accelerator switches only at virtual instructions.  The
+recovery and re-fetch a preempted task pays when it resumes are not
+charged, so the response of every task below the top priority can still
+exceed the analysis by that per-preemption cost.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compiler.compile import CompiledNetwork
-from repro.compiler.report import per_layer_worst_wait
 from repro.errors import SchedulerError
+from repro.verify.engine import layer_table
+from repro.verify.wcirl import wcirl_bound
 
 
 @dataclass(frozen=True)
@@ -59,11 +64,11 @@ def liu_layland_bound(count: int) -> float:
 
 
 def worst_blocking_cycles(compiled: CompiledNetwork) -> int:
-    """Worst non-pre-emptible stretch of one network under the VI method:
-    the longest CalcBlob (Eq. 1's numerator) — a higher-priority arrival can
-    wait at most this long for the running task to reach an interrupt point."""
-    waits = per_layer_worst_wait(compiled)
-    return max(waits.values()) if waits else 0
+    """Longest a higher-priority arrival can wait for one network under the
+    VI method to reach a switch opportunity and back up: the static WCIRL of
+    its ``vi`` program."""
+    program = compiled.program_for("vi")
+    return wcirl_bound(program, compiled.config, layer_table(compiled)).worst_response_cycles
 
 
 @dataclass(frozen=True)

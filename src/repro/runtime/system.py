@@ -195,7 +195,6 @@ class MultiTaskSystem(SubmitSurface, Stateful):
             faults=faults,
             qos=qos,
             admission=self.admission,
-            monitor=self.monitor,
         )
         self.faults = faults
         self.degradation = degradation

@@ -13,8 +13,8 @@ proves those claims per compiled variant:
   fire; an over-count would desynchronize every later draw at that site.
 * **INT002** — within every stretch the replayed monitor-visible event
   stream (``DDR_BURST``/``INSTR_RETIRE`` templates) is cycle-monotonic and
-  every burst carries its region, so the monitor's batch-aggregate floor
-  check is equivalent to per-event dispatch.
+  every burst carries its region, so the monitor checks a replayed stretch
+  exactly as it checks a stepped one.
 * **INT003** — every stretch ends at a *clean* boundary: no CalcBlob
   accumulator and no finalized-but-unsaved output section in flight, and
   the tile descriptors the meta would install there are the ones resident,
@@ -193,8 +193,8 @@ def _monitor_stream(program: Program, meta: ProgramMeta, report: Report) -> None
                 report.add(
                     "INT002",
                     f"{opcode_name} template ends at cycle {end}, behind the "
-                    f"stretch floor {floor} — the monitor's aggregate floor "
-                    f"would diverge from per-event dispatch",
+                    f"stretch floor {floor} — the replayed stream would trip "
+                    f"the monitor's cycle-monotonicity check",
                     program=program.name,
                     index=index,
                 )
@@ -202,7 +202,7 @@ def _monitor_stream(program: Program, meta: ProgramMeta, report: Report) -> None
                 report.add(
                     "INT002",
                     f"{opcode_name} burst template carries no DDR region — "
-                    f"region ownership could not be checked in aggregate",
+                    f"the monitor could not check its region ownership",
                     program=program.name,
                     index=index,
                 )

@@ -206,7 +206,7 @@ _RULES: tuple[RuleInfo, ...] = (
         "monitor-visible stream monotonic",
         "within every stretch the replayed DDR_BURST/INSTR_RETIRE templates "
         "are cycle-monotonic and every burst carries its region, so the "
-        "invariant monitor's batch-aggregate check equals per-event dispatch.",
+        "invariant monitor checks a replayed stretch as it checks a stepped one.",
         "§IV multi-task isolation (runtime monitor)",
     ),
     RuleInfo(

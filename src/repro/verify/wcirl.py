@@ -2,31 +2,62 @@
 
 With no interrupt in flight the accelerator executes the program straight-
 line, so per-instruction completion times are a prefix sum of the timing
-model (:func:`repro.hw.timing.instruction_cycles` plus the per-instruction
-fetch).  A request arriving at time ``t`` is served at the first switch
-opportunity at or after ``t``, paying that opportunity's backup DMA; the
-static WCIRL is therefore the maximum over opportunities of
+model (:func:`repro.hw.timing.kind_cycles` plus the per-instruction fetch).
+A request arriving at time ``t`` is served at the first switch opportunity
+at or after ``t``, paying that opportunity's backup DMA; the static WCIRL is
+therefore the maximum over opportunities of
 
     (gap since the previous opportunity) + (backup cost of this one).
 
-This mirrors :func:`repro.analysis.latency.window_profile` over the whole
-program exactly — the differential tests assert bound-equality against it
-and bound-dominance against measured IAU preemptions.
+:func:`straight_line_cycles` and :func:`switch_opportunities` are that
+timeline as columns.  The bound here and the latency profiles of
+:mod:`repro.analysis.latency` are both computed from them; the differential
+tests assert bound-dominance against measured IAU preemptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
+
+import numpy as np
 
 from repro.hw.config import AcceleratorConfig
-from repro.hw.timing import fetch_cycles, instruction_cycles, transfer_cycles
+from repro.hw.timing import fetch_cycles, kind_cycles, transfer_cycles
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.verify.diagnostics import Report
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler -> isa)
     from repro.compiler.layer_config import LayerConfig
+
+
+def straight_line_cycles(
+    program: Program,
+    config: AcceleratorConfig,
+    layer_of: Callable[[int], "LayerConfig | None"],
+) -> np.ndarray:
+    """Duration of each instruction on the straight-line (no-interrupt) run:
+    its fetch plus its execute cycles (0 for a virtual instruction, which
+    the IAU discards after the fetch)."""
+    priced = kind_cycles(config, layer_of, program)
+    return priced.cycles[priced.inverse] + fetch_cycles(config)
+
+
+def switch_opportunities(
+    program: Program, config: AcceleratorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indices, backups)``: the instruction index of every switch
+    opportunity, ascending, and the backup cycles a switch there pays — the
+    VIR_SAVE's DMA, 0 at a recovery load or a barrier.  The program end is
+    not listed; it is always a free opportunity."""
+    indices = np.array(program.switch_point_indices, dtype=np.int64)
+    words = program.words[indices]
+    backups = [
+        transfer_cycles(config, length) if opcode == Opcode.VIR_SAVE else 0
+        for opcode, length in zip(words["opcode"].tolist(), words["length"].tolist())
+    ]
+    return indices, np.array(backups, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -55,51 +86,25 @@ def wcirl_bound(
     layers: Mapping[int, "LayerConfig"],
 ) -> StaticWcirl:
     """Compute the static WCIRL of ``program`` under ``config``'s timing."""
-    fetch = fetch_cycles(config)
-    time = 0
-    # (completion time, backup cycles, instruction index or None for the end)
-    events: list[tuple[int, int, int | None]] = []
-    for index, instruction in enumerate(program):
-        layer = layers.get(instruction.layer_id)
-        if instruction.is_virtual:
-            execute = 0
-        elif (
-            instruction.opcode in (Opcode.CALC_I, Opcode.CALC_F) and layer is None
-        ):
-            execute = 0  # unknown layer: PRG004 already reported; keep going
-        else:
-            execute = instruction_cycles(config, instruction, layer)  # type: ignore[arg-type]
-        time += fetch + execute
-        if instruction.is_virtual and instruction.is_switch_point:
-            backup = 0
-            if instruction.opcode == Opcode.VIR_SAVE:
-                backup = transfer_cycles(config, instruction.length)
-            events.append((time, backup, index))
-    total = time
-    switch_points = len(events)
-    # The end of the program is always a free opportunity (the task is done).
-    events.append((total, 0, None))
-
-    cursor = 0
-    worst_gap = 0
-    worst_response = 0
-    worst_index: int | None = None
-    for event_time, backup, index in events:
-        if event_time > cursor:
-            gap = event_time - cursor
-            response = gap + backup
-            worst_gap = max(worst_gap, gap)
-            if response > worst_response:
-                worst_response = response
-                worst_index = index
-        cursor = max(cursor, event_time)
+    ends = np.cumsum(straight_line_cycles(program, config, layers.get))
+    indices, backups = switch_opportunities(program, config)
+    total = int(ends[-1]) if len(ends) else 0
+    # Opportunity times, the program end appended as a free one.
+    times = np.append(ends[indices], total)
+    gaps = np.diff(times, prepend=0)
+    # A zero gap (two opportunities at one time) serves no arrival.
+    responses = np.where(gaps > 0, gaps + np.append(backups, 0), 0)
+    worst = int(np.argmax(responses))
+    worst_response = int(responses[worst])
     return StaticWcirl(
         program=program.name,
         total_cycles=total,
-        switch_points=switch_points,
-        worst_gap_cycles=worst_gap,
+        switch_points=len(indices),
+        worst_gap_cycles=int(gaps.max()),
         worst_response_cycles=worst_response,
-        worst_index=worst_index,
+        worst_index=(
+            int(indices[worst]) if worst_response and worst < len(indices) else None
+        ),
     )
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro.accel.runner import run_program
 from repro.compiler import compile_network
-from repro.compiler.report import per_layer_worst_wait, program_stats
-from repro.hw.timing import blob_cycles
+from repro.compiler.report import program_stats
 from repro.isa import Opcode
 from repro.nn import TensorShape
 from repro.zoo import build_gem
@@ -50,24 +49,3 @@ class TestProgramStats:
         stats = program_stats(tiny_cnn_compiled, "vi")
         assert stats.virtual == tiny_cnn_compiled.program.num_virtual()
 
-
-class TestPerLayerWorstWait:
-    def test_covers_conv_layers(self, tiny_cnn_compiled):
-        waits = per_layer_worst_wait(tiny_cnn_compiled)
-        conv_names = {
-            cfg.name for cfg in tiny_cnn_compiled.layer_configs if cfg.kind == "conv"
-        }
-        assert set(waits) == conv_names
-
-    def test_matches_blob_formula(self, tiny_cnn_compiled):
-        waits = per_layer_worst_wait(tiny_cnn_compiled)
-        for layer in tiny_cnn_compiled.layer_configs:
-            if layer.kind != "conv":
-                continue
-            expected = blob_cycles(
-                tiny_cnn_compiled.config,
-                layer.in_channels,
-                layer.out_shape.width,
-                layer.kernel,
-            )
-            assert waits[layer.name] == expected

@@ -41,10 +41,11 @@ class TestVirLoadWPath:
         Hand-build a program with a VIR_LOAD_W in its recovery pack."""
         from dataclasses import replace
 
-        from repro.accel.core import AcceleratorCore
-        from repro.hw.ddr import Ddr
-        from repro.iau import Iau
-        from repro.isa import Instruction, Opcode, Program
+        import numpy as np
+
+        from repro.isa import Opcode, Program
+        from repro.runtime import MultiTaskSystem
+        from repro.verify.wcirl import straight_line_cycles
 
         low, high = tiny_pair
         base = low.programs["vi"].instructions
@@ -70,25 +71,26 @@ class TestVirLoadWPath:
         )
         program = Program(name="with_vlw", instructions=tuple(instructions))
 
-        ddr = Ddr()
-        for region in low.layout.ddr.regions():
-            ddr.adopt(region)
-        for region in high.layout.ddr.regions():
-            ddr.adopt(region)
-        core = AcceleratorCore(example_config, ddr, obs=ObsConfig())
-        iau = Iau(core)
-        context = iau.attach_task(1, low, vi_mode="vi")
-        context.program = program  # swap in the hand-built stream
-        iau.attach_task(0, high, vi_mode="vi")
-        iau.request(1)
-        # Interrupt while running; eventually the resume path crosses the
-        # VIR_LOAD_W and must materialize it without error.
-        for _ in range(40):
-            iau.step()
-        iau.request(0)
-        iau.run_until_idle()
-        assert len(iau.context(1).completed) == 1
-        assert len(iau.context(0).completed) == 1
+        system = MultiTaskSystem(example_config, obs=ObsConfig(events=True))
+        system.add_task(1, low, vi_mode="vi")
+        # Every job starts from base_program: swap in the hand-built stream.
+        system.iau.context(1).base_program = program
+        system.add_task(0, high, vi_mode="vi")
+        # The high-priority request lands while the SAVE before the pack head
+        # runs, so the low task is preempted there and resumes through the
+        # VIR_LOAD_W.
+        ends = np.cumsum(straight_line_cycles(program, example_config, low.layer_config))
+        system.submit(1, 0)
+        system.submit(0, int(ends[insert_at - 2]))
+        system.run(max_steps=100_000)
+        recovered = [
+            event.data["opcode"]
+            for event in system.bus.of_kind(EventKind.VI_EXPAND)
+            if event.data["phase"] == "recovery"
+        ]
+        assert "VIR_LOAD_W" in recovered
+        assert len(system.iau.context(1).completed) == 1
+        assert len(system.iau.context(0).completed) == 1
 
 
 class TestMulticoreEquivalenceProperty:

@@ -17,7 +17,6 @@ runtime half of that contract:
 * armed batched runs are bit-identical to armed ``step()`` runs — final
   clock, job records, injected faults, event streams, monitor state, and
   even the position of detected-fatal crashes;
-* the monitor's batch-aggregate stretch check equals per-event dispatch;
 * ``ProgramMeta`` horizon/boundary/fault-stop arithmetic handles its edge
   cases (horizon exactly on a boundary, horizon before the current
   instruction, a tail stretch shorter than ``MIN_BATCH``).
@@ -36,11 +35,9 @@ from repro.faults.campaign import default_rates, make_preemption_scenario
 from repro.faults.plan import FaultPlan, FaultSite
 from repro.iau.fastpath import BATCH_FAULT_SITES, MIN_BATCH
 from repro.iau.unit import Iau
-from repro.obs.bus import EventBus
 from repro.obs.config import ObsConfig
 from repro.obs.events import EventKind
 from repro.qos.config import QosConfig
-from repro.qos.monitor import InvariantMonitor
 from repro.runtime.system import MultiTaskSystem
 
 
@@ -384,109 +381,6 @@ def test_armed_monitor_bit_identical(tiny_pair, example_config):
             (job.request_cycle, job.start_cycle, job.complete_cycle)
             for job in stepped.jobs(task_id)
         ]
-
-
-# -- the monitor's aggregate stretch check ------------------------------------
-
-
-def make_events(specs):
-    bus = EventBus(record=True)
-    for kind, kwargs in specs:
-        bus.emit(kind, **kwargs)
-    return list(bus.events)
-
-
-def clean_stretch_events():
-    return make_events(
-        [
-            (
-                EventKind.DDR_BURST,
-                dict(cycle=100, layer_id=0, duration=40, region="t0/in", direction="load"),
-            ),
-            (
-                EventKind.INSTR_RETIRE,
-                dict(cycle=100, task_id=0, layer_id=0, duration=40, opcode="LOAD_D"),
-            ),
-            (
-                EventKind.INSTR_RETIRE,
-                dict(cycle=150, task_id=0, layer_id=0, duration=20, opcode="CALC_F"),
-            ),
-        ]
-    )
-
-
-def paired_monitors():
-    return InvariantMonitor(mode="report"), InvariantMonitor(mode="report")
-
-
-class TestMonitorStretchMode:
-    def test_aggregate_path_equals_per_event(self):
-        aggregate, per_event = paired_monitors()
-        events = clean_stretch_events()
-        aggregate.enter_stretch()
-        for event in events:
-            aggregate.handle(event)
-        aggregate.exit_stretch()
-        for event in events:
-            per_event.handle(event)
-        assert aggregate.violations == [] and per_event.violations == []
-        assert aggregate._floor == per_event._floor
-
-    def test_foreign_event_falls_back_exactly(self):
-        aggregate, per_event = paired_monitors()
-        events = clean_stretch_events() + make_events(
-            [(EventKind.JOB_SUBMIT, dict(cycle=160, task_id=0, request_cycle=1))]
-        )
-        aggregate.enter_stretch()
-        for event in events:
-            aggregate.handle(event)
-        aggregate.exit_stretch()
-        for event in events:
-            per_event.handle(event)
-        assert [str(v) for v in aggregate.violations] == [
-            str(v) for v in per_event.violations
-        ]
-        assert aggregate._floor == per_event._floor
-        assert aggregate._queued == per_event._queued
-
-    def test_ownership_violation_not_masked_by_aggregation(self):
-        aggregate, per_event = paired_monitors()
-        for monitor in (aggregate, per_event):
-            monitor.own_region("t0/in", task_id=3)  # someone else's region
-        events = clean_stretch_events()
-        aggregate.enter_stretch()
-        for event in events:
-            aggregate.handle(event)
-        aggregate.exit_stretch()
-        for event in events:
-            per_event.handle(event)
-        assert per_event.violations  # the per-event reference must trip
-        assert [str(v) for v in aggregate.violations] == [
-            str(v) for v in per_event.violations
-        ]
-
-    def test_monotonicity_regression_not_masked(self):
-        aggregate, per_event = paired_monitors()
-        events = clean_stretch_events()
-        for monitor in (aggregate, per_event):
-            monitor._floor = 10_000  # stream regressed behind the high-water mark
-        aggregate.enter_stretch()
-        for event in events:
-            aggregate.handle(event)
-        aggregate.exit_stretch()
-        for event in events:
-            per_event.handle(event)
-        assert per_event.violations
-        assert [str(v) for v in aggregate.violations] == [
-            str(v) for v in per_event.violations
-        ]
-        assert aggregate._floor == per_event._floor
-
-    def test_empty_stretch_is_free(self):
-        monitor = InvariantMonitor(mode="report")
-        monitor.enter_stretch()
-        monitor.exit_stretch()
-        assert monitor.violations == [] and monitor._floor == 0
 
 
 # -- ProgramMeta edge cases ---------------------------------------------------

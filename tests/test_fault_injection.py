@@ -23,6 +23,7 @@ from repro.errors import (
     IsaError,
     MemoryMapError,
     ProgramError,
+    SchedulerError,
 )
 from repro.faults import DeadlineMissed, DegradationPolicy, FaultPlan, FaultSite
 from repro.faults.campaign import RunOutcome, make_preemption_scenario, run_campaign
@@ -157,21 +158,14 @@ class TestIauFaults:
         with pytest.raises(IauError):
             context.begin_next_job()
 
-    def test_runaway_guard(self, tiny_pair):
-        """run_until_idle's step bound trips instead of hanging."""
-        from repro.accel.core import AcceleratorCore
-        from repro.hw.ddr import Ddr
-        from repro.iau import Iau
-
+    def test_runaway_guard(self, tiny_pair, example_config):
+        """The run loop's step bound trips instead of hanging."""
         low, _ = tiny_pair
-        ddr = Ddr()
-        for region in low.layout.ddr.regions():
-            ddr.adopt(region)
-        iau = Iau(AcceleratorCore(low.config, ddr, obs=ObsConfig()))
-        iau.attach_task(0, low)
-        iau.request(0)
-        with pytest.raises(IauError):
-            iau.run_until_idle(max_steps=3)
+        system = MultiTaskSystem(example_config)
+        system.add_task(0, low)
+        system.submit(0)
+        with pytest.raises(SchedulerError):
+            system.run(max_steps=3, batched=False)
 
 
 class TestQuantFaults:
@@ -652,7 +646,6 @@ class TestSnapshotUnderFaults:
         armed.run(until_cycle=10_000)
         state = armed.capture_state()
 
-        from repro.errors import SchedulerError
         from repro.runtime.system import compile_tasks
         from repro.zoo import build_tiny_residual
 

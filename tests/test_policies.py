@@ -106,8 +106,25 @@ class TestAnalysisVsSimulation:
         for task, result in zip(tasks, analysis):
             worst_turnaround, misses = measured[task.name]
             assert misses == 0
-            # Analysis is a sound upper bound on the measured response.
-            assert worst_turnaround <= result.response_cycles + task.period_cycles * 0.05
+            # A preempted task pays recovery and re-fetch on resume, which the
+            # analysis does not charge: below the top priority it is a bound
+            # only up to that per-preemption slack.
+            slack = 0 if task is tasks[0] else task.period_cycles * 0.05
+            assert worst_turnaround <= result.response_cycles + slack
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(2, 4, 8), (4, 4, 4), (6, 6, 6), (8, 3, 20), (10, 10, 10), (3, 4, 6), (8, 8, 8)],
+        ids=str,
+    )
+    def test_top_priority_response_is_bounded_without_slack(self, workloads, factors):
+        """The top-priority task is never preempted, so the analysis (its own
+        execution plus the worst lower-priority WCIRL) bounds it exactly."""
+        tasks = rate_monotonic_order(make_tasks(workloads, factors))
+        analysis = response_time_analysis(tasks)
+        assert all(result.schedulable for result in analysis)
+        worst_turnaround, _ = self.run_simulation(tasks)[tasks[0].name]
+        assert worst_turnaround <= analysis[0].response_cycles
 
     def test_overloaded_set_flagged(self, workloads):
         # Periods barely above execution time for all three: > 100% utilisation.
@@ -116,8 +133,8 @@ class TestAnalysisVsSimulation:
         assert not is_schedulable(tasks)
 
     def test_analysis_includes_blocking(self, workloads):
-        """The top-priority task's response exceeds its execution time by up
-        to one lower-priority blob (VI pre-emption granularity)."""
+        """The top-priority task's response exceeds its execution time by the
+        worst lower-priority WCIRL (VI pre-emption granularity)."""
         tasks = rate_monotonic_order(make_tasks(workloads, (10, 10, 10)))
         analysis = response_time_analysis(tasks)
         top = analysis[0]
