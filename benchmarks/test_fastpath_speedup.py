@@ -6,10 +6,9 @@ included).
 The workload is ResNet-scale (tens of thousands of instructions per job)
 with periodic overlapping arrivals, exactly the regime the fast path was
 built for: long uninterruptible stretches punctuated by switch points.
-Correctness (cycle- and event-exactness) is covered by
-``tests/test_fastpath.py`` (disarmed) and ``tests/test_fastpath_armed.py``
-(faults + QoS armed) and ``tests/test_ros_batched.py`` (the executor); this
-file pins the *performance* claims and records the tables under
+Correctness (cycle- and event-exactness, disarmed, armed and under the
+executor) is the conformance matrix's (``tests/conformance.py``);
+this file pins the *performance* claims and records the tables under
 ``benchmarks/results/``.
 
 The armed run pays for the static interference analysis once per fire

@@ -34,6 +34,7 @@ from repro.faults.campaign import (
     make_preemption_scenario,
     run_campaign,
 )
+from tests.conformance import stepped
 
 CAMPAIGN_RUNS = 500
 REQUIRED_SITES = 5
@@ -72,29 +73,16 @@ def test_campaign_500_runs_zero_silent_corruption(scenario):
 
 def test_campaign_500_runs_batched_bit_identical():
     """Armed differential at campaign scale: the batched fast path survives
-    the full 500-run campaign bit-identically to armed ``step()``.
+    the full 500-run campaign bit-identically to armed ``step()`` (the
+    conformance matrix's stepped oracle).
 
     The timing-only variant of the stock scenario is the regime where the
     fast path actually engages (functional runs always step); both campaigns
-    share one compile so the static stretch tables are the same artefact.
+    run the one scenario, so the static stretch tables are the same artefact.
     Every run's classification — outcome, injected-fault log, crash
     messages, invariant-monitor findings — and a digest of its complete
     event stream must match seed for seed.
     """
-    digests: dict[str, list[str]] = {"stepped": [], "batched": []}
-
-    def recording(scenario, into):
-        def wrapped(plan):
-            result = scenario(plan)
-            into.append(
-                hashlib.sha1(
-                    "".join(repr(event) for event in result.events).encode()
-                ).hexdigest()
-            )
-            return result
-
-        return wrapped
-
     from repro.hw.config import AcceleratorConfig
     from repro.runtime.system import compile_tasks
     from repro.zoo import build_tiny_cnn, build_tiny_residual
@@ -105,23 +93,27 @@ def test_campaign_500_runs_batched_bit_identical():
         weights="random",
         seed=4,
     )
-    stepped = make_preemption_scenario(pair, functional=False, batched=False)
-    report_s = run_campaign(
-        recording(stepped, digests["stepped"]),
-        runs=CAMPAIGN_RUNS,
-        rates=default_rates(),
-        base_seed=0,
-    )
-    batched = make_preemption_scenario(pair, functional=False, batched=True)
-    report_b = run_campaign(
-        recording(batched, digests["batched"]),
-        runs=CAMPAIGN_RUNS,
-        rates=default_rates(),
-        base_seed=0,
-    )
+    scenario = make_preemption_scenario(pair, functional=False)
+
+    def campaign():
+        digests: list[str] = []
+
+        def recording(plan):
+            result = scenario(plan)
+            stream = "".join(repr(event) for event in result.events)
+            digests.append(hashlib.sha1(stream.encode()).hexdigest())
+            return result
+
+        report = run_campaign(recording, runs=CAMPAIGN_RUNS, rates=default_rates(), base_seed=0)
+        return report, digests
+
+    with pytest.MonkeyPatch.context() as patch:
+        stepped(patch)
+        report_s, digests_s = campaign()
+    report_b, digests_b = campaign()
 
     assert report_b.golden_cycle == report_s.golden_cycle
     assert report_b.runs == report_s.runs  # outcome, faults, detail, violations
-    assert digests["batched"] == digests["stepped"]  # event streams, byte for byte
+    assert digests_b == digests_s  # event streams, byte for byte
     assert report_b.num_runs == CAMPAIGN_RUNS
     assert len(report_b.sites_covered()) >= REQUIRED_SITES

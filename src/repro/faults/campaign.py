@@ -210,7 +210,6 @@ def make_preemption_scenario(
     arrival_cycle: int = 8_000,
     deadline_cycles: int = 120_000,
     functional: bool = True,
-    batched: bool = True,
 ) -> Callable[[FaultPlan | None], ScenarioRun]:
     """Stock campaign workload: low-priority job preempted at a Vir_SAVE.
 
@@ -222,10 +221,7 @@ def make_preemption_scenario(
 
     ``functional=False`` builds the timing-only variant (no array compute,
     empty ``outputs``) — the regime where the armed batched fast path can
-    engage, which the armed differential suites pin bit-identical against
-    stepping.  ``batched`` is forwarded to
-    :meth:`~repro.runtime.system.MultiTaskSystem.run`; it only changes how
-    the simulation advances, never what it computes.
+    engage.
     """
     from repro.hw.config import AcceleratorConfig
     from repro.runtime.system import MultiTaskSystem, compile_tasks
@@ -267,7 +263,7 @@ def make_preemption_scenario(
             compiled.set_input(data)
         system.submit(1, 0)
         system.submit(0, arrival_cycle)
-        system.run(batched=batched)
+        system.run()
         outputs = (
             {
                 f"task{index}": compiled.get_output()

@@ -33,9 +33,8 @@ single time:
   INT rule family).
 
 ``Iau.run_batched`` consumes this metadata; the equivalence contract
-(cycle-exact and event-exact against ``step()``) is enforced by
-``tests/test_fastpath.py`` and, with faults/QoS armed, by
-``tests/test_fastpath_armed.py``.
+(cycle-exact and event-exact against ``step()``, disarmed and armed) is the
+conformance matrix, ``tests/conformance.py``.
 """
 
 from __future__ import annotations
@@ -359,9 +358,10 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     discarded after their fetch) — exactly the regime ``run_batched``
     restricts itself to.  Cycles (:func:`repro.hw.timing.kind_cycles`),
     event templates and fault draws (:func:`_kind_template`) come from a
-    table with one row per instruction *kind*, built by the per-instruction
-    functions ``step()`` itself uses, and every prefix sum is one ``cumsum``
-    of a column gathered from it.
+    table with one row per instruction *kind* — ``step()`` calls neither;
+    ``tests/test_pricing_agreement.py`` and the conformance matrix's armed
+    cells hold them to the core's prices and draws — and every prefix sum
+    is one ``cumsum`` of a column gathered from it.
     """
     words = program.words
     opcode, layer_id = words["opcode"], words["layer_id"]

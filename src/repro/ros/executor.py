@@ -14,7 +14,8 @@ start while ``iau.clock`` is before the next scheduled callback (or the
 changes at arrivals and completions, arrivals only happen inside callbacks,
 and a completion is its own ``run_batched`` call — so each loop iteration
 retires one whole event-bounded stretch, not one instruction, and stays
-cycle- and event-exact against stepping (``tests/test_ros_batched.py``).
+cycle- and event-exact against stepping (the ``ros`` / ``dslam`` cells of
+``tests/conformance.py``).
 Armed runs (event bus, ``FaultPlan``, QoS monitor) take the engine's own
 fire-oracle / event-replay / ``step()`` bail-outs; nothing here special-cases
 them.

@@ -28,11 +28,12 @@ proves those claims per compiled variant:
   batching to pay off (a warning below the floor, never an error).
 
 Neither INT001 nor INT003 takes :func:`~repro.iau.fastpath.build_program_meta`'s
-bookkeeping on trust: INT001 recounts with the per-instruction function
-``step()`` itself uses, and INT003's ground truth is the core's own buffer
-machine (the :data:`~repro.verify.bufferflow.Replay` of each variant), so a
-drift between builder and runtime is caught here as a named diagnostic
-instead of as a silent bit-divergence deep inside a fault campaign.
+bookkeeping on trust: INT001 recounts instruction by instruction with
+:func:`~repro.iau.fastpath.batch_draws` (``step()`` draws in ``Ddr`` and
+``Iau._handle_virtual`` instead; the conformance matrix's armed cells tie
+the two), and INT003's ground truth is the core's own buffer machine (the
+:data:`~repro.verify.bufferflow.Replay` of each variant), so a drift between
+builder and runtime is a named diagnostic, not a silent bit-divergence.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""Horizon-batched fast path: differential equivalence + satellite fixes.
+"""Horizon-batched fast path: it engages, it is the default, satellite fixes.
 
-The fast path (:meth:`repro.iau.unit.Iau.run_batched`) must be *cycle-exact
-and event-exact* against the step-wise dispatch loop: same final clock, same
-per-job records, same :class:`~repro.accel.core.CoreStats`, and — with an
-armed bus — the identical event stream, byte for byte.  Every test here runs
-the same workload twice (``run(batched=False)`` vs the default) and compares
-the complete observable surface.
+That :meth:`repro.iau.unit.Iau.run_batched` is cycle- and event-exact
+against the step-wise loop is the conformance matrix's job
+(``tests/test_conformance_matrix.py``).  Here: the fast path really retires
+whole stretches and ``MultiTaskSystem.run()`` takes it by default.
 
 Also covered: the ``JobRecord.deadline_missed`` outcome-type fix, the
 ``LOAD_W`` DDR-aliasing fix, past-cycle submission rejection on both system
@@ -28,96 +26,6 @@ from repro.obs.config import ObsConfig
 from repro.qos.admission import AdmissionDenied
 from repro.qos.config import QosConfig
 from repro.runtime.system import ArrivalPolicy, MultiTaskSystem
-
-
-def job_fields(system, task_id):
-    return [
-        (job.request_cycle, job.start_cycle, job.complete_cycle,
-         job.degraded, job.outcome)
-        for job in system.jobs(task_id)
-    ]
-
-
-def build_single(pair, config, iau_mode, vi_mode, batched):
-    """A two-task workload dense enough that jobs overlap and pre-empt."""
-    low, high = pair
-    system = MultiTaskSystem(config, iau_mode=iau_mode, obs=ObsConfig(events=True))
-    system.add_task(0, high, vi_mode=vi_mode)
-    system.add_task(1, low, vi_mode=vi_mode)
-    system.submit(
-        1, at_cycle=0, policy=ArrivalPolicy.PERIODIC, period_cycles=9_000, count=6
-    )
-    system.submit(
-        0, at_cycle=2_500, policy=ArrivalPolicy.PERIODIC, period_cycles=11_000, count=5
-    )
-    clock = system.run(batched=batched)
-    return system, clock
-
-
-@pytest.mark.parametrize("iau_mode", ["virtual", "cpu"])
-@pytest.mark.parametrize("vi_mode", ["vi", "layer"])
-def test_single_core_differential(tiny_pair, example_config, iau_mode, vi_mode):
-    """Batched and step-wise runs are indistinguishable, pre-emptions and all."""
-    stepped, clock_s = build_single(tiny_pair, example_config, iau_mode, vi_mode, False)
-    batched, clock_b = build_single(tiny_pair, example_config, iau_mode, vi_mode, True)
-    # The workload must actually exercise mid-job pre-emption: more context
-    # switches than jobs means at least one job was interrupted mid-stream.
-    total_jobs = len(stepped.jobs(0)) + len(stepped.jobs(1))
-    assert stepped.iau.num_switches > total_jobs
-    assert clock_b == clock_s
-    assert batched.iau.num_switches == stepped.iau.num_switches
-    assert batched.iau.core.stats == stepped.iau.core.stats
-    assert batched.bus.events == stepped.bus.events
-    for task_id in (0, 1):
-        assert job_fields(batched, task_id) == job_fields(stepped, task_id)
-
-
-def test_vi_mode_none_differential(tiny_pair, example_config):
-    """vi_mode='none' programs (no switch points at all) batch whole jobs."""
-    stepped, clock_s = build_single(tiny_pair, example_config, "virtual", "none", False)
-    batched, clock_b = build_single(tiny_pair, example_config, "virtual", "none", True)
-    assert clock_b == clock_s
-    assert batched.iau.core.stats == stepped.iau.core.stats
-    assert batched.bus.events == stepped.bus.events
-    for task_id in (0, 1):
-        assert job_fields(batched, task_id) == job_fields(stepped, task_id)
-
-
-@pytest.mark.parametrize("placement", ["static", "least-loaded"])
-def test_multicore_differential(tiny_pair, example_config, placement, monkeypatch):
-    """Cores sharing one bus emit the identical global event stream."""
-
-    def run(batched):
-        if not batched:
-            monkeypatch.setattr(
-                Iau, "run_batched", lambda self, horizon=None: self.step()
-            )
-        else:
-            monkeypatch.undo()
-        low, high = tiny_pair
-        system = MultiCoreSystem(
-            example_config, num_cores=2, placement=placement,
-            obs=ObsConfig(events=True),
-        )
-        system.add_task(0, high)
-        system.add_task(1, low)
-        system.submit(
-            0, at_cycle=0, policy=ArrivalPolicy.PERIODIC,
-            period_cycles=9_000, count=4,
-        )
-        system.submit(
-            1, at_cycle=2_000, policy=ArrivalPolicy.PERIODIC,
-            period_cycles=7_000, count=5,
-        )
-        return system, system.run()
-
-    stepped, clock_s = run(False)
-    batched, clock_b = run(True)
-    assert clock_b == clock_s
-    assert batched.core_busy_cycles() == stepped.core_busy_cycles()
-    assert batched.bus.events == stepped.bus.events
-    for task_id in (0, 1):
-        assert job_fields(batched, task_id) == job_fields(stepped, task_id)
 
 
 def test_fast_path_actually_batches(tiny_cnn_compiled):

@@ -1,4 +1,4 @@
-"""Armed fast path: batched dispatch is bit-exact under faults + QoS.
+"""Armed fast path: the fire oracle, the step-out and the count gate.
 
 The static interference analysis (``repro.verify.interference``, the INT
 rule family) proves per-program where the batched fast path may engage
@@ -6,6 +6,10 @@ with a :class:`~repro.faults.plan.FaultPlan` and the runtime
 :class:`~repro.qos.monitor.InvariantMonitor` armed.  This suite pins the
 runtime half of that contract:
 
+* armed batched runs equal armed ``step()`` runs — clock, job records,
+  injected faults, event streams, monitor state, even where a
+  detected-fatal run crashes — on the campaign, crash and zero-rate
+  conformance cells (``tests/conformance.py``);
 * the fire oracle (``FaultPlan.safe_draws``/``burn``) peeks without
   perturbing any RNG stream and vouches only for draws that provably miss
   — checked against a cache-free model of the stream — and ``burn``
@@ -14,9 +18,6 @@ runtime half of that contract:
   in one call, and pausing at any cycle inside that span changes nothing;
 * the work an armed batched run does is bounded in counts (RNG draws,
   oracle consults), with no wall clock;
-* armed batched runs are bit-identical to armed ``step()`` runs — final
-  clock, job records, injected faults, event streams, monitor state, and
-  even the position of detected-fatal crashes;
 * ``ProgramMeta`` horizon/boundary/fault-stop arithmetic handles its edge
   cases (horizon exactly on a boundary, horizon before the current
   instruction, a tail stretch shorter than ``MIN_BATCH``).
@@ -26,19 +27,18 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 
 from repro.accel.core import AcceleratorCore
-from repro.errors import CheckpointError, EccError, FaultError
-from repro.faults.campaign import default_rates, make_preemption_scenario
+from repro.errors import FaultError
 from repro.faults.plan import FaultPlan, FaultSite
 from repro.iau.fastpath import BATCH_FAULT_SITES, MIN_BATCH
 from repro.iau.unit import Iau
 from repro.obs.config import ObsConfig
-from repro.obs.events import EventKind
-from repro.qos.config import QosConfig
 from repro.runtime.system import MultiTaskSystem
+from tests.conformance import NAMED, Cell, build, check, observe, run_cell, seen
 
 
 # -- the fire oracle ----------------------------------------------------------
@@ -231,156 +231,37 @@ class TestFireOracle:
 # -- armed differential: fault campaign ---------------------------------------
 
 
-@pytest.fixture(scope="module")
-def timing_scenarios():
-    """Stepped and batched timing-only variants of the stock preemption
-    scenario, sharing one compile (and hence one ProgramMeta cache)."""
-    from repro.hw.config import AcceleratorConfig
-    from repro.runtime.system import compile_tasks
-    from repro.zoo import build_tiny_cnn, build_tiny_residual
-
-    config = AcceleratorConfig.worked_example()
-    pair = compile_tasks(
-        [build_tiny_cnn(), build_tiny_residual()], config, weights="random", seed=4
-    )
-    stepped = make_preemption_scenario(pair, functional=False, batched=False)
-    batched = make_preemption_scenario(pair, functional=False, batched=True)
-    return stepped, batched
-
-
-def run_one(scenario, seed, rates, **plan_kwargs):
-    plan = FaultPlan(seed=seed, rates=rates, **plan_kwargs)
-    try:
-        result = scenario(plan)
-        crash = None
-    except (EccError, CheckpointError) as exc:
-        result = None
-        crash = f"{type(exc).__name__}: {exc}"
-    return result, crash, plan
-
-
-def assert_bit_identical(stepped_run, batched_run):
-    result_s, crash_s, plan_s = stepped_run
-    result_b, crash_b, plan_b = batched_run
-    assert crash_b == crash_s
-    assert plan_b.injected == plan_s.injected
-    if result_s is None:
-        assert result_b is None
-        return
-    assert result_b.final_cycle == result_s.final_cycle
-    assert result_b.jobs == result_s.jobs
-    assert result_b.events == result_s.events
-    assert result_b.shed == result_s.shed
-
-
-def test_armed_campaign_rates_bit_identical(timing_scenarios):
+def test_armed_campaign_rates_bit_identical():
     """Campaign-rate fault plans: every observable byte matches stepping."""
-    stepped, batched = timing_scenarios
-    rates = default_rates()
-    fired_total = 0
-    for seed in range(12):
-        runs = (
-            run_one(stepped, seed, rates),
-            run_one(batched, seed, rates),
-        )
-        assert_bit_identical(*runs)
-        fired_total += runs[0][2].count()
-    assert fired_total > 0  # the suite must actually inject faults
+    for cell in NAMED["campaign"]:
+        check(cell)
+    assert any(seen(cell)["sites"] for cell in NAMED["campaign"])  # faults really fire
 
 
-def test_armed_crash_parity_with_uncorrectable_flips(timing_scenarios):
+def test_armed_crash_parity_with_uncorrectable_flips():
     """Detected-fatal runs (EccError / CheckpointError) crash at the same
     place with the same message on both dispatch paths."""
-    stepped, batched = timing_scenarios
-    rates = {
-        FaultSite.DDR_BIT_FLIP: 0.05,
-        FaultSite.DDR_STALL: 0.02,
-        FaultSite.CHECKPOINT_CORRUPT: 0.6,
-        FaultSite.IAU_DROP_PREEMPT: 0.3,
-        FaultSite.IAU_SPURIOUS_PREEMPT: 0.01,
-    }
-    crashes = 0
-    for seed in range(10):
-        runs = (
-            run_one(stepped, seed, rates, uncorrectable_share=0.5),
-            run_one(batched, seed, rates, uncorrectable_share=0.5),
-        )
-        assert_bit_identical(*runs)
-        crashes += runs[0][1] is not None
-    assert crashes > 0  # the crash path must actually be exercised
+    for cell in NAMED["crash"]:
+        check(cell)
+    assert any(seen(cell)["crashed"] for cell in NAMED["crash"])  # the crash path runs
 
 
-def test_armed_zero_rate_plan_still_batches(timing_scenarios):
+def test_armed_zero_rate_plan_still_batches():
     """A plan with every rate at 0 must not constrain the batch (the
     oracle answers without peeking) and must match stepping exactly."""
-    stepped, batched = timing_scenarios
-    runs = (run_one(stepped, 0, {}), run_one(batched, 0, {}))
-    assert_bit_identical(*runs)
-    assert runs[1][2].count() == 0
+    (cell,) = NAMED["zero-rate"]
+    check(cell)
+    run = seen(cell)
+    assert not run["sites"]
+    assert run["counts"]["instr_batched"] > run["counts"]["instr_stepped"]
 
 
-def test_armed_batched_actually_batches(timing_scenarios):
+def test_armed_batched_actually_batches():
     """The armed fast path must engage, not silently fall back to step()."""
-    _, batched = timing_scenarios
-    steps = 0
-    original = Iau.step
-
-    def counting_step(self):
-        nonlocal steps
-        steps += 1
-        return original(self)
-
-    Iau.step = counting_step
-    try:
-        result, crash, _plan = run_one(batched, 0, default_rates())
-    finally:
-        Iau.step = original
-    assert crash is None
-    retired = sum(
-        1 for event in result.events if event.kind is EventKind.INSTR_RETIRE
-    )
-    assert steps < retired / 2  # most instructions retired in batches
-
-
-# -- armed differential: QoS overload with the invariant monitor --------------
-
-
-def qos_system(pair, config, batched):
-    low, high = pair
-    qos = QosConfig(monitor=True, monitor_mode="report", edf_tiebreak=True)
-    system = MultiTaskSystem(
-        config, iau_mode="virtual", obs=ObsConfig(events=True), qos=qos
-    )
-    system.add_task(0, high)
-    system.add_task(1, low)
-    for index in range(8):
-        system.submit(0, 1_000 + index * 9_000)
-    for index in range(10):
-        system.submit(1, index * 7_000)
-    system.run(batched=batched)
-    return system
-
-
-def test_armed_monitor_bit_identical(tiny_pair, example_config):
-    """With the invariant monitor riding the bus, batched and stepped runs
-    agree on events, violations, and the monitor's high-water mark."""
-    stepped = qos_system(tiny_pair, example_config, batched=False)
-    batched = qos_system(tiny_pair, example_config, batched=True)
-    assert batched.iau.clock == stepped.iau.clock
-    assert batched.bus.events == stepped.bus.events
-    assert batched.monitor is not None and stepped.monitor is not None
-    assert [str(v) for v in batched.monitor.violations] == [
-        str(v) for v in stepped.monitor.violations
-    ]
-    assert batched.monitor._floor == stepped.monitor._floor
-    for task_id in (0, 1):
-        assert [
-            (job.request_cycle, job.start_cycle, job.complete_cycle)
-            for job in batched.jobs(task_id)
-        ] == [
-            (job.request_cycle, job.start_cycle, job.complete_cycle)
-            for job in stepped.jobs(task_id)
-        ]
+    run = seen(NAMED["campaign"][0])
+    assert not run["crashed"]
+    # Most instructions retired in batches.
+    assert run["counts"]["instr_stepped"] < run["counts"]["instr_batched"]
 
 
 # -- ProgramMeta edge cases ---------------------------------------------------
@@ -471,53 +352,7 @@ class TestProgramMetaEdges:
 # -- the step-out: a short stretch is bounded once ------------------------------
 
 
-def compile_tiny_pair():
-    """A private compile (injected flips write the DDR arrays a compiled
-    network shares with its system) and its pristine region contents."""
-    from repro.hw.config import AcceleratorConfig
-    from repro.runtime.system import compile_tasks
-    from repro.zoo import build_tiny_cnn, build_tiny_residual
-
-    pair = compile_tasks(
-        [build_tiny_cnn(), build_tiny_residual()],
-        AcceleratorConfig.worked_example(),
-        weights="random",
-        seed=4,
-    )
-    pristine = [
-        {region.name: region.array.copy() for region in compiled.layout.ddr.regions()}
-        for compiled in pair
-    ]
-    return pair, pristine
-
-
-def armed_tiny_system(pair, pristine, seed=0):
-    """Overlapping periodic jobs on the tiny pair under campaign rates."""
-    for compiled, regions in zip(pair, pristine):
-        for region in compiled.layout.ddr.regions():
-            region.array[...] = regions[region.name]
-    system = MultiTaskSystem(
-        pair[0].config,
-        obs=ObsConfig(events=True),
-        faults=FaultPlan(seed=seed, rates=default_rates()),
-    )
-    system.add_task(0, pair[0])
-    system.add_task(1, pair[1])
-    for index in range(4):
-        system.submit(1, index * 30_000)
-        system.submit(0, 8_000 + index * 25_000)
-    return system
-
-
-def observable(system):
-    return (
-        system.clock,
-        list(system.bus.events),
-        list(system.faults.injected),
-        [list(system.jobs(task_id)) for task_id in (0, 1)],
-        system.core.stats,
-        system.ddr.pending_flip_count,
-    )
+STEP_OUT = Cell("runtime", armed="faults", workload="step-out")
 
 
 def test_step_out_chunked_at_every_cycle_equals_one_run(monkeypatch):
@@ -526,7 +361,6 @@ def test_step_out_chunked_at_every_cycle_equals_one_run(monkeypatch):
     pauses, in the same state, and resuming equals one uninterrupted run:
     every point the loop runs through is one where returning to the caller
     changes nothing."""
-    pair, pristine = compile_tiny_pair()
     spans: list[tuple[int, int, int]] = []
     original = Iau._step_out
 
@@ -537,30 +371,29 @@ def test_step_out_chunked_at_every_cycle_equals_one_run(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(Iau, "_step_out", recording)
-        whole = armed_tiny_system(pair, pristine)
-        whole.run()
-    expected = observable(whole)
+        expected = run_cell(STEP_OUT).observed
 
     # The shortest span that still covers several steps keeps this quick.
     entry, exit_, steps = min(
         (span for span in spans if span[2] >= 5), key=lambda span: span[1] - span[0]
     )
     assert exit_ - entry < 2_000
-    # The stepped reference walks the span once, pausing at every cycle.
-    stepped = armed_tiny_system(*compile_tiny_pair())
+    # The stepped reference walks the span once, pausing at every cycle, on
+    # the cache-hit artefact: injected flips never reach the chunked runs'.
+    stepped = build(replace(STEP_OUT, artefact="cached"))
     pauses = set()
     for cycle in range(entry, exit_ + 2):
-        stepped.run(batched=False, until_cycle=cycle)
-        pauses.add(stepped.clock)
-        chunked = armed_tiny_system(pair, pristine)
-        chunked.run(until_cycle=cycle)
-        assert not chunked.done
-        assert observable(chunked) == observable(stepped), cycle
-        chunked.run()
-        assert observable(chunked) == expected, cycle
+        stepped.systems[0].run(batched=False, until_cycle=cycle)
+        pauses.add(stepped.systems[0].clock)
+        chunked = build(STEP_OUT)
+        chunked.systems[0].run(until_cycle=cycle)
+        assert not chunked.systems[0].done
+        assert observe(chunked, False) == observe(stepped, False), cycle
+        chunked.systems[0].run()
+        assert observe(chunked, False) == expected, cycle
     assert len(pauses) >= steps  # the pauses really fell between the steps
-    stepped.run(batched=False)
-    assert observable(stepped) == expected
+    stepped.systems[0].run(batched=False)
+    assert observe(stepped, False) == expected
 
 
 # -- deterministic work guard (no wall clock) -----------------------------------

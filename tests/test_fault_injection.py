@@ -34,6 +34,7 @@ from repro.obs.config import ObsConfig
 from repro.ros.executor import Executor
 from repro.runtime.system import ArrivalPolicy, MultiTaskSystem
 from repro.zoo import build_tiny_cnn
+from tests.conformance import NAMED, Cell, build, check
 
 
 @pytest.fixture(scope="module")
@@ -531,132 +532,26 @@ class TestCheckpointRetryAccounting:
 
 class TestSnapshotUnderFaults:
     """Serving-layer snapshots of a fully armed system (faults + QoS +
-    obs) must restore into a *fresh* system and finish with the event
-    stream, metrics, and job outcomes of an uninterrupted golden run."""
+    obs) restore into a *fresh* system and finish equal to the stepped
+    golden run (the snapshot conformance cells), and fit only an
+    identically armed system."""
 
-    RATES = {
-        FaultSite.CHECKPOINT_CORRUPT: 0.3,
-        FaultSite.DDR_BIT_FLIP: 0.02,
-        FaultSite.DDR_STALL: 0.05,
-    }
+    def test_armed_restore_is_bit_exact(self):
+        pickled, _disk = NAMED["snapshot"]
+        check(pickled)
 
-    def _build(self, config):
-        from repro.qos import AdmissionPolicy, QosConfig
-        from repro.runtime.system import compile_tasks
-        from repro.zoo import build_tiny_residual
+    def test_armed_restore_round_trips_through_disk(self):
+        _pickled, disk = NAMED["snapshot"]
+        check(disk)
 
-        plan = FaultPlan(seed=11, rates=self.RATES)
-        qos = QosConfig(
-            admission=AdmissionPolicy.REJECT,
-            queue_depth=2,
-            monitor=True,
-            monitor_mode="report",
-        )
-        system = MultiTaskSystem(
-            config,
-            obs=ObsConfig(events=True, metrics=True),
-            faults=plan,
-            qos=qos,
-        )
-        cnn, residual = compile_tasks(
-            [build_tiny_cnn(), build_tiny_residual()],
-            config,
-            weights="random",
-            seed=4,
-        )
-        system.add_task(0, cnn)
-        system.add_task(1, residual)
-        for cycle in (0, 5_000, 10_000, 40_000, 41_000, 80_000):
-            system.submit(1, cycle)
-        for cycle in (8_000, 9_000, 48_000):
-            system.submit(0, cycle)
-        return system
-
-    @staticmethod
-    def _event_tuples(system):
-        return [
-            (e.kind.value, e.cycle, e.task_id, sorted(e.data.items()))
-            for e in system.bus.events
-        ]
-
-    @staticmethod
-    def _job_tuples(system):
-        return [
-            (
-                task,
-                record.request_cycle,
-                record.start_cycle,
-                record.complete_cycle,
-                repr(record.outcome),
-                record.checkpoint_retries,
-            )
-            for task in (0, 1)
-            for record in system.jobs(task)
-        ]
-
-    def test_armed_restore_is_bit_exact(self, example_config):
-        import pickle as _pickle
-
-        golden = self._build(example_config)
-        golden.run()
-
-        interrupted = self._build(example_config)
-        interrupted.run(until_cycle=20_000)
-        assert not interrupted.done
-        blob = _pickle.dumps(interrupted.capture_state())
-
-        resumed = self._build(example_config)
-        resumed.restore_state(_pickle.loads(blob))
-        assert resumed.clock == interrupted.clock
-        resumed.run()
-
-        assert resumed.clock == golden.clock
-        assert self._event_tuples(resumed) == self._event_tuples(golden)
-        assert self._job_tuples(resumed) == self._job_tuples(golden)
-        assert resumed.iau.num_rollbacks == golden.iau.num_rollbacks
-        assert resumed.core.stats == golden.core.stats
-        assert resumed.metrics.capture_state() == golden.metrics.capture_state()
-        assert [str(v) for v in resumed.monitor.violations] == [
-            str(v) for v in golden.monitor.violations
-        ]
-        # The fault plan drew identical sequences after the restore.
-        assert resumed.faults.injected == golden.faults.injected
-
-    def test_armed_restore_round_trips_through_disk(
-        self, example_config, tmp_path
-    ):
-        from repro.serve import restore_system, snapshot_system
-
-        golden = self._build(example_config)
-        golden.run()
-
-        interrupted = self._build(example_config)
-        interrupted.run(until_cycle=20_000)
-        path = tmp_path / "armed.snap"
-        snapshot_system(interrupted, path)
-
-        resumed = self._build(example_config)
-        restore_system(resumed, path)
-        resumed.run()
-        assert resumed.clock == golden.clock
-        assert self._event_tuples(resumed) == self._event_tuples(golden)
-
-    def test_restore_refuses_differently_armed_system(self, example_config):
-        armed = self._build(example_config)
+    def test_restore_refuses_differently_armed_system(self, example_config, tiny_pair):
+        armed = build(Cell("runtime", armed="all", seed=11, workload="snapshot")).systems[0]
         armed.run(until_cycle=10_000)
         state = armed.capture_state()
 
-        from repro.runtime.system import compile_tasks
-        from repro.zoo import build_tiny_residual
-
+        low, high = tiny_pair
         disarmed = MultiTaskSystem(
             example_config, obs=ObsConfig(events=True, metrics=True)
-        )
-        low, high = compile_tasks(
-            [build_tiny_cnn(), build_tiny_residual()],
-            example_config,
-            weights="random",
-            seed=4,
         )
         disarmed.add_task(0, high)
         disarmed.add_task(1, low)

@@ -7,6 +7,7 @@ from repro.interrupt import VIRTUAL_INSTRUCTION, run_alone
 from repro.multicore import MultiCoreSystem, compare_deployments
 from repro.runtime.system import compile_tasks
 from repro.zoo import build_tiny_cnn, build_tiny_conv
+from tests.conformance import NAMED, check
 
 
 @pytest.fixture(scope="module")
@@ -46,27 +47,10 @@ class TestConstruction:
 
 
 class TestSingleCoreEquivalence:
-    def test_one_core_matches_multitask_system(self, pair, example_config):
+    def test_one_core_matches_multitask_system(self):
         """A 1-core MultiCoreSystem must behave exactly like the runtime's
-        single-accelerator system."""
-        from repro.runtime import MultiTaskSystem
-
-        high, low = pair
-        single = MultiTaskSystem(example_config)
-        single.add_task(0, high)
-        single.add_task(1, low)
-        single.submit(1, 0)
-        single.submit(0, 3000)
-        single_total = single.run()
-
-        multi = MultiCoreSystem(example_config, num_cores=1)
-        multi.add_task(0, high, core=0)
-        multi.add_task(1, low, core=0)
-        multi.submit(1, 0)
-        multi.submit(0, 3000)
-        multi_total = multi.run()
-        assert multi_total == single_total
-        assert multi.jobs(0)[0].response_cycles == single.job(0).response_cycles
+        single-accelerator system: clock, job records and core stats."""
+        check(*NAMED["one-core"])
 
 
 class TestSpatialIsolation:

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.errors import RosError
-from repro.faults.plan import FaultPlan, FaultSite
-from repro.obs.config import ObsConfig
 from repro.ros import Executor, Node
 from repro.ros.topic import TopicRegistry
 from repro.runtime.system import MultiTaskSystem
+from tests.conformance import Cell, build, observe, run_cell
 
 
 class TestTopics:
@@ -165,21 +164,9 @@ class TestExecutorWithAccelerator:
 
 
 class TestExecutorPausePoints:
-    """``run(until_cycle=)`` is a pause, not a different run."""
-
-    @staticmethod
-    def mission(tiny_pair, faults=None):
-        """PR at 0, FE pre-empting it at 3,000, a second PR at 30,000."""
-        low, high = tiny_pair
-        system = MultiTaskSystem(low.config, obs=ObsConfig(events=True), faults=faults)
-        system.add_task(0, high, vi_mode="vi")
-        system.add_task(1, low, vi_mode="vi")
-        executor = Executor(system)
-        done = []
-        executor.schedule(0, lambda: executor.submit_job(1, done.append))
-        executor.schedule(3_000, lambda: executor.submit_job(0, done.append))
-        executor.schedule(30_000, lambda: executor.submit_job(1, done.append))
-        return executor, system, done
+    """``run(until_cycle=)`` is a pause, not a different run (that a chunked
+    mission equals one run is the conformance matrix's pause-points
+    workload)."""
 
     def test_pause_bounds_the_accelerator_with_no_event_left(self, tiny_pair):
         low, _ = tiny_pair
@@ -193,37 +180,21 @@ class TestExecutorPausePoints:
         assert 1_000 <= paused_at == system.iau.clock < 1_500
         assert executor.run() > paused_at and len(system.jobs(1)) == 1
 
-    def test_chunked_run_equals_one_run(self, tiny_pair):
-        executor, system, done = self.mission(tiny_pair)
-        final = executor.run()
-        for chunk in (700, 2_000, 4_999):
-            paused, paused_system, paused_done = self.mission(tiny_pair)
-            for pause in range(chunk, 30_000, chunk):
-                assert paused.run(until_cycle=pause) >= pause
-            assert paused.run() == final
-            assert paused_done == done and len(done) == 3
-            assert paused_system.bus.events == system.bus.events
-
-    def test_pause_keeps_latent_ecc_flips(self, tiny_pair):
+    def test_pause_keeps_latent_ecc_flips(self):
         """Scrubbing at a pause would correct flips an uninterrupted run
         still carries (and report them at the wrong cycle)."""
-
-        def plan():
-            return FaultPlan(seed=5, rates={FaultSite.DDR_BIT_FLIP: 0.05})
-
-        executor, system, done = self.mission(tiny_pair, faults=plan())
-        final = executor.run()
-        paused, paused_system, paused_done = self.mission(tiny_pair, faults=plan())
+        mission = Cell("ros", armed="faults", seed=5, workload="pause-points")
+        whole = run_cell(mission).observed
+        paused = build(mission)
+        (pause, finish), ddr = paused.legs[0], paused.systems[0].ddr
         pending = []
-        for pause in range(2_000, 30_000, 2_000):
-            paused.run(until_cycle=pause)
-            pending.append(paused_system.ddr.pending_flip_count)
+        for cycle in range(2_000, 30_000, 2_000):
+            pause(cycle)
+            pending.append(ddr.pending_flip_count)
         assert max(pending) > 0  # some pause really had a flip to keep
-        assert paused.run() == final
-        assert paused_system.ddr.pending_flip_count == 0  # drained: scrubbed
-        assert paused_system.faults.injected == system.faults.injected
-        assert paused_system.bus.events == system.bus.events
-        assert paused_done == done
+        finish()
+        assert ddr.pending_flip_count == 0  # drained: scrubbed
+        assert observe(paused, False) == whole
 
 
 class TestNode:

@@ -1,52 +1,35 @@
-"""Declared state (``repro.state``): conformance and exact round trips.
+"""Declared state (``repro.state``): conformance and refusals.
 
 One system with *everything* armed — a FaultPlan on all six IAU/DDR sites,
 QoS with BLOCK admission + slack gate + EDF + inversion detection + the
-invariant monitor, events + metrics + trace, a down-tiering degradation
-policy — is the subject of both halves:
-
-* **conformance** — every attribute of every stateful object that a run
-  changes is declared (``STATE`` / ``PARTS`` / ``EXTRA``) or is a cache
-  that ``_reset_derived`` drops: a new mutable field that is not declared
-  fails here instead of silently falling out of snapshots;
-* **round trip** — snapshot at a random cycle, restore into a fresh build,
-  finish: clock, job records, event stream and fault log equal the
-  uninterrupted run's.
+invariant monitor, events + metrics, a down-tiering degradation policy — is
+the subject: every attribute of every stateful object that a run changes is
+declared (``STATE`` / ``PARTS`` / ``EXTRA``) or is a cache that
+``_reset_derived`` drops, so a new mutable field that is not declared fails
+here instead of silently falling out of snapshots.  A snapshot taken at a
+random cycle resumes exactly: the round-trip conformance cells
+(``tests/conformance.py``).
 """
 
 from __future__ import annotations
 
 import io
 import pickle
-import random
 
 import pytest
 
 from repro.errors import SchedulerError, StateError
-from repro.estimate import estimate_job_cycles
-from repro.faults import DegradationPolicy, FaultPlan, FaultSite
-from repro.hw.config import AcceleratorConfig
+from repro.faults import FaultPlan, FaultSite
 from repro.hw.ddr import Ddr
 from repro.iau.context import TaskContext
 from repro.iau.unit import Iau
 from repro.obs.config import ObsConfig
-from repro.qos import AdmissionPolicy, QosConfig
-from repro.runtime.system import MultiTaskSystem, compile_tasks
+from repro.runtime.system import MultiTaskSystem
 from repro.state import Shared, Stateful
-from repro.zoo import build_tiny_cnn, build_tiny_conv, build_tiny_residual
+from tests.conformance import CONFIG, NAMED, ROUND_TRIP_RATES, Cell, build, check
 
-CONFIG = AcceleratorConfig.worked_example()
 #: A mid-run pause with jobs queued, parked, preempted and completed.
 CUT = 45_000
-
-RATES = {
-    FaultSite.DDR_BIT_FLIP: 0.02,
-    FaultSite.DDR_STALL: 0.05,
-    FaultSite.IAU_DROP_PREEMPT: 0.3,
-    FaultSite.IAU_SPURIOUS_PREEMPT: 0.002,
-    FaultSite.CHECKPOINT_CORRUPT: 0.3,
-    FaultSite.JOB_OVERRUN: 0.1,
-}
 
 #: Attributes a hand-written body captures under another key (``Ddr``
 #: copies region arrays out as "regions" and writes them back in place).
@@ -61,45 +44,9 @@ HOST_ONLY = {Iau: {"dispatch_counts"}}
 
 
 def build_armed() -> MultiTaskSystem:
-    """Three slots, tuned (seed 0) so every armed mechanism really moves:
-    all six fault sites fire, slot 0 suffers inversions and a slack denial,
-    slot 1 parks BLOCKed requests, slot 2 (slot 1's EDF peer) is shed and
-    down-tiered, checkpoints roll back, deadlines are missed."""
-    system = MultiTaskSystem(
-        CONFIG,
-        obs=ObsConfig(events=True, metrics=True),
-        faults=FaultPlan(seed=0, rates=RATES, overrun_cycles=3_000),
-        degradation=DegradationPolicy(max_pending=2, min_task_id=2, downtier_pending=1),
-        qos=QosConfig(
-            admission=AdmissionPolicy.BLOCK,
-            queue_depth=2,
-            slack_admission=True,
-            min_task_id=0,
-            edf_tiebreak=True,
-            detect_inversion=True,
-            monitor=True,
-            monitor_mode="report",
-        ),
-    )
-    # Fresh compiles per build: injected bit flips write the DDR arrays the
-    # compiled networks share with the system.
-    cnn, residual, conv = compile_tasks(
-        [build_tiny_cnn(), build_tiny_residual(), build_tiny_conv()],
-        CONFIG,
-        weights="random",
-        seed=4,
-    )
-    tight = estimate_job_cycles(CONFIG, residual, residual.program_for("vi")) + 1_500
-    system.add_task(0, residual, deadline_cycles=tight)
-    system.add_task(1, cnn, deadline_cycles=200_000, priority=1)
-    system.add_task(2, conv, deadline_cycles=150_000, priority=1)
-    for cycle in (0, 1_000, 2_000, 3_000, 5_000, 10_000, 40_000, 41_000, 80_000):
-        system.submit(1, cycle)
-    for cycle in (500, 1_500, 2_500, 3_500, 42_000, 43_000):
-        system.submit(2, cycle)
-    for cycle in (8_000, 9_000, 30_000, 48_000, 70_000, 90_000):
-        system.submit(0, cycle)
-    return system
+    """Three slots with every subsystem armed and every mechanism moving
+    (see the conformance matrix's round-trip workload)."""
+    return build(Cell("runtime", armed="all", workload="round-trip")).systems[0]
 
 
 def stateful_objects(system: MultiTaskSystem) -> list[Stateful]:
@@ -166,7 +113,7 @@ class TestConformance:
             "AdmissionController", "FaultPlan",
         }
         system.run()
-        assert system.faults.sites_injected() == set(RATES)
+        assert system.faults.sites_injected() == set(ROUND_TRIP_RATES)
         assert [o.reason for o in system.admission.outcomes] == ["no_slack"]
         parked = [e for e in system.bus.events if e.data.get("reason") == "parked"]
         assert len(parked) == 6 and system.shed == {0: 0, 1: 0, 2: 3}
@@ -251,39 +198,9 @@ class TestRefusals:
             system.capture_state()
 
 
-def observables(system: MultiTaskSystem) -> dict[str, object]:
-    return {
-        "clock": system.clock,
-        "jobs": [repr(job) for task in (0, 1, 2) for job in system.jobs(task)],
-        "events": [
-            (e.kind.value, e.cycle, e.task_id, e.layer_id, e.duration, sorted(e.data.items()))
-            for e in system.bus.events
-        ],
-        "faults": list(system.faults.injected),
-        "metrics": system.metrics.snapshot(),
-        "violations": [str(v) for v in system.monitor.violations],
-        "denied": list(system.admission.outcomes),
-        "shed": dict(system.shed),
-        "core": system.core.stats,
-    }
-
-
 class TestRoundTrip:
-    @pytest.fixture(scope="class")
-    def golden(self):
-        system = build_armed()
-        system.run()
-        return observables(system)
-
     @pytest.mark.parametrize("seed", range(20))
-    def test_resume_at_a_random_cycle_is_exact(self, golden, seed):
-        cut = random.Random(seed).randrange(1, golden["clock"])
-        interrupted = build_armed()
-        interrupted.run(until_cycle=cut, batched=bool(seed % 2))
-        blob = pickle.dumps(interrupted.capture_state())
-
-        resumed = build_armed()
-        resumed.restore_state(pickle.loads(blob))
-        assert resumed.clock == interrupted.clock
-        resumed.run(batched=bool(seed % 3))
-        assert observables(resumed) == golden
+    def test_resume_at_a_random_cycle_is_exact(self, seed):
+        """Snapshot at a seeded cycle (batched or stepped up to it), pickle,
+        restore into a fresh build, finish: equal to the stepped golden."""
+        check(NAMED["round-trip"][seed])
