@@ -9,10 +9,11 @@ nodes mid-run.  The headline claims:
   stranded work is hedged or migrated, exactly once;
 * its gold-class SLO attainment stays within 10% of the no-fault golden
   run despite losing a quarter of the farm;
-* the static whole-day plan has no answer: with the same worker kills its
-  measure phase exhausts the retry budget and aborts, and even granting
-  it a free replan, a lost-node day costs it the jobs the dead nodes
-  would have completed — far below the floor.
+* the static whole-day plan has no answer: when the process-pool worker
+  of node 2 dies its measure phase aborts (the pool is a plain fan-out;
+  only ``serve_durable`` recovers a dead worker), and even granting it a
+  crash-free measure phase, a lost-node day costs it the jobs the dead
+  nodes would have completed — far below the floor.
 
 The table lands in ``benchmarks/results/farm_chaos.txt``.
 """
@@ -28,7 +29,6 @@ from repro.analysis.design_space import default_design_grid
 from repro.analysis.tables import format_table
 from repro.errors import SchedulerError
 from repro.farm import (
-    ChaosAction,
     ChaosPlan,
     Farm,
     FeedbackScheduler,
@@ -41,6 +41,8 @@ from repro.farm import (
     generate_jobs,
     run_chaos_campaign,
 )
+from repro.farm.node import simulate_node
+from repro.serve.worker import CRASH_EXIT_CODE
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=150_000)
 SILVER = SloClass("silver", rank=1, weight=3.0, deadline_cycles=600_000)
@@ -83,7 +85,15 @@ def make_farm():
     return Farm(eight_node_grid(), SERVICES, FeedbackScheduler())
 
 
-def test_feedback_loop_survives_losing_two_of_eight_nodes():
+def _dies_on_node_2(assignment):
+    """A pool worker that vanishes like ``kill -9`` on node 2 and simulates
+    every other node (module-level, so the pool pickles it by reference)."""
+    if assignment.node == 2:
+        os._exit(CRASH_EXIT_CODE)
+    return simulate_node(assignment)
+
+
+def test_feedback_loop_survives_losing_two_of_eight_nodes(monkeypatch):
     jobs = oversubscribed_day()
     resilience = ResilienceConfig(epoch_cycles=250_000)
     plans = [
@@ -97,27 +107,16 @@ def test_feedback_loop_survives_losing_two_of_eight_nodes():
     )
 
     # -- the static whole-day plan, for contrast -------------------------
-    # (a) Same worker-level chaos: SIGKILL the measure worker of one node
-    # more times than the retry budget allows.  The static pipeline has no
-    # per-node health model — it aborts the whole day.
-    static_farm = Farm(
-        eight_node_grid(), SERVICES, PredictiveScheduler(), measure_retries=1
-    )
-    kill_plan = ChaosPlan(actions=(ChaosAction("kill_worker", 2, count=4),))
+    # (a) Worker-level chaos: the measure worker of node 2 dies.  The
+    # static pipeline has no per-node health model — it aborts the day.
+    static_farm = Farm(eight_node_grid(), SERVICES, PredictiveScheduler())
     static_aborts = False
-    chaos_dir = "benchmarks/results/.chaos-arm"
-    env = kill_plan.arm_worker_kills(chaos_dir)
-    os.environ.update(env)
-    try:
-        static_farm.serve(jobs, max_workers=4)
-    except SchedulerError:
-        static_aborts = True
-    finally:
-        for key in env:
-            os.environ.pop(key, None)
-        for leftover in os.listdir(chaos_dir):
-            os.unlink(os.path.join(chaos_dir, leftover))
-        os.rmdir(chaos_dir)
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.farm.farm.simulate_node", _dies_on_node_2)
+        try:
+            static_farm.serve(jobs, max_workers=4)
+        except SchedulerError:
+            static_aborts = True
 
     # (b) Even granting the static plan a crash-free measure phase, a day
     # where two nodes die at the planned cycles silently loses every job
@@ -147,7 +146,7 @@ def test_feedback_loop_survives_losing_two_of_eight_nodes():
     static_rows = [
         [
             "static + worker kills",
-            "aborted (retry budget spent)" if static_aborts else "completed",
+            "aborted (no worker recovery)" if static_aborts else "completed",
         ],
         ["static + 2 node deaths: jobs lost", lost],
         [
@@ -180,7 +179,7 @@ def test_feedback_loop_survives_losing_two_of_eight_nodes():
         )
     assert campaign.all_ok
     # The static plan fails the same day both ways.
-    assert static_aborts, "static measure phase should exhaust its retries"
+    assert static_aborts, "a dead pool worker should abort the static day"
     assert lost > 0, "node deaths must cost the static plan jobs"
     assert static_gold < 0.9 * golden_gold or lost > 0
 

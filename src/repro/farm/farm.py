@@ -55,7 +55,6 @@ from repro.hw.config import AcceleratorConfig
 from repro.iau.unit import MAX_TASKS
 from repro.obs.bus import EventBus
 from repro.obs.config import ObsConfig
-from repro.obs.events import EventKind
 from repro.runtime.system import MultiTaskSystem
 
 if TYPE_CHECKING:  # pragma: no cover - the gateway imports the farm's nodes
@@ -92,7 +91,8 @@ class NodeBackend(Protocol):
     compile and no simulator.
     """
 
-    #: Node workers that crashed and were re-run while advancing.
+    #: Crashed node workers re-attempted while advancing (only the gateway
+    #: re-attempts; in-process and pool-shipped nodes report 0).
     retries: int
 
     def submit(self, dispatch: Dispatch) -> None:
@@ -228,7 +228,6 @@ class Farm:
         *,
         vi_mode: str = "vi",
         obs: ObsConfig | None = None,
-        measure_retries: int = 1,
     ):
         if not node_configs:
             raise SchedulerError("a farm needs at least one node")
@@ -239,18 +238,12 @@ class Farm:
                 f"at most {MAX_TASKS} services (IAU priority slots), "
                 f"got {len(services)}"
             )
-        if measure_retries < 0:
-            raise SchedulerError(
-                f"measure_retries must be >= 0, got {measure_retries}"
-            )
         self.node_configs = tuple(node_configs)
         self.services = tuple(services)
         self.scheduler = scheduler
         self.vi_mode = vi_mode
         self.obs = obs
-        #: Retry budget for crashed measure workers (attempts = 1 + retries).
-        self.measure_retries = measure_retries
-        #: Farm-level event bus (dispatcher's-eye view: retries, health,
+        #: Farm-level event bus (dispatcher's-eye view: health,
         #: migrations, hedges, mode switches).  Distinct from per-node obs —
         #: node simulations never see it, and it is always on (cheap).
         self.bus = EventBus()
@@ -338,7 +331,8 @@ class Farm:
         """Plan the whole day, measure every node exactly, report.
 
         One whole-day epoch on in-process nodes.  ``max_workers`` > 1 ships
-        the nodes to a process pool instead, one worker per node; the
+        the nodes to a process pool instead, one worker per node; a worker
+        that dies fails the day (:meth:`serve_durable` survives one).  The
         default (None → serial) is required when ``obs`` is set.
         """
         if max_workers is None or max_workers <= 1:
@@ -487,62 +481,26 @@ class Farm:
             resilience=None if policy is None else policy.ledger(epochs, results),
         )
 
+    @staticmethod
     def _measure_parallel(
-        self, assignments: Sequence[NodeAssignment], max_workers: int
+        assignments: Sequence[NodeAssignment], max_workers: int
     ) -> tuple[list[NodeJobResult], int]:
-        """Measure on a process pool; retry crashed workers up to the budget.
+        """Measure on a process pool: one plain fan-out, no recovery.
 
-        A worker process that dies (OOM kill, segfaulting extension, bad
-        luck) breaks its whole executor — every pending future poisons.
-        The replay is deterministic and side-effect free, so failed
-        assignments are re-run on a *fresh* executor up to
-        ``measure_retries`` more times; each retried assignment emits a
-        ``MEASURE_RETRY`` event on the farm bus and the total count is
-        surfaced on the report.
+        A worker that raises or dies (a dead process breaks the whole
+        executor) fails the day with one :class:`SchedulerError` naming the
+        failed nodes.  Recovering a dead worker is :meth:`serve_durable`'s
+        job: it resumes the node from its last snapshot.
         """
         workers = min(max_workers, len(assignments)) or 1
-        results, failed = self._measure_attempt(assignments, workers)
-        retries = 0
-        for attempt in range(self.measure_retries):
-            if not failed:
-                break
-            retries += len(failed)
-            for assignment, error in failed:
-                self.bus.emit(
-                    EventKind.MEASURE_RETRY,
-                    node=assignment.node,
-                    attempt=attempt + 1,
-                    error=repr(error),
-                )
-            retried, failed = self._measure_attempt(
-                [assignment for assignment, _ in failed], workers
-            )
-            results.extend(retried)
-        if failed:
-            nodes = sorted(a.node for a, _ in failed)
-            first_error = failed[0][1]
-            raise SchedulerError(
-                f"{len(failed)} node worker(s) failed after "
-                f"{1 + self.measure_retries} attempt(s) (nodes {nodes}): "
-                f"{first_error!r}"
-            )
-        return results, retries
-
-    @staticmethod
-    def _measure_attempt(
-        assignments: Sequence[NodeAssignment], workers: int
-    ) -> tuple[list[NodeJobResult], list[tuple[NodeAssignment, BaseException]]]:
-        """One executor pass: completed node results + failed assignments."""
-        results: list[NodeJobResult] = []
-        failed: list[tuple[NodeAssignment, BaseException]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (assignment, pool.submit(simulate_node, assignment))
-                for assignment in assignments
-            ]
-            for assignment, future in futures:
-                try:
-                    results.extend(future.result())
-                except Exception as exc:  # incl. BrokenExecutor (crashed worker)
-                    failed.append((assignment, exc))
-        return results, failed
+            futures = [pool.submit(simulate_node, a) for a in assignments]
+        errors = [(a.node, f.exception()) for a, f in zip(assignments, futures)]
+        failed = [(node, error) for node, error in errors if error is not None]
+        if failed:
+            raise SchedulerError(
+                f"node worker(s) {[node for node, _ in failed]} failed: "
+                f"{failed[0][1]!r}; the process pool does not recover a dead "
+                "worker (serve_durable resumes it from its last snapshot)"
+            ) from failed[0][1]
+        return [result for future in futures for result in future.result()], 0

@@ -103,8 +103,8 @@ class FarmReport:
     classes: tuple[ClassReport, ...]
     total_jobs: int
     makespan_cycles: int
-    #: Worker processes that crashed during the measure phase and were
-    #: retried on a fresh executor (0 on a clean day).
+    #: Crashed node workers the serving gateway re-attempted
+    #: (``serve_durable`` only; 0 on a clean day and on every other path).
     worker_retries: int = 0
     #: Jobs shed by a criticality mode switch (accounted, not lost).
     total_shed: int = 0

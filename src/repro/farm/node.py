@@ -14,16 +14,14 @@ across one process per accelerator.  Workers receive model *names* (zoo
 builders) rather than compiled networks — each worker compiles locally,
 which keeps the dispatch payload tiny.  The compile itself is reused two
 ways: within one process, :func:`compiled_for_services` memoizes
-``compile_tasks`` by (config, model names) so epoch replays and measure
-retries on the same node compile once; across processes, the on-disk
+``compile_tasks`` by (config, model names) so epoch replays on the same
+node compile once; across processes, the on-disk
 :mod:`repro.compiler.cache` (enabled via ``REPRO_COMPILE_CACHE``) makes
 even the first compile of a fresh worker a cheap artefact load.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -236,45 +234,8 @@ def run_assignment(
 
 def simulate_node(assignment: NodeAssignment) -> list[NodeJobResult]:
     """The process-pool worker: rebuild, simulate, measure (obs off)."""
-    _maybe_crash_for_test(assignment)
     system = build_node_system(
         assignment.config, assignment.services, assignment.vi_mode
     )
     return run_assignment(assignment, system)
 
-
-def _maybe_crash_for_test(assignment: NodeAssignment) -> None:
-    """The deterministic worker-crash hook for the farm's retry machinery.
-
-    Inert unless ``REPRO_FARM_CHAOS_DIR`` is set (never in production
-    paths).  It names a directory of per-node kill budgets written by
-    :meth:`~repro.farm.resilience.ChaosPlan.arm_worker_kills`: a worker
-    whose assignment matches an armed ``kill-node-<n>`` file decrements the
-    budget (unlinking at zero) and dies by real SIGKILL, exercising the
-    exact signal path an OOM killer takes.
-    """
-    chaos_dir = os.environ.get("REPRO_FARM_CHAOS_DIR")
-    if not chaos_dir:
-        return
-    budget = os.path.join(chaos_dir, f"kill-node-{assignment.node}")
-    try:
-        remaining = int(open(budget).read().strip() or "0")
-    except (FileNotFoundError, ValueError):
-        return
-    if remaining <= 0:
-        return
-    # Claim one kill before dying so retries eventually get through.  The
-    # claim is rename-based (atomic): concurrent duplicate workers for one
-    # node cannot both decrement the same budget.
-    claim = budget + ".claim"
-    try:
-        os.rename(budget, claim)
-    except FileNotFoundError:
-        return  # another worker claimed the budget first
-    if remaining > 1:
-        with open(claim, "w") as handle:
-            handle.write(str(remaining - 1))
-        os.rename(claim, budget)
-    else:
-        os.unlink(claim)
-    os.kill(os.getpid(), signal.SIGKILL)

@@ -6,9 +6,7 @@ optional layer that lets the farm's one serving loop
 INCA's single accelerator survives, one level up:
 
 * :class:`NodeHealth` — a per-node heartbeat state machine
-  (``HEALTHY → SUSPECT → DEAD``) fed by measured progress each epoch and,
-  optionally, by classified worker deaths from the serving gateway's
-  journal (:func:`repro.serve.gateway.classify_exit`);
+  (``HEALTHY → SUSPECT → DEAD``) fed by measured progress each epoch;
 * :class:`FeedbackScheduler` — wraps any base
   :class:`~repro.farm.scheduler.Scheduler` with per-``(node, service)``
   EWMA corrections learned from measured completions, closing the
@@ -23,8 +21,7 @@ INCA's single accelerator survives, one level up:
   MESC-style :class:`~repro.qos.config.ModeSwitchPolicy` sheds
   low-criticality classes when surviving capacity drops;
 * :class:`ChaosPlan` — a seeded, deterministic fault plan at farm level:
-  kill (or transiently hang) a node at a simulated cycle, or SIGKILL a
-  measure worker process;
+  kill (or transiently hang) a node at a simulated cycle;
 * :func:`run_chaos_campaign` — replays one day under a set of chaos plans
   against the no-fault golden run and checks the hard invariants: zero
   lost jobs, zero duplicated outcomes, a gold-class attainment floor.
@@ -80,10 +77,8 @@ class NodeHealth:
     ``suspect_after_cycles`` of stall makes it ``SUSPECT`` (hedging
     territory), ``dead_after_cycles`` makes it ``DEAD`` (migration
     territory).  A suspect node that resumes progress returns to
-    ``HEALTHY``; death is final.  :meth:`note_worker_death` feeds
-    *classified* deaths (a gateway's ``worker_death`` journal events or a
-    ``classify_exit`` string) and declares the node dead immediately — a
-    SIGKILL is a better signal than a missed heartbeat.
+    ``HEALTHY``; death is final.  (A dead worker *process* is not a node
+    death: the serving gateway resumes it from its last snapshot.)
     """
 
     def __init__(
@@ -160,65 +155,40 @@ class NodeHealth:
             )
         return self._state[node]
 
-    def note_worker_death(self, node: int, *, cycle: int, reason: str) -> None:
-        """A classified worker death (gateway journal) — immediately DEAD."""
-        if not 0 <= node < self.num_nodes:
-            raise SchedulerError(f"no node {node} in a {self.num_nodes}-node farm")
-        if self._state[node] is HealthState.DEAD:
-            return
-        self._transition(
-            node, HealthState.DEAD, cycle, reason=f"worker_death: {reason}"
-        )
-
 
 # -- chaos plans -----------------------------------------------------------
 
 KILL_NODE = "kill_node"
-KILL_WORKER = "kill_worker"
-
-_CHAOS_KINDS = (KILL_NODE, KILL_WORKER)
-
-#: Environment variable naming the armed worker-kill directory (see
-#: :meth:`ChaosPlan.arm_worker_kills` / ``repro.farm.node``).
-CHAOS_DIR_ENV = "REPRO_FARM_CHAOS_DIR"
 
 
 @dataclass(frozen=True)
 class ChaosAction:
-    """One planned fault.
+    """One planned fault; ``kill_node`` is the one kind.
 
-    * ``kill_node`` — the node's host "dies" at simulated cycle
-      ``at_cycle``: its simulation stops advancing and its unfinished work
-      must be hedged/migrated.  A ``heal_cycle`` turns the death into a
-      transient hang (a GC pause, a network partition): the node resumes
-      at that cycle, having done no work in between.
-    * ``kill_worker`` — SIGKILL the measure-phase worker *process* of this
-      node ``count`` times (armed via :meth:`ChaosPlan.arm_worker_kills`;
-      exercises the farm's retry budget and the gateway's recovery).
+    The node's host "dies" at simulated cycle ``at_cycle``: its simulation
+    stops advancing and its unfinished work must be hedged/migrated.  A
+    ``heal_cycle`` turns the death into a transient hang (a GC pause, a
+    network partition): the node resumes at that cycle, having done no
+    work in between.  (Worker-process crashes are injected through
+    :attr:`repro.serve.worker.JobSpec.crash_after_snapshots`.)
     """
 
     kind: str
     node: int
     at_cycle: int = 0
     heal_cycle: int | None = None
-    count: int = 1
 
     def __post_init__(self):
-        if self.kind not in _CHAOS_KINDS:
+        if self.kind != KILL_NODE:
             raise SchedulerError(
-                f"chaos kind must be one of {_CHAOS_KINDS}, got {self.kind!r}"
+                f"chaos kind must be {KILL_NODE!r}, got {self.kind!r}"
             )
         if self.node < 0:
             raise SchedulerError(f"node must be >= 0, got {self.node}")
         if self.at_cycle < 0:
             raise SchedulerError(f"at_cycle must be >= 0, got {self.at_cycle}")
-        if self.heal_cycle is not None:
-            if self.kind != KILL_NODE:
-                raise SchedulerError("heal_cycle only applies to kill_node")
-            if self.heal_cycle <= self.at_cycle:
-                raise SchedulerError("heal_cycle must be after at_cycle")
-        if self.count < 1:
-            raise SchedulerError(f"count must be >= 1, got {self.count}")
+        if self.heal_cycle is not None and self.heal_cycle <= self.at_cycle:
+            raise SchedulerError("heal_cycle must be after at_cycle")
 
 
 @dataclass(frozen=True)
@@ -230,7 +200,7 @@ class ChaosPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
-        kills = [a.node for a in self.actions if a.kind == KILL_NODE]
+        kills = [a.node for a in self.actions]
         if len(kills) != len(set(kills)):
             raise SchedulerError("at most one kill_node action per node")
 
@@ -260,32 +230,7 @@ class ChaosPlan:
         return cls(actions=actions, seed=seed)
 
     def node_kills(self) -> dict[int, ChaosAction]:
-        return {a.node: a for a in self.actions if a.kind == KILL_NODE}
-
-    def worker_kills(self) -> dict[int, int]:
-        kills: dict[int, int] = {}
-        for action in self.actions:
-            if action.kind == KILL_WORKER:
-                kills[action.node] = kills.get(action.node, 0) + action.count
-        return kills
-
-    def arm_worker_kills(self, directory: str | Path) -> dict[str, str]:
-        """Write per-node kill budgets the measure workers consume.
-
-        Each ``kill_worker`` action becomes a ``kill-node-<n>`` count file;
-        a worker process claiming one decrements it and dies by SIGKILL
-        (see ``repro.farm.node``).  Returns the environment mapping the
-        caller must apply (``{CHAOS_DIR_ENV: directory}``) for the kills
-        to arm; an empty dict when the plan kills no workers.
-        """
-        kills = self.worker_kills()
-        if not kills:
-            return {}
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for node, count in kills.items():
-            (directory / f"kill-node-{node}").write_text(str(count))
-        return {CHAOS_DIR_ENV: str(directory)}
+        return {a.node: a for a in self.actions}
 
 
 def poison_snapshot_file(path: str | Path, *, seed: int = 0) -> int:
@@ -497,12 +442,6 @@ class ResiliencePolicy:
         config: ResilienceConfig,
         chaos: ChaosPlan | None = None,
     ):
-        if chaos is not None and chaos.worker_kills():
-            raise SchedulerError(
-                "serve_resilient runs its nodes in-process: kill_worker "
-                "actions are honoured by serve(max_workers=) and "
-                "serve_durable (arm them with ChaosPlan.arm_worker_kills)"
-            )
         self.nodes = nodes
         self.config = config
         self.view = farm.view
@@ -908,7 +847,6 @@ def run_chaos_campaign(
 
 
 __all__ = [
-    "CHAOS_DIR_ENV",
     "ChaosAction",
     "ChaosCampaignReport",
     "ChaosPlan",

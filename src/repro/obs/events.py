@@ -47,7 +47,7 @@ kind                    emitted by / meaning
 ``NODE_SUSPECT``        farm health — a node missed its heartbeat window
                         while holding work (``stalled_cycles`` says how long)
 ``NODE_DOWN``           farm health — a node was declared dead (missed the
-                        dead-after window, or a classified worker death)
+                        dead-after window)
 ``JOB_MIGRATED``        farm resilience — a job stranded on a dead node was
                         re-planned onto a surviving node
 ``HEDGE_DISPATCH``      farm resilience — an overdue job on a suspect node
@@ -59,8 +59,6 @@ kind                    emitted by / meaning
 ``MODE_SWITCH``         farm resilience — MESC-style criticality mode change
                         (``mode`` is ``degraded``/``normal``; capacity drop
                         sheds low-criticality classes)
-``MEASURE_RETRY``       farm measure phase — a crashed worker set was re-run
-                        (``attempt``/``budget`` count the retry budget)
 ``COMPILE_CACHE_HIT``   compiler — a compile was satisfied from the on-disk
                         cache (``key``/``graph``/``config`` identify the
                         artefact, ``seconds`` is the load wall time)
@@ -116,7 +114,6 @@ class EventKind(enum.Enum):
     HEDGE_WIN = "hedge_win"
     HEDGE_WASTED = "hedge_wasted"
     MODE_SWITCH = "mode_switch"
-    MEASURE_RETRY = "measure_retry"
     COMPILE_CACHE_HIT = "compile_cache_hit"
     COMPILE_CACHE_MISS = "compile_cache_miss"
 

@@ -214,15 +214,13 @@ def summarize(source) -> str:
     migrated = sum(1 for e in events if e.kind is EventKind.JOB_MIGRATED)
     hedges = sum(1 for e in events if e.kind is EventKind.HEDGE_DISPATCH)
     switches = sum(1 for e in events if e.kind is EventKind.MODE_SWITCH)
-    measure_retries = sum(1 for e in events if e.kind is EventKind.MEASURE_RETRY)
-    if down or suspect or migrated or hedges or switches or measure_retries:
+    if down or suspect or migrated or hedges or switches:
         won = sum(1 for e in events if e.kind is EventKind.HEDGE_WIN)
         wasted = sum(1 for e in events if e.kind is EventKind.HEDGE_WASTED)
         lines += (
             f"\nFarm resilience: {down} node(s) down, {suspect} suspect "
             f"transition(s), {migrated} job(s) migrated, {hedges} hedge(s) "
-            f"({won} won, {wasted} wasted), {switches} mode switch(es), "
-            f"{measure_retries} measure retry(ies)"
+            f"({won} won, {wasted} wasted), {switches} mode switch(es)"
         )
     # Unary plus drops the reasons that never happened.
     counts = +Counter(getattr(getattr(source, "iau", None), "dispatch_counts", ()))

@@ -24,9 +24,6 @@ class TaskStats:
     def mean_response_us(self, config: AcceleratorConfig) -> float:
         return config.clock.cycles_to_us(self.mean_response)
 
-    def max_turnaround_us(self, config: AcceleratorConfig) -> float:
-        return config.clock.cycles_to_us(self.max_turnaround)
-
 
 def summarize_jobs(
     task_id: int,

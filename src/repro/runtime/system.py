@@ -240,12 +240,6 @@ class MultiTaskSystem(SubmitSurface, Stateful):
             for region in compiled.layout.ddr.regions():
                 self.monitor.own_region(region.name, task_id)
 
-    def set_deadline(self, task_id: int, cycles: int | None) -> None:
-        """(Re)arm the per-job watchdog for an attached task."""
-        self.iau.context(task_id).deadline_cycles = cycles
-        if self.monitor is not None:
-            self.monitor.expect_deadline(task_id, cycles)
-
     # -- request injection (submit() inherited from SubmitSurface) -----------
 
     def _has_task(self, task_id: int) -> bool:

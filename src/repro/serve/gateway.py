@@ -56,9 +56,7 @@ def classify_exit(exitcode: int | None) -> str:
 
     Negative exit codes are deaths by signal (``kill -9`` → ``signal 9``);
     anything else is the raw exit status.  The gateway journals this string
-    in ``worker_death`` events, and the farm's resilience layer
-    (:meth:`repro.farm.resilience.NodeHealth.note_worker_death`) consumes
-    the same strings — one vocabulary end to end.
+    as the ``reason`` of its ``worker_death`` events.
     """
     if exitcode is not None and exitcode < 0:
         return f"signal {-exitcode}"
@@ -233,14 +231,6 @@ class ServeGateway:
         if process is None or not process.is_alive():
             return None
         return process.pid
-
-    def recovery_events(self, job_id: str) -> list:
-        """This job's death/resume history (for latency accounting)."""
-        return [
-            event
-            for event in self.journal.events(job_id)
-            if event.kind in (WORKER_DEATH, RETRY, "resumed", "started")
-        ]
 
     # -- inline execution --------------------------------------------------
 

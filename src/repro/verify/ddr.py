@@ -11,7 +11,7 @@ tensors.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
@@ -143,13 +143,3 @@ def cross_task_aliasing(
                 "task writing this range would corrupt the preempted task's "
                 "tensors",
             )
-
-
-def task_regions(layouts: Mapping[str, "NetworkLayout"]) -> Iterable[tuple[str, "DdrRegion"]]:
-    """All (task, region) pairs of a task set, sorted by base address."""
-    pairs = [
-        (task, region)
-        for task, layout in layouts.items()
-        for region in layout.ddr.regions()
-    ]
-    return sorted(pairs, key=lambda item: item[1].base)

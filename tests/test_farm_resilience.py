@@ -8,6 +8,8 @@ no-fault resilient loop agrees with itself run-to-run (determinism).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,9 @@ from repro.farm import (
 )
 from repro.obs.events import EventKind
 from repro.qos import ModeSwitchPolicy
+from repro.farm.node import simulate_node
 from repro.serve import classify_exit
+from repro.serve.worker import CRASH_EXIT_CODE
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=400_000)
 SILVER = SloClass("silver", rank=1, weight=3.0, deadline_cycles=1_200_000)
@@ -111,13 +115,6 @@ class TestNodeHealth:
         health.beat(0, clock=5, busy=True, now=30)
         assert health.beat(0, clock=99, busy=False, now=40) is HealthState.DEAD
 
-    def test_worker_death_is_immediate(self):
-        health = NodeHealth(2, suspect_after_cycles=10, dead_after_cycles=30)
-        health.note_worker_death(1, cycle=7, reason=classify_exit(-9))
-        assert health.state(1) is HealthState.DEAD
-        assert health.state(0) is HealthState.HEALTHY
-        assert health.transitions == [(7, 1, HealthState.DEAD)]
-
     def test_classify_exit_taxonomy(self):
         assert classify_exit(-9) == "signal 9"
         assert classify_exit(113) == "exit code 113"
@@ -130,9 +127,6 @@ class TestNodeHealth:
             NodeHealth(1, suspect_after_cycles=0, dead_after_cycles=2)
         with pytest.raises(SchedulerError):
             NodeHealth(1, suspect_after_cycles=5, dead_after_cycles=5)
-        health = NodeHealth(1, suspect_after_cycles=1, dead_after_cycles=2)
-        with pytest.raises(SchedulerError):
-            health.note_worker_death(3, cycle=0, reason="signal 9")
 
 
 class TestChaosPlan:
@@ -162,15 +156,6 @@ class TestChaosPlan:
             ChaosAction("kill_node", -1)
         with pytest.raises(SchedulerError):
             ChaosAction("kill_node", 0, at_cycle=10, heal_cycle=10)
-        with pytest.raises(SchedulerError):
-            ChaosAction("kill_worker", 0, heal_cycle=5)
-
-    def test_arm_worker_kills(self, tmp_path):
-        plan = ChaosPlan(actions=(ChaosAction("kill_worker", 2, count=3),))
-        env = plan.arm_worker_kills(tmp_path)
-        assert env == {"REPRO_FARM_CHAOS_DIR": str(tmp_path)}
-        assert (tmp_path / "kill-node-2").read_text() == "3"
-        assert ChaosPlan().arm_worker_kills(tmp_path) == {}
 
 
 class TestFeedbackScheduler:
@@ -398,44 +383,22 @@ def test_property_crash_subset_preserves_outcome_multiset(kill_mask, kill_cycle)
     assert golden_ids == chaos_ids == sorted(j.job_id for j in jobs)
 
 
-def arm_one_worker_kill(farm, jobs, directory, monkeypatch):
-    """SIGKILL, once, the measure worker of a node the plan gives work."""
-    node = farm.plan(jobs)[0].node
-    plan = ChaosPlan(actions=(ChaosAction("kill_worker", node),))
-    for name, value in plan.arm_worker_kills(directory).items():
-        monkeypatch.setenv(name, value)
+def _dies_on_node_2(assignment):
+    """A pool worker that vanishes like ``kill -9`` on node 2 and simulates
+    every other node (module-level, so the pool pickles it by reference)."""
+    if assignment.node == 2:
+        os._exit(CRASH_EXIT_CODE)
+    return simulate_node(assignment)
 
 
 class TestMeasureRetries:
-    def test_retry_budget_configurable(self, tmp_path, jobs, monkeypatch):
+    def test_zero_retries_fails_fast(self, jobs, monkeypatch):
+        """The pool does not retry: a dead worker fails the day at once and
+        the error points at the path that recovers one."""
         farm = make_farm(PredictiveScheduler())
-        farm.measure_retries = 2
-        arm_one_worker_kill(farm, jobs, tmp_path, monkeypatch)
-        result = farm.serve(jobs, max_workers=2)
-        # One crash poisons the whole executor: every assignment sharing it
-        # counts as retried, so the count is >= 1 (and the day completes).
-        assert result.report.worker_retries >= 1
-        retry_events = farm.bus.of_kind(EventKind.MEASURE_RETRY)
-        assert len(retry_events) == result.report.worker_retries
-        assert retry_events[0].data["attempt"] == 1
-        assert len(result.outcomes) == len(jobs)
-
-    def test_zero_retries_fails_fast(self, tmp_path, jobs, monkeypatch):
-        farm = Farm(
-            default_design_grid()[:3],
-            SERVICES,
-            PredictiveScheduler(),
-            measure_retries=0,
-        )
-        arm_one_worker_kill(farm, jobs, tmp_path, monkeypatch)
-        with pytest.raises(SchedulerError, match="1 attempt"):
+        assert any(dispatch.node == 2 for dispatch in farm.plan(jobs))
+        monkeypatch.setattr("repro.farm.farm.simulate_node", _dies_on_node_2)
+        with pytest.raises(
+            SchedulerError, match=r"node worker\(s\) \[.*\b2\].*serve_durable"
+        ):
             farm.serve(jobs, max_workers=2)
-
-    def test_retry_validation(self):
-        with pytest.raises(SchedulerError):
-            Farm(
-                default_design_grid()[:1],
-                SERVICES,
-                PredictiveScheduler(),
-                measure_retries=-1,
-            )

@@ -19,8 +19,6 @@ import pytest
 from repro.container import HEADER, frame
 from repro.errors import ServeError, SnapshotError
 from repro.farm import (
-    ChaosAction,
-    ChaosPlan,
     Farm,
     FcfsScheduler,
     NodeAssignment,
@@ -404,25 +402,6 @@ class TestFarmWorkerRetry:
             FcfsScheduler(),
         )
         return farm, generate_jobs(spec)
-
-    def test_crashed_worker_is_retried_once(
-        self, farm_day, tmp_path, monkeypatch
-    ):
-        farm, jobs = farm_day
-        baseline = farm.serve(jobs, max_workers=2)
-        assert baseline.report.worker_retries == 0
-
-        one_kill = ChaosPlan(actions=(ChaosAction("kill_worker", 0),))
-        for name, value in one_kill.arm_worker_kills(tmp_path).items():
-            monkeypatch.setenv(name, value)
-        sentinel = tmp_path / "kill-node-0"
-        assert sentinel.exists()
-        crashed = farm.serve(jobs, max_workers=2)
-        assert crashed.report.worker_retries >= 1
-        assert crashed.outcomes == baseline.outcomes
-        assert not sentinel.exists()
-        assert "worker retries" in crashed.report.format()
-        assert "worker retries" not in baseline.report.format()
 
     def test_serve_durable_matches_parallel_serve(self, farm_day, tmp_path):
         farm, jobs = farm_day
