@@ -65,7 +65,7 @@ class Ddr(Stateful):
     """
 
     STATE = ("_cursor", "_pending_flips")
-    #: Region arrays are copied out and written back *in place* by hand.
+    #: Region arrays are viewed by hand and written back *in place*.
     EXTRA = ("regions",)
 
     capacity: int = 1 << 32
@@ -159,18 +159,16 @@ class Ddr(Stateful):
 
     # -- snapshot/restore ------------------------------------------------------
 
-    def capture_state(self) -> dict[str, Any]:
-        """Picklable mid-run state: region contents + pending ECC flips.
+    def state_view(self) -> dict[str, Any]:
+        """Mid-run state: region contents + pending ECC flips.
 
         The region *layout* (names, bases, sizes) is structural — it is
         rebuilt by re-adopting the compiled networks and checked by the
         system-level snapshot fingerprint — so only the mutable payload is
         captured here.
         """
-        state = super().capture_state()
-        state["regions"] = {
-            name: region.array.copy() for name, region in self._regions.items()
-        }
+        state = super().state_view()
+        state["regions"] = {name: region.array for name, region in self._regions.items()}
         return state
 
     def _check_state(self, state: Mapping[str, Any]) -> None:

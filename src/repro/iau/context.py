@@ -240,9 +240,9 @@ class TaskContext(Stateful):
             "network (cannot snapshot a hand-built program)"
         )
 
-    def capture_state(self) -> dict[str, Any]:
-        """Picklable mid-run state of this slot (registers, queue, jobs)."""
-        state = super().capture_state()
+    def state_view(self) -> dict[str, Any]:
+        """Mid-run state of this slot (registers, queue, jobs)."""
+        state = super().state_view()
         for name in self.EXTRA:
             program = getattr(self, name)
             state[name] = None if program is None else self.variant_key(program)

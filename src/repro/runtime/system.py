@@ -410,8 +410,9 @@ class MultiTaskSystem(SubmitSurface, Stateful):
             "tasks": tasks,
         }
 
-    def capture_state(self) -> dict:
-        """Serialize the full mid-run state to one picklable dict.
+    def state_view(self) -> dict:
+        """The full mid-run state as one picklable dict, by reference
+        (:meth:`capture_state` is its detached copy).
 
         Covers the DDR contents, every on-chip buffer, the IAU task table,
         the scheduler bookkeeping (undelivered requests, sequence numbers,
@@ -426,7 +427,7 @@ class MultiTaskSystem(SubmitSurface, Stateful):
                 "cannot snapshot a system with an on_complete hook: "
                 "callback closures (e.g. ROS executors) are not serializable"
             )
-        state = super().capture_state()
+        state = super().state_view()
         state["fingerprint"] = self._fingerprint()
         return state
 

@@ -1,9 +1,11 @@
 """The durable serving gateway: submit / status / cancel / result.
 
 :class:`ServeGateway` accepts :class:`~repro.serve.worker.JobSpec` jobs,
-journals them (:mod:`repro.serve.journal`), and executes each in its own
-``spawn``-context process running :func:`~repro.serve.worker.worker_main`.
-A dispatcher thread watches the worker processes:
+journals them (:mod:`repro.serve.journal`), and executes each attempt in its
+own process running :func:`~repro.serve.worker.worker_main`, forked from
+``multiprocessing``'s fork server with ``repro.serve.worker`` preloaded, so
+a launch (and the relaunch after a death) imports nothing.  A dispatcher
+thread watches the worker processes:
 
 * **clean exit** — the worker journaled its own result; nothing to do;
 * **journaled failure** (exit 1) — the worker hit a Python exception and
@@ -31,11 +33,16 @@ machinery.
 from __future__ import annotations
 
 import asyncio
+import atexit
 import multiprocessing
+import multiprocessing.forkserver
+import multiprocessing.resource_tracker
 import threading
 import time
 import uuid
+import weakref
 from collections import deque
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 from repro.errors import ServeError
@@ -49,6 +56,26 @@ from repro.serve.journal import (
     JournalRecord,
 )
 from repro.serve.worker import JobResult, JobSpec, execute_job, load_result, worker_main
+
+#: Imported once by the fork server; every worker forks with them loaded.
+PRELOAD = ["__main__", "repro.serve.worker"]
+
+#: Gateways not yet closed (the exit hook stops their workers first).
+_OPEN: weakref.WeakSet[ServeGateway] = weakref.WeakSet()
+
+
+@atexit.register
+def _stop_helpers() -> None:
+    """Stop the fork server, and the resource tracker it started, before
+    the interpreter exits, so no process outlives the program.  A live
+    worker holds both helpers' pipes open, so open gateways stop theirs
+    first."""
+    for gateway in list(_OPEN):
+        gateway.close()
+    # multiprocessing has no public way to stop either helper; ``_stop`` is
+    # the method CPython's own test suite uses.
+    multiprocessing.forkserver._forkserver._stop()  # type: ignore[attr-defined]
+    multiprocessing.resource_tracker._resource_tracker._stop()  # type: ignore[attr-defined]
 
 
 def classify_exit(exitcode: int | None) -> str:
@@ -76,7 +103,7 @@ class ServeGateway:
         backoff_factor: float = 2.0,
         poll_s: float = 0.01,
         inline: bool = False,
-    ):
+    ) -> None:
         if workers < 1:
             raise ServeError("workers must be >= 1")
         if max_attempts < 1:
@@ -96,14 +123,16 @@ class ServeGateway:
         self._lock = threading.Lock()
         self._pending: deque[str] = deque()
         self._retry_at: list[tuple[float, str]] = []
-        self._active: dict[str, multiprocessing.process.BaseProcess] = {}
+        self._active: dict[str, BaseProcess] = {}
         self._deadlines: dict[str, float] = {}  # job_id -> absolute deadline
         self._stop = threading.Event()
-        self._mp = multiprocessing.get_context("spawn")
+        self._mp = multiprocessing.get_context("forkserver")
+        self._mp.set_forkserver_preload(PRELOAD)
         self._dispatcher: threading.Thread | None = None
 
         self._recover()
         if not inline:
+            _OPEN.add(self)
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="serve-dispatcher", daemon=True
             )
@@ -114,11 +143,12 @@ class ServeGateway:
     def __enter__(self) -> "ServeGateway":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.close()
 
     def close(self) -> None:
         """Stop dispatching and terminate any still-running workers."""
+        _OPEN.discard(self)
         self._stop.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=10.0)

@@ -119,9 +119,13 @@ def snapshot_system(
     *,
     meta: Mapping[str, Any] | None = None,
 ) -> SnapshotInfo:
-    """Capture ``system`` and write it in one call."""
+    """Capture ``system`` and write it in one call.
+
+    The live :meth:`~repro.state.Stateful.state_view` is pickled directly:
+    the pickle is already the detached copy, so no ``deepcopy`` precedes it.
+    """
     meta = {"cycle": system.clock, **(meta or {})}
-    return write_snapshot(path, system.capture_state(), meta=meta)
+    return write_snapshot(path, system.state_view(), meta=meta)
 
 
 def restore_system(system: "MultiTaskSystem", path: str | Path) -> Mapping[str, Any]:

@@ -12,8 +12,10 @@ resumes from it instead of replaying from cycle zero.  Because snapshots
 capture the request heap, the event stream and every armed subsystem's
 state, the resumed run is bit-identical to an uninterrupted one.
 
-:func:`worker_main` is the ``spawn``-context process entry point; it owns
-all journal writes a live worker can make (start/snapshot/complete/fail).
+:func:`worker_main` is the process entry point, run in a child forked from
+the gateway's fork server (which preloads this module, so a launch imports
+nothing); it owns all journal writes a live worker can make
+(start/snapshot/complete/fail).
 Deaths are necessarily journaled by the gateway — a SIGKILLed process
 writes nothing.
 """
@@ -36,6 +38,8 @@ from repro.farm.node import (
     submit_assignment,
 )
 from repro.obs.config import ObsConfig
+from repro.obs.events import Event
+from repro.runtime.system import MultiTaskSystem
 from repro.serve.journal import (
     FAILED, SNAPSHOT_CORRUPT, SNAPSHOT_WRITE_FAILED, JobJournal, JobState,
 )
@@ -74,13 +78,13 @@ class JobResult:
     #: ``(slot, output array)`` for functional jobs, else empty.
     outputs: tuple[tuple[int, Any], ...] = field(default_factory=tuple)
     #: Recorded event stream when :attr:`JobSpec.events` was set.
-    events: tuple = field(default_factory=tuple)
+    events: tuple[Event, ...] = field(default_factory=tuple)
     #: Cycle the executing attempt resumed from (0 = ran from scratch).
     resumed_from_cycle: int = 0
     snapshots_written: int = 0
 
 
-def _build_system(spec: JobSpec):
+def _build_system(spec: JobSpec) -> MultiTaskSystem:
     obs = ObsConfig(functional=spec.functional, events=spec.events)
     return build_node_system(
         spec.assignment.config,
@@ -90,17 +94,19 @@ def _build_system(spec: JobSpec):
     )
 
 
-def _apply_inputs(system, spec: JobSpec) -> None:
+def _apply_inputs(system: MultiTaskSystem, spec: JobSpec) -> None:
     for slot, array in spec.inputs:
-        system.iau.contexts[slot].compiled.set_input(array)
+        system.iau.context(slot).compiled.set_input(array)
 
 
-def _collect_outputs(system, spec: JobSpec) -> tuple[tuple[int, Any], ...]:
+def _collect_outputs(
+    system: MultiTaskSystem, spec: JobSpec
+) -> tuple[tuple[int, Any], ...]:
     if not spec.functional:
         return ()
     slots = sorted({slot for slot, _ in spec.inputs})
     return tuple(
-        (slot, system.iau.contexts[slot].compiled.get_output()) for slot in slots
+        (slot, system.iau.context(slot).compiled.get_output()) for slot in slots
     )
 
 
@@ -118,11 +124,11 @@ def execute_job(
     Resume: build the *same* system, restore the journal's last snapshot
     (which carries the pending request heap — the plan is NOT re-submitted),
     continue from the captured cycle.  A snapshot that fails to restore —
-    truncated write, bit rot, another format version, poisoned by a chaos
-    plan — is not fatal: the corruption is journaled (``snapshot_corrupt``),
-    the snapshot is discarded from the journal, and the attempt falls back
-    to a fresh start (exactness is preserved; only the resume shortcut is
-    lost).  Either way the run proceeds in ``snapshot_every_cycles`` chunks
+    deleted, truncated write, bit rot, another format version, poisoned by
+    a chaos plan — is not fatal: the corruption is journaled
+    (``snapshot_corrupt``), the snapshot is discarded from the journal, and
+    the attempt falls back to a fresh start (exactness is preserved; only
+    the resume shortcut is lost).  Either way the run proceeds in ``snapshot_every_cycles`` chunks
     with a journaled snapshot at each boundary; a snapshot that cannot be
     *written* is journaled (``snapshot_write_failed``) and skipped.
     """
@@ -132,7 +138,7 @@ def execute_job(
 
     resumed_from = 0
     resumed = False
-    if record.snapshot_path and os.path.exists(record.snapshot_path):
+    if record.snapshot_path:
         try:
             restore_system(system, record.snapshot_path)
         except SnapshotError as exc:
@@ -192,7 +198,7 @@ def execute_job(
         system.run()
 
     records = collect_assignment(assignment, system, per_slot)
-    events = ()
+    events: tuple[Event, ...] = ()
     if spec.events and system.bus is not None:
         events = tuple(system.bus.events)
     return JobResult(

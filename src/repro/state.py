@@ -27,18 +27,20 @@ class Shared:
 class Stateful:
     """Mixin deriving ``capture_state`` / ``restore_state`` from declarations.
 
-    A subclass that adds keys of its own (``EXTRA``) overrides the pair,
-    calls ``super()`` for the declared rest and handles only those keys.
+    A subclass that adds keys of its own (``EXTRA``) overrides
+    ``state_view`` / ``restore_state``, calls ``super()`` for the declared
+    rest and handles only those keys.
     """
 
-    #: Mutable attributes, captured in ONE ``deepcopy`` so identity links
-    #: between them (queue <-> current_job <-> completed) survive.
+    #: Mutable attributes, captured in ONE ``deepcopy`` (or one pickle) so
+    #: identity links between them (queue <-> current_job <-> completed)
+    #: survive.
     STATE: ClassVar[tuple[str, ...]] = ()
     #: Attributes holding a nested :class:`Stateful`, ``None`` when that
     #: subsystem is not armed, or a slot table (list) of either.  Unarmed
     #: parts and empty slots have no key in the capture.
     PARTS: ClassVar[tuple[str, ...]] = ()
-    #: Keys the subclass's own ``capture_state`` override adds.
+    #: Keys the subclass's own ``state_view`` override adds.
     EXTRA: ClassVar[tuple[str, ...]] = ()
 
     def _reset_derived(self) -> None:
@@ -54,13 +56,21 @@ class Stateful:
                 parts[name] = part
         return {key: part for key, part in parts.items() if part is not None}
 
-    def capture_state(self) -> dict[str, Any]:
-        """Picklable copy of the declared state; stays valid while the
-        object keeps running."""
-        state = copy.deepcopy({name: getattr(self, name) for name in self.STATE})
+    def state_view(self) -> dict[str, Any]:
+        """The declared state and every live part's view, *by reference*.
+
+        Valid only until this object runs again: pickling it at once is a
+        snapshot in one serialisation pass; :meth:`capture_state` is the
+        detached copy."""
+        state = {name: getattr(self, name) for name in self.STATE}
         for key, part in self._live_parts().items():
-            state[key] = part.capture_state()
+            state[key] = part.state_view()
         return state
+
+    def capture_state(self) -> dict[str, Any]:
+        """Picklable copy of :meth:`state_view`; stays valid while the
+        object keeps running."""
+        return copy.deepcopy(self.state_view())
 
     def _check_state(self, state: Mapping[str, Any]) -> None:
         """Refuse ``state`` before anything is touched.  The key set must be

@@ -11,10 +11,16 @@ literal-SIGKILL benchmark lives in ``benchmarks/test_crash_recovery.py``).
 from __future__ import annotations
 
 import errno
+import json
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.container import HEADER, frame
 from repro.errors import ServeError, SnapshotError
@@ -385,6 +391,84 @@ class TestProcessGateway:
         assert "resumed" in kinds
 
 
+#: A whole program on a process-mode gateway.  ``served``: one job, run to
+#: completion inside ``with``.  ``abandoned``: a long job, and the program
+#: exits while its worker runs and the gateway is still open.  Either way it
+#: prints the job id and the gateway's launch contract as JSON.
+GATEWAY_PROGRAM = """
+import json, multiprocessing.forkserver, sys, time
+from repro.farm import NodeAssignment, ServiceSpec, SloClass
+from repro.hw.config import AcceleratorConfig
+from repro.serve import JobSpec, ServeGateway
+
+root, mode = sys.argv[1:]
+jobs = 1 if mode == "served" else 200
+slo = SloClass("gold", rank=0, weight=1.0, deadline_cycles=400_000)
+assignment = NodeAssignment(
+    node=0, config=AcceleratorConfig.small(),
+    services=(ServiceSpec("det", "tiny_cnn", slo),),
+    dispatches=tuple((i, 0, i * 3_000) for i in range(jobs)),
+)
+gateway = ServeGateway(root)
+job_id = gateway.submit(JobSpec(assignment=assignment, snapshot_every_cycles=4_000))
+if mode == "served":
+    with gateway:
+        gateway.result(job_id, timeout=120)
+else:
+    while gateway.worker_pid(job_id) is None:
+        time.sleep(0.005)
+print(json.dumps({
+    "job_id": job_id,
+    "start_method": gateway._mp.get_start_method(),
+    "preload": multiprocessing.forkserver._forkserver._preload_modules,
+}))
+"""
+
+
+def session_members(session: int) -> list[tuple[str, str]]:
+    """``(pid, state)`` of every live process in ``session``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if int(fields[3]) == session:
+                members.append((entry.name, fields[0]))
+    return members
+
+
+class TestWorkerLaunch:
+    @pytest.mark.parametrize(
+        "mode, state", [("served", JobState.COMPLETED), ("abandoned", JobState.RUNNING)]
+    )
+    def test_no_process_outlives_a_gateway_program(self, tmp_path, mode, state):
+        """Workers fork from a fork server that preloads the worker module,
+        and the gateway's exit hook stops that server: once a program that
+        used a gateway exits, nothing it started is left running.  A worker
+        still running at exit is stopped, not waited for (its job stays
+        RUNNING, for the next gateway to resume)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
+        )
+        root = tmp_path / "gw"
+        child = subprocess.Popen(
+            [sys.executable, "-c", GATEWAY_PROGRAM, str(root), mode],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True, text=True,
+        )
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        assert session_members(child.pid) == []
+        launch = json.loads(out)
+        assert launch["start_method"] == "forkserver"
+        assert "repro.serve.worker" in launch["preload"]
+        assert JobJournal(root / "journal.db").get(launch["job_id"]).state is state
+
+
 class TestFarmWorkerRetry:
     @pytest.fixture(scope="class")
     def farm_day(self):
@@ -452,6 +536,39 @@ class TestCorruptSnapshotFallback:
         kinds = [event.kind for event in journal.events("j1")]
         assert "snapshot_corrupt" in kinds
         assert "snapshot_discarded" in kinds
+
+    def test_missing_snapshot_falls_back_to_fresh_start(
+        self, tmp_path, assignment, golden, monkeypatch
+    ):
+        """A journaled snapshot whose file is gone by the next attempt is a
+        ``snapshot_corrupt`` like any unreadable one: journaled, discarded,
+        replayed from scratch — same records."""
+        import repro.serve.worker as worker
+
+        golden_records, golden_clock = golden
+        real_snapshot, calls = worker.snapshot_system, []
+
+        def lose_the_disk_on_the_third(system, path, **kwargs):
+            calls.append(path)
+            if len(calls) == 3:  # the first attempt dies with its file
+                os.remove(path)
+                raise RuntimeError("worker lost its disk")
+            return real_snapshot(system, path, **kwargs)
+
+        monkeypatch.setattr(worker, "snapshot_system", lose_the_disk_on_the_third)
+        with ServeGateway(tmp_path / "gw", inline=True) as gateway:
+            job_id = gateway.submit(
+                JobSpec(assignment=assignment, snapshot_every_cycles=4_000)
+            )
+            result = gateway.result(job_id)
+            record = gateway.status(job_id)
+            kinds = [event.kind for event in gateway.journal.events(job_id)]
+        assert record_tuples(result.records) == record_tuples(golden_records)
+        assert result.final_cycle == golden_clock
+        assert result.resumed_from_cycle == 0
+        assert record.attempts == 2
+        assert "resumed" in kinds
+        assert "snapshot_corrupt" in kinds
 
     @pytest.mark.parametrize("version", [1, VERSION])
     def test_old_layout_snapshot_falls_back_to_fresh_start(

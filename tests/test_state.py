@@ -13,9 +13,13 @@ random cycle resumes exactly: the round-trip conformance cells
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
+import random
+from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulerError, StateError
@@ -25,6 +29,7 @@ from repro.iau.context import TaskContext
 from repro.iau.unit import Iau
 from repro.obs.config import ObsConfig
 from repro.runtime.system import MultiTaskSystem
+from repro.serve import read_snapshot, snapshot_system
 from repro.state import Shared, Stateful
 from tests.conformance import CONFIG, NAMED, ROUND_TRIP_RATES, Cell, build, check
 
@@ -163,6 +168,55 @@ class TestConformance:
             fresh.restore_state(state)
             assert fresh.run() == final
         assert pickle.dumps(state) == frozen
+
+
+def assert_same_state(got: object, want: object, where: str = "state") -> None:
+    """Structural equality, arrays compared by value (dtype included)."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key, value in want.items():
+            assert_same_state(got[key], value, f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple, deque)):
+        assert len(got) == len(want), where
+        for index, (item, expected) in enumerate(zip(got, want)):
+            assert_same_state(item, expected, f"{where}[{index}]")
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), where
+    elif isinstance(want, random.Random):
+        assert got.getstate() == want.getstate(), where
+    elif dataclasses.is_dataclass(want):
+        for spec in dataclasses.fields(want):
+            name = spec.name
+            assert_same_state(getattr(got, name), getattr(want, name), f"{where}.{name}")
+    elif hasattr(want, "__dict__"):
+        assert_same_state(vars(got), vars(want), where)
+    else:
+        assert got == want, where
+
+
+class TestSnapshotIsTheCapture:
+    def test_snapshot_equals_capture_key_by_key(self, tmp_path):
+        """The one-pass snapshot (a pickle of the live ``state_view``)
+        reads back as exactly what ``capture_state`` copies."""
+        system = build_armed()
+        system.run(until_cycle=CUT)
+        capture = system.capture_state()
+        frozen = pickle.dumps(capture)
+        info = snapshot_system(system, tmp_path / "armed.snap")
+        _meta, state = read_snapshot(info.path)
+        assert list(state) == list(capture)
+        for key in capture:
+            assert_same_state(state[key], capture[key], key)
+        system.run()  # the system runs on: the capture must not move
+        assert pickle.dumps(capture) == frozen
+
+    def test_view_is_by_reference(self):
+        system = build_armed()
+        view = system.state_view()
+        for region in system.ddr.regions():
+            assert view["ddr"]["regions"][region.name] is region.array
+        assert view["bus"]["events"] is system.bus.events
 
 
 class TestRefusals:
