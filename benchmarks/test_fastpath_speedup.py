@@ -1,7 +1,8 @@
 """Fast-path speedup guards: the horizon-batched dispatch loop must beat the
-step-wise loop by >= 5x disarmed, >= 8x with a live FaultPlan, and >= 5x
+step-wise loop by >= 5x disarmed, >= 8x with a live FaultPlan, >= 5x
 under the ROS executor (the whole two-agent E10 mission, CPU-side DSLAM
-included).
+included), and >= 2.5x on a functional core, whose batched stretches compute
+their SAVEs one layer at a time instead of one CALC at a time.
 
 The workload is ResNet-scale (tens of thousands of instructions per job)
 with periodic overlapping arrivals, exactly the regime the fast path was
@@ -28,20 +29,26 @@ from __future__ import annotations
 import hashlib
 import time
 
+import numpy as np
 import pytest
 
+from repro.accel.reference import golden_output
 from repro.dslam import DslamScenario, run_dslam
+from repro.estimate import estimate_service_cycles
 from repro.faults.plan import FaultPlan, FaultSite
 from repro.iau.unit import Iau
 from repro.nn import TensorShape
+from repro.obs.config import ObsConfig
 from repro.runtime.system import ArrivalPolicy, MultiTaskSystem, compile_tasks
 from repro.zoo import build_resnet, build_superpoint
+from tests.conformance import stepped
 
 from .conftest import write_result
 
 SPEEDUP_FLOOR = 5.0
 ARMED_SPEEDUP_FLOOR = 8.0
 ROS_SPEEDUP_FLOOR = 5.0
+FUNCTIONAL_SPEEDUP_FLOOR = 2.5
 
 #: Survivable long-run rates: every instruction-hosted site armed, but dialled
 #: so 14 ResNet-scale jobs finish (campaign ``default_rates`` are tuned for a
@@ -211,3 +218,81 @@ def test_fastpath_speedup_ros(paper_workloads, monkeypatch):
     write_result("fastpath_speedup_ros", "\n".join(lines))
 
     assert speedup >= ROS_SPEEDUP_FLOOR
+
+
+@pytest.fixture(scope="module")
+def functional_pair(big_config):
+    """The ``functional_preempt`` pair: ResNet-18@64x64 and SuperPoint@60x80
+    with random weights and inputs, and each one's ``golden_output``."""
+    pair = compile_tasks(
+        [
+            build_resnet("resnet18", TensorShape(64, 64, 3)),
+            build_superpoint(TensorShape(60, 80, 1), head="detector"),
+        ],
+        big_config,
+        weights="random",
+        seed=0,
+    )
+    rng = np.random.default_rng(0)
+    golden = []
+    for net in pair:
+        shape = net.graph.input_shape
+        data = rng.integers(-8, 8, size=(shape.height, shape.width, shape.channels))
+        net.set_input(data.astype(np.int8))
+        golden.append(golden_output(net, data).tobytes())
+    return pair, golden
+
+
+def run_functional(pair) -> tuple[int, list[bytes]]:
+    """One ResNet-18 job pre-empted by each of three SuperPoint jobs, with
+    real int8 arithmetic; returns the final clock and both outputs."""
+    low, high = pair
+    for net in pair:
+        # A run that computed nothing must not pass on the last run's output.
+        net.layout.ddr.region(net.output_region).array[...] = 0
+    high_cycles = estimate_service_cycles(high.config, high)
+    low_cycles = estimate_service_cycles(low.config, low)
+    system = MultiTaskSystem(low.config, obs=ObsConfig(functional=True))
+    system.add_task(0, high)
+    system.add_task(1, low)
+    system.submit(
+        1, at_cycle=0, policy=ArrivalPolicy.PERIODIC,
+        period_cycles=low_cycles + 3 * high_cycles, count=1,
+    )
+    system.submit(
+        0, at_cycle=high_cycles // 2, policy=ArrivalPolicy.PERIODIC,
+        period_cycles=int(1.7 * high_cycles), count=3,
+    )
+    clock = system.run()
+    assert system.iau.num_switches > 4  # every SuperPoint job pre-empted ResNet-18
+    return clock, [net.get_output().tobytes() for net in pair]
+
+
+def test_functional_preempt_speedup(functional_pair, monkeypatch):
+    """A functional core batches where a timing-only one does; the
+    reference is the same run with every ``run_batched`` a single
+    ``step()`` (``conformance.stepped``), i.e. one CALC at a time."""
+    pair, golden = functional_pair
+    run_functional(pair)  # warm the program metadata
+    batched_s, (clock_batched, outputs_batched) = best_of(3, lambda: run_functional(pair))
+    with monkeypatch.context() as patch:
+        stepped(patch)
+        stepped_s, (clock_stepped, outputs_stepped) = best_of(2, lambda: run_functional(pair))
+
+    assert clock_batched == clock_stepped  # cycle-exact
+    assert outputs_batched == outputs_stepped == golden  # bit-exact
+    speedup = stepped_s / batched_s
+
+    lines = [
+        "Functional fast-path speedup: batched stretches vs one step() per instruction",
+        "workload: ResNet-18@64x64 pre-empted by 3 SuperPoint@60x80 jobs, "
+        "ObsConfig(functional=True), random weights",
+        f"final clock (both paths)   : {clock_batched:>12,} cycles",
+        "outputs                    : identical, and equal to golden_output",
+        f"stepped wall time          : {stepped_s * 1e3:>12.1f} ms",
+        f"batched wall time (warm)   : {batched_s * 1e3:>12.1f} ms   ({speedup:.1f}x)",
+        f"acceptance floor           : {FUNCTIONAL_SPEEDUP_FLOOR:.1f}x",
+    ]
+    write_result("fastpath_speedup_functional", "\n".join(lines))
+
+    assert speedup >= FUNCTIONAL_SPEEDUP_FLOOR

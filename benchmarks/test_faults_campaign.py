@@ -76,9 +76,10 @@ def test_campaign_500_runs_batched_bit_identical():
     the full 500-run campaign bit-identically to armed ``step()`` (the
     conformance matrix's stepped oracle).
 
-    The timing-only variant of the stock scenario is the regime where the
-    fast path actually engages (functional runs always step); both campaigns
-    run the one scenario, so the static stretch tables are the same artefact.
+    The campaigns run the timing-only variant of the stock scenario (a
+    functional core batches the same stretches, and its arithmetic is the
+    conformance matrix's to check); both campaigns run the one scenario, so
+    the static stretch tables are the same artefact.
     Every run's classification — outcome, injected-fault log, crash
     messages, invariant-monitor findings — and a digest of its complete
     event stream must match seed for seed.

@@ -13,7 +13,8 @@ modes:
 * **functional** — every CALC computes real int8 arithmetic on numpy arrays
   loaded from / stored to the DDR regions, so results can be compared
   bit-exactly against the golden layer reference (including across
-  interrupts);
+  interrupts); a batched stretch (:meth:`AcceleratorCore.retire_batch`)
+  computes what its SAVEs drain one layer at a time instead;
 * **timing-only** — arithmetic is skipped but *all* buffer-state bookkeeping
   and coverage checks still run, so an incorrect interrupt recovery is caught
   even in the fast mode used for the large ResNet-101 experiments.
@@ -27,6 +28,7 @@ executes whatever the IAU hands it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from repro.errors import ExecutionError, IncaError
 from repro.hw.config import AcceleratorConfig
 from repro.hw.ddr import Ddr
 from repro.hw.timing import layer_calc_instruction_cycles, transfer_cycles
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import FLAG_BIAS, FLAG_RELU, Instruction
 from repro.isa.opcodes import Opcode
 from repro.obs.bus import EventBus
 from repro.obs.config import ObsConfig
@@ -135,6 +137,42 @@ class CoreStats:
     save_cycles: int = 0
     bytes_loaded: int = 0
     bytes_saved: int = 0
+
+
+def require_whole_finals(
+    words: np.ndarray, layer_config: Callable[[int], LayerConfig]
+) -> None:
+    """The precondition of a functional :meth:`AcceleratorCore.retire_batch`:
+    every ``CALC_F`` in the stretch's ``words`` closes a chain of its
+    layer's full input depth (a conv chain ends at the layer's last input
+    channel, any other kind reads its own channel group) and carries the
+    layer's own shift / ReLU / bias flags.  Lowering emits nothing else; a
+    program that does is refused here rather than computed differently
+    from ``step()``."""
+    finals = words[words["opcode"] == Opcode.CALC_F]
+    for layer_id in np.unique(finals["layer_id"]).tolist():
+        layer = layer_config(layer_id)
+        rows = finals[finals["layer_id"] == layer_id]
+        end = rows["in_ch0"].astype(np.int64) + rows["in_chs"]
+        if layer.kind == "conv":
+            whole = end == layer.in_channels
+        else:
+            whole = (rows["in_ch0"] == rows["ch0"]) & (rows["in_chs"] == rows["chs"])
+        flags = rows["flags"] & (FLAG_RELU | FLAG_BIAS)
+        if layer.kind in ("conv", "depthwise"):
+            expected = (FLAG_RELU if layer.relu else 0) | (FLAG_BIAS if layer.bias else 0)
+            whole &= (flags == expected) & (rows["shift"] == layer.shift)
+        elif layer.kind == "add":
+            whole &= (flags & FLAG_RELU) == (FLAG_RELU if layer.relu else 0)
+        if not whole.all():
+            bad = rows[np.flatnonzero(~whole)[0]]
+            row0, ch0 = int(bad["row0"]), int(bad["ch0"])
+            raise ExecutionError(
+                f"layer {layer.name!r}: a batched stretch needs every CALC_F to close "
+                f"the layer's full input depth with its shift / ReLU / bias; the "
+                f"CALC_F of rows [{row0}, {row0 + int(bad['rows'])}) channels "
+                f"[{ch0}, {ch0 + int(bad['chs'])}) does not"
+            )
 
 
 class BufferMachine:
@@ -478,14 +516,20 @@ class AcceleratorCore(BufferMachine, Stateful):
         aggregates: dict[str, int],
         data_tiles: dict[int, DataTile],
         weight_tile: WeightTile | None,
+        words: np.ndarray,
+        layer_config: Callable[[int], LayerConfig],
     ) -> None:
         """Advance the core past a pre-validated instruction stretch.
 
-        The IAU's horizon-batched fast path (timing-only, provably
-        uninterruptible) retires many instructions at once: ``aggregates``
-        carries the summed :class:`CoreStats` deltas, and the buffer
-        bookkeeping jumps to the precomputed clean-boundary state (no
-        accumulator or un-saved output section in flight there).
+        The IAU's horizon-batched fast path (provably uninterruptible)
+        retires many instructions at once: ``aggregates`` carries the summed
+        :class:`CoreStats` deltas, and the buffer bookkeeping jumps to the
+        precomputed clean-boundary state (no accumulator or un-saved output
+        section in flight there).  A functional core then does the
+        stretch's arithmetic: ``words`` (the stretch's program words) name
+        what each SAVE drains, computed layer by layer from DDR
+        (:meth:`_retire_saves`), and the resident tiles are read from DDR as
+        their loads would have read them.
         """
         stats = self.stats
         stats.instructions += aggregates["instructions"]
@@ -499,6 +543,47 @@ class AcceleratorCore(BufferMachine, Stateful):
         self.weight_tile = weight_tile
         self.acc = None
         self.out = None
+        if not self.functional:
+            return
+        self._retire_saves(words, layer_config)
+        for slot, tile in data_tiles.items():
+            layer = layer_config(tile.layer_id)
+            region = layer.input2_region if slot else layer.input_region
+            assert region is not None  # a LOAD_D of the second operand read it
+            self._fill_data(tile, region)
+        if weight_tile is not None:
+            self._fill_weights(weight_tile, layer_config(weight_tile.layer_id))
+
+    def _retire_saves(
+        self, words: np.ndarray, layer_config: Callable[[int], LayerConfig]
+    ) -> None:
+        """Write what a stretch's SAVEs drain, one run of same-layer SAVEs at
+        a time and in program order: a layer reads what earlier layers of
+        the stretch wrote, so each run is written before the next is
+        computed.
+
+        Exact because nothing in the stretch writes a region a load in it
+        (or a tile resident at its start) read: layers write only their own
+        output regions (``LayerConfig`` refuses an in-place layer), tasks
+        own disjoint regions, and no fault fires or is pending.  A chain
+        begun before the stretch is recomputed from the same DDR contents.
+        """
+        require_whole_finals(words, layer_config)
+        saves = words[(words["opcode"] == Opcode.SAVE) & (words["chs"] != 0)]
+        if not len(saves):
+            return
+        layer_ids = saves["layer_id"]
+        cuts = np.flatnonzero(layer_ids[1:] != layer_ids[:-1]) + 1
+        for run in np.split(saves, cuts):
+            layer = layer_config(int(run["layer_id"][0]))
+            row0, ch0 = run["row0"].astype(np.int64), run["ch0"].astype(np.int64)
+            row1, ch1 = row0 + run["rows"], ch0 + run["chs"]
+            lo, hi = int(row0.min()), int(row1.max())
+            c_lo, c_hi = int(ch0.min()), int(ch1.max())
+            result = fn.layer_rows(self.ddr, layer, lo, hi - lo, c_lo, c_hi - c_lo)
+            target = self.ddr.region(layer.output_region).array
+            for r0, r1, c0, c1 in zip(row0.tolist(), row1.tolist(), ch0.tolist(), ch1.tolist()):
+                target[r0:r1, :, c0:c1] = result[r0 - lo : r1 - lo, :, c0 - c_lo : c1 - c_lo]
 
     def execute(self, instruction: Instruction, layer: LayerConfig) -> int:
         """Run one original-ISA instruction; returns its cycle count."""
@@ -538,11 +623,7 @@ class AcceleratorCore(BufferMachine, Stateful):
         # ECC runs before the burst data leaves DDR.
         fault_cycles = self.ddr.burst_faults(region, "load") if faults else 0
         if self.functional:
-            tile.array = self.ddr.region(region).array[
-                instruction.row0 : instruction.row0 + instruction.rows,
-                :,
-                instruction.ch0 : instruction.ch0 + instruction.chs,
-            ].copy()
+            self._fill_data(tile, region)
         if faults:
             # Read-disturb lands after the in-flight data left DDR intact.
             self.ddr.read_disturb(region)
@@ -556,19 +637,29 @@ class AcceleratorCore(BufferMachine, Stateful):
         faults = self.ddr.faults is not None
         fault_cycles = self.ddr.burst_faults(region, "load") if faults else 0
         if self.functional:
-            # The tile must not alias DDR (matching _load_d): a host-side
-            # weight update — or, with faults armed, an in-place ECC
-            # correction or a fresh flip — must not reach an in-flight tile.
-            weights = self.ddr.region(region).array
-            outs = slice(instruction.ch0, instruction.ch0 + instruction.chs)
-            if layer.kind == "depthwise":
-                tile.array = weights[:, :, outs].copy()
-            else:
-                ins = slice(instruction.in_ch0, instruction.in_ch0 + instruction.in_chs)
-                tile.array = weights[:, :, ins, outs].copy()
+            self._fill_weights(tile, layer)
         if faults:
             self.ddr.read_disturb(region)
         return self._load(instruction, region, fault_cycles)
+
+    def _fill_data(self, tile: DataTile, region: str) -> None:
+        """A data tile's payload: its rows and channels of ``region``."""
+        tile.array = self.ddr.region(region).array[
+            tile.row0 : tile.row0 + tile.rows, :, tile.ch0 : tile.ch0 + tile.chs
+        ].copy()
+
+    def _fill_weights(self, tile: WeightTile, layer: LayerConfig) -> None:
+        """A weight tile's payload.  Like a data tile it must not alias DDR:
+        a host-side weight update — or, with faults armed, an in-place ECC
+        correction or a fresh flip — must not reach an in-flight tile."""
+        assert layer.weight_region is not None
+        weights = self.ddr.region(layer.weight_region).array
+        outs = slice(tile.ch0, tile.ch0 + tile.chs)
+        if layer.kind == "depthwise":
+            tile.array = weights[:, :, outs].copy()
+        else:
+            ins = slice(tile.in_ch0, tile.in_ch0 + tile.in_chs)
+            tile.array = weights[:, :, ins, outs].copy()
 
     def _calc(self, instruction: Instruction, layer: LayerConfig) -> int:
         chain = self.acc  # the partial sums a CALC with in_ch0 > 0 continues

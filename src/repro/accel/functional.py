@@ -2,7 +2,9 @@
 
 These helpers compute exactly what one CALC instruction computes: a stripe of
 ``Para_height`` output rows across the full output width, for one output
-channel group, from one input-channel step.  They share the datapath
+channel group, from one input-channel step; :func:`layer_rows` computes what
+a run of finalized CALCs of one layer leaves, straight from DDR (a batched
+stretch's arithmetic).  They share the datapath
 kernel of :mod:`repro.quant.qops` — :mod:`repro.quant.kernels`: exact
 accumulation within the ``ACC_BITS`` = 32-bit bound, held in int64 between
 input-channel steps, round-half-up shift, int8 saturation — so a tiled,
@@ -16,6 +18,7 @@ import numpy as np
 
 from repro.compiler.layer_config import LayerConfig
 from repro.errors import ExecutionError
+from repro.hw.ddr import Ddr
 from repro.quant import kernels
 from repro.quant.qops import global_pool
 
@@ -113,3 +116,40 @@ def eltwise_step(lhs: np.ndarray, rhs: np.ndarray, relu: bool) -> np.ndarray:
 def global_step(tile_slice: np.ndarray, layer: LayerConfig) -> np.ndarray:
     """Global pooling of one channel group over the full spatial extent."""
     return global_pool(tile_slice, mode=layer.mode, p=layer.gem_p)
+
+
+def layer_rows(
+    ddr: Ddr, layer: LayerConfig, row0: int, rows: int, ch0: int, chs: int
+) -> np.ndarray:
+    """Finalized int8 output rows ``[row0, row0+rows)`` x channels
+    ``[ch0, ch0+chs)`` of ``layer``, read from its operand regions in DDR.
+
+    This is what the CALCs of those rows and channels finalize when each
+    closes a chain of the layer's full input depth with the layer's shift,
+    ReLU and bias: the same steps over a wider window, in one kernel call
+    (integer sums do not depend on how the input depth was chunked).
+    """
+    source = ddr.region(layer.input_region).array
+    outs = slice(ch0, ch0 + chs)
+    if layer.kind == "global":
+        return global_step(source[:, :, outs], layer)
+    if layer.kind == "add":
+        assert layer.input2_region is not None
+        second = ddr.region(layer.input2_region).array
+        return eltwise_step(
+            source[row0 : row0 + rows, :, outs], second[row0 : row0 + rows, :, outs], layer.relu
+        )
+    channels = source if layer.kind == "conv" else source[:, :, outs]
+    window = gather_input_window(channels, 0, layer, row0, rows, pool_pad_value(layer))
+    if layer.kind == "pool":
+        return pool_step(window, layer)
+    assert layer.weight_region is not None
+    weights = ddr.region(layer.weight_region).array
+    if layer.kind == "depthwise":
+        sums = depthwise_step(window, weights[:, :, outs], layer)
+    else:
+        sums = kernels.int8_conv(window, weights[:, :, :, outs], layer.stride)
+    bias = None
+    if layer.bias and layer.bias_region is not None:
+        bias = ddr.region(layer.bias_region).array[outs]
+    return finalize(sums, bias, layer.shift, layer.relu)

@@ -52,6 +52,13 @@ class LayerConfig:
             raise CompileError(f"{self.kind} layer {self.name!r} needs a weight region")
         if self.shift < 0:
             raise CompileError(f"layer {self.name!r}: negative requantization shift")
+        if self.output_region in (self.input_region, self.input2_region):
+            # An in-place layer would read its own writes; a batched
+            # functional stretch recomputes a layer from its inputs in DDR.
+            raise CompileError(
+                f"layer {self.name!r}: output region {self.output_region!r} is also "
+                f"one of its input regions"
+            )
 
     @property
     def has_weights(self) -> bool:

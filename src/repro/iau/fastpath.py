@@ -286,7 +286,7 @@ class ProgramMeta:
         }
 
     def tiles_at(self, boundary: int) -> tuple[dict[int, DataTile], WeightTile | None]:
-        """Fresh timing-only tile objects resident at a clean boundary."""
+        """Fresh tile descriptors (no payload) resident at a clean boundary."""
         data_specs, weight_spec = self._boundary_tiles[boundary]
         data_tiles = {
             slot: DataTile(

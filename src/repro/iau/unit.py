@@ -54,9 +54,10 @@ IAU_MODES = ("virtual", "cpu")
 
 #: Keys of :attr:`Iau.dispatch_counts`: the bail reasons in the order
 #: ``_bail_reason`` tests them, the two short-stretch bounds, whole batches,
-#: and the instructions retired by batch / by step.
+#: and the instructions retired by batch / by step.  Timing-only and
+#: functional cores batch alike, so no key names the core's mode.
 DISPATCH_KEYS = (
-    "functional", "recovery", "pending_save", "preempting_task", "pending_flip",
+    "recovery", "pending_save", "preempting_task", "pending_flip",
     "short_fault", "short_horizon", "batched", "instr_batched", "instr_stepped",
 )
 
@@ -319,9 +320,13 @@ class Iau(Stateful):
         """Why the fast path cannot engage here (a ``dispatch_counts`` key),
         or None when the run is provably uninterruptible from here.
 
-        Timing-only, the task mid-stream clean (not replaying recovery
-        loads, no pending SAVE rewriting) and no strictly-higher-priority
-        task runnable.  Arrivals are handled by the caller-provided horizon.
+        The task mid-stream clean (not replaying recovery loads, no pending
+        SAVE rewriting) and no strictly-higher-priority task runnable.
+        Arrivals are handled by the caller-provided horizon.  A functional
+        core batches exactly where a timing-only one does: its arithmetic
+        rides :meth:`AcceleratorCore.retire_batch`, which relies on no fault
+        mutating DDR mid-stretch — what the fire oracle and the
+        ``pending_flip`` bail already guarantee.
 
         Armed features no longer bail the fast path outright (see
         ``docs/static-analysis.md``, the INT rule family):
@@ -339,8 +344,6 @@ class Iau(Stateful):
           byte-identical to what ``step()`` would emit, and checks it event
           by event as it would the stepped one.
         """
-        if self.core.functional:
-            return "functional"
         if context.in_recovery:
             return "recovery"
         if context.save_id != NO_SAVE_ID:
@@ -357,10 +360,12 @@ class Iau(Stateful):
         Cycle-exact and event-exact against :meth:`step`: the clock,
         :class:`~repro.accel.core.CoreStats`, ``busy_cycles`` and buffer
         bookkeeping advance in aggregate from metadata precomputed on the
-        compiled network, and an armed bus receives the identical event
-        stream.  Falls back to a single :meth:`step` whenever the fast path
-        cannot engage (functional arithmetic, recovery state, a runnable
-        higher-priority task, a pending SECDED flip).
+        compiled network, an armed bus receives the identical event stream,
+        and a functional core computes the stretch's results from DDR
+        (bit-identical to the per-CALC arithmetic).  Falls back to a single
+        :meth:`step` whenever the fast path cannot engage (recovery state,
+        a pending SAVE rewrite, a runnable higher-priority task, a pending
+        SECDED flip).
 
         ``horizon`` bounds the batch to instructions that *start* strictly
         before it — the caller's next scheduled arrival, after which
@@ -417,7 +422,11 @@ class Iau(Stateful):
         context.instr_index = boundary
         data_tiles, weight_tile = meta.tiles_at(boundary)
         self.core.retire_batch(
-            meta.batch_stats(index, boundary), data_tiles, weight_tile
+            meta.batch_stats(index, boundary),
+            data_tiles,
+            weight_tile,
+            context.program.words[index:boundary],
+            context.compiled.layer_config,
         )
         if self.faults is not None:
             # Land every site's RNG stream on the position the step-wise

@@ -22,6 +22,7 @@ writes nothing.
 
 from __future__ import annotations
 
+import gc
 import os
 import traceback
 from dataclasses import dataclass, field
@@ -218,6 +219,10 @@ def worker_main(job_id: str, journal_path: str, snapshot_dir: str) -> None:
     the outcome.  Exit code 0 = completed, 1 = failed (journaled), negative
     (a signal) or :data:`CRASH_EXIT_CODE` = death the gateway must handle.
     """
+    # The worker forked with the fork server's whole heap; freezing it keeps
+    # the collector from walking those objects (milliseconds per pass) on
+    # the way to journaling the attempt.
+    gc.freeze()
     journal = JobJournal(journal_path)
     record = journal.get(job_id)
     resumed = bool(record.snapshot_path)

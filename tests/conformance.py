@@ -399,6 +399,12 @@ WORKLOADS = {
         scheduled(HIGH_LOW, lambda _: every(1, 0, 9_000, 6) + every(0, 2_500, 11_000, 5)),
         preempts=True,
     ),
+    # One job per task, the high-priority one landing mid-way through the
+    # other: each output is computed from pristine DDR, where a repeated job
+    # would find its predecessor's intermediates and mask a stale read.
+    "single-jobs": Workload(
+        scheduled(HIGH_LOW, lambda seed: [(1, 0), (0, 2_000 + 500 * seed)]), preempts=True
+    ),
     "two-cores": Workload(
         scheduled(HIGH_LOW, lambda _: every(0, 0, 9_000, 4) + every(1, 2_000, 7_000, 5))
     ),
@@ -755,9 +761,22 @@ def pairwise_cover(covered: list[Cell]) -> list[Cell]:
     return chosen
 
 
+#: Functional cores on a pre-empting workload, every way a run can advance,
+#: disarmed and armed: the stretches a functional core batches compute what
+#: they save from DDR, and a stepped golden computes it CALC by CALC.  Seed
+#: 1 batches both legs of a resumed cell.  They join the tier after the
+#: cover, which is taken over :data:`PINNED` alone and so keeps its cells.
+FUNCTIONAL = [
+    Cell("runtime", variant, armed=armed, core="functional", advance=advance, seed=1,
+         workload="single-jobs")
+    for variant in ("vi", "layer") for armed in ("off", "faults", "all")
+    for advance in ("one", "chunked", "pickled")
+]
+
 PINNED = _pinned()
 TIER1 = sorted(
-    dict.fromkeys(PINNED + pairwise_cover(PINNED)), key=lambda cell: (golden_cell(cell), cell)
+    dict.fromkeys(PINNED + pairwise_cover(PINNED) + FUNCTIONAL),
+    key=lambda cell: (golden_cell(cell), cell),
 )
 _NAMED = {cell for group in NAMED.values() for cell in group}
 #: The tier-1 cells the matrix test runs itself.

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from repro.accel import AcceleratorCore
+from repro.accel.core import require_whole_finals
 from repro.accel.reference import golden_inference, golden_output
 from repro.accel.runner import run_program
-from repro.compiler import compile_network
-from repro.errors import ExecutionError
-from repro.isa.instructions import Instruction
+from repro.compiler import VI_MODES, compile_network
+from repro.compiler.layer_config import LayerConfig
+from repro.errors import CompileError, ExecutionError
+from repro.isa.instructions import FLAG_RELU, Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.nn import GraphBuilder, TensorShape
 from repro.obs import EventBus, EventKind, ObsConfig
 
 from tests.conftest import core_error_index, random_input
+from tests.test_pricing_agreement import ZOO, compiled_for
 
 
 class TestBitExactness:
@@ -273,3 +276,53 @@ class TestCorePolicing:
         assert core.stats.cycles > 0
         assert core.stats.bytes_loaded > 0
         assert core.stats.bytes_saved > 0
+
+
+class TestBatchedStretchPrecondition:
+    """What a functional core's batched stretch assumes when it computes the
+    stretch's SAVEs from DDR: no layer writes a region it reads, and every
+    ``CALC_F`` closes its layer's full input depth with the layer's flags."""
+
+    @pytest.mark.parametrize("network", sorted(ZOO))
+    def test_every_zoo_program_meets_it(self, network):
+        compiled = compiled_for(network, "big")
+        for layer in compiled.layer_configs:
+            assert layer.output_region not in (layer.input_region, layer.input2_region)
+        for variant in VI_MODES:
+            require_whole_finals(compiled.program_for(variant).words, compiled.layer_config)
+
+    @pytest.mark.parametrize(
+        "layer_name, field, change",
+        [
+            ("conv1", "shift", 1),
+            ("conv2", "flags", FLAG_RELU),
+            ("conv1", "in_chs", -1),
+            ("add", "flags", FLAG_RELU),
+            ("add", "in_ch0", 1),
+        ],
+    )
+    def test_a_final_it_cannot_recompute_is_refused(
+        self, tiny_residual_compiled, layer_name, field, change
+    ):
+        compiled = tiny_residual_compiled
+        (layer,) = [cfg for cfg in compiled.layer_configs if cfg.name == layer_name]
+        words = compiled.program_for("vi").words.copy()
+        require_whole_finals(words, compiled.layer_config)
+        finals = np.flatnonzero(
+            (words["opcode"] == Opcode.CALC_F) & (words["layer_id"] == layer.layer_id)
+        )
+        index = finals[len(finals) // 2]
+        value = int(words[field][index])
+        words[field][index] = value ^ change if field == "flags" else value + change
+        with pytest.raises(ExecutionError, match=layer_name):
+            require_whole_finals(words, compiled.layer_config)
+
+    @pytest.mark.parametrize("operand", ["input_region", "input2_region"])
+    def test_an_in_place_layer_is_refused(self, operand):
+        shape = TensorShape(8, 8, 4)
+        regions = {"input_region": "a", "input2_region": "b", operand: "out"}
+        with pytest.raises(CompileError, match="also one of its input regions"):
+            LayerConfig(
+                layer_id=0, name="add", kind="add", in_shape=shape, out_shape=shape,
+                in2_shape=shape, output_region="out", **regions,
+            )

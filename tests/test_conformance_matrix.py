@@ -13,8 +13,8 @@ from collections import defaultdict
 import pytest
 
 from tests.conformance import (
-    ARMED, MATRIX, PINNED, TIER1, WORKLOADS, Cell, check, golden_cell, pairs, seen, valid,
-    valid_cells,
+    ARMED, FUNCTIONAL, MATRIX, PINNED, TIER1, WORKLOADS, Cell, check, golden_cell, pairs, seen,
+    valid, valid_cells,
 )
 
 
@@ -24,26 +24,27 @@ def test_cell_equals_its_stepped_golden(cell):
 
 
 def test_cells_engage_across_their_seeds():
-    """Per workload: its batched timing cells retire most instructions in
-    batches, its fault cells fire the sites they must, the crash workload
-    crashes and backpressured ROS topics retry and acknowledge.  It runs
+    """Per workload: its batched cells retire most instructions in batches
+    (its timing-only cells and, apart, its functional ones), its fault
+    cells fire the sites they must, the crash workload crashes and
+    backpressured ROS topics retry and acknowledge.  It runs
     last in the session (``conftest.py``), so every cell has run once."""
-    retired: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+    retired: dict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0])
     sites: dict[str, set] = defaultdict(set)
     crashes: dict[str, int] = defaultdict(int)
     kinds: set = set()
     for cell in TIER1:
         name, run = golden_cell(cell).workload, seen(cell)
-        if cell.advance == "one" and cell.core == "timing":
-            retired[name][0] += run["counts"]["instr_batched"]
-            retired[name][1] += run["counts"]["instr_stepped"]
+        if cell.advance == "one":
+            retired[name, cell.core][0] += run["counts"]["instr_batched"]
+            retired[name, cell.core][1] += run["counts"]["instr_stepped"]
         if "faults" in ARMED[cell.armed]:
             sites[name] |= run["sites"]
             crashes[name] += run["crashed"]
         if cell.driver == "ros" and cell.armed == "backpressure":
             kinds |= run["kinds"]
-    for name, (batched, stepped) in retired.items():
-        assert batched > stepped, name
+    for key, (batched, stepped) in retired.items():
+        assert batched > stepped, key
     for name, fired in sites.items():
         assert WORKLOADS[name].fires <= fired, name
     assert not sites["zero-rate"]
@@ -55,8 +56,8 @@ def test_cells_engage_across_their_seeds():
 
 
 def test_tier1_holds_every_pinned_cell():
-    assert set(PINNED) <= set(TIER1)
-    assert all(valid(cell) for cell in PINNED)
+    assert set(PINNED + FUNCTIONAL) <= set(TIER1)
+    assert all(valid(cell) for cell in PINNED + FUNCTIONAL)
 
 
 def test_every_valid_pair_occurs_in_a_tier1_cell():

@@ -236,7 +236,7 @@ class TestInstrumentedPreemption:
         """``Iau.dispatch_counts`` never rides the bus: the line appears only
         when the source has an ``iau``, and accounts for every instruction."""
         counts = system.iau.dispatch_counts
-        assert counts["batched"] > 0 and counts["functional"] == 0
+        assert counts["batched"] > 0
         reasons = sum(
             count for key, count in counts.items() if not key.startswith("instr_")
         )

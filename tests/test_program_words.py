@@ -48,6 +48,7 @@ from repro.zoo import (
     build_tiny_residual,
 )
 from tests import program_walk_oracle as oracle
+from tests.conformance import stepped
 
 instructions = st.builds(
     Instruction,
@@ -357,8 +358,8 @@ def test_the_compiler_constructs_no_instruction():
         assert not calls, f"{path.name} builds an Instruction at line(s) {calls}"
 
 
-def test_functional_run_decodes_each_index_once(tmp_path, decodes):
-    low, high = warm_pair(tmp_path, "random", decodes)
+def run_functional_pair(low, high) -> None:
+    """Two low-priority jobs, one pre-emption, real int8 arithmetic."""
     system = MultiTaskSystem(BIG, obs=ObsConfig(functional=True))
     system.add_task(0, high)
     system.add_task(1, low)
@@ -367,4 +368,20 @@ def test_functional_run_decodes_each_index_once(tmp_path, decodes):
     system.submit(0, at_cycle=40_000)
     system.run()
     assert len(system.jobs(1)) == 2
+
+
+def test_functional_run_decodes_each_index_once(tmp_path, decodes, monkeypatch):
+    """The stepped walk decodes every index, each once, however often the
+    jobs revisit it."""
+    low, high = warm_pair(tmp_path, "random", decodes)
+    stepped(monkeypatch)
+    run_functional_pair(low, high)
     assert len(decodes) == len(set(decodes)) == len(low.program) + len(high.program)
+
+
+def test_functional_batched_run_skips_decodes(tmp_path, decodes):
+    """A functional core batches like a timing-only one: no index is
+    decoded twice, and the stretches it retired are never decoded."""
+    low, high = warm_pair(tmp_path, "random", decodes)
+    run_functional_pair(low, high)
+    assert len(decodes) == len(set(decodes)) < len(low.program) + len(high.program)
