@@ -1,5 +1,5 @@
 """Fast-path speedup guards: the horizon-batched dispatch loop must beat the
-step-wise loop by >= 5x disarmed, >= 8x with a live FaultPlan, >= 5x
+step-wise loop by >= 5x disarmed, >= 20x with a live FaultPlan, >= 5x
 under the ROS executor (the whole two-agent E10 mission, CPU-side DSLAM
 included), and >= 2.5x on a functional core, whose batched stretches compute
 their SAVEs one layer at a time instead of one CALC at a time.
@@ -14,14 +14,14 @@ this file pins the *performance* claims and records the tables under
 
 The armed run pays for the static interference analysis once per fire
 interval: ``ProgramMeta.stop_for_faults`` intersects the stretch with the
-fire oracle, a peek that found the next fire answers every later consult
-from its cache until the stream reaches it, and each fired fault ends the
-batch and drops to ``step()`` for the recovery window.  What is left is the
-stepping itself (recovery replays, pending SAVEs, the window a pending
-SECDED flip keeps batching off until the flipped region is next read) and
-the low-rate sites' limit-capped peeks, which only prove a lower bound and
-are redone when a longer program asks.  The deterministic side of this
-(draw and consult counts) is gated in ``tests/test_fastpath_armed.py``.
+fire oracle, whose look-ahead buffer draws every stream value once, and
+each fired fault that is not a ``ddr.stall`` ends the batch and drops to
+``step()`` for the recovery window.  Stalls are pure latency, retired
+inside the batch (``ProgramMeta.stall_fires``), and a pending SECDED flip
+only ends a batch before the next instruction touching its region.  What
+is left is the stepping itself: recovery replays, pending SAVEs and the
+step-outs at those bounds.  The deterministic side of this (draw, consult
+and stepped-instruction counts) is gated in ``tests/test_fastpath_armed.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from tests.conformance import stepped
 from .conftest import write_result
 
 SPEEDUP_FLOOR = 5.0
-ARMED_SPEEDUP_FLOOR = 8.0
+ARMED_SPEEDUP_FLOOR = 20.0
 ROS_SPEEDUP_FLOOR = 5.0
 FUNCTIONAL_SPEEDUP_FLOOR = 2.5
 
@@ -131,11 +131,12 @@ def test_fastpath_speedup(fastpath_pair):
 
 
 def test_fastpath_speedup_armed(fastpath_pair):
-    """Same workload with a live FaultPlan: batching must still pay >= 8x.
+    """Same workload with a live FaultPlan: batching must still pay >= 20x.
 
-    Both paths draw the identical per-site RNG streams (the batched path
-    burns the oracle-vouched safe draws it skipped), so with equal seeds
-    the runs are bit-identical — same final clock, same injected faults.
+    Both paths consume the identical per-site RNG streams (the batched path
+    burns the read-ahead draws it covered, stalls included), so with equal
+    seeds the runs are bit-identical — same final clock, same injected
+    faults.
     """
 
     def armed(batched: bool, seed: int = 0):

@@ -27,8 +27,8 @@ executes whatever the IAU hands it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -529,8 +529,12 @@ class AcceleratorCore(BufferMachine, Stateful):
         stretch's arithmetic: ``words`` (the stretch's program words) name
         what each SAVE drains, computed layer by layer from DDR
         (:meth:`_retire_saves`), and the resident tiles are read from DDR as
-        their loads would have read them.
+        their loads would have read them — except a tile of a region with a
+        pending ECC flip: a load of that region bounds the stretch, so the
+        tile was loaded before it, ahead of the flip DDR now holds, and the
+        resident payload is what that load read.
         """
+        resident, resident_weights = self.data_tiles, self.weight_tile
         stats = self.stats
         stats.instructions += aggregates["instructions"]
         stats.cycles += aggregates["cycles"]
@@ -546,13 +550,17 @@ class AcceleratorCore(BufferMachine, Stateful):
         if not self.functional:
             return
         self._retire_saves(words, layer_config)
+        flipped = self.ddr.flipped_regions()
         for slot, tile in data_tiles.items():
             layer = layer_config(tile.layer_id)
             region = layer.input2_region if slot else layer.input_region
             assert region is not None  # a LOAD_D of the second operand read it
-            self._fill_data(tile, region)
+            if not (region in flipped and _carry(resident.get(slot), tile)):
+                self._fill_data(tile, region)
         if weight_tile is not None:
-            self._fill_weights(weight_tile, layer_config(weight_tile.layer_id))
+            layer = layer_config(weight_tile.layer_id)
+            if not (layer.weight_region in flipped and _carry(resident_weights, weight_tile)):
+                self._fill_weights(weight_tile, layer)
 
     def _retire_saves(
         self, words: np.ndarray, layer_config: Callable[[int], LayerConfig]
@@ -763,7 +771,7 @@ class AcceleratorCore(BufferMachine, Stateful):
                 instruction.row0,
                 instruction.rows,
                 instruction.ch0,
-                instruction.ch0 + instruction.chs,
+                instruction.chs,
             )
             cycles += self.ddr.burst_faults(region, "save")
         self.stats.save_cycles += cycles
@@ -771,3 +779,16 @@ class AcceleratorCore(BufferMachine, Stateful):
         if self.bus is not None:
             self._emit_burst(instruction, "save", cycles, region)
         return cycles
+
+
+_Tile = TypeVar("_Tile", DataTile, WeightTile)
+
+
+def _carry(resident: _Tile | None, tile: _Tile) -> bool:
+    """Give ``tile`` the payload of the ``resident`` tile it describes, if
+    the core holds one (after an invalidation it may not: then no later
+    instruction reads the tile before reloading it)."""
+    if resident is None or replace(resident, array=None) != tile:
+        return False
+    tile.array = resident.array
+    return True

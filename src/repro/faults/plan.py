@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -164,13 +165,11 @@ class FaultPlan(Stateful):
         }
         #: Every fault fired so far, in injection order.
         self.injected: list[InjectedFault] = []
-        # Fire-oracle cache: per site, ``(count, exact)`` — how many upcoming
-        # draws are *known* to not fire, and whether the peek that counted
-        # them ended at a fire (``exact``: draw ``count`` is the next fire) or
-        # was cut by its limit (a lower bound).  Counted down by
-        # ``fires``/``burn`` and dropped whenever the stream moves in any
-        # other way; derived from the stream positions, never snapshotted.
-        self._safe_ahead: dict[FaultSite, tuple[int, bool]] = {}
+        # Fire-oracle look-ahead: per site, the draws already taken from the
+        # stream past its logical position (see :class:`_Lookahead`).
+        # ``fires`` pops from it and ``burn`` moves its cursor, so a batched
+        # run draws every value once; derived, never snapshotted.
+        self._ahead: dict[FaultSite, _Lookahead] = {}
 
     @staticmethod
     def _coerce_site(site: FaultSite | str) -> FaultSite:
@@ -194,103 +193,112 @@ class FaultPlan(Stateful):
         rate = self._rates.get(site, 0.0)
         if rate <= 0.0:
             return False
-        fired = self._rngs[site].random() < rate
-        if fired:
-            self._safe_ahead.pop(site, None)
-        else:
-            self._consume(site, 1)
-        return fired
-
-    def _consume(self, site: FaultSite, count: int) -> None:
-        """Count the oracle cache down by ``count`` non-firing draws."""
-        cached = self._safe_ahead.get(site)
-        if cached is not None:
-            self._safe_ahead[site] = (max(0, cached[0] - count), cached[1])
+        ahead = self._ahead.get(site)
+        if ahead is None:
+            return self._rngs[site].random() < rate
+        return ahead.pop()
 
     def draw_index(self, site: FaultSite, bound: int) -> int:
         """A uniform index in [0, bound) from the site's stream."""
         if bound <= 0:
             raise FaultError(f"draw_index bound must be positive, got {bound}")
-        self._safe_ahead.pop(site, None)
+        self._sync(site)
         return self._rngs[site].randrange(bound)
 
     def draw_uncorrectable(self) -> bool:
         """Whether an injected DDR flip exceeds SECDED correction."""
         if self.uncorrectable_share <= 0.0:
             return False
-        self._safe_ahead.pop(FaultSite.DDR_BIT_FLIP, None)
+        self._sync(FaultSite.DDR_BIT_FLIP)
         return self._rngs[FaultSite.DDR_BIT_FLIP].random() < self.uncorrectable_share
 
+    def _sync(self, site: FaultSite) -> None:
+        """Put the site's stream back on its logical position (dropping the
+        look-ahead) before a draw that is not a Bernoulli one."""
+        ahead = self._ahead.pop(site, None)
+        if ahead is not None and ahead.cursor < ahead.scanned:
+            ahead.rewind()
+
     # -- fire oracle ---------------------------------------------------------
+
+    def _lookahead(self, site: FaultSite, rate: float) -> "_Lookahead":
+        ahead = self._ahead.get(site)
+        if ahead is None:
+            ahead = self._ahead[site] = _Lookahead(self._rngs[site], rate)
+        return ahead
 
     def safe_draws(self, site: FaultSite, limit: int) -> int:
         """How many of the next ``limit`` draws at ``site`` provably miss.
 
-        Peeks ahead on the site's private RNG stream *without perturbing it*
-        (the stream state is saved and restored around the peek), returning
-        the count of consecutive guaranteed non-fires from the current
-        position, capped at ``limit``.  A rate-0 site never draws at all, so
-        every opportunity is safe.  The result is a prefix: the caller may
-        :meth:`burn` up to that many draws and is guaranteed none of them
-        would have fired.
-
-        The answer is cached with its kind.  A peek that *found* the next
-        fire knows its distance exactly, so until the stream moves past it
-        every later query — whatever its ``limit`` — is answered from the
-        cache without touching the RNG; a peek cut by ``limit`` only proved
-        a lower bound, good for queries up to that many draws.
+        Reads ahead on the site's stream into its look-ahead buffer, which
+        :meth:`fires` and :meth:`burn` then consume, so every value is
+        drawn from the ``Random`` once; the logical stream position — what
+        :meth:`fires` sees and what a snapshot holds — does not move.
+        Returns the count of consecutive guaranteed non-fires from the
+        logical position, capped at ``limit``.  The scan stops at the first
+        fire, so once a fire is in the buffer every later query is answered
+        without drawing.  A rate-0 site never draws at all, so every
+        opportunity is safe.  The caller may :meth:`burn` up to that many
+        draws and is guaranteed none of them would have fired.
         """
         if limit <= 0:
             return 0
         rate = self._rates.get(site, 0.0)
         if rate <= 0.0:
             return limit
-        cached = self._safe_ahead.get(site)
-        if cached is not None and (cached[1] or cached[0] >= limit):
-            return min(cached[0], limit)
-        rng = self._rngs[site]
-        state = rng.getstate()
-        safe = 0
-        while safe < limit:
-            if rng.random() < rate:
-                break
-            safe += 1
-        rng.setstate(state)
-        self._safe_ahead[site] = (safe, safe < limit)
-        return safe
+        return self._lookahead(site, rate).safe(limit)
 
-    def burn(self, site: FaultSite, count: int) -> None:
-        """Advance the site's stream past ``count`` known-safe draws.
+    def fire_offsets(self, site: FaultSite, limit: int) -> list[int]:
+        """The offsets, from the logical position, of the draws among the
+        next ``limit`` at ``site`` that fire (none at rate 0).  Like
+        :meth:`safe_draws` it reads ahead into the buffer without moving
+        the logical position; unlike it, the scan runs through fires."""
+        rate = self._rates.get(site, 0.0)
+        if limit <= 0 or rate <= 0.0:
+            return []
+        return self._lookahead(site, rate).fires_within(limit)
 
-        Replays exactly the RNG consumption ``count`` non-firing
-        :meth:`fires` calls would have performed (none at rate 0 — ``fires``
-        does not draw there), keeping a batched run's stream position
-        bit-identical to the step-wise run it replaces.  Only draws
-        :meth:`safe_draws` has vouched for may be burned: going past them
+    def burn(self, site: FaultSite, count: int, fired: int = 0) -> None:
+        """Advance the site's logical position past ``count`` read-ahead
+        draws, exactly ``fired`` of which fire.
+
+        Equals the RNG consumption of ``count`` :meth:`fires` calls (none
+        at rate 0 — ``fires`` does not draw there), keeping a batched run's
+        stream position bit-identical to the step-wise run it replaces.
+        Only draws :meth:`safe_draws` or :meth:`fire_offsets` has read may
+        be burned, and only with their fires accounted for: anything else
         would swallow a firing draw and desynchronise the stream from the
-        stepped run, so that raises :class:`~repro.errors.FaultError`.
+        stepped run, so it raises :class:`~repro.errors.FaultError`.
         """
         if count <= 0:
             return
         rate = self._rates.get(site, 0.0)
         if rate <= 0.0:
             return
-        vouched = self._safe_ahead.get(site, (0, False))[0]
-        if count > vouched:
+        ahead = self._ahead.get(site)
+        read = 0 if ahead is None else ahead.scanned - ahead.cursor
+        crossed = 0 if ahead is None or count > read else ahead.fires_before(count)
+        if count > read or crossed != fired:
             raise FaultError(
-                f"burn({site.value}, {count}) exceeds the {vouched} draws "
-                "safe_draws has vouched for"
+                f"burn({site.value}, {count}, fired={fired}) goes past what the "
+                f"oracle vouched for: {read} draws read ahead, {crossed} of the "
+                "burned ones fire"
             )
-        rng = self._rngs[site]
-        for _ in range(count):
-            rng.random()
-        self._consume(site, count)
+        assert ahead is not None  # count <= read > 0
+        ahead.skip(count, fired)
 
     # -- snapshot/restore ----------------------------------------------------
 
+    def state_view(self) -> dict[str, Any]:
+        """The declared state at the *logical* stream positions: a snapshot
+        of an armed run holds the bytes a run that never read ahead would."""
+        for site in list(self._ahead):
+            self._sync(site)
+        return super().state_view()
+
     def _reset_derived(self) -> None:
-        """The fire-oracle cache is a function of the stream positions."""
-        self._safe_ahead.clear()
+        """The look-ahead belongs to the streams the restore replaced."""
+        self._ahead.clear()
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -306,6 +314,96 @@ class FaultPlan(Stateful):
         if site is None:
             return len(self.injected)
         return sum(1 for fault in self.injected if fault.site == site)
+
+
+class _Lookahead:
+    """Draws taken from one site's stream past its logical position.
+
+    ``scanned`` draws have been taken from the ``Random`` since the
+    buffer's origin; ``cursor`` of them are logically consumed; ``fired``
+    lists (ascending, counted from the origin) the ones that fire, ``head``
+    indexing the first not yet consumed.  The buffer lives as long as only
+    Bernoulli draws move the stream.  Stream states are kept at the origin
+    and every :data:`_CHECKPOINT` draws (those behind the cursor are
+    dropped as the scan moves on), so :meth:`rewind` redraws fewer than
+    that many values.
+    """
+
+    def __init__(self, rng: random.Random, rate: float) -> None:
+        self.rng = rng
+        self.rate = rate
+        self.offsets = [0]
+        self.states = [rng.getstate()]
+        self.scanned = 0
+        self.cursor = 0
+        self.fired: list[int] = []
+        self.head = 0
+
+    def _scan(self, upto: int, to_fire: bool) -> None:
+        """Draw up to offset ``upto``, stopping after a fire if ``to_fire``."""
+        draw, rate, fired = self.rng.random, self.rate, self.fired
+        while self.scanned < upto:
+            if self.scanned - self.offsets[-1] >= _CHECKPOINT:
+                self._checkpoint()
+            end = min(upto, self.offsets[-1] + _CHECKPOINT)
+            if not to_fire:
+                fired += [offset for offset in range(self.scanned, end) if draw() < rate]
+            else:
+                for offset in range(self.scanned, end):
+                    if draw() < rate:
+                        fired.append(offset)
+                        self.scanned = offset + 1
+                        return
+            self.scanned = end
+
+    def _checkpoint(self) -> None:
+        keep = bisect_right(self.offsets, self.cursor) - 1
+        del self.offsets[:keep], self.states[:keep], self.fired[: self.head]
+        self.head = 0
+        self.offsets.append(self.scanned)
+        self.states.append(self.rng.getstate())
+
+    def safe(self, limit: int) -> int:
+        if len(self.fired) == self.head:
+            self._scan(self.cursor + limit, to_fire=True)
+        if len(self.fired) > self.head:
+            return min(self.fired[self.head] - self.cursor, limit)
+        return limit
+
+    def fires_within(self, limit: int) -> list[int]:
+        end = self.cursor + limit
+        self._scan(end, to_fire=False)
+        stop = bisect_left(self.fired, end, self.head)
+        return [offset - self.cursor for offset in self.fired[self.head : stop]]
+
+    def fires_before(self, count: int) -> int:
+        return bisect_left(self.fired, self.cursor + count, self.head) - self.head
+
+    def pop(self) -> bool:
+        if self.cursor == self.scanned:  # nothing read ahead: draw in step
+            if self.scanned - self.offsets[-1] >= _CHECKPOINT:
+                self._checkpoint()
+            self.scanned = self.cursor = self.cursor + 1
+            return self.rng.random() < self.rate
+        fired = len(self.fired) > self.head and self.fired[self.head] == self.cursor
+        self.cursor += 1
+        self.head += fired
+        return fired
+
+    def skip(self, count: int, fired: int) -> None:
+        self.cursor += count
+        self.head += fired
+
+    def rewind(self) -> None:
+        """Set the ``Random`` back to the logical position."""
+        at = bisect_right(self.offsets, self.cursor) - 1
+        self.rng.setstate(self.states[at])
+        for _ in range(self.cursor - self.offsets[at]):
+            self.rng.random()
+
+
+#: Draws between two stream states a :class:`_Lookahead` keeps.
+_CHECKPOINT = 4096
 
 
 def _positive(name: str, value: int) -> int:

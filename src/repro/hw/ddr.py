@@ -225,16 +225,23 @@ class Ddr(Stateful):
             self._ecc_check(region_name)
         extra = 0
         if plan.fires(FaultSite.DDR_STALL):
-            extra = plan.ddr_stall_cycles
-            self._record_and_emit(
-                FaultSite.DDR_STALL,
-                region=region_name,
-                direction=direction,
-                stall_cycles=extra,
-            )
+            extra = self.stall_fired(region_name, direction)
         if direction != "load" and plan.fires(FaultSite.DDR_BIT_FLIP):
             self._inject_flip(region_name)
         return extra
+
+    def stall_fired(self, region_name: str, direction: str) -> int:
+        """Record and report a ``ddr.stall`` fire on a burst of
+        ``region_name``; returns the stall cycles it adds.  The batched
+        fast path calls this for each stall it retires inside a stretch,
+        where :meth:`burst_faults` would have."""
+        from repro.faults.plan import FaultSite
+
+        stall = self.faults.ddr_stall_cycles
+        self._record_and_emit(
+            FaultSite.DDR_STALL, region=region_name, direction=direction, stall_cycles=stall
+        )
+        return stall
 
     def note_write(self, region_name: str, row0: int, rows: int, ch0: int, chs: int) -> None:
         """A burst overwrote ``[row0:row0+rows, :, ch0:ch0+chs]`` of a region.
@@ -355,6 +362,10 @@ class Ddr(Stateful):
     @property
     def pending_flip_count(self) -> int:
         return len(self._pending_flips)
+
+    def flipped_regions(self) -> set[str]:
+        """The regions holding a pending flip."""
+        return {flip.region_name for flip in self._pending_flips}
 
     def _record_and_emit(self, site, **detail) -> None:
         cycle = self.bus.cycle if self.bus is not None else 0

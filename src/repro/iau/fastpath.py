@@ -28,9 +28,13 @@ single time:
   (the static half of armed batching): how many Bernoulli draws the
   step-wise path performs at each site over any instruction span, so
   :meth:`ProgramMeta.stop_for_faults` can intersect a batch with the fault
-  plan's fire oracle and :meth:`ProgramMeta.opportunity_counts` can burn the
-  skipped non-firing draws afterwards (see ``docs/static-analysis.md``, the
-  INT rule family).
+  plan's fire oracle, :meth:`ProgramMeta.stall_fires` can place the
+  ``ddr.stall`` fires retired inside it, and
+  :meth:`ProgramMeta.opportunity_counts` can burn the covered draws
+  afterwards (see ``docs/static-analysis.md``, the INT rule family).
+
+:class:`RegionTouches` adds the one dynamic bound: where a program next
+touches a DDR region holding a pending ECC flip.
 
 ``Iau.run_batched`` consumes this metadata; the equivalence contract
 (cycle-exact and event-exact against ``step()``, disarmed and armed) is the
@@ -43,6 +47,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, NamedTuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -70,6 +75,8 @@ BATCH_FAULT_SITES: tuple[FaultSite, ...] = (
     FaultSite.DDR_BIT_FLIP,
     FaultSite.IAU_SPURIOUS_PREEMPT,
 )
+
+_STALL = FaultSite.DDR_STALL.value
 
 #: Stretches shorter than this are not worth the batching overhead —
 #: ``Iau.run_batched`` steps through them (and their bounding instruction)
@@ -218,19 +225,23 @@ class ProgramMeta:
         return self.boundaries[pos] if pos >= 0 else -1
 
     def stop_for_faults(self, start: int, plan: "FaultPlan") -> int:
-        """Largest stop index from ``start`` provably free of fault fires.
+        """Largest stop index from ``start`` provably free of fires that end
+        a batch (every batch-regime site but ``ddr.stall``, which
+        :meth:`stall_fires` prices instead).
 
-        For every armed batch-regime site, asks the plan's fire oracle how
-        many upcoming draws are guaranteed non-fires and converts that draw
-        budget back to an instruction index via the opportunity prefix sums:
-        a batch ``[start, stop)`` consumes ``opp[stop] - opp[start]`` draws
-        at each site, so the instruction hosting the first possible fire is
+        For each such site, asks the plan's fire oracle how many upcoming
+        draws are guaranteed non-fires and converts that draw budget back
+        to an instruction index via the opportunity prefix sums: a batch
+        ``[start, stop)`` consumes ``opp[stop] - opp[start]`` draws at each
+        site, so the instruction hosting the first possible fire is
         excluded.  Sites at rate 0 never constrain (the oracle returns the
-        full limit without peeking).
+        full limit without drawing).
         """
         n = len(self.cum) - 1
         stop = n
         for value, opp in self.opportunities.items():
+            if value == _STALL:
+                continue
             limit = opp[n] - opp[start]
             if limit <= 0:
                 continue
@@ -240,6 +251,37 @@ class ProgramMeta:
             # Largest index whose prefix count stays within the safe budget.
             stop = min(stop, bisect_right(opp, opp[start] + safe) - 1)
         return stop
+
+    def stall_fires(
+        self, start: int, stop: int, base: int, horizon: int | None, plan: "FaultPlan"
+    ) -> tuple[int, list[int]]:
+        """The ``ddr.stall`` fires of the batch ``[start, stop)``, retired
+        inside it as priced events: ``(stop, fires)``.
+
+        ``fires`` are the indices of the instructions hosting a firing
+        stall draw (the oracle's :meth:`~repro.faults.plan.FaultPlan.fire_offsets`,
+        mapped through the opportunity prefix sums).  Each adds
+        ``plan.ddr_stall_cycles`` to its instruction and shifts every later
+        one, so the horizon bound is recomputed past each fire: the
+        returned ``stop`` is at most ``stop``, and ``fires`` lists only the
+        fires before it.  ``base`` is as for :meth:`stop_for_horizon`.
+        """
+        opp = self.opportunities[_STALL]
+        offsets = plan.fire_offsets(FaultSite.DDR_STALL, opp[stop] - opp[start])
+        fires: list[int] = []
+        lo, shift = start, 0
+        for offset in offsets:
+            fire = bisect_right(opp, opp[start] + offset) - 1
+            if horizon is not None:
+                # Instructions before ``lo`` start before the horizon already.
+                reach = bisect_left(self.cum, horizon - base - shift, lo, stop)
+                if reach <= fire:
+                    return reach, fires
+            fires.append(fire)
+            lo, shift = fire + 1, shift + plan.ddr_stall_cycles
+        if horizon is not None and fires:
+            stop = bisect_left(self.cum, horizon - base - shift, lo, stop)
+        return stop, fires
 
     def opportunity_counts(self, start: int, stop: int) -> dict[FaultSite, int]:
         """Per-site draw counts of the batch ``[start, stop)``.
@@ -271,6 +313,13 @@ class ProgramMeta:
                     for value, opp in self.opportunities.items()
                 },
             )
+
+    def transfer(self, index: int) -> tuple[str, str]:
+        """``(direction, region)`` of the DDR burst instruction ``index``
+        makes (a load or a moving save: where ``ddr.stall`` draws)."""
+        spec = self.events[index]
+        assert spec is not None and spec[3] is not None and spec[4] is not None
+        return spec[3], spec[4]
 
     def batch_stats(self, start: int, stop: int) -> dict[str, int]:
         """Aggregate :class:`CoreStats` deltas over ``[start, stop)``."""
@@ -312,6 +361,80 @@ class ProgramMeta:
                 array=None,
             )
         return data_tiles, weight_tile
+
+
+class RegionTouches:
+    """Where one program reads or writes each DDR region on the batch
+    regime's path: the bound a pending ECC flip puts on a batch.
+
+    A pending flip has two dynamic effects, and both happen at an
+    instruction touching its region: a load's ECC check (detect, then
+    correct or escalate) and a save's ``note_write`` (the write retires
+    the flip under it).  Anywhere else a batch may run across it.  A
+    timing-only core touches a region with a ``LOAD_D`` of its input (or,
+    with operand B, its second input), a ``LOAD_W`` of its weights and a
+    ``SAVE`` of its output.  A functional core's batched SAVEs compute
+    their layer from DDR (``AcceleratorCore.retire_batch``), so there a
+    SAVE also reads every region its layer reads.
+
+    Built one region at a time on first use and kept by :func:`region_touches`
+    outside the :class:`ProgramMeta` (which the compile cache stores).
+    """
+
+    def __init__(self, compiled: "CompiledNetwork", program: "Program", functional: bool) -> None:
+        self._compiled = compiled
+        self._program = program
+        self._functional = functional
+        self._index: dict[str, list[int]] = {}
+
+    def first(self, region: str, start: int) -> int:
+        """First index ``>= start`` touching ``region`` (the program length
+        when none does)."""
+        index = self._index.get(region)
+        if index is None:
+            index = self._index[region] = self._build(region)
+        position = bisect_left(index, start)
+        return index[position] if position < len(index) else len(self._program)
+
+    def _build(self, region: str) -> list[int]:
+        words = self._program.words
+        layer = words["layer_id"]
+        configs = self._compiled.layer_configs
+
+        def role(name: str) -> np.ndarray:
+            return np.isin(layer, [c.layer_id for c in configs if getattr(c, name) == region])
+
+        opcode = words["opcode"]
+        second = (words["flags"] & FLAG_OPERAND_B) != 0
+        load_d = opcode == Opcode.LOAD_D
+        save = (opcode == Opcode.SAVE) & (words["chs"] != 0)
+        inputs, inputs2 = role("input_region"), role("input2_region")
+        weights = role("weight_region")
+        touch = (
+            (load_d & ~second & inputs)
+            | (load_d & second & inputs2)
+            | ((opcode == Opcode.LOAD_W) & weights)
+            | (save & role("output_region"))
+        )
+        if self._functional:
+            touch |= save & (inputs | inputs2 | weights | role("bias_region"))
+        index: list[int] = np.flatnonzero(touch).tolist()
+        return index
+
+
+_TOUCHES: "WeakKeyDictionary[ProgramMeta, dict[bool, RegionTouches]]" = WeakKeyDictionary()
+
+
+def region_touches(
+    meta: ProgramMeta, compiled: "CompiledNetwork", program: "Program", functional: bool
+) -> RegionTouches:
+    """The :class:`RegionTouches` of the program ``meta`` describes, kept
+    as long as ``meta`` lives."""
+    kept = _TOUCHES.setdefault(meta, {})
+    touches = kept.get(functional)
+    if touches is None:
+        touches = kept[functional] = RegionTouches(compiled, program, functional)
+    return touches
 
 
 def _kind_template(

@@ -23,6 +23,7 @@ Two interrupt disciplines are modelled on top of the same task table:
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.qos.admission import AdmissionController
 from repro.qos.config import QosConfig
 from repro.state import Stateful
 
-from repro.iau.fastpath import MIN_BATCH
+from repro.iau.fastpath import MIN_BATCH, region_touches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.iau.fastpath import ProgramMeta
@@ -53,12 +54,15 @@ MAX_TASKS = 4
 IAU_MODES = ("virtual", "cpu")
 
 #: Keys of :attr:`Iau.dispatch_counts`: the bail reasons in the order
-#: ``_bail_reason`` tests them, the two short-stretch bounds, whole batches,
-#: and the instructions retired by batch / by step.  Timing-only and
-#: functional cores batch alike, so no key names the core's mode.
+#: ``_bail_reason`` tests them, the three short-stretch bounds (a possible
+#: fire, a pending ECC flip, the horizon), whole batches, the instructions
+#: retired by batch / by step, and the ``ddr.stall`` fires retired inside
+#: batches.  Timing-only and functional cores batch alike, so no key names
+#: the core's mode.
 DISPATCH_KEYS = (
-    "recovery", "pending_save", "preempting_task", "pending_flip",
-    "short_fault", "short_horizon", "batched", "instr_batched", "instr_stepped",
+    "recovery", "pending_save", "preempting_task",
+    "short_fault", "short_flip", "short_horizon", "batched", "instr_batched",
+    "instr_stepped", "stalls_batched",
 )
 
 
@@ -118,12 +122,14 @@ class Iau(Stateful):
         self.on_complete: Callable[[int, JobRecord], None] | None = None
         #: Why each :meth:`run_batched` call that dispatched instructions
         #: ended the way it did — one increment per call under ``batched``,
-        #: a :meth:`_bail_reason`, or ``short_fault`` / ``short_horizon``
-        #: (the bound that left less than ``MIN_BATCH`` to retire) — plus
-        #: the instructions retired each way (``instr_batched`` /
-        #: ``instr_stepped``).  Host-side diagnostics only: outside ``STATE``
-        #: and off the bus, so batched and stepped runs keep identical event
-        #: streams, metrics and snapshots.  A plain pre-seeded dict, not a
+        #: a :meth:`_bail_reason`, or ``short_fault`` / ``short_flip`` /
+        #: ``short_horizon`` (the bound that left less than ``MIN_BATCH`` to
+        #: retire) — plus the instructions retired each way
+        #: (``instr_batched`` / ``instr_stepped``) and the stalls retired
+        #: inside batches (``stalls_batched``).  Host-side diagnostics only:
+        #: outside ``STATE`` and off the bus, so batched and stepped runs
+        #: keep identical event streams, metrics and snapshots.  A plain
+        #: pre-seeded dict, not a
         #: ``collections.Counter``: a disarmed farm day makes two increments
         #: per job here, and a dict subclass pays ~3x per item update.
         self.dispatch_counts: dict[str, int] = dict.fromkeys(DISPATCH_KEYS, 0)
@@ -325,18 +331,20 @@ class Iau(Stateful):
         Arrivals are handled by the caller-provided horizon.  A functional
         core batches exactly where a timing-only one does: its arithmetic
         rides :meth:`AcceleratorCore.retire_batch`, which relies on no fault
-        mutating DDR mid-stretch — what the fire oracle and the
-        ``pending_flip`` bail already guarantee.
+        mutating DDR a stretch reads — what the fire oracle and the
+        pending-flip bound guarantee.
 
-        Armed features no longer bail the fast path outright (see
-        ``docs/static-analysis.md``, the INT rule family):
+        Armed features do not bail the fast path (see
+        ``docs/static-analysis.md``, the INT rule family); they bound it:
 
         * a :class:`FaultPlan` is intersected per batch with the static
           fault-opportunity table and its fire oracle
-          (``ProgramMeta.stop_for_faults``) — the only dynamic requirement
-          is that no SECDED flip is pending, because the next load of the
-          flipped region would detect and correct it mid-stretch (events +
-          array mutation the meta templates cannot express);
+          (``ProgramMeta.stop_for_faults``); ``ddr.stall`` fires are pure
+          latency and are retired inside the batch
+          (``ProgramMeta.stall_fires``);
+        * a pending SECDED flip ends the batch before the first
+          instruction touching its region (``RegionTouches``), where the
+          ECC check or a write would act on it;
         * inversion detection is per-step a no-op whenever no
           higher-priority task is runnable — guaranteed here and unchanged
           for the whole batch, since arrivals bound the horizon;
@@ -350,8 +358,6 @@ class Iau(Stateful):
             return "pending_save"
         if self._preempting_task(context) is not None:
             return "preempting_task"
-        if self.faults is not None and self.core.ddr.pending_flip_count:
-            return "pending_flip"
         return None
 
     def run_batched(self, horizon: int | None = None) -> bool:
@@ -364,16 +370,18 @@ class Iau(Stateful):
         and a functional core computes the stretch's results from DDR
         (bit-identical to the per-CALC arithmetic).  Falls back to a single
         :meth:`step` whenever the fast path cannot engage (recovery state,
-        a pending SAVE rewrite, a runnable higher-priority task, a pending
-        SECDED flip).
+        a pending SAVE rewrite, a runnable higher-priority task).
 
         ``horizon`` bounds the batch to instructions that *start* strictly
         before it — the caller's next scheduled arrival, after which
         delivery (and hence pre-emption eligibility) must be re-evaluated.
-        When the horizon or the fault plan's fire oracle leaves fewer than
-        ``MIN_BATCH`` instructions to retire, the call *steps out*: it
-        ``step()``s through the bounding instruction instead of asking for
-        the same bound again before every one of them.
+        With a :class:`FaultPlan` armed the batch also ends before the
+        first possible fire that is not a ``ddr.stall`` and before the first
+        instruction touching a region with a pending ECC flip; the stalls
+        inside it are retired as priced events.  When these bounds leave
+        fewer than ``MIN_BATCH`` instructions to retire, the call *steps
+        out*: it ``step()``s through the bounding instruction instead of
+        asking for the same bound again before every one of them.
         Returns False when nothing is runnable, like :meth:`step`.
         """
         if self.current is None:
@@ -398,12 +406,26 @@ class Iau(Stateful):
         base = self.clock - meta.cum[index]
         stop = meta.stop_for_horizon(index, base, horizon)
         short = "short_horizon"
-        if self.faults is not None:
+        stalls: list[int] = []
+        plan = self.faults
+        if plan is not None:
             # Intersect with the fire oracle: the batch may not reach the
-            # instruction hosting the first possible fault fire.
-            fault_stop = meta.stop_for_faults(index, self.faults)
+            # instruction hosting the first possible fault fire ...
+            fault_stop = meta.stop_for_faults(index, plan)
             if fault_stop < stop:
                 stop, short = fault_stop, "short_fault"
+            # ... nor one touching a region with a pending ECC flip.
+            ddr = self.core.ddr
+            if ddr.pending_flip_count:
+                touches = region_touches(
+                    meta, context.compiled, context.program, self.core.functional
+                )
+                flip_stop = min(touches.first(name, index) for name in ddr.flipped_regions())
+                if flip_stop < stop:
+                    stop, short = flip_stop, "short_flip"
+            stall_stop, stalls = meta.stall_fires(index, stop, base, horizon, plan)
+            if stall_stop < stop:
+                stop, short = stall_stop, "short_horizon"
         # A batch may only end where no accumulator / output section is in
         # flight, so a later step() finds exactly the state it expects.
         boundary = meta.boundary_at_or_before(stop)
@@ -414,27 +436,45 @@ class Iau(Stateful):
 
         counts["batched"] += 1
         counts["instr_batched"] += boundary - index
-        if self.bus is not None:
-            self._replay_events(context, meta, index, boundary)
+        aggregates = meta.batch_stats(index, boundary)
         delta = meta.cum[boundary] - meta.cum[index]
+        if stalls:
+            assert plan is not None  # only an armed plan fires
+            del stalls[bisect_left(stalls, boundary):]
+            counts["stalls_batched"] += len(stalls)
+            for j in stalls:
+                aggregates[f"{meta.transfer(j)[0]}_cycles"] += plan.ddr_stall_cycles
+            aggregates["cycles"] += plan.ddr_stall_cycles * len(stalls)
+            delta += plan.ddr_stall_cycles * len(stalls)
+        if self.bus is not None:
+            self._replay_events(context, meta, index, boundary, stalls)
+        else:
+            for j in stalls:
+                self._stall(meta, j)
         self.clock += delta
         context.busy_cycles += delta
         context.instr_index = boundary
         data_tiles, weight_tile = meta.tiles_at(boundary)
         self.core.retire_batch(
-            meta.batch_stats(index, boundary),
+            aggregates,
             data_tiles,
             weight_tile,
             context.program.words[index:boundary],
             context.compiled.layer_config,
         )
-        if self.faults is not None:
+        if plan is not None:
             # Land every site's RNG stream on the position the step-wise
-            # path would have reached: burn the known-safe draws the batch
-            # skipped (the oracle vouched none of them fires).
+            # path would have reached: burn the read-ahead draws the batch
+            # covered (the oracle vouched that only its stalls fire).
             for site, count in meta.opportunity_counts(index, boundary).items():
-                self.faults.burn(site, count)
+                plan.burn(site, count, len(stalls) if site is FaultSite.DDR_STALL else 0)
         return True
+
+    def _stall(self, meta: ProgramMeta, j: int) -> int:
+        """Record (and, armed, report) the ``ddr.stall`` fire a batch
+        retires at instruction ``j``, as the core's burst hook would."""
+        direction, region = meta.transfer(j)
+        return self.core.ddr.stall_fired(region, direction)
 
     def _step_out(self, context: TaskContext, stop: int, horizon: int | None) -> None:
         """``step()`` through the instruction at ``stop`` that bounds a
@@ -466,9 +506,11 @@ class Iau(Stateful):
         self.dispatch_counts["instr_stepped"] += steps
 
     def _replay_events(
-        self, context: TaskContext, meta: ProgramMeta, start: int, stop: int
+        self, context: TaskContext, meta: ProgramMeta, start: int, stop: int, stalls: list[int]
     ) -> None:
-        """Emit the exact DDR_BURST / INSTR_RETIRE stream step() would."""
+        """Emit the exact FAULT_INJECT / DDR_BURST / INSTR_RETIRE stream
+        step() would, a ``ddr.stall`` fire at each of ``stalls`` (ascending)
+        lengthening its instruction and shifting the later ones."""
         bus = self.bus
         assert bus is not None  # callers gate on an armed bus
         base = self.clock - meta.cum[start]
@@ -476,6 +518,8 @@ class Iau(Stateful):
         scope: dict[str, str] = (
             {} if self.obs_scope is None else {"scope": self.obs_scope}
         )
+        upcoming = iter(stalls)
+        stall_at = next(upcoming, stop)
         for j in range(start, stop):
             spec = meta.events[j]
             if spec is None:
@@ -484,10 +528,15 @@ class Iau(Stateful):
             cycle = base + meta.cum[j] + fetch
             if direction is not None:
                 # Mirror the step-wise path exactly: _execute() advances the
-                # bus (max-only) and the core stamps the burst at the *bus*
-                # clock, which on a shared multi-core bus may already sit
-                # past this core's local clock.
+                # bus (max-only) and the core stamps the fault and the burst
+                # at the *bus* clock, which on a shared multi-core bus may
+                # already sit past this core's local clock.
                 bus.advance(cycle)
+                if j == stall_at:
+                    stall = self._stall(meta, j)
+                    cycles += stall
+                    base += stall  # every later instruction starts that much later
+                    stall_at = next(upcoming, stop)
                 bus.emit(
                     EventKind.DDR_BURST,
                     layer_id=layer_id,

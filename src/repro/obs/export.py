@@ -121,8 +121,8 @@ def summarize(source) -> str:
     ``source`` may be an :class:`EventBus`, a plain event list, or any
     object exposing a ``bus`` attribute (e.g. a ``MultiTaskSystem``).  A
     source that also has an ``iau`` gets a "Dispatch" line: how its
-    ``run_batched`` calls ended (``Iau.dispatch_counts``, host-side counters
-    that never ride the bus).
+    ``run_batched`` calls ended and how many stall fires they retired
+    (``Iau.dispatch_counts``, host-side counters that never ride the bus).
     """
     bus = getattr(source, "bus", None)
     events = _as_events(bus if isinstance(bus, EventBus) else source)
@@ -227,11 +227,14 @@ def summarize(source) -> str:
     if counts:
         batched = counts.pop("instr_batched", 0)
         stepped = counts.pop("instr_stepped", 0)
+        stalls = counts.pop("stalls_batched", 0)
         calls = ", ".join(f"{reason} {count}" for reason, count in counts.most_common())
         lines += (
             f"\nDispatch: {batched} instr batched, {stepped} stepped; "
             f"{sum(counts.values())} run_batched call(s): {calls}"
         )
+        if stalls:
+            lines += f"; {stalls} ddr.stall fire(s) retired in batches"
     return lines
 
 

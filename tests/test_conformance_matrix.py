@@ -26,10 +26,13 @@ def test_cell_equals_its_stepped_golden(cell):
 def test_cells_engage_across_their_seeds():
     """Per workload: its batched cells retire most instructions in batches
     (its timing-only cells and, apart, its functional ones), its fault
-    cells fire the sites they must, the crash workload crashes and
+    cells fire the sites they must, retire ``ddr.stall`` fires inside
+    batches and end stretches at pending ECC flips (``stalls_batched`` and
+    ``short_flip``), the crash workload crashes and
     backpressured ROS topics retry and acknowledge.  It runs
     last in the session (``conftest.py``), so every cell has run once."""
     retired: dict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0])
+    bounds: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     sites: dict[str, set] = defaultdict(set)
     crashes: dict[str, int] = defaultdict(int)
     kinds: set = set()
@@ -41,12 +44,18 @@ def test_cells_engage_across_their_seeds():
         if "faults" in ARMED[cell.armed]:
             sites[name] |= run["sites"]
             crashes[name] += run["crashed"]
+            bounds[name][0] += run["counts"]["short_flip"]
+            bounds[name][1] += run["counts"]["stalls_batched"]
         if cell.driver == "ros" and cell.armed == "backpressure":
             kinds |= run["kinds"]
     for key, (batched, stepped) in retired.items():
         assert batched > stepped, key
     for name, fired in sites.items():
         assert WORKLOADS[name].fires <= fired, name
+    for name, (flips, stalls) in bounds.items():
+        # Armed stretches stop at pending flips and run through stalls.
+        armed = bool(WORKLOADS[name].fires)
+        assert (flips > 0, stalls > 0) == (armed, armed), name
     assert not sites["zero-rate"]
     assert crashes["crash"] > 0
     assert {"ros_retry", "ros_ack"} <= kinds

@@ -10,14 +10,16 @@ runtime half of that contract:
   injected faults, event streams, monitor state, even where a
   detected-fatal run crashes — on the campaign, crash and zero-rate
   conformance cells (``tests/conformance.py``);
-* the fire oracle (``FaultPlan.safe_draws``/``burn``) peeks without
-  perturbing any RNG stream and vouches only for draws that provably miss
-  — checked against a cache-free model of the stream — and ``burn``
-  refuses to go past what was vouched;
+* the fire oracle (``FaultPlan.safe_draws`` / ``fire_offsets`` / ``burn``)
+  reads ahead without moving any stream's logical position, draws each
+  value once, and vouches only for draws that provably miss (or, for
+  ``fire_offsets``, names exactly the ones that fire) — checked against a
+  cache-free model of the stream — and ``burn`` refuses to go past what
+  was read or to swallow a fire it was not told about;
 * a stretch too short to batch is stepped through its bounding instruction
   in one call, and pausing at any cycle inside that span changes nothing;
 * the work an armed batched run does is bounded in counts (RNG draws,
-  oracle consults), with no wall clock;
+  oracle consults, stepped instructions), with no wall clock;
 * ``ProgramMeta`` horizon/boundary/fault-stop arithmetic handles its edge
   cases (horizon exactly on a boundary, horizon before the current
   instruction, a tail stretch shorter than ``MIN_BATCH``).
@@ -37,6 +39,7 @@ from repro.faults.plan import FaultPlan, FaultSite
 from repro.iau.fastpath import BATCH_FAULT_SITES, MIN_BATCH
 from repro.iau.unit import Iau
 from repro.obs.config import ObsConfig
+from repro.obs.export import summarize
 from repro.runtime.system import MultiTaskSystem
 from tests.conformance import NAMED, Cell, build, check, observe, run_cell, seen
 
@@ -73,6 +76,15 @@ class StreamModel:
         while safe < limit and clone.random() >= self.rate:
             safe += 1
         return safe
+
+    def offsets(self, limit):
+        clone = random.Random()
+        clone.setstate(self.rng.getstate())
+        return [k for k in range(limit) if clone.random() < self.rate]
+
+    def take(self, count):
+        """Consume ``count`` draws; how many of them fired."""
+        return sum(self.fires() for _ in range(count))
 
     def fires(self):
         self.consumed += 1
@@ -114,6 +126,7 @@ class TestFireOracle:
         plan = FaultPlan(seed=2, rates={})
         state = plan._rngs[site].getstate()
         assert plan.safe_draws(site, 1000) == 1000
+        assert plan.fire_offsets(site, 1000) == []
         plan.burn(site, 1000)
         assert plan._rngs[site].getstate() == state
 
@@ -143,7 +156,7 @@ class TestFireOracle:
             saved = None
             for _ in range(300):
                 op = ops.choice(
-                    ("peek", "peek", "peek_burn", "fires", "fires", "index",
+                    ("peek", "peek", "peek_burn", "scan_burn", "fires", "fires", "index",
                      "uncorrectable", "capture", "restore")
                 )
                 if op in ("peek", "peek_burn"):
@@ -155,6 +168,20 @@ class TestFireOracle:
                         take = ops.randint(0, safe)
                         plan.burn(site, take)
                         model.skip(take)
+                elif op == "scan_burn":
+                    # Read through fires, then burn across some of them.
+                    limit = ops.choice((1, 5, 60, 400))
+                    offsets = plan.fire_offsets(site, limit)
+                    assert offsets == model.offsets(limit)
+                    take = ops.randint(0, limit)
+                    crossed = sum(offset < take for offset in offsets)
+                    if take and crossed:
+                        with pytest.raises(FaultError, match="vouched"):
+                            plan.burn(site, take, crossed - 1)
+                    plan.burn(site, take, crossed)
+                    assert model.take(take) == crossed
+                    fired += [model.consumed - take + 1 + offset for offset in offsets
+                              if offset < take]
                 elif op == "fires":
                     for _ in range(ops.choice((1, 1, 3, 25))):
                         assert plan.fires(site) == model.fires()
@@ -167,22 +194,25 @@ class TestFireOracle:
                     assert plan.draw_uncorrectable() == model.uncorrectable()
                 elif op == "capture":
                     saved = (plan.capture_state(), model.rng.getstate(), model.consumed)
+                    # A capture holds the logical position, not the read-ahead.
+                    assert saved[0]["_rngs"][site].getstate() == saved[1]
                 elif saved is not None:
                     plan.restore_state(saved[0])
                     model.rng.setstate(saved[1])
                     model.consumed = saved[2]
                     del fired[bisect_right(fired, model.consumed):]
-            assert plan._rngs[site].getstate() == model.rng.getstate()
+            assert plan.capture_state()["_rngs"][site].getstate() == model.rng.getstate()
             assert fired  # every interleaving crosses fires
 
     def test_exact_answer_is_not_recomputed(self):
-        """A peek that found the fire serves every later limit from the
-        cache; a peek cut by its limit serves only limits it covers."""
+        """Every stream value is drawn from the ``Random`` once: peeks read
+        ahead into the buffer, and later peeks, burns and ``fires`` calls
+        consume it without drawing again."""
         site = FaultSite.DDR_STALL
         plan = FaultPlan(seed=11, rates={site: 0.05})
         rng = plan._rngs[site] = CountingRandom(f"11:{site.value}")
         distance = plan.safe_draws(site, 10_000)
-        assert distance < 10_000 and rng.draws == distance + 1
+        assert distance < 10_000 and rng.draws == distance + 1  # through the fire
         for limit in (1, distance, distance + 1, 10_000, 50_000):
             assert plan.safe_draws(site, limit) == min(distance, limit)
         plan.burn(site, distance // 2)
@@ -190,13 +220,18 @@ class TestFireOracle:
         for _ in range(distance - distance // 2):
             assert not plan.fires(site)
         assert plan.safe_draws(site, 10_000) == 0
-        assert rng.draws == 2 * distance + 1  # one peek, then only consumption
-        assert plan.fires(site)  # the fire drops the answer ...
-        capped = plan.safe_draws(site, 3)  # ... and the next peek is cut at 3
-        assert capped == 3 and rng.draws == 2 * distance + 2 + 3
-        assert plan.safe_draws(site, 2) == 2 and rng.draws == 2 * distance + 2 + 3
-        plan.safe_draws(site, 4)  # a lower bound of 3 cannot answer for 4
-        assert rng.draws > 2 * distance + 2 + 3
+        assert plan.fires(site)  # the fire, popped from the buffer
+        assert rng.draws == distance + 1  # one draw per value so far
+        capped = plan.safe_draws(site, 3)  # the next peek reads 3 values ...
+        assert capped == 3 and rng.draws == distance + 4
+        assert plan.safe_draws(site, 2) == 2 and rng.draws == distance + 4
+        plan.safe_draws(site, 4)  # ... and a longer one only the rest
+        assert rng.draws == distance + 5
+        offsets = plan.fire_offsets(site, 300)  # reads through fires
+        assert len(offsets) > 1 and rng.draws == distance + 1 + 300
+        plan.burn(site, 300, len(offsets))
+        assert rng.draws == distance + 1 + 300
+        assert plan.capture_state()["_rngs"][site].getstate() == rng.getstate()
 
     def test_burn_past_the_vouched_prefix_is_refused(self):
         site = FaultSite.DDR_STALL
@@ -205,12 +240,17 @@ class TestFireOracle:
             plan.burn(site, 1)  # nothing vouched yet
         safe = plan.safe_draws(site, 40)
         assert 0 < safe < 40
-        state = plan._rngs[site].getstate()
         with pytest.raises(FaultError, match="vouched"):
             plan.burn(site, safe + 1)  # would swallow the firing draw
-        assert plan._rngs[site].getstate() == state  # refused before drawing
-        plan.burn(site, safe)
+        with pytest.raises(FaultError, match="vouched"):
+            plan.burn(site, safe + 1, fired=2)  # miscounts it
+        plan.burn(site, safe)  # refused before moving: the prefix is intact
         assert plan.fires(site)
+        control = FaultPlan(seed=9, rates={site: 0.25})
+        assert [control.fires(site) for _ in range(safe + 1)][-1]
+        assert (
+            plan.capture_state()["_rngs"][site].getstate() == control._rngs[site].getstate()
+        )
         with pytest.raises(FaultError, match="vouched"):
             plan.burn(site, 1)  # the fire dropped the answer
 
@@ -229,6 +269,9 @@ class TestFireOracle:
 
 
 # -- armed differential: fault campaign ---------------------------------------
+
+STEP_OUT = Cell("runtime", armed="faults", workload="step-out")
+
 
 
 def test_armed_campaign_rates_bit_identical():
@@ -262,6 +305,20 @@ def test_armed_batched_actually_batches():
     assert not run["crashed"]
     # Most instructions retired in batches.
     assert run["counts"]["instr_stepped"] < run["counts"]["instr_batched"]
+
+
+def test_summary_counts_the_stalls_retired_in_batches():
+    """The "Dispatch" line reports stalls apart from the run_batched calls."""
+    subject = run_cell(STEP_OUT)
+    counts = subject.systems[0].iau.dispatch_counts
+    assert counts["stalls_batched"] > 0
+    line = summarize(subject.systems[0]).splitlines()[-1]
+    calls = sum(
+        count for key, count in counts.items()
+        if not key.startswith("instr_") and key != "stalls_batched"
+    )
+    assert f"; {calls} run_batched call(s): " in line
+    assert line.endswith(f"; {counts['stalls_batched']} ddr.stall fire(s) retired in batches")
 
 
 # -- ProgramMeta edge cases ---------------------------------------------------
@@ -301,13 +358,40 @@ class TestProgramMetaEdges:
 
     def test_certain_fire_stops_before_first_opportunity(self, meta_and_program):
         meta, program = meta_and_program
-        plan = FaultPlan(seed=0, rates={FaultSite.DDR_STALL: 1.0})
+        plan = FaultPlan(seed=0, rates={FaultSite.DDR_BIT_FLIP: 1.0})
         stop = meta.stop_for_faults(0, plan)
-        opp = meta.opportunities[FaultSite.DDR_STALL.value]
+        opp = meta.opportunities[FaultSite.DDR_BIT_FLIP.value]
         # The batch stops strictly before the instruction hosting the first
         # (certain) draw at the site; every other site stays unconstrained.
         assert opp[stop] == opp[0]
         assert stop < len(program) and opp[stop + 1] > opp[0]
+
+    def test_certain_stall_is_priced_not_a_stop(self, meta_and_program):
+        meta, program = meta_and_program
+        plan = FaultPlan(seed=0, rates={FaultSite.DDR_STALL: 1.0}, ddr_stall_cycles=50)
+        assert meta.stop_for_faults(0, plan) == len(program)
+        opp = meta.opportunities[FaultSite.DDR_STALL.value]
+        stop, fires = meta.stall_fires(0, len(program), 0, None, plan)
+        # Every stall opportunity fires, once per hosting instruction.
+        assert stop == len(program) and len(fires) == opp[-1]
+        assert fires == [j for j in range(len(program)) if opp[j + 1] > opp[j]]
+
+    def test_stalls_shift_the_horizon(self, meta_and_program):
+        meta, program = meta_and_program
+        opp = meta.opportunities[FaultSite.DDR_STALL.value]
+
+        def start(j):  # with every stall before instruction j paid
+            return meta.cum[j] + 50 * opp[j]
+
+        for horizon in range(0, meta.total_cycles, 97):
+            plan = FaultPlan(seed=0, rates={FaultSite.DDR_STALL: 1.0}, ddr_stall_cycles=50)
+            stop, fires = meta.stall_fires(0, len(program), 0, horizon, plan)
+            assert stop <= meta.stop_for_horizon(0, 0, horizon)
+            assert fires == [j for j in range(stop) if opp[j + 1] > opp[j]]
+            # The last instruction kept starts before the horizon, the first
+            # one cut does not.
+            assert stop == 0 or start(stop - 1) < horizon
+            assert stop == len(program) or start(stop) >= horizon
 
     def test_opportunity_counts_cover_whole_program(self, meta_and_program):
         meta, program = meta_and_program
@@ -350,9 +434,6 @@ class TestProgramMetaEdges:
 
 
 # -- the step-out: a short stretch is bounded once ------------------------------
-
-
-STEP_OUT = Cell("runtime", armed="faults", workload="step-out")
 
 
 def test_step_out_chunked_at_every_cycle_equals_one_run(monkeypatch):
@@ -410,10 +491,13 @@ GUARD_RATES = {
 
 def test_armed_batched_run_bounds_each_fire_interval_once(big_config, monkeypatch):
     """The performance gate of the armed fast path, in counts: on the
-    14-job ResNet-18 + SuperPoint schedule (seed 0) a batched run may peek,
-    but draws at most 3x what the stepped run consumes (5.6x before the
-    oracle kept exact answers) and consults the oracle at most 520 times
-    (1,542 when every step after a short stretch asked again)."""
+    14-job ResNet-18 + SuperPoint schedule (seed 0) a batched run draws
+    each stream value once — what the stepped run consumes plus, per site,
+    the look-ahead still unconsumed at the end (5.6x before the oracle
+    kept exact answers, up to 3x while a peek and a burn drew each value
+    twice) — consults the oracle at most 160 times (520 while every
+    ``ddr.stall`` fire ended a stretch) and steps at most 2 % of what it
+    batches."""
     from repro.iau.fastpath import ProgramMeta
     from repro.nn import TensorShape
     from repro.runtime.system import ArrivalPolicy, compile_tasks
@@ -451,16 +535,27 @@ def test_armed_batched_run_bounds_each_fire_interval_once(big_config, monkeypatc
             period_cycles=450_000, count=8,
         )
         clock = system.run(batched=batched)
-        draws = sum(rng.draws for rng in plan._rngs.values())
-        return clock, plan.count(), draws, system.iau.dispatch_counts
+        draws = {site: rng.draws for site, rng in plan._rngs.items()}
+        tails = {site: ahead.scanned - ahead.cursor for site, ahead in plan._ahead.items()}
+        return clock, plan, draws, tails, system.iau.dispatch_counts
 
-    clock, faults, stepped_draws, _ = run(batched=False)
-    assert (clock, faults) == (53_659_940, 174) and consults == 0
-    clock, faults, batched_draws, counts = run(batched=True)
-    assert (clock, faults) == (53_659_940, 174)
-    assert batched_draws <= 3 * stepped_draws
-    assert consults <= 520
-    # Why the stretches ended: about one short stretch per injected fault,
-    # and nearly every instruction retired by a batch.
-    assert counts["short_fault"] + counts["short_horizon"] <= 2 * faults
-    assert counts["instr_batched"] > 20 * counts["instr_stepped"]
+    clock, plan, stepped_draws, _, _ = run(batched=False)
+    assert (clock, plan.count()) == (53_659_940, 174) and consults == 0
+    clock, plan, batched_draws, tails, counts = run(batched=True)
+    assert (clock, plan.count()) == (53_659_940, 174)
+    for site in FaultSite:
+        # One look-ahead tail per site, at most one program's opportunities.
+        tail = tails.get(site, 0)
+        assert batched_draws[site] == stepped_draws[site] + tail, site
+        assert tail <= max(
+            net.meta("vi").opportunities.get(site.value, [0])[-1] for net in (low, high)
+        )
+    assert consults <= 160
+    # Why the stretches ended: about one short stretch per injected fault
+    # that is not a stall (those are retired inside batches), and nearly
+    # every instruction retired by a batch.
+    stalls = plan.count(FaultSite.DDR_STALL)
+    assert counts["stalls_batched"] > 0.9 * stalls
+    short = counts["short_fault"] + counts["short_flip"] + counts["short_horizon"]
+    assert short <= 2 * (plan.count() - stalls)
+    assert counts["instr_stepped"] <= 0.02 * counts["instr_batched"]

@@ -27,10 +27,12 @@ from repro.errors import (
 )
 from repro.faults import DeadlineMissed, DegradationPolicy, FaultPlan, FaultSite
 from repro.faults.campaign import RunOutcome, make_preemption_scenario, run_campaign
+from repro.hw.ddr import _PendingFlip
 from repro.isa import Opcode, Program, validate_program
 from repro.isa.encoding import INSTRUCTION_BYTES
 from repro.nn.prototxt import parse_prototxt
 from repro.obs.config import ObsConfig
+from repro.obs.events import EventKind
 from repro.ros.executor import Executor
 from repro.runtime.system import ArrivalPolicy, MultiTaskSystem
 from repro.zoo import build_tiny_cnn
@@ -304,6 +306,50 @@ class TestDdrEcc:
         assert plan.count(FaultSite.DDR_STALL) > 0
         assert cycles > golden_cycles
         assert np.array_equal(compiled.get_output(), golden)
+
+
+    def test_save_retires_only_flips_under_its_channels(self, example_config):
+        """A SAVE of channels [16, 32) rewrites the ECC words of those
+        channels only: a pending flip at channel 40 of the same rows stays
+        pending, and the next load of the region corrects it."""
+        graph = parse_prototxt(
+            'input: "data" input_dim: 1 input_dim: 3 input_dim: 8 input_dim: 8\n'
+            'layer { name: "wide" type: "Convolution" bottom: "data" top: "wide"\n'
+            "  convolution_param { num_output: 64 kernel_size: 3 pad: 1 stride: 1 } }\n"
+        )
+        compiled = compile_network(graph, example_config, weights="random", seed=1)
+        system = MultiTaskSystem(
+            compiled.config,
+            obs=ObsConfig(events=True, functional=True),
+            faults=FaultPlan(seed=0, rates={}),
+        )
+        system.add_task(0, compiled)
+        compiled.set_input(self._input(compiled, 1))
+        system.iau.request(0, at_cycle=0)
+        program = system.iau.context(0).program
+        index = next(
+            j for j, word in enumerate(program)
+            if word.opcode is Opcode.SAVE and (word.ch0, word.chs) == (16, 16)
+        )
+        while system.iau.current is None or system.iau.context(0).instr_index < index:
+            assert system.iau.step()
+        save = program[index]
+        region = system.ddr.region(compiled.layer_config(save.layer_id).output_region)
+        flat = region.array.reshape(-1).view(np.uint8)
+        channels = region.array.shape[2]
+        byte = (save.row0 * region.array.shape[1]) * channels + 40
+        original = int(flat[byte])
+        flat[byte] = original ^ 4
+        system.ddr._pending_flips.append(
+            _PendingFlip(region.name, byte, original, original ^ 4, uncorrectable=False)
+        )
+        system.iau.step()  # the SAVE of channels [16, 32)
+        assert system.iau.context(0).instr_index == index + 1
+        assert system.ddr.pending_flip_count == 1 and flat[byte] == original ^ 4
+        system.ddr.burst_faults(region.name, "load")
+        assert system.ddr.pending_flip_count == 0 and flat[byte] == original
+        recovered = system.bus.of_kind(EventKind.FAULT_RECOVER)
+        assert [event.data["byte_index"] for event in recovered] == [byte]
 
 
 class TestCheckpointRecovery:

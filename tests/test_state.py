@@ -143,9 +143,9 @@ class TestConformance:
     def test_derived_cache_cannot_survive_a_restore(self):
         plan = FaultPlan(seed=3, rates={FaultSite.DDR_STALL: 0.01})
         state = plan.capture_state()
-        assert plan.safe_draws(FaultSite.DDR_STALL, 50) > 0 and plan._safe_ahead
+        assert plan.safe_draws(FaultSite.DDR_STALL, 50) > 0 and plan._ahead
         plan.restore_state(state)
-        assert plan._safe_ahead == {}
+        assert plan._ahead == {}
 
     def test_shared_records_are_not_copied(self):
         system = build_armed()
