@@ -42,7 +42,8 @@ pickle of ``{"meta", "body", "programs"}``.
 creation time, compiler fingerprint) readable without decompressing the
 artefact — what ``entries()``/the CLI ``ls`` report.  ``body`` is a
 zlib-compressed pickle of the network shell (layout, layer configs,
-quantization, its meta table); ``programs`` maps each vi-mode to ``(name,
+quantization, its meta table, each column of which is one buffer of narrow
+deltas); ``programs`` maps each vi-mode to ``(name,
 zlib-compressed INCAPROG frame)`` — the program's ``instruction.bin``,
 adopted on load as a word array with no per-instruction work, so all
 variants hydrate eagerly.
@@ -85,7 +86,9 @@ MAGIC = b"INCACCHE"
 #: lacks it and could not list or adopt regions.  v4: programs are stored
 #: as ``INCAPROG`` frames, not pickles.  v5: the network shell carries its
 #: own meta table (no sibling ``metas``) and no tiling plans are stored.
-VERSION = 5
+#: v6: a :class:`ProgramMeta` pickles its integer columns as one narrow
+#: delta buffer each and its boundary tiles as an id column plus a table.
+VERSION = 6
 
 #: Environment variable naming the default cache directory.  When set,
 #: every :func:`~repro.compiler.compile.compile_network` call without an

@@ -43,10 +43,10 @@ conformance matrix, ``tests/conformance.py``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Final
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -88,29 +88,15 @@ MIN_BATCH = 2
 #: cycles, burst direction or None, burst region or None, burst bytes).
 _EventSpec = tuple[int, str, int, str | None, str | None, int]
 
-#: Resident-tile snapshot at a clean boundary.
+#: Resident-tile snapshot at a clean boundary: each spec is its tile's
+#: fields in order, without the payload.
 _DataSpec = tuple[int, int, int, int, int, int]  # layer, row0, rows, ch0, chs, nbytes
 _WeightSpec = tuple[int, int, int, int, int, int]  # layer, ch0, chs, in_ch0, in_chs, nbytes
+_Tiles = tuple[tuple[tuple[int, _DataSpec], ...], _WeightSpec | None]
 
-
-class Stretch(NamedTuple):
-    """One armed-safe stretch: the span between two adjacent clean boundaries.
-
-    Within ``[start, stop)`` the only armed-feature interference is
-    oracle-guarded fault draws (``opportunities``, keyed by
-    :class:`FaultSite` value) — no preemption can engage, no checkpoint is
-    taken, and every monitor-visible event template is cycle-monotonic, so
-    a batch proven draw-free by the fire oracle retires the span with
-    behaviour bit-identical to ``step()``.
-    """
-
-    start: int
-    stop: int
-    opportunities: dict[str, int]
-
-    @property
-    def length(self) -> int:
-        return self.stop - self.start
+#: Typecode of every integer column of a :class:`ProgramMeta`: one
+#: contiguous int64 buffer, and each scalar read a plain ``int``.
+COLUMN: Final = "q"
 
 
 def fault_surface(instruction: Instruction) -> tuple[FaultSite, ...]:
@@ -161,47 +147,79 @@ def batch_draws(instruction: Instruction) -> tuple[FaultSite, ...]:
     return ()
 
 
-@dataclass
-class _StatsPrefix:
-    """Prefix sums of every :class:`CoreStats` counter (length n+1 each)."""
+def _pack(column: "array[int]") -> tuple[str, bytes]:
+    """``column`` as its deltas in the narrowest dtype that holds them: a
+    prefix column moves by a few bits per instruction."""
+    deltas = np.diff(np.frombuffer(column, dtype=np.int64), prepend=0)
+    low, high = (int(deltas.min()), int(deltas.max())) if len(deltas) else (0, 0)
+    dtype = next(
+        kind for kind in ("u1", "i1", "u2", "i2", "u4", "i4", "i8")
+        if np.iinfo(kind).min <= low and high <= np.iinfo(kind).max
+    )
+    return dtype, deltas.astype(dtype).tobytes()
 
-    instructions: list[int]
-    cycles: list[int]
-    load_cycles: list[int]
-    calc_cycles: list[int]
-    save_cycles: list[int]
-    bytes_loaded: list[int]
-    bytes_saved: list[int]
+
+def _unpack(packed: tuple[str, bytes]) -> "array[int]":
+    dtype, raw = packed
+    return array(COLUMN, np.cumsum(np.frombuffer(raw, dtype), dtype=np.int64).tobytes())
 
 
 class ProgramMeta:
-    """Precomputed execution metadata of one program on one accelerator."""
+    """Precomputed execution metadata of one program on one accelerator.
+
+    Every integer column is a :data:`COLUMN` ``array``; it pickles as one
+    narrow delta buffer per column (:func:`_pack`), which is how the compile
+    cache stores it.
+    """
+
+    #: Integer columns, and tables of them keyed by name (pickled packed).
+    _COLUMNS = ("cum", "boundaries", "_tile_ids")
+    _TABLES = ("stats", "opportunities")
 
     def __init__(
         self,
         fetch: int,
-        cum: list[int],
-        stats: _StatsPrefix,
+        cum: "array[int]",
+        stats: dict[str, "array[int]"],
         events: list[_EventSpec | None],
-        boundaries: list[int],
-        boundary_tiles: dict[int, tuple[tuple[tuple[int, _DataSpec], ...], _WeightSpec | None]],
-        opportunities: dict[str, list[int]],
+        boundaries: "array[int]",
+        tile_ids: "array[int]",
+        tiles: list[_Tiles],
+        opportunities: dict[str, "array[int]"],
     ) -> None:
         self.fetch = fetch
         #: ``cum[j]`` — cycles elapsed (fetch + execute of instructions
         #: ``[0, j)``) when instruction ``j`` is about to be fetched.
         self.cum = cum
+        #: Prefix sums of every :class:`CoreStats` counter, keyed by name.
         self.stats = stats
         self.events = events
         #: Sorted indices where the core holds no accumulator / output
         #: section; a batch may end at any of them.
         self.boundaries = boundaries
-        self._boundary_tiles = boundary_tiles
+        #: ``_tiles[_tile_ids[k]]`` is resident at ``boundaries[k]``.
+        self._tile_ids = tile_ids
+        self._tiles = tiles
         #: Per-:class:`FaultSite` (keyed by ``site.value``) prefix sums of
         #: the Bernoulli draws ``step()`` performs on the uninterrupted
         #: armed path: ``opportunities[site][j]`` draws happen over
         #: instructions ``[0, j)``.  Length n+1 each, like :attr:`cum`.
         self.opportunities = opportunities
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(vars(self))
+        for name in self._COLUMNS:
+            state[name] = _pack(state[name])
+        for name in self._TABLES:
+            state[name] = {key: _pack(column) for key, column in state[name].items()}
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name in self._COLUMNS:
+            state[name] = _unpack(state[name])
+        for name in self._TABLES:
+            state[name] = {key: _unpack(packed) for key, packed in state[name].items()}
+        vars(self).update(state)
 
     @property
     def total_cycles(self) -> int:
@@ -295,25 +313,6 @@ class ProgramMeta:
             for value, opp in self.opportunities.items()
         }
 
-    def stretches(self) -> Iterator[Stretch]:
-        """The armed-safe stretch table: adjacent clean-boundary spans.
-
-        Every span is free of preemption-capable control flow by
-        construction (a batch never crosses a fire or an arrival, and no
-        task switch can engage mid-span), so the only interference left
-        inside is the per-site draw counts reported on each
-        :class:`Stretch`.
-        """
-        for start, stop in zip(self.boundaries, self.boundaries[1:]):
-            yield Stretch(
-                start=start,
-                stop=stop,
-                opportunities={
-                    value: opp[stop] - opp[start]
-                    for value, opp in self.opportunities.items()
-                },
-            )
-
     def transfer(self, index: int) -> tuple[str, str]:
         """``(direction, region)`` of the DDR burst instruction ``index``
         makes (a load or a moving save: where ``ddr.stall`` draws)."""
@@ -323,44 +322,16 @@ class ProgramMeta:
 
     def batch_stats(self, start: int, stop: int) -> dict[str, int]:
         """Aggregate :class:`CoreStats` deltas over ``[start, stop)``."""
-        s = self.stats
-        return {
-            "instructions": s.instructions[stop] - s.instructions[start],
-            "cycles": s.cycles[stop] - s.cycles[start],
-            "load_cycles": s.load_cycles[stop] - s.load_cycles[start],
-            "calc_cycles": s.calc_cycles[stop] - s.calc_cycles[start],
-            "save_cycles": s.save_cycles[stop] - s.save_cycles[start],
-            "bytes_loaded": s.bytes_loaded[stop] - s.bytes_loaded[start],
-            "bytes_saved": s.bytes_saved[stop] - s.bytes_saved[start],
-        }
+        return {name: column[stop] - column[start] for name, column in self.stats.items()}
 
     def tiles_at(self, boundary: int) -> tuple[dict[int, DataTile], WeightTile | None]:
         """Fresh tile descriptors (no payload) resident at a clean boundary."""
-        data_specs, weight_spec = self._boundary_tiles[boundary]
-        data_tiles = {
-            slot: DataTile(
-                layer_id=spec[0],
-                row0=spec[1],
-                rows=spec[2],
-                ch0=spec[3],
-                chs=spec[4],
-                nbytes=spec[5],
-                array=None,
-            )
-            for slot, spec in data_specs
-        }
-        weight_tile = None
-        if weight_spec is not None:
-            weight_tile = WeightTile(
-                layer_id=weight_spec[0],
-                ch0=weight_spec[1],
-                chs=weight_spec[2],
-                in_ch0=weight_spec[3],
-                in_chs=weight_spec[4],
-                nbytes=weight_spec[5],
-                array=None,
-            )
-        return data_tiles, weight_tile
+        position = bisect_left(self.boundaries, boundary)
+        if position == len(self.boundaries) or self.boundaries[position] != boundary:
+            raise KeyError(boundary)
+        data_specs, weight_spec = self._tiles[self._tile_ids[position]]
+        data_tiles = {slot: DataTile(*spec, array=None) for slot, spec in data_specs}
+        return data_tiles, None if weight_spec is None else WeightTile(*weight_spec, array=None)
 
 
 class RegionTouches:
@@ -462,15 +433,11 @@ def _kind_template(
     return (instruction.layer_id, opcode.name, cycles, *burst), draws
 
 
-def _prefix(values: np.ndarray) -> list[int]:
-    """Prefix sums of one per-instruction column: length n+1, plain ints,
-    one shared int object per run of equal sums (most counters move at a
-    few opcodes only, and a 100k-entry list of distinct ints is 3 MiB)."""
-    sums = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
-    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
-    distinct = np.array(sums[starts].tolist(), dtype=object)
-    shared: list[int] = np.repeat(distinct, np.diff(np.append(starts, len(sums)))).tolist()
-    return shared
+def _prefix(values: np.ndarray) -> "array[int]":
+    """Prefix sums of one per-instruction column: a length-n+1 column."""
+    sums = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, dtype=np.int64, out=sums[1:])
+    return array(COLUMN, sums.tobytes())
 
 
 def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> ProgramMeta:
@@ -504,15 +471,15 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     is_load = (opcode == Opcode.LOAD_D) | (opcode == Opcode.LOAD_W)
     is_calc = (opcode == Opcode.CALC_I) | (opcode == Opcode.CALC_F)
     is_save = (opcode == Opcode.SAVE) & has_chs  # a fully pre-saved SAVE moves nothing
-    stats = _StatsPrefix(
-        instructions=_prefix(~program.virtual_mask),
-        cycles=_prefix(cycles),
-        load_cycles=_prefix(cycles * is_load),
-        calc_cycles=_prefix(cycles * is_calc),
-        save_cycles=_prefix(cycles * is_save),
-        bytes_loaded=_prefix(length * is_load),
-        bytes_saved=_prefix(length * is_save),
-    )
+    stats = {
+        "instructions": _prefix(~program.virtual_mask),
+        "cycles": _prefix(cycles),
+        "load_cycles": _prefix(cycles * is_load),
+        "calc_cycles": _prefix(cycles * is_calc),
+        "save_cycles": _prefix(cycles * is_save),
+        "bytes_loaded": _prefix(length * is_load),
+        "bytes_saved": _prefix(length * is_save),
+    }
     opportunities = {
         site.value: _prefix(np.array([site in row[1] for row in table])[inverse])
         for site in BATCH_FAULT_SITES
@@ -528,12 +495,14 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     calc_i, calc_f, save = int(Opcode.CALC_I), int(Opcode.CALC_F), int(Opcode.SAVE)
     data_tiles: dict[int, _DataSpec] = {}
     weight: _WeightSpec | None = None
-    tiles: tuple[tuple[tuple[int, _DataSpec], ...], _WeightSpec | None] = ((), None)
+    tiles: _Tiles = ((), None)
+    tile_table = {tiles: 0}  # distinct resident sets -> tile id
+    tile_id = 0  # of ``tiles``; -1 after a load until the next boundary
     accumulating = False
     section: tuple[int, int, int] | None = None  # (layer, row0, rows) being finalized
     unsaved: list[int] = []  # ch0 of each finalized, un-saved channel group
     boundaries = [0]
-    boundary_tiles = {0: tiles}
+    tile_ids = [0]
     columns = [opcode, layer_id, operand_b] + [
         words[name] for name in ("row0", "rows", "ch0", "chs", "in_ch0", "in_chs", "length")
     ]
@@ -546,10 +515,10 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
             for slot in [s for s, tile in data_tiles.items() if tile[0] != layer]:
                 del data_tiles[slot]
             data_tiles[1 if second else 0] = (layer, row0, rows, ch0, chs, nbytes)
-            tiles = (tuple(sorted(data_tiles.items())), weight)
+            tiles, tile_id = (tuple(sorted(data_tiles.items())), weight), -1
         elif op == load_w:
             weight = (layer, ch0, chs, in_ch0, in_chs, nbytes)
-            tiles = (tuple(sorted(data_tiles.items())), weight)
+            tiles, tile_id = (tuple(sorted(data_tiles.items())), weight), -1
         elif op == calc_i or op == calc_f:
             conv = is_conv[layer]
             if conv and in_ch0 == 0:
@@ -565,15 +534,18 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
             if not unsaved:
                 section = None
         if not accumulating and section is None:
+            if tile_id < 0:
+                tile_id = tile_table.setdefault(tiles, len(tile_table))
             boundaries.append(j + 1)
-            boundary_tiles[j + 1] = tiles
+            tile_ids.append(tile_id)
 
     return ProgramMeta(
         fetch,
         _prefix(cycles + fetch),
         stats,
         events,
-        boundaries,
-        boundary_tiles,
+        array(COLUMN, boundaries),
+        array(COLUMN, tile_ids),
+        list(tile_table),
         opportunities,
     )

@@ -181,9 +181,9 @@ def _opportunity_accounting(program: Program, meta: ProgramMeta, report: Report)
 
 
 def _monitor_stream(program: Program, meta: ProgramMeta, report: Report) -> None:
-    for stretch in meta.stretches():
+    for start, stop in zip(meta.boundaries, meta.boundaries[1:]):
         floor: int | None = None
-        for index in range(stretch.start, stretch.stop):
+        for index in range(start, stop):
             spec = meta.events[index]
             if spec is None:
                 continue  # a discarded virtual instruction emits nothing
@@ -216,7 +216,7 @@ def _monitor_stream(program: Program, meta: ProgramMeta, report: Report) -> None
 def _boundaries(program: Program, meta: ProgramMeta, replay: Replay, report: Report) -> None:
     n = len(program)
     boundaries = meta.boundaries
-    if boundaries != sorted(set(boundaries)):
+    if list(boundaries) != sorted(set(boundaries)):
         report.add(
             "INT003",
             "boundary table is not strictly increasing",
@@ -325,20 +325,14 @@ def _surfaces(program: Program, report: Report) -> None:
 
 def _coverage(program: Program, meta: ProgramMeta) -> StretchCoverage:
     n = len(program)
-    stretches = 0
-    batchable = 0
-    covered = 0
-    for stretch in meta.stretches():
-        stretches += 1
-        if stretch.length >= MIN_BATCH:
-            batchable += 1
-            covered += stretch.length
+    lengths = [stop - start for start, stop in zip(meta.boundaries, meta.boundaries[1:])]
+    batchable = [length for length in lengths if length >= MIN_BATCH]
     return StretchCoverage(
         program=program.name,
         instructions=n,
-        stretches=stretches,
-        batchable_stretches=batchable,
-        covered_instructions=covered,
+        stretches=len(lengths),
+        batchable_stretches=len(batchable),
+        covered_instructions=sum(batchable),
         draws={value: opp[n] - opp[0] for value, opp in meta.opportunities.items()},
     )
 

@@ -8,8 +8,10 @@ one :class:`Instruction` object at a time.  Nothing here reads
 attributes, so agreement with the column code is agreement between two
 derivations, not the column code compared with itself
 (``tests/test_program_words.py`` holds them equal diagnostic by diagnostic
-and field by field).  :func:`build_program_meta` returns its tables as a
-plain namespace with :class:`ProgramMeta`'s field names.
+and field by field).  :func:`build_program_meta` returns its tables as
+lists in a plain namespace (the resident tiles as a dict keyed by
+boundary); ``assert_same_meta`` there compares them with
+:class:`ProgramMeta`'s ``array`` columns and tile table by contents.
 """
 
 from __future__ import annotations

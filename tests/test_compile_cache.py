@@ -4,8 +4,11 @@ the exact nearest-rank percentile."""
 
 from __future__ import annotations
 
+import gc
+import json
 import multiprocessing
 import pickle
+import sys
 import zlib
 from fractions import Fraction
 from math import ceil
@@ -37,8 +40,16 @@ from repro.farm.node import (
     compiled_for_services,
 )
 from repro.farm.traffic import SloClass
+from repro.faults.plan import FaultPlan, FaultSite
+from repro.iau.fastpath import build_program_meta
 from repro.isa.program import Program
+from repro.nn import TensorShape
 from repro.obs import EventBus, EventKind
+from repro.obs.config import ObsConfig
+from repro.runtime.system import MultiTaskSystem
+from repro.tools.report import MODELS
+from repro.verify.cli import main as verify_main
+from repro.zoo import build_resnet
 from tests.test_container import MUTATIONS
 from tests.test_isa import UNENCODABLE, reframed
 
@@ -260,11 +271,12 @@ class TestCorruptionFallback:
         # it loaded, armed batching would silently sail past fault fires off
         # a stale stretch table.  A v4 entry keeps its metas beside the
         # network and a plans blob; its shell has no table of its own.
+        # A v5 entry pickles every meta column as one int per instruction.
         # Stamping an on-disk entry with an old version must degrade to a
         # clean miss, and the recompile must carry the new table.
-        assert VERSION == 5
+        assert VERSION == 6
         path = self.entry_path(cache, graph)
-        for old_version in (1, 4):
+        for old_version in (1, 4, 5):
             raw = bytearray(path.read_bytes())
             raw[8:10] = old_version.to_bytes(2, "big")
             path.write_bytes(bytes(raw))
@@ -376,6 +388,84 @@ class TestMetaTable:
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=100_000)
 SERVICES = (ServiceSpec("detect", "tiny_cnn", GOLD),)
+
+
+class TestStoredColumns:
+    """A stored ``ProgramMeta`` is a few buffers, and comes back as the
+    ``array('q')`` columns a fresh build makes: a scalar read stays a plain
+    ``int`` all the way to the cycle clock and the JSON reports."""
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_zoo_meta_loads_equal_to_a_fresh_build(self, cache, model):
+        graph = MODELS[model]()
+        compile_network(graph, BIG, weights="zeros", verify="off", cache=cache)
+        warm = compile_network(graph, BIG, weights="zeros", verify="off", cache=cache)
+        assert cache.stats.hits == 1
+        loaded, fresh = warm.cached_mode_meta("vi"), build_program_meta(warm, warm.program)
+        assert loaded is not None and loaded.fetch == fresh.fetch
+        pairs = [(loaded.cum, fresh.cum), (loaded.boundaries, fresh.boundaries)]
+        for table in ("stats", "opportunities"):
+            got, want = getattr(loaded, table), getattr(fresh, table)
+            assert list(got) == list(want)
+            pairs += [(got[name], column) for name, column in want.items()]
+        for got, want in pairs:
+            assert got.typecode == want.typecode == "q"
+            assert got == want
+        assert loaded.events == fresh.events
+        for boundary in fresh.boundaries:
+            assert loaded.tiles_at(boundary) == fresh.tiles_at(boundary), boundary
+        assert type(loaded.total_cycles) is int
+
+    def test_armed_functional_run_and_json_report_on_a_hit(self, tmp_path, monkeypatch, capsys):
+        graph = MODELS["tiny_cnn"]()
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env-cache"))
+        compile_network(graph, BIG, weights="zeros", verify="off")
+        warm = compile_network(graph, BIG, weights="zeros", verify="off")
+        assert default_cache().stats.hits == 1
+        plan = FaultPlan(
+            seed=3, rates={FaultSite.DDR_STALL: 0.2, FaultSite.IAU_SPURIOUS_PREEMPT: 0.2}
+        )
+        system = MultiTaskSystem(BIG, obs=ObsConfig(functional=True), faults=plan)
+        system.add_task(0, warm)
+        for at in (0, 5_000):
+            system.submit(0, at)
+        system.run()
+        assert system.iau.dispatch_counts["batched"] > 0 and plan.count() > 0
+        assert type(system.clock) is int
+        cycles = [
+            value
+            for record in system.jobs(0)
+            for value in (record.request_cycle, record.start_cycle, record.complete_cycle)
+        ]
+        assert len(cycles) == 6 and {type(value) for value in cycles} == {int}
+
+        capsys.readouterr()
+        assert verify_main(["--model", "tiny_cnn", "--format", "json"]) == 0
+        assert default_cache().stats.hits == 2  # the CLI's compile was a hit too
+        hit = capsys.readouterr().out
+        monkeypatch.delenv(CACHE_ENV_VAR)
+        assert verify_main(["--model", "tiny_cnn", "--format", "json"]) == 0
+        assert json.loads(hit) == json.loads(capsys.readouterr().out)
+
+    def test_warm_load_leaves_few_live_blocks(self, cache, big_config):
+        """Counts objects, not seconds: a load that unpickled one int per
+        instruction and column left ~780k blocks for this network."""
+        graph = build_resnet("resnet50", TensorShape(112, 112, 3))
+        fresh = compile_network(graph, big_config, weights="zeros", cache=cache)
+        assert len(fresh.program_for("vi")) == 68_727
+        key = cache_key(graph, big_config, weights="zeros")
+        del fresh
+        assert cache.load(key) is not None  # first-use allocations land here
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            warm = cache.load(key)
+            blocks = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert warm is not None and warm.cached_mode_meta("vi") is not None
+        assert blocks <= 40_000, f"a warm load left {blocks:,} new live blocks"
 
 
 class TestNodeCompileMemo:

@@ -190,16 +190,29 @@ def diagnostics(run, program: Program, layers) -> list:
 
 
 def assert_same_meta(meta, walked) -> None:
+    """``meta`` keeps ``array('q')`` columns and the walk keeps lists, so
+    the two are compared by contents (an ``array`` never equals a ``list``)."""
+    columns = [meta.cum, meta.boundaries, meta._tile_ids]
+    assert list(meta.stats) == list(STATS)
+    columns += list(meta.stats.values())
+    columns += list(meta.opportunities.values())
+    assert {column.typecode for column in columns} == {"q"}
     assert meta.fetch == walked.fetch
-    assert meta.cum == walked.cum
+    assert meta.cum.tolist() == walked.cum
     for name in STATS:
-        assert getattr(meta.stats, name) == getattr(walked.stats, name), name
+        assert meta.stats[name].tolist() == getattr(walked.stats, name), name
     assert meta.events == walked.events
-    assert meta.boundaries == walked.boundaries
-    assert meta._boundary_tiles == walked.boundary_tiles
-    assert list(meta.opportunities.items()) == list(walked.opportunities.items())
+    assert meta.boundaries.tolist() == walked.boundaries
+    tiles = {b: meta._tiles[i] for b, i in zip(meta.boundaries, meta._tile_ids)}
+    assert tiles == walked.boundary_tiles
+    assert len(set(meta._tiles)) == len(meta._tiles)  # one row per distinct tile set
+    assert [(site, opp.tolist()) for site, opp in meta.opportunities.items()] == list(
+        walked.opportunities.items()
+    )
     # Plain ints all the way down: these feed cycle arithmetic and pickles.
-    assert {type(value) for value in meta.cum + meta.boundaries} == {int}
+    reads = [meta.cum[0], meta.cum[-1], meta.total_cycles, *meta.boundaries]
+    reads += [column[-1] for column in columns]
+    assert {type(value) for value in reads} == {int}
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))

@@ -399,7 +399,7 @@ GATEWAY_PROGRAM = """
 import json, multiprocessing.forkserver, sys, time
 from repro.farm import NodeAssignment, ServiceSpec, SloClass
 from repro.hw.config import AcceleratorConfig
-from repro.serve import JobSpec, ServeGateway
+from repro.serve import JobSpec, JobState, ServeGateway
 
 root, mode = sys.argv[1:]
 jobs = 1 if mode == "served" else 200
@@ -415,7 +415,11 @@ if mode == "served":
     with gateway:
         gateway.result(job_id, timeout=120)
 else:
-    while gateway.worker_pid(job_id) is None:
+    # A worker can be live before it journals its attempt: wait for both.
+    while (
+        gateway.status(job_id).state is not JobState.RUNNING
+        or gateway.worker_pid(job_id) is None
+    ):
         time.sleep(0.005)
 print(json.dumps({
     "job_id": job_id,

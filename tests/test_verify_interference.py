@@ -11,6 +11,7 @@ replay happens once.
 from __future__ import annotations
 
 import copy
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -63,7 +64,8 @@ class TestOpportunityAccounting:
         index = self.first_draw(compiled, site)
         opportunities = dict(compiled.metas["vi"].opportunities)
         opp = opportunities[site.value]
-        opportunities[site.value] = opp[: index + 1] + [count - 1 for count in opp[index + 1 :]]
+        short = array("q", [count - 1 for count in opp[index + 1 :]])
+        opportunities[site.value] = opp[: index + 1] + short
         tampered(compiled, "vi", opportunities=opportunities)
         report = verify_network(compiled)
         assert "INT001" in report.rule_ids()
@@ -80,7 +82,8 @@ class TestOpportunityAccounting:
         opportunities = dict(compiled.metas["vi"].opportunities)
         for site, index in ((late, first + 2), (early, first)):
             opp = opportunities[site.value]
-            opportunities[site.value] = opp[: index + 1] + [n + 1 for n in opp[index + 1 :]]
+            over = array("q", [n + 1 for n in opp[index + 1 :]])
+            opportunities[site.value] = opp[: index + 1] + over
         tampered(compiled, "vi", opportunities=opportunities)
         report = verify_network(compiled)
         assert findings(report, "INT001") == [(Severity.ERROR, first + 2), (Severity.ERROR, first)]
@@ -149,21 +152,26 @@ class TestBoundaries:
 
     def test_int003_tampered_boundary_tile(self, compiled):
         meta = compiled.metas["vi"]
-        boundary = next(b for b in meta.boundaries if meta._boundary_tiles[b][0])
-        data, weight = meta._boundary_tiles[boundary]
+        position, boundary = next(
+            (k, b) for k, b in enumerate(meta.boundaries) if meta._tiles[meta._tile_ids[k]][0]
+        )
+        data, weight = meta._tiles[meta._tile_ids[position]]
         (slot, (layer_id, row0, *rest)), *others = data
-        tiles = dict(meta._boundary_tiles)
-        tiles[boundary] = (((slot, (layer_id, row0 + 1, *rest)), *others), weight)
-        tampered(compiled, "vi", _boundary_tiles=tiles)
+        tiles = [*meta._tiles, (((slot, (layer_id, row0 + 1, *rest)), *others), weight)]
+        tile_ids = array("q", meta._tile_ids)
+        tile_ids[position] = len(tiles) - 1
+        tampered(compiled, "vi", _tiles=tiles, _tile_ids=tile_ids)
         report = verify_network(compiled)
         assert "INT003" in report.rule_ids()
         assert findings(report, "INT003") == [(Severity.ERROR, boundary)]
         assert "tiles" in report.by_rule("INT003")[0].message
 
     def test_int003_missing_clean_index_is_a_warning(self, compiled):
-        boundaries = list(compiled.metas["vi"].boundaries)
+        meta = compiled.metas["vi"]
+        boundaries, tile_ids = array("q", meta.boundaries), array("q", meta._tile_ids)
         dropped = boundaries.pop(len(boundaries) // 2)
-        tampered(compiled, "vi", boundaries=boundaries)
+        tile_ids.pop(len(tile_ids) // 2)
+        tampered(compiled, "vi", boundaries=boundaries, _tile_ids=tile_ids)
         report = verify_network(compiled)
         assert findings(report, "INT003") == [(Severity.WARNING, dropped)]
         assert report.ok
@@ -191,7 +199,14 @@ def test_int004_surface_that_omits_a_transfer(compiled, monkeypatch):
 
 def test_int005_coverage_floor_is_a_warning(compiled):
     n = len(compiled.program_for("vi"))
-    tampered(compiled, "vi", boundaries=list(range(n + 1)))  # every stretch < MIN_BATCH
+    meta = compiled.metas["vi"]
+    clean = dict(zip(meta.boundaries, meta._tile_ids))
+    tampered(  # every stretch < MIN_BATCH; each clean index keeps its tiles
+        compiled,
+        "vi",
+        boundaries=array("q", range(n + 1)),
+        _tile_ids=array("q", [clean.get(index, 0) for index in range(n + 1)]),
+    )
     report = verify_network(compiled)
     assert "INT005" in report.rule_ids()
     assert [d.severity for d in report.by_rule("INT005")] == [Severity.WARNING]
