@@ -23,16 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.analysis.tables import format_table
 from repro.errors import SchedulerError
 from repro.farm.traffic import Job, SloClass
 
 
-@dataclass(frozen=True)
-class JobOutcome:
-    """Arrival joined with its measured completion."""
+class JobOutcome(NamedTuple):
+    """Arrival joined with its measured completion (a tuple: one is made
+    per served job)."""
 
     job_id: int
     tenant_id: int
@@ -256,25 +256,24 @@ def join_outcomes(
     outcomes: list[JobOutcome] = []
     seen: set[int] = set()
     for result in results:
-        if result.job_id in seen:
-            raise SchedulerError(f"job {result.job_id} completed twice")
-        if result.job_id in shed_ids:
-            raise SchedulerError(
-                f"job {result.job_id} both shed and completed"
-            )
-        seen.add(result.job_id)
-        job = arrivals.get(result.job_id)
+        job_id = result.job_id
+        if job_id in seen:
+            raise SchedulerError(f"job {job_id} completed twice")
+        if job_id in shed_ids:
+            raise SchedulerError(f"job {job_id} both shed and completed")
+        seen.add(job_id)
+        job = arrivals.get(job_id)
         if job is None:
-            raise SchedulerError(f"completion for unknown job {result.job_id}")
+            raise SchedulerError(f"completion for unknown job {job_id}")
         outcomes.append(
             JobOutcome(
-                job_id=job.job_id,
-                tenant_id=job.tenant_id,
-                service=job.service,
-                node=result.node,
-                arrival_cycle=job.arrival_cycle,
-                dispatch_cycle=result.dispatch_cycle,
-                complete_cycle=result.complete_cycle,
+                job_id,
+                job.tenant_id,
+                job.service,
+                result.node,
+                job.arrival_cycle,
+                result.dispatch_cycle,
+                result.complete_cycle,
             )
         )
     if len(outcomes) + len(shed_ids) != len(jobs):
@@ -282,5 +281,5 @@ def join_outcomes(
             f"{len(jobs)} jobs arrived but {len(outcomes)} completed and "
             f"{len(shed_ids)} were shed"
         )
-    outcomes.sort(key=lambda outcome: outcome.job_id)
+    outcomes.sort()  # by job_id: the first field, unique
     return outcomes

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import repro.zoo as zoo
 from repro.errors import SchedulerError
@@ -57,9 +58,9 @@ class NodeAssignment:
     vi_mode: str = "vi"
 
 
-@dataclass(frozen=True)
-class NodeJobResult:
-    """Exact measured lifecycle of one job on one node."""
+class NodeJobResult(NamedTuple):
+    """Exact measured lifecycle of one job on one node (a tuple: one is
+    made and pickled per served job)."""
 
     job_id: int
     node: int
@@ -194,12 +195,7 @@ def join_slot(
                 f"order mismatch at job {job_id}"
             )
         yield NodeJobResult(
-            job_id=job_id,
-            node=node,
-            service=service,
-            dispatch_cycle=cycle,
-            start_cycle=record.start_cycle,
-            complete_cycle=record.complete_cycle,
+            job_id, node, service, cycle, record.start_cycle, record.complete_cycle
         )
 
 

@@ -27,16 +27,15 @@ Three policies behind one :class:`Scheduler` protocol:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 from repro.errors import SchedulerError
 from repro.farm.traffic import Job, SloClass
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    """One planned hand-over: job → node at a cycle."""
+class Dispatch(NamedTuple):
+    """One planned hand-over: job → node at a cycle (a tuple: one is made
+    per planned job)."""
 
     job: Job
     node: int
@@ -120,7 +119,7 @@ class FcfsScheduler:
             node = min(range(view.num_nodes), key=lambda n: (busy_until[n], n))
             start = max(job.arrival_cycle, busy_until[node])
             busy_until[node] = start + view.estimate(node, job.service)
-            plan.append(Dispatch(job=job, node=node, dispatch_cycle=start))
+            plan.append(Dispatch(job, node, start))
         return plan
 
 
@@ -136,7 +135,7 @@ class StaticPartitionScheduler:
             node = job.service % view.num_nodes
             start = max(job.arrival_cycle, busy_until[node])
             busy_until[node] = start + view.estimate(node, job.service)
-            plan.append(Dispatch(job=job, node=node, dispatch_cycle=start))
+            plan.append(Dispatch(job, node, start))
         return plan
 
 
@@ -147,6 +146,12 @@ class PredictiveScheduler:
 
     def dispatch(self, jobs: Sequence[Job], view: FarmView) -> list[Dispatch]:
         busy_until = list(view.available)
+        nodes = range(view.num_nodes)
+        # Per service, once: each node's cost, the token weight, and the
+        # negated rank the tie-break prefers high.
+        costs = [[view.estimate(n, s) for n in nodes] for s in range(len(view.slos))]
+        weights = [slo.weight for slo in view.slos]
+        ranks = [-slo.rank for slo in view.slos]
         plan: list[Dispatch] = []
         # Token accrual is linear with one slope per service, so within a
         # service the oldest queued job always holds the most tokens: only
@@ -154,42 +159,53 @@ class PredictiveScheduler:
         queues: dict[int, deque[Job]] = {}
         queued = 0
         pending = list(jobs)
+        total = len(pending)
         index = 0
         now = 0
-        while index < len(pending) or queued:
+        while index < total or queued:
             if not queued:
                 # Fast-forward to the next arrival.
                 now = max(now, pending[index].arrival_cycle)
             # A dispatch decision happens once some node is free; waiting
             # jobs keep accruing tokens until then.
             now = max(now, min(busy_until))
-            while index < len(pending) and pending[index].arrival_cycle <= now:
-                queues.setdefault(pending[index].service, deque()).append(
-                    pending[index]
-                )
+            while index < total and pending[index].arrival_cycle <= now:
+                arrived = pending[index]
+                queue = queues.get(arrived.service)
+                if queue is None:
+                    queue = queues[arrived.service] = deque()
+                queue.append(arrived)
                 queued += 1
                 index += 1
             if not queued:
                 continue
-            heads = [queue[0] for queue in queues.values() if queue]
-            job = max(heads, key=lambda j: self._score(j, now, view))
+            # The richest head: most tokens, then the more urgent class,
+            # then the oldest arrival; a full tie keeps the earlier queue.
+            job: Job | None = None
+            best_tokens, best_rank, best_arrival = 0.0, 0, 0
+            for service, queue in queues.items():
+                if not queue:
+                    continue
+                head = queue[0]
+                arrival = head.arrival_cycle
+                tokens = weights[service] * (now - arrival + 1)
+                rank = ranks[service]
+                if job is None or tokens > best_tokens or (
+                    tokens == best_tokens
+                    and (rank > best_rank or (rank == best_rank and arrival < best_arrival))
+                ):
+                    job, best_tokens, best_rank, best_arrival = head, tokens, rank, arrival
+            assert job is not None  # queued > 0
             queues[job.service].popleft()
             queued -= 1
-            node = min(
-                range(view.num_nodes),
-                key=lambda n: (
-                    max(now, busy_until[n]) + view.estimate(n, job.service),
-                    n,
-                ),
-            )
+            # Earliest estimated completion; a tie goes to the lower node.
+            cost = costs[job.service]
+            node, finish = 0, max(now, busy_until[0]) + cost[0]
+            for n in nodes[1:]:
+                candidate = max(now, busy_until[n]) + cost[n]
+                if candidate < finish:
+                    node, finish = n, candidate
             start = max(now, busy_until[node])
-            busy_until[node] = start + view.estimate(node, job.service)
-            plan.append(Dispatch(job=job, node=node, dispatch_cycle=start))
+            busy_until[node] = finish
+            plan.append(Dispatch(job, node, start))
         return plan
-
-    @staticmethod
-    def _score(job: Job, now: int, view: FarmView) -> tuple[float, int, int]:
-        slo = view.slos[job.service]
-        tokens = slo.weight * (now - job.arrival_cycle + 1)
-        # Ties: more urgent class first, then oldest arrival.
-        return (tokens, -slo.rank, -job.arrival_cycle)

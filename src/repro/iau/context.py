@@ -22,6 +22,7 @@ from repro.state import Stateful
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.accel.core import CoreSnapshot
+    from repro.iau.fastpath import ProgramMeta
 
 
 @dataclass
@@ -151,6 +152,22 @@ class TaskContext(Stateful):
         self.base_program = self.program
         if self.priority is None:
             self.priority = self.task_id
+        #: Derived: :attr:`program`'s meta, resolved on first use after
+        #: each program switch and dropped on restore.
+        self._meta: ProgramMeta | None = None
+
+    def _reset_derived(self) -> None:
+        self._meta = None
+
+    @property
+    def meta(self) -> ProgramMeta:
+        """The :class:`~repro.iau.fastpath.ProgramMeta` of the running
+        program (``CompiledNetwork.execution_meta``), looked up once per
+        program switch rather than on every batch."""
+        meta = self._meta
+        if meta is None:
+            meta = self._meta = self.compiled.execution_meta(self.program)
+        return meta
 
     @property
     def runnable(self) -> bool:
@@ -186,10 +203,13 @@ class TaskContext(Stateful):
         self.current_job = self.queue.popleft()
         self.active = True
         if self.want_degraded and self.degraded_program is not None:
-            self.program = self.degraded_program
+            program = self.degraded_program
             self.current_job.degraded = True
         else:
-            self.program = self.base_program
+            program = self.base_program
+        if program is not self.program:
+            self.program = program
+            self._meta = None
         self.instr_index = 0
         self.in_recovery = False
         self.save_id = NO_SAVE_ID

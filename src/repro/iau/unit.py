@@ -382,6 +382,13 @@ class Iau(Stateful):
         fewer than ``MIN_BATCH`` instructions to retire, the call *steps
         out*: it ``step()``s through the bounding instruction instead of
         asking for the same bound again before every one of them.
+
+        A completion ends the call: when the job's last instruction retires
+        strictly before ``horizon``, the job completes in this call (no
+        arrival can be delivered first, so the next call would only have
+        completed it).  At ``clock == horizon`` it stays for the next call,
+        after the caller has delivered what is due.
+
         Returns False when nothing is runnable, like :meth:`step`.
         """
         if self.current is None:
@@ -402,7 +409,7 @@ class Iau(Stateful):
             counts["instr_stepped"] += 1
             return self.step()
 
-        meta = context.compiled.execution_meta(context.program)
+        meta = context.meta
         base = self.clock - meta.cum[index]
         stop = meta.stop_for_horizon(index, base, horizon)
         short = "short_horizon"
@@ -432,6 +439,7 @@ class Iau(Stateful):
         if boundary - index < self._MIN_BATCH:
             counts[short] += 1
             self._step_out(context, stop, horizon)
+            self._complete_before(context, horizon)
             return True
 
         counts["batched"] += 1
@@ -468,7 +476,19 @@ class Iau(Stateful):
             # covered (the oracle vouched that only its stalls fire).
             for site, count in meta.opportunity_counts(index, boundary).items():
                 plan.burn(site, count, len(stalls) if site is FaultSite.DDR_STALL else 0)
+        self._complete_before(context, horizon)
         return True
+
+    def _complete_before(self, context: TaskContext, horizon: int | None) -> None:
+        """Complete ``context``'s job if this call retired its last
+        instruction strictly before ``horizon``: exactly what the next
+        call would do first, with nothing due in between."""
+        if (
+            self.current == context.task_id
+            and context.instr_index >= len(context.program)
+            and (horizon is None or self.clock < horizon)
+        ):
+            self._complete_job(context)
 
     def _stall(self, meta: ProgramMeta, j: int) -> int:
         """Record (and, armed, report) the ``ddr.stall`` fire a batch
@@ -482,13 +502,13 @@ class Iau(Stateful):
 
         Returns at the first point where handing control back is what a
         one-``step()``-per-call loop does anyway: the running task changed
-        (a fire pre-empted it), the job reached its last instruction (a
-        completion stays its own :meth:`run_batched` call — the ROS executor
-        relies on that), the clock reached ``horizon`` (the caller's next
-        arrival is due), or the index passed ``stop`` (the bound is spent
-        and must be asked for again).  Between those points every caller
-        would call straight back in, so the loop is ``step()``-exact by
-        construction.
+        (a fire pre-empted it), the job reached its last instruction (the
+        caller completes it before the horizon: a completion ends the
+        :meth:`run_batched` call, which the ROS executor relies on), the
+        clock reached ``horizon`` (the caller's next arrival is due), or the
+        index passed ``stop`` (the bound is spent and must be asked for
+        again).  Between those points every caller would call straight back
+        in, so the loop is ``step()``-exact by construction.
         """
         last = len(context.program)
         steps = 0

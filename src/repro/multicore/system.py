@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.accel.core import AcceleratorCore
 from repro.compiler.compile import CompiledNetwork
@@ -40,8 +40,7 @@ from repro.runtime.system import ArrivalPolicy, SubmitSurface
 PLACEMENTS = ("static", "least-loaded")
 
 
-@dataclass(frozen=True, order=True)
-class _Request:
+class _Request(NamedTuple):
     cycle: int
     sequence: int
     task_id: int

@@ -12,7 +12,7 @@ start while ``iau.clock`` is before the next scheduled callback (or the
 ``until_cycle`` pause point), which is word for word the contract of
 :meth:`~repro.iau.unit.Iau.run_batched`.  Pre-emption eligibility only
 changes at arrivals and completions, arrivals only happen inside callbacks,
-and a completion is its own ``run_batched`` call — so each loop iteration
+and a completion ends its ``run_batched`` call — so each loop iteration
 retires one whole event-bounded stretch, not one instruction, and stays
 cycle- and event-exact against stepping (the ``ros`` / ``dslam`` cells of
 ``tests/conformance.py``).
@@ -350,7 +350,7 @@ class Executor:
                 and not iau.idle
                 and (horizon is None or iau.clock < horizon)
             ):
-                # One event-bounded stretch.  A job completion is its own
+                # One event-bounded stretch.  A job completion ends the
                 # call, so the handlers it schedules are seen before
                 # anything else runs.
                 iau.run_batched(horizon)

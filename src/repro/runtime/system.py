@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.accel.core import AcceleratorCore
 from repro.compiler.compile import CompiledNetwork, compile_network
@@ -44,7 +43,7 @@ from repro.obs.spans import Span, job_spans
 from repro.qos.admission import AdmissionController
 from repro.qos.config import QosConfig
 from repro.qos.monitor import InvariantMonitor
-from repro.state import Shared, Stateful
+from repro.state import Stateful
 from repro.units import MIB
 
 
@@ -61,13 +60,20 @@ class ArrivalPolicy(enum.Enum):
     PERIODIC = "periodic"
 
 
-@dataclass(frozen=True, order=True)
-class TimedRequest(Shared):
-    """An inference request scheduled for a future cycle."""
+class TimedRequest(NamedTuple):
+    """An inference request scheduled for a future cycle.
+
+    A tuple, so the request heap orders ``(cycle, sequence)`` with a C
+    tuple compare.  It cannot subclass :class:`~repro.state.Shared`, so it
+    says the same thing itself: a capture shares it instead of copying it.
+    """
 
     cycle: int
     sequence: int
     task_id: int
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> "TimedRequest":
+        return self
 
 
 class SubmitSurface:
@@ -351,28 +357,30 @@ class MultiTaskSystem(SubmitSurface, Stateful):
 
         Returns the final clock (cycles).
         """
+        iau = self.iau
+        requests = self._requests
         steps = 0
         while True:
-            if until_cycle is not None and self.iau.clock >= until_cycle:
+            if until_cycle is not None and iau.clock >= until_cycle:
                 break
             self._deliver_due()
-            if self.iau.idle:
-                if not self._requests:
-                    break
-                # Fast-forward to the next arrival.
-                self.iau.clock = max(self.iau.clock, self._requests[0].cycle)
-                continue
             if batched:
                 # The horizon is re-read every iteration: completions may
                 # schedule new work (ROS callbacks) between batches.
-                horizon = self._requests[0].cycle if self._requests else None
+                horizon = requests[0].cycle if requests else None
                 if until_cycle is not None:
                     horizon = (
                         until_cycle if horizon is None else min(horizon, until_cycle)
                     )
-                self.iau.run_batched(horizon)
+                ran = iau.run_batched(horizon)
             else:
-                self.iau.step()
+                ran = iau.step()
+            if not ran:  # idle: nothing was runnable
+                if not requests:
+                    break
+                # Fast-forward to the next arrival.
+                iau.clock = max(iau.clock, requests[0].cycle)
+                continue
             steps += 1
             if steps > max_steps:
                 raise SchedulerError(f"simulation did not finish in {max_steps} steps")

@@ -32,7 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 MAGIC = b"INCASNAP"
 #: v2: the state is laid out by :class:`repro.state.Stateful` declarations.
-VERSION = 2
+#: v3: pending requests (``MultiTaskSystem._requests``) pickle as tuples; a
+#: v2 file's request records would not unpickle into them.
+VERSION = 3
 
 
 @dataclass(frozen=True)

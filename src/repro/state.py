@@ -17,8 +17,10 @@ from repro.errors import StateError
 
 
 class Shared:
-    """Marker for immutable records (events, timed requests, fault-log
-    entries): a capture shares them instead of copying them."""
+    """Marker for immutable records (events, fault-log entries): a capture
+    shares them instead of copying them.  A ``NamedTuple`` record cannot
+    subclass it and defines the same ``__deepcopy__`` itself
+    (``runtime.TimedRequest``)."""
 
     def __deepcopy__(self, memo: dict[int, Any]) -> "Shared":
         return self

@@ -333,6 +333,29 @@ def pause_points(cell: Cell, subject: Subject) -> None:
     subject.logs = {"done": done}
 
 
+def at_completion(cell: Cell, subject: Subject) -> None:
+    """Arrivals land on exactly the cycle a running job's last instruction
+    retires (``clock == horizon``), so that job's completion must wait for
+    the next call, after the arrival is delivered: ``JOB_SUBMIT`` before
+    ``JOB_COMPLETE``, as stepped.  Slot 1's job runs alone from 0; both
+    slots get a job at its last retire, slot 1 another at slot 0's."""
+    cnn, residual = subject.nets[0], subject.nets[1]
+    first = cnn.meta(cell.variant).total_cycles
+    second = first + residual.meta(cell.variant).total_cycles
+    arrivals = [(1, 0), (0, first), (1, first), (1, second)]
+    if cell.driver != "ros":
+        scheduled(HIGH_LOW, lambda seed: arrivals)(cell, subject)
+        return
+    scheduled(HIGH_LOW, lambda seed: [])(cell, subject)
+    executor = Executor(subject.systems[0])
+    done: list = []
+    for slot, cycle in arrivals:
+        executor.schedule(cycle, lambda slot=slot: executor.submit_job(slot, done.append))
+    subject.executors.append(executor)
+    subject.legs.append(leg(executor.run, lambda: executor.drained))
+    subject.logs = {"done": done}
+
+
 @cache
 def world() -> World:
     return World.generate(DslamScenario().world)
@@ -470,6 +493,7 @@ WORKLOADS = {
         pause_points, plan=lambda seed: FaultPlan(seed=seed, rates={FaultSite.DDR_BIT_FLIP: 0.05})
     ),
     "mission": Workload(agents, nets="fe_pr", plan=ros_plan),
+    "at-completion": Workload(at_completion),
 }
 
 
@@ -773,9 +797,17 @@ FUNCTIONAL = [
     for advance in ("one", "chunked", "pickled")
 ]
 
+#: An arrival on the cycle a job's last instruction retires, for each
+#: driver that computes a horizon its own way.  Joined after the cover,
+#: like :data:`FUNCTIONAL`.
+AT_COMPLETION = [
+    Cell(driver, armed="obs", workload="at-completion")
+    for driver in ("runtime", "ros", "multicore-least-loaded")
+]
+
 PINNED = _pinned()
 TIER1 = sorted(
-    dict.fromkeys(PINNED + pairwise_cover(PINNED) + FUNCTIONAL),
+    dict.fromkeys(PINNED + pairwise_cover(PINNED) + FUNCTIONAL + AT_COMPLETION),
     key=lambda cell: (golden_cell(cell), cell),
 )
 _NAMED = {cell for group in NAMED.values() for cell in group}

@@ -12,9 +12,10 @@ from collections import defaultdict
 
 import pytest
 
+from repro.obs.events import EventKind
 from tests.conformance import (
-    ARMED, FUNCTIONAL, MATRIX, PINNED, TIER1, WORKLOADS, Cell, check, golden_cell, pairs, seen,
-    valid, valid_cells,
+    ARMED, AT_COMPLETION, FUNCTIONAL, MATRIX, PINNED, TIER1, WORKLOADS, Cell, check, golden,
+    golden_cell, pairs, seen, valid, valid_cells,
 )
 
 
@@ -65,8 +66,22 @@ def test_cells_engage_across_their_seeds():
 
 
 def test_tier1_holds_every_pinned_cell():
-    assert set(PINNED + FUNCTIONAL) <= set(TIER1)
-    assert all(valid(cell) for cell in PINNED + FUNCTIONAL)
+    assert set(PINNED + FUNCTIONAL + AT_COMPLETION) <= set(TIER1)
+    assert all(valid(cell) for cell in PINNED + FUNCTIONAL + AT_COMPLETION)
+
+
+@pytest.mark.parametrize("cell", AT_COMPLETION, ids=str)
+def test_at_completion_cells_land_on_a_last_retire(cell):
+    """Not vacuous: in each golden, jobs arrive on the cycle another job
+    completes, and the stepped order delivers the arrival first."""
+    events = [e for bus in golden(cell).observed["events"] for e in bus]
+    kinds = (EventKind.JOB_SUBMIT, EventKind.JOB_COMPLETE)
+    order = [(e.cycle, e.kind) for e in events if e.kind in kinds]
+    landed = [
+        cycle for index, (cycle, kind) in enumerate(order)
+        if kind is EventKind.JOB_COMPLETE and (cycle, EventKind.JOB_SUBMIT) in order[:index]
+    ]
+    assert len(landed) >= 2
 
 
 def test_every_valid_pair_occurs_in_a_tier1_cell():

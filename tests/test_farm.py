@@ -3,15 +3,21 @@ dispatch/measure agreement, process-sharded equivalence, per-node obs."""
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 
 from repro import RemainingCycles, estimate_job_cycles
 from repro.analysis.design_space import default_design_grid
 from repro.errors import SchedulerError
 from repro.farm import (
+    Dispatch,
     Farm,
     FarmView,
     FcfsScheduler,
+    Job,
+    NodeAssignment,
     PredictiveScheduler,
     Scheduler,
     ServiceSpec,
@@ -19,10 +25,17 @@ from repro.farm import (
     StaticPartitionScheduler,
     TenantSpec,
     TrafficSpec,
+    build_node_system,
     generate_jobs,
     percentile,
+    run_assignment,
 )
+from repro.iau.unit import DISPATCH_KEYS, Iau
 from repro.obs import EventKind, ObsConfig
+
+#: The ``dispatch_counts`` keys that count calls (the rest count
+#: instructions and stalls).
+CALL_KEYS = {key for key in DISPATCH_KEYS if not key.startswith(("instr_", "stalls_"))}
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=100_000)
 SILVER = SloClass("silver", rank=1, weight=3.0, deadline_cycles=400_000)
@@ -156,6 +169,37 @@ class TestTraffic:
             )
 
 
+def reference_predictive(jobs, view: FarmView) -> list[Dispatch]:
+    """``PredictiveScheduler.dispatch`` as first written: key functions."""
+    busy_until, plan, queues = list(view.available), [], {}
+    pending, index, queued, now = list(jobs), 0, 0, 0
+
+    def score(job):
+        slo = view.slos[job.service]
+        return (slo.weight * (now - job.arrival_cycle + 1), -slo.rank, -job.arrival_cycle)
+
+    while index < len(pending) or queued:
+        if not queued:
+            now = max(now, pending[index].arrival_cycle)
+        now = max(now, min(busy_until))
+        while index < len(pending) and pending[index].arrival_cycle <= now:
+            queues.setdefault(pending[index].service, deque()).append(pending[index])
+            queued, index = queued + 1, index + 1
+        if not queued:
+            continue
+        job = max((queue[0] for queue in queues.values() if queue), key=score)
+        queues[job.service].popleft()
+        queued -= 1
+        node = min(
+            range(view.num_nodes),
+            key=lambda n: (max(now, busy_until[n]) + view.estimate(n, job.service), n),
+        )
+        start = max(now, busy_until[node])
+        busy_until[node] = start + view.estimate(node, job.service)
+        plan.append(Dispatch(job, node, start))
+    return plan
+
+
 class TestSchedulerConformance:
     @pytest.fixture(scope="class")
     def farm_view(self):
@@ -191,6 +235,25 @@ class TestSchedulerConformance:
         plan = FcfsScheduler().dispatch(small_jobs, farm_view)
         assert [d.job.job_id for d in plan] == [j.job_id for j in small_jobs]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predictive_keeps_its_tie_breaks(self, seed):
+        """The planning loop against the scoring it replaced, written out
+        with ``max`` / ``min`` over keys: the head with the most tokens,
+        then the more urgent class, then the oldest arrival (a full tie:
+        the queue opened first); the node with the earliest estimated
+        finish, then the lower index.  The day is built to tie: two
+        services share a class, arrivals sit on a coarse grid, and nodes
+        share estimates."""
+        rng = random.Random(seed)
+        slos = (GOLD, GOLD, SILVER, BRONZE)
+        view = FarmView(
+            3, slos, [[4_000, 4_000, 9_000, 6_000]] * 2 + [[3_000, 5_000, 9_000, 3_000]],
+            available=[0, rng.randrange(0, 9_000, 3_000), 0],
+        )
+        cycles = sorted(rng.randrange(0, 60_000, 1_000) for _ in range(300))
+        jobs = [Job(cycle, index, 0, rng.randrange(4)) for index, cycle in enumerate(cycles)]
+        assert PredictiveScheduler().dispatch(jobs, view) == reference_predictive(jobs, view)
+
 
 class TestFarmServing:
     @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
@@ -222,6 +285,36 @@ class TestFarmServing:
         outcome = result.outcomes[0]
         expected = farm.estimate(0, 0)
         assert outcome.complete_cycle - outcome.dispatch_cycle == expected
+
+    def test_a_lone_job_is_one_engine_call(self, monkeypatch):
+        """Call-count gate: in a node replay where no two jobs overlap, no
+        ``run_batched`` call retires zero instructions just to complete a
+        job — a completion ends the call that retired the last instruction.
+        Every call that runs something ends under exactly one call key of
+        ``dispatch_counts``; the completion-only calls are the rest."""
+        config = default_design_grid()[0]
+        system = build_node_system(config, SERVICES)
+        longest = max(context.meta.total_cycles for context in system.iau.contexts if context)
+        jobs = 12
+        dispatches = tuple(
+            (job, job % len(SERVICES), job * 2 * longest) for job in range(jobs)
+        )
+        ran = 0
+        real = Iau.run_batched
+
+        def counting(self, horizon=None):
+            nonlocal ran
+            result = real(self, horizon)
+            ran += result
+            return result
+
+        monkeypatch.setattr(Iau, "run_batched", counting)
+        results = run_assignment(NodeAssignment(0, config, SERVICES, dispatches), system)
+        counts = system.iau.dispatch_counts
+        ends = sum(counts[key] for key in CALL_KEYS)
+        assert len(results) == jobs
+        assert counts["batched"] == jobs and counts["instr_stepped"] == 0
+        assert ran - ends == 0
 
     def test_obs_per_node(self, small_jobs):
         farm = Farm(

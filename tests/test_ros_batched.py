@@ -6,7 +6,7 @@ point).  The oracle is the same executor with ``Iau.run_batched`` patched to
 a single ``step()``.  Each case of the bare executor and the DSLAM agents is
 a conformance cell (``tests/conformance.py``) held to that oracle on its
 whole observable surface.  Here also: a plain mission really retires in
-stretches, and a completion inside a step-out is its own call.
+stretches, and a completion inside a step-out ends the call.
 """
 from __future__ import annotations
 
@@ -99,11 +99,13 @@ def test_plain_run_retires_in_stretches_not_steps(monkeypatch):
 # -- a completion inside a step-out ---------------------------------------------
 
 
-def drive_completions(pair, seed: int) -> tuple[list[tuple], int]:
+def drive_completions(pair, seed: int) -> tuple[list[tuple], int, int]:
     """FE on a timer pre-empting a queue of PR jobs, under faults.  Every
-    completion handler records what the accelerator had retired when it ran;
-    also returns how many step-outs ended on a job's last instruction with
-    other work runnable (0 under the stepped oracle, which has none)."""
+    completion handler records what the accelerator had retired when it ran.
+    Also returns how many step-outs ended on a job's last instruction with
+    other work runnable (0 under the stepped oracle, which has none), and how
+    many of those the same ``run_batched`` call completed (all of them that
+    ended before the horizon)."""
     fe, pr = pair
     system = MultiTaskSystem(fe.config, faults=ros_plan(seed))
     system.add_task(0, fe)
@@ -111,8 +113,9 @@ def drive_completions(pair, seed: int) -> tuple[list[tuple], int]:
     executor = Executor(system)
     iau = system.iau
     seen: list[tuple] = []
-    at_job_end = 0
-    original = Iau._step_out
+    at_job_end = completed = 0
+    ended: list = []  # the jobs step-outs ran to the end of, this call
+    original, run_batched = Iau._step_out, Iau.run_batched
 
     def watching(self, context, stop, horizon):
         nonlocal at_job_end
@@ -122,6 +125,17 @@ def drive_completions(pair, seed: int) -> tuple[list[tuple], int]:
             for other in self.contexts
         ):
             at_job_end += 1
+            ended.append(context.current_job)
+
+    def one_call(self, horizon=None):
+        nonlocal completed
+        ran = run_batched(self, horizon)
+        for job in ended:
+            done_here = job.complete_cycle is not None
+            assert done_here == (horizon is None or self.clock < horizon)
+            completed += done_here
+        ended.clear()
+        return ran
 
     def done(task_id: int):
         def handler(job) -> None:
@@ -139,24 +153,27 @@ def drive_completions(pair, seed: int) -> tuple[list[tuple], int]:
     executor.submit_job(1, done(1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Iau, "_step_out", watching)
+        patch.setattr(Iau, "run_batched", one_call)
         try:
             executor.run()
         except (EccError, CheckpointError) as exc:
             seen.append((type(exc).__name__, str(exc)))
-    return seen, at_job_end
+    return seen, at_job_end, completed
 
 
-def test_completion_inside_a_step_out_is_its_own_call(tiny_fe_pr):
-    """A step-out that reaches the job's last instruction returns before
-    completing it, so the handler the completion schedules runs before the
-    next task's first instruction — at the same retired-instruction count
-    as under the stepped oracle."""
-    landed = 0
+def test_completion_inside_a_step_out_ends_the_call(tiny_fe_pr):
+    """A step-out that reaches the job's last instruction before the horizon
+    completes the job in the same ``run_batched`` call and returns, so the
+    handler the completion schedules runs before the next task's first
+    instruction — at the same retired-instruction count as under the
+    stepped oracle."""
+    landed = finished = 0
     for seed in ROS_SEEDS:
-        real, at_job_end = drive_completions(tiny_fe_pr, seed)
+        real, at_job_end, completed = drive_completions(tiny_fe_pr, seed)
         with pytest.MonkeyPatch.context() as patch:
             stepped(patch)
-            oracle, _ = drive_completions(tiny_fe_pr, seed)
+            oracle, _, _ = drive_completions(tiny_fe_pr, seed)
         assert real == oracle and len(real) > 16
         landed += at_job_end
-    assert landed > 0  # some step-out really ran into a job's end
+        finished += completed
+    assert landed > 0 and finished > 0  # some step-out really ran into a job's end

@@ -16,6 +16,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,16 @@ def golden(assignment):
     return records, system.clock
 
 
+@dataclass(frozen=True, order=True)
+class _V2TimedRequest:
+    """The request record a v2 snapshot pickled (re-homed to
+    ``repro.runtime.system.TimedRequest`` in the pickle bytes)."""
+
+    cycle: int
+    sequence: int
+    task_id: int
+
+
 def record_tuples(records):
     return [
         (r.job_id, r.service, r.dispatch_cycle, r.start_cycle, r.complete_cycle)
@@ -111,11 +122,38 @@ class TestSnapshotFormat:
         write_snapshot(path, {"big": 0}, meta={"cycle": 7})
         info = probe_snapshot(path)
         assert info.meta["cycle"] == 7
-        assert info.version == VERSION == 2
+        assert info.version == VERSION == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
             read_snapshot(tmp_path / "absent.snap")
+
+    def test_v2_snapshot_with_pending_requests_is_refused_by_version(
+        self, tmp_path, assignment
+    ):
+        """A v2 file pickled its pending requests as frozen dataclasses,
+        which do not unpickle into today's tuple ``TimedRequest``
+        (``TypeError``).  The version check refuses the file before the
+        unpickler runs: a typed past-version ``SnapshotError``."""
+        system = build_node_system(assignment.config, assignment.services)
+        for _job_id, service, cycle in assignment.dispatches:
+            system.submit(service, cycle)
+        state = dict(system.state_view())
+        state["_requests"] = [_V2TimedRequest(*request) for request in state["_requests"]]
+        assert state["_requests"]
+        payload = pickle.dumps({"meta": {"cycle": 0}, "state": state}, protocol=2)
+        here = f"c{_V2TimedRequest.__module__}\n{_V2TimedRequest.__qualname__}\n"
+        payload = payload.replace(here.encode(), b"crepro.runtime.system\nTimedRequest\n")
+        with pytest.raises(TypeError):
+            pickle.loads(payload)  # what an unchecked v2 read would hit
+        path = tmp_path / "v2.snap"
+        path.write_bytes(frame(MAGIC, 2, payload))
+        for reader in (read_snapshot, probe_snapshot):
+            with pytest.raises(SnapshotError, match="format version 2") as refused:
+                reader(path)
+            assert refused.value.__cause__.reason == "version"
+        with pytest.raises(SnapshotError, match="format version 2"):
+            restore_system(build_node_system(assignment.config, assignment.services), path)
 
     def test_bad_magic(self, tmp_path):
         self.refused(tmp_path, "magic", "bad magic")
@@ -133,7 +171,7 @@ class TestSnapshotFormat:
         self.refused(tmp_path, "future_version", "version 999")
 
     def test_past_version_and_flags_refused(self, tmp_path):
-        self.refused(tmp_path, "past_version", "version 1")
+        self.refused(tmp_path, "past_version", f"version {VERSION - 1}")
         self.refused(tmp_path, "flags", "flags")
         self.refused(tmp_path, "trailing", "padded")
 
@@ -579,9 +617,9 @@ class TestCorruptSnapshotFallback:
         self, tmp_path, assignment, golden, version
     ):
         """Version skew is a typed refusal, not a worker crash: a CRC-clean
-        v1 file (and a v2-stamped file carrying the v1 state layout, which
-        only the restore itself can refuse) is journaled as corrupt and the
-        job completes from cycle 0."""
+        v1 file (and a current-version file carrying the v1 state layout,
+        which only the restore itself can refuse) is journaled as corrupt
+        and the job completes from cycle 0."""
         from repro.serve import execute_job
 
         golden_records, golden_clock = golden
