@@ -9,6 +9,8 @@ interrupted.
 
 from __future__ import annotations
 
+import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
@@ -63,6 +65,40 @@ class JobRecord:
         return self.complete_cycle - self.request_cycle
 
 
+#: One completed job's four cycles, packed natively: the bytes of four
+#: ``array('q')`` items.
+_CYCLES = struct.Struct("4q")
+
+
+def encode_jobs(jobs: list[JobRecord]) -> tuple[array[int], list[tuple[Any, ...]]]:
+    """Completed ``jobs`` as one int column of ``(task_id, request_cycle,
+    start_cycle, complete_cycle)`` quadruples (a completed job has every
+    cycle set), plus ``(index, degraded, outcome, checkpoint_retries)`` for
+    the few records whose extras are not nominal."""
+    cycles = array("q")
+    cycles.frombytes(b"".join([
+        _CYCLES.pack(job.task_id, job.request_cycle, job.start_cycle, job.complete_cycle)
+        for job in jobs
+    ]))
+    extras = [
+        (index, job.degraded, job.outcome, job.checkpoint_retries)
+        for index, job in enumerate(jobs)
+        if job.degraded or job.outcome is not None or job.checkpoint_retries
+    ]
+    return cycles, extras
+
+
+def decode_jobs(columns: tuple[array[int], list[tuple[Any, ...]]]) -> list[JobRecord]:
+    """Fresh records from :func:`encode_jobs`, in the captured order."""
+    cycles, extras = columns
+    fields = iter(cycles)
+    jobs = list(map(JobRecord, fields, fields, fields, fields))
+    for index, degraded, outcome, retries in extras:
+        job = jobs[index]
+        job.degraded, job.outcome, job.checkpoint_retries = degraded, outcome, retries
+    return jobs
+
+
 @dataclass
 class Checkpoint:
     """CRC-guarded record of one Vir_SAVE interrupt context.
@@ -93,14 +129,16 @@ class Checkpoint:
 class TaskContext(Stateful):
     """One IAU task slot."""
 
-    #: Registers, queue and job records; ``queue`` / ``current_job`` /
-    #: ``completed`` share records, which the single capture copy preserves.
+    #: Registers, queue and job records.  A record moves from ``queue`` to
+    #: ``current_job`` to ``completed``, never sits in two of them, and
+    #: ``completed`` (the part that grows with the run) is a column field.
     STATE = (
         "priority", "instr_index", "input_offset", "output_offset", "save_id",
         "saved_chs", "in_recovery", "active", "snapshot", "queue", "current_job",
         "completed", "busy_cycles", "deadline_cycles", "checkpoint",
         "good_checkpoint", "checkpoint_retries", "want_degraded",
     )
+    COLUMNS = {"completed": (encode_jobs, decode_jobs)}
     #: Programs are captured by variant key (see :meth:`variant_key`).
     EXTRA = ("program", "base_program", "degraded_program")
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import enum
 import heapq
+from array import array
+from itertools import chain
 from typing import Any, Mapping, NamedTuple
 
 from repro.accel.core import AcceleratorCore
@@ -64,16 +66,26 @@ class TimedRequest(NamedTuple):
     """An inference request scheduled for a future cycle.
 
     A tuple, so the request heap orders ``(cycle, sequence)`` with a C
-    tuple compare.  It cannot subclass :class:`~repro.state.Shared`, so it
-    says the same thing itself: a capture shares it instead of copying it.
+    tuple compare.
     """
 
     cycle: int
     sequence: int
     task_id: int
 
-    def __deepcopy__(self, memo: dict[int, Any]) -> "TimedRequest":
-        return self
+
+def encode_requests(requests: list[TimedRequest]) -> array[int]:
+    """The request heap as one int column of ``(cycle, sequence, task_id)``
+    triples, in heap order."""
+    # From a list, not the iterator: array's list path is the fast one.
+    return array("q", list(chain.from_iterable(requests)))
+
+
+def decode_requests(column: array[int]) -> list[TimedRequest]:
+    """Fresh requests from :func:`encode_requests`: the same heap, entry
+    for entry."""
+    fields = iter(column)
+    return list(map(TimedRequest, fields, fields, fields))
 
 
 class SubmitSurface:
@@ -150,8 +162,10 @@ class SubmitSurface:
 class MultiTaskSystem(SubmitSurface, Stateful):
     """One accelerator, up to four prioritised tasks, timed job arrivals."""
 
-    #: Scheduler bookkeeping (``_requests`` keeps its heap order in a copy).
+    #: Scheduler bookkeeping; the request heap is a column field, captured
+    #: entry for entry in heap order.
     STATE = ("_requests", "_sequence", "_pending", "shed")
+    COLUMNS = {"_requests": (encode_requests, decode_requests)}
     PARTS = ("ddr", "core", "iau", "bus", "metrics", "monitor", "admission", "faults")
     EXTRA = ("fingerprint",)
 

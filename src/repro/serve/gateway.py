@@ -3,9 +3,11 @@
 :class:`ServeGateway` accepts :class:`~repro.serve.worker.JobSpec` jobs,
 journals them (:mod:`repro.serve.journal`), and executes each attempt in its
 own process running :func:`~repro.serve.worker.worker_main`, forked from
-``multiprocessing``'s fork server with ``repro.serve.worker`` preloaded, so
-a launch (and the relaunch after a death) imports nothing.  A dispatcher
-thread watches the worker processes:
+``multiprocessing``'s fork server with :data:`PRELOAD` imported, so a
+launch (and the relaunch after a death) imports nothing and does not re-run
+the caller's script (:class:`~repro.serve.worker.WorkerProcess`).  A
+dispatcher thread sleeps until a worker exits (its sentinel), a job is
+submitted, or a retry falls due, and then handles the worker processes:
 
 * **clean exit** — the worker journaled its own result; nothing to do;
 * **journaled failure** (exit 1) — the worker hit a Python exception and
@@ -35,8 +37,10 @@ from __future__ import annotations
 import asyncio
 import atexit
 import multiprocessing
+import multiprocessing.connection
 import multiprocessing.forkserver
 import multiprocessing.resource_tracker
+import os
 import threading
 import time
 import uuid
@@ -55,10 +59,19 @@ from repro.serve.journal import (
     JobState,
     JournalRecord,
 )
-from repro.serve.worker import JobResult, JobSpec, execute_job, load_result, worker_main
+from repro.serve.worker import (
+    JobResult,
+    JobSpec,
+    WorkerProcess,
+    execute_job,
+    load_result,
+    worker_main,
+)
 
 #: Imported once by the fork server; every worker forks with them loaded.
-PRELOAD = ["__main__", "repro.serve.worker"]
+#: ``numpy.random`` is the one module an attempt would otherwise import
+#: after the fork (numpy loads it lazily; the first weight init needs it).
+PRELOAD = ["repro.serve.worker", "numpy.random"]
 
 #: Gateways not yet closed (the exit hook stops their workers first).
 _OPEN: weakref.WeakSet[ServeGateway] = weakref.WeakSet()
@@ -129,9 +142,13 @@ class ServeGateway:
         self._mp = multiprocessing.get_context("forkserver")
         self._mp.set_forkserver_preload(PRELOAD)
         self._dispatcher: threading.Thread | None = None
+        #: A byte written here wakes the dispatcher (a submit, a close).
+        self._wake_r, self._wake_w = -1, -1
 
         self._recover()
         if not inline:
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_w, False)
             _OPEN.add(self)
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="serve-dispatcher", daemon=True
@@ -151,8 +168,11 @@ class ServeGateway:
         _OPEN.discard(self)
         self._stop.set()
         if self._dispatcher is not None:
+            self._wake()
             self._dispatcher.join(timeout=10.0)
             self._dispatcher = None
+            os.close(self._wake_r)
+            os.close(self._wake_w)
         with self._lock:
             active = dict(self._active)
         for process in active.values():
@@ -202,6 +222,7 @@ class ServeGateway:
             self._pending.append(job_id)
             if deadline_s is not None:
                 self._deadlines[job_id] = time.monotonic() + deadline_s
+        self._wake()
         return job_id
 
     def status(self, job_id: str) -> JournalRecord:
@@ -229,22 +250,24 @@ class ServeGateway:
         return True
 
     def result(self, job_id: str, *, timeout: float | None = None) -> JobResult:
-        """Block until the job settles; returns its result or raises."""
+        """Block until the job settles; returns its result or raises.
+
+        Polls the journal's state column; the result BLOB is decoded once,
+        when the job has completed."""
         limit = None if timeout is None else time.monotonic() + timeout
         while True:
-            record = self.journal.get(job_id)
-            if record.state is JobState.COMPLETED:
+            state = self.journal.state(job_id)
+            if state is JobState.COMPLETED:
                 return load_result(self.journal, job_id)
-            if record.state is JobState.FAILED:
-                raise ServeError(
-                    f"job {job_id!r} failed: {record.error or 'unknown error'}"
-                )
-            if record.state is JobState.CANCELLED:
+            if state is JobState.FAILED:
+                error = self.journal.get(job_id).error
+                raise ServeError(f"job {job_id!r} failed: {error or 'unknown error'}")
+            if state is JobState.CANCELLED:
                 raise ServeError(f"job {job_id!r} was cancelled")
             if limit is not None and time.monotonic() >= limit:
                 raise ServeError(
                     f"timed out after {timeout}s waiting for job {job_id!r} "
-                    f"(state {record.state.value})"
+                    f"(state {state.value})"
                 )
             time.sleep(self.poll_s)
 
@@ -271,11 +294,7 @@ class ServeGateway:
             attempt = self.journal.start_attempt(job_id, resumed=resumed)
             try:
                 result = execute_job(
-                    job_id,
-                    record.spec,
-                    self.journal,
-                    self.snapshot_dir,
-                    attempt=attempt,
+                    record, self.journal, self.snapshot_dir, attempt=attempt
                 )
             except Exception as exc:
                 if attempt >= record.max_attempts:
@@ -303,7 +322,31 @@ class ServeGateway:
             self._reap()
             self._enforce_deadlines()
             self._launch()
-            time.sleep(self.poll_s)
+            self._wait()
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # the pipe is full: a wake is pending anyway
+            pass
+
+    def _wait(self) -> None:
+        """Sleep until a worker exits, :meth:`_wake` is called, the next
+        retry falls due or ``poll_s`` passes (deadlines are checked at
+        that granularity)."""
+        with self._lock:
+            # Held through the wait: a process object dropped by a cancel
+            # would close its sentinel under the wait.
+            processes = list(self._active.values())
+            due = [at for at, _ in self._retry_at]
+        timeout = self.poll_s
+        if due:
+            timeout = max(0.0, min(timeout, min(due) - time.monotonic()))
+        ready = multiprocessing.connection.wait(
+            [self._wake_r, *(process.sentinel for process in processes)], timeout
+        )
+        if self._wake_r in ready:
+            os.read(self._wake_r, 4096)
 
     def _promote_retries(self) -> None:
         now = time.monotonic()
@@ -320,7 +363,7 @@ class ServeGateway:
                 if len(self._active) >= self.workers or not self._pending:
                     return
                 job_id = self._pending.popleft()
-            process = self._mp.Process(
+            process = WorkerProcess(
                 target=worker_main,
                 args=(job_id, str(self.journal.path), str(self.snapshot_dir)),
                 daemon=True,
@@ -340,8 +383,7 @@ class ServeGateway:
                 del self._active[job_id]
         for job_id, process in finished:
             process.join()
-            record = self.journal.get(job_id)
-            if record.state in (
+            if self.journal.state(job_id) in (
                 JobState.COMPLETED,
                 JobState.FAILED,
                 JobState.CANCELLED,
@@ -350,6 +392,7 @@ class ServeGateway:
                     self._deadlines.pop(job_id, None)
                 continue
             # The worker died without journaling an outcome: a crash.
+            record = self.journal.get(job_id)
             exitcode = process.exitcode
             reason = classify_exit(exitcode)
             self.journal.record_event(

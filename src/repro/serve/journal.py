@@ -11,10 +11,11 @@ Design rules:
 
 * **WAL journal mode** so the dispatcher thread, worker-observing code and
   status queries never block each other on reads.
-* **A fresh connection per call.**  Connections are cheap against a local
-  file, and it keeps every method usable from any thread or process
-  without connection-object ownership games (sqlite3 connections are not
-  shareable across threads by default).
+* **One connection per thread per process.**  Each thread opens its own
+  connection on first use and keeps it (the two PRAGMAs run once, not per
+  call); a forked child opens a new one instead of touching its parent's.
+  So every method stays usable from any thread or process, and no sqlite3
+  connection is ever shared between threads.
 * **Append-only events.**  The ``jobs`` row is the current state; the
   ``events`` table is the full history (used by tests and the recovery
   latency report).
@@ -27,8 +28,10 @@ stores epochs.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import sqlite3
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -123,16 +126,22 @@ class JobJournal:
 
     def __init__(self, path: str | Path):
         self.path = str(path)
+        self._local = threading.local()
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
 
     # -- connection plumbing ----------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
+        """This thread's connection, opened on its first call in this
+        process.  ``with`` on it is one transaction."""
+        local = self._local
+        if getattr(local, "pid", None) != os.getpid():
+            conn = sqlite3.connect(self.path, timeout=30.0)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            local.conn, local.pid = conn, os.getpid()
+        return local.conn
 
     # -- writes ------------------------------------------------------------
 
@@ -256,6 +265,24 @@ class JobJournal:
         )
 
     # -- reads -------------------------------------------------------------
+
+    def _column(self, job_id: str, column: str) -> Any:
+        with self._connect() as conn:
+            row = conn.execute(
+                f"SELECT {column} FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+        if row is None:
+            raise ServeError(f"unknown job {job_id!r}")
+        return row[0]
+
+    def state(self, job_id: str) -> JobState:
+        """The job's state column alone (a poll that decodes no BLOB)."""
+        return JobState(self._column(job_id, "state"))
+
+    def result(self, job_id: str) -> Any:
+        """The job's result BLOB alone, decoded (``None`` until it completes)."""
+        blob = self._column(job_id, "result")
+        return pickle.loads(blob) if blob is not None else None
 
     def get(self, job_id: str) -> JournalRecord:
         with self._connect() as conn:

@@ -34,7 +34,9 @@ MAGIC = b"INCASNAP"
 #: v2: the state is laid out by :class:`repro.state.Stateful` declarations.
 #: v3: pending requests (``MultiTaskSystem._requests``) pickle as tuples; a
 #: v2 file's request records would not unpickle into them.
-VERSION = 3
+#: v4: the request heap and each slot's completed jobs are int columns
+#: (:data:`repro.state.Stateful.COLUMNS`); a v3 file holds object lists.
+VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ resumes from it instead of replaying from cycle zero.  Because snapshots
 capture the request heap, the event stream and every armed subsystem's
 state, the resumed run is bit-identical to an uninterrupted one.
 
-:func:`worker_main` is the process entry point, run in a child forked from
-the gateway's fork server (which preloads this module, so a launch imports
-nothing); it owns all journal writes a live worker can make
-(start/snapshot/complete/fail).
+:func:`worker_main` is the process entry point, run in a
+:class:`WorkerProcess` forked from the gateway's fork server (which
+preloads this module, so a launch imports nothing); it owns all journal
+writes a live worker can make (start/snapshot/complete/fail).
 Deaths are necessarily journaled by the gateway — a SIGKILLed process
 writes nothing.
 """
@@ -23,9 +23,13 @@ writes nothing.
 from __future__ import annotations
 
 import gc
+import io
 import os
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing import forkserver, popen_forkserver, reduction, spawn, util
+from multiprocessing.context import ForkServerProcess, set_spawning_popen
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Any
 
@@ -42,12 +46,62 @@ from repro.obs.config import ObsConfig
 from repro.obs.events import Event
 from repro.runtime.system import MultiTaskSystem
 from repro.serve.journal import (
-    FAILED, SNAPSHOT_CORRUPT, SNAPSHOT_WRITE_FAILED, JobJournal, JobState,
+    FAILED, SNAPSHOT_CORRUPT, SNAPSHOT_WRITE_FAILED, JobJournal, JobState, JournalRecord,
 )
 from repro.serve.snapshot import restore_system, snapshot_system
 
 #: Exit code of a worker that simulated a hard crash (test hook).
 CRASH_EXIT_CODE = 113
+
+#: The preparation-data keys that make a child re-run the caller's main
+#: module (as ``__mp_main__``) before it unpickles its target.
+_MAIN_KEYS = ("init_main_from_path", "init_main_from_name")
+
+
+def _close_fds(*fds: int) -> None:
+    for fd in fds:
+        os.close(fd)
+
+
+class _LaunchPopen(popen_forkserver.Popen):
+    """A fork-server launch whose preparation data names no main module.
+
+    ``popen_forkserver.Popen._launch`` with one change: the
+    ``init_main_from_*`` keys are dropped, so the forked child does not
+    re-run the caller's script.  A worker needs nothing from ``__main__``:
+    its target and arguments live in this module.
+    """
+
+    #: File descriptors passed to the child (``duplicate_for_child``).
+    _fds: list[int]
+
+    def _launch(self, process_obj: BaseProcess) -> None:
+        prep_data = spawn.get_preparation_data(process_obj.name)
+        for key in _MAIN_KEYS:
+            prep_data.pop(key, None)
+        buf = io.BytesIO()
+        set_spawning_popen(self)
+        try:
+            reduction.dump(prep_data, buf)
+            reduction.dump(process_obj, buf)
+        finally:
+            set_spawning_popen(None)
+        self.sentinel, w = forkserver.connect_to_new_process(self._fds)
+        # The parent keeps a duplicate of the data pipe's write end: the
+        # child's sentinel of its parent.
+        parent_w = os.dup(w)
+        self.finalizer = util.Finalize(self, _close_fds, (parent_w, self.sentinel))
+        with open(w, "wb", closefd=True) as f:
+            f.write(buf.getbuffer())
+        self.pid = forkserver.read_signed(self.sentinel)
+
+
+class WorkerProcess(ForkServerProcess):
+    """A fork-server process launched through :class:`_LaunchPopen`."""
+
+    @staticmethod
+    def _Popen(process_obj: BaseProcess) -> _LaunchPopen:
+        return _LaunchPopen(process_obj)
 
 
 @dataclass(frozen=True)
@@ -112,14 +166,16 @@ def _collect_outputs(
 
 
 def execute_job(
-    job_id: str,
-    spec: JobSpec,
+    record: JournalRecord,
     journal: JobJournal,
     snapshot_dir: str | Path,
     *,
     attempt: int = 1,
 ) -> JobResult:
     """Run (or resume) one job to completion; returns its result.
+
+    ``record`` is the job's journal row as the attempt found it: its
+    :class:`JobSpec`, and the snapshot to resume from, if any.
 
     Fresh start: build the node system, submit the dispatch plan, run.
     Resume: build the *same* system, restore the journal's last snapshot
@@ -133,8 +189,8 @@ def execute_job(
     with a journaled snapshot at each boundary; a snapshot that cannot be
     *written* is journaled (``snapshot_write_failed``) and skipped.
     """
+    job_id, spec = record.job_id, record.spec
     assignment = spec.assignment
-    record = journal.get(job_id)
     system = _build_system(spec)
 
     resumed_from = 0
@@ -228,9 +284,7 @@ def worker_main(job_id: str, journal_path: str, snapshot_dir: str) -> None:
     resumed = bool(record.snapshot_path)
     attempt = journal.start_attempt(job_id, resumed=resumed)
     try:
-        result = execute_job(
-            job_id, record.spec, journal, snapshot_dir, attempt=attempt
-        )
+        result = execute_job(record, journal, snapshot_dir, attempt=attempt)
     except ServeError:
         raise
     except Exception as exc:  # journal, then die visibly
@@ -248,13 +302,12 @@ def worker_main(job_id: str, journal_path: str, snapshot_dir: str) -> None:
 
 
 def load_result(journal: JobJournal, job_id: str) -> JobResult:
-    """The completed job's :class:`JobResult` (typed accessor)."""
-    record = journal.get(job_id)
-    if record.state is not JobState.COMPLETED:
-        raise ServeError(
-            f"job {job_id!r} is {record.state.value}, not completed"
-        )
-    result = record.result
+    """The completed job's :class:`JobResult` (typed accessor; decodes the
+    result BLOB alone)."""
+    state = journal.state(job_id)
+    if state is not JobState.COMPLETED:
+        raise ServeError(f"job {job_id!r} is {state.value}, not completed")
+    result = journal.result(job_id)
     if not isinstance(result, JobResult):
         raise ServeError(f"job {job_id!r} journaled a foreign result: {type(result)!r}")
     return result

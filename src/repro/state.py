@@ -5,22 +5,23 @@ the live state at an interrupt point, restore precisely that.  System
 snapshots do the same one level up, so each subsystem says once *what* its
 mutable state is and :class:`Stateful` derives how it is copied, checked
 and restored: a field added to ``STATE`` cannot fall out of snapshots, and
-a cache dropped in ``_reset_derived`` cannot survive a restore.
+a cache dropped in ``_reset_derived`` cannot survive a restore.  A field
+that grows with the run (a job history, a request heap) declares a column
+codec in ``COLUMNS``: its capture is a few flat int arrays, pickled in one
+pass, and a restore decodes fresh objects from them.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, ClassVar, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 from repro.errors import StateError
 
 
 class Shared:
     """Marker for immutable records (events, fault-log entries): a capture
-    shares them instead of copying them.  A ``NamedTuple`` record cannot
-    subclass it and defines the same ``__deepcopy__`` itself
-    (``runtime.TimedRequest``)."""
+    shares them instead of copying them."""
 
     def __deepcopy__(self, memo: dict[int, Any]) -> "Shared":
         return self
@@ -44,6 +45,11 @@ class Stateful:
     PARTS: ClassVar[tuple[str, ...]] = ()
     #: Keys the subclass's own ``state_view`` override adds.
     EXTRA: ClassVar[tuple[str, ...]] = ()
+    #: ``STATE`` fields captured as columns: name -> ``(encode, decode)``.
+    #: ``encode`` flattens the live value into int columns; ``decode``
+    #: builds fresh objects from them.  A column field shares no object
+    #: with the other fields (the one-copy identity rule skips it).
+    COLUMNS: ClassVar[Mapping[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]]] = {}
 
     def _reset_derived(self) -> None:
         """Drop every cache computed from state (runs after each restore)."""
@@ -65,6 +71,8 @@ class Stateful:
         snapshot in one serialisation pass; :meth:`capture_state` is the
         detached copy."""
         state = {name: getattr(self, name) for name in self.STATE}
+        for name, (encode, _decode) in self.COLUMNS.items():
+            state[name] = encode(state[name])
         for key, part in self._live_parts().items():
             state[key] = part.state_view()
         return state
@@ -89,7 +97,11 @@ class Stateful:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Restore a captured state (copied: one capture seeds many restores)."""
         self._check_state(state)
-        fields = copy.deepcopy({name: state[name] for name in self.STATE})
+        fields = copy.deepcopy(
+            {name: state[name] for name in self.STATE if name not in self.COLUMNS}
+        )
+        for name, (_encode, decode) in self.COLUMNS.items():
+            fields[name] = decode(state[name])
         for name, value in fields.items():
             setattr(self, name, value)
         for key, part in self._live_parts().items():

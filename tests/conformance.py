@@ -269,6 +269,21 @@ def round_trip(cell: Cell, subject: Subject) -> None:
         system.submit(0, cycle)
 
 
+#: Resumed cells of the ``columns`` workload snapshot here: after round-trip's
+#: first checkpoint rollback has completed, before its arrival tail starts.
+COLUMNS_CUT = 120_000
+
+
+def columns(cell: Cell, subject: Subject) -> None:
+    """Round-trip's schedule plus a tail of arrivals on every slot after
+    :data:`COLUMNS_CUT`: a snapshot at the cut holds a long request heap,
+    and completed jobs that were degraded, missed a deadline and retried a
+    checkpoint (the column codec's sparse extras)."""
+    round_trip(cell, subject)
+    for index in range(24):
+        subject.systems[0].submit(index % 3, COLUMNS_CUT + 10_000 * (index + 1))
+
+
 def bare(cell: Cell, subject: Subject) -> None:
     """A seeded FE/PR mission: a camera timer publishes frames; FE (slot 0)
     runs every frame and post-processes after a delay, PR (slot 1) runs when
@@ -495,6 +510,7 @@ WORKLOADS = {
     "mission": Workload(agents, nets="fe_pr", plan=ros_plan),
     "at-completion": Workload(at_completion),
 }
+WORKLOADS["columns"] = replace(WORKLOADS["round-trip"], setup=columns, cut=COLUMNS_CUT)
 
 
 def workload_name(cell: Cell) -> str:
@@ -805,9 +821,19 @@ AT_COMPLETION = [
     for driver in ("runtime", "ros", "multicore-least-loaded")
 ]
 
+#: Both resumed advances of the ``columns`` workload, each leg batched on
+#: one seed and stepped on the other.  Joined after the cover, like
+#: :data:`FUNCTIONAL`.
+COLUMN_CODEC = [
+    Cell("runtime", armed="all", advance=advance, seed=seed, workload="columns")
+    for advance in RESUMED for seed in (0, 1)
+]
+
 PINNED = _pinned()
 TIER1 = sorted(
-    dict.fromkeys(PINNED + pairwise_cover(PINNED) + FUNCTIONAL + AT_COMPLETION),
+    dict.fromkeys(
+        PINNED + pairwise_cover(PINNED) + FUNCTIONAL + AT_COMPLETION + COLUMN_CODEC
+    ),
     key=lambda cell: (golden_cell(cell), cell),
 )
 _NAMED = {cell for group in NAMED.values() for cell in group}

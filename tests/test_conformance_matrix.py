@@ -14,8 +14,8 @@ import pytest
 
 from repro.obs.events import EventKind
 from tests.conformance import (
-    ARMED, AT_COMPLETION, FUNCTIONAL, MATRIX, PINNED, TIER1, WORKLOADS, Cell, check, golden,
-    golden_cell, pairs, seen, valid, valid_cells,
+    ARMED, AT_COMPLETION, COLUMN_CODEC, FUNCTIONAL, MATRIX, PINNED, TIER1, WORKLOADS, Cell,
+    check, golden, golden_cell, pairs, seen, valid, valid_cells,
 )
 
 
@@ -66,8 +66,9 @@ def test_cells_engage_across_their_seeds():
 
 
 def test_tier1_holds_every_pinned_cell():
-    assert set(PINNED + FUNCTIONAL + AT_COMPLETION) <= set(TIER1)
-    assert all(valid(cell) for cell in PINNED + FUNCTIONAL + AT_COMPLETION)
+    joined = PINNED + FUNCTIONAL + AT_COMPLETION + COLUMN_CODEC
+    assert set(joined) <= set(TIER1)
+    assert all(valid(cell) for cell in joined)
 
 
 @pytest.mark.parametrize("cell", AT_COMPLETION, ids=str)
@@ -82,6 +83,21 @@ def test_at_completion_cells_land_on_a_last_retire(cell):
         if kind is EventKind.JOB_COMPLETE and (cycle, EventKind.JOB_SUBMIT) in order[:index]
     ]
     assert len(landed) >= 2
+
+
+@pytest.mark.parametrize("cell", COLUMN_CODEC, ids=str)
+def test_column_cells_snapshot_a_long_heap_and_every_extra(cell):
+    """Not vacuous: at the cut of each golden, many requests are still in
+    the heap and the completed jobs carry each extra the column codec keeps
+    on its side list (degraded, a typed outcome, a checkpoint retry)."""
+    cut = WORKLOADS[cell.workload].cut
+    jobs = [job for system in golden(cell).observed["jobs"] for slot in system for job in slot]
+    done = [job for job in jobs if job["complete_cycle"] < cut]
+    assert any(job["degraded"] for job in done)
+    assert any(job["outcome"] is not None for job in done)
+    assert any(job["checkpoint_retries"] for job in done)
+    # Completed jobs requested after the cut sat in the heap at the cut.
+    assert sum(job["request_cycle"] > cut for job in jobs) >= 16
 
 
 def test_every_valid_pair_occurs_in_a_tier1_cell():

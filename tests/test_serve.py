@@ -122,7 +122,7 @@ class TestSnapshotFormat:
         write_snapshot(path, {"big": 0}, meta={"cycle": 7})
         info = probe_snapshot(path)
         assert info.meta["cycle"] == 7
-        assert info.version == VERSION == 3
+        assert info.version == VERSION == 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
@@ -139,7 +139,7 @@ class TestSnapshotFormat:
         for _job_id, service, cycle in assignment.dispatches:
             system.submit(service, cycle)
         state = dict(system.state_view())
-        state["_requests"] = [_V2TimedRequest(*request) for request in state["_requests"]]
+        state["_requests"] = [_V2TimedRequest(*request) for request in system._requests]
         assert state["_requests"]
         payload = pickle.dumps({"meta": {"cycle": 0}, "state": state}, protocol=2)
         here = f"c{_V2TimedRequest.__module__}\n{_V2TimedRequest.__qualname__}\n"
@@ -153,6 +153,39 @@ class TestSnapshotFormat:
                 reader(path)
             assert refused.value.__cause__.reason == "version"
         with pytest.raises(SnapshotError, match="format version 2"):
+            restore_system(build_node_system(assignment.config, assignment.services), path)
+
+    def test_v3_snapshot_with_object_lists_is_refused_by_version(
+        self, tmp_path, assignment
+    ):
+        """A v3 file pickled the request heap and each slot's completed
+        jobs as object lists, where v4 holds int columns.  The version
+        check refuses the file before the unpickler runs: a typed
+        past-version ``SnapshotError``, not an unpickling error."""
+        from repro.farm.node import submit_assignment
+
+        system = build_node_system(assignment.config, assignment.services)
+        submit_assignment(assignment, system)
+        system.submit(1, 200_000)
+        system.run(until_cycle=50_000)
+        state = dict(system.state_view())
+        state["_requests"] = list(system._requests)
+        state["iau"] = dict(state["iau"])
+        completed = 0
+        for slot, context in enumerate(system.iau.contexts):
+            if context is not None:
+                key = f"contexts[{slot}]"
+                state["iau"][key] = {**state["iau"][key], "completed": context.completed}
+                completed += len(context.completed)
+        assert state["_requests"] and completed
+        path = tmp_path / "v3.snap"
+        payload = pickle.dumps({"meta": {"cycle": system.clock}, "state": state})
+        path.write_bytes(frame(MAGIC, 3, payload))
+        for reader in (read_snapshot, probe_snapshot):
+            with pytest.raises(SnapshotError, match="format version 3") as refused:
+                reader(path)
+            assert refused.value.__cause__.reason == "version"
+        with pytest.raises(SnapshotError, match="format version 3"):
             restore_system(build_node_system(assignment.config, assignment.services), path)
 
     def test_bad_magic(self, tmp_path):
@@ -467,6 +500,42 @@ print(json.dumps({
 """
 
 
+#: A script *file* (``-c`` and ``-m`` callers carry no main path) whose
+#: module body leaves one line in a marker file each time it runs.  Its
+#: main block serves one job through a worker death and a resume, then
+#: prints the outcome and the fork server's preload list as JSON.
+LAUNCH_SCRIPT = """
+import json, multiprocessing.forkserver, sys
+
+root, marker = sys.argv[1:]
+with open(marker, "a") as handle:
+    handle.write("module body ran\\n")
+
+if __name__ == "__main__":
+    from repro.farm import NodeAssignment, ServiceSpec, SloClass
+    from repro.hw.config import AcceleratorConfig
+    from repro.serve import JobSpec, ServeGateway
+
+    slo = SloClass("gold", rank=0, weight=1.0, deadline_cycles=400_000)
+    assignment = NodeAssignment(
+        node=0, config=AcceleratorConfig.small(),
+        services=(ServiceSpec("det", "tiny_cnn", slo),),
+        dispatches=tuple((i, 0, i * 3_000) for i in range(6)),
+    )
+    with ServeGateway(root, backoff_s=0.01) as gateway:
+        job_id = gateway.submit(JobSpec(
+            assignment=assignment, snapshot_every_cycles=4_000, crash_after_snapshots=2,
+        ))
+        result = gateway.result(job_id, timeout=120)
+        attempts = gateway.status(job_id).attempts
+    print(json.dumps({
+        "resumed_from_cycle": result.resumed_from_cycle,
+        "attempts": attempts,
+        "preload": multiprocessing.forkserver._forkserver._preload_modules,
+    }))
+"""
+
+
 def session_members(session: int) -> list[tuple[str, str]]:
     """``(pid, state)`` of every live process in ``session``."""
     members = []
@@ -481,6 +550,16 @@ def session_members(session: int) -> list[tuple[str, str]]:
     return members
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
+    )
+    return env
+
+
 class TestWorkerLaunch:
     @pytest.mark.parametrize(
         "mode, state", [("served", JobState.COMPLETED), ("abandoned", JobState.RUNNING)]
@@ -491,15 +570,10 @@ class TestWorkerLaunch:
         used a gateway exits, nothing it started is left running.  A worker
         still running at exit is stopped, not waited for (its job stays
         RUNNING, for the next gateway to resume)."""
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
-        )
         root = tmp_path / "gw"
         child = subprocess.Popen(
             [sys.executable, "-c", GATEWAY_PROGRAM, str(root), mode],
-            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=tmp_path, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             start_new_session=True, text=True,
         )
         out, err = child.communicate(timeout=300)
@@ -509,6 +583,24 @@ class TestWorkerLaunch:
         assert launch["start_method"] == "forkserver"
         assert "repro.serve.worker" in launch["preload"]
         assert JobJournal(root / "journal.db").get(launch["job_id"]).state is state
+
+    def test_a_launch_does_not_rerun_the_callers_script(self, tmp_path):
+        """A worker launch (the first attempt and the relaunch after its
+        death) runs nothing of the calling script: its module body runs
+        once, in the caller.  Each attempt also finds everything it imports
+        preloaded in the fork server, ``numpy.random`` included."""
+        script = tmp_path / "serve_one.py"
+        script.write_text(LAUNCH_SCRIPT)
+        marker = tmp_path / "marker.txt"
+        out = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "gw"), str(marker)],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300,
+            check=True,
+        ).stdout
+        launch = json.loads(out)
+        assert launch["attempts"] == 2 and launch["resumed_from_cycle"] > 0
+        assert marker.read_text().splitlines() == ["module body ran"]
+        assert "numpy.random" in launch["preload"]
 
 
 class TestFarmWorkerRetry:
@@ -571,7 +663,7 @@ class TestCorruptSnapshotFallback:
             read_snapshot(snap)  # the poison helper defeats the CRC
 
         attempt = journal.start_attempt("j1", resumed=True)
-        result = execute_job("j1", spec, journal, tmp_path, attempt=attempt)
+        result = execute_job(journal.get("j1"), journal, tmp_path, attempt=attempt)
         assert record_tuples(result.records) == record_tuples(golden_records)
         assert result.final_cycle == golden_clock
         assert result.resumed_from_cycle == 0  # fresh start, not a resume
@@ -643,7 +735,7 @@ class TestCorruptSnapshotFallback:
             )
 
         attempt = journal.start_attempt("j1", resumed=True)
-        result = execute_job("j1", spec, journal, tmp_path, attempt=attempt)
+        result = execute_job(journal.get("j1"), journal, tmp_path, attempt=attempt)
         assert record_tuples(result.records) == record_tuples(golden_records)
         assert result.final_cycle == golden_clock
         assert result.resumed_from_cycle == 0
@@ -670,7 +762,7 @@ class TestCorruptSnapshotFallback:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", fsync_full_once)
-        result = execute_job("j1", spec, journal, tmp_path, attempt=attempt)
+        result = execute_job(journal.get("j1"), journal, tmp_path, attempt=attempt)
         assert record_tuples(result.records) == record_tuples(golden_records)
         assert result.final_cycle == golden_clock
         assert len(calls) > 2 and result.snapshots_written == len(calls) - 1
