@@ -189,22 +189,27 @@ def _lower_layer(
         second = ddr.region(layer.input2_region).base
         loads = _join([loads, column_rows(1, Opcode.LOAD_D, ddr_addr=second, flags=FLAG_OPERAND_B)])
     blobs: dict[tuple[int, Any], np.ndarray] = {}  # by group shape, see _stripe_block
-    stripes: dict[tuple[int, Any], np.ndarray] = {}  # by (out_rows, sections)
+    # By (out_rows, sections), the sections by identity: the planner shares
+    # one tuple among equal stripes, and a nested hash per stripe would cost
+    # more than the block it looks up.
+    stripes: dict[tuple[int, int], np.ndarray] = {}
     emitted: list[np.ndarray] = []
+    row0: list[int] = []  # of each emitted block, set once on the joined rows
     for tile in plan.tiles:
         tile_loads = loads.copy()
         tile_loads["length"] = tile.in_rows * width * tile.in_chs
-        tile_loads["row0"], tile_loads["rows"] = tile.in_row0, tile.in_rows
+        tile_loads["rows"] = tile.in_rows
         tile_loads["ch0"], tile_loads["chs"] = tile.in_ch0, tile.in_chs
         emitted.append(tile_loads)
+        row0.append(tile.in_row0)
         for stripe in tile.stripes:
-            key = (stripe.out_rows, stripe.sections)
+            key = (stripe.out_rows, id(stripe.sections))
             if key not in stripes:
                 stripes[key] = _stripe_block(config, layer, stripe, blobs, ddr)
-            block = stripes[key].copy()
-            block["row0"] = stripe.out_row0
-            emitted.append(block)
+            emitted.append(stripes[key])
+            row0.append(stripe.out_row0)
     rows = _join(emitted)
+    rows["row0"] = np.repeat(row0, [len(block) for block in emitted])
     rows["layer_id"] = layer.layer_id
     rows["flags"][-1] = FLAG_LAST_SAVE_OF_LAYER  # a stripe block ends on its SAVE
     return rows
@@ -218,10 +223,17 @@ def _stripe_block(
     ddr: Ddr,
 ) -> np.ndarray:
     """Every CalcBlob and SAVE of one stripe, ``row0`` left for the caller."""
-    output_base = ddr.region(layer.output_region).base
+    section_chs = np.array([section.chs for section in stripe.sections], dtype=np.int64)
+    saves = column_rows(
+        len(section_chs),
+        Opcode.SAVE,
+        ddr_addr=ddr.region(layer.output_region).base,
+        length=stripe.out_rows * layer.out_shape.width * section_chs,
+        chs=section_chs,
+    )
     emitted: list[np.ndarray] = []
     ch0: list[int] = []
-    for section in stripe.sections:
+    for index, section in enumerate(stripe.sections):
         for group in section.groups:
             # One template per distinct group shape, emitted at channel 0.
             shape = (group.chs, group.weight_chunks)
@@ -229,15 +241,7 @@ def _stripe_block(
                 blobs[shape] = _blob_block(config, layer, group, ddr)
             emitted.append(blobs[shape])
             ch0.append(group.ch0)
-        emitted.append(
-            column_rows(
-                1,
-                Opcode.SAVE,
-                ddr_addr=output_base,
-                length=stripe.out_rows * layer.out_shape.width * section.chs,
-                chs=section.chs,
-            )
-        )
+        emitted.append(saves[index : index + 1])
         ch0.append(section.ch0)
     rows = _join(emitted)
     rows["rows"] = stripe.out_rows

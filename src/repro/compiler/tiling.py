@@ -107,14 +107,22 @@ def _plan_spatial(config: AcceleratorConfig, layer: LayerConfig) -> LayerPlan:
         bytes_per_input_row *= 2
 
     tiles: list[TilePlan] = []
+    # A stripe's sections depend on its row count only: plan each count once,
+    # over the one list of output-channel groups every stripe shares.
+    sections: dict[int, tuple[SectionPlan, ...]] = {}
+    groups: list[GroupPlan] = []
     row = 0
     while row < out_h:
         tile_rows = _max_tile_rows(config, layer, row, bytes_per_input_row)
         in_row0, in_rows = layer.input_rows_for(row, tile_rows)
-        stripes = tuple(
-            _plan_stripe(config, layer, stripe_row0, min(config.para_height, row + tile_rows - stripe_row0))
-            for stripe_row0 in range(row, row + tile_rows, config.para_height)
-        )
+        stripes = []
+        for stripe_row0 in range(row, row + tile_rows, config.para_height):
+            stripe_rows = min(config.para_height, row + tile_rows - stripe_row0)
+            if stripe_rows not in sections:
+                per_section = _groups_per_section(config, layer, stripe_rows)
+                groups = groups or _plan_groups(config, layer)
+                sections[stripe_rows] = _plan_sections(groups, per_section)
+            stripes.append(StripePlan(stripe_row0, stripe_rows, sections[stripe_rows]))
         tiles.append(
             TilePlan(
                 out_row0=row,
@@ -123,7 +131,7 @@ def _plan_spatial(config: AcceleratorConfig, layer: LayerConfig) -> LayerPlan:
                 in_rows=in_rows,
                 in_ch0=0,
                 in_chs=layer.in_shape.channels,
-                stripes=stripes,
+                stripes=tuple(stripes),
             )
         )
         row += tile_rows
@@ -157,36 +165,42 @@ def _max_tile_rows(
     return best
 
 
-def _plan_stripe(
-    config: AcceleratorConfig, layer: LayerConfig, out_row0: int, out_rows: int
-) -> StripePlan:
+def _plan_groups(config: AcceleratorConfig, layer: LayerConfig) -> list[GroupPlan]:
+    """The output-channel groups of one stripe, ``para_out`` channels each."""
+    out_channels = layer.out_channels
+    chunks: dict[int, tuple[tuple[int, int], ...]] = {}  # by group width: at most two
+    groups = []
+    for ch0 in range(0, out_channels, config.para_out):
+        chs = min(config.para_out, out_channels - ch0)
+        if chs not in chunks:
+            chunks[chs] = _weight_chunks(config, layer, chs)
+        groups.append(GroupPlan(ch0=ch0, chs=chs, weight_chunks=chunks[chs]))
+    return groups
+
+
+def _groups_per_section(config: AcceleratorConfig, layer: LayerConfig, out_rows: int) -> int:
+    """How many groups of a stripe of ``out_rows`` rows one SAVE drains."""
     bytes_per_out_channel = out_rows * layer.out_shape.width
-    groups_per_section = max(
-        1, config.output_buffer_bytes // max(1, bytes_per_out_channel * config.para_out)
-    )
-    groups_per_section = min(groups_per_section, config.max_groups_per_save)
     if bytes_per_out_channel * min(config.para_out, layer.out_channels) > config.output_buffer_bytes:
         raise CompileError(
             f"layer {layer.name!r}: one output-channel group of a stripe "
             f"({bytes_per_out_channel * config.para_out} bytes) exceeds the output buffer"
         )
+    groups_per_section = max(
+        1, config.output_buffer_bytes // max(1, bytes_per_out_channel * config.para_out)
+    )
+    return min(groups_per_section, config.max_groups_per_save)
 
-    sections: list[SectionPlan] = []
-    group_starts = list(range(0, layer.out_channels, config.para_out))
-    for section_start in range(0, len(group_starts), groups_per_section):
-        starts = group_starts[section_start : section_start + groups_per_section]
-        groups = tuple(
-            GroupPlan(
-                ch0=ch0,
-                chs=min(config.para_out, layer.out_channels - ch0),
-                weight_chunks=_weight_chunks(config, layer, min(config.para_out, layer.out_channels - ch0)),
-            )
-            for ch0 in starts
-        )
-        ch0 = groups[0].ch0
-        chs = groups[-1].ch0 + groups[-1].chs - ch0
-        sections.append(SectionPlan(ch0=ch0, chs=chs, groups=groups))
-    return StripePlan(out_row0=out_row0, out_rows=out_rows, sections=tuple(sections))
+
+def _plan_sections(groups: list[GroupPlan], per_section: int) -> tuple[SectionPlan, ...]:
+    """``groups`` cut into runs of ``per_section``, one SAVE each."""
+    sections = []
+    for start in range(0, len(groups), per_section):
+        members = tuple(groups[start : start + per_section])
+        ch0 = members[0].ch0
+        chs = members[-1].ch0 + members[-1].chs - ch0
+        sections.append(SectionPlan(ch0=ch0, chs=chs, groups=members))
+    return tuple(sections)
 
 
 def _weight_chunks(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Final
 from weakref import WeakKeyDictionary
 
@@ -452,6 +452,17 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     ``tests/test_pricing_agreement.py`` and the conformance matrix's armed
     cells hold them to the core's prices and draws — and every prefix sum
     is one ``cumsum`` of a column gathered from it.
+
+    The boundary walk visits only the instructions that change buffer
+    state: loads, CALCs that open or finalize an accumulation (every CALC of
+    a non-conv layer), and SAVEs that move channels.  The rest are inert —
+    a virtual instruction is discarded after its fetch, a conv ``CALC_I``
+    with ``in_ch0 != 0`` adds to the accumulator its first ``CALC_I``
+    opened, and a ``SAVE`` with no channels drains nothing — so each one
+    leaves the state its last walked predecessor left: a clean boundary
+    with that predecessor's tiles after it when that state is clean, and
+    nothing otherwise.  A walked instruction that leaves a clean state
+    therefore ends boundaries up to the next walked one, in one ``extend``.
     """
     words = program.words
     opcode, layer_id = words["opcode"], words["layer_id"]
@@ -465,11 +476,13 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
         for index, price in zip(priced.first.tolist(), priced.cycles.tolist())
     ]
     cycles = priced.cycles[inverse]
-    events = [table[row][0] for row in inverse.tolist()]
+    templates = [row[0] for row in table]
+    events = list(map(templates.__getitem__, inverse.tolist()))
 
     fetch = fetch_cycles(compiled.config)
     is_load = (opcode == Opcode.LOAD_D) | (opcode == Opcode.LOAD_W)
-    is_calc = (opcode == Opcode.CALC_I) | (opcode == Opcode.CALC_F)
+    is_calc_i = opcode == Opcode.CALC_I
+    is_calc = is_calc_i | (opcode == Opcode.CALC_F)
     is_save = (opcode == Opcode.SAVE) & has_chs  # a fully pre-saved SAVE moves nothing
     stats = {
         "instructions": _prefix(~program.virtual_mask),
@@ -488,11 +501,12 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     # Replayed on-chip bookkeeping (timing-only: descriptors, no arrays):
     # a boundary is clean when no accumulator and no un-saved output
     # section is in flight; the resident tiles are snapshotted there.
-    is_conv = {
-        config.layer_id: config.kind == "conv" for config in compiled.layer_configs
-    }
+    conv_layers = np.zeros(1 << 16, dtype=bool)  # indexed by the u2 layer id
+    conv_layers[[c.layer_id for c in compiled.layer_configs if c.kind == "conv"]] = True
+    conv = conv_layers[layer_id]
+    walked = is_load | is_save | (is_calc & ~(is_calc_i & conv & (words["in_ch0"] != 0)))
     load_d, load_w = int(Opcode.LOAD_D), int(Opcode.LOAD_W)
-    calc_i, calc_f, save = int(Opcode.CALC_I), int(Opcode.CALC_F), int(Opcode.SAVE)
+    calc_i, calc_f = int(Opcode.CALC_I), int(Opcode.CALC_F)
     data_tiles: dict[int, _DataSpec] = {}
     weight: _WeightSpec | None = None
     tiles: _Tiles = ((), None)
@@ -501,16 +515,19 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     accumulating = False
     section: tuple[int, int, int] | None = None  # (layer, row0, rows) being finalized
     unsaved: list[int] = []  # ch0 of each finalized, un-saved channel group
-    boundaries = [0]
-    tile_ids = [0]
-    columns = [opcode, layer_id, operand_b] + [
-        words[name] for name in ("row0", "rows", "ch0", "chs", "in_ch0", "in_chs", "length")
+    at = np.flatnonzero(walked)
+    # Each walked instruction j answers for the inert run up to the next
+    # walked one: ``until`` is that one's index (n after the last).
+    until = np.append(at[1:], len(words)).tolist()
+    first = int(at[0]) if len(at) else len(words)  # the inert run before any
+    boundaries = array(COLUMN, range(first + 1))
+    tile_ids = array(COLUMN, [0]) * (first + 1)
+    picked = words[at]
+    columns = [picked["opcode"], picked["layer_id"], operand_b[at], conv[at]] + [
+        picked[name] for name in ("row0", "rows", "ch0", "chs", "in_ch0", "in_chs", "length")
     ]
-    walk = chain.from_iterable(  # column lists, a chunk at a time: bounded transient
-        zip(*(column[start : start + 8192].tolist() for column in columns))
-        for start in range(0, len(words), 8192)
-    )
-    for j, (op, layer, second, row0, rows, ch0, chs, in_ch0, in_chs, nbytes) in enumerate(walk):
+    walk = zip(at.tolist(), until, *(column.tolist() for column in columns))
+    for j, end, op, layer, second, is_conv, row0, rows, ch0, chs, in_ch0, in_chs, nbytes in walk:
         if op == load_d:
             for slot in [s for s, tile in data_tiles.items() if tile[0] != layer]:
                 del data_tiles[slot]
@@ -520,32 +537,31 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
             weight = (layer, ch0, chs, in_ch0, in_chs, nbytes)
             tiles, tile_id = (tuple(sorted(data_tiles.items())), weight), -1
         elif op == calc_i or op == calc_f:
-            conv = is_conv[layer]
-            if conv and in_ch0 == 0:
+            if is_conv and in_ch0 == 0:
                 accumulating = True
-            if op == calc_f or not conv:  # non-conv kinds never hold an accumulator
+            if op == calc_f or not is_conv:  # non-conv kinds never hold an accumulator
                 if section != (layer, row0, rows):
                     section, unsaved = (layer, row0, rows), []
                 unsaved.append(ch0)
-                if conv:
+                if is_conv:
                     accumulating = False
-        elif op == save and chs and section is not None:
+        elif section is not None:  # a SAVE that moves channels
             unsaved = [c for c in unsaved if not ch0 <= c < ch0 + chs]
             if not unsaved:
                 section = None
         if not accumulating and section is None:
             if tile_id < 0:
                 tile_id = tile_table.setdefault(tiles, len(tile_table))
-            boundaries.append(j + 1)
-            tile_ids.append(tile_id)
+            boundaries.extend(range(j + 1, end + 1))
+            tile_ids.extend(repeat(tile_id, end - j))
 
     return ProgramMeta(
         fetch,
         _prefix(cycles + fetch),
         stats,
         events,
-        array(COLUMN, boundaries),
-        array(COLUMN, tile_ids),
+        boundaries,
+        tile_ids,
         list(tile_table),
         opportunities,
     )

@@ -24,6 +24,7 @@ from repro.compiler.cache import (
     MAGIC,
     VERSION,
     CompileCache,
+    _dumps_body,
     cache_key,
     compiler_fingerprint,
     default_cache,
@@ -177,6 +178,36 @@ class TestRoundTrip:
             np.testing.assert_array_equal(region.array, restored)
             assert restored.dtype == region.array.dtype
             assert restored.flags.writeable
+
+    def test_zero_elision_tests_bytes_not_values(self):
+        """A ``-0.0`` buffer equals zero but keeps its sign bit, so it is
+        stored, not elided; an all-zero ``int8`` buffer is still elided."""
+        negative = np.full(1024, -0.0)
+        restored = pickle.loads(_dumps_body({"x": negative}))["x"]
+        assert restored.tobytes() == negative.tobytes()
+        zeros = np.zeros(1 << 16, dtype=np.int8)
+        dumped = _dumps_body({"x": zeros})
+        assert len(dumped) < 256
+        assert pickle.loads(dumped)["x"].tobytes() == zeros.tobytes()
+
+    def test_entry_compressed_at_another_level_loads(self, cache, graph):
+        """The zlib level is not part of the format: an entry whose frames
+        were written at level 3 (as before level 1) is still a hit."""
+        cold = compile_network(graph, BIG, weights="zeros", cache=cache)
+        (path,) = cache.root.glob("*.inca")
+        document = pickle.loads(unframe(path.read_bytes(), MAGIC, VERSION))
+
+        def level_3(blob: bytes) -> bytes:
+            return zlib.compress(zlib.decompress(blob), 3)
+
+        document["body"] = level_3(document["body"])
+        document["programs"] = {
+            mode: (name, level_3(blob)) for mode, (name, blob) in document["programs"].items()
+        }
+        path.write_bytes(frame(MAGIC, VERSION, pickle.dumps(document)))
+        warm = compile_network(graph, BIG, weights="zeros", cache=cache)
+        assert cache.stats.hits == 1
+        assert networks_identical(cold, warm)
 
     def test_plans_hydrate_lazily_and_match(self, cache, graph, monkeypatch):
         """Plans are derived when read, not stored: the load plans nothing

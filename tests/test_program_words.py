@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import repro.compiler.compile as compile_module
 from repro.analysis.latency import instruction_cycles
@@ -271,6 +271,90 @@ def test_mutated_programs_report_the_same_diagnostics(data, mutable):
     assert diagnostics(structural_pass, mutated, layers) == diagnostics(
         oracle.structural_pass, mutated, layers
     )
+
+
+@pytest.fixture(scope="module", params=["tiny_residual", "tiny_cnn"])
+def meta_mutable(request, example_config):
+    build = {"tiny_residual": build_tiny_residual, "tiny_cnn": build_tiny_cnn}[request.param]
+    return compile_network(build(), example_config, weights="zeros", verify="off", cache=False)
+
+
+def assert_meta_matches_oracle(compiled, stream: list[Instruction]) -> bool:
+    """Where the oracle walks ``stream`` to the end the metas agree field by
+    field; where it raises, :func:`build_program_meta` raises the same type.
+    Returns whether the oracle completed."""
+    program = Program(name="mutated", instructions=stream)
+    adopted = Program.from_bytes(program.to_bytes(), program.name)
+    try:
+        walked = oracle.build_program_meta(compiled, program)
+    except Exception as error:
+        with pytest.raises(type(error)):
+            build_program_meta(compiled, adopted)
+        return False
+    assert_same_meta(build_program_meta(compiled, adopted), walked)
+    return True
+
+
+def test_meta_walk_skips_only_inert_instructions(meta_mutable):
+    """The two placements the skipping walk must get right: a conv
+    ``CALC_I`` continuation where no accumulator is open (it ends a clean
+    boundary when no section is open either), and a virtual instruction
+    where one is (it ends none)."""
+    compiled = meta_mutable
+    stream = list(compiled.program_for("none"))
+    conv = {config.layer_id for config in compiled.layer_configs if config.kind == "conv"}
+
+    def opens(ins: Instruction) -> bool:
+        return ins.opcode is Opcode.CALC_I and ins.layer_id in conv and ins.in_ch0 == 0
+
+    continuation = replace(next(ins for ins in stream if opens(ins)), in_ch0=1)
+    loose: list[Instruction] = []
+    inside: list[Instruction] = []
+    for ins in stream:
+        loose.append(ins)
+        inside.append(ins)
+        if ins.opcode is Opcode.SAVE:
+            loose.append(continuation)
+        if opens(ins):
+            inside.append(replace(ins, opcode=Opcode.VIR_BARRIER))
+    assert assert_meta_matches_oracle(compiled, loose)
+    assert assert_meta_matches_oracle(compiled, inside)
+
+
+#: Field rewrites that move instructions between walked and inert.
+META_REWRITES = st.one_of(
+    st.builds(lambda v: {"opcode": v}, st.sampled_from(list(Opcode))),
+    st.builds(lambda v: {"in_ch0": v}, st.sampled_from([0, 4, 8])),
+    st.builds(
+        lambda op, v: {"opcode": op, "in_ch0": v},
+        st.sampled_from([Opcode.CALC_I, Opcode.CALC_F, Opcode.VIR_BARRIER, Opcode.VIR_SAVE]),
+        st.sampled_from([0, 4, 8]),
+    ),
+    st.builds(lambda v: {"chs": v}, st.sampled_from([0, 4, 8])),
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_programs_build_the_oracle_meta(data, meta_mutable):
+    stream = list(meta_mutable.program_for(data.draw(st.sampled_from(["none", "vi", "layer"]))))
+    for _ in range(data.draw(st.integers(1, 6))):
+        index = data.draw(st.integers(0, len(stream) - 1))
+        action = data.draw(st.sampled_from(["rewrite", "rewrite", "drop", "repeat", "move"]))
+        if action == "rewrite":
+            stream[index] = replace(stream[index], **data.draw(META_REWRITES))
+        elif action == "drop" and len(stream) > 1:
+            del stream[index]
+        elif action == "repeat":
+            stream.insert(index, stream[index])
+        else:
+            stream.insert(data.draw(st.integers(0, len(stream) - 1)), stream.pop(index))
+    completed = assert_meta_matches_oracle(meta_mutable, stream)
+    event("oracle completed" if completed else "oracle raised")
 
 
 # -- engagement: production paths decode a handful of objects ----------------------
