@@ -23,15 +23,19 @@ rest (:data:`MATRIX`).
 
 from __future__ import annotations
 
+import enum
+import hashlib
+import json
 import pickle
 import random
 import tempfile
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache, lru_cache
 from itertools import combinations, product
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import pytest
@@ -661,16 +665,116 @@ def golden_cell(cell: Cell) -> Cell:
     )
 
 
-@lru_cache(maxsize=4)
-def _golden(key: Cell) -> Subject:
+def canonical(value: object) -> object:
+    """``value`` as JSON data that two interpreters agree on byte for byte.
+
+    Lists stay arrays; everything else that is not a JSON scalar becomes a
+    one-key object naming its kind (an enum, a record: its class), so a
+    tuple, a list and a record never collide.  Dicts and sets are sorted
+    (``==`` ignores their order); a dataclass keeps only the fields ``==``
+    compares, in declaration order.
+    """
+    if type(value) in _PLAIN:
+        return value
+    encode = _ENCODERS.get(type(value))
+    if encode is None:
+        encode = _ENCODERS[type(value)] = _encoder(type(value))
+    return encode(value)
+
+
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
+def _items(values: Iterable[object]) -> list:
+    return [value if type(value) in _PLAIN else canonical(value) for value in values]
+
+
+def _encoder(kind: type) -> Callable[[object], object]:
+    name = kind.__name__
+    if issubclass(kind, enum.Enum):
+        return lambda value: {name: canonical(value.value)}
+    if issubclass(kind, (bool, np.bool_)):
+        return bool
+    if issubclass(kind, (int, np.integer)):
+        return int
+    if issubclass(kind, str):
+        return str
+    if issubclass(kind, float):
+        return lambda value: {"float": value.hex()}
+    if issubclass(kind, bytes):
+        return lambda value: {"bytes": value.hex()}
+    if issubclass(kind, list):
+        return _items
+    if issubclass(kind, tuple):
+        tag = name if hasattr(kind, "_fields") else "tuple"
+        return lambda value: {tag: _items(value)}
+    if issubclass(kind, Mapping):
+        return _map
+    if issubclass(kind, (set, frozenset)):
+        return lambda value: {"set": _sorted(_items(value))}
+    if is_dataclass(kind):
+        names = [f.name for f in fields(kind) if f.compare]
+        if len(names) < 2:
+            return lambda value: {name: _items(getattr(value, f) for f in names)}
+        compared = attrgetter(*names)
+        return lambda value: {name: _items(compared(value))}
+    raise TypeError(f"no canonical encoding for {name}")
+
+
+_ENCODERS: dict[type, Callable[[object], object]] = {}
+
+
+def _map(value: Mapping) -> object:
+    if all(type(key) is str for key in value):  # the common case, sorted as is
+        keys = sorted(value)
+        return {"map": [keys, _items(map(value.__getitem__, keys))]}
+    return {"map": _sorted([canonical(key), canonical(item)] for key, item in value.items())}
+
+
+def _sorted(items: Iterable[object]) -> list:
+    return sorted(items, key=_encoded)
+
+
+def _encoded(value: object) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def digest(observed: dict) -> str:
+    """sha256 of an observation's canonical encoding."""
+    return hashlib.sha256(_encoded(canonical(observed)).encode()).hexdigest()
+
+
+#: Each golden's :func:`digest`, keyed by ``str(golden_cell(cell))``,
+#: computed from a reference checkout by ``tests/regen_golden_digests.py``.
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "data" / "golden_digests.json"
+
+
+@cache
+def pinned_digests() -> dict[str, str]:
+    return json.loads(GOLDEN_DIGESTS.read_text())["digests"]
+
+
+def stepped_run(key: Cell) -> Subject:
+    """A golden cell, run on the stepped oracle."""
     with pytest.MonkeyPatch.context() as patch:
         stepped(patch)
         return run_cell(key)
 
 
+@lru_cache(maxsize=4)
+def _golden(key: Cell) -> Subject:
+    subject = stepped_run(key)
+    pinned = pinned_digests().get(str(key))
+    assert pinned is not None, f"no pinned digest for golden {key}: regenerate the fixture"
+    assert digest(subject.observed) == pinned, f"golden {key} differs from the reference"
+    return subject
+
+
 def golden(cell: Cell) -> Subject:
     """The stepped, freshly compiled, uninterrupted run ``cell`` must equal
-    (cells sharing one are adjacent in :data:`TIER1`)."""
+    (cells sharing one are adjacent in :data:`TIER1`), itself held to the
+    digest pinned from a reference checkout, so a driver change cannot move
+    a golden and its cells together."""
     return _golden(golden_cell(cell))
 
 
