@@ -19,9 +19,8 @@ configured bandwidth); the ablation benchmark documents this.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from heapq import heappop
+from typing import TYPE_CHECKING
 
 from repro.accel.core import AcceleratorCore
 from repro.compiler.compile import CompiledNetwork
@@ -31,26 +30,13 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
 from repro.hw.config import AcceleratorConfig
 from repro.hw.ddr import Ddr
-from repro.iau.context import JobRecord
+from repro.iau.context import JobRecord, TaskContext
 from repro.iau.unit import Iau
 from repro.obs.bus import EventBus
 from repro.obs.config import ObsConfig
-from repro.runtime.system import ArrivalPolicy, SubmitSurface
+from repro.runtime.system import SubmitSurface, TimedRequest, advance
 
 PLACEMENTS = ("static", "least-loaded")
-
-
-class _Request(NamedTuple):
-    cycle: int
-    sequence: int
-    task_id: int
-
-
-@dataclass
-class _TaskBinding:
-    compiled: CompiledNetwork
-    vi_mode: str
-    static_core: int | None
 
 
 class MultiCoreSystem(SubmitSurface):
@@ -93,11 +79,11 @@ class MultiCoreSystem(SubmitSurface):
             )
             for index in range(num_cores)
         ]
-        self._bindings: dict[int, _TaskBinding] = {}
-        self._requests: list[_Request] = []
+        #: Each attached task's pinned core (None: placed per job).
+        self._pinned: dict[int, int | None] = {}
+        self._requests = []
         self._sequence = 0
-        #: Undispatched requests per task (keeps NOW_IF_FREE O(cores)).
-        self._pending: dict[int, int] = {}
+        self._pending = {}
 
     @property
     def num_cores(self) -> int:
@@ -119,7 +105,7 @@ class MultiCoreSystem(SubmitSurface):
         With dynamic placement the task is attached to *every* core so any
         of them can run its jobs.
         """
-        if task_id in self._bindings:
+        if task_id in self._pinned:
             raise SchedulerError(f"task {task_id} already attached")
         if self.placement == "static":
             if core is None:
@@ -138,9 +124,7 @@ class MultiCoreSystem(SubmitSurface):
             self.cores[target].attach_task(
                 task_id, compiled, vi_mode=vi_mode, deadline_cycles=deadline_cycles
             )
-        self._bindings[task_id] = _TaskBinding(
-            compiled=compiled, vi_mode=vi_mode, static_core=core
-        )
+        self._pinned[task_id] = core
         self._pending[task_id] = 0
 
     # -- request injection (submit() inherited from SubmitSurface) ------------
@@ -151,56 +135,45 @@ class MultiCoreSystem(SubmitSurface):
     # or undispatched work for it.
 
     def _has_task(self, task_id: int) -> bool:
-        return task_id in self._bindings
+        return task_id in self._pinned
 
     def _submit_clock(self) -> int:
         return min(core.clock for core in self.cores)
 
     def _task_busy(self, task_id: int) -> bool:
-        if self._pending[task_id]:
-            return True
-        return any(
-            core.contexts[task_id] is not None and core.contexts[task_id].runnable
-            for core in self.cores
-            if task_id < len(core.contexts)
+        return bool(self._pending[task_id]) or any(
+            context.runnable for context in self._contexts(task_id)
         )
 
-    def _schedule(self, task_id: int, at_cycle: int) -> None:
-        # Same validation surface as the single-core MultiTaskSystem: the
-        # dispatcher's "now" is the slowest core's clock — nothing can be
-        # back-dated to before it.
-        now = self._submit_clock()
-        if at_cycle < now:
-            raise SchedulerError(
-                f"cannot submit in the past (at {at_cycle}, clock {now})"
-            )
-        heapq.heappush(self._requests, _Request(at_cycle, self._sequence, task_id))
-        self._sequence += 1
-        self._pending[task_id] += 1
+    def _contexts(self, task_id: int) -> list[TaskContext]:
+        """The task's context on every core it is attached to."""
+        return [
+            context for core in self.cores
+            if task_id < len(core.contexts) and (context := core.contexts[task_id]) is not None
+        ]
 
     # -- dispatch ---------------------------------------------------------------
+    #
+    # The dispatcher has no clock of its own: it places its requests in
+    # heap order, and each placement brings cores up to the request's
+    # cycle with the shared clock loop over an empty heap.  One step
+    # budget spans a whole run() call.
 
-    def _advance_core_to(self, core: Iau, cycle: int, max_steps: int) -> None:
-        steps = 0
-        while not core.idle and core.clock < cycle:
-            # Batch up to the dispatch horizon; steps at every switch point
-            # and through a stretch too short to batch (cycle-exact either
-            # way).
-            core.run_batched(cycle)
-            steps += 1
-            if steps > max_steps:
-                raise SchedulerError("core failed to reach dispatch time")
-        if core.idle:
-            core.clock = max(core.clock, cycle)
+    def _advance_core(self, core: Iau, until: int | None) -> None:
+        self._budget -= advance(core, [], _nothing, core.run_batched, until, self._budget)
+        if self._budget < 0:
+            raise SchedulerError(f"cores did not finish in {self._max_steps} steps")
+        if until is not None:
+            core.clock = max(core.clock, until)  # an idle core waits for it
 
-    def _choose_core(self, task_id: int, cycle: int, max_steps: int) -> Iau:
-        binding = self._bindings[task_id]
-        if self.placement == "static":
-            return self.cores[binding.static_core]
+    def _choose_core(self, task_id: int, cycle: int) -> Iau:
+        pinned = self._pinned[task_id]
+        if pinned is not None:  # static placement
+            return self.cores[pinned]
         # Bring every core's view up to the request time, then pick the
         # emptiest one (idle beats busy; fewer queued jobs beats more).
         for core in self.cores:
-            self._advance_core_to(core, cycle, max_steps)
+            self._advance_core(core, cycle)
 
         def load(core: Iau) -> tuple[int, int, int]:
             pending = sum(
@@ -212,26 +185,26 @@ class MultiCoreSystem(SubmitSurface):
 
         return min(self.cores, key=load)
 
+    def _place(self, request: TimedRequest) -> None:
+        task_id = request.payload
+        self._pending[task_id] -= 1
+        core = self._choose_core(task_id, request.cycle)
+        self._advance_core(core, request.cycle)
+        core.request(task_id, at_cycle=request.cycle)
+
     def run(self, max_steps: int = 500_000_000) -> int:
         """Dispatch every request and drain every core; returns max clock.
 
-        ``max_steps`` bounds dispatch iterations (``run_batched`` calls),
-        not instructions: one call retires a whole stretch, or steps
-        through a short one.
+        ``max_steps`` bounds the engine calls that did work (``run_batched``
+        calls that ran something) across all cores, per call, not
+        instructions: one call retires a whole stretch, or steps through a
+        short one.
         """
+        self._budget = self._max_steps = max_steps
         while self._requests:
-            request = heapq.heappop(self._requests)
-            self._pending[request.task_id] -= 1
-            core = self._choose_core(request.task_id, request.cycle, max_steps)
-            self._advance_core_to(core, request.cycle, max_steps)
-            core.request(request.task_id, at_cycle=request.cycle)
-        steps = 0
+            self._place(heappop(self._requests))
         for core in self.cores:
-            # No arrivals remain: drain each core with an unbounded horizon.
-            while core.run_batched():
-                steps += 1
-                if steps > max_steps:
-                    raise SchedulerError(f"drain exceeded {max_steps} steps")
+            self._advance_core(core, None)  # no arrivals remain: drain
         if self.faults is not None:
             self.ddr.scrub()
         return max(core.clock for core in self.cores)
@@ -240,13 +213,8 @@ class MultiCoreSystem(SubmitSurface):
 
     def jobs(self, task_id: int) -> list[JobRecord]:
         """All completed jobs of a task across cores, in request order."""
-        collected: list[JobRecord] = []
-        for core in self.cores:
-            context = core.contexts[task_id] if task_id < len(core.contexts) else None
-            if context is not None:
-                collected.extend(context.completed)
-        collected.sort(key=lambda job: job.request_cycle)
-        return collected
+        jobs = [job for context in self._contexts(task_id) for job in context.completed]
+        return sorted(jobs, key=lambda job: job.request_cycle)
 
     def summary(self) -> str:
         """Plain-text per-task observability summary (needs ``obs.events``)."""
@@ -271,3 +239,7 @@ class MultiCoreSystem(SubmitSurface):
 
     def makespan(self) -> int:
         return max(core.clock for core in self.cores)
+
+
+def _nothing(request: TimedRequest) -> None:
+    """``deliver`` of a per-core advance: its heap is always empty."""

@@ -1,30 +1,24 @@
 """Discrete-event executor co-simulating ROS callbacks with the accelerator.
 
-Time is the accelerator's cycle counter.  The executor interleaves:
+Time is the accelerator's cycle counter.  Scheduled callbacks (timers,
+delayed work, job-completion handlers) are
+:class:`~repro.runtime.system.TimedRequest` records, and :meth:`Executor.run`
+is the runtime's one clock loop, :func:`~repro.runtime.system.advance`, over
+them and the attached system's IAU.  This module supplies only the loop's
+``deliver`` — bring the executor clock up to the accelerator's, then run the
+callback with its cycle as the logical time the jobs it submits are
+back-dated to — and the pause contract: every callback due at or before
+``until_cycle`` runs, and nothing moves past it.
 
-* dispatching due scheduled callbacks (timers, delayed work), which may
-  publish messages and submit accelerator jobs, and
-* advancing the :class:`~repro.runtime.system.MultiTaskSystem`'s IAU, whose
-  job-completion hook schedules the corresponding node callbacks.
-
-The executor's next event *is* the IAU's batch horizon: an instruction may
-start while ``iau.clock`` is before the next scheduled callback (or the
-``until_cycle`` pause point), which is word for word the contract of
-:meth:`~repro.iau.unit.Iau.run_batched`.  Pre-emption eligibility only
+The next callback is the IAU's batch horizon.  Pre-emption eligibility only
 changes at arrivals and completions, arrivals only happen inside callbacks,
-and a completion ends its ``run_batched`` call — so each loop iteration
-retires one whole event-bounded stretch, not one instruction, and stays
-cycle- and event-exact against stepping (the ``ros`` / ``dslam`` cells of
-``tests/conformance.py``).
-Armed runs (event bus, ``FaultPlan``, QoS monitor) take the engine's own
-fire-oracle / event-replay / ``step()`` bail-outs; nothing here special-cases
-them.
-
-The first mission on a freshly compiled pair pays each program's
-:class:`~repro.iau.fastpath.ProgramMeta` build once (about 0.55 s for the
-135,809-instruction E10 bench pair; a compile-cache hit arrives primed) and
-is still faster cold than the stepped loop was warm (0.61 s against about
-1.7 s); every later mission on the pair runs in about 0.06 s.
+and a completion ends its ``run_batched`` call — so each iteration retires
+one whole event-bounded stretch and stays cycle- and event-exact against
+stepping (the ``ros`` / ``dslam`` cells of ``tests/conformance.py``).  Armed
+runs (event bus, ``FaultPlan``, QoS monitor) take the engine's own
+fire-oracle / event-replay / ``step()`` bail-outs; nothing here
+special-cases them.  The ``dslam_ros`` workload of ``benchmarks/perf``
+times a two-agent mission through this executor.
 
 This reproduces the property INCA needs from ROS — independent threads
 issuing accelerator requests at unpredictable times — with a deterministic,
@@ -33,9 +27,8 @@ repeatable timeline.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable
+from heapq import heappush
+from typing import Any, Callable
 
 from repro.errors import RosError
 from repro.faults.plan import FaultPlan, FaultSite
@@ -43,15 +36,8 @@ from repro.iau.context import JobRecord
 from repro.obs.bus import EventBus
 from repro.obs.events import EventKind
 from repro.qos.config import BackpressureProfile, QueuePolicy
-from repro.ros.topic import Delivery, Topic, TopicRegistry
-from repro.runtime.system import MultiTaskSystem
-
-
-@dataclass(order=True)
-class _Event:
-    cycle: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
+from repro.ros.topic import Callback, Delivery, Topic, TopicRegistry
+from repro.runtime.system import Clocked, MultiTaskSystem, TimedRequest, advance
 
 
 class Executor:
@@ -75,7 +61,7 @@ class Executor:
         #: plan so one FaultPlan covers the whole agent.
         self.faults = faults if faults is not None else getattr(system, "faults", None)
         self.topics = TopicRegistry()
-        self._events: list[_Event] = []
+        self._events: list[TimedRequest] = []
         self._sequence = 0
         self.clock = 0
         #: While dispatching an event, its scheduled cycle — job requests
@@ -94,8 +80,19 @@ class Executor:
             raise RosError(
                 f"cannot schedule in the past (at {at_cycle}, now {self.clock})"
             )
-        heapq.heappush(self._events, _Event(at_cycle, self._sequence, callback))
+        heappush(self._events, TimedRequest(at_cycle, self._sequence, callback))
         self._sequence += 1
+
+    @property
+    def _event_cycle(self) -> int:
+        """The dispatching event's cycle, else the clock: the logical time
+        of whatever a callback issues."""
+        return self.clock if self._dispatch_cycle is None else self._dispatch_cycle
+
+    def _delay(self, delay_cycles: int, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` a delay after the logical time, not after
+        the (possibly further advanced) clock."""
+        self.schedule(max(self._event_cycle + delay_cycles, self.clock), callback)
 
     def schedule_after(self, delay_cycles: int, callback: Callable[[], None]) -> None:
         self.schedule(self.clock + delay_cycles, callback)
@@ -139,7 +136,7 @@ class Executor:
         """
         topic = self.topics.topic(topic_name)
         if topic.qos is not None:
-            return self._publish_qos(topic, message)
+            return self._publish_qos(topic, topic.qos, message)
         if self.faults is not None:
             if self.faults.fires(FaultSite.ROS_DROP):
                 self._inject(FaultSite.ROS_DROP, topic=topic_name)
@@ -147,25 +144,16 @@ class Executor:
             if self.faults.fires(FaultSite.ROS_DELAY):
                 delay = self.faults.ros_delay_cycles
                 self._inject(FaultSite.ROS_DELAY, topic=topic_name, delay_cycles=delay)
-                # Measure the delay from the dispatching event's logical
-                # time, not the (possibly further advanced) wall clock.
-                base = (
-                    self._dispatch_cycle
-                    if self._dispatch_cycle is not None
-                    else self.clock
-                )
-                self.schedule(
-                    max(base + delay, self.clock),
-                    lambda: self._deliver(topic_name, message),
-                )
+                self._delay(delay, lambda: self._deliver(topic_name, message))
                 return None
         self._deliver(topic_name, message)
         return None
 
     # -- backpressure ------------------------------------------------------
 
-    def _publish_qos(self, topic: Topic, message: object) -> Delivery:
-        profile = topic.qos
+    def _publish_qos(
+        self, topic: Topic, profile: BackpressureProfile, message: object
+    ) -> Delivery:
         delivery = Delivery(
             topic=topic.name, message=message, enqueued_cycle=self.clock
         )
@@ -197,11 +185,12 @@ class Executor:
         if delivery.status != "pending":
             return  # evicted while a retry was in flight
         profile = topic.qos
+        assert profile is not None
         delivery.attempts += 1
         if self.faults is not None and self.faults.fires(FaultSite.ROS_DROP):
             self._inject(FaultSite.ROS_DROP, topic=topic.name)
             if profile.reliable:
-                self._schedule_retry(topic, delivery)
+                self._schedule_retry(topic, profile, delivery)
             else:
                 self._finish(topic, delivery, "dropped")
             return
@@ -212,13 +201,7 @@ class Executor:
                 FaultSite.ROS_DELAY, topic=topic.name, delay_cycles=delay
             )
         if delay:
-            base = (
-                self._dispatch_cycle if self._dispatch_cycle is not None else self.clock
-            )
-            self.schedule(
-                max(base + delay, self.clock),
-                lambda: self._complete_delivery(topic, delivery),
-            )
+            self._delay(delay, lambda: self._complete_delivery(topic, delivery))
         else:
             self._complete_delivery(topic, delivery)
 
@@ -236,8 +219,9 @@ class Executor:
                 latency_cycles=self.clock - delivery.enqueued_cycle,
             )
 
-    def _schedule_retry(self, topic: Topic, delivery: Delivery) -> None:
-        profile = topic.qos
+    def _schedule_retry(
+        self, topic: Topic, profile: BackpressureProfile, delivery: Delivery
+    ) -> None:
         waited = self.clock - delivery.enqueued_cycle
         if (
             delivery.attempts > profile.max_retries
@@ -261,7 +245,7 @@ class Executor:
         except ValueError:
             pass  # already evicted from the bounded queue
 
-    def _emit_qos(self, kind: EventKind, **data) -> None:
+    def _emit_qos(self, kind: EventKind, **data: Any) -> None:
         if self.bus is not None:
             self.bus.emit(kind, cycle=self.clock, **data)
 
@@ -288,12 +272,12 @@ class Executor:
             ),
         )
 
-    def _inject(self, site: FaultSite, **detail) -> None:
+    def _inject(self, site: FaultSite, **detail: Any) -> None:
         self.faults.record(site, self.clock, **detail)
         if self.bus is not None:
             self.bus.emit(EventKind.FAULT_INJECT, cycle=self.clock, site=site.value, **detail)
 
-    def subscribe(self, topic_name: str, callback) -> None:
+    def subscribe(self, topic_name: str, callback: Callback) -> None:
         self.topics.topic(topic_name).subscribe(callback)
 
     # -- accelerator integration ----------------------------------------------------
@@ -309,8 +293,7 @@ class Executor:
         iau = self.system.iau
         if iau.idle:
             iau.clock = max(iau.clock, self.clock)
-        arrival = self._dispatch_cycle if self._dispatch_cycle is not None else self.clock
-        iau.request(task_id, at_cycle=arrival)
+        iau.request(task_id, at_cycle=self._event_cycle)
 
     def _job_completed(self, task_id: int, job: JobRecord) -> None:
         handlers = self._completion_handlers.get(task_id)
@@ -326,57 +309,46 @@ class Executor:
         """True when no event is scheduled and the accelerator is idle."""
         return not self._events and (self.system is None or self.system.iau.idle)
 
+    def _dispatch(self, event: TimedRequest) -> None:
+        """Run one due callback (``deliver`` of the clock loop): the event is
+        due, so the clock the loop advances is at or past its cycle."""
+        if self.system is not None:
+            self.clock = max(self.clock, self.system.iau.clock)
+        self._dispatch_cycle = event.cycle
+        try:
+            event.payload()
+        finally:
+            self._dispatch_cycle = None
+
     def run(self, until_cycle: int | None = None, max_steps: int = 500_000_000) -> int:
         """Run events + accelerator until both are drained (or ``until_cycle``).
 
-        A run paused by ``until_cycle`` and resumed by later calls is cycle-
-        and event-exact against one uninterrupted ``run()``; check
+        Every callback due at or before ``until_cycle`` runs, and nothing
+        moves past it: an idle accelerator waits at the pause, so work
+        scheduled before the next event still runs when it is due.  A run
+        paused by ``until_cycle`` and resumed by later calls is cycle- and
+        event-exact against one uninterrupted ``run()``; check
         :attr:`drained` to distinguish a pause from completion.
+        ``max_steps`` bounds the engine calls that did work, per call.
         """
-        iau = self.system.iau if self.system is not None else None
-        steps = 0
-        while True:
-            steps += 1
-            if steps > max_steps:
-                raise RosError(f"executor did not finish within {max_steps} steps")
-            # An instruction may start while ``iau.clock < horizon``: the
-            # next event (or the pause point) is the batch horizon.
-            horizon = self._events[0].cycle if self._events else None
-            if until_cycle is not None:
-                horizon = until_cycle if horizon is None else min(horizon, until_cycle)
-
-            if (
-                iau is not None
-                and not iau.idle
-                and (horizon is None or iau.clock < horizon)
-            ):
-                # One event-bounded stretch.  A job completion ends the
-                # call, so the handlers it schedules are seen before
-                # anything else runs.
-                iau.run_batched(horizon)
-                self.clock = max(self.clock, iau.clock)
-                continue
-
-            if not self._events:
-                break
-            event = self._events[0]
-            if until_cycle is not None and event.cycle > until_cycle:
-                break
-            heapq.heappop(self._events)
-            self.clock = max(self.clock, event.cycle)
-            if iau is not None and iau.idle:
-                iau.clock = max(iau.clock, self.clock)
-            self._dispatch_cycle = event.cycle
-            try:
-                event.callback()
-            finally:
-                self._dispatch_cycle = None
+        system = self.system
+        clocked: Clocked = self if system is None else system.iau
+        engine = _idle if system is None else system.iau.run_batched
+        steps = advance(clocked, self._events, self._dispatch, engine, until_cycle, max_steps)
+        if steps > max_steps:
+            raise RosError(f"executor did not finish within {max_steps} steps")
+        self.clock = max(self.clock, clocked.clock)
         if until_cycle is not None:
             self.clock = max(self.clock, until_cycle)
-        if iau is not None and self.system.faults is not None and self.drained:
+        if system is not None and system.faults is not None and self.drained:
             # The executor drives the IAU directly, bypassing the system's
             # run(); scrub latent DDR corruption here too.  Only once
             # drained: a paused run keeps its pending flips, exactly like
             # MultiTaskSystem.run.
-            self.system.ddr.scrub()
+            system.ddr.scrub()
         return self.clock
+
+
+def _idle(horizon: int | None) -> bool:
+    """The engine of an executor with no accelerator: never any work."""
+    return False

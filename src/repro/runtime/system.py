@@ -22,10 +22,10 @@ removed in v2.0 — see the README's "Migrating to 2.0").
 from __future__ import annotations
 
 import enum
-import heapq
 from array import array
+from heapq import heappop, heappush
 from itertools import chain
-from typing import Any, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping, NamedTuple, Protocol
 
 from repro.accel.core import AcceleratorCore
 from repro.compiler.compile import CompiledNetwork, compile_network
@@ -48,6 +48,9 @@ from repro.qos.monitor import InvariantMonitor
 from repro.state import Stateful
 from repro.units import MIB
 
+if TYPE_CHECKING:
+    from repro.compiler.cache import CompileCache
+
 
 class ArrivalPolicy(enum.Enum):
     """How :meth:`MultiTaskSystem.submit` interprets a request."""
@@ -63,15 +66,66 @@ class ArrivalPolicy(enum.Enum):
 
 
 class TimedRequest(NamedTuple):
-    """An inference request scheduled for a future cycle.
+    """Something due at a future cycle: the one record of every driver's
+    heap (a request's task slot, or a ROS callback, as ``payload``).
 
-    A tuple, so the request heap orders ``(cycle, sequence)`` with a C
-    tuple compare.
+    A tuple, so a heap orders ``(cycle, sequence)`` with a C tuple compare
+    (sequences are unique: the payload is never compared).
     """
 
     cycle: int
     sequence: int
-    task_id: int
+    payload: Any
+
+
+class Clocked(Protocol):
+    """What :func:`advance` moves: an IAU, or a system-less ROS executor."""
+
+    clock: int
+
+
+def advance(
+    clocked: Clocked,
+    events: list[TimedRequest],
+    deliver: Callable[[TimedRequest], object],
+    run: Callable[[int | None], bool],
+    until: int | None,
+    max_steps: int,
+) -> int:
+    """The clock loop every driver runs on.
+
+    Each iteration delivers every record of the ``events`` heap due by
+    ``min(clock, until)``, stops once the clock reaches ``until``, and
+    otherwise calls ``run(horizon)`` — one engine call bounded by the next
+    record (and ``until``), True when it ran something.  When nothing ran,
+    an idle clock fast-forwards to the next record, but only to one at or
+    before ``until``; with none left the loop stops.  ``deliver`` may push
+    new records (a ROS callback scheduling more work); it must not move the
+    clock.
+
+    Returns the number of ``run`` calls that did work, stopping as soon as
+    that exceeds ``max_steps`` — the caller raises its own error then.
+    """
+    steps = 0
+    while True:
+        clock = clocked.clock
+        if until is not None and clock >= until:
+            while events and events[0].cycle <= until:
+                deliver(heappop(events))
+            return steps
+        while events and events[0].cycle <= clock:
+            deliver(heappop(events))
+        horizon = until
+        if events and (until is None or events[0].cycle < until):
+            horizon = events[0].cycle
+        if run(horizon):
+            steps += 1
+            if steps > max_steps:
+                return steps
+            continue
+        if not events or (until is not None and events[0].cycle > until):
+            return steps
+        clocked.clock = events[0].cycle
 
 
 def encode_requests(requests: list[TimedRequest]) -> array[int]:
@@ -94,15 +148,21 @@ class SubmitSurface:
     One implementation shared by :class:`MultiTaskSystem` and
     :class:`~repro.multicore.system.MultiCoreSystem`: subclasses provide
     the primitive hooks (attachment check, current clock, per-task
-    busy/pending state, and the actual scheduling of one request) and
-    inherit the full policy surface.
+    busy/pending state) and inherit the full policy surface and the
+    request heap it fills.
     """
+
+    _requests: list[TimedRequest]
+    _sequence: int
+    #: Undelivered requests per task (keeps NOW_IF_FREE cheap).
+    _pending: dict[int, int]
 
     def _has_task(self, task_id: int) -> bool:
         raise NotImplementedError
 
     def _submit_clock(self) -> int:
-        """The clock a NOW_IF_FREE request is stamped with."""
+        """The clock a NOW_IF_FREE request is stamped with; nothing can be
+        submitted before it."""
         raise NotImplementedError
 
     def _task_busy(self, task_id: int) -> bool:
@@ -110,7 +170,12 @@ class SubmitSurface:
         raise NotImplementedError
 
     def _schedule(self, task_id: int, at_cycle: int) -> None:
-        raise NotImplementedError
+        now = self._submit_clock()
+        if at_cycle < now:
+            raise SchedulerError(f"cannot submit in the past (at {at_cycle}, clock {now})")
+        heappush(self._requests, TimedRequest(at_cycle, self._sequence, task_id))
+        self._sequence += 1
+        self._pending[task_id] += 1
 
     def submit(
         self,
@@ -220,11 +285,10 @@ class MultiTaskSystem(SubmitSurface, Stateful):
         self.degradation = degradation
         #: Requests shed by the degradation policy, per task.
         self.shed: dict[int, int] = {}
-        self._requests: list[TimedRequest] = []
+        self._requests = []
         self._sequence = 0
         self._task_ids: list[int] = []
-        #: Undelivered requests per task (keeps NOW_IF_FREE O(1)).
-        self._pending: dict[int, int] = {}
+        self._pending = {}
 
     # -- setup -------------------------------------------------------------
 
@@ -250,7 +314,7 @@ class MultiTaskSystem(SubmitSurface, Stateful):
         self._task_ids.append(task_id)
         self._pending[task_id] = 0
         self.shed[task_id] = 0
-        if self.monitor is not None:
+        if self.monitor is not None and self.qos is not None:
             if (
                 self.qos.admission is not None
                 and task_id >= self.qos.min_task_id
@@ -271,47 +335,37 @@ class MultiTaskSystem(SubmitSurface, Stateful):
     def _task_busy(self, task_id: int) -> bool:
         return bool(self.iau.context(task_id).runnable or self._pending[task_id])
 
-    def _schedule(self, task_id: int, at_cycle: int) -> None:
-        if at_cycle < self.iau.clock:
-            raise SchedulerError(
-                f"cannot submit in the past (at {at_cycle}, clock {self.iau.clock})"
-            )
-        heapq.heappush(self._requests, TimedRequest(at_cycle, self._sequence, task_id))
-        self._sequence += 1
-        self._pending[task_id] += 1
-
     # -- simulation ---------------------------------------------------------------
 
-    def _deliver_due(self) -> None:
-        while self._requests and self._requests[0].cycle <= self.iau.clock:
-            request = heapq.heappop(self._requests)
-            self._pending[request.task_id] -= 1
-            if self.degradation is not None and self._degrade(request):
-                continue
-            # Back-date to the true arrival: the request may become visible
-            # only after the in-flight instruction retires, but its latency
-            # clock starts when the interrupt line was raised.
-            self.iau.request(request.task_id, at_cycle=request.cycle)
+    def _deliver(self, request: TimedRequest) -> None:
+        task_id = request.payload
+        self._pending[task_id] -= 1
+        policy = self.degradation
+        if policy is not None and self._degrade(policy, task_id):
+            return
+        # Back-date to the true arrival: the request may become visible
+        # only after the in-flight instruction retires, but its latency
+        # clock starts when the interrupt line was raised.
+        self.iau.request(task_id, at_cycle=request.cycle)
 
-    def _degrade(self, request: TimedRequest) -> bool:
+    def _degrade(self, policy: DegradationPolicy, task_id: int) -> bool:
         """Apply the degradation policy to one arriving request.
 
         Returns True when the request was shed (not delivered).  May also
         flip the task between its full and down-tiered program depending on
         the backlog.
         """
-        policy = self.degradation
-        if request.task_id < policy.min_task_id:
+        if task_id < policy.min_task_id:
             return False
-        context = self.iau.context(request.task_id)
+        context = self.iau.context(task_id)
         backlog = context.pending_jobs
         if backlog >= policy.max_pending:
-            self.shed[request.task_id] += 1
+            self.shed[task_id] += 1
             if self.bus is not None:
                 self.bus.emit(
                     EventKind.JOB_DEGRADED,
                     cycle=self.iau.clock,
-                    task_id=request.task_id,
+                    task_id=task_id,
                     action="shed",
                     pending=backlog,
                 )
@@ -327,7 +381,7 @@ class MultiTaskSystem(SubmitSurface, Stateful):
                     self.bus.emit(
                         EventKind.JOB_DEGRADED,
                         cycle=self.iau.clock,
-                        task_id=request.task_id,
+                        task_id=task_id,
                         action="downtier",
                         pending=backlog,
                     )
@@ -359,45 +413,28 @@ class MultiTaskSystem(SubmitSurface, Stateful):
         ``batched=False``, which forces the per-instruction ``step()`` loop
         (the differential-testing reference).
 
-        ``max_steps`` bounds dispatch iterations of this loop, not
-        instructions: batched, one iteration retires a whole stretch or
-        steps through one too short to batch.
+        ``max_steps`` bounds the engine calls that did work, per call of
+        this method, not instructions: batched, one call retires a whole
+        stretch or steps through one too short to batch.
 
         ``until_cycle`` pauses the run at the first step boundary at or past
         that clock instead of draining — the serving layer's snapshot
-        points.  A chunked run (repeated ``until_cycle`` calls) is cycle-
-        and event-exact against one uninterrupted ``run()``; check
-        :attr:`done` to distinguish a pause from completion.
+        points.  An accelerator that goes idle before the pause skips ahead
+        to the next arrival, even one past the pause, so a snapshot loop or
+        a farm epoch crosses a gap in the work in one call.  A chunked run
+        (repeated ``until_cycle`` calls) is cycle- and event-exact against
+        one uninterrupted ``run()``; check :attr:`done` to distinguish a
+        pause from completion.
 
         Returns the final clock (cycles).
         """
         iau = self.iau
         requests = self._requests
-        steps = 0
-        while True:
-            if until_cycle is not None and iau.clock >= until_cycle:
-                break
-            self._deliver_due()
-            if batched:
-                # The horizon is re-read every iteration: completions may
-                # schedule new work (ROS callbacks) between batches.
-                horizon = requests[0].cycle if requests else None
-                if until_cycle is not None:
-                    horizon = (
-                        until_cycle if horizon is None else min(horizon, until_cycle)
-                    )
-                ran = iau.run_batched(horizon)
-            else:
-                ran = iau.step()
-            if not ran:  # idle: nothing was runnable
-                if not requests:
-                    break
-                # Fast-forward to the next arrival.
-                iau.clock = max(iau.clock, requests[0].cycle)
-                continue
-            steps += 1
-            if steps > max_steps:
-                raise SchedulerError(f"simulation did not finish in {max_steps} steps")
+        run = iau.run_batched if batched else lambda horizon: iau.step()
+        if advance(iau, requests, self._deliver, run, until_cycle, max_steps) > max_steps:
+            raise SchedulerError(f"simulation did not finish in {max_steps} steps")
+        if until_cycle is not None and iau.clock < until_cycle and requests:
+            iau.clock = requests[0].cycle  # idle before the pause: skip the gap
         if self.faults is not None and self.done:
             # End-of-run ECC scrub: latent DDR corruption must be corrected
             # (or escalate to EccError) before anyone reads results back.
@@ -408,13 +445,13 @@ class MultiTaskSystem(SubmitSurface, Stateful):
 
     # -- snapshot/restore ------------------------------------------------------
 
-    def _fingerprint(self) -> dict:
+    def _fingerprint(self) -> dict[str, Any]:
         """Structural identity a snapshot must match to be restorable here:
         the accelerator design, the execution mode and the attached task set
         (slot → program variant + length + regions).  All derived from
         construction arguments, never mutated by a run.  *Which* optional
         subsystems are armed needs no entry: it is the state's key set."""
-        tasks = {}
+        tasks: dict[int, dict[str, Any]] = {}
         for task_id in self._task_ids:
             context = self.iau.context(task_id)
             tasks[task_id] = {
@@ -432,7 +469,7 @@ class MultiTaskSystem(SubmitSurface, Stateful):
             "tasks": tasks,
         }
 
-    def state_view(self) -> dict:
+    def state_view(self) -> dict[str, Any]:
         """The full mid-run state as one picklable dict, by reference
         (:meth:`capture_state` is its detached copy).
 
@@ -507,7 +544,7 @@ def compile_tasks(
     weights: str = "zeros",
     seed: int = 0,
     gap_bytes: int = 64 * MIB,
-    cache=None,
+    cache: CompileCache | Literal[False] | None = None,
 ) -> list[CompiledNetwork]:
     """Compile several networks into disjoint DDR windows.
 

@@ -10,7 +10,11 @@ pickle -> ``restore_state``, or ``snapshot_system`` / ``restore_system``
 through a file).  Every cell runs on the batched engine and must equal its
 *golden*: the same workload and seed, stepped (:func:`stepped`), freshly
 compiled and run once.  A one-core ``MultiCoreSystem`` is held to the
-``MultiTaskSystem`` golden on clock, job records and core stats.
+``MultiTaskSystem`` golden on clock, job records and core stats.  Each
+golden is computed live by stepping the same driver, so it is itself held
+to a :func:`digest` pinned from a reference checkout
+(``tests/data/golden_digests.json``, ``tests/regen_golden_digests.py``):
+a change to a driver cannot move a golden together with its cells.
 
 :func:`valid` says which combinations exist.  :data:`TIER1` is every
 :data:`PINNED` cell plus a greedy pairwise cover of the rest of the valid

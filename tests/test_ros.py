@@ -196,6 +196,42 @@ class TestExecutorPausePoints:
         assert ddr.pending_flip_count == 0  # drained: scrubbed
         assert observe(paused, False) == whole
 
+    def test_a_job_scheduled_between_pauses_starts_on_time(self, tiny_pair):
+        """A pause moves nothing past ``until_cycle``: an idle accelerator
+        does not skip ahead to the next event, so work scheduled between
+        the pause and that event still runs when it is due."""
+        low, high = tiny_pair
+        system = MultiTaskSystem(low.config)
+        system.add_task(0, high, vi_mode="vi")
+        system.add_task(1, low, vi_mode="vi")
+        executor = Executor(system)
+        executor.schedule(5_000_000, lambda: executor.submit_job(0))
+        assert executor.run(until_cycle=2_000_000) == 2_000_000
+        executor.schedule(3_000_000, lambda: executor.submit_job(1))
+        executor.run()
+        job = system.job(1)
+        assert job.request_cycle == job.start_cycle == 3_000_000
+        assert system.job(0).request_cycle == 5_000_000
+
+    def test_a_systemless_executor_schedules_after_a_pause(self):
+        """The clock stops at the pause point, not at the next event, so
+        scheduling between the two is not scheduling in the past."""
+        executor = Executor()
+        fired = []
+        executor.schedule(300, lambda: fired.append(("late", executor.clock)))
+        assert executor.run(until_cycle=250) == 250
+        executor.schedule(260, lambda: fired.append(("new", executor.clock)))
+        assert executor.run() == 300
+        assert fired == [("new", 260), ("late", 300)]
+
+    def test_every_event_due_by_the_pause_runs_in_it(self):
+        executor = Executor()
+        fired = []
+        for cycle in (100, 250, 251):
+            executor.schedule(cycle, lambda cycle=cycle: fired.append(cycle))
+        executor.run(until_cycle=250)
+        assert fired == [100, 250] and not executor.drained
+
 
 class TestNode:
     def test_node_pub_sub(self):
