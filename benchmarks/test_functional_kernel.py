@@ -4,10 +4,11 @@ it replaced by >= 2.5x on one functional ResNet-18 job, bit for bit.
 ``ObsConfig(functional=True)`` is the only mode that checks INCA's exactness
 contract with real arithmetic, and it was the slowest thing in the repo: nine
 ``np.tensordot`` calls on int64 operands per 3x3 CALC, none of which numpy can
-hand to BLAS.  :mod:`repro.quant.kernels` replaces them with one float64 GEMM
-over a sliding-window view.  The old loops live on as the test-side oracle
-(``tests/tap_loop_oracle.py``); here they are patched back in under the same
-core, program and input, so the ratio isolates the kernel and nothing else.
+hand to BLAS.  :mod:`repro.quant.kernels` replaces them with a float32 GEMM
+over a sliding-window view, exact in depth chunks of at most 1024 terms.
+The old loops live on as the test-side oracle (``tests/tap_loop_oracle.py``);
+here they are patched back in under the same core, program and input, so
+the ratio isolates the kernel and nothing else.
 
 Correctness over every geometry is ``tests/test_quant_kernels.py``; the
 end-to-end ledger rows are ``python -m benchmarks.perf --workload
@@ -70,7 +71,7 @@ def test_functional_kernel_speedup(big_config):
     speedup = oracle_s / kernel_s
     macs = compiled.graph.total_macs()
     lines = [
-        "Functional kernel: one float64 GEMM per CALC vs the int64 tap loops",
+        "Functional kernel: depth-chunked float32 GEMM per CALC vs the int64 tap loops",
         "workload: one ResNet-18@64x64 job, ObsConfig(functional=True), random weights",
         f"simulated cycles (both)    : {kernel_cycles:>12,}",
         f"tap-loop oracle wall time  : {oracle_s * 1e3:>12.1f} ms   "

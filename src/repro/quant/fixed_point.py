@@ -95,13 +95,24 @@ def requantize_shift(
     return shift
 
 
-def saturating_shift(acc: np.ndarray, shift: int) -> np.ndarray:
+def saturating_shift(
+    acc: np.ndarray, shift: int, bias: np.ndarray | None = None, relu: bool = False
+) -> np.ndarray:
     """Round-half-up arithmetic right shift with int8 saturation.
 
     This is the exact datapath the simulator and the reference quantized ops
-    share, so their results can be compared bit-for-bit.
+    share, so their results can be compared bit-for-bit.  ``bias`` (int,
+    accumulator scale) is added first and broadcasts over the last axis;
+    ``relu`` makes 0 the lower bound.  The output-sized work is one int64
+    array, shifted and clipped in place; ``acc`` is never written.
     """
     acc = np.asarray(acc, dtype=np.int64)
+    offset: int | np.ndarray = 1 << (shift - 1) if shift > 0 else 0
+    if bias is not None:
+        offset = np.add(bias, offset, dtype=np.int64)
+    out = np.empty(np.broadcast_shapes(acc.shape, np.shape(offset)), dtype=np.int64)
+    np.add(acc, offset, out=out)
     if shift > 0:
-        acc = (acc + (1 << (shift - 1))) >> shift
-    return np.clip(acc, INT8_MIN, INT8_MAX).astype(np.int8)
+        out >>= shift
+    np.clip(out, 0 if relu else INT8_MIN, INT8_MAX, out=out)
+    return out.astype(np.int8)

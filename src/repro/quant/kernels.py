@@ -3,8 +3,8 @@
 A padded HWC window is exposed as a read-only *patch view* of shape
 ``(out_h, out_w, kh, kw, C)`` — no data moves until an operator consumes it:
 
-* conv is **one** ``float64`` GEMM of the ``(out_h*out_w, kh*kw*cin)`` patch
-  matrix against the ``(kh*kw*cin, cout)`` weights,
+* conv is one GEMM of the ``(out_h*out_w, kh*kw*cin)`` patch matrix
+  against the ``(kh*kw*cin, cout)`` weights,
 * depthwise is one multiply-and-sum over the two tap axes,
 * max/avg pool is one reduction over the stacked taps,
 
@@ -14,17 +14,25 @@ the per-CALC stripe arithmetic (:mod:`repro.accel.functional`) and the float
 reference (:mod:`repro.quant.float_ref`) all call these functions, so "tiled
 equals whole-layer" compares one kernel with itself over different row ranges.
 
-**Why float64 is exact for int8.**  ``|a * w| <= 2**14`` for int8 operands,
-so a dot product of length ``K`` is an integer of magnitude at most
-``K * 2**14``.  :func:`int8_conv` and :func:`int8_depthwise` refuse any ``K``
-whose worst case does not fit the declared ``ACC_BITS``-bit signed accumulator
-(``K * 2**14 >= 2**31``); every product and every partial sum — in whatever
-order BLAS adds them, fused or not — is therefore an integer far below the
-``2**53`` float64 mantissa and is represented exactly.  float64 is how numpy
-reaches BLAS (integer ``matmul`` does not), not an approximation.
+**Why float32 is exact for int8.**  ``|a * w| <= 2**14`` for int8 operands,
+so a dot product of ``K`` terms is an integer of magnitude at most
+``K * 2**14``.  :func:`int8_conv` sums each dot product in depth chunks of
+at most :data:`F32_DEPTH` = 1024 terms, one float32 GEMM per chunk: a
+chunk's every product and partial sum is an integer of magnitude at most
+``1024 * 2**14 = 2**24``, which float32's 24-bit significand holds exactly
+in whatever order BLAS adds them, fused or not.  The chunk sums are added
+in int64.  :func:`int8_depthwise` sums its ``K = kh*kw`` taps in float64,
+exact for any ``K * 2**14`` below ``2**53``.  Both refuse any ``K`` whose
+worst case does not fit the declared ``ACC_BITS``-bit signed accumulator
+(``K * 2**14 >= 2**31``), so the int64 results never carry more.  float is
+how numpy reaches BLAS (integer ``matmul`` does not), not an approximation;
+the float operators :func:`conv` / :func:`depthwise` that ``float_ref`` uses
+stay float64 and unchunked.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -32,8 +40,15 @@ from numpy.lib.stride_tricks import as_strided
 from repro.errors import QuantizationError
 from repro.quant.fixed_point import ACC_BITS, DATA_BITS, saturating_shift
 
+if TYPE_CHECKING:
+    from numpy.typing import DTypeLike
+
 #: Longest dot product whose worst case fits the signed accumulator.
 MAX_DOT_LENGTH = (1 << (ACC_BITS - 1 - 2 * (DATA_BITS - 1))) - 1
+
+#: Longest depth chunk one float32 GEMM sums: every partial sum of int8
+#: products is then an integer of magnitude <= ``F32_DEPTH * 2**14 = 2**24``.
+F32_DEPTH = 1024
 
 #: Upper bound on one im2col patch matrix; whole-layer calls run in row
 #: chunks of this size, a CALC stripe is always a single chunk.
@@ -71,20 +86,43 @@ def tap_stack(window: np.ndarray, kernel: tuple[int, int], stride: tuple[int, in
     return taps.transpose(2, 3, 0, 1, 4).reshape(-1, out_h, out_w, channels)
 
 
-def conv(window: np.ndarray, weights: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
-    """``float64`` accumulations of ``weights`` (kh, kw, cin, cout) over ``window``."""
+def _gemm(
+    window: np.ndarray,
+    weights: np.ndarray,
+    stride: tuple[int, int],
+    dtype: DTypeLike,
+    acc_dtype: DTypeLike,
+    depth_chunk: int | None = None,
+) -> np.ndarray:
+    """Accumulations of ``weights`` (kh, kw, cin, cout) over ``window`` in
+    ``acc_dtype``: a ``dtype`` im2col GEMM per row chunk, and within it per
+    depth chunk of at most ``depth_chunk`` terms (default: the whole depth)."""
     kh, kw, cin, cout = weights.shape
     taps = patches(window, (kh, kw), stride)
     out_h, out_w = taps.shape[:2]
     depth = kh * kw * cin
-    matrix = weights.astype(np.float64, order="C").reshape(depth, cout)
-    acc = np.empty((out_h, out_w, cout), dtype=np.float64)
-    step = max(1, SCRATCH_BYTES // (8 * out_w * depth))
+    chunk = min(depth_chunk or depth, depth)
+    matrix = weights.astype(dtype, order="C").reshape(depth, cout)
+    acc = np.empty((out_h, out_w, cout), dtype=acc_dtype)
+    step = max(1, SCRATCH_BYTES // (matrix.itemsize * out_w * depth))
     for row in range(0, out_h, step):
         # The cast is the im2col copy: one pass from the strided view.
-        cols = taps[row : row + step].astype(np.float64, order="C")
-        np.matmul(cols.reshape(-1, depth), matrix, out=acc[row : row + step].reshape(-1, cout))
+        cols = taps[row : row + step].astype(dtype, order="C").reshape(-1, depth)
+        out = acc[row : row + step].reshape(-1, cout)
+        for k in range(0, depth, chunk):
+            lhs, rhs = cols[:, k : k + chunk], matrix[k : k + chunk]
+            if k:
+                np.add(out, lhs @ rhs, out=out, casting="unsafe")
+            elif out.dtype == lhs.dtype:
+                np.matmul(lhs, rhs, out=out)  # float: straight into the result
+            else:
+                out[...] = lhs @ rhs
     return acc
+
+
+def conv(window: np.ndarray, weights: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
+    """``float64`` accumulations of ``weights`` (kh, kw, cin, cout) over ``window``."""
+    return _gemm(window, weights, stride, np.float64, np.float64)
 
 
 def depthwise(window: np.ndarray, weights: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
@@ -111,7 +149,7 @@ def _require_exact(depth: int, window: np.ndarray, weights: np.ndarray) -> None:
 def int8_conv(window: np.ndarray, weights: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
     """Exact int64 conv accumulations of int8 operands (see module docstring)."""
     _require_exact(weights.shape[0] * weights.shape[1] * weights.shape[2], window, weights)
-    return conv(window, weights, stride).astype(np.int64)
+    return _gemm(window, weights, stride, np.float32, np.int64, F32_DEPTH)
 
 
 def int8_depthwise(window: np.ndarray, weights: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
@@ -139,11 +177,7 @@ def requantize(acc: np.ndarray, bias: np.ndarray | None, shift: int, relu: bool)
     """Bias add, round-half-up shift, int8 saturation, ReLU — the one epilogue.
 
     ``bias`` is in accumulator scale (already shifted left by ``shift``) and
-    broadcasts over the last axis.
+    broadcasts over the last axis.  The arithmetic is
+    :func:`~repro.quant.fixed_point.saturating_shift`'s.
     """
-    if bias is not None:
-        acc = acc + bias
-    out = saturating_shift(acc, shift)
-    if relu:
-        np.maximum(out, 0, out=out)
-    return out
+    return saturating_shift(acc, shift, bias, relu)

@@ -118,7 +118,9 @@ class Executor:
         Profiled topics bound their in-flight queue and report each
         publish's fate as a :class:`~repro.ros.topic.Delivery`; reliable
         profiles additionally retry dropped transmissions with exponential
-        backoff and acknowledge successful ones on the bus.
+        backoff and acknowledge successful ones on the bus.  A message
+        already published keeps retrying (and acknowledging) under the
+        profile it was published with.
         """
         self.topics.topic(topic_name).qos = profile
 
@@ -178,14 +180,16 @@ class Executor:
                 depth=len(topic.pending) + 1,
             )
         topic.pending.append(delivery)
-        self._attempt(topic, delivery)
+        self._attempt(topic, profile, delivery)
         return delivery
 
-    def _attempt(self, topic: Topic, delivery: Delivery) -> None:
+    def _attempt(
+        self, topic: Topic, profile: BackpressureProfile, delivery: Delivery
+    ) -> None:
+        # ``profile`` is the one the message was published under: a later
+        # ``set_qos`` changes new publishes, not a delivery's retry budget.
         if delivery.status != "pending":
             return  # evicted while a retry was in flight
-        profile = topic.qos
-        assert profile is not None
         delivery.attempts += 1
         if self.faults is not None and self.faults.fires(FaultSite.ROS_DROP):
             self._inject(FaultSite.ROS_DROP, topic=topic.name)
@@ -201,17 +205,21 @@ class Executor:
                 FaultSite.ROS_DELAY, topic=topic.name, delay_cycles=delay
             )
         if delay:
-            self._delay(delay, lambda: self._complete_delivery(topic, delivery))
+            self._delay(
+                delay, lambda: self._complete_delivery(topic, profile, delivery)
+            )
         else:
-            self._complete_delivery(topic, delivery)
+            self._complete_delivery(topic, profile, delivery)
 
-    def _complete_delivery(self, topic: Topic, delivery: Delivery) -> None:
+    def _complete_delivery(
+        self, topic: Topic, profile: BackpressureProfile, delivery: Delivery
+    ) -> None:
         if delivery.status != "pending":
             return
         self._deliver(topic.name, delivery.message)
         delivery.delivered_cycle = self.clock
         self._finish(topic, delivery, "delivered")
-        if topic.qos is not None and topic.qos.reliable:
+        if profile.reliable:
             self._emit_qos(
                 EventKind.ROS_ACK,
                 topic=topic.name,
@@ -236,7 +244,9 @@ class Executor:
             attempt=delivery.attempts,
             backoff_cycles=backoff,
         )
-        self.schedule(self.clock + backoff, lambda: self._attempt(topic, delivery))
+        self.schedule(
+            self.clock + backoff, lambda: self._attempt(topic, profile, delivery)
+        )
 
     def _finish(self, topic: Topic, delivery: Delivery, status: str) -> None:
         delivery.status = status

@@ -539,6 +539,24 @@ class TestBackpressure:
         assert delivery.attempts == 3  # 1 initial + 2 retries
         assert len(executor.bus.of_kind(EventKind.ROS_RETRY)) == 2
 
+    def test_clearing_the_profile_keeps_a_pending_retry_on_its_budget(self):
+        # A retry scheduled under a reliable profile outlives set_qos(name,
+        # None): it retries and fails on the profile it was published under.
+        plan = FaultPlan(seed=2, rates={FaultSite.ROS_DROP: 1.0})
+        executor = Executor(faults=plan, bus=EventBus(record=True))
+        profile = BackpressureProfile(
+            depth=4, reliable=True, retry_base_cycles=10, max_retries=3
+        )
+        executor.set_qos("t", profile)
+        delivery = executor.publish("t", "m")
+        executor.run(until_cycle=50)
+        assert delivery.status == "pending"
+        executor.set_qos("t", None)
+        executor.run()
+        assert delivery.status == "failed"
+        assert delivery.attempts == profile.max_retries + 1
+        assert len(executor.bus.of_kind(EventKind.ROS_RETRY)) == profile.max_retries
+
     def test_retry_backoff_is_exponential(self):
         plan = FaultPlan(seed=2, rates={FaultSite.ROS_DROP: 1.0})
         executor = Executor(faults=plan, bus=EventBus(record=True))

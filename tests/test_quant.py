@@ -88,6 +88,22 @@ class TestSaturatingShift:
         assert saturating_shift(np.array([10_000]), 0)[0] == 127
         assert saturating_shift(np.array([-10_000]), 0)[0] == -128
 
+    def test_scalar_and_array_like_input(self):
+        assert int(saturating_shift(np.int64(5), 1)) == 3
+        assert int(saturating_shift(np.array(300), 0)) == 127
+        assert int(saturating_shift(7, 1)) == 4
+        assert saturating_shift([[3, -3]], 1).tolist() == [[2, -1]]
+        # Any numeric input is read as int64 first, so floats truncate.
+        assert saturating_shift(np.array([2.7, -2.7]), 0).tolist() == [2, -2]
+
+    def test_bias_and_relu_leave_the_accumulator_unwritten(self):
+        acc = np.array([[-40, 40]], dtype=np.int64)
+        before = acc.copy()
+        out = saturating_shift(acc, 2, np.array([4, -4], dtype=np.int32), relu=True)
+        assert out.tolist() == [[0, 9]]  # (-36+2)>>2 = -9 -> 0, (36+2)>>2 = 9
+        assert out.dtype == np.int8
+        assert np.array_equal(acc, before)
+
     @given(st.integers(min_value=-(2**20), max_value=2**20), st.integers(0, 12))
     def test_matches_float_reference(self, value, shift):
         result = int(saturating_shift(np.array([value]), shift)[0])

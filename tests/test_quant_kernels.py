@@ -2,8 +2,8 @@
 
 Whole-layer ``qops`` calls, per-CALC ``accel.functional`` stripes and the raw
 kernel are all compared with the tap loops in ``tests/tap_loop_oracle.py``:
-the float64 GEMM must be *exactly* the int64 sum, for every kernel size,
-stride, padding, stripe split and input-channel step.
+the depth-chunked float32 GEMM must be *exactly* the int64 sum, for every
+kernel size, stride, padding, stripe split and input-channel step.
 """
 
 import numpy as np
@@ -23,6 +23,11 @@ from . import tap_loop_oracle as oracle
 #: Four times the zoo's deepest dot product (3*3*512: ResNet-101 res5, VGG-16
 #: conv5, Darknet-19 conv18) — a 3x3 conv over a 2048-channel map.
 STRESS_DEPTH = 3 * 3 * 2048
+
+#: Odd depths whose all-127 x 127 sum (``depth * 16129``) is odd and above
+#: 2**24, so no single float32 sum can hold it: the first depth past
+#: 2**24 / 16129 = 1040.2, one past 2048, and one past the zoo's deepest 3*3*512.
+ODD_DEPTHS = (1041, 2049, 3 * 3 * 512 + 1)
 
 
 def int8(rng, *shape):
@@ -181,6 +186,37 @@ class TestAgainstTapLoopOracle:
         want = sum(sub * depth[dy, dx] for dy, dx, sub in oracle.taps(window, (3, 3), (1, 2)))
         assert np.allclose(kernels.depthwise(window, depth, (1, 2)), want, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernel=st.sampled_from([1, 3]),
+        extra=st.integers(1, 300),
+        height=st.integers(0, 3),
+        cout=st.integers(1, 4),
+        hot=st.booleans(),
+        sign=st.sampled_from([1, -1]),
+        scratch=st.integers(1, 1 << 16),
+    )
+    def test_depth_past_one_float32_chunk_matches_oracle(
+        self, seed, kernel, extra, height, cout, hot, sign, scratch
+    ):
+        """Dot products longer than ``F32_DEPTH`` through sliced operands and
+        forced row chunks; "hot" operands sum far past 2**24."""
+        rng = np.random.default_rng(seed)
+        cin = kernels.F32_DEPTH // kernel**2 + extra
+        low = 120 if hot else -128
+        data = rng.integers(low, 128, size=(kernel + height, kernel + 2, cin + 1)).astype(np.int8)
+        weights = sign * rng.integers(max(low, -127), 128, size=(kernel, kernel, cin + 1, 2 * cout))
+        weights = weights.astype(np.int8)
+        window, sliced = data[:, :, 1:], weights[:, :, 1:, ::-2]
+        assert kernel * kernel * cin > kernels.F32_DEPTH
+        assert not (window.flags.c_contiguous or sliced.flags.c_contiguous)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "SCRATCH_BYTES", scratch)
+            got = kernels.int8_conv(window, sliced, (1, 1))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle.int8_conv(window, sliced, (1, 1)))
+
 
 class TestPatchView:
     def test_view_shares_memory_is_read_only_and_matches_slicing(self):
@@ -229,6 +265,41 @@ class TestAccumulatorBound:
         assert (acc == STRESS_DEPTH * 2**14).all()
         mixed = kernels.int8_conv(window, -1 - weights, (1, 1))  # -128 x 127
         assert (mixed == STRESS_DEPTH * -128 * 127).all()
+
+    def test_float32_chunk_bound(self):
+        """A chunk of int8 products never leaves float32's exact integers."""
+        assert kernels.F32_DEPTH * 2**14 <= 2**24
+
+    @pytest.mark.parametrize("depth", ODD_DEPTHS)
+    def test_odd_sums_past_float32_are_exact(self, depth):
+        """All-127 x 127 at an odd depth: the sum is odd and above 2**24, so
+        a GEMM that sums the whole depth in one float32 gets it wrong."""
+        total = depth * 127 * 127
+        assert total % 2 == 1 and total > 2**24
+        # FC form: one output pixel of the whole depth.
+        data = np.full((1, 1, depth), 127, dtype=np.int8)
+        weights = np.full((depth, 3), 127, dtype=np.int8)
+        assert (kernels.int8_conv(data, weights[None, None], (1, 1)) == total).all()
+        # Conv form: a (1, 3) kernel at several output pixels, ``depth`` of
+        # its 3 * cin taps live (the last channel's surplus taps are zero).
+        cin = -(-depth // 3)
+        window = np.full((2, 5, cin), 127, dtype=np.int8)
+        filt = np.full((1, 3, cin, 2), 127, dtype=np.int8)
+        filt[0, 3 - (3 * cin - depth) :, -1] = 0
+        assert np.count_nonzero(filt[..., 0]) == depth
+        assert (kernels.int8_conv(window, filt, (1, 1)) == total).all()
+        # Through qops: a bias of -total leaves exactly 0 after shift 0.
+        bias = np.full(3, -total, dtype=np.int32)
+        assert (qops.fully_connected(data, weights, bias, 0, relu=False) == 0).all()
+        assert (qops.conv2d(window, filt, bias[:2], (1, 1), (0, 0), 0, relu=False) == 0).all()
+
+    def test_depthwise_past_float32_is_exact(self):
+        """A 33x33 depthwise kernel (1089 taps) sums an odd total above 2**24."""
+        window = np.full((34, 33, 2), 127, dtype=np.int8)
+        weights = np.full((33, 33, 2), 127, dtype=np.int8)
+        acc = kernels.int8_depthwise(window, weights, (1, 1))
+        assert acc.shape == (2, 1, 2)
+        assert (acc == 33 * 33 * 127 * 127).all()
 
     def test_longest_safe_dot_product_is_exact_and_one_more_is_refused(self):
         assert kernels.MAX_DOT_LENGTH * 2**14 < 2 ** (ACC_BITS - 1)
