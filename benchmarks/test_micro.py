@@ -10,6 +10,7 @@ import pytest
 
 from repro.accel.runner import run_program
 from repro.compiler import compile_network
+from repro.dslam import Camera, World, ransac_rigid_2d
 from repro.hw.config import AcceleratorConfig
 from repro.isa import Instruction, Opcode, decode_stream, encode_stream
 from repro.quant import conv2d
@@ -66,3 +67,21 @@ def test_bench_compile_tiny(benchmark):
         )
     )
     assert len(result.program) > 0
+
+
+def test_bench_vo_ransac(benchmark):
+    """One VO RANSAC call on a fixed frame pair: the 14 landmarks both
+    frames see from poses 7.5 cm apart (one E10 frame step at 1.5 m/s and
+    20 fps), camera noise on, two correspondences swapped."""
+    camera = Camera(World.generate(), seed=0)
+    before = camera.capture((12.0, 4.0, 0.0), 0, 0).observations
+    after = camera.capture((12.075, 4.0, 0.0), 1, 0).observations
+    shared = sorted(before.keys() & after.keys())[:14]
+    assert len(shared) == 14
+    previous = np.array([before[i] for i in shared])
+    current = np.array([after[i] for i in shared])
+    previous[[3, 9]] = previous[[9, 3]]
+
+    rotation, translation, mask = benchmark(ransac_rigid_2d, current, previous, seed=5)
+    assert mask.sum() == 12 and not mask[3] and not mask[9]
+    assert np.allclose(translation, [0.075, 0.0], atol=0.05)

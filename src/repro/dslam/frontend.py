@@ -85,18 +85,18 @@ def _keypoint_score(landmark_id: int, seq: int) -> float:
 
 
 def _non_maximum_suppression(candidates: list[Feature], radius: float) -> list[Feature]:
-    """Greedy NMS: keep the strongest feature within each ``radius`` ball."""
+    """Greedy NMS: keep the strongest feature within each ``radius`` ball.
+
+    In score order, a feature is kept unless a feature kept before it lies
+    closer than ``radius``.
+    """
     ordered = sorted(candidates, key=lambda feature: -feature.score)
+    positions = np.array([(feature.x, feature.y) for feature in ordered]).reshape(-1, 2)
+    close = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2) < radius
     kept: list[Feature] = []
-    if not ordered:
-        return kept
-    positions = np.empty((0, 2))
-    for feature in ordered:
-        point = np.array([feature.x, feature.y])
-        if positions.shape[0]:
-            distances = np.linalg.norm(positions - point, axis=1)
-            if float(distances.min()) < radius:
-                continue
-        kept.append(feature)
-        positions = np.vstack([positions, point])
+    suppressed = np.zeros(len(ordered), dtype=bool)
+    for index, feature in enumerate(ordered):
+        if not suppressed[index]:
+            kept.append(feature)
+            suppressed |= close[index]
     return kept

@@ -24,19 +24,28 @@ def estimate_rigid_2d(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares rotation R and translation t with target ~= R @ source + t.
 
-    Standard 2-D Kabsch/Umeyama (without scale).
+    Standard 2-D Kabsch/Umeyama (without scale).  ``source`` and ``target``
+    are ``(n, 2)``, or ``(k, n, 2)`` stacks solved as ``k`` independent
+    problems; a stack makes the same per-matrix LAPACK/BLAS calls, so each
+    solution is bit-identical to solving that problem alone.
     """
-    if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 2:
-        raise DslamError(f"point sets must both be (n, 2); got {source.shape} and {target.shape}")
-    if source.shape[0] < 2:
+    if source.shape != target.shape or source.ndim not in (2, 3) or source.shape[-1] != 2:
+        raise DslamError(
+            f"point sets must both be (n, 2) or (k, n, 2); got {source.shape} and {target.shape}"
+        )
+    if source.shape[-2] < 2:
         raise DslamError("rigid estimation needs at least 2 correspondences")
-    source_mean = source.mean(axis=0)
-    target_mean = target.mean(axis=0)
-    covariance = (target - target_mean).T @ (source - source_mean)
+    source_mean = source.mean(axis=-2)
+    target_mean = target.mean(axis=-2)
+    covariance = np.swapaxes(target - target_mean[..., None, :], -1, -2) @ (
+        source - source_mean[..., None, :]
+    )
     u, _, vt = np.linalg.svd(covariance)
-    det = np.linalg.det(u @ vt)
-    rotation = u @ np.diag([1.0, float(np.sign(det))]) @ vt
-    translation = target_mean - rotation @ source_mean
+    reflection = np.zeros(covariance.shape)
+    reflection[..., 0, 0] = 1.0
+    reflection[..., 1, 1] = np.sign(np.linalg.det(u @ vt))
+    rotation = u @ reflection @ vt
+    translation = target_mean - (rotation @ source_mean[..., None])[..., 0]
     return rotation, translation
 
 
@@ -51,17 +60,15 @@ def match_features(
     prev_desc = np.stack([feature.descriptor for feature in previous])
     curr_desc = np.stack([feature.descriptor for feature in current])
     similarity = prev_desc @ curr_desc.T  # unit descriptors: cosine
-    matches = []
-    for row, feature in enumerate(previous):
-        order = np.argsort(-similarity[row])
-        best = order[0]
-        if len(order) > 1:
-            best_distance = 1.0 - similarity[row, best]
-            second_distance = 1.0 - similarity[row, order[1]]
-            if best_distance > ratio * second_distance and second_distance > 1e-9:
-                continue
-        matches.append((feature, current[best]))
-    return matches
+    order = np.argsort(-similarity, axis=1)
+    best = order[:, 0]
+    keep = np.ones(len(previous), dtype=bool)
+    if len(current) > 1:
+        rows = np.arange(len(previous))
+        best_distance = 1.0 - similarity[rows, best]
+        second_distance = 1.0 - similarity[rows, order[:, 1]]
+        keep = ~((best_distance > ratio * second_distance) & (second_distance > 1e-9))
+    return [(previous[row], current[best[row]]) for row in np.flatnonzero(keep)]
 
 
 def ransac_rigid_2d(
@@ -71,21 +78,33 @@ def ransac_rigid_2d(
     inlier_threshold: float = 0.25,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, t, inlier mask) robust to mismatches."""
+    """(R, t, inlier mask) robust to mismatches.
+
+    Each of the ``iterations`` hypotheses fits the two correspondences of
+    one ``rng.choice`` draw; a draw whose source points coincide is
+    skipped.  The consensus set is the inlier mask of the first hypothesis
+    with the most inliers, or every correspondence when that holds fewer
+    than 2 (or every draw was skipped); R and t are refit on it.
+    """
     count = source.shape[0]
     if count < 2:
         raise DslamError("RANSAC needs at least 2 correspondences")
     rng = np.random.default_rng(seed)
+    draws = [rng.choice(count, size=2, replace=False) for _ in range(iterations)]
+    picks = np.array(draws, dtype=np.intp).reshape(-1, 2)
+    gap = source[picks[:, 0]] - source[picks[:, 1]]
+    # |gap| as np.linalg.norm takes it, through one BLAS dot per row (a sum
+    # of squares can round differently at the 1e-6 cut-off).
+    spread = np.sqrt((gap[:, None, :] @ gap[:, :, None])[:, 0, 0])
+    picks = picks[~(spread < 1e-6)]
     best_mask = np.zeros(count, dtype=bool)
-    for _ in range(iterations):
-        pick = rng.choice(count, size=2, replace=False)
-        if np.linalg.norm(source[pick[0]] - source[pick[1]]) < 1e-6:
-            continue
-        rotation, translation = estimate_rigid_2d(source[pick], target[pick])
-        residuals = np.linalg.norm(target - (source @ rotation.T + translation), axis=1)
-        mask = residuals < inlier_threshold
-        if mask.sum() > best_mask.sum():
-            best_mask = mask
+    if len(picks):
+        rotations, translations = estimate_rigid_2d(source[picks], target[picks])
+        predicted = source @ np.swapaxes(rotations, 1, 2) + translations[:, None, :]
+        masks = np.linalg.norm(target - predicted, axis=2) < inlier_threshold
+        # argmax takes the first of equals.  A best mask with no inliers
+        # falls to the all-correspondence fallback below either way.
+        best_mask = masks[np.argmax(masks.sum(axis=1))]
     if best_mask.sum() < 2:
         best_mask = np.ones(count, dtype=bool)
     rotation, translation = estimate_rigid_2d(source[best_mask], target[best_mask])

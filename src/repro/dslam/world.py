@@ -57,6 +57,11 @@ class World:
 
     config: WorldConfig
     landmarks: dict[int, Landmark] = field(default_factory=dict)
+    #: ``landmarks`` as (tuple, x column, y column) for :meth:`visible_from`;
+    #: built on first use, dropped by :meth:`_add`.
+    _columns: tuple[tuple[Landmark, ...], np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def generate(cls, config: WorldConfig | None = None) -> "World":
@@ -99,6 +104,7 @@ class World:
         descriptor /= np.linalg.norm(descriptor)
         landmark_id = len(self.landmarks)
         self.landmarks[landmark_id] = Landmark(landmark_id, float(x), float(y), descriptor)
+        self._columns = None
 
     def __len__(self) -> int:
         return len(self.landmarks)
@@ -109,20 +115,24 @@ class World:
         max_range: float,
         fov: float,
     ) -> list[Landmark]:
-        """Landmarks within range and field of view of ``pose`` = (x, y, theta)."""
+        """Landmarks within range and field of view of ``pose`` = (x, y, theta),
+        in landmark order."""
+        if self._columns is None:
+            landmarks = tuple(self.landmarks.values())
+            self._columns = (
+                landmarks,
+                np.array([landmark.x for landmark in landmarks]),
+                np.array([landmark.y for landmark in landmarks]),
+            )
+        landmarks, xs, ys = self._columns
         x, y, theta = pose
-        visible = []
-        for landmark in self.landmarks.values():
-            dx = landmark.x - x
-            dy = landmark.y - y
-            distance = float(np.hypot(dx, dy))
-            if distance > max_range or distance < 1e-6:
-                continue
-            bearing = np.arctan2(dy, dx) - theta
-            bearing = np.arctan2(np.sin(bearing), np.cos(bearing))
-            if abs(bearing) <= fov / 2:
-                visible.append(landmark)
-        return visible
+        dx = xs - x
+        dy = ys - y
+        distance = np.hypot(dx, dy)
+        bearing = np.arctan2(dy, dx) - theta
+        bearing = np.arctan2(np.sin(bearing), np.cos(bearing))
+        in_view = ~((distance > max_range) | (distance < 1e-6)) & (np.abs(bearing) <= fov / 2)
+        return [landmarks[index] for index in np.flatnonzero(in_view)]
 
 
 def _perimeter_point(distance: float, width: float, height: float) -> tuple[float, float]:

@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import QuantizationError
 from repro.quant.fixed_point import ACC_BITS, DATA_BITS, saturating_shift
@@ -58,10 +57,13 @@ SCRATCH_BYTES = 4 << 20
 def patches(window: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:
     """Read-only ``(out_h, out_w, kh, kw, C)`` view of a padded HWC window.
 
-    The strides are set directly rather than through ``sliding_window_view``
-    (whose per-call argument handling cost a third of a CALC); every index
-    the view can form lies inside ``window`` because the output extent is
-    derived here from the window's own shape.
+    The strides are set directly on an ``ndarray`` over the window's buffer
+    rather than through ``sliding_window_view`` or ``as_strided`` (whose
+    per-call argument handling cost a third of a CALC); every index the
+    view can form lies inside ``window`` because the output extent is
+    derived here from the window's own shape.  A window that is not
+    C-contiguous is copied first; every window the simulator gathers
+    already is.
     """
     (kh, kw), (sh, sw) = kernel, stride
     height, width, channels = window.shape
@@ -69,13 +71,16 @@ def patches(window: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
         raise QuantizationError(
             f"kernel {kernel} / stride {stride} does not fit a {height}x{width} window"
         )
+    window = np.ascontiguousarray(window)
     row, col, chan = window.strides
-    return as_strided(
-        window,
+    view = np.ndarray(
         ((height - kh) // sh + 1, (width - kw) // sw + 1, kh, kw, channels),
-        (row * sh, col * sw, row, col, chan),
-        writeable=False,
+        window.dtype,
+        buffer=window,
+        strides=(row * sh, col * sw, row, col, chan),
     )
+    view.flags.writeable = False
+    return view
 
 
 def tap_stack(window: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:

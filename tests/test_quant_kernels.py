@@ -220,12 +220,15 @@ class TestAgainstTapLoopOracle:
 
 class TestPatchView:
     def test_view_shares_memory_is_read_only_and_matches_slicing(self):
-        window = int8(np.random.default_rng(3), 7, 9, 4)[:, :, 1:3]
-        taps = kernels.patches(window, (3, 2), (2, 3))
-        assert taps.shape == (3, 3, 3, 2, 2)
-        assert np.shares_memory(taps, window) and not taps.flags.writeable
-        for dy, dx, sub in oracle.taps(window, (3, 2), (2, 3)):
-            assert np.array_equal(taps[:, :, dy, dx, :], sub)
+        # A sliced (non-contiguous) window is viewed through a contiguous
+        # copy; a C-contiguous one, as the simulator gathers, is not copied.
+        sliced = int8(np.random.default_rng(3), 7, 9, 4)[:, :, 1:3]
+        for window in (sliced, np.ascontiguousarray(sliced)):
+            taps = kernels.patches(window, (3, 2), (2, 3))
+            assert taps.shape == (3, 3, 3, 2, 2) and not taps.flags.writeable
+            assert np.shares_memory(taps, window) == window.flags.c_contiguous
+            for dy, dx, sub in oracle.taps(window, (3, 2), (2, 3)):
+                assert np.array_equal(taps[:, :, dy, dx, :], sub)
 
     @pytest.mark.parametrize(
         "kernel, stride", [((4, 1), (1, 1)), ((1, 6), (1, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 1))]
