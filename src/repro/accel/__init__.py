@@ -9,11 +9,6 @@ from repro.accel.core import (
     OutputSection,
     WeightTile,
 )
-from repro.accel.pipelined import (
-    PipelinedSchedule,
-    engine_busy_cycles,
-    pipelined_schedule,
-)
 
 __all__ = [
     "AcceleratorCore",
@@ -22,8 +17,5 @@ __all__ = [
     "DataTile",
     "OutputGroup",
     "OutputSection",
-    "PipelinedSchedule",
     "WeightTile",
-    "engine_busy_cycles",
-    "pipelined_schedule",
 ]

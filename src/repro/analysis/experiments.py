@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.latency import (
+    PARTS,
     LatencyProfile,
     layer_latency_profiles,
     whole_program_profile,
@@ -147,6 +148,8 @@ class E2Row:
     method: str
     mean_layer_latency_us: float
     worst_layer_latency_us: float
+    #: Share of the mean latency spent waiting in a LOAD_D (the tile DMA).
+    load_d_share: float
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,9 @@ class E2Result:
         return math.log10(lbl / vi)
 
     def format(self) -> str:
-        headers = ["network", "accelerator", "method", "mean latency", "worst latency"]
+        headers = [
+            "network", "accelerator", "method", "mean latency", "worst latency", "LOAD_D share"
+        ]
         rows = [
             [
                 row.network,
@@ -180,6 +185,7 @@ class E2Result:
                 row.method,
                 f"{row.mean_layer_latency_us:.1f} us",
                 f"{row.worst_layer_latency_us:.1f} us",
+                f"{100 * row.load_d_share:.0f} %",
             ]
             for row in self.rows
         ]
@@ -199,6 +205,7 @@ def experiment_network_sweep(
             )
             mean_us = sum(p.mean_us(compiled) for p in profiles) / len(profiles)
             worst_us = max(p.worst_us(compiled) for p in profiles)
+            load_d = sum(p.mean_parts["LOAD_D"] for p in profiles)
             rows.append(
                 E2Row(
                     network=compiled.graph.name,
@@ -206,6 +213,7 @@ def experiment_network_sweep(
                     method=method.name,
                     mean_layer_latency_us=mean_us,
                     worst_layer_latency_us=worst_us,
+                    load_d_share=load_d / sum(p.mean_cycles for p in profiles),
                 )
             )
     return E2Result(rows=rows)
@@ -275,11 +283,23 @@ class E5Result:
             ]
             for name, profile in self.profiles.items()
         ]
-        return format_table(
-            ["method", "worst t1", "mean t1"],
-            rows,
-            title=f"E5: waiting time in layer {self.layer_name!r} "
-            f"(VI worst = {self.reduction() * 100:.1f}% of layer-by-layer)",
+        split = [
+            [f"{name} {stat}", *(f"{value:.{digits}f}" for value in (total, *parts.values()))]
+            for name, p in self.profiles.items()
+            for stat, total, parts, digits in (
+                ("worst", p.worst_cycles, p.worst_parts, 0),
+                ("mean", p.mean_cycles, p.mean_parts, 1),
+            )
+        ]
+        return (
+            format_table(
+                ["method", "worst t1", "mean t1"],
+                rows,
+                title=f"E5: waiting time in layer {self.layer_name!r} "
+                f"(VI worst = {self.reduction() * 100:.1f}% of layer-by-layer)",
+            )
+            + "\n\nby the instruction kind that holds the wait, plus the backup\n"
+            + format_table(["response (cycles)", "total", *PARTS], split)
         )
 
 
@@ -459,6 +479,8 @@ class E9Result:
     network: str
     vi_mean_cycles: float
     layer_mean_cycles: float
+    #: ``vi_mean_cycles`` split into :data:`~repro.analysis.latency.PARTS`.
+    vi_mean_parts: dict[str, float]
 
     @property
     def ratio_percent(self) -> float:
@@ -469,7 +491,13 @@ class E9Result:
             f"E9: mean response latency over the whole {self.network} run\n"
             f"  layer-by-layer : {self.layer_mean_cycles:.0f} cycles\n"
             f"  VI method      : {self.vi_mean_cycles:.0f} cycles\n"
-            f"  ratio          : {self.ratio_percent:.2f} %  (paper: ~2 %)"
+            f"  ratio          : {self.ratio_percent:.2f} %  (paper: ~2 %)\n"
+            "  VI mean, by the instruction kind that holds the wait:\n"
+            + "\n".join(
+                f"    {part:<6} : {cycles:8.1f} cycles "
+                f"({100 * cycles / self.vi_mean_cycles:4.1f} %)"
+                for part, cycles in self.vi_mean_parts.items()
+            )
         )
 
 
@@ -481,4 +509,5 @@ def experiment_latency_ratio(compiled: CompiledNetwork) -> E9Result:
         network=compiled.graph.name,
         vi_mean_cycles=vi.mean_cycles,
         layer_mean_cycles=layer.mean_cycles,
+        vi_mean_parts=vi.mean_parts,
     )

@@ -2,9 +2,10 @@
 
 Classifies each layer as compute- or memory-bound on the configured
 accelerator by comparing its CALC cycles against its DMA cycles, and
-summarises where the network's time goes.  This is the analysis that
-explains the overlap ablation (GeM's 1x1-heavy stages are memory-bound, so
-perfect prefetch hides a quarter of the runtime) and guides hardware sizing.
+summarises where the network's time goes.  It is the runtime side of the
+latency split in :mod:`repro.analysis.latency` (GeM's 1x1-heavy stages are
+memory-bound, and tile loads hold 71 % of its mean VI wait) and guides
+hardware sizing.
 """
 
 from __future__ import annotations

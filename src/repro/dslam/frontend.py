@@ -67,7 +67,6 @@ class FeatureExtractor:
                 )
             )
         kept = _non_maximum_suppression(candidates, self.config.nms_radius)
-        kept.sort(key=lambda feature: -feature.score)
         return tuple(kept[: self.config.max_features])
 
 
@@ -88,7 +87,7 @@ def _non_maximum_suppression(candidates: list[Feature], radius: float) -> list[F
     """Greedy NMS: keep the strongest feature within each ``radius`` ball.
 
     In score order, a feature is kept unless a feature kept before it lies
-    closer than ``radius``.
+    closer than ``radius``; the kept features come back in that order.
     """
     ordered = sorted(candidates, key=lambda feature: -feature.score)
     positions = np.array([(feature.x, feature.y) for feature in ordered]).reshape(-1, 2)

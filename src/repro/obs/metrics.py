@@ -80,16 +80,6 @@ class Histogram:
             raise ValueError("histogram is empty")
         return max(self.values)
 
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100]."""
-        if not self.values:
-            raise ValueError("histogram is empty")
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        ordered = sorted(self.values)
-        rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
 
 class Metrics(Stateful):
     """Registry of named, labelled instruments."""
