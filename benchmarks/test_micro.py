@@ -11,6 +11,8 @@ import pytest
 from repro.accel.runner import run_program
 from repro.compiler import compile_network
 from repro.dslam import Camera, World, ransac_rigid_2d
+from repro.farm import NodeAssignment, ServiceSpec, SloClass, build_node_system, run_assignment
+from repro.farm.node import NodeJobResult, decode_results, encode_results
 from repro.hw.config import AcceleratorConfig
 from repro.isa import Instruction, Opcode, decode_stream, encode_stream
 from repro.quant import conv2d
@@ -85,3 +87,41 @@ def test_bench_vo_ransac(benchmark):
     rotation, translation, mask = benchmark(ransac_rigid_2d, current, previous, seed=5)
     assert mask.sum() == 12 and not mask[3] and not mask[9]
     assert np.allclose(translation, [0.075, 0.0], atol=0.05)
+
+
+#: One node's fixed share of a farm day: 2,000 tiny jobs alternating
+#: between a gold and a bronze slot, one every 40,000 cycles (about 64 %
+#: of the small design busy, so most jobs run alone and some preempt).
+NODE_DAY = NodeAssignment(
+    node=0,
+    config=AcceleratorConfig.small(),
+    services=(
+        ServiceSpec("det", "tiny_cnn", SloClass("gold", 0, 8.0, 100_000)),
+        ServiceSpec("emb", "tiny_conv", SloClass("bronze", 2, 1.0, 2_000_000)),
+    ),
+    dispatches=tuple((job, job % 2, 40_000 * job) for job in range(2_000)),
+)
+
+
+def test_bench_node_day(benchmark):
+    """Submit, run and collect ``NODE_DAY`` on a fresh node system (built
+    outside the timing): the per-job engine cost of a farm day."""
+
+    def fresh_system():
+        system = build_node_system(NODE_DAY.config, NODE_DAY.services)
+        return (system,), {}
+
+    results = benchmark.pedantic(
+        lambda system: run_assignment(NODE_DAY, system), setup=fresh_system, rounds=5
+    )
+    assert sorted(row.job_id for row in results) == list(range(2_000))
+
+
+def test_bench_results_codec(benchmark):
+    """Encode 20,000 node results into one int64 block and decode them
+    back: what a pool worker and the parent pay per farm-day node."""
+    rows = [NodeJobResult(job, job % 4, job % 3, 5 * job, 5 * job + 7, 5 * job + 900)
+            for job in range(20_000)]
+
+    decoded = benchmark(lambda: decode_results(encode_results(rows)))
+    assert decoded == rows

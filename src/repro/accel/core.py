@@ -27,7 +27,7 @@ executes whatever the IAU hands it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -137,6 +137,25 @@ class CoreStats:
     save_cycles: int = 0
     bytes_loaded: int = 0
     bytes_saved: int = 0
+
+
+#: The :class:`CoreStats` counters in field order: the stats delta of a
+#: batched stretch (:meth:`AcceleratorCore.retire_batch`) is one int each.
+STAT_NAMES: tuple[str, ...] = tuple(stat.name for stat in fields(CoreStats))
+
+#: A resident tile without its payload: its fields in order.
+DataSpec = tuple[int, int, int, int, int, int]  # layer, row0, rows, ch0, chs, nbytes
+WeightSpec = tuple[int, int, int, int, int, int]  # layer, ch0, chs, in_ch0, in_chs, nbytes
+#: What is resident at a clean boundary: ``(slot, spec)`` per data tile,
+#: and the weight tile's spec.
+TileSpecs = tuple[tuple[tuple[int, DataSpec], ...], WeightSpec | None]
+
+
+def resident_tiles(specs: TileSpecs) -> tuple[dict[int, DataTile], WeightTile | None]:
+    """Fresh tile descriptors (no payload) built from their specs."""
+    data_specs, weight_spec = specs
+    data_tiles = {slot: DataTile(*spec, array=None) for slot, spec in data_specs}
+    return data_tiles, None if weight_spec is None else WeightTile(*weight_spec, array=None)
 
 
 def require_whole_finals(
@@ -513,36 +532,38 @@ class AcceleratorCore(BufferMachine, Stateful):
 
     def retire_batch(
         self,
-        aggregates: dict[str, int],
-        data_tiles: dict[int, DataTile],
-        weight_tile: WeightTile | None,
+        stats_delta: tuple[int, ...],
+        tiles: TileSpecs,
         words: np.ndarray,
         layer_config: Callable[[int], LayerConfig],
     ) -> None:
         """Advance the core past a pre-validated instruction stretch.
 
         The IAU's horizon-batched fast path (provably uninterruptible)
-        retires many instructions at once: ``aggregates`` carries the summed
-        :class:`CoreStats` deltas, and the buffer bookkeeping jumps to the
-        precomputed clean-boundary state (no accumulator or un-saved output
-        section in flight there).  A functional core then does the
-        stretch's arithmetic: ``words`` (the stretch's program words) name
-        what each SAVE drains, computed layer by layer from DDR
-        (:meth:`_retire_saves`), and the resident tiles are read from DDR as
+        retires many instructions at once: ``stats_delta`` carries the summed
+        :class:`CoreStats` deltas (one per :data:`STAT_NAMES` entry), and the
+        buffer bookkeeping jumps to the precomputed clean-boundary state (no
+        accumulator or un-saved output section in flight there), whose
+        resident ``tiles`` are built fresh from their specs.  A functional
+        core then does the stretch's arithmetic: ``words`` (the stretch's
+        program words) name what each SAVE drains, computed layer by layer
+        from DDR (:meth:`_retire_saves`), and the resident tiles are read from DDR as
         their loads would have read them — except a tile of a region with a
         pending ECC flip: a load of that region bounds the stretch, so the
         tile was loaded before it, ahead of the flip DDR now holds, and the
         resident payload is what that load read.
         """
         resident, resident_weights = self.data_tiles, self.weight_tile
+        data_tiles, weight_tile = resident_tiles(tiles)
+        instructions, cycles, load, calc, save, loaded, saved = stats_delta
         stats = self.stats
-        stats.instructions += aggregates["instructions"]
-        stats.cycles += aggregates["cycles"]
-        stats.load_cycles += aggregates["load_cycles"]
-        stats.calc_cycles += aggregates["calc_cycles"]
-        stats.save_cycles += aggregates["save_cycles"]
-        stats.bytes_loaded += aggregates["bytes_loaded"]
-        stats.bytes_saved += aggregates["bytes_saved"]
+        stats.instructions += instructions
+        stats.cycles += cycles
+        stats.load_cycles += load
+        stats.calc_cycles += calc
+        stats.save_cycles += save
+        stats.bytes_loaded += loaded
+        stats.bytes_saved += saved
         self.data_tiles = data_tiles
         self.weight_tile = weight_tile
         self.acc = None

@@ -23,9 +23,10 @@ makes scheduler comparisons meaningful.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -40,6 +41,8 @@ from repro.farm.node import (
     ServiceSpec,
     build_node_system,
     compiled_for_services,
+    decode_results,
+    encode_results,
     join_slot,
     simulate_node,
 )
@@ -331,9 +334,10 @@ class Farm:
         """Plan the whole day, measure every node exactly, report.
 
         One whole-day epoch on in-process nodes.  ``max_workers`` > 1 ships
-        the nodes to a process pool instead, one worker per node; a worker
-        that dies fails the day (:meth:`serve_durable` survives one).  The
-        default (None → serial) is required when ``obs`` is set.
+        the nodes to a process pool of ``min(max_workers, nodes)`` workers
+        instead; a worker that dies fails the day (:meth:`serve_durable`
+        survives one).  The default (None → serial) is required when
+        ``obs`` is set.
         """
         if max_workers is None or max_workers <= 1:
             return self._serve(jobs, _InProcessNodes(self))
@@ -487,14 +491,22 @@ class Farm:
     ) -> tuple[list[NodeJobResult], int]:
         """Measure on a process pool: one plain fan-out, no recovery.
 
-        A worker that raises or dies (a dead process breaks the whole
-        executor) fails the day with one :class:`SchedulerError` naming the
-        failed nodes.  Recovering a dead worker is :meth:`serve_durable`'s
-        job: it resumes the node from its last snapshot.
+        The workers fork with this process's heap and freeze it
+        (``gc.freeze``), so their collector never walks it; each returns
+        its node's rows as one int64 block (:func:`_ship_node`), decoded
+        here as its future completes, while the others still run.  A worker
+        that raises or dies (a dead process breaks the whole executor)
+        fails the day with one :class:`SchedulerError` naming the failed
+        nodes.  Recovering a dead worker is :meth:`serve_durable`'s job: it
+        resumes the node from its last snapshot.
         """
         workers = min(max_workers, len(assignments)) or 1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(simulate_node, a) for a in assignments]
+        rows: dict[Future[bytes], list[NodeJobResult]] = {}
+        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
+            futures = [pool.submit(_ship_node, a) for a in assignments]
+            for future in as_completed(futures):
+                if future.exception() is None:
+                    rows[future] = decode_results(future.result())
         errors = [(a.node, f.exception()) for a, f in zip(assignments, futures)]
         failed = [(node, error) for node, error in errors if error is not None]
         if failed:
@@ -503,4 +515,10 @@ class Farm:
                 f"{failed[0][1]!r}; the process pool does not recover a dead "
                 "worker (serve_durable resumes it from its last snapshot)"
             ) from failed[0][1]
-        return [result for future in futures for result in future.result()], 0
+        return [row for future in futures for row in rows[future]], 0
+
+
+def _ship_node(assignment: NodeAssignment) -> bytes:
+    """The pool worker: :func:`simulate_node` (looked up here at call time,
+    the seam a test patches), its rows packed by :func:`encode_results`."""
+    return encode_results(simulate_node(assignment))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.analysis.tables import format_table
 from repro.errors import SchedulerError
@@ -236,14 +236,19 @@ def build_report(
 
 
 def join_outcomes(
-    jobs: Sequence[Job], results: Sequence, *, shed: Sequence[Job] = ()
+    jobs: Sequence[Job],
+    results: Iterable[tuple[int, int, int, int, int, int]],
+    *,
+    shed: Sequence[Job] = (),
 ) -> list[JobOutcome]:
     """Join arrivals with node results by ``job_id`` (exactly once each).
 
-    Every arrival must be accounted for exactly once — as a measured
-    completion in ``results`` or as a mode-switch victim in ``shed``.
-    Duplicate completions (e.g. both copies of a hedged dispatch reaching
-    the join without first-result-wins dedup) raise ``SchedulerError``.
+    ``results`` are :class:`~repro.farm.node.NodeJobResult` rows from any
+    backend (in-process, pool, gateway), read by position.  Every arrival
+    must be accounted for exactly once — as a measured completion in
+    ``results`` or as a mode-switch victim in ``shed``.  Duplicate
+    completions (e.g. both copies of a hedged dispatch reaching the join
+    without first-result-wins dedup) raise ``SchedulerError``.
     """
     arrivals = {job.job_id: job for job in jobs}
     shed_ids = set()
@@ -255,8 +260,8 @@ def join_outcomes(
         shed_ids.add(job.job_id)
     outcomes: list[JobOutcome] = []
     seen: set[int] = set()
-    for result in results:
-        job_id = result.job_id
+    outcome = tuple.__new__  # C level: one JobOutcome per row, no Python __new__
+    for job_id, node, _service, dispatch_cycle, _start, complete_cycle in results:
         if job_id in seen:
             raise SchedulerError(f"job {job_id} completed twice")
         if job_id in shed_ids:
@@ -266,14 +271,17 @@ def join_outcomes(
         if job is None:
             raise SchedulerError(f"completion for unknown job {job_id}")
         outcomes.append(
-            JobOutcome(
-                job_id,
-                job.tenant_id,
-                job.service,
-                result.node,
-                job.arrival_cycle,
-                result.dispatch_cycle,
-                result.complete_cycle,
+            outcome(
+                JobOutcome,
+                (
+                    job_id,
+                    job.tenant_id,
+                    job.service,
+                    node,
+                    job.arrival_cycle,
+                    dispatch_cycle,
+                    complete_cycle,
+                ),
             )
         )
     if len(outcomes) + len(shed_ids) != len(jobs):

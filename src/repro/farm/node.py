@@ -8,11 +8,13 @@ SLO rank), the planned hand-overs become timed ``submit()`` calls, and the
 VI machinery provides pre-emption between SLO classes exactly as it does
 on a single robot.
 
-Everything here is picklable on purpose: :func:`simulate_node` is the
-``ProcessPoolExecutor`` worker, so a hundred-thousand-job day shards
-across one process per accelerator.  Workers receive model *names* (zoo
-builders) rather than compiled networks — each worker compiles locally,
-which keeps the dispatch payload tiny.  The compile itself is reused two
+Everything here is picklable on purpose: :func:`simulate_node` is what a
+``ProcessPoolExecutor`` worker runs, so a hundred-thousand-job day shards
+its nodes across ``min(max_workers, nodes)`` worker processes.  Workers
+receive model *names* (zoo builders) rather than compiled networks — each
+worker compiles locally, which keeps the dispatch payload tiny — and send
+their results back as one int64 block (:func:`encode_results`) rather than
+one pickled object per job.  The compile itself is reused two
 ways: within one process, :func:`compiled_for_services` memoizes
 ``compile_tasks`` by (config, model names) so epoch replays on the same
 node compile once; across processes, the on-disk
@@ -23,9 +25,12 @@ even the first compile of a fresh worker a cheap artefact load.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
+
+import numpy as np
 
 import repro.zoo as zoo
 from repro.errors import SchedulerError
@@ -68,6 +73,26 @@ class NodeJobResult(NamedTuple):
     dispatch_cycle: int
     start_cycle: int
     complete_cycle: int
+
+
+_WIDTH = len(NodeJobResult._fields)
+
+
+def encode_results(rows: Sequence[NodeJobResult]) -> bytes:
+    """Rows as one int64 block: each :class:`NodeJobResult` as its six
+    fields in order, row after row (native byte order: the block crosses a
+    process boundary, never a machine)."""
+    count = len(rows) * _WIDTH
+    return np.fromiter(chain.from_iterable(rows), np.int64, count).tobytes()
+
+
+def decode_results(block: bytes) -> list[NodeJobResult]:
+    """The rows :func:`encode_results` packed into ``block``, in order.
+
+    Each row is built by ``tuple.__new__`` (C level: no Python-level
+    ``__new__`` per row)."""
+    ints = iter(np.frombuffer(block, np.int64).tolist())
+    return list(map(tuple.__new__, repeat(NodeJobResult), zip(*[ints] * _WIDTH)))
 
 
 def build_graph(model: str):

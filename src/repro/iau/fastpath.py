@@ -51,7 +51,15 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.accel.core import DataTile, WeightTile
+from repro.accel.core import (
+    STAT_NAMES,
+    DataSpec,
+    DataTile,
+    TileSpecs,
+    WeightSpec,
+    WeightTile,
+    resident_tiles,
+)
 from repro.faults.plan import FaultSite
 from repro.hw.timing import fetch_cycles, kind_cycles
 from repro.isa.instructions import FLAG_OPERAND_B, Instruction
@@ -88,11 +96,15 @@ MIN_BATCH = 2
 #: cycles, burst direction or None, burst region or None, burst bytes).
 _EventSpec = tuple[int, str, int, str | None, str | None, int]
 
-#: Resident-tile snapshot at a clean boundary: each spec is its tile's
-#: fields in order, without the payload.
-_DataSpec = tuple[int, int, int, int, int, int]  # layer, row0, rows, ch0, chs, nbytes
-_WeightSpec = tuple[int, int, int, int, int, int]  # layer, ch0, chs, in_ch0, in_chs, nbytes
-_Tiles = tuple[tuple[tuple[int, _DataSpec], ...], _WeightSpec | None]
+#: A priced stretch: its cycles, its :class:`~repro.accel.core.CoreStats`
+#: delta (one int per :data:`~repro.accel.core.STAT_NAMES` entry) and the
+#: tile specs resident at its end.
+Stretch = tuple[int, tuple[int, ...], TileSpecs]
+
+#: Stretches one :class:`ProgramMeta` keeps priced: a farm node replays the
+#: same whole-program stretch per job, while an armed or preempted run cuts
+#: stretches anywhere, so the memo keeps the newest this many.
+STRETCH_MEMO = 256
 
 #: Typecode of every integer column of a :class:`ProgramMeta`: one
 #: contiguous int64 buffer, and each scalar read a plain ``int``.
@@ -169,12 +181,14 @@ class ProgramMeta:
 
     Every integer column is a :data:`COLUMN` ``array``; it pickles as one
     narrow delta buffer per column (:func:`_pack`), which is how the compile
-    cache stores it.
+    cache stores it.  Derived attributes (:attr:`length`, the stretch memo)
+    are rebuilt on load and never pickled.
     """
 
     #: Integer columns, and tables of them keyed by name (pickled packed).
     _COLUMNS = ("cum", "boundaries", "_tile_ids")
     _TABLES = ("stats", "opportunities")
+    _DERIVED = ("length", "_stretches")
 
     def __init__(
         self,
@@ -184,7 +198,7 @@ class ProgramMeta:
         events: list[_EventSpec | None],
         boundaries: "array[int]",
         tile_ids: "array[int]",
-        tiles: list[_Tiles],
+        tiles: list[TileSpecs],
         opportunities: dict[str, "array[int]"],
     ) -> None:
         self.fetch = fetch
@@ -205,9 +219,17 @@ class ProgramMeta:
         #: armed path: ``opportunities[site][j]`` draws happen over
         #: instructions ``[0, j)``.  Length n+1 each, like :attr:`cum`.
         self.opportunities = opportunities
+        self._derive()
+
+    def _derive(self) -> None:
+        #: Instructions in the program (the batch path never asks the
+        #: :class:`~repro.isa.program.Program`).
+        self.length = len(self.cum) - 1
+        #: ``(start, stop)`` -> :data:`Stretch`, at most :data:`STRETCH_MEMO`.
+        self._stretches: dict[tuple[int, int], Stretch] = {}
 
     def __getstate__(self) -> dict[str, Any]:
-        state = dict(vars(self))
+        state = {key: value for key, value in vars(self).items() if key not in self._DERIVED}
         for name in self._COLUMNS:
             state[name] = _pack(state[name])
         for name in self._TABLES:
@@ -220,6 +242,7 @@ class ProgramMeta:
         for name in self._TABLES:
             state[name] = {key: _unpack(packed) for key, packed in state[name].items()}
         vars(self).update(state)
+        self._derive()
 
     @property
     def total_cycles(self) -> int:
@@ -232,7 +255,7 @@ class ProgramMeta:
         ``base`` is the absolute clock minus ``cum[start]``; with no horizon
         the whole remaining program is batchable.
         """
-        n = len(self.cum) - 1
+        n = self.length
         if horizon is None:
             return n
         return bisect_left(self.cum, horizon - base, start, n)
@@ -255,7 +278,7 @@ class ProgramMeta:
         excluded.  Sites at rate 0 never constrain (the oracle returns the
         full limit without drawing).
         """
-        n = len(self.cum) - 1
+        n = self.length
         stop = n
         for value, opp in self.opportunities.items():
             if value == _STALL:
@@ -320,18 +343,38 @@ class ProgramMeta:
         assert spec is not None and spec[3] is not None and spec[4] is not None
         return spec[3], spec[4]
 
-    def batch_stats(self, start: int, stop: int) -> dict[str, int]:
-        """Aggregate :class:`CoreStats` deltas over ``[start, stop)``."""
-        return {name: column[stop] - column[start] for name, column in self.stats.items()}
+    def stretch(self, start: int, stop: int) -> Stretch:
+        """``(cycles, stats delta, resident tile specs)`` of the batch
+        ``[start, stop)`` ending at the clean boundary ``stop``.
 
-    def tiles_at(self, boundary: int) -> tuple[dict[int, DataTile], WeightTile | None]:
-        """Fresh tile descriptors (no payload) resident at a clean boundary."""
+        Priced once and kept: a farm node retires the same whole-program
+        stretch for every job.  The memo keeps the newest
+        :data:`STRETCH_MEMO` stretches and holds only tuples of ints, so no
+        caller shares a mutable object through it.
+        """
+        memo = self._stretches
+        key = (start, stop)
+        priced = memo.get(key)
+        if priced is None:
+            if len(memo) >= STRETCH_MEMO:
+                del memo[next(iter(memo))]
+            stats = self.stats
+            priced = memo[key] = (
+                self.cum[stop] - self.cum[start],
+                tuple(stats[name][stop] - stats[name][start] for name in STAT_NAMES),
+                self._tile_specs(stop),
+            )
+        return priced
+
+    def _tile_specs(self, boundary: int) -> TileSpecs:
         position = bisect_left(self.boundaries, boundary)
         if position == len(self.boundaries) or self.boundaries[position] != boundary:
             raise KeyError(boundary)
-        data_specs, weight_spec = self._tiles[self._tile_ids[position]]
-        data_tiles = {slot: DataTile(*spec, array=None) for slot, spec in data_specs}
-        return data_tiles, None if weight_spec is None else WeightTile(*weight_spec, array=None)
+        return self._tiles[self._tile_ids[position]]
+
+    def tiles_at(self, boundary: int) -> tuple[dict[int, DataTile], WeightTile | None]:
+        """Fresh tile descriptors (no payload) resident at a clean boundary."""
+        return resident_tiles(self._tile_specs(boundary))
 
 
 class RegionTouches:
@@ -356,6 +399,7 @@ class RegionTouches:
         self._compiled = compiled
         self._program = program
         self._functional = functional
+        self._length = len(program)
         self._index: dict[str, list[int]] = {}
 
     def first(self, region: str, start: int) -> int:
@@ -365,7 +409,7 @@ class RegionTouches:
         if index is None:
             index = self._index[region] = self._build(region)
         position = bisect_left(index, start)
-        return index[position] if position < len(index) else len(self._program)
+        return index[position] if position < len(index) else self._length
 
     def _build(self, region: str) -> list[int]:
         words = self._program.words
@@ -507,9 +551,9 @@ def build_program_meta(compiled: "CompiledNetwork", program: "Program") -> Progr
     walked = is_load | is_save | (is_calc & ~(is_calc_i & conv & (words["in_ch0"] != 0)))
     load_d, load_w = int(Opcode.LOAD_D), int(Opcode.LOAD_W)
     calc_i, calc_f = int(Opcode.CALC_I), int(Opcode.CALC_F)
-    data_tiles: dict[int, _DataSpec] = {}
-    weight: _WeightSpec | None = None
-    tiles: _Tiles = ((), None)
+    data_tiles: dict[int, DataSpec] = {}
+    weight: WeightSpec | None = None
+    tiles: TileSpecs = ((), None)
     tile_table = {tiles: 0}  # distinct resident sets -> tile id
     tile_id = 0  # of ``tiles``; -1 after a load until the next boundary
     accumulating = False

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.accel.core import AcceleratorCore
+from repro.accel.core import STAT_NAMES, AcceleratorCore
 from repro.compiler.compile import CompiledNetwork
 from repro.errors import CheckpointError, IauError
 from repro.faults.plan import DeadlineMissed, FaultPlan, FaultSite
@@ -46,6 +47,12 @@ from repro.iau.fastpath import MIN_BATCH, region_touches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.iau.fastpath import ProgramMeta
+
+#: Where a batch adds its ``ddr.stall`` cycles in a CoreStats delta.
+_CYCLES_STAT = STAT_NAMES.index("cycles")
+_STALL_STAT = {
+    direction: STAT_NAMES.index(f"{direction}_cycles") for direction in ("load", "save")
+}
 
 #: Number of task slots in the hardware (paper's Fig. IAU).
 MAX_TASKS = 4
@@ -98,6 +105,8 @@ class Iau(Stateful):
             core.bus = bus
         self.clock = 0
         self.contexts: list[TaskContext | None] = [None] * MAX_TASKS
+        #: The attached slots in (priority, slot) order (:meth:`_winner`).
+        self._ranked: list[TaskContext] = []
         self.current: int | None = None
         #: Extra cycles spent on interrupt backup / restore transfers.
         self.backup_cycles = 0
@@ -172,6 +181,7 @@ class Iau(Stateful):
             deadline_cycles=deadline_cycles,
         )
         self.contexts[task_id] = context
+        self._reset_derived()
         return context
 
     def context(self, task_id: int) -> TaskContext:
@@ -240,57 +250,49 @@ class Iau(Stateful):
 
     # -- scheduling ---------------------------------------------------------
 
-    def _rank(self, context: TaskContext) -> tuple[float, ...]:
-        """Arbitration key: lower sorts first.
+    def _winner(self, above: int | None = None) -> TaskContext | None:
+        """The runnable slot that wins the core, or None: one walk over the
+        slots in (priority, slot) order, the hardware's slot-order scan.
 
-        Strict (priority, slot) by default — identical to the hardware's
-        slot-order scan.  With the QoS EDF tie-break, equal-priority slots
-        are ordered by the head job's absolute deadline (laxity order for
-        equal-length jobs), undeclared deadlines last.
+        With the QoS EDF tie-break, the first runnable priority group is
+        ordered by the head job's absolute deadline (laxity order for
+        equal-length jobs), undeclared deadlines last, then by slot.
+        ``above`` admits only priorities strictly higher (numerically
+        lower) than that level: the task that would preempt a running one
+        of that priority, as equal-priority peers never preempt each other.
         """
-        if self._edf:
-            return (context.priority, context.head_deadline(), context.task_id)
-        return (context.priority, context.task_id)
-
-    def _highest_runnable(self) -> TaskContext | None:
         best: TaskContext | None = None
-        best_key: tuple[float, ...] | None = None
-        for context in self.contexts:
-            if context is None or not context.runnable:
+        for context in self._ranked:
+            if above is not None and context.priority >= above:
+                break
+            if not context.runnable:
                 continue
-            key = self._rank(context)
-            if best_key is None or key < best_key:
-                best, best_key = context, key
+            if best is None:
+                if not self._edf:
+                    return context
+                best = context
+            elif context.priority != best.priority:
+                break
+            elif context.head_deadline() < best.head_deadline():
+                best = context
         return best
 
-    def _preempting_task(self, current: TaskContext) -> TaskContext | None:
-        """The strictly-higher-priority runnable task that would win the
-        core, or None.  Equal-priority peers never preempt each other."""
-        best: TaskContext | None = None
-        best_key: tuple[float, ...] | None = None
-        for context in self.contexts:
-            if (
-                context is None
-                or context is current
-                or not context.runnable
-                or context.priority >= current.priority
-            ):
-                continue
-            key = self._rank(context)
-            if best_key is None or key < best_key:
-                best, best_key = context, key
-        return best
+    def _reset_derived(self) -> None:
+        self._ranked = sorted(
+            (context for context in self.contexts if context is not None),
+            key=attrgetter("priority", "task_id"),
+        )
 
     @property
     def idle(self) -> bool:
-        return self._highest_runnable() is None
+        return self._winner() is None
 
     # -- execution ------------------------------------------------------------
 
     def step(self) -> bool:
         """Translate + execute one instruction; False when nothing is runnable."""
         if self.current is None:
-            context = self._highest_runnable()
+            context = self._winner()
             if context is None:
                 return False
             self._switch_in(context)
@@ -356,7 +358,7 @@ class Iau(Stateful):
             return "recovery"
         if context.save_id != NO_SAVE_ID:
             return "pending_save"
-        if self._preempting_task(context) is not None:
+        if self._winner(context.priority) is not None:
             return "preempting_task"
         return None
 
@@ -392,15 +394,16 @@ class Iau(Stateful):
         Returns False when nothing is runnable, like :meth:`step`.
         """
         if self.current is None:
-            context = self._highest_runnable()
+            context = self._winner()
             if context is None:
                 return False
             self._switch_in(context)
         context = self.context(self.current)
         counts = self.dispatch_counts
 
+        meta = context.meta
         index = context.instr_index
-        if index >= len(context.program):
+        if index >= meta.length:
             self._complete_job(context)
             return True
         reason = self._bail_reason(context)
@@ -409,7 +412,6 @@ class Iau(Stateful):
             counts["instr_stepped"] += 1
             return self.step()
 
-        meta = context.meta
         base = self.clock - meta.cum[index]
         stop = meta.stop_for_horizon(index, base, horizon)
         short = "short_horizon"
@@ -444,15 +446,16 @@ class Iau(Stateful):
 
         counts["batched"] += 1
         counts["instr_batched"] += boundary - index
-        aggregates = meta.batch_stats(index, boundary)
-        delta = meta.cum[boundary] - meta.cum[index]
+        delta, stats_delta, tiles = meta.stretch(index, boundary)
         if stalls:
             assert plan is not None  # only an armed plan fires
             del stalls[bisect_left(stalls, boundary):]
             counts["stalls_batched"] += len(stalls)
+            stalled = list(stats_delta)
             for j in stalls:
-                aggregates[f"{meta.transfer(j)[0]}_cycles"] += plan.ddr_stall_cycles
-            aggregates["cycles"] += plan.ddr_stall_cycles * len(stalls)
+                stalled[_STALL_STAT[meta.transfer(j)[0]]] += plan.ddr_stall_cycles
+            stalled[_CYCLES_STAT] += plan.ddr_stall_cycles * len(stalls)
+            stats_delta = tuple(stalled)
             delta += plan.ddr_stall_cycles * len(stalls)
         if self.bus is not None:
             self._replay_events(context, meta, index, boundary, stalls)
@@ -462,11 +465,9 @@ class Iau(Stateful):
         self.clock += delta
         context.busy_cycles += delta
         context.instr_index = boundary
-        data_tiles, weight_tile = meta.tiles_at(boundary)
         self.core.retire_batch(
-            aggregates,
-            data_tiles,
-            weight_tile,
+            stats_delta,
+            tiles,
             context.program.words[index:boundary],
             context.compiled.layer_config,
         )
@@ -485,7 +486,7 @@ class Iau(Stateful):
         call would do first, with nothing due in between."""
         if (
             self.current == context.task_id
-            and context.instr_index >= len(context.program)
+            and context.instr_index >= context.meta.length
             and (horizon is None or self.clock < horizon)
         ):
             self._complete_job(context)
@@ -510,7 +511,7 @@ class Iau(Stateful):
         again).  Between those points every caller would call straight back
         in, so the loop is ``step()``-exact by construction.
         """
-        last = len(context.program)
+        last = context.meta.length
         steps = 0
         while True:
             self.step()
@@ -631,7 +632,7 @@ class Iau(Stateful):
     def _check_inversion(self, context: TaskContext) -> None:
         """Flag a lower-criticality job holding the core past a waiting
         higher-criticality job's slack (one event per waiting job)."""
-        winner = self._preempting_task(context)
+        winner = self._winner(context.priority)
         if winner is None:
             return
         head = winner.head_job
@@ -658,7 +659,7 @@ class Iau(Stateful):
     def _maybe_cpu_preempt(self, context: TaskContext) -> bool:
         """CPU-like discipline: check for a higher-priority task before every
         instruction, spilling the whole chip state on pre-emption."""
-        winner = self._preempting_task(context)
+        winner = self._winner(context.priority)
         if winner is None:
             return False
         cycles = transfer_cycles(self.config, self.config.total_buffer_bytes)
@@ -773,7 +774,7 @@ class Iau(Stateful):
 
         can_switch = (
             instruction.is_switch_point
-            and self._preempting_task(context) is not None
+            and self._winner(context.priority) is not None
         )
         if self.faults is not None and instruction.is_switch_point:
             if can_switch and self.faults.fires(FaultSite.IAU_DROP_PREEMPT):
@@ -831,7 +832,7 @@ class Iau(Stateful):
         self.core.invalidate()
         self.current = None
         if self.bus is not None:
-            winner = self._preempting_task(context)
+            winner = self._winner(context.priority)
             self._emit(
                 EventKind.VI_EXPAND,
                 cycle=self.clock - backup_transfer_cycles,

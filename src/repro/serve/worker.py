@@ -39,6 +39,8 @@ from repro.farm.node import (
     NodeJobResult,
     build_node_system,
     collect_assignment,
+    decode_results,
+    encode_results,
     expected_per_slot,
     submit_assignment,
 )
@@ -52,6 +54,11 @@ from repro.serve.snapshot import restore_system, snapshot_system
 
 #: Exit code of a worker that simulated a hard crash (test hook).
 CRASH_EXIT_CODE = 113
+
+#: The process that imported this module.  In a gateway worker it is the
+#: fork server when the gateway's preload took effect, and the worker
+#: itself when its launch had to import the stack again.
+IMPORTED_BY_PID = os.getpid()
 
 #: The preparation-data keys that make a child re-run the caller's main
 #: module (as ``__mp_main__``) before it unpickles its target.
@@ -137,6 +144,21 @@ class JobResult:
     #: Cycle the executing attempt resumed from (0 = ran from scratch).
     resumed_from_cycle: int = 0
     snapshots_written: int = 0
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        """Pickle :attr:`records` as one int64 block (:func:`encode_results`).
+
+        A result pickled field by field, as journals written before this
+        codec hold them, still loads: unpickling that form never calls
+        this method."""
+        state = dict(vars(self))
+        state["records"] = encode_results(self.records)
+        return _load_job_result, (state,)
+
+
+def _load_job_result(state: dict[str, Any]) -> JobResult:
+    state["records"] = tuple(decode_results(state["records"]))
+    return JobResult(**state)
 
 
 def _build_system(spec: JobSpec) -> MultiTaskSystem:

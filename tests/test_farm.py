@@ -7,6 +7,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import RemainingCycles, estimate_job_cycles
 from repro.analysis.design_space import default_design_grid
@@ -30,6 +31,7 @@ from repro.farm import (
     percentile,
     run_assignment,
 )
+from repro.farm.node import NodeJobResult, decode_results, encode_results
 from repro.iau.unit import DISPATCH_KEYS, Iau
 from repro.obs import EventKind, ObsConfig
 
@@ -421,3 +423,25 @@ class TestFarmViewValidation:
         bad = [job for job in small_jobs if job.service > 0][:1]
         with pytest.raises(SchedulerError, match="service"):
             farm.plan(bad)
+
+
+
+# -- the node-results wire codec ----------------------------------------------
+
+_WIDTH = len(NodeJobResult._fields)
+_ROW = st.tuples(*[st.integers(min_value=0, max_value=2**62)] * _WIDTH)
+
+
+@given(st.lists(_ROW, max_size=40))
+@example([])
+@example([(2**62,) * _WIDTH])
+@settings(max_examples=60, deadline=None)
+def test_results_codec_round_trips_rows_in_order(values):
+    """What a pool worker encodes, the parent decodes: empty input, one
+    row, values up to 2**62, row order kept, ``NodeJobResult`` rows out."""
+    rows = [NodeJobResult(*row) for row in values]
+    block = encode_results(rows)
+    assert len(block) == 8 * _WIDTH * len(rows)
+    decoded = decode_results(block)
+    assert decoded == rows
+    assert all(type(row) is NodeJobResult for row in decoded)

@@ -5,6 +5,9 @@ against the step-wise loop is the conformance matrix's job
 (``tests/test_conformance_matrix.py``).  Here: the fast path really retires
 whole stretches and ``MultiTaskSystem.run()`` takes it by default.
 
+The stretch memo (``ProgramMeta.stretch``) stays within its bound, is
+never pickled, and shares no tile object between batches.
+
 Also covered: the ``JobRecord.deadline_missed`` outcome-type fix, the
 ``LOAD_W`` DDR-aliasing fix, past-cycle submission rejection on both system
 surfaces, and the ``_inversions_seen`` boundedness fix.
@@ -12,20 +15,29 @@ surfaces, and the ``_inversions_seen`` boundedness fix.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.accel.core import AcceleratorCore
+from repro.compiler import compile_network
 from repro.errors import SchedulerError
-from repro.faults.plan import DeadlineMissed
+from repro.faults.campaign import default_rates
+from repro.faults.plan import DeadlineMissed, FaultPlan
+from repro.iau import fastpath
 from repro.iau.context import JobRecord
+from repro.iau.fastpath import ProgramMeta, build_program_meta
 from repro.iau.unit import Iau
 from repro.isa.opcodes import Opcode
 from repro.multicore.system import MultiCoreSystem
 from repro.obs.config import ObsConfig
 from repro.qos.admission import AdmissionDenied
 from repro.qos.config import QosConfig
-from repro.runtime.system import ArrivalPolicy, MultiTaskSystem
+from repro.runtime.system import ArrivalPolicy, MultiTaskSystem, compile_tasks
+from repro.zoo import build_tiny_cnn, build_tiny_residual
+from tests.conftest import random_input
 
 
 def test_fast_path_actually_batches(tiny_cnn_compiled):
@@ -205,3 +217,95 @@ def test_inversions_seen_pruned_on_completion(tiny_pair, example_config):
     system.run()
     assert system.iau.num_inversions > 0
     assert system.iau._inversions_seen == set()
+
+
+# -- the stretch memo -----------------------------------------------------------
+
+
+def _armed_pair_run(config):
+    """A tiny armed pair on freshly compiled networks (cold metas): slot 0
+    preempts slot 1 under the campaign fault rates, so batches end at
+    fires, flips and arrivals, anywhere in either program."""
+    low, high = compile_tasks(
+        [build_tiny_cnn(), build_tiny_residual()], config, weights="random", seed=4
+    )
+    system = MultiTaskSystem(config, faults=FaultPlan(seed=3, rates=default_rates()))
+    system.add_task(0, high)
+    system.add_task(1, low)
+    for k in range(8):
+        system.submit(1, 9_000 * k)
+        system.submit(0, 2_500 + 11_000 * k)
+    system.run()
+    records = [
+        (job.request_cycle, job.start_cycle, job.complete_cycle)
+        for slot in (0, 1)
+        for job in system.jobs(slot)
+    ]
+    return system.clock, records, system.iau.core.stats, system.iau.dispatch_counts
+
+
+def test_stretch_memo_stays_within_its_bound(example_config, monkeypatch):
+    """An armed pair prices more distinct stretches than a bound of 2
+    allows; each meta keeps at most 2, and the run is the one the default
+    bound gives."""
+    golden = _armed_pair_run(example_config)
+    priced: dict[int, tuple[ProgramMeta, set]] = {}
+    stretch = ProgramMeta.stretch
+
+    def spy(meta, start, stop):
+        result = stretch(meta, start, stop)
+        priced.setdefault(id(meta), (meta, set()))[1].add((start, stop))
+        assert len(meta._stretches) <= 2
+        return result
+
+    monkeypatch.setattr(fastpath, "STRETCH_MEMO", 2)
+    monkeypatch.setattr(ProgramMeta, "stretch", spy)
+    assert _armed_pair_run(example_config) == golden
+    assert len(priced) == 2
+    assert all(len(keys) > 2 for _meta, keys in priced.values())
+
+
+def test_a_warm_stretch_memo_pickles_like_a_cold_one(tiny_cnn_compiled):
+    program = tiny_cnn_compiled.program_for("vi")
+    meta = build_program_meta(tiny_cnn_compiled, program)
+    cold = pickle.dumps(meta)
+    for start, stop in zip(meta.boundaries, meta.boundaries[1:]):
+        meta.stretch(start, stop)
+    assert meta._stretches
+    assert pickle.dumps(meta) == cold
+    loaded = pickle.loads(cold)
+    assert loaded._stretches == {} and loaded.length == meta.length == len(program)
+
+
+def test_batches_build_their_own_tiles(example_config, monkeypatch):
+    """Two jobs retire the same priced stretch on a functional core: each
+    batch gets its own tile objects and payloads, none shared with the
+    other batch's or with the memo, and the output is the stepped one."""
+    compiled = compile_network(build_tiny_cnn(), example_config, weights="random", seed=2)
+    compiled.set_input(random_input(compiled))
+    resident = []
+    retire_batch = AcceleratorCore.retire_batch
+
+    def spy(core, *args):
+        retire_batch(core, *args)
+        resident.append((dict(core.data_tiles), core.weight_tile))
+
+    def run(batched):
+        system = MultiTaskSystem(example_config, obs=ObsConfig(functional=True))
+        system.add_task(0, compiled)
+        system.submit(0, 0)
+        system.submit(0, 1)
+        system.run(batched=batched)
+        return system.clock, compiled.get_output().tobytes()
+
+    stepped = run(batched=False)
+    monkeypatch.setattr(AcceleratorCore, "retire_batch", spy)
+    assert run(batched=True) == stepped
+    meta = compiled.meta("vi")
+    assert (0, meta.length) in meta._stretches
+    assert len(resident) == 2
+    first, second = ([*data.values(), weight] for data, weight in resident)
+    assert len(first) > 1
+    assert [replace(t, array=None) for t in first] == [replace(t, array=None) for t in second]
+    assert len({id(tile) for tile in first + second}) == 2 * len(first)
+    assert not any(np.shares_memory(a.array, b.array) for a, b in zip(first, second))

@@ -226,6 +226,22 @@ class TestEdfTiebreak:
         assert system.job(2).start_cycle < system.job(1).start_cycle
         assert not system.job(2).deadline_missed
 
+    def test_an_edf_tie_falls_back_to_slot_order(self, example_config, tiny_pair):
+        low, high = tiny_pair
+        system = MultiTaskSystem(
+            example_config,
+            iau_mode="virtual",
+            obs=ObsConfig(events=True),
+            qos=QosConfig(edf_tiebreak=True),
+        )
+        system.add_task(1, low, priority=5, deadline_cycles=400_000)
+        system.add_task(2, high, priority=5, deadline_cycles=400_000)
+        system.submit(1, 0)
+        system.submit(2, 0)
+        system.run()
+        # Equal absolute deadlines: the lower slot wins, as without EDF.
+        assert system.job(1).start_cycle < system.job(2).start_cycle
+
     def test_equal_priorities_never_preempt(self, example_config, tiny_pair):
         low, high = tiny_pair
         system = MultiTaskSystem(

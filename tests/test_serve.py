@@ -10,10 +10,13 @@ literal-SIGKILL benchmark lives in ``benchmarks/test_crash_recovery.py``).
 
 from __future__ import annotations
 
+import copyreg
 import errno
+import io
 import json
 import os
 import pickle
+import sqlite3
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -48,7 +51,9 @@ from repro.serve import (
     snapshot_system,
     write_snapshot,
 )
+from repro.farm.node import NodeJobResult
 from repro.serve.snapshot import MAGIC, VERSION, probe_snapshot
+from repro.serve.worker import JobResult, load_result
 from tests.test_container import MUTATIONS
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=400_000)
@@ -86,6 +91,23 @@ class _V2TimedRequest:
     cycle: int
     sequence: int
     task_id: int
+
+
+class _FieldByField(pickle.Pickler):
+    """Pickles a ``JobResult`` the way a frozen dataclass pickles by
+    default, the form journals held before its records had a codec:
+    ``copyreg.__newobj__`` of the class, then its ``__dict__``."""
+
+    def reducer_override(self, obj):
+        if type(obj) is JobResult:
+            return copyreg.__newobj__, (JobResult,), dict(vars(obj))
+        return NotImplemented
+
+    @classmethod
+    def dumps(cls, obj) -> bytes:
+        buffer = io.BytesIO()
+        cls(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+        return buffer.getvalue()
 
 
 def record_tuples(records):
@@ -300,6 +322,31 @@ class TestJournal:
         assert record.snapshot_cycle == 500
         kinds = [event.kind for event in journal.events("j1")]
         assert kinds == ["submitted", "started", "snapshot", "completed"]
+
+    def test_a_result_journaled_before_the_records_codec_still_loads(
+        self, tmp_path, golden
+    ):
+        """A ``JobResult`` pickles its records as one int64 block and loads
+        them back as a tuple of ``NodeJobResult`` rows; one journaled field
+        by field, as results were before that codec, loads the same."""
+        records, clock = golden
+        result = JobResult("j", 0, tuple(records), clock, resumed_from_cycle=7)
+        assert pickle.loads(pickle.dumps(result)) == result
+        journal = JobJournal(tmp_path / "j.db")
+        for job_id in ("now", "before"):
+            journal.submit(job_id, None)
+            journal.start_attempt(job_id)
+            journal.complete(job_id, result)
+        with sqlite3.connect(tmp_path / "j.db") as conn:
+            conn.execute(
+                "UPDATE jobs SET result = ? WHERE job_id = 'before'",
+                (_FieldByField.dumps(result),),
+            )
+        for job_id in ("now", "before"):
+            loaded = load_result(journal, job_id)
+            assert loaded == result
+            assert type(loaded.records) is tuple
+            assert all(type(row) is NodeJobResult for row in loaded.records)
 
     def test_duplicate_submit_refused(self, tmp_path):
         journal = JobJournal(tmp_path / "j.db")
@@ -536,6 +583,44 @@ if __name__ == "__main__":
 """
 
 
+#: A module on the fork server's PYTHONPATH with the stand-in worker entry
+#: point :data:`PRELOAD_PROGRAM` gives its gateway: note which process
+#: imported ``repro.serve.worker``, then run the real worker.
+PRELOAD_PROBE = """
+import json, os
+from pathlib import Path
+from repro.serve import worker
+
+def probe_then_run(job_id, journal_path, snapshot_dir):
+    Path(snapshot_dir).parent.joinpath("probe.json").write_text(json.dumps(
+        {"imported_by": worker.IMPORTED_BY_PID, "pid": os.getpid()}
+    ))
+    worker.worker_main(job_id, journal_path, snapshot_dir)
+"""
+
+#: One job on a process-mode gateway whose workers run the probe first;
+#: prints the fork server's pid as JSON.
+PRELOAD_PROGRAM = """
+import json, multiprocessing.forkserver, sys
+import preload_probe
+import repro.serve.gateway as gateway_module
+from repro.farm import NodeAssignment, ServiceSpec, SloClass
+from repro.hw.config import AcceleratorConfig
+from repro.serve import JobSpec, ServeGateway
+
+slo = SloClass("gold", rank=0, weight=1.0, deadline_cycles=400_000)
+assignment = NodeAssignment(
+    node=0, config=AcceleratorConfig.small(),
+    services=(ServiceSpec("det", "tiny_cnn", slo),),
+    dispatches=((0, 0, 0),),
+)
+gateway_module.worker_main = preload_probe.probe_then_run
+with ServeGateway(sys.argv[1]) as gateway:
+    gateway.result(gateway.submit(JobSpec(assignment=assignment)), timeout=120)
+    print(json.dumps({"fork_server": multiprocessing.forkserver._forkserver._forkserver_pid}))
+"""
+
+
 def session_members(session: int) -> list[tuple[str, str]]:
     """``(pid, state)`` of every live process in ``session``."""
     members = []
@@ -601,6 +686,23 @@ class TestWorkerLaunch:
         assert launch["attempts"] == 2 and launch["resumed_from_cycle"] > 0
         assert marker.read_text().splitlines() == ["module body ran"]
         assert "numpy.random" in launch["preload"]
+
+
+    def test_a_worker_finds_the_worker_module_preloaded(self, tmp_path):
+        """A process-mode gateway worker finds ``repro.serve.worker``
+        imported by another process, the fork server it forked from: the
+        gateway's preload took effect, and the launch imported nothing."""
+        (tmp_path / "preload_probe.py").write_text(PRELOAD_PROBE)
+        env = src_env()
+        env["PYTHONPATH"] += os.pathsep + str(tmp_path)
+        out = subprocess.run(
+            [sys.executable, "-c", PRELOAD_PROGRAM, str(tmp_path / "gw")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            check=True,
+        ).stdout
+        fork_server = json.loads(out)["fork_server"]
+        probe = json.loads((tmp_path / "gw" / "probe.json").read_text())
+        assert probe["imported_by"] == fork_server != probe["pid"]
 
 
 class TestFarmWorkerRetry:
