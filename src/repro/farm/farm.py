@@ -26,7 +26,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -494,19 +494,15 @@ class Farm:
         The workers fork with this process's heap and freeze it
         (``gc.freeze``), so their collector never walks it; each returns
         its node's rows as one int64 block (:func:`_ship_node`), decoded
-        here as its future completes, while the others still run.  A worker
-        that raises or dies (a dead process breaks the whole executor)
-        fails the day with one :class:`SchedulerError` naming the failed
-        nodes.  Recovering a dead worker is :meth:`serve_durable`'s job: it
-        resumes the node from its last snapshot.
+        here once every node has run.  A worker that raises or dies (a dead
+        process breaks the whole executor) fails the day with one
+        :class:`SchedulerError` naming the failed nodes.  Recovering a dead
+        worker is :meth:`serve_durable`'s job: it resumes the node from its
+        last snapshot.
         """
         workers = min(max_workers, len(assignments)) or 1
-        rows: dict[Future[bytes], list[NodeJobResult]] = {}
         with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
             futures = [pool.submit(_ship_node, a) for a in assignments]
-            for future in as_completed(futures):
-                if future.exception() is None:
-                    rows[future] = decode_results(future.result())
         errors = [(a.node, f.exception()) for a, f in zip(assignments, futures)]
         failed = [(node, error) for node, error in errors if error is not None]
         if failed:
@@ -515,7 +511,7 @@ class Farm:
                 f"{failed[0][1]!r}; the process pool does not recover a dead "
                 "worker (serve_durable resumes it from its last snapshot)"
             ) from failed[0][1]
-        return [row for future in futures for row in rows[future]], 0
+        return [row for future in futures for row in decode_results(future.result())], 0
 
 
 def _ship_node(assignment: NodeAssignment) -> bytes:

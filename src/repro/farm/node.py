@@ -77,13 +77,16 @@ class NodeJobResult(NamedTuple):
 
 _WIDTH = len(NodeJobResult._fields)
 
+#: Little-endian int64 whatever the host: a block is also pickled into the
+#: gateway's journal, a file that may be read on another machine.
+_DTYPE = np.dtype("<i8")
+
 
 def encode_results(rows: Sequence[NodeJobResult]) -> bytes:
-    """Rows as one int64 block: each :class:`NodeJobResult` as its six
-    fields in order, row after row (native byte order: the block crosses a
-    process boundary, never a machine)."""
+    """Rows as one little-endian int64 block: each :class:`NodeJobResult`
+    as its six fields in order, row after row."""
     count = len(rows) * _WIDTH
-    return np.fromiter(chain.from_iterable(rows), np.int64, count).tobytes()
+    return np.fromiter(chain.from_iterable(rows), _DTYPE, count).tobytes()
 
 
 def decode_results(block: bytes) -> list[NodeJobResult]:
@@ -91,7 +94,7 @@ def decode_results(block: bytes) -> list[NodeJobResult]:
 
     Each row is built by ``tuple.__new__`` (C level: no Python-level
     ``__new__`` per row)."""
-    ints = iter(np.frombuffer(block, np.int64).tolist())
+    ints = iter(np.frombuffer(block, _DTYPE).tolist())
     return list(map(tuple.__new__, repeat(NodeJobResult), zip(*[ints] * _WIDTH)))
 
 

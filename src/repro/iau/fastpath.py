@@ -101,9 +101,11 @@ _EventSpec = tuple[int, str, int, str | None, str | None, int]
 #: tile specs resident at its end.
 Stretch = tuple[int, tuple[int, ...], TileSpecs]
 
-#: Stretches one :class:`ProgramMeta` keeps priced: a farm node replays the
-#: same whole-program stretch per job, while an armed or preempted run cuts
-#: stretches anywhere, so the memo keeps the newest this many.
+#: Stretches one :class:`ProgramMeta` keeps priced, newest first out.  A
+#: farm node replays a few stretches per program for every job (one on a
+#: static day, at most 66 across a resilient day's epochs), while an armed
+#: run cuts stretches at its fault draws, which repeat only when the same
+#: seeded run is replayed; the bound covers the first and caps the second.
 STRETCH_MEMO = 256
 
 #: Typecode of every integer column of a :class:`ProgramMeta`: one

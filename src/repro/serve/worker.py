@@ -55,11 +55,6 @@ from repro.serve.snapshot import restore_system, snapshot_system
 #: Exit code of a worker that simulated a hard crash (test hook).
 CRASH_EXIT_CODE = 113
 
-#: The process that imported this module.  In a gateway worker it is the
-#: fork server when the gateway's preload took effect, and the worker
-#: itself when its launch had to import the stack again.
-IMPORTED_BY_PID = os.getpid()
-
 #: The preparation-data keys that make a child re-run the caller's main
 #: module (as ``__mp_main__``) before it unpickles its target.
 _MAIN_KEYS = ("init_main_from_path", "init_main_from_name")
@@ -146,7 +141,8 @@ class JobResult:
     snapshots_written: int = 0
 
     def __reduce__(self) -> tuple[Any, ...]:
-        """Pickle :attr:`records` as one int64 block (:func:`encode_results`).
+        """Pickle :attr:`records` as one int64 block (:func:`encode_results`;
+        little-endian, so a journal reads the same on any host).
 
         A result pickled field by field, as journals written before this
         codec hold them, still loads: unpickling that form never calls

@@ -583,23 +583,32 @@ if __name__ == "__main__":
 """
 
 
-#: A module on the fork server's PYTHONPATH with the stand-in worker entry
-#: point :data:`PRELOAD_PROGRAM` gives its gateway: note which process
-#: imported ``repro.serve.worker``, then run the real worker.
+#: A module on the fork server's PYTHONPATH, appended to the gateway's
+#: preload list by :data:`PRELOAD_PROGRAM`, so the fork server imports it
+#: right after that list: it notes then whether ``repro.serve.worker`` was
+#: already imported, and which process imported the probe.  Its
+#: ``probe_then_run`` is the stand-in worker entry point: it writes what
+#: was noted, with its own pid, then runs the real worker.
 PRELOAD_PROBE = """
-import json, os
+import json, os, sys
 from pathlib import Path
-from repro.serve import worker
+
+WORKER_PRELOADED = "repro.serve.worker" in sys.modules
+IMPORTED_BY = os.getpid()
 
 def probe_then_run(job_id, journal_path, snapshot_dir):
-    Path(snapshot_dir).parent.joinpath("probe.json").write_text(json.dumps(
-        {"imported_by": worker.IMPORTED_BY_PID, "pid": os.getpid()}
-    ))
+    from repro.serve import worker
+    Path(snapshot_dir).parent.joinpath("probe.json").write_text(json.dumps({
+        "worker_preloaded": WORKER_PRELOADED,
+        "imported_by": IMPORTED_BY,
+        "pid": os.getpid(),
+    }))
     worker.worker_main(job_id, journal_path, snapshot_dir)
 """
 
-#: One job on a process-mode gateway whose workers run the probe first;
-#: prints the fork server's pid as JSON.
+#: One job on a process-mode gateway whose fork server also preloads the
+#: probe and whose workers run it first; prints the fork server's pid as
+#: JSON.
 PRELOAD_PROGRAM = """
 import json, multiprocessing.forkserver, sys
 import preload_probe
@@ -614,6 +623,7 @@ assignment = NodeAssignment(
     services=(ServiceSpec("det", "tiny_cnn", slo),),
     dispatches=((0, 0, 0),),
 )
+gateway_module.PRELOAD = [*gateway_module.PRELOAD, "preload_probe"]
 gateway_module.worker_main = preload_probe.probe_then_run
 with ServeGateway(sys.argv[1]) as gateway:
     gateway.result(gateway.submit(JobSpec(assignment=assignment)), timeout=120)
@@ -691,7 +701,11 @@ class TestWorkerLaunch:
     def test_a_worker_finds_the_worker_module_preloaded(self, tmp_path):
         """A process-mode gateway worker finds ``repro.serve.worker``
         imported by another process, the fork server it forked from: the
-        gateway's preload took effect, and the launch imported nothing."""
+        gateway's preload took effect, and the launch imported nothing.
+
+        The worker cannot tell on its own: unpickling its process object
+        imports ``repro.serve.worker`` anyway.  So the probe is preloaded
+        after the gateway's list and looks at the fork server's modules."""
         (tmp_path / "preload_probe.py").write_text(PRELOAD_PROBE)
         env = src_env()
         env["PYTHONPATH"] += os.pathsep + str(tmp_path)
@@ -702,6 +716,7 @@ class TestWorkerLaunch:
         ).stdout
         fork_server = json.loads(out)["fork_server"]
         probe = json.loads((tmp_path / "gw" / "probe.json").read_text())
+        assert probe["worker_preloaded"]
         assert probe["imported_by"] == fork_server != probe["pid"]
 
 
