@@ -11,8 +11,20 @@ import pytest
 from repro.accel.runner import run_program
 from repro.compiler import compile_network
 from repro.dslam import Camera, World, ransac_rigid_2d
-from repro.farm import NodeAssignment, ServiceSpec, SloClass, build_node_system, run_assignment
-from repro.farm.node import NodeJobResult, decode_results, encode_results
+from benchmarks.perf.workloads.farm import SERVING_SERVICES, day
+from repro.analysis.design_space import default_design_grid
+from repro.farm import (
+    Farm,
+    NodeAssignment,
+    PredictiveScheduler,
+    ServiceSpec,
+    SloClass,
+    build_node_system,
+    build_report,
+    join_outcomes,
+    run_assignment,
+)
+from repro.farm.node import NodeJobResult, decode_results, encode_results, results_array
 from repro.hw.config import AcceleratorConfig
 from repro.isa import Instruction, Opcode, decode_stream, encode_stream
 from repro.quant import conv2d
@@ -125,3 +137,28 @@ def test_bench_results_codec(benchmark):
 
     decoded = benchmark(lambda: decode_results(encode_results(rows)))
     assert decoded == rows
+
+
+def test_bench_plan_join_report(benchmark):
+    """The parent's serial share of a fanned-out farm day, without the
+    nodes: plan ``farm_day``'s 20,000-job day (seed 5) on the 4-node grid,
+    join it with one int64 block of results (each job done at its dispatch
+    cycle + estimate), and report it."""
+    jobs = day(5, tenants=48, jobs=20_000, mean_interarrival=110_000)
+    farm = Farm(default_design_grid(), SERVING_SERVICES, PredictiveScheduler())
+    view = farm.view
+    done = [
+        NodeJobResult(d.job.job_id, d.node, d.job.service, d.dispatch_cycle,
+                      d.dispatch_cycle, d.dispatch_cycle + farm.estimate(d.node, d.job.service))
+        for d in farm.plan(jobs)
+    ]
+    block = encode_results(done)
+
+    def parent_share():
+        farm.plan(jobs)
+        outcomes = join_outcomes(jobs, results_array([block]))
+        return build_report(farm.scheduler.name, outcomes, view.slos, estimates=view.estimates)
+
+    report = benchmark(parent_share)
+    assert report.total_jobs == 20_000
+    assert {entry.err_p99_cycles for entry in report.classes} == {0}

@@ -38,12 +38,13 @@ from repro.farm.metrics import FarmReport, JobOutcome, build_report, join_outcom
 from repro.farm.node import (
     NodeAssignment,
     NodeJobResult,
+    NodeRows,
     ServiceSpec,
     build_node_system,
     compiled_for_services,
-    decode_results,
     encode_results,
     join_slot,
+    results_array,
     simulate_node,
 )
 from repro.farm.resilience import (
@@ -84,10 +85,12 @@ class ServeResult:
 
 
 class NodeBackend(Protocol):
-    """What the serving loop needs of the farm's nodes.
+    """What the serving loop needs of the farm's nodes, epoch by epoch.
 
-    There are exactly two: :class:`_InProcessNodes` and
-    :class:`_ShippedNodes`.  The seam is an interface for one reason —
+    :class:`_InProcessNodes` is the one backend; the loop's other,
+    :class:`_ShippedNodes`, serves only one whole-day epoch and harvests it
+    as :data:`~repro.farm.node.NodeRows` (a pool's rows stay one int64
+    array up to the join).  The seam is an interface for one reason —
     ``tests/test_farm_loop.py`` drives the real loop and the real
     resilience policy over a thirty-line fake (a job completes at
     ``dispatch_cycle + estimate``; a killed node stops advancing), with no
@@ -159,7 +162,7 @@ class _InProcessNodes:
 
 
 #: Measures a day's node assignments elsewhere: (results, worker retries).
-Measure = Callable[[list[NodeAssignment]], tuple[list[NodeJobResult], int]]
+Measure = Callable[[list[NodeAssignment]], tuple[NodeRows, int]]
 
 
 class _ShippedNodes:
@@ -181,7 +184,7 @@ class _ShippedNodes:
         self._farm = farm
         self._measure = measure
         self._per_node: dict[int, list[tuple[int, int, int]]] = {}
-        self._results: list[NodeJobResult] | None = None
+        self._results: NodeRows | None = None
         self.retries = 0
 
     def _refuse(self, *_: object) -> NoReturn:
@@ -210,8 +213,9 @@ class _ShippedNodes:
         ]
         self._results, self.retries = self._measure(assignments)
 
-    def harvest(self) -> list[NodeJobResult]:
-        results, self._results = self._results or [], []
+    def harvest(self) -> NodeRows:
+        results = [] if self._results is None else self._results
+        self._results = []
         return results
 
 
@@ -295,14 +299,22 @@ class Farm:
 
         ``nodes`` offers the scheduler only those farm nodes, each free from
         its ``available`` cycle on — how the serving loop re-plans mid-day on
-        the healthy survivors.  Dispatches name farm-wide node indexes.
+        the healthy survivors.  Dispatches name farm-wide node indexes.  A
+        batch in which two arrivals share a ``job_id`` is refused before
+        anything is planned.
         """
-        for job in jobs:
-            if not 0 <= job.service < len(self.services):
-                raise SchedulerError(
-                    f"job {job.job_id} wants service {job.service}, farm has "
-                    f"{len(self.services)}"
-                )
+        services = len(self.services)
+        if not {job.service for job in jobs} <= set(range(services)):
+            bad = next(job for job in jobs if not 0 <= job.service < services)
+            raise SchedulerError(
+                f"job {bad.job_id} wants service {bad.service}, farm has {services}"
+            )
+        if len({job.job_id for job in jobs}) != len(jobs):
+            seen: set[int] = set()
+            for job in jobs:
+                if job.job_id in seen:
+                    raise SchedulerError(f"job {job.job_id} arrived twice")
+                seen.add(job.job_id)
         view = self._view
         if nodes is not None:
             view = view.restrict(nodes, available)
@@ -313,20 +325,25 @@ class Farm:
                 f"scheduler {name!r} planned {len(plan)} dispatches for "
                 f"{len(jobs)} jobs"
             )
+        offered = view.num_nodes
         for dispatch in plan:
             if dispatch.dispatch_cycle < dispatch.job.arrival_cycle:
                 raise SchedulerError(
                     f"scheduler {name!r} dispatched job "
                     f"{dispatch.job.job_id} before it arrived"
                 )
-            if not 0 <= dispatch.node < view.num_nodes:
+            if not 0 <= dispatch.node < offered:
                 raise SchedulerError(
                     f"scheduler {name!r} used node {dispatch.node}, was "
-                    f"offered {view.num_nodes}"
+                    f"offered {offered}"
                 )
         if view.nodes == self._view.nodes:
             return plan
-        return [Dispatch(d.job, view.nodes[d.node], d.dispatch_cycle) for d in plan]
+        farm_node = view.nodes
+        new = tuple.__new__
+        return [
+            new(Dispatch, (d.job, farm_node[d.node], d.dispatch_cycle)) for d in plan
+        ]
 
     def serve(
         self, jobs: Sequence[Job], *, max_workers: int | None = None
@@ -410,7 +427,7 @@ class Farm:
     def _serve(
         self,
         jobs: Sequence[Job],
-        nodes: NodeBackend,
+        nodes: NodeBackend | _ShippedNodes,
         policy: ResiliencePolicy | None = None,
     ) -> ServeResult:
         """The serving loop: plan → submit → advance → harvest, per epoch.
@@ -425,7 +442,9 @@ class Farm:
         # Only epochs need the arrival order; one whole-day epoch hands the
         # scheduler the day as given.
         ordered = list(jobs) if policy is None else sorted(jobs, key=_arrival_order)
-        results: list[NodeJobResult] = []
+        results: list[NodeJobResult] = []  # settled, epoch by epoch
+        # What the join reads: the settled results, or a whole-day harvest.
+        rows: NodeRows = results
         planned: list[Dispatch] = []
         carry: list[Job] = []  # stranded, or no healthy node: planned next epoch
         shed: list[Job] = [] if policy is None else policy.shed
@@ -463,12 +482,12 @@ class Farm:
                     submit(dispatch)
             if policy is None:
                 nodes.advance(None)
-                results.extend(nodes.harvest())
+                rows = nodes.harvest()
                 break  # one whole-day epoch: anything unaccounted fails the join
             policy.hedge()
             policy.measure()
-            results.extend(policy.settle(nodes.harvest(), carry))
-        outcomes = join_outcomes(list(jobs), results, shed=shed)
+            results.extend(policy.settle(policy.nodes.harvest(), carry))
+        outcomes = join_outcomes(list(jobs), rows, shed=shed)
         report = build_report(
             self.scheduler.name,
             outcomes,
@@ -488,13 +507,14 @@ class Farm:
     @staticmethod
     def _measure_parallel(
         assignments: Sequence[NodeAssignment], max_workers: int
-    ) -> tuple[list[NodeJobResult], int]:
+    ) -> tuple[NodeRows, int]:
         """Measure on a process pool: one plain fan-out, no recovery.
 
         The workers fork with this process's heap and freeze it
         (``gc.freeze``), so their collector never walks it; each returns
-        its node's rows as one int64 block (:func:`_ship_node`), decoded
-        here once every node has run.  A worker that raises or dies (a dead
+        its node's rows as one int64 block (:func:`_ship_node`); the blocks
+        become one int64 array once every node has run, which the join
+        reads as it is.  A worker that raises or dies (a dead
         process breaks the whole executor) fails the day with one
         :class:`SchedulerError` naming the failed nodes.  Recovering a dead
         worker is :meth:`serve_durable`'s job: it resumes the node from its
@@ -511,7 +531,7 @@ class Farm:
                 f"{failed[0][1]!r}; the process pool does not recover a dead "
                 "worker (serve_durable resumes it from its last snapshot)"
             ) from failed[0][1]
-        return [row for future in futures for row in decode_results(future.result())], 0
+        return results_array(future.result() for future in futures), 0
 
 
 def _ship_node(assignment: NodeAssignment) -> bytes:

@@ -21,12 +21,18 @@ Two accounting extensions feed the resilience layer:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.errors import SchedulerError
+from repro.farm.node import NodeJobResult
 from repro.farm.traffic import Job, SloClass
 
 
@@ -47,26 +53,41 @@ class JobOutcome(NamedTuple):
         return self.complete_cycle - self.arrival_cycle
 
 
-def percentile(values: Sequence[int], p: float) -> int:
-    """Nearest-rank percentile of a non-empty sequence.
+_OUTCOME_WIDTH = len(JobOutcome._fields)
+_RESULT_WIDTH = len(NodeJobResult._fields)
+_job_id = attrgetter("job_id")  # of a Job
+_tenant_id = attrgetter("tenant_id")
+_service = attrgetter("service")
+_arrival_cycle = attrgetter("arrival_cycle")
 
-    The rank is ``ceil(N * p / 100)`` computed in exact arithmetic: ``p``
-    is taken at its *decimal* face value (``Fraction(str(p))``), so
-    ``p=99.9`` means 999/1000 — not the nearest binary float, whose excess
-    ~1e-14 would push the rank from 999 to 1000 at N=1000 under float
-    multiply-then-ceil.
-    """
-    if not values:
-        raise SchedulerError("percentile of an empty sequence")
+
+def _rank(count: int, p: float) -> int:
+    """The 1-based nearest rank ``ceil(count * p / 100)``, in exact
+    arithmetic: ``p`` is taken at its *decimal* face value
+    (``Fraction(str(p))``), so ``p=99.9`` means 999/1000 — not the nearest
+    binary float, whose excess ~1e-14 would push the rank from 999 to 1000
+    at ``count=1000`` under float multiply-then-ceil."""
     try:
         fraction = Fraction(str(p))
     except (ValueError, ZeroDivisionError):
         raise SchedulerError(f"p must be in (0, 100], got {p}") from None
     if not 0 < fraction <= 100:
         raise SchedulerError(f"p must be in (0, 100], got {p}")
+    return math.ceil(count * fraction / 100)
+
+
+def percentile(values: Sequence[int], p: float) -> int:
+    """Nearest-rank percentile of a non-empty sequence (rank: :func:`_rank`)."""
+    if not values:
+        raise SchedulerError("percentile of an empty sequence")
     ordered = sorted(values)
-    rank = math.ceil(len(ordered) * fraction / 100)
-    return ordered[rank - 1]
+    return ordered[_rank(len(ordered), p) - 1]
+
+
+def nearest_rank(ordered: np.ndarray, p: float) -> int:
+    """:func:`percentile` of a non-empty int64 column already sorted
+    ascending (the same rank, :func:`_rank`)."""
+    return int(ordered[_rank(len(ordered), p) - 1])
 
 
 @dataclass(frozen=True)
@@ -179,56 +200,81 @@ def build_report(
     """Aggregate measured outcomes into the per-class report.
 
     ``slos`` is indexed by service (service ``k`` belongs to class
-    ``slos[k]``); distinct services sharing one class object aggregate
-    together.  ``estimates[node][service]`` (the scheduler's planning
-    view) enables the plan-vs-measured error columns; ``shed`` lists jobs
-    a mode switch dropped, counted per class against attainment.
+    ``slos[k]``); services whose classes share a name aggregate together,
+    under the class object of the last outcome (then shed job) of that
+    name.  ``estimates[node][service]`` (the scheduler's planning view)
+    enables the plan-vs-measured error columns; ``shed`` lists jobs a mode
+    switch dropped, counted per class against attainment.  Classes come in
+    rank order, equal ranks in the order their names first appear.
+
+    The outcomes are read once into int64 columns; each class sorts its
+    latencies (and errors) once and takes every figure off the sorted
+    column.
     """
-    by_class: dict[str, list[JobOutcome]] = {}
+    count = len(outcomes)
+    columns = np.fromiter(
+        chain.from_iterable(outcomes), np.int64, count * _OUTCOME_WIDTH
+    ).reshape(count, _OUTCOME_WIDTH).T
+    services = columns[2].copy()
+    latencies = columns[6] - columns[4]
+    errors: np.ndarray | None = None
+    if estimates is not None and count:
+        cost = np.asarray(estimates, dtype=np.int64)[columns[3], services]
+        errors = columns[6] - columns[5] - cost
+    makespan = int(columns[6].max()) if count else 0
+    del columns  # freed: the figures below read only these four
+    shed_services = [job.service for job in shed]
+    # A class is keyed by name: it opens where its name first appears
+    # (outcomes, then shed jobs) and takes the class object of its name's
+    # last appearance.  Per service, only its first and last positions can
+    # be either.
+    present, first, slot = np.unique(services, return_index=True, return_inverse=True)
+    last = count - 1 - np.unique(services[::-1], return_index=True)[1]
+    appearances = sorted(
+        chain(
+            zip(present.tolist(), first.tolist()),
+            zip(present.tolist(), last.tolist()),
+            zip(shed_services, range(count, count + len(shed))),
+        ),
+        key=itemgetter(1),
+    )
     class_of: dict[str, SloClass] = {}
-    shed_by_class: dict[str, int] = {}
-    for outcome in outcomes:
-        slo = slos[outcome.service]
-        by_class.setdefault(slo.name, []).append(outcome)
-        class_of[slo.name] = slo
-    for job in shed:
-        slo = slos[job.service]
-        class_of[slo.name] = slo
-        by_class.setdefault(slo.name, [])
-        shed_by_class[slo.name] = shed_by_class.get(slo.name, 0) + 1
+    for service, _ in appearances:
+        class_of[slos[service].name] = slos[service]
+    shed_by_class = Counter(slos[service].name for service in shed_services)
+    names = sorted(class_of, key=lambda n: class_of[n].rank)
+    # Each outcome's class, as its index in ``names``.
+    class_at = np.array(
+        [names.index(slos[service].name) for service in present.tolist()], np.intp
+    )[slot]
     classes = []
-    for name in sorted(by_class, key=lambda n: class_of[n].rank):
+    for index, name in enumerate(names):
         slo = class_of[name]
-        members = by_class[name]
-        latencies = [outcome.latency_cycles for outcome in members]
-        attained = sum(1 for lat in latencies if lat <= slo.deadline_cycles)
+        member = class_at == index
+        ordered = np.sort(latencies[member])
+        jobs = len(ordered)
         err_mean: float | None = None
         err_p99: int | None = None
-        if estimates is not None and members:
-            errors = [
-                (o.complete_cycle - o.dispatch_cycle)
-                - estimates[o.node][o.service]
-                for o in members
-            ]
-            err_mean = sum(errors) / len(errors)
-            err_p99 = percentile(errors, 99)
+        if errors is not None and jobs:
+            delta = errors[member]
+            err_mean = sum(delta.tolist()) / jobs
+            err_p99 = nearest_rank(np.sort(delta), 99)
         classes.append(
             ClassReport(
                 slo=slo,
-                jobs=len(latencies),
-                p50_cycles=percentile(latencies, 50) if latencies else 0,
-                p99_cycles=percentile(latencies, 99) if latencies else 0,
-                attained=attained,
-                shed=shed_by_class.get(name, 0),
+                jobs=jobs,
+                p50_cycles=nearest_rank(ordered, 50) if jobs else 0,
+                p99_cycles=nearest_rank(ordered, 99) if jobs else 0,
+                attained=int(np.searchsorted(ordered, slo.deadline_cycles, "right")),
+                shed=shed_by_class[name],
                 err_mean_cycles=err_mean,
                 err_p99_cycles=err_p99,
             )
         )
-    makespan = max((o.complete_cycle for o in outcomes), default=0)
     return FarmReport(
         scheduler=scheduler,
         classes=tuple(classes),
-        total_jobs=len(outcomes),
+        total_jobs=count,
         makespan_cycles=makespan,
         worker_retries=worker_retries,
         total_shed=len(shed),
@@ -237,57 +283,80 @@ def build_report(
 
 def join_outcomes(
     jobs: Sequence[Job],
-    results: Iterable[tuple[int, int, int, int, int, int]],
+    results: Iterable[tuple[int, int, int, int, int, int]] | np.ndarray,
     *,
     shed: Sequence[Job] = (),
 ) -> list[JobOutcome]:
     """Join arrivals with node results by ``job_id`` (exactly once each).
 
     ``results`` are :class:`~repro.farm.node.NodeJobResult` rows from any
-    backend (in-process, pool, gateway), read by position.  Every arrival
-    must be accounted for exactly once — as a measured completion in
-    ``results`` or as a mode-switch victim in ``shed``.  Duplicate
-    completions (e.g. both copies of a hedged dispatch reaching the join
-    without first-result-wins dedup) raise ``SchedulerError``.
+    backend (in-process, gateway), or the same rows as one int64 ``(n, 6)``
+    array (the pool's blocks, :func:`~repro.farm.node.results_array`).
+    Every arrival must be accounted for exactly once — as a measured
+    completion in ``results`` or as a mode-switch victim in ``shed``.
+    Duplicate completions (e.g. both copies of a hedged dispatch reaching
+    the join without first-result-wins dedup) raise ``SchedulerError``,
+    naming the first offending row.  Outcomes come sorted by ``job_id``.
+
+    Works on int64 columns: sorting the result ids checks exactly-once and
+    orders the outcomes, and a search among the sorted arrival ids finds
+    each result's arrival.
     """
-    arrivals = {job.job_id: job for job in jobs}
-    shed_ids = set()
-    for job in shed:
-        if job.job_id in shed_ids:
-            raise SchedulerError(f"job {job.job_id} shed twice")
-        if job.job_id not in arrivals:
-            raise SchedulerError(f"shed record for unknown job {job.job_id}")
-        shed_ids.add(job.job_id)
-    outcomes: list[JobOutcome] = []
-    seen: set[int] = set()
-    outcome = tuple.__new__  # C level: one JobOutcome per row, no Python __new__
-    for job_id, node, _service, dispatch_cycle, _start, complete_cycle in results:
-        if job_id in seen:
-            raise SchedulerError(f"job {job_id} completed twice")
-        if job_id in shed_ids:
-            raise SchedulerError(f"job {job_id} both shed and completed")
-        seen.add(job_id)
-        job = arrivals.get(job_id)
-        if job is None:
-            raise SchedulerError(f"completion for unknown job {job_id}")
-        outcomes.append(
-            outcome(
-                JobOutcome,
-                (
-                    job_id,
-                    job.tenant_id,
-                    job.service,
-                    node,
-                    job.arrival_cycle,
-                    dispatch_cycle,
-                    complete_cycle,
-                ),
-            )
-        )
-    if len(outcomes) + len(shed_ids) != len(jobs):
+    rows = (
+        np.asarray(results, np.int64)
+        if isinstance(results, np.ndarray)
+        else np.fromiter(chain.from_iterable(results), np.int64)
+    ).reshape(-1, _RESULT_WIDTH)
+    arrival_ids = np.fromiter(map(_job_id, jobs), np.int64, len(jobs))
+    shed_ids = np.fromiter(map(_job_id, shed), np.int64, len(shed))
+    shed_twice = _repeats(shed_ids)
+    bad = shed_twice | ~np.isin(shed_ids, arrival_ids)
+    if bad.any():
+        index = int(bad.argmax())
+        if shed_twice[index]:
+            raise SchedulerError(f"job {shed_ids[index]} shed twice")
+        raise SchedulerError(f"shed record for unknown job {shed_ids[index]}")
+    ids = rows[:, 0]
+    twice = _repeats(ids)
+    both = np.isin(ids, shed_ids)
+    bad = twice | both | ~np.isin(ids, arrival_ids)
+    if bad.any():
+        index = int(bad.argmax())
+        if twice[index]:
+            raise SchedulerError(f"job {ids[index]} completed twice")
+        if both[index]:
+            raise SchedulerError(f"job {ids[index]} both shed and completed")
+        raise SchedulerError(f"completion for unknown job {ids[index]}")
+    if len(rows) + len(shed_ids) != len(jobs):
         raise SchedulerError(
-            f"{len(jobs)} jobs arrived but {len(outcomes)} completed and "
+            f"{len(jobs)} jobs arrived but {len(rows)} completed and "
             f"{len(shed_ids)} were shed"
         )
-    outcomes.sort()  # by job_id: the first field, unique
-    return outcomes
+    # Every id arrived exactly once (the checks above), so each result id,
+    # in id order, has its own place among the sorted arrival ids.
+    order = np.argsort(ids)
+    by_id = np.argsort(arrival_ids)
+    places = np.searchsorted(arrival_ids[by_id], ids[order])
+    arrived = list(map(jobs.__getitem__, by_id[places].tolist()))
+    nodes, dispatched, completed = rows[order][:, [1, 3, 5]].T.tolist()
+    del rows, ids  # freed before the outcomes exist: a lower peak
+    fields = zip(
+        map(_job_id, arrived),
+        map(_tenant_id, arrived),
+        map(_service, arrived),
+        nodes,
+        map(_arrival_cycle, arrived),
+        dispatched,
+        completed,
+    )
+    # C level: one JobOutcome per row, no Python __new__.
+    return list(map(tuple.__new__, repeat(JobOutcome), fields))
+
+
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """Which entries repeat an id that appears earlier in ``ids``."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    mask = np.zeros(len(ids), bool)
+    mask[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return mask

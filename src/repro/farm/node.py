@@ -28,7 +28,7 @@ from collections import OrderedDict, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -89,6 +89,13 @@ def encode_results(rows: Sequence[NodeJobResult]) -> bytes:
     return np.fromiter(chain.from_iterable(rows), _DTYPE, count).tobytes()
 
 
+def results_array(blocks: Iterable[bytes]) -> np.ndarray:
+    """The rows :func:`encode_results` packed into ``blocks``, in order, as
+    one int64 ``(n, 6)`` array (columns in :class:`NodeJobResult` field
+    order) — what :func:`~repro.farm.metrics.join_outcomes` reads."""
+    return np.frombuffer(b"".join(blocks), _DTYPE).reshape(-1, _WIDTH)
+
+
 def decode_results(block: bytes) -> list[NodeJobResult]:
     """The rows :func:`encode_results` packed into ``block``, in order.
 
@@ -96,6 +103,11 @@ def decode_results(block: bytes) -> list[NodeJobResult]:
     ``__new__`` per row)."""
     ints = iter(np.frombuffer(block, _DTYPE).tolist())
     return list(map(tuple.__new__, repeat(NodeJobResult), zip(*[ints] * _WIDTH)))
+
+
+#: Node results as a backend hands them to the join: ``NodeJobResult`` rows,
+#: or the same rows as one int64 ``(n, 6)`` array (:func:`results_array`).
+NodeRows = Union[Sequence[NodeJobResult], np.ndarray]
 
 
 def build_graph(model: str):

@@ -146,66 +146,81 @@ class PredictiveScheduler:
 
     def dispatch(self, jobs: Sequence[Job], view: FarmView) -> list[Dispatch]:
         busy_until = list(view.available)
-        nodes = range(view.num_nodes)
-        # Per service, once: each node's cost, the token weight, and the
-        # negated rank the tie-break prefers high.
-        costs = [[view.estimate(n, s) for n in nodes] for s in range(len(view.slos))]
-        weights = [slo.weight for slo in view.slos]
-        ranks = [-slo.rank for slo in view.slos]
-        plan: list[Dispatch] = []
+        slos = view.slos
+        # Per service, once: each node's cost.
+        costs = [
+            [view.estimate(n, s) for n in range(view.num_nodes)]
+            for s in range(len(slos))
+        ]
+        others = range(1, view.num_nodes)
         # Token accrual is linear with one slope per service, so within a
         # service the oldest queued job always holds the most tokens: only
-        # each service's head can win, making selection O(services).
-        queues: dict[int, deque[Job]] = {}
-        queued = 0
-        pending = list(jobs)
-        total = len(pending)
-        index = 0
-        now = 0
+        # each service's head can win, making selection O(services).  The
+        # queues are indexed by service; ``heads`` lists the opened ones in
+        # first-seen order with their token weight and the negated rank the
+        # tie-break prefers high.
+        queues: list[deque[Job] | None] = [None] * len(slos)
+        heads: list[tuple[deque[Job], float, int]] = []
+        plan: list[Dispatch] = []
+        append = plan.append
+        new = tuple.__new__  # C level: one Dispatch per job, no Python __new__
+        total = len(jobs)
+        index = queued = now = 0
         while index < total or queued:
             if not queued:
                 # Fast-forward to the next arrival.
-                now = max(now, pending[index].arrival_cycle)
+                arrival = jobs[index].arrival_cycle
+                if arrival > now:
+                    now = arrival
             # A dispatch decision happens once some node is free; waiting
             # jobs keep accruing tokens until then.
-            now = max(now, min(busy_until))
-            while index < total and pending[index].arrival_cycle <= now:
-                arrived = pending[index]
-                queue = queues.get(arrived.service)
+            free = min(busy_until)
+            if free > now:
+                now = free
+            while index < total:
+                arrived = jobs[index]
+                if arrived.arrival_cycle > now:
+                    break
+                queue = queues[arrived.service]
                 if queue is None:
                     queue = queues[arrived.service] = deque()
+                    slo = slos[arrived.service]
+                    heads.append((queue, slo.weight, -slo.rank))
                 queue.append(arrived)
                 queued += 1
                 index += 1
-            if not queued:
-                continue
             # The richest head: most tokens, then the more urgent class,
             # then the oldest arrival; a full tie keeps the earlier queue.
             job: Job | None = None
+            chosen = heads[0][0]
             best_tokens, best_rank, best_arrival = 0.0, 0, 0
-            for service, queue in queues.items():
+            for queue, weight, rank in heads:
                 if not queue:
                     continue
                 head = queue[0]
                 arrival = head.arrival_cycle
-                tokens = weights[service] * (now - arrival + 1)
-                rank = ranks[service]
+                tokens = weight * (now - arrival + 1)
                 if job is None or tokens > best_tokens or (
                     tokens == best_tokens
                     and (rank > best_rank or (rank == best_rank and arrival < best_arrival))
                 ):
-                    job, best_tokens, best_rank, best_arrival = head, tokens, rank, arrival
+                    job, chosen = head, queue
+                    best_tokens, best_rank, best_arrival = tokens, rank, arrival
             assert job is not None  # queued > 0
-            queues[job.service].popleft()
+            chosen.popleft()
             queued -= 1
             # Earliest estimated completion; a tie goes to the lower node.
             cost = costs[job.service]
-            node, finish = 0, max(now, busy_until[0]) + cost[0]
-            for n in nodes[1:]:
-                candidate = max(now, busy_until[n]) + cost[n]
-                if candidate < finish:
-                    node, finish = n, candidate
-            start = max(now, busy_until[node])
+            start = busy_until[0]
+            if start < now:
+                start = now
+            node, finish = 0, start + cost[0]
+            for n in others:
+                begin = busy_until[n]
+                if begin < now:
+                    begin = now
+                if begin + cost[n] < finish:
+                    node, start, finish = n, begin, begin + cost[n]
             busy_until[node] = finish
-            plan.append(Dispatch(job, node, start))
+            append(new(Dispatch, (job, node, start)))
         return plan

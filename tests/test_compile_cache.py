@@ -1,6 +1,7 @@
 """The persistent compile cache: keys, round-trips, corruption fallback,
 cross-process races, the network's meta table, the node compile memo, and
-the exact nearest-rank percentile."""
+the nearest-rank percentile's edge cases (its rounding cases and the
+columnar ``nearest_rank`` are held in tests/test_farm.py)."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ import multiprocessing
 import pickle
 import sys
 import zlib
-from fractions import Fraction
-from math import ceil
 
 import numpy as np
 import pytest
@@ -623,24 +622,6 @@ class TestMaintenance:
 class TestPercentile:
     def test_p100_is_max(self):
         assert percentile([3, 1, 2], 100) == 3
-
-    def test_float_rounding_regression(self):
-        # 1000 * 99.9 = 99900.00000000001 as binary floats: the old
-        # multiply-then-ceil arithmetic returned rank 1000 instead of 999.
-        values = list(range(1, 1001))
-        assert percentile(values, 99.9) == 999
-
-    def test_just_above_boundary_advances_rank(self):
-        values = [10, 20, 30, 40]
-        assert percentile(values, 50) == 20
-        assert percentile(values, 50.1) == 30
-
-    def test_agrees_with_definition(self):
-        for n in (1, 2, 3, 7, 100, 999, 1000):
-            values = list(range(n))
-            for p in (0.1, 25, 33.3, 50, 66.6, 75, 99, 99.9, 100):
-                expected = values[ceil(Fraction(str(p)) * n / 100) - 1]
-                assert percentile(values, p) == expected, (n, p)
 
     def test_rejects_bad_p(self):
         for p in (0, -1, 101, float("nan"), float("inf")):

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from fractions import Fraction
+from math import ceil
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -31,9 +34,13 @@ from repro.farm import (
     percentile,
     run_assignment,
 )
-from repro.farm.node import NodeJobResult, decode_results, encode_results
+import repro.farm.farm as farm_module
+from repro.farm.metrics import JobOutcome, build_report, join_outcomes, nearest_rank
+from repro.farm.node import NodeJobResult, decode_results, encode_results, results_array
 from repro.iau.unit import DISPATCH_KEYS, Iau
 from repro.obs import EventKind, ObsConfig
+from repro.runtime.system import MultiTaskSystem
+from tests import farm_oracle as oracle
 
 #: The ``dispatch_counts`` keys that count calls (the rest count
 #: instructions and stalls).
@@ -399,6 +406,10 @@ class TestEstimatorApi:
 
 
 class TestPercentile:
+    """Nearest rank, ``ceil(N * p / 100)`` at ``p``'s decimal face value,
+    for :func:`percentile` and for the sorted int64 columns the report
+    reads (:func:`nearest_rank`)."""
+
     def test_nearest_rank(self):
         values = list(range(1, 101))
         assert percentile(values, 50) == 50
@@ -406,11 +417,38 @@ class TestPercentile:
         assert percentile(values, 100) == 100
         assert percentile([7], 99) == 7
 
+    def test_float_rounding_regression(self):
+        # 99.9 / 100 * 1000 = 999.0000000000001 as binary floats: float
+        # multiply-then-ceil arithmetic returns rank 1000 instead of 999.
+        values = list(range(1, 1001))
+        assert percentile(values, 99.9) == 999
+        assert nearest_rank(np.array(values), 99.9) == 999
+
+    def test_just_above_boundary_advances_rank(self):
+        values = [10, 20, 30, 40]
+        assert percentile(values, 50) == 20
+        assert percentile(values, 50.1) == 30
+
+    def test_agrees_with_definition(self):
+        rng = random.Random(0)
+        for n in (1, 2, 3, 7, 100, 999, 1000):
+            values = list(range(n))
+            shuffled = rng.sample(values, n)
+            for p in (0.1, 25, 33.3, 50, 66.6, 75, 99, 99.9, 100):
+                expected = values[ceil(Fraction(str(p)) * n / 100) - 1]
+                assert percentile(shuffled, p) == expected, (n, p)
+                column = np.sort(np.array(shuffled, np.int64))
+                got = nearest_rank(column, p)
+                assert type(got) is int and got == expected, (n, p)
+
     def test_rejects_bad_input(self):
         with pytest.raises(SchedulerError):
             percentile([], 50)
         with pytest.raises(SchedulerError):
             percentile([1], 0)
+        for p in (0, -1, 101, float("nan"), float("inf")):
+            with pytest.raises(SchedulerError):
+                nearest_rank(np.array([1, 2]), p)
 
 
 class TestFarmViewValidation:
@@ -447,3 +485,150 @@ def test_results_codec_round_trips_rows_in_order(values):
     decoded = decode_results(block)
     assert decoded == rows
     assert all(type(row) is NodeJobResult for row in decoded)
+
+
+# -- the parent's column passes against the per-job oracle --------------------
+
+#: Two services may share a class, two names may share a rank, one name may
+#: come as two class objects (the report keeps its last appearance), and
+#: classes of one weight differ in rank (equal tokens: the rank decides).
+_CLASSES = (
+    GOLD,
+    SloClass("gold", rank=0, weight=8.0, deadline_cycles=3_000),
+    SloClass("silver", rank=1, weight=3.0, deadline_cycles=4_000),
+    SloClass("tin", rank=1, weight=1.0, deadline_cycles=2_000),
+    SloClass("lead", rank=2, weight=3.0, deadline_cycles=5_000),
+    BRONZE,
+)
+_GRID = 1_000  # arrivals, estimates, offsets and delays: so ties happen
+
+#: Ways to break a day's results on the way into the join, each one of the
+#: join's refusals; a drawn day applies none, one or two of them.
+_BREAKS = (
+    "completed twice", "unknown job", "missing row",
+    "shed twice", "unknown shed", "shed and completed",
+)
+
+
+@st.composite
+def small_days(draw):
+    """A restricted view of 1–4 nodes (with ``available`` offsets), a day of
+    jobs in arrival order with equal arrivals, shuffled ids and some shed,
+    and the breaks to apply to its results."""
+    services = draw(st.integers(1, 4))
+    slos = draw(st.lists(st.sampled_from(_CLASSES), min_size=services, max_size=services))
+    grid = st.integers(1, 4).map(lambda k: k * _GRID)
+    estimates = draw(st.lists(st.lists(grid, min_size=services, max_size=services),
+                              min_size=4, max_size=4))
+    nodes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    available = draw(st.lists(st.integers(0, 3).map(lambda k: k * _GRID),
+                              min_size=len(nodes), max_size=len(nodes)))
+    view = FarmView(4, slos, estimates).restrict(nodes, available)
+    count = draw(st.integers(0, 30))
+    arrivals = sorted(draw(st.lists(st.integers(0, 12).map(lambda k: k * _GRID),
+                                    min_size=count, max_size=count)))
+    ids = draw(st.permutations(range(100, 100 + count)))
+    jobs = [
+        Job(arrival, job_id, draw(st.integers(0, 3)), draw(st.integers(0, services - 1)))
+        for arrival, job_id in zip(arrivals, ids)
+    ]
+    shed = [job for job in jobs if draw(st.booleans()) and draw(st.booleans())]
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), max_size=2))
+    return view, jobs, shed, breaks, draw(st.randoms(use_true_random=False))
+
+
+def _same(new, old):
+    """Equal, and the same types all the way down (``repr`` shows a numpy
+    scalar where a Python ``int`` belongs)."""
+    assert new == old
+    assert repr(new) == repr(old)
+
+
+def _outcome_or_error(call):
+    try:
+        return call()
+    except SchedulerError as error:
+        return f"SchedulerError: {error}"
+
+
+def _break(rows, shed, kept, breaks, rng):
+    """``rows`` and ``shed`` with each of ``breaks`` applied at a drawn place."""
+    rows, shed = list(rows), list(shed)
+    for name in breaks:
+        if name == "completed twice" and rows:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+        elif name == "unknown job":
+            rows.insert(rng.randrange(len(rows) + 1), NodeJobResult(7, 0, 0, 0, 0, 0))
+        elif name == "missing row" and rows:
+            rows.pop(rng.randrange(len(rows)))
+        elif name == "shed twice" and shed:
+            shed.insert(rng.randrange(len(shed) + 1), rng.choice(shed))
+        elif name == "unknown shed":
+            shed.insert(rng.randrange(len(shed) + 1), Job(0, 7, 0, 0))
+        elif name == "shed and completed" and kept:
+            shed.insert(rng.randrange(len(shed) + 1), rng.choice(kept).job)
+    return rows, shed
+
+
+@given(small_days())
+@settings(max_examples=300, deadline=None)
+def test_plan_join_and_report_equal_the_per_job_oracle(day):
+    """``PredictiveScheduler.dispatch``, ``join_outcomes`` (rows and int64
+    array alike) and ``build_report`` against their per-job forms in
+    ``tests/farm_oracle.py``: the same plan, the same outcomes, every
+    ``ClassReport`` field, and the same refusal, message for message."""
+    view, jobs, shed, breaks, rng = day
+    plan = PredictiveScheduler().dispatch(jobs, view)
+    _same(plan, oracle.predictive_dispatch(jobs, view))
+    assert all(type(dispatch) is Dispatch for dispatch in plan)
+
+    # Measured service times: near the estimate, now and then far off (an
+    # error sum past 2**53 tells an exact mean from a float one).
+    kept = [d for d in plan if d.job not in shed]
+    rows = [
+        NodeJobResult(
+            d.job.job_id, d.node, d.job.service, d.dispatch_cycle, d.dispatch_cycle,
+            d.dispatch_cycle + view.estimate(d.node, d.job.service)
+            + rng.choice([rng.randrange(-2, 3) * _GRID // 2, rng.randrange(2**53, 2**56)]),
+        )
+        for d in kept
+    ]
+    rng.shuffle(rows)
+    outcomes = oracle.join_outcomes(jobs, rows, shed=shed)
+    _same(join_outcomes(jobs, rows, shed=shed), outcomes)
+    _same(join_outcomes(jobs, results_array([encode_results(rows)]), shed=shed), outcomes)
+    assert all(type(outcome) is JobOutcome for outcome in outcomes)
+
+    rng.shuffle(outcomes)  # the report reads outcomes in any order
+    for estimates in (None, view.estimates):
+        _same(
+            build_report("predictive", outcomes, view.slos, estimates=estimates,
+                         shed=shed, worker_retries=1),
+            oracle.build_report("predictive", outcomes, view.slos, estimates=estimates,
+                                shed=shed, worker_retries=1),
+        )
+
+    broken, shed = _break(rows, shed, kept, breaks, rng)
+    want = _outcome_or_error(lambda: oracle.join_outcomes(jobs, broken, shed=shed))
+    _same(_outcome_or_error(lambda: join_outcomes(jobs, broken, shed=shed)), want)
+    block = results_array([encode_results(broken)])
+    _same(_outcome_or_error(lambda: join_outcomes(jobs, block, shed=shed)), want)
+
+
+@pytest.mark.parametrize("max_workers", [None, 2])
+def test_a_day_with_a_repeated_job_id_is_refused_before_any_node_runs(
+    max_workers, monkeypatch
+):
+    """Two arrivals sharing ``job_id`` 3 used to simulate the whole day and
+    then fail the join with "job 3 completed twice"."""
+    jobs = generate_jobs(small_spec())[:20]
+    jobs.insert(10, Job(jobs[9].arrival_cycle, 3, 0, 0))
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a node ran")
+
+    monkeypatch.setattr(MultiTaskSystem, "run", ran)
+    monkeypatch.setattr(farm_module, "simulate_node", ran)
+    farm = Farm(default_design_grid(), SERVICES, PredictiveScheduler())
+    with pytest.raises(SchedulerError, match="^job 3 arrived twice$"):
+        farm.serve(jobs, max_workers=max_workers)
