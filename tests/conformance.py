@@ -12,9 +12,9 @@ through a file).  Every cell runs on the batched engine and must equal its
 compiled and run once.  A one-core ``MultiCoreSystem`` is held to the
 ``MultiTaskSystem`` golden on clock, job records and core stats.  Each
 golden is computed live by stepping the same driver, so it is itself held
-to a :func:`digest` pinned from a reference checkout
-(``tests/data/golden_digests.json``, ``tests/regen_golden_digests.py``):
-a change to a driver cannot move a golden together with its cells.
+to a :func:`digest` pinned from a reference checkout (the ``golden`` pin
+of ``tests/pins.py``, ``tests/data/golden_digests.json``): a change to a
+driver cannot move a golden together with its cells.
 
 :func:`valid` says which combinations exist.  :data:`TIER1` is every
 :data:`PINNED` cell plus a greedy pairwise cover of the rest of the valid
@@ -748,14 +748,12 @@ def digest(observed: dict) -> str:
     return hashlib.sha256(_encoded(canonical(observed)).encode()).hexdigest()
 
 
-#: Each golden's :func:`digest`, keyed by ``str(golden_cell(cell))``,
-#: computed from a reference checkout by ``tests/regen_golden_digests.py``.
-GOLDEN_DIGESTS = Path(__file__).resolve().parent / "data" / "golden_digests.json"
-
-
 @cache
 def pinned_digests() -> dict[str, str]:
-    return json.loads(GOLDEN_DIGESTS.read_text())["digests"]
+    """Each golden's :func:`digest` by ``str(golden_cell(cell))``: ``tests/pins.py``."""
+    from tests.pins import PINS  # the registry imports this module
+
+    return PINS["golden"].load()["digests"]
 
 
 def stepped_run(key: Cell) -> Subject:
@@ -769,7 +767,8 @@ def stepped_run(key: Cell) -> Subject:
 def _golden(key: Cell) -> Subject:
     subject = stepped_run(key)
     pinned = pinned_digests().get(str(key))
-    assert pinned is not None, f"no pinned digest for golden {key}: regenerate the fixture"
+    regen = "PYTHONPATH=<reference checkout>/src python -m tests.pins regen golden"
+    assert pinned is not None, f"no pinned digest for golden {key}: run `{regen}`"
     assert digest(subject.observed) == pinned, f"golden {key} differs from the reference"
     return subject
 

@@ -4,16 +4,15 @@
 What holds them to the object-building compiler they replaced is
 ``tests/data/program_digests.json`` — the sha256 of ``to_bytes()`` for every
 zoo network x variant x accelerator x ``calc_f_stride``, generated on the
-commit named in the file by ``tests/regen_program_digests.py``.  The rest
-covers what a digest of well-formed networks cannot reach: the ``save_id``
+commit named in the file by the ``program`` pin of ``tests/pins.py``
+(``PYTHONPATH=<reference checkout>/src python -m tests.pins regen program``).
+The rest covers what a digest of well-formed networks cannot reach: the ``save_id``
 wrap, recovery state across a layer change, and the field-width check that
 used to live in ``Instruction.__post_init__``.  (The random-stream contracts
 of the VI pass are ``tests/test_vi_pass_properties.py``, fed word arrays.)
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -33,22 +32,18 @@ from repro.isa import NO_SAVE_ID, Instruction, Opcode, Program, validate_program
 from repro.isa.encoding import COLUMN_DTYPE, WORD_DTYPE, column_rows, pack_words
 from repro.nn import GraphBuilder, TensorShape
 from repro.zoo import build_tiny_cnn, build_tiny_residual
-from tests.regen_program_digests import FIXTURE, cases, digests
+from tests.pins import PINS
 
 # -- byte identity ---------------------------------------------------------------
 
-PINNED = json.loads(FIXTURE.read_text())
+PIN = PINS["program"]
+PINNED = PIN.load()["digests"]
 
 
-def test_fixture_names_its_commit_and_covers_every_case():
-    assert len(PINNED["commit"]) == 40
-    assert len(PINNED["digests"]) == 3 * len(list(cases()))
-
-
-@pytest.mark.parametrize("case", list(cases()), ids=lambda case: "|".join(map(str, case)))
+@pytest.mark.parametrize("case", PIN.cases(), ids=lambda case: "|".join(map(str, case)))
 def test_program_bytes_match_the_pinned_digests(case):
-    for key, digest in digests(*case).items():
-        assert digest == PINNED["digests"][key], key
+    for key, digest in PIN.digests(case).items():
+        assert digest == PINNED[key], key
 
 
 # -- the VI pass on arrays ---------------------------------------------------------

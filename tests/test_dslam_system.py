@@ -7,11 +7,11 @@ accelerator preemption, PR frame skipping, cross-agent matching, merging.
 
 import pytest
 
-from repro.dslam import DslamScenario, VisualOdometry, run_dslam
+from repro.dslam import DslamScenario, run_dslam
 from repro.hw.config import AcceleratorConfig
 from repro.runtime.system import compile_tasks
 from repro.zoo import build_tiny_cnn, build_tiny_conv
-from tests.conformance import digest
+from tests.pins import PINS
 
 
 @pytest.fixture(scope="module")
@@ -133,56 +133,13 @@ class TestPreemptionInLoop:
             assert min(agent.pr_frame_gaps) >= 4
 
 
-#: sha256 of :func:`_host_outputs` for ``DslamScenario`` seeds 0-2: the
-#: host-side DSLAM results (VO, loop closure, place matching, map merge),
-#: which the accelerator digest in ``benchmarks/perf/expected.json`` does
-#: not see.  Any change to the host geometry must leave it unchanged.
-HOST_DIGESTS = {
-    0: "7aee8ddc5b301afd63b23f4e7ec9d6132953f5207945e93d0b01357079bf4117",
-    1: "e310610351de5b05cc671a249605ed6ef0a0e911e8bd47e16698341b73e0913d",
-    2: "4f9e7d0b3fcb6dad258591c9017a0dce429ba2c27080619c09ee0de0a89143a9",
-}
+HOST = PINS["host"]
+HOST_DIGESTS = HOST.load()["digests"]
 
 
-def _host_outputs(seed: int, monkeypatch) -> object:
-    """Every host-computed E10 output (``digest`` encodes floats as hex)."""
-    inliers: dict[int, list[int]] = {}
-    update = VisualOdometry.update
-
-    def recording(vo, features):
-        pose, count = update(vo, features)
-        inliers.setdefault(id(vo), []).append(count)
-        return pose, count
-
-    monkeypatch.setattr(VisualOdometry, "update", recording)
-    config = AcceleratorConfig.worked_example()
-    fe, pr = compile_tasks([build_tiny_conv(), build_tiny_cnn()], config, weights="zeros")
-    result = run_dslam(fe, pr, DslamScenario(num_frames=60, fps=2000.0, speed=150.0, seed=seed))
-    merge = result.merge
-    return {
-        "trajectories": [agent.estimated_trajectory for agent in result.agents],
-        "inliers": list(inliers.values()),
-        "ate": [agent.ate_meters for agent in result.agents],
-        "ate_optimized": [agent.ate_optimized_meters for agent in result.agents],
-        "loop_closures": [agent.loop_closures for agent in result.agents],
-        "merged_ate": result.merged_ate_meters,
-        "merge": None
-        if merge is None
-        else [merge.transform, merge.shared_landmarks, merge.residual_rms],
-        "matches": [
-            (
-                match.query.agent,
-                match.query.header.seq,
-                match.candidate.agent,
-                match.candidate.header.seq,
-                match.similarity,
-            )
-            for match in result.matches
-        ],
-        "map": [result.merged_map_landmarks, result.merged_map_rmse_meters],
-    }
-
-
-@pytest.mark.parametrize("seed", sorted(HOST_DIGESTS))
-def test_host_outputs_pinned(seed, monkeypatch):
-    assert digest(_host_outputs(seed, monkeypatch)) == HOST_DIGESTS[seed]
+@pytest.mark.parametrize("seed", HOST.cases())
+def test_host_outputs_pinned(seed):
+    """Every host-side DSLAM result (VO, loop closure, place matching, map
+    merge), which the accelerator digest in ``benchmarks/perf/expected.json``
+    does not see: any change to the host geometry must leave it unchanged."""
+    assert HOST.digests(seed) == {str(seed): HOST_DIGESTS[str(seed)]}

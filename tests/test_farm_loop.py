@@ -1,15 +1,14 @@
 """The one serving loop: pinned exactness, plan validation on every path,
 and the loop + resilience policy driven over a fake node backend.
 
-The digests in ``tests/data/farm_serve_digests.json`` were generated by
-``tests/regen_farm_digests.py`` on the commit *before* ``Farm.serve``,
+The digests in ``tests/data/farm_serve_digests.json`` (the ``farm`` pin of
+``tests/pins.py``) were generated on the commit *before* ``Farm.serve``,
 ``serve_durable`` and ``serve_resilient`` became configurations of
-``Farm._serve``; every case must still hash to the same value.
+``Farm._serve``; every case must still hash to the same value.  Regenerate
+only with ``PYTHONPATH=<reference checkout>/src python -m tests.pins regen farm``.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -32,19 +31,14 @@ from repro.hw.config import AcceleratorConfig
 from repro.obs.events import EventKind
 from repro.qos import ModeSwitchPolicy
 from repro.serve import ServeGateway
-from tests import regen_farm_digests as pinned
+from tests import pins as pinned
 
-DIGESTS = json.loads(pinned.FIXTURE.read_text())["digests"]
+PIN = pinned.PINS["farm"]
+DIGESTS = PIN.load()["digests"]
 SCENARIOS = pinned.resilient_scenarios()
 
 
 # -- pinned exactness ------------------------------------------------------
-
-
-def test_fixture_covers_every_case():
-    static = {f"serve|{s}|seed={seed}" for s in pinned.SCHEDULERS for seed in pinned.SEEDS}
-    resilient = {f"serve_resilient|{name}" for name in SCENARIOS}
-    assert set(DIGESTS) == static | resilient
 
 
 @pytest.mark.parametrize("seed", pinned.SEEDS)
@@ -68,10 +62,8 @@ def test_shipped_paths_equal_the_serial_digest(scheduler, tmp_path):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_serve_resilient_reproduces_its_digest(name):
-    make_farm, jobs, config, chaos = SCENARIOS[name]
-    farm = make_farm()
-    result = farm.serve_resilient(jobs, resilience=config, chaos=chaos)
-    assert pinned.resilient_digest(farm, result) == DIGESTS[f"serve_resilient|{name}"]
+    key = f"serve_resilient|{name}"
+    assert PIN.digests(("serve_resilient", name)) == {key: DIGESTS[key]}
 
 
 # -- every path validates the plan -----------------------------------------
