@@ -101,6 +101,16 @@ def test_bench_vo_ransac(benchmark):
     assert np.allclose(translation, [0.075, 0.0], atol=0.05)
 
 
+def test_bench_camera_capture(benchmark):
+    """One E10 camera frame on the default arena and sensor: project the
+    landmarks in view from a pose near the south wall and draw their
+    position and descriptor noise."""
+    camera = Camera(World.generate(), seed=0)
+    frame = benchmark(camera.capture, (12.0, 4.0, 0.0), 0, 0)
+    assert len(frame.observations) == len(frame.descriptors) == 16
+    assert all(abs(np.linalg.norm(d) - 1.0) < 1e-12 for d in frame.descriptors.values())
+
+
 #: One node's fixed share of a farm day: 2,000 tiny jobs alternating
 #: between a gold and a bronze slot, one every 40,000 cycles (about 64 %
 #: of the small design busy, so most jobs run alone and some preempt).

@@ -34,34 +34,57 @@ class CameraConfig:
 class Camera:
     """Projects world landmarks into noisy robot-frame observations."""
 
-    def __init__(self, world: World, config: CameraConfig | None = None, seed: int = 0):
+    def __init__(self, world: World, config: CameraConfig | None = None, seed: int = 0) -> None:
         self.world = world
         self.config = config or CameraConfig()
         self._rng = np.random.default_rng(seed)
 
     def capture(self, pose: Pose, seq: int, stamp_cycles: int, frame_id: str = "") -> CameraFrame:
-        """One frame: every visible landmark observed in the robot frame."""
+        """One frame: every visible landmark observed in the robot frame.
+
+        The noise is one ``standard_normal((visible, 2 + dim))`` block,
+        each row a landmark's x, y and descriptor noise in the order
+        per-landmark ``rng.normal`` calls drew them, scaled as ``normal``
+        scales (``0 + scale * z``); so a frame's bits and the generator's
+        state after it are those of the per-landmark draws.
+        """
         visible = self.world.visible_from(pose, self.config.max_range, self.config.fov)
         observations: dict[int, tuple[float, float]] = {}
         descriptors: dict[int, np.ndarray] = {}
-        x, y, theta = pose
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        for landmark in visible:
-            dx = landmark.x - x
-            dy = landmark.y - y
-            local_x = cos_t * dx + sin_t * dy + self._rng.normal(0, self.config.position_noise)
-            local_y = -sin_t * dx + cos_t * dy + self._rng.normal(0, self.config.position_noise)
-            observations[landmark.landmark_id] = (float(local_x), float(local_y))
-            noisy = landmark.descriptor + self._rng.normal(
-                0, self.config.descriptor_noise, size=landmark.descriptor.shape
-            )
-            descriptors[landmark.landmark_id] = noisy / np.linalg.norm(noisy)
+        if visible:
+            position_noise = _scale(self.config.position_noise)
+            descriptor_noise = _scale(self.config.descriptor_noise)
+            appearance = np.stack([landmark.descriptor for landmark in visible])
+            z = self._rng.standard_normal((len(visible), 2 + appearance.shape[1]))
+            x, y, theta = pose
+            cos_t, sin_t = np.cos(theta), np.sin(theta)
+            dx = np.array([landmark.x for landmark in visible]) - x
+            dy = np.array([landmark.y for landmark in visible]) - y
+            local_x = cos_t * dx + sin_t * dy + (0.0 + position_noise * z[:, 0])
+            local_y = -sin_t * dx + cos_t * dy + (0.0 + position_noise * z[:, 1])
+            noisy = appearance + (0.0 + descriptor_noise * z[:, 2:])
+            # |row| as np.linalg.norm takes it, through one BLAS dot per row.
+            norms = np.sqrt((noisy[:, None, :] @ noisy[:, :, None])[:, 0, 0])
+            unit = noisy / norms[:, None]
+            for landmark, local, descriptor in zip(
+                visible, zip(local_x.tolist(), local_y.tolist()), unit
+            ):
+                observations[landmark.landmark_id] = local
+                descriptors[landmark.landmark_id] = descriptor
         return CameraFrame(
             header=Header(seq=seq, stamp_cycles=stamp_cycles, frame_id=frame_id),
             observations=observations,
             descriptors=descriptors,
             true_pose=pose,
         )
+
+
+def _scale(scale: float) -> float:
+    """``scale`` as ``rng.normal`` accepts it: a negative (or -0.0) scale is
+    refused with numpy's ``ValueError``, a NaN passes."""
+    if np.signbit(scale) and not np.isnan(scale):
+        raise ValueError("scale < 0")
+    return scale
 
 
 def perimeter_trajectory(

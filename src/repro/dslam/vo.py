@@ -71,6 +71,44 @@ def match_features(
     return [(previous[row], current[best[row]]) for row in np.flatnonzero(keep)]
 
 
+def draw_pairs(count: int, iterations: int, seed: int) -> np.ndarray:
+    """The ``(iterations, 2)`` pairs of ``iterations`` successive
+    ``rng.choice(count, size=2, replace=False)`` calls on
+    ``np.random.default_rng(seed)``, from one block of raw 32-bit words.
+
+    Each ``choice`` call takes three words: Floyd's algorithm draws the
+    first index in ``[0, count-2]`` and the second in ``[0, count-1]``
+    (a repeat of the first becomes ``count-1``), each the top half of
+    Lemire's ``word * span``, and the two-element shuffle swaps the pair
+    when the third word's top bit is 0.  Where the block cannot follow
+    numpy's stream, the pairs come from the ``choice`` loop itself
+    (:func:`_choice_pairs`): at ``count == 2`` (the first draw takes no
+    word), at ``count >= 2**32`` (64-bit draws), and when a low half
+    falls under Lemire's rejection threshold (numpy would draw again).
+    """
+    if 2 < count < 2**32:
+        words = np.random.default_rng(seed).integers(
+            0, 2**32, size=(iterations, 3), dtype=np.uint32
+        )
+        spans = np.array([count - 1, count], dtype=np.uint64)
+        scaled = words[:, :2] * spans
+        if not ((scaled & 0xFFFFFFFF) < 2**32 % spans).any():
+            first, second = (scaled >> 32).astype(np.intp).T
+            second[second == first] = count - 1
+            swap = words[:, 2] < 2**31
+            return np.stack(
+                [np.where(swap, second, first), np.where(swap, first, second)], axis=1
+            )
+    return _choice_pairs(count, iterations, seed)
+
+
+def _choice_pairs(count: int, iterations: int, seed: int) -> np.ndarray:
+    """The pairs of :func:`draw_pairs`, one ``rng.choice`` call each."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.choice(count, size=2, replace=False) for _ in range(iterations)]
+    return np.array(draws, dtype=np.intp).reshape(-1, 2)
+
+
 def ransac_rigid_2d(
     source: np.ndarray,
     target: np.ndarray,
@@ -81,7 +119,7 @@ def ransac_rigid_2d(
     """(R, t, inlier mask) robust to mismatches.
 
     Each of the ``iterations`` hypotheses fits the two correspondences of
-    one ``rng.choice`` draw; a draw whose source points coincide is
+    one pair of :func:`draw_pairs`; a draw whose source points coincide is
     skipped.  The consensus set is the inlier mask of the first hypothesis
     with the most inliers, or every correspondence when that holds fewer
     than 2 (or every draw was skipped); R and t are refit on it.
@@ -89,9 +127,7 @@ def ransac_rigid_2d(
     count = source.shape[0]
     if count < 2:
         raise DslamError("RANSAC needs at least 2 correspondences")
-    rng = np.random.default_rng(seed)
-    draws = [rng.choice(count, size=2, replace=False) for _ in range(iterations)]
-    picks = np.array(draws, dtype=np.intp).reshape(-1, 2)
+    picks = draw_pairs(count, iterations, seed)
     gap = source[picks[:, 0]] - source[picks[:, 1]]
     # |gap| as np.linalg.norm takes it, through one BLAS dot per row (a sum
     # of squares can round differently at the 1e-6 cut-off).

@@ -1,20 +1,22 @@
 """DSLAM host-geometry oracle: the per-item loops the array passes replaced.
 
-RANSAC, landmark visibility, descriptor matching and keypoint NMS,
-verbatim from when each walked one hypothesis, landmark, row or candidate
-at a time.  Reference only: nothing in ``src/`` calls this module, and
-nothing here imports the functions it checks; the Kabsch solve the
-RANSAC loop uses is a copy too, so agreement with
-``repro.dslam.vo``/``world``/``frontend`` is agreement between two
-derivations (``tests/test_dslam_geometry.py`` holds them bit-equal).
+RANSAC and its pair draws, landmark visibility, camera capture,
+descriptor matching and keypoint NMS, verbatim from when each walked one
+hypothesis, pair, landmark, row or candidate at a time.  Reference only:
+nothing in ``src/`` calls this module, and nothing here imports the
+functions it checks; the Kabsch solve the RANSAC loop uses is a copy
+too, so agreement with ``repro.dslam.vo``/``world``/``camera``/``frontend``
+is agreement between two derivations (``tests/test_dslam_geometry.py``
+holds them bit-equal).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dslam.camera import Camera
 from repro.dslam.world import Landmark, World
-from repro.ros.messages import Feature
+from repro.ros.messages import CameraFrame, Feature, Header
 
 
 def estimate_rigid_2d(
@@ -29,6 +31,13 @@ def estimate_rigid_2d(
     rotation = u @ np.diag([1.0, float(np.sign(det))]) @ vt
     translation = target_mean - rotation @ source_mean
     return rotation, translation
+
+
+def choice_pairs(count: int, iterations: int, seed: int) -> np.ndarray:
+    """One ``rng.choice(count, 2, replace=False)`` call per pair."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.choice(count, size=2, replace=False) for _ in range(iterations)]
+    return np.array(draws, dtype=np.intp).reshape(-1, 2)
 
 
 def ransac_rigid_2d(
@@ -101,6 +110,38 @@ def visible_from(
         if abs(bearing) <= fov / 2:
             visible.append(landmark)
     return visible
+
+
+def capture(
+    camera: Camera,
+    pose: tuple[float, float, float],
+    seq: int,
+    stamp_cycles: int,
+    frame_id: str = "",
+) -> CameraFrame:
+    """Three ``rng.normal`` calls per visible landmark, on ``camera``'s
+    generator."""
+    visible = visible_from(camera.world, pose, camera.config.max_range, camera.config.fov)
+    observations: dict[int, tuple[float, float]] = {}
+    descriptors: dict[int, np.ndarray] = {}
+    x, y, theta = pose
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    for landmark in visible:
+        dx = landmark.x - x
+        dy = landmark.y - y
+        local_x = cos_t * dx + sin_t * dy + camera._rng.normal(0, camera.config.position_noise)
+        local_y = -sin_t * dx + cos_t * dy + camera._rng.normal(0, camera.config.position_noise)
+        observations[landmark.landmark_id] = (float(local_x), float(local_y))
+        noisy = landmark.descriptor + camera._rng.normal(
+            0, camera.config.descriptor_noise, size=landmark.descriptor.shape
+        )
+        descriptors[landmark.landmark_id] = noisy / np.linalg.norm(noisy)
+    return CameraFrame(
+        header=Header(seq=seq, stamp_cycles=stamp_cycles, frame_id=frame_id),
+        observations=observations,
+        descriptors=descriptors,
+        true_pose=pose,
+    )
 
 
 def non_maximum_suppression(candidates: list[Feature], radius: float) -> list[Feature]:

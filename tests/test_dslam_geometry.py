@@ -1,8 +1,9 @@
 """The DSLAM host geometry as array passes, bit-equal to the loops it replaced.
 
-``tests/dslam_oracle.py`` holds the per-hypothesis, per-landmark, per-row
-and per-candidate loops; every case here requires the same bits (arrays
-compared byte for byte) or the same objects in the same order.
+``tests/dslam_oracle.py`` holds the per-hypothesis, per-pair,
+per-landmark, per-row and per-candidate loops; every case here requires
+the same bits (arrays compared byte for byte), the same objects in the
+same order, or the same generator state.
 """
 
 import numpy as np
@@ -10,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dslam import World, WorldConfig, match_features, ransac_rigid_2d
+from repro.dslam import (
+    Camera,
+    CameraConfig,
+    World,
+    WorldConfig,
+    match_features,
+    perimeter_trajectory,
+    ransac_rigid_2d,
+)
+from repro.dslam import vo
 from repro.dslam.frontend import _non_maximum_suppression
 from repro.dslam.world import Landmark
 from repro.ros.messages import Feature
@@ -29,9 +39,8 @@ def assert_same_ransac(source, target, **kwargs) -> np.ndarray:
     return got[2]
 
 
-def draws(count: int, seed: int, iterations: int = 32) -> list[tuple[int, int]]:
-    rng = np.random.default_rng(seed)
-    return [tuple(rng.choice(count, size=2, replace=False)) for _ in range(iterations)]
+def draws(count: int, seed: int) -> np.ndarray:
+    return dslam_oracle.choice_pairs(count, 32, seed)
 
 
 #: Coordinates snapped to this grid repeat, so draws hit coincident
@@ -121,6 +130,141 @@ class TestRansac:
         first = next(group[i] for i, j in draws(8, seed) if group[i] == group[j])
         mask = assert_same_ransac(source, target, seed=seed)
         assert mask.tolist() == [g == first for g in group]
+
+
+class TestDrawPairs:
+    """``vo.draw_pairs`` against one ``rng.choice`` call per pair.  The
+    helper takes the count alone, so counts past any array size are
+    checked without allocating one."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch) -> list[int]:
+        """The counts for which ``draw_pairs`` fell back to the loop."""
+        counts: list[int] = []
+        loop = vo._choice_pairs
+
+        def spy(count: int, iterations: int, seed: int) -> np.ndarray:
+            counts.append(count)
+            return loop(count, iterations, seed)
+
+        monkeypatch.setattr(vo, "_choice_pairs", spy)
+        return counts
+
+    @staticmethod
+    def assert_same_pairs(count: int, iterations: int, seed: int) -> None:
+        got = vo.draw_pairs(count, iterations, seed)
+        want = dslam_oracle.choice_pairs(count, iterations, seed)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.intp, (iterations, 2))
+        assert got.tobytes() == want.tobytes(), (count, iterations, seed)
+
+    def test_matches_loop(self, fallbacks):
+        """Counts 2-2,000 and 10**6, every iteration count 0-40; only
+        ``count == 2`` leaves the block here (no draw of these seeds
+        lands under a rejection threshold)."""
+        for count in [*range(2, 2001), 10**6]:
+            self.assert_same_pairs(count, count % 41, seed=count)
+        for count in (3, 4, 5, 17):
+            for iterations in range(41):
+                self.assert_same_pairs(count, iterations, seed=iterations)
+        assert set(fallbacks) == {2}
+
+    def test_rejection_falls_back(self, fallbacks):
+        """At 2**31 + 1 the second draw's threshold is 2**31 - 1, so about
+        half its words would be rejected and drawn again by numpy."""
+        for seed in range(5):
+            self.assert_same_pairs(2**31 + 1, 32, seed)
+        assert fallbacks == [2**31 + 1] * 5
+
+    def test_past_32_bits_falls_back(self, fallbacks):
+        for seed in range(3):
+            self.assert_same_pairs(2**32 + 5, 32, seed)
+        assert fallbacks == [2**32 + 5] * 3
+
+    def test_two_falls_back(self, fallbacks):
+        for seed in range(3):
+            self.assert_same_pairs(2, 32, seed)
+        assert fallbacks == [2] * 3
+
+
+def assert_same_frame(got, want) -> None:
+    assert got.header == want.header and got.true_pose == want.true_pose
+    assert list(got.observations) == list(want.observations)
+    assert np.array(list(got.observations.values())).tobytes() == (
+        np.array(list(want.observations.values())).tobytes()
+    )
+    assert list(got.descriptors) == list(want.descriptors)
+    for key, descriptor in got.descriptors.items():
+        assert (descriptor.dtype, descriptor.shape) == (
+            want.descriptors[key].dtype,
+            want.descriptors[key].shape,
+        )
+        assert descriptor.tobytes() == want.descriptors[key].tobytes()
+
+
+def assert_same_captures(world: World, config: CameraConfig, seed: int, poses) -> None:
+    """The same frames and, after each, the same generator state."""
+    camera = Camera(world, config, seed=seed)
+    reference = Camera(world, config, seed=seed)
+    for seq, pose in enumerate(poses):
+        assert_same_frame(
+            camera.capture(pose, seq, 100 * seq, "cam"),
+            dslam_oracle.capture(reference, pose, seq, 100 * seq, "cam"),
+        )
+        assert camera._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+class TestCameraCapture:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        frames=st.integers(1, 6),
+        start=st.floats(0.0, 1.0),
+        clockwise=st.booleans(),
+        max_range=st.sampled_from([0.5, 5.0, 14.0, 60.0]),
+        position_noise=st.sampled_from([0.0, 0.03, 1.0]),
+        descriptor_noise=st.sampled_from([0.0, 0.05, 2.0]),
+    )
+    def test_matches_loop(
+        self, seed, frames, start, clockwise, max_range, position_noise, descriptor_noise
+    ):
+        world = World.generate()
+        config = CameraConfig(
+            max_range=max_range, position_noise=position_noise, descriptor_noise=descriptor_noise
+        )
+        poses = perimeter_trajectory(
+            world, frames, fps=2.0, start_fraction=start, clockwise=clockwise
+        )
+        assert_same_captures(world, config, seed, poses)
+
+    def test_frames_that_see_nothing_or_one_landmark(self):
+        world = World(config=WorldConfig())
+        rng = np.random.default_rng(3)
+        for x, y in [(1.0, 0.0), (3.0, 0.5), (-5.0, 0.0)]:
+            world._add(rng, x, y)
+        config = CameraConfig(max_range=6.0, fov=np.pi / 2)
+        nothing, one, two = (30.0, 30.0, 0.0), (2.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+        assert len(Camera(world, config).capture(nothing, 0, 0).observations) == 0
+        assert len(Camera(world, config).capture(one, 0, 0).observations) == 1
+        assert len(Camera(world, config).capture(two, 0, 0).observations) == 2
+        assert_same_captures(world, config, 7, [one, nothing, two, one, nothing, nothing, one])
+
+    @pytest.mark.parametrize("field", ["position_noise", "descriptor_noise"])
+    @pytest.mark.parametrize("scale", [-0.05, -0.0, -np.inf])
+    def test_a_negative_noise_is_refused(self, field, scale):
+        """``rng.normal`` refuses a scale with its sign bit set, and so
+        does the block draw, at the first frame that draws noise."""
+        world = World.generate()
+        config = CameraConfig(**{field: scale})
+        for capture in (Camera.capture, dslam_oracle.capture):
+            camera = Camera(world, config)
+            capture(camera, (1000.0, 1000.0, 0.0), 0, 0)  # sees nothing, draws nothing
+            with pytest.raises(ValueError, match="scale < 0"):
+                capture(camera, (12.0, 4.0, 0.0), 1, 0)
+
+    def test_a_nan_noise_passes_as_in_normal(self):
+        config = CameraConfig(position_noise=np.nan)
+        frame = Camera(World.generate(), config).capture((12.0, 4.0, 0.0), 0, 0)
+        assert frame.observations and np.isnan(list(frame.observations.values())).all()
 
 
 def _world(positions: list[tuple[float, float]]) -> World:
