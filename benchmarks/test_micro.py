@@ -11,12 +11,15 @@ import pytest
 from repro.accel.runner import run_program
 from repro.compiler import compile_network
 from repro.dslam import Camera, World, ransac_rigid_2d
-from benchmarks.perf.workloads.farm import SERVING_SERVICES, day
+from benchmarks.perf.workloads.farm import CHAOS_SERVICES, SERVING_SERVICES, day
 from repro.analysis.design_space import default_design_grid
 from repro.farm import (
+    ChaosPlan,
     Farm,
+    FeedbackScheduler,
     NodeAssignment,
     PredictiveScheduler,
+    ResilienceConfig,
     ServiceSpec,
     SloClass,
     build_node_system,
@@ -137,6 +140,30 @@ def test_bench_node_day(benchmark):
         lambda system: run_assignment(NODE_DAY, system), setup=fresh_system, rounds=5
     )
     assert sorted(row.job_id for row in results) == list(range(2_000))
+
+
+def test_bench_resilient_day(benchmark):
+    """A small ``serve_resilient`` day: 2,000 jobs of ``farm_resilient``'s
+    traffic (seed 5) on the 4-node grid, one seeded node kill, 250,000-cycle
+    epochs; a fresh farm per round (built outside the timing), since the
+    feedback scheduler learns as it serves."""
+    jobs = day(5, tenants=16, jobs=2_000, mean_interarrival=45_000)
+    horizon = jobs[-1].arrival_cycle
+    chaos = ChaosPlan.random_node_kills(
+        5, num_nodes=4, kills=1, window=(horizon // 4, 7 * horizon // 12)
+    )
+    resilience = ResilienceConfig(epoch_cycles=250_000)
+
+    def fresh_farm():
+        return (Farm(default_design_grid(), CHAOS_SERVICES, FeedbackScheduler()),), {}
+
+    result = benchmark.pedantic(
+        lambda farm: farm.serve_resilient(jobs, resilience=resilience, chaos=chaos),
+        setup=fresh_farm,
+        rounds=10,
+    )
+    assert len(result.outcomes) + len(result.shed) == 2_000
+    assert result.resilience.nodes_lost == 1 and result.resilience.migrations > 0
 
 
 def test_bench_results_codec(benchmark):

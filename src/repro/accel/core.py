@@ -28,7 +28,7 @@ executes whatever the IAU hands it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -156,6 +156,22 @@ def resident_tiles(specs: TileSpecs) -> tuple[dict[int, DataTile], WeightTile | 
     data_specs, weight_spec = specs
     data_tiles = {slot: DataTile(*spec, array=None) for slot, spec in data_specs}
     return data_tiles, None if weight_spec is None else WeightTile(*weight_spec, array=None)
+
+
+class BoundaryTiles(NamedTuple):
+    """What is resident at a clean boundary: the specs, and descriptors
+    built from them once and shared by every timing-only core that
+    retires a stretch ending there (:meth:`AcceleratorCore.retire_batch`).
+
+    Sharing is safe because a timing-only core never writes a descriptor:
+    a load installs a new one, into the core's own copy of the dict.  A
+    functional core fills ``array`` fields, so it builds its own from
+    ``specs``.
+    """
+
+    specs: TileSpecs
+    data_tiles: dict[int, DataTile]
+    weight_tile: WeightTile | None
 
 
 def require_whole_finals(
@@ -533,7 +549,7 @@ class AcceleratorCore(BufferMachine, Stateful):
     def retire_batch(
         self,
         stats_delta: tuple[int, ...],
-        tiles: TileSpecs,
+        tiles: BoundaryTiles,
         words: np.ndarray,
         layer_config: Callable[[int], LayerConfig],
     ) -> None:
@@ -544,17 +560,17 @@ class AcceleratorCore(BufferMachine, Stateful):
         :class:`CoreStats` deltas (one per :data:`STAT_NAMES` entry), and the
         buffer bookkeeping jumps to the precomputed clean-boundary state (no
         accumulator or un-saved output section in flight there), whose
-        resident ``tiles`` are built fresh from their specs.  A functional
-        core then does the stretch's arithmetic: ``words`` (the stretch's
-        program words) name what each SAVE drains, computed layer by layer
-        from DDR (:meth:`_retire_saves`), and the resident tiles are read from DDR as
+        resident ``tiles`` a timing-only core installs as they are shared
+        (a copy of the dict, the same descriptors).  A functional core
+        builds its own descriptors from the specs and then does the
+        stretch's arithmetic: ``words`` (the stretch's program words) name
+        what each SAVE drains, computed layer by layer from DDR
+        (:meth:`_retire_saves`), and the resident tiles are read from DDR as
         their loads would have read them — except a tile of a region with a
         pending ECC flip: a load of that region bounds the stretch, so the
         tile was loaded before it, ahead of the flip DDR now holds, and the
         resident payload is what that load read.
         """
-        resident, resident_weights = self.data_tiles, self.weight_tile
-        data_tiles, weight_tile = resident_tiles(tiles)
         instructions, cycles, load, calc, save, loaded, saved = stats_delta
         stats = self.stats
         stats.instructions += instructions
@@ -564,12 +580,15 @@ class AcceleratorCore(BufferMachine, Stateful):
         stats.save_cycles += save
         stats.bytes_loaded += loaded
         stats.bytes_saved += saved
-        self.data_tiles = data_tiles
-        self.weight_tile = weight_tile
         self.acc = None
         self.out = None
         if not self.functional:
+            self.data_tiles = dict(tiles.data_tiles)
+            self.weight_tile = tiles.weight_tile
             return
+        resident, resident_weights = self.data_tiles, self.weight_tile
+        data_tiles, weight_tile = resident_tiles(tiles.specs)
+        self.data_tiles, self.weight_tile = data_tiles, weight_tile
         self._retire_saves(words, layer_config)
         flipped = self.ddr.flipped_regions()
         for slot, tile in data_tiles.items():

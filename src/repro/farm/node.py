@@ -25,10 +25,10 @@ even the first compile of a fresh worker a cheap artefact load.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
@@ -39,6 +39,10 @@ from repro.iau.context import JobRecord
 from repro.obs.config import ObsConfig
 from repro.runtime.system import MultiTaskSystem, compile_tasks
 from repro.farm.traffic import SloClass
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.compiler.compile import CompiledNetwork
+    from repro.nn.graph import NetworkGraph
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,9 @@ def decode_results(block: bytes) -> list[NodeJobResult]:
 NodeRows = Union[Sequence[NodeJobResult], np.ndarray]
 
 
-def build_graph(model: str):
+def build_graph(model: str) -> NetworkGraph:
     """Resolve a zoo model name (``"tiny_cnn"``) to its network graph."""
-    builder = getattr(zoo, f"build_{model}", None)
+    builder: Callable[[], NetworkGraph] | None = getattr(zoo, f"build_{model}", None)
     if builder is None:
         raise SchedulerError(f"unknown zoo model {model!r}")
     return builder()
@@ -122,13 +126,15 @@ def build_graph(model: str):
 #: (config, model names).  Bounded LRU: a worker process only ever serves a
 #: handful of node shapes, so a small cap keeps replays warm without
 #: pinning every configuration a long campaign touches.
-_COMPILE_MEMO: OrderedDict = OrderedDict()
+_COMPILE_MEMO: OrderedDict[
+    tuple[AcceleratorConfig, tuple[str, ...]], list[CompiledNetwork]
+] = OrderedDict()
 _COMPILE_MEMO_MAX = 8
 
 
 def compiled_for_services(
     config: AcceleratorConfig, services: tuple[ServiceSpec, ...]
-) -> list:
+) -> list[CompiledNetwork]:
     """The compiled networks for one node shape, compiled at most once per
     process.
 
@@ -221,7 +227,10 @@ def join_slot(
     monotone per slot, so completed ``records`` join with the ``pending``
     ``(job_id, dispatch_cycle)`` hand-overs by order.  Consumes ``pending``
     from the left; whatever is left afterwards has not completed yet.
+    Each row is built by ``tuple.__new__`` (C level), from a completed
+    record, which has both of its cycles set.
     """
+    new = tuple.__new__
     for record in records:
         if not pending:
             raise SchedulerError(
@@ -234,8 +243,9 @@ def join_slot(
                 f"node {node} slot {service}: dispatch/record "
                 f"order mismatch at job {job_id}"
             )
-        yield NodeJobResult(
-            job_id, node, service, cycle, record.start_cycle, record.complete_cycle
+        yield new(
+            NodeJobResult,
+            (job_id, node, service, cycle, record.start_cycle, record.complete_cycle),
         )
 
 

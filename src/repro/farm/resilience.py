@@ -35,7 +35,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TYPE_CHECKING
+from typing import Callable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
 
 from repro.analysis.tables import format_table
 from repro.container import HEADER
@@ -88,7 +88,7 @@ class NodeHealth:
         suspect_after_cycles: int,
         dead_after_cycles: int,
         bus: EventBus | None = None,
-    ):
+    ) -> None:
         if num_nodes < 1:
             raise SchedulerError(f"num_nodes must be >= 1, got {num_nodes}")
         if suspect_after_cycles <= 0:
@@ -123,7 +123,9 @@ class NodeHealth:
     def alive_nodes(self) -> list[int]:
         return [node for node in range(self.num_nodes) if self.alive(node)]
 
-    def _transition(self, node: int, state: HealthState, cycle: int, **data) -> None:
+    def _transition(
+        self, node: int, state: HealthState, cycle: int, **data: object
+    ) -> None:
         self._state[node] = state
         self.transitions.append((cycle, node, state))
         if self.bus is not None:
@@ -178,7 +180,7 @@ class ChaosAction:
     at_cycle: int = 0
     heal_cycle: int | None = None
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.kind != KILL_NODE:
             raise SchedulerError(
                 f"chaos kind must be {KILL_NODE!r}, got {self.kind!r}"
@@ -198,7 +200,7 @@ class ChaosPlan:
     actions: tuple[ChaosAction, ...] = ()
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(self.actions))
         kills = [a.node for a in self.actions]
         if len(kills) != len(set(kills)):
@@ -274,7 +276,7 @@ class FeedbackScheduler:
         *,
         alpha: float = 0.4,
         initial_correction: Mapping[tuple[int, int], float] | None = None,
-    ):
+    ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise SchedulerError(f"alpha must be in (0, 1], got {alpha}")
         self.base: Scheduler = base if base is not None else PredictiveScheduler()
@@ -347,7 +349,7 @@ class ResilienceConfig:
     hedge: bool = True
     mode_switch: ModeSwitchPolicy | None = None
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.epoch_cycles <= 0:
             raise SchedulerError("epoch_cycles must be positive")
 
@@ -412,14 +414,14 @@ class ResilienceReport:
         return table
 
 
-@dataclass
-class _InFlight:
-    """One submitted copy of a job on one node."""
+class _InFlight(NamedTuple):
+    """One submitted copy of a job on one node (a tuple: one is made per
+    hand-over, and nothing changes it)."""
 
     job: Job
     dispatch_cycle: int
     estimate: int
-    is_hedge: bool = False
+    is_hedge: bool
 
 
 class ResiliencePolicy:
@@ -441,7 +443,7 @@ class ResiliencePolicy:
         nodes: "NodeBackend",
         config: ResilienceConfig,
         chaos: ChaosPlan | None = None,
-    ):
+    ) -> None:
         self.nodes = nodes
         self.config = config
         self.view = farm.view
@@ -467,6 +469,9 @@ class ResiliencePolicy:
             [deque() for _ in self.view.slos] for _ in self.view.nodes
         ]
         self.busy_est = [0] * self.view.num_nodes
+        #: ``(node, service)`` -> :meth:`estimate`, filled on first use and
+        #: emptied where the corrections move (:meth:`settle`).
+        self._prices: dict[tuple[int, int], int] = {}
         self.copies: dict[int, int] = {}  # live copies per job id
         self.done: set[int] = set()
         self.hedged: set[int] = set()
@@ -479,11 +484,18 @@ class ResiliencePolicy:
 
     def estimate(self, node: int, service: int) -> int:
         """Cycles of one job as the scheduler currently prices it: the
-        static estimate times the learned correction."""
-        base = self.view.estimate(node, service)
-        if self.feedback is None:
-            return base
-        return self.feedback.corrected(node, service, base)
+        static estimate times the learned correction.
+
+        Priced once per ``(node, service)`` per epoch: a correction moves
+        only in :meth:`settle`, which empties the table first."""
+        key = (node, service)
+        price = self._prices.get(key)
+        if price is None:
+            price = self.view.estimate(node, service)
+            if self.feedback is not None:
+                price = self.feedback.corrected(node, service, price)
+            self._prices[key] = price
+        return price
 
     def capacity_fraction(self) -> float:
         total = sum(self.weights)
@@ -555,13 +567,14 @@ class ResiliencePolicy:
     # -- submit: enter every hand-over in the copies table -------------------
 
     def submit(self, dispatch: Dispatch, is_hedge: bool = False) -> None:
-        job, node, cycle = dispatch.job, dispatch.node, dispatch.dispatch_cycle
-        estimate = self.estimate(node, job.service)
+        job, node, cycle = dispatch
+        service, job_id = job.service, job.job_id
+        estimate = self.estimate(node, service)
         self.nodes.submit(dispatch)
-        self.inflight[node][job.service].append(
-            _InFlight(job, cycle, estimate, is_hedge)
+        self.inflight[node][service].append(
+            tuple.__new__(_InFlight, (job, cycle, estimate, is_hedge))
         )
-        self.copies[job.job_id] = self.copies.get(job.job_id, 0) + 1
+        self.copies[job_id] = self.copies.get(job_id, 0) + 1
         self.busy_est[node] = max(self.busy_est[node], cycle + estimate)
         self.log.append(dispatch)
 
@@ -635,10 +648,11 @@ class ResiliencePolicy:
         ``stranded``, for the next epoch's plan.
         """
         self.now = self.epoch_end
+        self._prices.clear()  # the first results below move the corrections
         by_node: dict[int, list[NodeJobResult]] = {}
         for result in fresh:
             by_node.setdefault(result.node, []).append(result)
-        winners = []
+        winners: list[NodeJobResult] = []
         for node in self.health.alive_nodes():
             winners += [r for r in by_node.get(node, ()) if self._first_result(r)]
             state = self.health.beat(

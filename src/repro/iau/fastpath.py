@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.accel.core import (
     STAT_NAMES,
+    BoundaryTiles,
     DataSpec,
     DataTile,
     TileSpecs,
@@ -98,8 +99,8 @@ _EventSpec = tuple[int, str, int, str | None, str | None, int]
 
 #: A priced stretch: its cycles, its :class:`~repro.accel.core.CoreStats`
 #: delta (one int per :data:`~repro.accel.core.STAT_NAMES` entry) and the
-#: tile specs resident at its end.
-Stretch = tuple[int, tuple[int, ...], TileSpecs]
+#: tiles resident at its end.
+Stretch = tuple[int, tuple[int, ...], BoundaryTiles]
 
 #: Stretches one :class:`ProgramMeta` keeps priced, newest first out.  A
 #: farm node replays a few stretches per program for every job (one on a
@@ -190,7 +191,7 @@ class ProgramMeta:
     #: Integer columns, and tables of them keyed by name (pickled packed).
     _COLUMNS = ("cum", "boundaries", "_tile_ids")
     _TABLES = ("stats", "opportunities")
-    _DERIVED = ("length", "_stretches")
+    _DERIVED = ("length", "_stretches", "_shared")
 
     def __init__(
         self,
@@ -229,6 +230,9 @@ class ProgramMeta:
         self.length = len(self.cum) - 1
         #: ``(start, stop)`` -> :data:`Stretch`, at most :data:`STRETCH_MEMO`.
         self._stretches: dict[tuple[int, int], Stretch] = {}
+        #: Tile id -> the shared descriptors of ``_tiles[id]``, built on
+        #: first use (:meth:`stretch`).
+        self._shared: dict[int, BoundaryTiles] = {}
 
     def __getstate__(self) -> dict[str, Any]:
         state = {key: value for key, value in vars(self).items() if key not in self._DERIVED}
@@ -351,8 +355,10 @@ class ProgramMeta:
 
         Priced once and kept: a farm node retires the same whole-program
         stretch for every job.  The memo keeps the newest
-        :data:`STRETCH_MEMO` stretches and holds only tuples of ints, so no
-        caller shares a mutable object through it.
+        :data:`STRETCH_MEMO` stretches.  Besides ints it holds the
+        boundary's shared tile descriptors, one set per distinct tile set
+        of the program, which only a timing-only core installs and which
+        no core writes (:class:`~repro.accel.core.BoundaryTiles`).
         """
         memo = self._stretches
         key = (start, stop)
@@ -361,22 +367,27 @@ class ProgramMeta:
             if len(memo) >= STRETCH_MEMO:
                 del memo[next(iter(memo))]
             stats = self.stats
+            tile_id = self._tile_id(stop)
+            shared = self._shared.get(tile_id)
+            if shared is None:
+                specs = self._tiles[tile_id]
+                shared = self._shared[tile_id] = BoundaryTiles(specs, *resident_tiles(specs))
             priced = memo[key] = (
                 self.cum[stop] - self.cum[start],
                 tuple(stats[name][stop] - stats[name][start] for name in STAT_NAMES),
-                self._tile_specs(stop),
+                shared,
             )
         return priced
 
-    def _tile_specs(self, boundary: int) -> TileSpecs:
+    def _tile_id(self, boundary: int) -> int:
         position = bisect_left(self.boundaries, boundary)
         if position == len(self.boundaries) or self.boundaries[position] != boundary:
             raise KeyError(boundary)
-        return self._tiles[self._tile_ids[position]]
+        return self._tile_ids[position]
 
     def tiles_at(self, boundary: int) -> tuple[dict[int, DataTile], WeightTile | None]:
         """Fresh tile descriptors (no payload) resident at a clean boundary."""
-        return resident_tiles(self._tile_specs(boundary))
+        return resident_tiles(self._tiles[self._tile_id(boundary)])
 
 
 class RegionTouches:

@@ -220,15 +220,6 @@ class Iau(Stateful):
                 request_cycle=record.request_cycle,
             )
 
-    def _release_parked(self, context: TaskContext) -> None:
-        """Admit BLOCK-policy requests now that the queue has room."""
-        if self.admission is None:
-            return
-        released = self.admission.release_parked(context)
-        while released is not None:
-            self._enqueue(context, released)
-            released = self.admission.release_parked(context)
-
     def _emit(self, kind: EventKind, **kwargs: Any) -> None:
         """Emit one bus event stamped at the IAU clock (callers gate on bus)."""
         bus = self.bus
@@ -393,12 +384,14 @@ class Iau(Stateful):
 
         Returns False when nothing is runnable, like :meth:`step`.
         """
-        if self.current is None:
+        current = self.current
+        if current is None:
             context = self._winner()
             if context is None:
                 return False
-            self._switch_in(context)
-        context = self.context(self.current)
+            self._switch_in(context)  # the winner is now the running task
+        else:
+            context = self.context(current)
         counts = self.dispatch_counts
 
         meta = context.meta
@@ -597,7 +590,12 @@ class Iau(Stateful):
                     request_cycle=job.request_cycle,
                     response_cycles=job.response_cycles,
                 )
-            self._release_parked(context)  # starting a job freed a queue slot
+            if self.admission is not None:
+                # Starting a job freed a queue slot: admit BLOCK-parked requests.
+                released = self.admission.release_parked(context)
+                while released is not None:
+                    self._enqueue(context, released)
+                    released = self.admission.release_parked(context)
             if self.faults is not None and self.faults.fires(FaultSite.JOB_OVERRUN):
                 stall = self.faults.overrun_cycles
                 self.faults.record(

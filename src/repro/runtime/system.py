@@ -173,7 +173,9 @@ class SubmitSurface:
         now = self._submit_clock()
         if at_cycle < now:
             raise SchedulerError(f"cannot submit in the past (at {at_cycle}, clock {now})")
-        heappush(self._requests, TimedRequest(at_cycle, self._sequence, task_id))
+        # C-level construction: no Python-level ``__new__`` per request.
+        request = tuple.__new__(TimedRequest, (at_cycle, self._sequence, task_id))
+        heappush(self._requests, request)
         self._sequence += 1
         self._pending[task_id] += 1
 

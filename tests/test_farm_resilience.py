@@ -36,7 +36,10 @@ from repro.farm import (
 )
 from repro.obs.events import EventKind
 from repro.qos import ModeSwitchPolicy
-from repro.farm.node import simulate_node
+from repro.farm.farm import _InProcessNodes
+from repro.farm.node import NodeJobResult, simulate_node
+from repro.farm.resilience import ResiliencePolicy
+from repro.farm.scheduler import Dispatch
 from repro.serve import classify_exit
 from repro.serve.worker import CRASH_EXIT_CODE
 
@@ -337,6 +340,72 @@ class TestServeResilient:
         text = summarize(farm.bus)
         assert "Farm resilience" in text
         assert "node(s) down" in text
+
+
+class TestPriceTable:
+    """``ResiliencePolicy.estimate`` prices each ``(node, service)`` once
+    per epoch; the table must equal the live price whenever it is read."""
+
+    def test_cached_prices_are_the_live_ones(self, jobs, monkeypatch):
+        reads = {"submit": 0, "hedge": 0}
+        prices: dict[tuple[int, int], set[int]] = {}
+
+        def check(policy, phase):
+            feedback, view = policy.feedback, policy.view
+            for (node, service), price in policy._prices.items():
+                live = feedback.corrected(node, service, view.estimate(node, service))
+                assert price == live, (phase, node, service)
+                prices.setdefault((node, service), set()).add(price)
+            reads[phase] += 1
+
+        submit, hedge = ResiliencePolicy.submit, ResiliencePolicy.hedge
+
+        def spy_submit(policy, dispatch, is_hedge=False):
+            check(policy, "submit")
+            submit(policy, dispatch, is_hedge)
+            check(policy, "submit")
+
+        def spy_hedge(policy):
+            check(policy, "hedge")
+            hedge(policy)
+            check(policy, "hedge")
+
+        monkeypatch.setattr(ResiliencePolicy, "submit", spy_submit)
+        monkeypatch.setattr(ResiliencePolicy, "hedge", spy_hedge)
+        kill = ChaosPlan(actions=(ChaosAction("kill_node", 2, at_cycle=600_000),), seed=1)
+        hang = ChaosPlan(
+            actions=(ChaosAction("kill_node", 2, at_cycle=600_000, heal_cycle=1_000_000),),
+            seed=4,
+        )
+        hang_cfg = ResilienceConfig(epoch_cycles=200_000, dead_after_cycles=1_200_000)
+        # Pessimistic starting corrections: every measured completion moves
+        # its pair's correction, so a price kept past a settle goes stale.
+        pessimistic = {(node, service): 1.5 for node in range(3) for service in range(3)}
+        ledgers = [
+            make_farm(FeedbackScheduler(initial_correction=pessimistic))
+            .serve_resilient(jobs, resilience=cfg, chaos=plan)
+            .resilience
+            for plan, cfg in ((kill, CFG), (hang, hang_cfg))
+        ]
+        assert sum(ledger.migrations for ledger in ledgers) > 0
+        assert sum(ledger.hedges_dispatched for ledger in ledgers) > 0
+        assert reads["submit"] > len(jobs) and reads["hedge"]
+        assert any(len(seen) > 1 for seen in prices.values())  # the prices moved
+
+    def test_an_out_of_order_completion_is_refused(self, jobs):
+        farm = make_farm()
+        policy = ResiliencePolicy(farm, _InProcessNodes(farm), CFG)
+        first, second = [job for job in jobs if job.service == 0][:2]
+        for job in (first, second):
+            policy.submit(Dispatch(job, 0, job.arrival_cycle))
+        cycle = second.arrival_cycle
+        row = NodeJobResult(second.job_id, 0, 0, cycle, cycle, cycle + 1)
+        with pytest.raises(SchedulerError) as refused:
+            policy.settle([row], [])
+        assert str(refused.value) == (
+            f"node 0 slot 0 completed job {second.job_id}, not the oldest copy "
+            f"on it (job {first.job_id})"
+        )
 
 
 class TestChaosCampaign:

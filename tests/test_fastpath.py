@@ -6,7 +6,8 @@ against the step-wise loop is the conformance matrix's job
 whole stretches and ``MultiTaskSystem.run()`` takes it by default.
 
 The stretch memo (``ProgramMeta.stretch``) stays within its bound, is
-never pickled, and shares no tile object between batches.
+never pickled, and shares no tile object between functional batches; the
+boundary descriptors timing-only cores share stay as they were built.
 
 Also covered: the ``JobRecord.deadline_missed`` outcome-type fix, the
 ``LOAD_W`` DDR-aliasing fix, past-cycle submission rejection on both system
@@ -21,9 +22,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.accel.core import AcceleratorCore
+from repro.accel.core import AcceleratorCore, resident_tiles
+from repro.analysis.design_space import default_design_grid
 from repro.compiler import compile_network
 from repro.errors import SchedulerError
+from repro.farm import (
+    Dispatch,
+    Farm,
+    ServiceSpec,
+    SloClass,
+    TenantSpec,
+    TrafficSpec,
+    generate_jobs,
+)
 from repro.faults.campaign import default_rates
 from repro.faults.plan import DeadlineMissed, FaultPlan
 from repro.iau import fastpath
@@ -271,10 +282,11 @@ def test_a_warm_stretch_memo_pickles_like_a_cold_one(tiny_cnn_compiled):
     cold = pickle.dumps(meta)
     for start, stop in zip(meta.boundaries, meta.boundaries[1:]):
         meta.stretch(start, stop)
-    assert meta._stretches
+    assert meta._stretches and meta._shared
     assert pickle.dumps(meta) == cold
     loaded = pickle.loads(cold)
-    assert loaded._stretches == {} and loaded.length == meta.length == len(program)
+    assert loaded._stretches == {} and loaded._shared == {}
+    assert loaded.length == meta.length == len(program)
 
 
 def test_batches_build_their_own_tiles(example_config, monkeypatch):
@@ -309,3 +321,105 @@ def test_batches_build_their_own_tiles(example_config, monkeypatch):
     assert [replace(t, array=None) for t in first] == [replace(t, array=None) for t in second]
     assert len({id(tile) for tile in first + second}) == 2 * len(first)
     assert not any(np.shares_memory(a.array, b.array) for a, b in zip(first, second))
+
+
+def _shared_sets(metas):
+    """``(specs, shared descriptors)`` of every tile set ``metas`` built."""
+    return [
+        (meta._tiles[tile_id], shared)
+        for meta in metas
+        for tile_id, shared in meta._shared.items()
+    ]
+
+
+class _AtArrival:
+    """Every job handed over at its arrival, alternating between nodes: a
+    gold job lands on a node still running a bronze one and preempts it."""
+
+    name = "at-arrival"
+
+    def dispatch(self, jobs, view):
+        return [Dispatch(job, job.job_id % view.num_nodes, job.arrival_cycle) for job in jobs]
+
+
+def test_a_timing_only_farm_day_leaves_the_shared_tiles_as_built():
+    """A day of preempting tiny jobs on two timing-only nodes: every core
+    installed the boundary descriptors its metas share, stepped loads
+    (preemptions, recoveries) ran on top of them, and each shared set
+    still equals a fresh build from its specs, field for field, with no
+    payload."""
+    gold = SloClass("gold", rank=0, weight=8.0, deadline_cycles=200_000)
+    bronze = SloClass("bronze", rank=2, weight=1.0, deadline_cycles=4_000_000)
+    services = (
+        ServiceSpec("detect", "tiny_conv", gold),
+        ServiceSpec("embed", "tiny_cnn", bronze),
+    )
+    spec = TrafficSpec(
+        tenants=(
+            TenantSpec(0, service=0, mean_interarrival_cycles=20_000),
+            TenantSpec(1, service=1, mean_interarrival_cycles=30_000),
+        ),
+        duration_cycles=1_500_000,
+        seed=7,
+    )
+    farm = Farm(default_design_grid()[:2], services, _AtArrival())
+    result = farm.serve(generate_jobs(spec))
+    assert result.report.total_jobs > 100
+    systems = farm.node_systems
+    assert systems is not None and not any(s.core.functional for s in systems)
+    counts = [s.iau.dispatch_counts for s in systems]
+    assert all(c["batched"] and c["preempting_task"] and c["recovery"] for c in counts)
+    metas = {
+        id(context.meta): context.meta
+        for system in systems
+        for context in system.iau.contexts
+        if context is not None
+    }
+    shared = _shared_sets(metas.values())
+    assert len(shared) >= len(metas)
+    for specs, tiles in shared:
+        data_tiles, weight_tile = resident_tiles(specs)
+        assert tiles.specs == specs
+        descriptors = [*tiles.data_tiles.values(), tiles.weight_tile]
+        assert all(t is None or t.array is None for t in descriptors)
+        assert tiles.data_tiles == data_tiles and tiles.weight_tile == weight_tile
+
+
+def test_a_functional_core_never_installs_the_shared_tiles(example_config, monkeypatch):
+    """The same priced stretches on a timing-only and then a functional
+    core: the functional batches hold none of the shared descriptors."""
+    compiled = compile_network(build_tiny_cnn(), example_config, weights="random", seed=3)
+    compiled.set_input(random_input(compiled))
+    installed = []
+    retire_batch = AcceleratorCore.retire_batch
+
+    def spy(core, *args):
+        retire_batch(core, *args)
+        installed.append((core.functional, core.data_tiles, core.weight_tile))
+
+    monkeypatch.setattr(AcceleratorCore, "retire_batch", spy)
+    for obs in (ObsConfig(), ObsConfig(functional=True)):
+        system = MultiTaskSystem(example_config, obs=obs)
+        system.add_task(0, compiled)
+        system.submit(0, 0)
+        system.submit(0, 1)
+        system.run()
+    shared = _shared_sets([compiled.meta("vi")])
+    assert shared
+    dicts = {id(tiles.data_tiles) for _specs, tiles in shared}
+    objects = {
+        id(tile)
+        for _specs, tiles in shared
+        for tile in [*tiles.data_tiles.values(), tiles.weight_tile]
+        if tile is not None
+    }
+    timing = [entry for entry in installed if not entry[0]]
+    functional = [entry for entry in installed if entry[0]]
+    assert timing and functional
+    for _functional, data_tiles, weight_tile in timing:
+        assert id(data_tiles) not in dicts  # a copy of the shared dict ...
+        assert {id(tile) for tile in data_tiles.values()} <= objects  # ... of shared tiles
+    for _functional, data_tiles, weight_tile in functional:
+        assert id(data_tiles) not in dicts
+        mine = [*data_tiles.values(), weight_tile]
+        assert not {id(tile) for tile in mine if tile is not None} & objects
