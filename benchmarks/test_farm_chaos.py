@@ -10,7 +10,8 @@ nodes mid-run.  The headline claims:
 * its gold-class SLO attainment stays within 10% of the no-fault golden
   run despite losing a quarter of the farm;
 * the static whole-day plan has no answer: when the process-pool worker
-  of node 2 dies its measure phase aborts (the pool is a plain fan-out;
+  of node 2 dies (on a day whose hand-overs overlap there, so node 2 is
+  simulated in the pool) its measure phase aborts (the pool is a plain fan-out;
   only ``serve_durable`` recovers a dead worker), and even granting it a
   crash-free measure phase, a lost-node day costs it the jobs the dead
   nodes would have completed — far below the floor.
@@ -43,6 +44,7 @@ from repro.farm import (
 )
 from repro.farm.node import simulate_node
 from repro.serve.worker import CRASH_EXIT_CODE
+from tests.farm_days import AtArrival, plan_exact
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=150_000)
 SILVER = SloClass("silver", rank=1, weight=3.0, deadline_cycles=600_000)
@@ -109,7 +111,10 @@ def test_feedback_loop_survives_losing_two_of_eight_nodes(monkeypatch):
     # -- the static whole-day plan, for contrast -------------------------
     # (a) Worker-level chaos: the measure worker of node 2 dies.  The
     # static pipeline has no per-node health model — it aborts the day.
-    static_farm = Farm(eight_node_grid(), SERVICES, PredictiveScheduler())
+    # Hand-overs at arrival overlap on node 2, so the pool simulates it
+    # (a node answered by its plan is never shipped).
+    static_farm = Farm(eight_node_grid(), SERVICES, AtArrival())
+    assert not plan_exact(static_farm, jobs, 2)
     static_aborts = False
     with monkeypatch.context() as patch:
         patch.setattr("repro.farm.farm.simulate_node", _dies_on_node_2)

@@ -199,3 +199,16 @@ def test_bench_plan_join_report(benchmark):
     report = benchmark(parent_share)
     assert report.total_jobs == 20_000
     assert {entry.err_p99_cycles for entry in report.classes} == {0}
+
+
+def test_bench_farm_day_serve(benchmark):
+    """A warm serial ``Farm.serve`` of ``farm_day``'s 20,000-job day (seed
+    5) on the 4-node grid: plan, every node answered by its plan, join,
+    report (the compiles are done once, outside the timing)."""
+    jobs = day(5, tenants=48, jobs=20_000, mean_interarrival=110_000)
+    farm = Farm(default_design_grid(), SERVING_SERVICES, PredictiveScheduler())
+    farm.serve(jobs)  # warm
+
+    result = benchmark(lambda: farm.serve(jobs))
+    assert result.report.total_jobs == 20_000
+    assert farm.node_systems == [None] * 4

@@ -10,8 +10,11 @@ served by one loop (:meth:`Farm._serve`), epoch by epoch:
    plans the epoch's arrivals (node, hand-over cycle) using only the
    stable cycle estimator.  Sequential, fast, deterministic.
 2. **Measure** — the hand-overs are submitted in ``(dispatch_cycle,
-   job_id)`` order and every node, an exact
-   :class:`~repro.runtime.system.MultiTaskSystem`, advances.
+   job_id)`` order and every node advances: a node whose hand-overs never
+   overlap is answered by its plan, any other (overlapping, chaos-named,
+   or under per-node obs) is an exact
+   :class:`~repro.runtime.system.MultiTaskSystem` (see
+   :mod:`repro.farm.node` for which nodes that is).
 3. **Harvest** — completions join their hand-overs per slot, FIFO; one
    exactly-once join and one report close the day.
 
@@ -30,20 +33,23 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, NoReturn, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Protocol, Sequence
 
 from repro.errors import SchedulerError
 from repro.estimate import estimate_service_cycles
 from repro.farm.metrics import FarmReport, JobOutcome, build_report, join_outcomes
 from repro.farm.node import (
+    NEVER_RUN,
     NodeAssignment,
     NodeJobResult,
     NodeRows,
+    PlanNode,
     ServiceSpec,
     build_node_system,
     compiled_for_services,
     encode_results,
     join_slot,
+    plan_rows,
     results_array,
     simulate_node,
 )
@@ -89,7 +95,7 @@ class NodeBackend(Protocol):
 
     :class:`_InProcessNodes` is the one backend; the loop's other,
     :class:`_ShippedNodes`, serves only one whole-day epoch and harvests it
-    as :data:`~repro.farm.node.NodeRows` (a pool's rows stay one int64
+    as :data:`~repro.farm.node.NodeRows` (every node's rows as one int64
     array up to the join).  The seam is an interface for one reason —
     ``tests/test_farm_loop.py`` drives the real loop and the real
     resilience policy over a thirty-line fake (a job completes at
@@ -118,60 +124,106 @@ class NodeBackend(Protocol):
 
 
 class _InProcessNodes:
-    """Persistent node systems in this process: any number of epochs, and
-    per-node obs (the systems stay inspectable as ``farm.node_systems``)."""
+    """Persistent nodes in this process: any number of epochs, and per-node
+    obs.  A node is answered by its plan (:class:`~repro.farm.node.PlanNode`)
+    until a hand-over would overlap the previous job; from then on it is
+    simulated: its system replays every hand-over so far, runs to where the
+    node stood, and skips the records already harvested.  Nodes in
+    ``simulated``, or all under obs, are simulated from the start.
+    ``farm.node_systems`` holds each node's system, ``None`` while its plan
+    answers it."""
 
     retries = 0
 
-    def __init__(self, farm: "Farm"):
-        self.systems = farm.node_systems = [
-            build_node_system(config, farm.services, farm.vi_mode, obs=farm.obs)
-            for config in farm.node_configs
+    def __init__(self, farm: "Farm", simulated: Iterable[int] = ()):
+        self._farm = farm
+        networks = [
+            compiled_for_services(config, farm.services) for config in farm.node_configs
+        ]
+        self.systems: list[MultiTaskSystem | None] = [None] * len(networks)
+        farm.node_systems = self.systems
+        self._nodes: list[PlanNode | MultiTaskSystem] = [
+            PlanNode(node, farm.view.estimates[node], compiled, farm.vi_mode)
+            for node, compiled in enumerate(networks)
         ]
         #: Per node and slot: the ``(job_id, dispatch_cycle)`` hand-overs not
         #: yet completed, and how many completed records are already joined.
         self._pending: list[list[deque[tuple[int, int]]]] = [
-            [deque() for _ in farm.services] for _ in self.systems
+            [deque() for _ in farm.services] for _ in networks
         ]
-        self._joined = [[0] * len(farm.services) for _ in self.systems]
+        self._joined = [[0] * len(farm.services) for _ in networks]
+        for node in range(len(networks)) if farm.obs is not None else simulated:
+            self._simulate(node)
+
+    def _simulate(self, node: int) -> MultiTaskSystem:
+        """Hand ``node`` from its plan to a simulated system."""
+        farm = self._farm
+        plan = self._nodes[node]
+        assert isinstance(plan, PlanNode)
+        system = self.systems[node] = self._nodes[node] = build_node_system(
+            farm.node_configs[node], farm.services, farm.vi_mode, obs=farm.obs
+        )
+        for index, row in enumerate(plan.rows):
+            system.submit(row.service, row.dispatch_cycle)
+            if index < plan.harvested:
+                self._joined[node][row.service] += 1
+            else:
+                self._pending[node][row.service].append((row.job_id, row.dispatch_cycle))
+        if plan.last_run is not NEVER_RUN:
+            system.run(until_cycle=plan.last_run)
+        return system
 
     def submit(self, dispatch: Dispatch) -> None:
-        job, cycle = dispatch.job, dispatch.dispatch_cycle
-        self.systems[dispatch.node].submit(job.service, cycle)
-        self._pending[dispatch.node][job.service].append((job.job_id, cycle))
+        job, node, cycle = dispatch
+        each = self._nodes[node]
+        if isinstance(each, PlanNode):
+            if each.submit(job.job_id, job.service, cycle):
+                return
+            each = self._simulate(node)
+        each.submit(job.service, cycle)
+        self._pending[node][job.service].append((job.job_id, cycle))
 
     def advance(self, until_cycle: int | None, node: int | None = None) -> None:
-        for system in self.systems if node is None else [self.systems[node]]:
-            system.run(until_cycle=until_cycle)
+        for each in self._nodes if node is None else [self._nodes[node]]:
+            each.run(until_cycle=until_cycle)
 
     def hang(self, node: int, until_cycle: int) -> None:
-        iau = self.systems[node].iau
+        system = self._nodes[node]
+        assert isinstance(system, MultiTaskSystem)  # a chaos-named node
+        iau = system.iau
         iau.clock = max(iau.clock, until_cycle)
 
     def harvest(self) -> list[NodeJobResult]:
         results: list[NodeJobResult] = []
-        for node, system in enumerate(self.systems):
+        for node, each in enumerate(self._nodes):
+            if isinstance(each, PlanNode):
+                results += each.harvest()
+                continue
             for service, pending in enumerate(self._pending[node]):
-                records = system.jobs(service)[self._joined[node][service] :]
+                records = each.jobs(service)[self._joined[node][service] :]
                 self._joined[node][service] += len(records)
                 results.extend(join_slot(node, service, pending, records))
         return results
 
     def clock(self, node: int) -> int:
-        return self.systems[node].clock
+        return self._nodes[node].clock
 
 
-#: Measures a day's node assignments elsewhere: (results, worker retries).
-Measure = Callable[[list[NodeAssignment]], tuple[NodeRows, int]]
+#: Measures a day's node assignments elsewhere: (one :func:`encode_results`
+#: block per assignment, in order; worker retries).
+Measure = Callable[[list[NodeAssignment]], tuple[list[bytes], int]]
 
 
 class _ShippedNodes:
     """Nodes measured outside this process (a worker pool, a gateway).
 
-    Buffers the submits into one :class:`NodeAssignment` per node and
-    hands them to ``measure`` on ``advance(None)``.  A shipped node replays
-    its whole share in one go, so this backend serves the one-epoch
-    configuration and refuses everything else.
+    Buffers the submits into one :class:`NodeAssignment` per node.  On
+    ``advance(None)`` a node the plan answers (:func:`plan_rows`) yields
+    its rows here; only the others go to ``measure``, which is not called
+    when there are none; every node's rows, in node order, become one
+    int64 array.  A shipped node replays its whole share in one go, so
+    this backend serves the one-epoch configuration and refuses
+    everything else.
     """
 
     def __init__(self, farm: "Farm", measure: Measure):
@@ -204,14 +256,22 @@ class _ShippedNodes:
         if until_cycle is not None or node is not None or self._results is not None:
             self._refuse()
         farm = self._farm
-        assignments = [
-            NodeAssignment(
+        blocks: dict[int, bytes] = {}
+        shipped: list[NodeAssignment] = []
+        for node, dispatches in sorted(self._per_node.items()):
+            assignment = NodeAssignment(
                 node, farm.node_configs[node], farm.services, tuple(dispatches),
                 farm.vi_mode,
             )
-            for node, dispatches in sorted(self._per_node.items())
-        ]
-        self._results, self.retries = self._measure(assignments)
+            rows = plan_rows(assignment, farm.view.estimates[node])
+            if rows is None:
+                shipped.append(assignment)
+            else:
+                blocks[node] = encode_results(rows)
+        if shipped:
+            measured, self.retries = self._measure(shipped)
+            blocks.update(zip([a.node for a in shipped], measured))
+        self._results = results_array(blocks[node] for node in sorted(blocks))
 
     def harvest(self) -> NodeRows:
         results = [] if self._results is None else self._results
@@ -254,9 +314,10 @@ class Farm:
         #: migrations, hedges, mode switches).  Distinct from per-node obs —
         #: node simulations never see it, and it is always on (cheap).
         self.bus = EventBus()
-        #: In-process node systems of the last day served (obs inspection);
-        #: ``None`` after a day shipped to workers.
-        self.node_systems: list[MultiTaskSystem] | None = None
+        #: In-process node systems of the last day served (obs inspection),
+        #: ``None`` for a node its plan answered; ``None`` after a day
+        #: shipped to workers.
+        self.node_systems: list[MultiTaskSystem | None] | None = None
         self._view = self._build_view()
 
     def _build_view(self) -> FarmView:
@@ -351,10 +412,11 @@ class Farm:
         """Plan the whole day, measure every node exactly, report.
 
         One whole-day epoch on in-process nodes.  ``max_workers`` > 1 ships
-        the nodes to a process pool of ``min(max_workers, nodes)`` workers
-        instead; a worker that dies fails the day (:meth:`serve_durable`
-        survives one).  The default (None → serial) is required when
-        ``obs`` is set.
+        the nodes that must be simulated (see the module docstring) to a
+        process pool of ``min(max_workers, nodes)`` workers instead, and
+        opens none when the plan answers every node; a worker that dies
+        fails the day (:meth:`serve_durable` survives one).  The default
+        (None → serial) is required when ``obs`` is set.
         """
         if max_workers is None or max_workers <= 1:
             return self._serve(jobs, _InProcessNodes(self))
@@ -377,7 +439,7 @@ class Farm:
         work is migrated, and overdue work on suspect nodes is hedged.
         ``chaos`` applies planned ``kill_node`` faults.
         """
-        nodes = _InProcessNodes(self)
+        nodes = _InProcessNodes(self, () if chaos is None else chaos.node_kills())
         policy = ResiliencePolicy(self, nodes, resilience or ResilienceConfig(), chaos)
         return self._serve(jobs, nodes, policy)
 
@@ -402,9 +464,7 @@ class Farm:
         """
         from repro.serve.worker import JobSpec
 
-        def measure(
-            assignments: list[NodeAssignment],
-        ) -> tuple[list[NodeJobResult], int]:
+        def measure(assignments: list[NodeAssignment]) -> tuple[list[bytes], int]:
             job_ids = [
                 gateway.submit(
                     JobSpec(
@@ -415,12 +475,12 @@ class Farm:
                 )
                 for assignment in assignments
             ]
-            results: list[NodeJobResult] = []
+            blocks: list[bytes] = []
             retries = 0
             for job_id in job_ids:
-                results.extend(gateway.result(job_id, timeout=timeout_s).records)
+                blocks.append(encode_results(gateway.result(job_id, timeout=timeout_s).records))
                 retries += max(0, gateway.status(job_id).attempts - 1)
-            return results, retries
+            return blocks, retries
 
         return self._serve(jobs, _ShippedNodes(self, measure))
 
@@ -507,14 +567,14 @@ class Farm:
     @staticmethod
     def _measure_parallel(
         assignments: Sequence[NodeAssignment], max_workers: int
-    ) -> tuple[NodeRows, int]:
+    ) -> tuple[list[bytes], int]:
         """Measure on a process pool: one plain fan-out, no recovery.
 
         The workers fork with this process's heap and freeze it
         (``gc.freeze``), so their collector never walks it; each returns
-        its node's rows as one int64 block (:func:`_ship_node`); the blocks
-        become one int64 array once every node has run, which the join
-        reads as it is.  A worker that raises or dies (a dead
+        its node's rows as one int64 block (:func:`_ship_node`), which
+        :class:`_ShippedNodes` joins with the plan's blocks into one int64
+        array, read as it is by the join.  A worker that raises or dies (a dead
         process breaks the whole executor) fails the day with one
         :class:`SchedulerError` naming the failed nodes.  Recovering a dead
         worker is :meth:`serve_durable`'s job: it resumes the node from its
@@ -531,7 +591,7 @@ class Farm:
                 f"{failed[0][1]!r}; the process pool does not recover a dead "
                 "worker (serve_durable resumes it from its last snapshot)"
             ) from failed[0][1]
-        return results_array(future.result() for future in futures), 0
+        return [future.result() for future in futures], 0
 
 
 def _ship_node(assignment: NodeAssignment) -> bytes:

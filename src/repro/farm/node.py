@@ -1,16 +1,20 @@
-"""One farm node: exact simulation of a dispatch plan on one accelerator.
+"""One farm node: a dispatch plan answered on one accelerator.
 
 The dispatch phase (:mod:`repro.farm.scheduler`) plans with estimates;
-this module measures.  Each node is an unchanged
-:class:`~repro.runtime.system.MultiTaskSystem`: the farm's services map
-onto IAU priority slots (slot = service index, priority = the service's
-SLO rank), the planned hand-overs become timed ``submit()`` calls, and the
-VI machinery provides pre-emption between SLO classes exactly as it does
-on a single robot.
+this module measures.  A node whose every hand-over starts at or after
+the previous job's completion runs each job uninterrupted, in exactly its
+estimate: :class:`PlanNode` and :func:`plan_rows` read its results off
+the plan.  The shipped schedulers never put two jobs on one node, so on a
+timing-only day without chaos no node is simulated.  Any other node is an
+unchanged :class:`~repro.runtime.system.MultiTaskSystem`, also the oracle
+the plan is tested against: the farm's services map onto IAU priority
+slots (slot = service index, priority = the service's SLO rank), the
+planned hand-overs become timed ``submit()`` calls, and the VI machinery
+provides pre-emption between SLO classes exactly as it does on a single
+robot.
 
 Everything here is picklable on purpose: :func:`simulate_node` is what a
-``ProcessPoolExecutor`` worker runs, so a hundred-thousand-job day shards
-its nodes across ``min(max_workers, nodes)`` worker processes.  Workers
+``ProcessPoolExecutor`` worker runs for each simulated node.  Workers
 receive model *names* (zoo builders) rather than compiled networks — each
 worker compiles locally, which keeps the dispatch payload tiny — and send
 their results back as one int64 block (:func:`encode_results`) rather than
@@ -24,10 +28,13 @@ even the first compile of a fresh worker a cheap artefact load.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from enum import Enum
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
@@ -254,9 +261,10 @@ def collect_assignment(
     system: MultiTaskSystem,
     per_slot: dict[int, list[tuple[int, int]]],
 ) -> list[NodeJobResult]:
-    """Phase 2 of a replay: join a drained system's records with the plan."""
+    """Phase 2 of a replay: join a drained system's records with the plan,
+    by slot, then FIFO."""
     results: list[NodeJobResult] = []
-    for service, submitted in per_slot.items():
+    for service, submitted in sorted(per_slot.items()):
         pending = deque(submitted)
         completed = system.jobs(service)
         results.extend(join_slot(assignment.node, service, pending, completed))
@@ -285,3 +293,98 @@ def simulate_node(assignment: NodeAssignment) -> list[NodeJobResult]:
     )
     return run_assignment(assignment, system)
 
+
+_complete = itemgetter(5)  # of a NodeJobResult
+_service = itemgetter(2)
+
+
+class _Never(Enum):
+    RUN = 0
+
+
+#: :attr:`PlanNode.last_run` of a node never run.
+NEVER_RUN = _Never.RUN
+
+
+class PlanNode:
+    """A node answered by its plan: it reports what its
+    :class:`~repro.runtime.system.MultiTaskSystem` would while each job
+    handed over starts at or after the previous one's completion
+    (:meth:`submit` refuses the first that does not).  A job is the row
+    ``(job_id, node, service, d, d, d + estimate)``.
+
+    At :meth:`run`'s ``until_cycle`` ``E`` (the system's pause contract) a
+    job counts as done once it completes *before* ``E``; the clock is, mid
+    job, its first instruction boundary at or past ``E`` (its meta's
+    ``cum``); idle with later work, that work's dispatch cycle; drained,
+    the last completion.
+    """
+
+    def __init__(
+        self,
+        node: int,
+        estimates: Sequence[int],
+        networks: Sequence[CompiledNetwork],
+        vi_mode: str,
+    ):
+        self.node, self.estimates = node, estimates
+        self.networks, self.vi_mode = networks, vi_mode
+        #: Every job handed over, in submit order (= completion order).
+        self.rows: list[NodeJobResult] = []
+        self.clock = self.free = 0
+        #: Rows done by the last :meth:`run`, and the harvested prefix.
+        self.done = self.harvested = 0
+        #: ``until_cycle`` of the last :meth:`run`; :data:`NEVER_RUN` before any.
+        self.last_run: int | None | _Never = NEVER_RUN
+
+    def submit(self, job_id: int, service: int, cycle: int) -> bool:
+        """Hand one job over; False, keeping nothing, if it would start
+        before the previous one completes."""
+        if cycle < self.free:
+            return False
+        self.free = end = cycle + self.estimates[service]
+        self.rows.append(
+            tuple.__new__(NodeJobResult, (job_id, self.node, service, cycle, cycle, end))
+        )
+        return True
+
+    def run(self, until_cycle: int | None = None) -> int:
+        """Advance to ``until_cycle`` (None: drain); returns the clock."""
+        rows = self.rows
+        self.last_run = until_cycle
+        if not rows or until_cycle is None or until_cycle > self.free:  # drained
+            self.done = len(rows)
+            self.clock = self.free if rows else self.clock
+            return self.clock
+        self.done = bisect_left(rows, until_cycle, key=_complete)
+        start, service = rows[self.done].start_cycle, rows[self.done].service
+        if start <= until_cycle:  # mid-job
+            cum = self.networks[service].meta(self.vi_mode).cum
+            self.clock = start + cum[bisect_left(cum, until_cycle - start)]
+        elif self.clock < until_cycle:  # idle: skip ahead to the next job
+            self.clock = start
+        return self.clock
+
+    def harvest(self) -> list[NodeJobResult]:
+        """Rows done since the last call: by slot, then FIFO."""
+        fresh = self.rows[self.harvested : self.done]
+        self.harvested = self.done
+        return sorted(fresh, key=_service)
+
+
+def plan_rows(
+    assignment: NodeAssignment, estimates: Sequence[int]
+) -> list[NodeJobResult] | None:
+    """What :func:`simulate_node` returns for ``assignment``, read off the
+    plan (``estimates[service]``: the node's cycles per job), or None when
+    a dispatch starts before the previous one completes."""
+    rows: list[NodeJobResult] = []
+    free = 0
+    for job_id, service, cycle in assignment.dispatches:
+        if cycle < free:
+            return None
+        free = cycle + estimates[service]
+        rows.append(
+            tuple.__new__(NodeJobResult, (job_id, assignment.node, service, cycle, cycle, free))
+        )
+    return sorted(rows, key=_service)

@@ -4,9 +4,9 @@ The dispatch phase is a *predictive* planner: it walks virtual time over
 the job stream and decides, for every job, which accelerator runs it and
 when it is handed over.  Its only model of node speed is the stable
 estimator (:func:`repro.estimate.estimate_job_cycles` per ``(node,
-service)`` pair) — the exact outcome is then measured by simulating every
-node cycle-accurately with the dispatch plan (see
-:mod:`repro.farm.farm`).
+service)`` pair).  No policy here puts two jobs on one node, so the
+serving loop answers their nodes by the plan (see :mod:`repro.farm.node`
+for which nodes are simulated).
 
 Three policies behind one :class:`Scheduler` protocol:
 

@@ -41,6 +41,7 @@ from repro.iau.unit import DISPATCH_KEYS, Iau
 from repro.obs import EventKind, ObsConfig
 from repro.runtime.system import MultiTaskSystem
 from tests import farm_oracle as oracle
+from tests.farm_days import HalfAtArrival, overlapping_nodes, simulated
 
 #: The ``dispatch_counts`` keys that count calls (the rest count
 #: instructions and stalls).
@@ -275,13 +276,20 @@ class TestFarmServing:
             assert outcome.dispatch_cycle >= outcome.arrival_cycle
 
     def test_serial_equals_parallel(self, small_jobs):
-        farm = Farm(default_design_grid(), SERVICES, PredictiveScheduler())
+        """Node 0 overlaps, so the pool simulates it; the rest are answered
+        by their plan.  Serial and pooled equal the all-simulated farm."""
+        farm = Farm(default_design_grid(), SERVICES, HalfAtArrival())
+        assert overlapping_nodes(farm, farm.plan(small_jobs)) == [0]
         serial = farm.serve(small_jobs)
         parallel = farm.serve(small_jobs, max_workers=4)
         assert serial.outcomes == parallel.outcomes
+        want = simulated(Farm(default_design_grid(), SERVICES, HalfAtArrival()), small_jobs)
+        assert parallel.outcomes == want.outcomes
 
     def test_single_uncontended_job_matches_estimate(self):
-        """With no contention, measured latency == the static estimate."""
+        """With no contention, measured latency == the static estimate
+        (measured on a simulated node: the plan would answer it by the
+        estimate itself)."""
         farm = Farm(default_design_grid()[:1], SERVICES, FcfsScheduler())
         jobs = generate_jobs(
             TrafficSpec(
@@ -290,7 +298,7 @@ class TestFarmServing:
                 seed=1,
             )
         )[:1]
-        result = farm.serve(jobs)
+        result = simulated(farm, jobs)
         outcome = result.outcomes[0]
         expected = farm.estimate(0, 0)
         assert outcome.complete_cycle - outcome.dispatch_cycle == expected

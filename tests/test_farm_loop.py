@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.design_space import default_design_grid
 from repro.errors import SchedulerError
 from repro.farm import (
     ChaosAction,
@@ -27,11 +28,13 @@ from repro.farm import (
     ResiliencePolicy,
 )
 from repro.farm.farm import _ShippedNodes
+from repro.farm.node import encode_results
 from repro.hw.config import AcceleratorConfig
 from repro.obs.events import EventKind
 from repro.qos import ModeSwitchPolicy
 from repro.serve import ServeGateway
 from tests import pins as pinned
+from tests.farm_days import HalfAtArrival, overlapping_nodes, simulated
 
 PIN = pinned.PINS["farm"]
 DIGESTS = PIN.load()["digests"]
@@ -58,6 +61,43 @@ def test_shipped_paths_equal_the_serial_digest(scheduler, tmp_path):
     with ServeGateway(tmp_path / "gw", inline=True) as gateway:
         durable = pinned.static_farm(scheduler).serve_durable(jobs, gateway)
     assert pinned.static_digest(durable) == want
+
+
+@pytest.mark.parametrize("path", ["pool", "gateway"])
+def test_shipped_paths_on_an_overlapping_day_equal_the_simulated_farm(
+    path, tmp_path, monkeypatch
+):
+    """Half the day overlaps on node 0, the rest is answered by its plan:
+    only node 0 is shipped, and the day equals the one served with every
+    node simulated, in outcomes, report and dispatches."""
+    jobs = pinned.static_day(0)
+    farm = Farm(default_design_grid(), pinned.SERVICES, HalfAtArrival())
+    oracle = simulated(Farm(default_design_grid(), pinned.SERVICES, HalfAtArrival()), jobs)
+    assert overlapping_nodes(farm, farm.plan(jobs)) == [0]
+    shipped: list[int] = []
+    if path == "pool":
+        measure = Farm._measure_parallel
+
+        def spy(assignments, max_workers):
+            shipped.extend(a.node for a in assignments)
+            return measure(assignments, max_workers)
+
+        monkeypatch.setattr(Farm, "_measure_parallel", staticmethod(spy))
+        result = farm.serve(jobs, max_workers=2)
+    else:
+        with ServeGateway(tmp_path / "gw", inline=True) as gateway:
+            submit = gateway.submit
+
+            def spy(spec, **kwargs):
+                shipped.append(spec.assignment.node)
+                return submit(spec, **kwargs)
+
+            monkeypatch.setattr(gateway, "submit", spy)
+            result = farm.serve_durable(jobs, gateway)
+    assert shipped == [0]
+    assert result.outcomes == oracle.outcomes
+    assert result.report == oracle.report
+    assert result.dispatches == oracle.dispatches
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -249,10 +289,12 @@ def test_shipped_nodes_refuse_anything_but_one_whole_day_epoch():
     shipped = _ShippedNodes(farm, lambda assignments: ([], 0))
     with pytest.raises(SchedulerError, match="one whole-day epoch"):
         serve_fake(farm, jobs, config, shipped)
-    shipped = _ShippedNodes(farm, lambda assignments: ([], 0))
-    shipped.submit(Dispatch(Job(0, 0, 0, 0), 0, 0))
+    measured = NodeJobResult(1, 0, 0, 0, 0, 7)
+    shipped = _ShippedNodes(farm, lambda assignments: ([encode_results([measured])], 0))
+    for job_id in (0, 1):  # two jobs at once on node 0: shipped, not planned
+        shipped.submit(Dispatch(Job(0, job_id, 0, 0), 0, 0))
     shipped.advance(None)
-    assert shipped.harvest() == []
+    assert shipped.harvest().tolist() == [list(measured)]
     for second_epoch in (lambda: shipped.submit(Dispatch(Job(0, 0, 0, 0), 0, 0)),
                          lambda: shipped.advance(None)):
         with pytest.raises(SchedulerError, match="one whole-day epoch"):

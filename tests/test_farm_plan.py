@@ -1,0 +1,288 @@
+"""A farm node is its plan: the arithmetic answer held equal to simulation.
+
+A node whose every hand-over starts at or after the previous job's
+completion never holds two jobs, so each job runs uninterrupted and
+completes ``estimate`` cycles after its dispatch.  Such a node is answered
+by :class:`~repro.farm.node.PlanNode` (in-process, epoch by epoch) or
+:func:`~repro.farm.node.plan_rows` (shipped days); every other node is
+simulated.  These cells hold the two answers equal, in value and in order:
+
+* every pinned farm case of ``tests/pins.py``, node by node against
+  :func:`~repro.farm.node.simulate_node`, and served whole with every node
+  forced onto the simulator (which must reproduce the pinned digest);
+* drawn days under all four schedulers, plus an at-arrival scheduler whose
+  nodes overlap: the check must refuse those nodes and the day still match;
+* the resilient loop's epoch ends — on a completion, inside a job's last
+  instruction, on a dispatch, idle with later work, drained — and a node
+  promoted to simulation mid-day.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.design_space import default_design_grid
+from repro.farm import (
+    Dispatch,
+    Farm,
+    FcfsScheduler,
+    FeedbackScheduler,
+    Job,
+    PredictiveScheduler,
+    ResilienceConfig,
+    StaticPartitionScheduler,
+    TenantSpec,
+    TrafficSpec,
+    generate_jobs,
+    simulate_node,
+)
+from repro.farm.farm import _InProcessNodes
+from repro.farm.node import compiled_for_services, plan_rows
+from tests import pins as pinned
+from tests.farm_days import AtArrival, assignments, simulated
+
+DIGESTS = pinned.PINS["farm"].load()["digests"]
+SCENARIOS = pinned.resilient_scenarios()
+_submit_order = attrgetter("dispatch_cycle", "job.job_id")
+
+
+def node_rows(farm: Farm, dispatches) -> dict[int, bool]:
+    """Per node with work in ``dispatches``: is it plan-exact?  Where it
+    is, its plan rows equal the simulated node's, in value and in order."""
+    exact = {}
+    for assignment in assignments(farm, dispatches):
+        rows = plan_rows(assignment, farm.view.estimates[assignment.node])
+        if rows is not None:
+            assert rows == simulate_node(assignment), f"node {assignment.node}"
+        exact[assignment.node] = rows is not None
+    return exact
+
+
+# -- every pinned farm case ----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", pinned.SEEDS)
+@pytest.mark.parametrize("scheduler", pinned.SCHEDULERS)
+def test_pinned_serve_days_are_their_plans(scheduler, seed):
+    farm, jobs = pinned.static_farm(scheduler), pinned.static_day(seed)
+    plan = sorted(farm.plan(jobs), key=_submit_order)
+    assert all(node_rows(farm, plan).values())  # the shipped schedulers never overlap
+    oracle = simulated(pinned.static_farm(scheduler), jobs)
+    assert pinned.static_digest(oracle) == DIGESTS[f"serve|{scheduler}|seed={seed}"]
+    farm.serve(jobs)
+    assert farm.node_systems == [None] * len(farm.node_configs)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_pinned_resilient_days_simulate_only_chaos_nodes(name):
+    make_farm, jobs, config, chaos = SCENARIOS[name]
+    farm = make_farm()
+    result = farm.serve_resilient(jobs, resilience=config, chaos=chaos)
+    kills = chaos.node_kills() if chaos is not None else {}
+    assert [system is not None for system in farm.node_systems] == [
+        node in kills for node in range(len(farm.node_configs))
+    ]
+    calm = [d for d in result.dispatches if d.node not in kills]  # submit order
+    assert all(node_rows(farm, calm).values())
+    oracle = make_farm()
+    served = simulated(oracle, jobs, config, chaos)
+    assert pinned.resilient_digest(oracle, served) == DIGESTS[f"serve_resilient|{name}"]
+
+
+# -- drawn days ------------------------------------------------------------------
+
+SCHEDULERS = {
+    "fcfs": FcfsScheduler, "static-partition": StaticPartitionScheduler,
+    "predictive": PredictiveScheduler, "feedback+predictive": FeedbackScheduler,
+    "at-arrival": AtArrival,
+}
+
+
+@st.composite
+def drawn_days(draw):
+    tenants = draw(st.integers(1, 4))
+    spec = TrafficSpec(
+        tenants=tuple(
+            TenantSpec(
+                i,
+                service=draw(st.integers(0, 2)),
+                mean_interarrival_cycles=draw(st.integers(8_000, 60_000)),
+                pattern=draw(st.sampled_from(pinned.PATTERNS)),
+            )
+            for i in range(tenants)
+        ),
+        duration_cycles=draw(st.integers(100_000, 500_000)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return draw(st.integers(1, 3)), generate_jobs(spec)
+
+
+@given(day=drawn_days(), scheduler=st.sampled_from(sorted(SCHEDULERS)))
+@settings(max_examples=40, deadline=None)
+def test_drawn_days_match_the_simulated_farm(day, scheduler):
+    nodes, jobs = day
+    if scheduler == "at-arrival" and jobs:
+        # A twin of the first job, at its arrival on its node: an overlap.
+        first = jobs[0]
+        twin = first.job_id + nodes * len(jobs)
+        jobs = [*jobs, Job(first.arrival_cycle, twin, first.tenant_id, first.service)]
+
+    def make() -> Farm:
+        return Farm(default_design_grid()[:nodes], pinned.SERVICES, SCHEDULERS[scheduler]())
+
+    farm = make()
+    result = farm.serve(jobs)
+    exact = node_rows(farm, sorted(result.dispatches, key=_submit_order))
+    assert all(exact.values()) == (scheduler != "at-arrival" or not jobs)
+    assert {node: system is None for node, system in enumerate(farm.node_systems)} == {
+        node: exact.get(node, True) for node in range(nodes)
+    }
+    oracle = simulated(make(), jobs)
+    assert result.outcomes == oracle.outcomes
+    assert result.report == oracle.report
+    assert result.dispatches == oracle.dispatches
+
+
+# -- the resilient loop's epoch ends ---------------------------------------------
+
+ONE_NODE = default_design_grid()[:1]
+
+
+def one_node_farm(scheduler=None) -> Farm:
+    return Farm(ONE_NODE, pinned.SERVICES, scheduler or PredictiveScheduler())
+
+
+def drive(script, simulate: bool):
+    """Hand a one-node backend ``script`` — a :class:`Dispatch` is
+    submitted, a cycle (or None) is an epoch end the node advances to —
+    and record the clock after every submit and ``(end, clock, harvest)``
+    at every end, plus the systems."""
+    farm = one_node_farm()
+    nodes = _InProcessNodes(farm, [0] if simulate else [])
+    seen = []
+    for step in script:
+        if isinstance(step, Dispatch):
+            nodes.submit(step)
+            seen.append(nodes.clock(0))
+        else:
+            nodes.advance(step)
+            seen.append((step, nodes.clock(0), nodes.harvest()))
+    return seen, farm.node_systems
+
+
+FARM = one_node_farm()
+A, B = FARM.estimate(0, 0), FARM.estimate(0, 2)  # cycles of one job
+D_A = 1_000
+C_A = D_A + A
+D_B = C_A + 2_000
+C_B = D_B + B
+JOBS = [Dispatch(Job(0, 0, 0, 0), 0, D_A), Dispatch(Job(0, 1, 2, 2), 0, D_B)]
+EDGES = {
+    "at-cycle-zero": 0,  # the clock does not skip ahead from a pause it is at
+    "before-any-work": 500,
+    "on-a-dispatch": D_A,
+    "mid-job": D_A + A // 3,
+    "inside-the-last-instruction": C_A - 1,  # boundary = completion: not yet recorded
+    "on-a-completion": C_A,  # not yet recorded either
+    "idle-with-later-work": C_A + 1,
+    "on-the-later-dispatch": D_B,
+    "on-the-last-completion": C_B,
+    "idle-and-drained": C_B + 1,
+}
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_an_epoch_end_reads_as_on_the_simulated_node(edge):
+    end = EDGES[edge]
+    script = [*JOBS, end, end + 1, C_B + 5, None]
+    planned, systems = drive(script, simulate=False)
+    assert systems == [None]
+    assert planned == drive(script, simulate=True)[0]
+
+
+def test_a_node_without_work_reads_as_simulated():
+    script = [0, 1_000, None]
+    assert drive(script, simulate=False)[0] == drive(script, simulate=True)[0]
+
+
+def test_every_instruction_boundary_of_a_job_reads_as_simulated():
+    network = compiled_for_services(ONE_NODE[0], pinned.SERVICES)[0]
+    boundaries = [D_A + c for c in network.meta(FARM.vi_mode).cum]
+    for end in sorted({b + delta for b in boundaries for delta in (-1, 0, 1)}):
+        script = [*JOBS, end, None]
+        assert drive(script, simulate=False)[0] == drive(script, simulate=True)[0], end
+
+
+def test_a_node_promoted_mid_day_skips_what_it_already_harvested():
+    """Job C lands on the node while B runs: the node is simulated from
+    then on, replaying A and B, and A is not harvested twice."""
+    late = C_A + 1  # A harvested; the clock skipped ahead to B's dispatch
+    script = [*JOBS, late, Dispatch(Job(late, 2, 1, 1), 0, D_B + 10), C_B, None]
+    planned, systems = drive(script, simulate=False)
+    assert systems[0] is not None
+    assert planned == drive(script, simulate=True)[0]
+    harvested = [row.job_id for step in planned if type(step) is tuple for row in step[2]]
+    assert sorted(harvested) == [0, 1, 2]
+
+
+class Later:
+    """Each job handed over ``delay`` cycles after it arrives."""
+
+    name = "later"
+
+    def __init__(self, delay: int):
+        self.delay = delay
+
+    def dispatch(self, jobs, view):
+        return [Dispatch(job, 0, job.arrival_cycle + self.delay) for job in jobs]
+
+
+RESILIENT_EDGES = {
+    # name: (arrivals, epoch cycles, scheduler)
+    "on-a-completion": ([0], A, None),
+    "inside-the-last-instruction": ([1], A, None),
+    "on-a-dispatch": ([0, 1], A, None),
+    "idle-with-later-work": ([0], 100_000, Later(250_000)),
+    "idle-and-drained": ([0], 2 * A, None),
+}
+
+
+@pytest.mark.parametrize("edge", RESILIENT_EDGES)
+def test_serve_resilient_at_an_edge_matches_the_simulated_node(edge):
+    arrivals, epoch, scheduler = RESILIENT_EDGES[edge]
+    jobs = [Job(cycle, job_id, 0, 0) for job_id, cycle in enumerate(arrivals)]
+    config = ResilienceConfig(epoch_cycles=epoch)
+    farm = one_node_farm(scheduler)
+    result = farm.serve_resilient(jobs, resilience=config)
+    assert farm.node_systems == [None]
+    oracle = one_node_farm(scheduler)
+    want = pinned.resilient_digest(oracle, simulated(oracle, jobs, config))
+    assert pinned.resilient_digest(farm, result) == want
+
+
+def test_serve_resilient_promotes_an_overlapping_node_mid_day(monkeypatch):
+    """At-arrival hand-overs: two jobs a few epochs apart, then two at
+    once.  The node is promoted after harvesting the first two, and the
+    day equals the one served with the node simulated throughout."""
+    promoted = []
+    simulate = _InProcessNodes._simulate
+
+    def spy(self, node):
+        promoted.append(self._nodes[node].harvested)
+        return simulate(self, node)
+
+    arrivals = [(0, 2), (300_000, 0), (500_000, 2), (500_001, 0)]
+    jobs = [Job(cycle, job_id, 0, service) for job_id, (cycle, service) in enumerate(arrivals)]
+    config = ResilienceConfig(epoch_cycles=200_000)
+    farm = one_node_farm(AtArrival())
+    with monkeypatch.context() as patch:
+        patch.setattr(_InProcessNodes, "_simulate", spy)
+        result = farm.serve_resilient(jobs, resilience=config)
+    assert promoted == [2] and farm.node_systems[0] is not None
+    oracle = one_node_farm(AtArrival())
+    want = pinned.resilient_digest(oracle, simulated(oracle, jobs, config))
+    assert pinned.resilient_digest(farm, result) == want
+    assert result.outcomes[2].complete_cycle > 500_000 + B  # preempted by job 3

@@ -42,6 +42,7 @@ from repro.farm.resilience import ResiliencePolicy
 from repro.farm.scheduler import Dispatch
 from repro.serve import classify_exit
 from repro.serve.worker import CRASH_EXIT_CODE
+from tests.farm_days import AtArrival, plan_exact
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=400_000)
 SILVER = SloClass("silver", rank=1, weight=3.0, deadline_cycles=1_200_000)
@@ -461,11 +462,23 @@ def _dies_on_node_2(assignment):
 
 
 class TestMeasureRetries:
-    def test_zero_retries_fails_fast(self, jobs, monkeypatch):
+    def test_zero_retries_fails_fast(self, monkeypatch):
         """The pool does not retry: a dead worker fails the day at once and
         the error points at the path that recovers one."""
-        farm = make_farm(PredictiveScheduler())
-        assert any(dispatch.node == 2 for dispatch in farm.plan(jobs))
+        # At-arrival hand-overs on a dense day overlap on node 2, so it is
+        # shipped, not answered by its plan.
+        jobs = generate_jobs(
+            TrafficSpec(
+                tenants=tuple(
+                    TenantSpec(i, service=i, mean_interarrival_cycles=15_000)
+                    for i in range(3)
+                ),
+                duration_cycles=400_000,
+                seed=11,
+            )
+        )
+        farm = make_farm(AtArrival())
+        assert not plan_exact(farm, jobs, 2)
         monkeypatch.setattr("repro.farm.farm.simulate_node", _dies_on_node_2)
         with pytest.raises(
             SchedulerError, match=r"node worker\(s\) \[.*\b2\].*serve_durable"

@@ -27,7 +27,6 @@ from repro.analysis.design_space import default_design_grid
 from repro.compiler import compile_network
 from repro.errors import SchedulerError
 from repro.farm import (
-    Dispatch,
     Farm,
     ServiceSpec,
     SloClass,
@@ -49,6 +48,7 @@ from repro.qos.config import QosConfig
 from repro.runtime.system import ArrivalPolicy, MultiTaskSystem, compile_tasks
 from repro.zoo import build_tiny_cnn, build_tiny_residual
 from tests.conftest import random_input
+from tests.farm_days import AtArrival
 
 
 def test_fast_path_actually_batches(tiny_cnn_compiled):
@@ -332,16 +332,6 @@ def _shared_sets(metas):
     ]
 
 
-class _AtArrival:
-    """Every job handed over at its arrival, alternating between nodes: a
-    gold job lands on a node still running a bronze one and preempts it."""
-
-    name = "at-arrival"
-
-    def dispatch(self, jobs, view):
-        return [Dispatch(job, job.job_id % view.num_nodes, job.arrival_cycle) for job in jobs]
-
-
 def test_a_timing_only_farm_day_leaves_the_shared_tiles_as_built():
     """A day of preempting tiny jobs on two timing-only nodes: every core
     installed the boundary descriptors its metas share, stepped loads
@@ -362,7 +352,7 @@ def test_a_timing_only_farm_day_leaves_the_shared_tiles_as_built():
         duration_cycles=1_500_000,
         seed=7,
     )
-    farm = Farm(default_design_grid()[:2], services, _AtArrival())
+    farm = Farm(default_design_grid()[:2], services, AtArrival())
     result = farm.serve(generate_jobs(spec))
     assert result.report.total_jobs > 100
     systems = farm.node_systems

@@ -30,7 +30,6 @@ from repro.container import HEADER, frame
 from repro.errors import ServeError, SnapshotError
 from repro.farm import (
     Farm,
-    FcfsScheduler,
     NodeAssignment,
     ServiceSpec,
     SloClass,
@@ -54,6 +53,7 @@ from repro.serve import (
 from repro.farm.node import NodeJobResult
 from repro.serve.snapshot import MAGIC, VERSION, probe_snapshot
 from repro.serve.worker import JobResult, load_result
+from tests.farm_days import HalfAtArrival, overlapping_nodes, simulated
 from tests.test_container import MUTATIONS
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=400_000)
@@ -734,13 +734,17 @@ class TestFarmWorkerRetry:
         farm = Farm(
             [AcceleratorConfig.small(), AcceleratorConfig.small()],
             SERVICES,
-            FcfsScheduler(),
+            HalfAtArrival(),
         )
         return farm, generate_jobs(spec)
 
     def test_serve_durable_matches_parallel_serve(self, farm_day, tmp_path):
+        """Node 0 overlaps and is shipped on both paths; node 1 is answered
+        by its plan.  Both equal the day with every node simulated."""
         farm, jobs = farm_day
+        assert overlapping_nodes(farm, farm.plan(jobs)) == [0]
         baseline = farm.serve(jobs, max_workers=2)
+        assert baseline.outcomes == simulated(farm, jobs).outcomes
         with ServeGateway(
             tmp_path / "gw", workers=2, backoff_s=0.01
         ) as gateway:
