@@ -9,26 +9,23 @@ nodes mid-run.  The headline claims:
   stranded work is hedged or migrated, exactly once;
 * its gold-class SLO attainment stays within 10% of the no-fault golden
   run despite losing a quarter of the farm;
-* the static whole-day plan has no answer: when the process-pool worker
-  of node 2 dies (on a day whose hand-overs overlap there, so node 2 is
-  simulated in the pool) its measure phase aborts (the pool is a plain fan-out;
-  only ``serve_durable`` recovers a dead worker), and even granting it a
-  crash-free measure phase, a lost-node day costs it the jobs the dead
-  nodes would have completed — far below the floor.
+* the static whole-day plan survives only a dead *worker*: when the
+  gateway worker of node 2 dies (on a day whose hand-overs overlap there,
+  so node 2 is shipped to ``serve(max_workers=N)``'s private gateway) it
+  is retried and the day equals the one simulated in-process; but a dead
+  *node* has no answer: a lost-node day costs it the jobs the dead nodes
+  would have completed — far below the floor.
 
 The table lands in ``benchmarks/results/farm_chaos.txt``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from benchmarks.conftest import write_result
 from repro.analysis.design_space import default_design_grid
 from repro.analysis.tables import format_table
-from repro.errors import SchedulerError
 from repro.farm import (
     ChaosPlan,
     Farm,
@@ -42,9 +39,7 @@ from repro.farm import (
     generate_jobs,
     run_chaos_campaign,
 )
-from repro.farm.node import simulate_node
-from repro.serve.worker import CRASH_EXIT_CODE
-from tests.farm_days import AtArrival, plan_exact
+from tests.farm_days import AtArrival, kill_worker_once, plan_exact, simulated
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=150_000)
 SILVER = SloClass("silver", rank=1, weight=3.0, deadline_cycles=600_000)
@@ -87,14 +82,6 @@ def make_farm():
     return Farm(eight_node_grid(), SERVICES, FeedbackScheduler())
 
 
-def _dies_on_node_2(assignment):
-    """A pool worker that vanishes like ``kill -9`` on node 2 and simulates
-    every other node (module-level, so the pool pickles it by reference)."""
-    if assignment.node == 2:
-        os._exit(CRASH_EXIT_CODE)
-    return simulate_node(assignment)
-
-
 def test_feedback_loop_survives_losing_two_of_eight_nodes(monkeypatch):
     jobs = oversubscribed_day()
     resilience = ResilienceConfig(epoch_cycles=250_000)
@@ -109,19 +96,17 @@ def test_feedback_loop_survives_losing_two_of_eight_nodes(monkeypatch):
     )
 
     # -- the static whole-day plan, for contrast -------------------------
-    # (a) Worker-level chaos: the measure worker of node 2 dies.  The
-    # static pipeline has no per-node health model — it aborts the day.
-    # Hand-overs at arrival overlap on node 2, so the pool simulates it
-    # (a node answered by its plan is never shipped).
+    # (a) Worker-level chaos: the gateway worker of node 2 dies once.  The
+    # gateway retries it, so the static day completes exactly.  Hand-overs
+    # at arrival overlap on node 2, so it is shipped (a node answered by
+    # its plan never is).
     static_farm = Farm(eight_node_grid(), SERVICES, AtArrival())
     assert not plan_exact(static_farm, jobs, 2)
-    static_aborts = False
     with monkeypatch.context() as patch:
-        patch.setattr("repro.farm.farm.simulate_node", _dies_on_node_2)
-        try:
-            static_farm.serve(jobs, max_workers=4)
-        except SchedulerError:
-            static_aborts = True
+        kill_worker_once(patch, node=2)
+        recovered = static_farm.serve(jobs, max_workers=4)
+    worker_retries = recovered.report.worker_retries
+    static_simulated = simulated(Farm(eight_node_grid(), SERVICES, AtArrival()), jobs)
 
     # (b) Even granting the static plan a crash-free measure phase, a day
     # where two nodes die at the planned cycles silently loses every job
@@ -151,7 +136,8 @@ def test_feedback_loop_survives_losing_two_of_eight_nodes(monkeypatch):
     static_rows = [
         [
             "static + worker kills",
-            "aborted (no worker recovery)" if static_aborts else "completed",
+            f"recovered ({worker_retries} worker "
+            f"retr{'y' if worker_retries == 1 else 'ies'})",
         ],
         ["static + 2 node deaths: jobs lost", lost],
         [
@@ -183,8 +169,9 @@ def test_feedback_loop_survives_losing_two_of_eight_nodes(monkeypatch):
             f"90% of golden {golden_gold:.3f}"
         )
     assert campaign.all_ok
-    # The static plan fails the same day both ways.
-    assert static_aborts, "a dead pool worker should abort the static day"
+    # The static plan recovers a dead worker exactly, but not a dead node.
+    assert worker_retries == 1, "node 2's worker should die once and be retried"
+    assert recovered.outcomes == static_simulated.outcomes
     assert lost > 0, "node deaths must cost the static plan jobs"
     assert static_gold < 0.9 * golden_gold or lost > 0
 

@@ -168,7 +168,8 @@ def test_bench_resilient_day(benchmark):
 
 def test_bench_results_codec(benchmark):
     """Encode 20,000 node results into one int64 block and decode them
-    back: what a pool worker and the parent pay per farm-day node."""
+    back: what a gateway worker and the parent pay per shipped node (a
+    job result crosses the journal as this block)."""
     rows = [NodeJobResult(job, job % 4, job % 3, 5 * job, 5 * job + 7, 5 * job + 900)
             for job in range(20_000)]
 

@@ -26,13 +26,11 @@ makes scheduler comparisons meaningful.
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
+from tempfile import TemporaryDirectory
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Protocol, Sequence
 
 from repro.errors import SchedulerError
@@ -51,7 +49,6 @@ from repro.farm.node import (
     join_slot,
     plan_rows,
     results_array,
-    simulate_node,
 )
 from repro.farm.resilience import (
     ChaosPlan,
@@ -103,8 +100,9 @@ class NodeBackend(Protocol):
     compile and no simulator.
     """
 
-    #: Crashed node workers re-attempted while advancing (only the gateway
-    #: re-attempts; in-process and pool-shipped nodes report 0).
+    #: Crashed node workers re-attempted while advancing (only shipped
+    #: nodes, which run on a gateway, have workers; in-process nodes
+    #: report 0).
     retries: int
 
     def submit(self, dispatch: Dispatch) -> None:
@@ -215,7 +213,9 @@ Measure = Callable[[list[NodeAssignment]], tuple[list[bytes], int]]
 
 
 class _ShippedNodes:
-    """Nodes measured outside this process (a worker pool, a gateway).
+    """Nodes measured outside this process, on a gateway's workers (a
+    private one under :meth:`Farm.serve`, the caller's under
+    :meth:`Farm.serve_durable`; both through :func:`_on_gateway`).
 
     Buffers the submits into one :class:`NodeAssignment` per node.  On
     ``advance(None)`` a node the plan answers (:func:`plan_rows`) yields
@@ -412,16 +412,26 @@ class Farm:
         """Plan the whole day, measure every node exactly, report.
 
         One whole-day epoch on in-process nodes.  ``max_workers`` > 1 ships
-        the nodes that must be simulated (see the module docstring) to a
-        process pool of ``min(max_workers, nodes)`` workers instead, and
-        opens none when the plan answers every node; a worker that dies
-        fails the day (:meth:`serve_durable` survives one).  The default
+        only the nodes that must be simulated (see the module docstring)
+        to a private :class:`~repro.serve.gateway.ServeGateway` of
+        ``min(max_workers, nodes)`` workers, built only when there are
+        some.  Its journal is a temporary directory that dies with the
+        call, and it takes no snapshots: a dead worker is retried from
+        cycle 0 and counted in ``report.worker_retries``.  The default
         (None → serial) is required when ``obs`` is set.
         """
         if max_workers is None or max_workers <= 1:
             return self._serve(jobs, _InProcessNodes(self))
-        pool = partial(self._measure_parallel, max_workers=max_workers)
-        return self._serve(jobs, _ShippedNodes(self, pool))
+
+        def measure(assignments: list[NodeAssignment]) -> tuple[list[bytes], int]:
+            from repro.serve.gateway import ServeGateway
+
+            workers = min(max_workers, len(assignments))
+            with TemporaryDirectory() as root, ServeGateway(root, workers=workers) as gateway:
+                # No snapshots, no deadline, no timeout; otherwise the defaults.
+                return _on_gateway(gateway, assignments, 0, None, None)
+
+        return self._serve(jobs, _ShippedNodes(self, measure))
 
     def serve_resilient(
         self,
@@ -455,32 +465,17 @@ class Farm:
         """Serve a day through a :class:`~repro.serve.gateway.ServeGateway`.
 
         The one-epoch loop of :meth:`serve` with its nodes shipped to the
-        gateway: each node assignment becomes one journaled gateway job;
-        workers checkpoint every ``snapshot_every_cycles`` simulated
-        cycles, so a SIGKILLed worker resumes mid-replay instead of
-        starting over.  Gateway retries (crash recoveries) surface as
+        caller's gateway: each node assignment becomes one journaled
+        gateway job; workers checkpoint every ``snapshot_every_cycles``
+        simulated cycles, so a SIGKILLed worker resumes mid-replay instead
+        of starting over.  Gateway retries (crash recoveries) surface as
         ``worker_retries`` on the report.  Results are bit-identical to
         :meth:`serve` — the replay is exact either way.
         """
-        from repro.serve.worker import JobSpec
-
         def measure(assignments: list[NodeAssignment]) -> tuple[list[bytes], int]:
-            job_ids = [
-                gateway.submit(
-                    JobSpec(
-                        assignment=assignment,
-                        snapshot_every_cycles=snapshot_every_cycles,
-                    ),
-                    deadline_s=deadline_s,
-                )
-                for assignment in assignments
-            ]
-            blocks: list[bytes] = []
-            retries = 0
-            for job_id in job_ids:
-                blocks.append(encode_results(gateway.result(job_id, timeout=timeout_s).records))
-                retries += max(0, gateway.status(job_id).attempts - 1)
-            return blocks, retries
+            return _on_gateway(
+                gateway, assignments, snapshot_every_cycles, deadline_s, timeout_s
+            )
 
         return self._serve(jobs, _ShippedNodes(self, measure))
 
@@ -564,37 +559,29 @@ class Farm:
             resilience=None if policy is None else policy.ledger(epochs, results),
         )
 
-    @staticmethod
-    def _measure_parallel(
-        assignments: Sequence[NodeAssignment], max_workers: int
-    ) -> tuple[list[bytes], int]:
-        """Measure on a process pool: one plain fan-out, no recovery.
 
-        The workers fork with this process's heap and freeze it
-        (``gc.freeze``), so their collector never walks it; each returns
-        its node's rows as one int64 block (:func:`_ship_node`), which
-        :class:`_ShippedNodes` joins with the plan's blocks into one int64
-        array, read as it is by the join.  A worker that raises or dies (a dead
-        process breaks the whole executor) fails the day with one
-        :class:`SchedulerError` naming the failed nodes.  Recovering a dead
-        worker is :meth:`serve_durable`'s job: it resumes the node from its
-        last snapshot.
-        """
-        workers = min(max_workers, len(assignments)) or 1
-        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
-            futures = [pool.submit(_ship_node, a) for a in assignments]
-        errors = [(a.node, f.exception()) for a, f in zip(assignments, futures)]
-        failed = [(node, error) for node, error in errors if error is not None]
-        if failed:
-            raise SchedulerError(
-                f"node worker(s) {[node for node, _ in failed]} failed: "
-                f"{failed[0][1]!r}; the process pool does not recover a dead "
-                "worker (serve_durable resumes it from its last snapshot)"
-            ) from failed[0][1]
-        return [future.result() for future in futures], 0
+def _on_gateway(
+    gateway: "ServeGateway",
+    assignments: list[NodeAssignment],
+    snapshot_every_cycles: int,
+    deadline_s: float | None,
+    timeout_s: float | None,
+) -> tuple[list[bytes], int]:
+    """Measure ``assignments`` as one gateway job each (the :data:`Measure`
+    of both shipped configurations): one :func:`encode_results` block per
+    assignment, in order, and the attempts the gateway retried."""
+    from repro.serve.worker import JobSpec
 
-
-def _ship_node(assignment: NodeAssignment) -> bytes:
-    """The pool worker: :func:`simulate_node` (looked up here at call time,
-    the seam a test patches), its rows packed by :func:`encode_results`."""
-    return encode_results(simulate_node(assignment))
+    job_ids = [
+        gateway.submit(
+            JobSpec(assignment=assignment, snapshot_every_cycles=snapshot_every_cycles),
+            deadline_s=deadline_s,
+        )
+        for assignment in assignments
+    ]
+    blocks: list[bytes] = []
+    retries = 0
+    for job_id in job_ids:
+        blocks.append(encode_results(gateway.result(job_id, timeout=timeout_s).records))
+        retries += max(0, gateway.status(job_id).attempts - 1)
+    return blocks, retries

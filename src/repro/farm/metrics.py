@@ -124,8 +124,9 @@ class FarmReport:
     classes: tuple[ClassReport, ...]
     total_jobs: int
     makespan_cycles: int
-    #: Crashed node workers the serving gateway re-attempted
-    #: (``serve_durable`` only; 0 on a clean day and on every other path).
+    #: Crashed node workers the serving gateway re-attempted (the shipped
+    #: paths: ``serve(max_workers=N)``'s private gateway and
+    #: ``serve_durable``'s; 0 on a clean day and in process).
     worker_retries: int = 0
     #: Jobs shed by a criticality mode switch (accounted, not lost).
     total_shed: int = 0
@@ -291,7 +292,8 @@ def join_outcomes(
 
     ``results`` are :class:`~repro.farm.node.NodeJobResult` rows from any
     backend (in-process, gateway), or the same rows as one int64 ``(n, 6)``
-    array (the pool's blocks, :func:`~repro.farm.node.results_array`).
+    array (shipped and planned nodes' blocks,
+    :func:`~repro.farm.node.results_array`).
     Every arrival must be accounted for exactly once — as a measured
     completion in ``results`` or as a mode-switch victim in ``shed``.
     Duplicate completions (e.g. both copies of a hedged dispatch reaching

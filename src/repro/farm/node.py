@@ -13,17 +13,20 @@ planned hand-overs become timed ``submit()`` calls, and the VI machinery
 provides pre-emption between SLO classes exactly as it does on a single
 robot.
 
-Everything here is picklable on purpose: :func:`simulate_node` is what a
-``ProcessPoolExecutor`` worker runs for each simulated node.  Workers
-receive model *names* (zoo builders) rather than compiled networks — each
-worker compiles locally, which keeps the dispatch payload tiny — and send
-their results back as one int64 block (:func:`encode_results`) rather than
-one pickled object per job.  The compile itself is reused two
-ways: within one process, :func:`compiled_for_services` memoizes
-``compile_tasks`` by (config, model names) so epoch replays on the same
-node compile once; across processes, the on-disk
-:mod:`repro.compiler.cache` (enabled via ``REPRO_COMPILE_CACHE``) makes
-even the first compile of a fresh worker a cheap artefact load.
+Everything here is picklable on purpose: a :class:`NodeAssignment` is
+what a gateway worker (:mod:`repro.serve.worker`) replays, as
+:func:`simulate_node` would, for each shipped node — the overlapping
+nodes of ``Farm.serve(max_workers=N)``, on its private gateway, and of
+``Farm.serve_durable``.  Workers receive model *names* (zoo builders)
+rather than compiled networks — each worker compiles locally, which keeps
+the dispatch payload tiny — and send their results back as one int64
+block (:func:`encode_results`) rather than one pickled object per job.
+The compile itself is reused two ways: within one process,
+:func:`compiled_for_services` memoizes ``compile_tasks`` by (config,
+model names) so epoch replays on the same node compile once; across
+processes, the on-disk :mod:`repro.compiler.cache` (enabled via
+``REPRO_COMPILE_CACHE``) makes even the first compile of a fresh worker a
+cheap artefact load.
 """
 
 from __future__ import annotations
@@ -287,7 +290,9 @@ def run_assignment(
 
 
 def simulate_node(assignment: NodeAssignment) -> list[NodeJobResult]:
-    """The process-pool worker: rebuild, simulate, measure (obs off)."""
+    """Rebuild, simulate, measure (obs off): what a gateway worker computes
+    for ``assignment``, in one process and without snapshots (the tests'
+    oracle)."""
     system = build_node_system(
         assignment.config, assignment.services, assignment.vi_mode
     )

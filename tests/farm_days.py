@@ -1,20 +1,22 @@
-"""Farm days whose nodes overlap, and the all-simulated oracle they are
-checked against.
+"""Farm days whose nodes overlap, the all-simulated oracle they are
+checked against, and a gateway worker that dies once.
 
 A node whose hand-overs never overlap is answered by its plan
 (:func:`repro.farm.node.plan_rows`, :class:`repro.farm.node.PlanNode`);
-only the others are simulated, or shipped to a pool or a gateway.  The
-shipped schedulers never overlap, so a test of the simulated or shipped
-paths serves one of the schedulers here.  Nothing runs at import.
+only the others are simulated, or shipped to a gateway.  The shipped
+schedulers never overlap, so a test of the simulated or shipped paths
+serves one of the schedulers here.  Nothing runs at import.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from operator import attrgetter
 
 from repro.farm import Dispatch, Farm, NodeAssignment, ResiliencePolicy
 from repro.farm.farm import _InProcessNodes
 from repro.farm.node import plan_rows
+from repro.serve import ServeGateway
 
 _submit_order = attrgetter("dispatch_cycle", "job.job_id")
 
@@ -83,3 +85,19 @@ def simulated(farm: Farm, jobs, resilience=None, chaos=None):
     if resilience is None:
         return farm._serve(jobs, nodes)
     return farm._serve(jobs, nodes, ResiliencePolicy(farm, nodes, resilience, chaos))
+
+
+def kill_worker_once(monkeypatch, node: int) -> None:
+    """Every gateway job of ``node`` snapshots every 20,000 cycles, and on
+    its first attempt its worker vanishes like ``kill -9`` after the first
+    snapshot (:attr:`~repro.serve.worker.JobSpec.crash_after_snapshots`).
+    Patches :meth:`ServeGateway.submit`, so it reaches the private gateway
+    of ``Farm.serve(max_workers=N)`` too."""
+    submit = ServeGateway.submit
+
+    def crashing(gateway, spec, **kwargs):
+        if spec.assignment.node == node:
+            spec = replace(spec, snapshot_every_cycles=20_000, crash_after_snapshots=1)
+        return submit(gateway, spec, **kwargs)
+
+    monkeypatch.setattr(ServeGateway, "submit", crashing)

@@ -191,7 +191,7 @@ def join_outcomes(
     """Join arrivals with node results by ``job_id`` (exactly once each).
 
     ``results`` are :class:`~repro.farm.node.NodeJobResult` rows from any
-    backend (in-process, pool, gateway), read by position.  Every arrival
+    backend (in-process, gateway), read by position.  Every arrival
     must be accounted for exactly once — as a measured completion in
     ``results`` or as a mode-switch victim in ``shed``.  Duplicate
     completions (e.g. both copies of a hedged dispatch reaching the join

@@ -34,12 +34,12 @@ from repro.farm import (
     percentile,
     run_assignment,
 )
-import repro.farm.farm as farm_module
 from repro.farm.metrics import JobOutcome, build_report, join_outcomes, nearest_rank
 from repro.farm.node import NodeJobResult, decode_results, encode_results, results_array
 from repro.iau.unit import DISPATCH_KEYS, Iau
 from repro.obs import EventKind, ObsConfig
 from repro.runtime.system import MultiTaskSystem
+from repro.serve import ServeGateway
 from tests import farm_oracle as oracle
 from tests.farm_days import HalfAtArrival, overlapping_nodes, simulated
 
@@ -276,8 +276,9 @@ class TestFarmServing:
             assert outcome.dispatch_cycle >= outcome.arrival_cycle
 
     def test_serial_equals_parallel(self, small_jobs):
-        """Node 0 overlaps, so the pool simulates it; the rest are answered
-        by their plan.  Serial and pooled equal the all-simulated farm."""
+        """Node 0 overlaps, so a gateway worker simulates it; the rest are
+        answered by their plan.  Serial and shipped equal the all-simulated
+        farm."""
         farm = Farm(default_design_grid(), SERVICES, HalfAtArrival())
         assert overlapping_nodes(farm, farm.plan(small_jobs)) == [0]
         serial = farm.serve(small_jobs)
@@ -483,7 +484,7 @@ _ROW = st.tuples(*[st.integers(min_value=0, max_value=2**62)] * _WIDTH)
 @example([(2**62,) * _WIDTH])
 @settings(max_examples=60, deadline=None)
 def test_results_codec_round_trips_rows_in_order(values):
-    """What a pool worker encodes, the parent decodes: empty input, one
+    """What a gateway worker encodes, the parent decodes: empty input, one
     row, values up to 2**62, row order kept, ``NodeJobResult`` rows out.
     The block is little-endian on every host (a journal may move)."""
     rows = [NodeJobResult(*row) for row in values]
@@ -636,7 +637,7 @@ def test_a_day_with_a_repeated_job_id_is_refused_before_any_node_runs(
         raise AssertionError("a node ran")
 
     monkeypatch.setattr(MultiTaskSystem, "run", ran)
-    monkeypatch.setattr(farm_module, "simulate_node", ran)
+    monkeypatch.setattr(ServeGateway, "__init__", ran)
     farm = Farm(default_design_grid(), SERVICES, PredictiveScheduler())
     with pytest.raises(SchedulerError, match="^job 3 arrived twice$"):
         farm.serve(jobs, max_workers=max_workers)

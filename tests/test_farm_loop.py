@@ -56,14 +56,28 @@ def test_serial_serve_reproduces_its_digest(scheduler, seed):
 def test_shipped_paths_equal_the_serial_digest(scheduler, tmp_path):
     jobs = pinned.static_day(0)
     want = DIGESTS[f"serve|{scheduler}|seed=0"]
-    pooled = pinned.static_farm(scheduler).serve(jobs, max_workers=2)
-    assert pinned.static_digest(pooled) == want
+    shipped = pinned.static_farm(scheduler).serve(jobs, max_workers=2)
+    assert pinned.static_digest(shipped) == want
     with ServeGateway(tmp_path / "gw", inline=True) as gateway:
         durable = pinned.static_farm(scheduler).serve_durable(jobs, gateway)
     assert pinned.static_digest(durable) == want
 
 
-@pytest.mark.parametrize("path", ["pool", "gateway"])
+@pytest.mark.parametrize("seed", pinned.SEEDS)
+def test_a_plan_answered_day_opens_no_gateway(seed, monkeypatch):
+    """The path ``farm_day`` takes: the plan answers every node of a
+    predictive day, so ``serve(max_workers=2)`` ships nothing and builds
+    no gateway."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a gateway was built")
+
+    monkeypatch.setattr(ServeGateway, "__init__", refused)
+    result = pinned.static_farm("predictive").serve(pinned.static_day(seed), max_workers=2)
+    assert pinned.static_digest(result) == DIGESTS[f"serve|predictive|seed={seed}"]
+
+
+@pytest.mark.parametrize("path", ["max_workers", "gateway"])
 def test_shipped_paths_on_an_overlapping_day_equal_the_simulated_farm(
     path, tmp_path, monkeypatch
 ):
@@ -75,24 +89,17 @@ def test_shipped_paths_on_an_overlapping_day_equal_the_simulated_farm(
     oracle = simulated(Farm(default_design_grid(), pinned.SERVICES, HalfAtArrival()), jobs)
     assert overlapping_nodes(farm, farm.plan(jobs)) == [0]
     shipped: list[int] = []
-    if path == "pool":
-        measure = Farm._measure_parallel
+    submit = ServeGateway.submit
 
-        def spy(assignments, max_workers):
-            shipped.extend(a.node for a in assignments)
-            return measure(assignments, max_workers)
+    def spy(gateway, spec, **kwargs):
+        shipped.append(spec.assignment.node)
+        return submit(gateway, spec, **kwargs)
 
-        monkeypatch.setattr(Farm, "_measure_parallel", staticmethod(spy))
+    monkeypatch.setattr(ServeGateway, "submit", spy)
+    if path == "max_workers":
         result = farm.serve(jobs, max_workers=2)
     else:
         with ServeGateway(tmp_path / "gw", inline=True) as gateway:
-            submit = gateway.submit
-
-            def spy(spec, **kwargs):
-                shipped.append(spec.assignment.node)
-                return submit(spec, **kwargs)
-
-            monkeypatch.setattr(gateway, "submit", spy)
             result = farm.serve_durable(jobs, gateway)
     assert shipped == [0]
     assert result.outcomes == oracle.outcomes

@@ -8,8 +8,6 @@ no-fault resilient loop agrees with itself run-to-run (determinism).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,12 +35,11 @@ from repro.farm import (
 from repro.obs.events import EventKind
 from repro.qos import ModeSwitchPolicy
 from repro.farm.farm import _InProcessNodes
-from repro.farm.node import NodeJobResult, simulate_node
+from repro.farm.node import NodeJobResult
 from repro.farm.resilience import ResiliencePolicy
 from repro.farm.scheduler import Dispatch
 from repro.serve import classify_exit
-from repro.serve.worker import CRASH_EXIT_CODE
-from tests.farm_days import AtArrival, plan_exact
+from tests.farm_days import AtArrival, kill_worker_once, plan_exact, simulated
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=400_000)
 SILVER = SloClass("silver", rank=1, weight=3.0, deadline_cycles=1_200_000)
@@ -453,18 +450,11 @@ def test_property_crash_subset_preserves_outcome_multiset(kill_mask, kill_cycle)
     assert golden_ids == chaos_ids == sorted(j.job_id for j in jobs)
 
 
-def _dies_on_node_2(assignment):
-    """A pool worker that vanishes like ``kill -9`` on node 2 and simulates
-    every other node (module-level, so the pool pickles it by reference)."""
-    if assignment.node == 2:
-        os._exit(CRASH_EXIT_CODE)
-    return simulate_node(assignment)
-
-
 class TestMeasureRetries:
-    def test_zero_retries_fails_fast(self, monkeypatch):
-        """The pool does not retry: a dead worker fails the day at once and
-        the error points at the path that recovers one."""
+    def test_a_dead_worker_is_retried(self, monkeypatch):
+        """``serve(max_workers=N)`` ships to a private gateway: a worker
+        that dies is retried, counted once, and the day equals the one
+        simulated in this process."""
         # At-arrival hand-overs on a dense day overlap on node 2, so it is
         # shipped, not answered by its plan.
         jobs = generate_jobs(
@@ -479,8 +469,7 @@ class TestMeasureRetries:
         )
         farm = make_farm(AtArrival())
         assert not plan_exact(farm, jobs, 2)
-        monkeypatch.setattr("repro.farm.farm.simulate_node", _dies_on_node_2)
-        with pytest.raises(
-            SchedulerError, match=r"node worker\(s\) \[.*\b2\].*serve_durable"
-        ):
-            farm.serve(jobs, max_workers=2)
+        kill_worker_once(monkeypatch, node=2)
+        result = farm.serve(jobs, max_workers=2)
+        assert result.outcomes == simulated(make_farm(AtArrival()), jobs).outcomes
+        assert result.report.worker_retries == 1

@@ -547,6 +547,32 @@ print(json.dumps({
 """
 
 
+#: A whole program that serves a day through ``Farm.serve(max_workers=2)``:
+#: node 0 overlaps, so it is shipped to the farm's private gateway.  Prints
+#: whether every job was served, whether the gateway was imported, and the
+#: fork server's preload list as JSON.  Needs the repo root on the path.
+FARM_PROGRAM = """
+import json, multiprocessing.forkserver, sys
+from repro.farm import Farm, ServiceSpec, SloClass, TenantSpec, TrafficSpec, generate_jobs
+from repro.hw.config import AcceleratorConfig
+from tests.farm_days import HalfAtArrival
+
+slo = SloClass("gold", rank=0, weight=1.0, deadline_cycles=400_000)
+services = (ServiceSpec("det", "tiny_cnn", slo),)
+jobs = generate_jobs(TrafficSpec(
+    tenants=(TenantSpec(0, service=0, mean_interarrival_cycles=30_000),),
+    duration_cycles=300_000, seed=7,
+))
+farm = Farm([AcceleratorConfig.small()] * 2, services, HalfAtArrival())
+result = farm.serve(jobs, max_workers=2)
+print(json.dumps({
+    "served": len(result.outcomes) == len(jobs),
+    "gateway": "repro.serve.gateway" in sys.modules,
+    "preload": multiprocessing.forkserver._forkserver._preload_modules,
+}))
+"""
+
+
 #: A script *file* (``-c`` and ``-m`` callers carry no main path) whose
 #: module body leaves one line in a marker file each time it runs.  Its
 #: main block serves one job through a worker death and a resume, then
@@ -657,26 +683,35 @@ def src_env() -> dict[str, str]:
 
 class TestWorkerLaunch:
     @pytest.mark.parametrize(
-        "mode, state", [("served", JobState.COMPLETED), ("abandoned", JobState.RUNNING)]
+        "mode, state",
+        [("served", JobState.COMPLETED), ("abandoned", JobState.RUNNING), ("farm", None)],
     )
     def test_no_process_outlives_a_gateway_program(self, tmp_path, mode, state):
         """Workers fork from a fork server that preloads the worker module,
         and the gateway's exit hook stops that server: once a program that
         used a gateway exits, nothing it started is left running.  A worker
         still running at exit is stopped, not waited for (its job stays
-        RUNNING, for the next gateway to resume)."""
+        RUNNING, for the next gateway to resume).  ``farm`` is a program
+        whose gateway is the private one of ``Farm.serve(max_workers=2)``."""
         root = tmp_path / "gw"
+        program, env = GATEWAY_PROGRAM, src_env()
+        if mode == "farm":
+            program = FARM_PROGRAM
+            env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parents[1])
         child = subprocess.Popen(
-            [sys.executable, "-c", GATEWAY_PROGRAM, str(root), mode],
-            cwd=tmp_path, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            [sys.executable, "-c", program, str(root), mode],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             start_new_session=True, text=True,
         )
         out, err = child.communicate(timeout=300)
         assert child.returncode == 0, err
         assert session_members(child.pid) == []
         launch = json.loads(out)
-        assert launch["start_method"] == "forkserver"
         assert "repro.serve.worker" in launch["preload"]
+        if state is None:
+            assert launch["served"] and launch["gateway"]
+            return
+        assert launch["start_method"] == "forkserver"
         assert JobJournal(root / "journal.db").get(launch["job_id"]).state is state
 
     def test_a_launch_does_not_rerun_the_callers_script(self, tmp_path):
