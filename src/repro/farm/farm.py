@@ -9,12 +9,14 @@ served by one loop (:meth:`Farm._serve`), epoch by epoch:
 1. **Plan** — the pluggable :class:`~repro.farm.scheduler.Scheduler`
    plans the epoch's arrivals (node, hand-over cycle) using only the
    stable cycle estimator.  Sequential, fast, deterministic.
-2. **Measure** — the hand-overs are submitted in ``(dispatch_cycle,
-   job_id)`` order and every node advances: a node whose hand-overs never
-   overlap is answered by its plan, any other (overlapping, chaos-named,
-   or under per-node obs) is an exact
+2. **Measure** — every node advances through its hand-overs in
+   ``(dispatch_cycle, job_id)`` order: a node whose hand-overs never
+   overlap is answered by its plan, any other (overlapping, hanging, or
+   under per-node obs) is an exact
    :class:`~repro.runtime.system.MultiTaskSystem` (see
-   :mod:`repro.farm.node` for which nodes that is).
+   :mod:`repro.farm.node`).  A one-epoch day is int64 columns, and one
+   :data:`Measure` call for the nodes to simulate; the resilient loop's
+   nodes persist across epochs (:class:`_InProcessNodes`).
 3. **Harvest** — completions join their hand-overs per slot, FIFO; one
    exactly-once join and one report close the day.
 
@@ -29,26 +31,31 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from tempfile import TemporaryDirectory
-from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+
+import numpy as np
 
 from repro.errors import SchedulerError
 from repro.estimate import estimate_service_cycles
 from repro.farm.metrics import FarmReport, JobOutcome, build_report, join_outcomes
 from repro.farm.node import (
     NEVER_RUN,
+    Int64s,
     NodeAssignment,
     NodeJobResult,
-    NodeRows,
     PlanNode,
     ServiceSpec,
+    answer_plan,
     build_node_system,
     compiled_for_services,
     encode_results,
     join_slot,
-    plan_rows,
     results_array,
+    run_assignment,
+    submit_order,
 )
 from repro.farm.resilience import (
     ChaosPlan,
@@ -88,22 +95,14 @@ class ServeResult:
 
 
 class NodeBackend(Protocol):
-    """What the serving loop needs of the farm's nodes, epoch by epoch.
-
-    :class:`_InProcessNodes` is the one backend; the loop's other,
-    :class:`_ShippedNodes`, serves only one whole-day epoch and harvests it
-    as :data:`~repro.farm.node.NodeRows` (every node's rows as one int64
-    array up to the join).  The seam is an interface for one reason —
-    ``tests/test_farm_loop.py`` drives the real loop and the real
-    resilience policy over a thirty-line fake (a job completes at
+    """What the resilient serving loop needs of the farm's nodes, epoch by
+    epoch.  :class:`_InProcessNodes` is the one backend (a one-epoch day
+    needs none: see :meth:`Farm._answer`).  The seam is an interface
+    for one reason — ``tests/test_farm_loop.py`` drives the real loop and
+    the real resilience policy over a thirty-line fake (a job completes at
     ``dispatch_cycle + estimate``; a killed node stops advancing), with no
     compile and no simulator.
     """
-
-    #: Crashed node workers re-attempted while advancing (only shipped
-    #: nodes, which run on a gateway, have workers; in-process nodes
-    #: report 0).
-    retries: int
 
     def submit(self, dispatch: Dispatch) -> None:
         """Hand one job over to its node at its dispatch cycle."""
@@ -122,16 +121,15 @@ class NodeBackend(Protocol):
 
 
 class _InProcessNodes:
-    """Persistent nodes in this process: any number of epochs, and per-node
-    obs.  A node is answered by its plan (:class:`~repro.farm.node.PlanNode`)
-    until a hand-over would overlap the previous job; from then on it is
-    simulated: its system replays every hand-over so far, runs to where the
-    node stood, and skips the records already harvested.  Nodes in
-    ``simulated``, or all under obs, are simulated from the start.
+    """The resilient loop's nodes: persistent, in this process, for any
+    number of epochs, and with per-node obs.  A node is answered by its
+    plan (:class:`~repro.farm.node.PlanNode`) until a hand-over would
+    overlap the previous job; from then on it is simulated: its system
+    replays every hand-over so far, runs to where the node stood, and
+    skips the records already harvested.  Nodes in ``simulated`` (those
+    that hang), or all under obs, are simulated from the start.
     ``farm.node_systems`` holds each node's system, ``None`` while its plan
     answers it."""
-
-    retries = 0
 
     def __init__(self, farm: "Farm", simulated: Iterable[int] = ()):
         self._farm = farm
@@ -187,7 +185,7 @@ class _InProcessNodes:
 
     def hang(self, node: int, until_cycle: int) -> None:
         system = self._nodes[node]
-        assert isinstance(system, MultiTaskSystem)  # a chaos-named node
+        assert isinstance(system, MultiTaskSystem)  # a node that hangs
         iau = system.iau
         iau.clock = max(iau.clock, until_cycle)
 
@@ -207,81 +205,16 @@ class _InProcessNodes:
         return self._nodes[node].clock
 
 
-#: Measures a day's node assignments elsewhere: (one :func:`encode_results`
-#: block per assignment, in order; worker retries).
+#: Measures a one-epoch day's overlapping nodes, one :class:`NodeAssignment`
+#: each: (one :func:`encode_results` block per assignment, in order; retries).
 Measure = Callable[[list[NodeAssignment]], tuple[list[bytes], int]]
-
-
-class _ShippedNodes:
-    """Nodes measured outside this process, on a gateway's workers (a
-    private one under :meth:`Farm.serve`, the caller's under
-    :meth:`Farm.serve_durable`; both through :func:`_on_gateway`).
-
-    Buffers the submits into one :class:`NodeAssignment` per node.  On
-    ``advance(None)`` a node the plan answers (:func:`plan_rows`) yields
-    its rows here; only the others go to ``measure``, which is not called
-    when there are none; every node's rows, in node order, become one
-    int64 array.  A shipped node replays its whole share in one go, so
-    this backend serves the one-epoch configuration and refuses
-    everything else.
-    """
-
-    def __init__(self, farm: "Farm", measure: Measure):
-        if farm.obs is not None:
-            raise SchedulerError(
-                "per-node obs needs serial serve(): events cannot cross "
-                "the worker-process boundary"
-            )
-        farm.node_systems = None
-        self._farm = farm
-        self._measure = measure
-        self._per_node: dict[int, list[tuple[int, int, int]]] = {}
-        self._results: NodeRows | None = None
-        self.retries = 0
-
-    def _refuse(self, *_: object) -> NoReturn:
-        raise SchedulerError("shipped nodes replay one whole-day epoch, once")
-
-    hang = clock = _refuse
-
-    def submit(self, dispatch: Dispatch) -> None:
-        if self._results is not None:
-            self._refuse()
-        job = dispatch.job
-        self._per_node.setdefault(dispatch.node, []).append(
-            (job.job_id, job.service, dispatch.dispatch_cycle)
-        )
-
-    def advance(self, until_cycle: int | None, node: int | None = None) -> None:
-        if until_cycle is not None or node is not None or self._results is not None:
-            self._refuse()
-        farm = self._farm
-        blocks: dict[int, bytes] = {}
-        shipped: list[NodeAssignment] = []
-        for node, dispatches in sorted(self._per_node.items()):
-            assignment = NodeAssignment(
-                node, farm.node_configs[node], farm.services, tuple(dispatches),
-                farm.vi_mode,
-            )
-            rows = plan_rows(assignment, farm.view.estimates[node])
-            if rows is None:
-                shipped.append(assignment)
-            else:
-                blocks[node] = encode_results(rows)
-        if shipped:
-            measured, self.retries = self._measure(shipped)
-            blocks.update(zip([a.node for a in shipped], measured))
-        self._results = results_array(blocks[node] for node in sorted(blocks))
-
-    def harvest(self) -> NodeRows:
-        results = [] if self._results is None else self._results
-        self._results = []
-        return results
 
 
 _arrival = attrgetter("arrival_cycle")  # of a Job
 _arrival_order = attrgetter("arrival_cycle", "job_id")
 _submit_order = attrgetter("dispatch_cycle", "job.job_id")  # of a Dispatch
+#: A Dispatch's int64 plan columns: job id, service, node, dispatch cycle.
+_plan_fields = [attrgetter(f) for f in ("job.job_id", "job.service", "node", "dispatch_cycle")]
 
 
 class Farm:
@@ -411,17 +344,18 @@ class Farm:
     ) -> ServeResult:
         """Plan the whole day, measure every node exactly, report.
 
-        One whole-day epoch on in-process nodes.  ``max_workers`` > 1 ships
-        only the nodes that must be simulated (see the module docstring)
-        to a private :class:`~repro.serve.gateway.ServeGateway` of
-        ``min(max_workers, nodes)`` workers, built only when there are
-        some.  Its journal is a temporary directory that dies with the
-        call, and it takes no snapshots: a dead worker is retried from
-        cycle 0 and counted in ``report.worker_retries``.  The default
-        (None → serial) is required when ``obs`` is set.
+        One whole-day epoch.  Nodes the plan answers cost arithmetic; the
+        others (see the module docstring) are simulated in this process,
+        or, with ``max_workers`` > 1, shipped to a private
+        :class:`~repro.serve.gateway.ServeGateway` of ``min(max_workers,
+        nodes)`` workers, built only when there are some.  Its journal is
+        a temporary directory that dies with the call, and it takes no
+        snapshots: a dead worker is retried from cycle 0 and counted in
+        ``report.worker_retries``.  The default (None → serial) is
+        required when ``obs`` is set.
         """
         if max_workers is None or max_workers <= 1:
-            return self._serve(jobs, _InProcessNodes(self))
+            return self._serve(jobs)
 
         def measure(assignments: list[NodeAssignment]) -> tuple[list[bytes], int]:
             from repro.serve.gateway import ServeGateway
@@ -431,7 +365,7 @@ class Farm:
                 # No snapshots, no deadline, no timeout; otherwise the defaults.
                 return _on_gateway(gateway, assignments, 0, None, None)
 
-        return self._serve(jobs, _ShippedNodes(self, measure))
+        return self._serve(jobs, measure)
 
     def serve_resilient(
         self,
@@ -447,11 +381,14 @@ class Farm:
         planned on the nodes currently believed healthy, measured
         completions feed the scheduler's estimate corrections, dead nodes'
         work is migrated, and overdue work on suspect nodes is hedged.
-        ``chaos`` applies planned ``kill_node`` faults.
+        ``chaos`` applies planned ``kill_node`` faults; only a node that
+        hangs is simulated from the start (a killed one just stops).
         """
-        nodes = _InProcessNodes(self, () if chaos is None else chaos.node_kills())
+        kills = {} if chaos is None else chaos.node_kills()
+        hangs = [node for node, kill in kills.items() if kill.heal_cycle is not None]
+        nodes = _InProcessNodes(self, hangs)
         policy = ResiliencePolicy(self, nodes, resilience or ResilienceConfig(), chaos)
-        return self._serve(jobs, nodes, policy)
+        return self._serve(jobs, policy)
 
     def serve_durable(
         self,
@@ -464,100 +401,138 @@ class Farm:
     ) -> ServeResult:
         """Serve a day through a :class:`~repro.serve.gateway.ServeGateway`.
 
-        The one-epoch loop of :meth:`serve` with its nodes shipped to the
-        caller's gateway: each node assignment becomes one journaled
-        gateway job; workers checkpoint every ``snapshot_every_cycles``
-        simulated cycles, so a SIGKILLed worker resumes mid-replay instead
-        of starting over.  Gateway retries (crash recoveries) surface as
-        ``worker_retries`` on the report.  Results are bit-identical to
-        :meth:`serve` — the replay is exact either way.
+        The one-epoch day of :meth:`serve` with its overlapping nodes
+        shipped to the caller's gateway: each node assignment becomes one
+        journaled gateway job; workers checkpoint every
+        ``snapshot_every_cycles`` simulated cycles, so a SIGKILLed worker
+        resumes mid-replay instead of starting over.  Gateway retries
+        (crash recoveries) surface as ``worker_retries`` on the report.
+        Results are bit-identical to :meth:`serve` — the replay is exact
+        either way.
         """
         def measure(assignments: list[NodeAssignment]) -> tuple[list[bytes], int]:
             return _on_gateway(
                 gateway, assignments, snapshot_every_cycles, deadline_s, timeout_s
             )
 
-        return self._serve(jobs, _ShippedNodes(self, measure))
+        return self._serve(jobs, measure)
 
     def _serve(
-        self,
-        jobs: Sequence[Job],
-        nodes: NodeBackend | _ShippedNodes,
-        policy: ResiliencePolicy | None = None,
+        self, jobs: Sequence[Job], how: Measure | ResiliencePolicy | None = None
     ) -> ServeResult:
-        """The serving loop: plan → submit → advance → harvest, per epoch.
+        """The serving loop: plan → submit → advance → harvest, per epoch;
+        then one exactly-once join and one report.
 
-        Without a ``policy`` the day is one epoch: every arrival is planned
-        once, on all nodes, and every completion counts.  A policy cuts the
-        day into epochs and layers resilience on the same phases — it sheds
-        before the plan, narrows the plan to healthy nodes, hedges after it,
-        applies chaos while the nodes advance, and settles the harvest
-        (first result wins, heartbeats, migration).
+        Without a policy the day is one epoch, planned once on all nodes
+        and answered by :meth:`_answer`: its overlapping nodes simulated
+        here (``how`` None) or by the :data:`Measure` ``how``.  A
+        :class:`ResiliencePolicy` cuts the day into epochs and layers
+        resilience on the phases — it sheds before the plan, narrows it to
+        healthy nodes, hedges after it, applies chaos while the nodes
+        advance, and settles the harvest (first result wins, heartbeats,
+        migration).
         """
-        # Only epochs need the arrival order; one whole-day epoch hands the
-        # scheduler the day as given.
-        ordered = list(jobs) if policy is None else sorted(jobs, key=_arrival_order)
         results: list[NodeJobResult] = []  # settled, epoch by epoch
-        # What the join reads: the settled results, or a whole-day harvest.
-        rows: NodeRows = results
-        planned: list[Dispatch] = []
-        carry: list[Job] = []  # stranded, or no healthy node: planned next epoch
-        shed: list[Job] = [] if policy is None else policy.shed
-        submit: Callable[[Dispatch], None] = (
-            nodes.submit if policy is None else policy.submit
-        )
-        index = epochs = 0
-        while len(results) + len(shed) < len(ordered):
-            epochs += 1
-            unserved = len(ordered) - len(results) - len(shed)
-            if epochs > MAX_EPOCHS:
+        rows: Sequence[NodeJobResult] | Int64s = results
+        shed: list[Job] = []
+        epochs = retries = 0
+        if not isinstance(how, ResiliencePolicy):
+            if how is not None and self.obs is not None:
                 raise SchedulerError(
-                    f"serving loop did not converge in {MAX_EPOCHS} epochs "
-                    f"({unserved} jobs unaccounted)"
+                    "per-node obs needs serial serve(): events cannot cross "
+                    "the worker-process boundary"
                 )
-            stop = len(ordered)
-            offered: list[int] | None = None  # None: every node of the farm
-            free_at: list[int] | None = None
-            if policy is not None:
-                idle = index < stop and not carry  # nothing waits but arrivals
-                epoch_end = policy.open_epoch(_arrival(ordered[index]) if idle else None)
+            self.node_systems = None if how else [None] * len(self.node_configs)
+            dispatches = self.plan(jobs) if jobs else []
+            rows, retries = self._answer(dispatches, how or self._simulate_here)
+        else:
+            shed, dispatches = how.shed, how.log
+            ordered = sorted(jobs, key=_arrival_order)
+            carry: list[Job] = []  # stranded, or no healthy node: planned next epoch
+            index = 0
+            while len(results) + len(shed) < len(ordered):
+                epochs += 1
+                unserved = len(ordered) - len(results) - len(shed)
+                if epochs > MAX_EPOCHS:
+                    raise SchedulerError(
+                        f"serving loop did not converge in {MAX_EPOCHS} epochs "
+                        f"({unserved} jobs unaccounted)"
+                    )
+                idle = index < len(ordered) and not carry  # nothing waits but arrivals
+                epoch_end = how.open_epoch(_arrival(ordered[index]) if idle else None)
                 stop = bisect_left(ordered, epoch_end, index, key=_arrival)
-            batch, resort = carry + ordered[index:stop], bool(carry)
-            carry, index = [], stop
-            if policy is not None:
-                batch, offered, free_at = policy.admit(batch, unserved)
-            if offered is not None and not offered:
-                carry = batch  # every survivor is suspect: wait an epoch
-            elif batch:
-                if resort:
-                    batch.sort(key=_arrival_order)
-                plan = self.plan(batch, offered, free_at)
-                planned.extend(plan)
-                for dispatch in sorted(plan, key=_submit_order):
-                    submit(dispatch)
-            if policy is None:
-                nodes.advance(None)
-                rows = nodes.harvest()
-                break  # one whole-day epoch: anything unaccounted fails the join
-            policy.hedge()
-            policy.measure()
-            results.extend(policy.settle(policy.nodes.harvest(), carry))
+                batch, resort = carry + ordered[index:stop], bool(carry)
+                carry, index = [], stop
+                batch, offered, free_at = how.admit(batch, unserved)
+                if not offered:
+                    carry = batch  # every survivor is suspect: wait an epoch
+                elif batch:
+                    if resort:
+                        batch.sort(key=_arrival_order)
+                    for dispatch in sorted(
+                        self.plan(batch, offered, free_at), key=_submit_order
+                    ):
+                        how.submit(dispatch)
+                how.hedge()
+                how.measure()
+                results.extend(how.settle(how.nodes.harvest(), carry))
         outcomes = join_outcomes(list(jobs), rows, shed=shed)
         report = build_report(
             self.scheduler.name,
-            outcomes,
+            outcomes.columns,
             self._view.slos,
-            worker_retries=nodes.retries,
+            worker_retries=retries,
             estimates=self._view.estimates,
             shed=shed,
         )
         return ServeResult(
             report=report,
             outcomes=tuple(outcomes),
-            dispatches=tuple(planned if policy is None else policy.log),
+            dispatches=tuple(dispatches),
             shed=tuple(shed),
-            resilience=None if policy is None else policy.ledger(epochs, results),
+            resilience=(
+                how.ledger(epochs, results) if isinstance(how, ResiliencePolicy) else None
+            ),
         )
+
+    def _simulate_here(self, assignments: list[NodeAssignment]) -> tuple[list[bytes], int]:
+        """The serial :data:`Measure`: each node simulated in this process,
+        its system left on ``farm.node_systems``."""
+        systems = self.node_systems
+        assert systems is not None  # set by _serve()
+        blocks = []
+        for assignment in assignments:
+            system = systems[assignment.node] = build_node_system(
+                assignment.config, assignment.services, assignment.vi_mode, obs=self.obs
+            )
+            blocks.append(encode_results(run_assignment(assignment, system)))
+        return blocks, 0
+
+    def _answer(self, plan: list[Dispatch], measure: Measure) -> tuple[Int64s, int]:
+        """A one-epoch plan's results as one int64 ``(n, 6)`` array, and
+        the worker retries measuring them took: the plan read once into
+        int64 columns, its plan-exact nodes answered by
+        :func:`~repro.farm.node.answer_plan`, the others (all, under
+        per-node obs) in one ``measure`` call, if any."""
+        columns = chain.from_iterable(map(field, plan) for field in _plan_fields)
+        ordered = submit_order(np.fromiter(columns, np.int64, 4 * len(plan)).reshape(4, -1))
+        if self.obs is None:
+            rows, rest = answer_plan(ordered, np.array(self._view.estimates, np.int64))
+            simulated: list[int] = np.unique(rest[2]).tolist()
+        else:  # per-node obs: every node is simulated
+            rows, rest = np.empty((0, 6), np.int64), ordered
+            simulated = list(range(len(self.node_configs)))
+        if not simulated:
+            return rows, 0
+        hand_overs, nodes = rest[[0, 1, 3]].T, rest[2]  # (job_id, service, cycle)
+        blocks, retries = measure([
+            NodeAssignment(
+                node, self.node_configs[node], self.services,
+                tuple(map(tuple, hand_overs[nodes == node].tolist())), self.vi_mode,
+            )
+            for node in simulated
+        ])
+        return np.concatenate((rows, results_array(blocks))), retries
 
 
 def _on_gateway(

@@ -29,10 +29,11 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.analysis.tables import format_table
 from repro.errors import SchedulerError
-from repro.farm.node import NodeJobResult
+from repro.farm.node import Int64s, NodeJobResult
 from repro.farm.traffic import Job, SloClass
 
 
@@ -53,12 +54,18 @@ class JobOutcome(NamedTuple):
         return self.complete_cycle - self.arrival_cycle
 
 
+class Outcomes(list[JobOutcome]):
+    """:func:`join_outcomes`' outcomes, sorted by job id, with ``columns``:
+    the same as a ``(7, n)`` int64 array, one row per field (what
+    :func:`build_report` reads)."""
+
+    columns: Int64s
+
+
 _OUTCOME_WIDTH = len(JobOutcome._fields)
 _RESULT_WIDTH = len(NodeJobResult._fields)
 _job_id = attrgetter("job_id")  # of a Job
-_tenant_id = attrgetter("tenant_id")
-_service = attrgetter("service")
-_arrival_cycle = attrgetter("arrival_cycle")
+_job_fields = [attrgetter(f) for f in ("job_id", "tenant_id", "service", "arrival_cycle")]
 
 
 def _rank(count: int, p: float) -> int:
@@ -191,7 +198,7 @@ class FarmReport:
 
 def build_report(
     scheduler: str,
-    outcomes: Sequence[JobOutcome],
+    outcomes: Sequence[JobOutcome] | Int64s,
     slos: Sequence[SloClass],
     *,
     worker_retries: int = 0,
@@ -208,14 +215,15 @@ def build_report(
     switch dropped, counted per class against attainment.  Classes come in
     rank order, equal ranks in the order their names first appear.
 
-    The outcomes are read once into int64 columns; each class sorts its
-    latencies (and errors) once and takes every figure off the sorted
-    column.
+    ``outcomes`` are :class:`JobOutcome` rows, read once into int64
+    columns, or those columns already (:attr:`Outcomes.columns` of the
+    join).  Each class sorts its latencies (and errors) once and takes
+    every figure off the sorted column.
     """
-    count = len(outcomes)
-    columns = np.fromiter(
-        chain.from_iterable(outcomes), np.int64, count * _OUTCOME_WIDTH
-    ).reshape(count, _OUTCOME_WIDTH).T
+    columns = outcomes if isinstance(outcomes, np.ndarray) else np.fromiter(
+        chain.from_iterable(outcomes), np.int64, len(outcomes) * _OUTCOME_WIDTH
+    ).reshape(-1, _OUTCOME_WIDTH).T
+    count = columns.shape[1]
     services = columns[2].copy()
     latencies = columns[6] - columns[4]
     errors: np.ndarray | None = None
@@ -223,7 +231,7 @@ def build_report(
         cost = np.asarray(estimates, dtype=np.int64)[columns[3], services]
         errors = columns[6] - columns[5] - cost
     makespan = int(columns[6].max()) if count else 0
-    del columns  # freed: the figures below read only these four
+    del columns  # freed (when read here): the figures below read only these four
     shed_services = [job.service for job in shed]
     # A class is keyed by name: it opens where its name first appears
     # (outcomes, then shed jobs) and takes the class object of its name's
@@ -284,15 +292,15 @@ def build_report(
 
 def join_outcomes(
     jobs: Sequence[Job],
-    results: Iterable[tuple[int, int, int, int, int, int]] | np.ndarray,
+    results: Iterable[tuple[int, int, int, int, int, int]] | Int64s,
     *,
     shed: Sequence[Job] = (),
-) -> list[JobOutcome]:
+) -> Outcomes:
     """Join arrivals with node results by ``job_id`` (exactly once each).
 
     ``results`` are :class:`~repro.farm.node.NodeJobResult` rows from any
     backend (in-process, gateway), or the same rows as one int64 ``(n, 6)``
-    array (shipped and planned nodes' blocks,
+    array (a one-epoch day's: :func:`~repro.farm.node.answer_plan` and
     :func:`~repro.farm.node.results_array`).
     Every arrival must be accounted for exactly once — as a measured
     completion in ``results`` or as a mode-switch victim in ``shed``.
@@ -300,18 +308,25 @@ def join_outcomes(
     the join without first-result-wins dedup) raise ``SchedulerError``,
     naming the first offending row.  Outcomes come sorted by ``job_id``.
 
-    Works on int64 columns: sorting the result ids checks exactly-once and
-    orders the outcomes, and a search among the sorted arrival ids finds
-    each result's arrival.
+    Works on int64 columns: the arrivals are read once, sorting the result
+    ids checks exactly-once and orders the outcomes, and a search among
+    the sorted arrival ids finds each result's arrival.  The outcomes keep
+    the columns they were built from (:attr:`Outcomes.columns`).
     """
     rows = (
         np.asarray(results, np.int64)
         if isinstance(results, np.ndarray)
         else np.fromiter(chain.from_iterable(results), np.int64)
     ).reshape(-1, _RESULT_WIDTH)
-    arrival_ids = np.fromiter(map(_job_id, jobs), np.int64, len(jobs))
+    count = len(jobs)
+    # Outcome rows 0, 1, 2 and 4: the arrivals' own fields.
+    arrivals = np.array(
+        [np.fromiter(map(field, jobs), np.int64, count) for field in _job_fields]
+    )
+    by_id = np.argsort(arrivals[0])
+    arrival_ids = arrivals[0][by_id]  # sorted
     shed_ids = np.fromiter(map(_job_id, shed), np.int64, len(shed))
-    shed_twice = _repeats(shed_ids)
+    shed_twice = _repeats(shed_ids, np.argsort(shed_ids, kind="stable"))
     bad = shed_twice | ~np.isin(shed_ids, arrival_ids)
     if bad.any():
         index = int(bad.argmax())
@@ -319,9 +334,13 @@ def join_outcomes(
             raise SchedulerError(f"job {shed_ids[index]} shed twice")
         raise SchedulerError(f"shed record for unknown job {shed_ids[index]}")
     ids = rows[:, 0]
-    twice = _repeats(ids)
+    order = np.argsort(ids, kind="stable")
+    places = np.searchsorted(arrival_ids, ids[order])  # of each id, in id order
+    known = np.zeros(len(ids), bool)
+    known[order] = (arrival_ids.take(places, mode="clip") == ids[order]) if count else False
+    twice = _repeats(ids, order)
     both = np.isin(ids, shed_ids)
-    bad = twice | both | ~np.isin(ids, arrival_ids)
+    bad = twice | both | ~known
     if bad.any():
         index = int(bad.argmax())
         if twice[index]:
@@ -329,35 +348,32 @@ def join_outcomes(
         if both[index]:
             raise SchedulerError(f"job {ids[index]} both shed and completed")
         raise SchedulerError(f"completion for unknown job {ids[index]}")
-    if len(rows) + len(shed_ids) != len(jobs):
+    if len(rows) + len(shed_ids) != count:
         raise SchedulerError(
-            f"{len(jobs)} jobs arrived but {len(rows)} completed and "
+            f"{count} jobs arrived but {len(rows)} completed and "
             f"{len(shed_ids)} were shed"
         )
-    # Every id arrived exactly once (the checks above), so each result id,
-    # in id order, has its own place among the sorted arrival ids.
-    order = np.argsort(ids)
-    by_id = np.argsort(arrival_ids)
-    places = np.searchsorted(arrival_ids[by_id], ids[order])
-    arrived = list(map(jobs.__getitem__, by_id[places].tolist()))
-    nodes, dispatched, completed = rows[order][:, [1, 3, 5]].T.tolist()
-    del rows, ids  # freed before the outcomes exist: a lower peak
-    fields = zip(
-        map(_job_id, arrived),
-        map(_tenant_id, arrived),
-        map(_service, arrived),
-        nodes,
-        map(_arrival_cycle, arrived),
-        dispatched,
-        completed,
-    )
+    # Every id arrived exactly once (the checks above), so each result id
+    # has its own place among the sorted arrival ids.
+    places = by_id[places]
+    columns = np.empty((_OUTCOME_WIDTH, len(order)), np.int64)
+    columns[[0, 1, 2, 4]] = arrivals[:, places]
+    columns[[3, 5, 6]] = rows[order][:, [1, 3, 5]].T
+    del rows, ids, arrivals  # freed before the outcomes exist: a lower peak
+    # An outcome shares its arrival's field objects rather than new ints.
+    arrived = list(map(jobs.__getitem__, places.tolist()))
+    job_id, tenant_id, service, arrival_cycle = (map(f, arrived) for f in _job_fields)
+    nodes, dispatched, completed = columns[[3, 5, 6]].tolist()
+    fields = zip(job_id, tenant_id, service, nodes, arrival_cycle, dispatched, completed)
     # C level: one JobOutcome per row, no Python __new__.
-    return list(map(tuple.__new__, repeat(JobOutcome), fields))
+    outcomes = Outcomes(map(tuple.__new__, repeat(JobOutcome), fields))
+    outcomes.columns = columns
+    return outcomes
 
 
-def _repeats(ids: np.ndarray) -> np.ndarray:
-    """Which entries repeat an id that appears earlier in ``ids``."""
-    order = np.argsort(ids, kind="stable")
+def _repeats(ids: Int64s, order: npt.NDArray[np.intp]) -> npt.NDArray[np.bool_]:
+    """Which entries repeat an id that appears earlier in ``ids``, given
+    ``order``, the stable argsort of ``ids``."""
     ordered = ids[order]
     mask = np.zeros(len(ids), bool)
     mask[order[1:][ordered[1:] == ordered[:-1]]] = True

@@ -3,20 +3,21 @@
 The dispatch phase (:mod:`repro.farm.scheduler`) plans with estimates;
 this module measures.  A node whose every hand-over starts at or after
 the previous job's completion runs each job uninterrupted, in exactly its
-estimate: :class:`PlanNode` and :func:`plan_rows` read its results off
-the plan.  The shipped schedulers never put two jobs on one node, so on a
-timing-only day without chaos no node is simulated.  Any other node is an
-unchanged :class:`~repro.runtime.system.MultiTaskSystem`, also the oracle
-the plan is tested against: the farm's services map onto IAU priority
-slots (slot = service index, priority = the service's SLO rank), the
-planned hand-overs become timed ``submit()`` calls, and the VI machinery
-provides pre-emption between SLO classes exactly as it does on a single
-robot.
+estimate: :func:`answer_plan` (a one-epoch day, as int64 columns) and
+:class:`PlanNode` (the resilient loop) read its results off the plan.
+The shipped schedulers never put two jobs on one node, so on a
+timing-only day without a hang no node is simulated.  Any other node is
+an unchanged :class:`~repro.runtime.system.MultiTaskSystem`, also the
+oracle the plan is tested against: the farm's services map onto IAU
+priority slots (slot = service index, priority = the service's SLO rank),
+the planned hand-overs become timed ``submit()`` calls, and the VI
+machinery provides pre-emption between SLO classes exactly as it does on
+a single robot.
 
 Everything here is picklable on purpose: a :class:`NodeAssignment` is
 what a gateway worker (:mod:`repro.serve.worker`) replays, as
-:func:`simulate_node` would, for each shipped node — the overlapping
-nodes of ``Farm.serve(max_workers=N)``, on its private gateway, and of
+:func:`simulate_node` would, for each overlapping node of
+``Farm.serve(max_workers=N)`` (on its private gateway) and of
 ``Farm.serve_durable``.  Workers receive model *names* (zoo builders)
 rather than compiled networks — each worker compiles locally, which keeps
 the dispatch payload tiny — and send their results back as one int64
@@ -38,9 +39,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+import numpy.typing as npt
 
 import repro.zoo as zoo
 from repro.errors import SchedulerError
@@ -95,6 +97,8 @@ _WIDTH = len(NodeJobResult._fields)
 #: gateway's journal, a file that may be read on another machine.
 _DTYPE = np.dtype("<i8")
 
+Int64s = npt.NDArray[np.int64]  # a plan's or a day's columns
+
 
 def encode_results(rows: Sequence[NodeJobResult]) -> bytes:
     """Rows as one little-endian int64 block: each :class:`NodeJobResult`
@@ -103,7 +107,7 @@ def encode_results(rows: Sequence[NodeJobResult]) -> bytes:
     return np.fromiter(chain.from_iterable(rows), _DTYPE, count).tobytes()
 
 
-def results_array(blocks: Iterable[bytes]) -> np.ndarray:
+def results_array(blocks: Iterable[bytes]) -> Int64s:
     """The rows :func:`encode_results` packed into ``blocks``, in order, as
     one int64 ``(n, 6)`` array (columns in :class:`NodeJobResult` field
     order) — what :func:`~repro.farm.metrics.join_outcomes` reads."""
@@ -118,10 +122,6 @@ def decode_results(block: bytes) -> list[NodeJobResult]:
     ints = iter(np.frombuffer(block, _DTYPE).tolist())
     return list(map(tuple.__new__, repeat(NodeJobResult), zip(*[ints] * _WIDTH)))
 
-
-#: Node results as a backend hands them to the join: ``NodeJobResult`` rows,
-#: or the same rows as one int64 ``(n, 6)`` array (:func:`results_array`).
-NodeRows = Union[Sequence[NodeJobResult], np.ndarray]
 
 
 def build_graph(model: str) -> NetworkGraph:
@@ -377,19 +377,24 @@ class PlanNode:
         return sorted(fresh, key=_service)
 
 
-def plan_rows(
-    assignment: NodeAssignment, estimates: Sequence[int]
-) -> list[NodeJobResult] | None:
-    """What :func:`simulate_node` returns for ``assignment``, read off the
-    plan (``estimates[service]``: the node's cycles per job), or None when
-    a dispatch starts before the previous one completes."""
-    rows: list[NodeJobResult] = []
-    free = 0
-    for job_id, service, cycle in assignment.dispatches:
-        if cycle < free:
-            return None
-        free = cycle + estimates[service]
-        rows.append(
-            tuple.__new__(NodeJobResult, (job_id, assignment.node, service, cycle, cycle, free))
-        )
-    return sorted(rows, key=_service)
+def submit_order(plan: Int64s) -> Int64s:
+    """``plan`` — a one-epoch day's hand-overs as ``(4, n)`` int64 columns:
+    job id, service, node, dispatch cycle — sorted node by node into
+    submit order, ``(dispatch_cycle, job_id)``."""
+    ids, _, nodes, cycles = plan
+    return plan[:, np.lexsort((ids, cycles, nodes))]
+
+
+def answer_plan(ordered: Int64s, estimates: Int64s) -> tuple[Int64s, Int64s]:
+    """The plan-exact nodes of a plan in :func:`submit_order`, answered by
+    arithmetic (``estimates[node, service]``: the cycles of one job): their
+    int64 ``(n, 6)`` result rows, and the other nodes' hand-overs, which
+    must be simulated.  A node is plan-exact when each hand-over starts at
+    or after the previous one's ``dispatch + estimate`` (exactly at it
+    counts)."""
+    ids, services, nodes, cycles = ordered
+    ends = cycles + estimates[nodes, services]
+    overlap = (nodes[1:] == nodes[:-1]) & (cycles[1:] < ends[:-1])
+    simulated = np.isin(nodes, nodes[1:][overlap])
+    rows = np.stack((ids, nodes, services, cycles, cycles, ends), axis=1)[~simulated]
+    return rows, ordered[:, simulated]

@@ -164,7 +164,8 @@ class ServeGateway:
         self.close()
 
     def close(self) -> None:
-        """Stop dispatching and terminate any still-running workers."""
+        """Stop dispatching, terminate any still-running workers, and close
+        the journal's connections in this process."""
         _OPEN.discard(self)
         self._stop.set()
         if self._dispatcher is not None:
@@ -179,6 +180,7 @@ class ServeGateway:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
+        self.journal.close()
 
     def _recover(self) -> None:
         """Resume jobs a dead gateway left behind (journal is the truth)."""

@@ -15,7 +15,9 @@ Design rules:
   connection on first use and keeps it (the two PRAGMAs run once, not per
   call); a forked child opens a new one instead of touching its parent's.
   So every method stays usable from any thread or process, and no sqlite3
-  connection is ever shared between threads.
+  connection is ever used by two threads.  :meth:`JobJournal.close`
+  closes every connection this process opened (the gateway calls it once
+  its threads have stopped); a later call opens a fresh one.
 * **Append-only events.**  The ``jobs`` row is the current state; the
   ``events`` table is the full history (used by tests and the recovery
   latency report).
@@ -127,6 +129,11 @@ class JobJournal:
     def __init__(self, path: str | Path):
         self.path = str(path)
         self._local = threading.local()
+        self._lock = threading.Lock()
+        #: Every connection opened and not yet closed, with its process.
+        self._opened: list[tuple[int, sqlite3.Connection]] = []
+        #: Bumped by :meth:`close`: a thread's older connection is closed.
+        self._generation = 0
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
 
@@ -134,14 +141,31 @@ class JobJournal:
 
     def _connect(self) -> sqlite3.Connection:
         """This thread's connection, opened on its first call in this
-        process.  ``with`` on it is one transaction."""
+        process (or since :meth:`close`).  ``with`` on it is one
+        transaction."""
         local = self._local
-        if getattr(local, "pid", None) != os.getpid():
-            conn = sqlite3.connect(self.path, timeout=30.0)
+        owner = (os.getpid(), self._generation)
+        if getattr(local, "owner", None) != owner:
+            # Used by this thread only; another closes it in close().
+            conn = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            local.conn, local.pid = conn, os.getpid()
+            with self._lock:
+                self._opened.append((owner[0], conn))
+            local.conn, local.owner = conn, owner
         return local.conn
+
+    def close(self) -> None:
+        """Close every connection this process opened, in every thread.
+        Call it once no other thread uses the journal; any later call
+        opens a fresh connection."""
+        pid = os.getpid()
+        with self._lock:
+            self._generation += 1
+            mine = [conn for owner, conn in self._opened if owner == pid]
+            self._opened = [entry for entry in self._opened if entry[0] != pid]
+        for conn in mine:
+            conn.close()
 
     # -- writes ------------------------------------------------------------
 

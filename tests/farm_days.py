@@ -2,7 +2,7 @@
 checked against, and a gateway worker that dies once.
 
 A node whose hand-overs never overlap is answered by its plan
-(:func:`repro.farm.node.plan_rows`, :class:`repro.farm.node.PlanNode`);
+(:func:`repro.farm.node.answer_plan`, :class:`repro.farm.node.PlanNode`);
 only the others are simulated, or shipped to a gateway.  The shipped
 schedulers never overlap, so a test of the simulated or shipped paths
 serves one of the schedulers here.  Nothing runs at import.
@@ -13,9 +13,19 @@ from __future__ import annotations
 from dataclasses import replace
 from operator import attrgetter
 
-from repro.farm import Dispatch, Farm, NodeAssignment, ResiliencePolicy
+import numpy as np
+
+from repro.farm import (
+    Dispatch,
+    Farm,
+    NodeAssignment,
+    ResiliencePolicy,
+    ServeResult,
+    build_report,
+    join_outcomes,
+)
 from repro.farm.farm import _InProcessNodes
-from repro.farm.node import plan_rows
+from repro.farm.node import answer_plan, submit_order
 from repro.serve import ServeGateway
 
 _submit_order = attrgetter("dispatch_cycle", "job.job_id")
@@ -63,14 +73,20 @@ def assignments(farm: Farm, dispatches) -> list[NodeAssignment]:
     ]
 
 
+def plan_columns(plan) -> np.ndarray:
+    """``plan`` as the ``(4, n)`` int64 columns a one-epoch serve reads:
+    job id, service, node, dispatch cycle."""
+    return np.array(
+        [[d.job.job_id, d.job.service, d.node, d.dispatch_cycle] for d in plan], np.int64
+    ).reshape(-1, 4).T
+
+
 def overlapping_nodes(farm: Farm, plan) -> list[int]:
-    """The nodes a serve of ``plan`` simulates: those whose hand-overs, in
-    submit order, are not all answered by the plan."""
-    return [
-        a.node
-        for a in assignments(farm, sorted(plan, key=_submit_order))
-        if plan_rows(a, farm.view.estimates[a.node]) is None
-    ]
+    """The nodes a serve of ``plan`` simulates: those
+    :func:`~repro.farm.node.answer_plan` does not answer."""
+    estimates = np.array(farm.view.estimates, np.int64)
+    rest = answer_plan(submit_order(plan_columns(plan)), estimates)[1]
+    return sorted(set(rest[2].tolist()))
 
 
 def plan_exact(farm: Farm, jobs, node: int) -> bool:
@@ -80,11 +96,22 @@ def plan_exact(farm: Farm, jobs, node: int) -> bool:
 
 def simulated(farm: Farm, jobs, resilience=None, chaos=None):
     """The day served with every node simulated in this process: the
-    oracle of every other path."""
+    oracle of every other path.  Without ``resilience`` the one epoch is
+    driven here, hand-over by hand-over in submit order, and reported
+    from the ``JobOutcome`` rows, not from the plan's or the join's
+    columns."""
     nodes = _InProcessNodes(farm, range(len(farm.node_configs)))
-    if resilience is None:
-        return farm._serve(jobs, nodes)
-    return farm._serve(jobs, nodes, ResiliencePolicy(farm, nodes, resilience, chaos))
+    if resilience is not None:
+        return farm._serve(jobs, ResiliencePolicy(farm, nodes, resilience, chaos))
+    plan = farm.plan(jobs) if jobs else []
+    for dispatch in sorted(plan, key=_submit_order):
+        nodes.submit(dispatch)
+    nodes.advance(None)
+    outcomes = list(join_outcomes(list(jobs), nodes.harvest()))
+    report = build_report(
+        farm.scheduler.name, outcomes, farm.view.slos, estimates=farm.view.estimates
+    )
+    return ServeResult(report, tuple(outcomes), tuple(plan))
 
 
 def kill_worker_once(monkeypatch, node: int) -> None:

@@ -10,6 +10,10 @@ only with ``PYTHONPATH=<reference checkout>/src python -m tests.pins regen farm`
 
 from __future__ import annotations
 
+import gc
+import os
+import sys
+
 import pytest
 
 from repro.analysis.design_space import default_design_grid
@@ -27,7 +31,6 @@ from repro.farm import (
     ResilienceConfig,
     ResiliencePolicy,
 )
-from repro.farm.farm import _ShippedNodes
 from repro.farm.node import encode_results
 from repro.hw.config import AcceleratorConfig
 from repro.obs.events import EventKind
@@ -105,6 +108,25 @@ def test_shipped_paths_on_an_overlapping_day_equal_the_simulated_farm(
     assert result.outcomes == oracle.outcomes
     assert result.report == oracle.report
     assert result.dispatches == oracle.dispatches
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+def test_shipped_serves_leave_no_file_open():
+    """The private gateway closes its journal's connections: four serves
+    that ship a node leave this process's open files where they were, with
+    the cyclic collector off so that nothing waits on it to close them."""
+    jobs = pinned.static_day(0)
+    farm = Farm(default_design_grid(), pinned.SERVICES, HalfAtArrival())
+    farm.serve(jobs, max_workers=2)  # starts the fork server, once per process
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(4):
+            farm.serve(jobs, max_workers=2)
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -215,12 +237,33 @@ def paper_day(scheduler=PredictiveScheduler, **config):
 
 
 def serve_fake(farm, jobs, config, nodes, chaos=None):
-    return farm._serve(jobs, nodes, ResiliencePolicy(farm, nodes, config, chaos))
+    return farm._serve(jobs, ResiliencePolicy(farm, nodes, config, chaos))
+
+
+class FakeMeasure:
+    """A one-epoch day's measure that records what it is asked and
+    answers each hand-over with ``dispatch_cycle + estimate``."""
+
+    def __init__(self, view):
+        self.view, self.calls = view, []
+
+    def __call__(self, assignments):
+        self.calls.append([a.node for a in assignments])
+        return [
+            encode_results([
+                NodeJobResult(job_id, a.node, service, cycle, cycle,
+                              cycle + self.view.estimate(a.node, service))
+                for job_id, service, cycle in a.dispatches
+            ])
+            for a in assignments
+        ], 0
 
 
 def test_fake_static_day_is_one_epoch_and_exactly_once():
     farm, jobs, _ = paper_day()
-    result = farm._serve(jobs, FakeNodes(farm.view))
+    measure = FakeMeasure(farm.view)
+    result = farm._serve(jobs, measure)
+    assert measure.calls == []  # the predictive plan answers every node
     assert [o.job_id for o in result.outcomes] == [j.job_id for j in jobs]
     assert sorted(result.dispatches, key=lambda d: d.job.job_id) == sorted(
         farm.plan(jobs), key=lambda d: d.job.job_id
@@ -291,18 +334,36 @@ def test_a_backend_that_reorders_a_slot_is_caught():
         serve_fake(farm, jobs, config, nodes)
 
 
-def test_shipped_nodes_refuse_anything_but_one_whole_day_epoch():
-    farm, jobs, config = paper_day()
-    shipped = _ShippedNodes(farm, lambda assignments: ([], 0))
-    with pytest.raises(SchedulerError, match="one whole-day epoch"):
-        serve_fake(farm, jobs, config, shipped)
-    measured = NodeJobResult(1, 0, 0, 0, 0, 7)
-    shipped = _ShippedNodes(farm, lambda assignments: ([encode_results([measured])], 0))
-    for job_id in (0, 1):  # two jobs at once on node 0: shipped, not planned
-        shipped.submit(Dispatch(Job(0, job_id, 0, 0), 0, 0))
-    shipped.advance(None)
-    assert shipped.harvest().tolist() == [list(measured)]
-    for second_epoch in (lambda: shipped.submit(Dispatch(Job(0, 0, 0, 0), 0, 0)),
-                         lambda: shipped.advance(None)):
-        with pytest.raises(SchedulerError, match="one whole-day epoch"):
-            second_epoch()
+class TwoAtOnce:
+    """Jobs 0 and 1 handed over together on node 0 (an overlap), jobs 2
+    and 3 together on node 2, every other job alone on node 1 at its
+    arrival, after the one before it completes."""
+
+    name = "two-at-once"
+
+    def dispatch(self, jobs, view):
+        plan, free = [], 0
+        for job in jobs:
+            if job.job_id < 4:
+                plan.append(Dispatch(job, 2 * (job.job_id // 2), 0))
+                continue
+            cycle = max(job.arrival_cycle, free)
+            free = cycle + view.estimate(1, job.service)
+            plan.append(Dispatch(job, 1, cycle))
+        return plan
+
+
+def test_a_shipped_day_measures_each_overlapping_node_once():
+    """One ``measure`` call, one assignment per overlapping node, in node
+    order; none when every node is plan-exact."""
+    farm, jobs, _ = paper_day(TwoAtOnce)
+    jobs = [Job(0, job.job_id, job.tenant_id, job.service) if job.job_id < 4 else job
+            for job in jobs]
+    measure = FakeMeasure(farm.view)
+    result = farm._serve(jobs, measure)
+    assert measure.calls == [[0, 2]]
+    assert [o.job_id for o in result.outcomes] == sorted(j.job_id for j in jobs)
+    farm, jobs, _ = paper_day()
+    measure = FakeMeasure(farm.view)
+    farm._serve(jobs, measure)
+    assert measure.calls == []

@@ -3,15 +3,21 @@
 A node whose every hand-over starts at or after the previous job's
 completion never holds two jobs, so each job runs uninterrupted and
 completes ``estimate`` cycles after its dispatch.  Such a node is answered
-by :class:`~repro.farm.node.PlanNode` (in-process, epoch by epoch) or
-:func:`~repro.farm.node.plan_rows` (shipped days); every other node is
-simulated.  These cells hold the two answers equal, in value and in order:
+by :func:`~repro.farm.node.answer_plan` (a one-epoch day, as int64
+columns) or :class:`~repro.farm.node.PlanNode` (the resilient loop, epoch
+by epoch); every other node is simulated.  These cells hold the answers
+equal to simulation:
 
 * every pinned farm case of ``tests/pins.py``, node by node against
   :func:`~repro.farm.node.simulate_node`, and served whole with every node
   forced onto the simulator (which must reproduce the pinned digest);
-* drawn days under all four schedulers, plus an at-arrival scheduler whose
-  nodes overlap: the check must refuse those nodes and the day still match;
+* drawn days under all four schedulers, plus two whose nodes overlap
+  (at-arrival, half-at-arrival): the column serve must simulate exactly
+  the overlapping nodes and the day still match the all-simulated farm,
+  serially and, on two fixed days, on a gateway;
+* the column path's edges — an empty day, one job, a node with no jobs,
+  two hand-overs at one cycle, a hand-over exactly at the previous
+  completion and one a cycle early;
 * the resilient loop's epoch ends — on a completion, inside a job's last
   instruction, on a dispatch, idle with later work, drained — and a node
   promoted to simulation mid-day.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,9 +47,17 @@ from repro.farm import (
     simulate_node,
 )
 from repro.farm.farm import _InProcessNodes
-from repro.farm.node import compiled_for_services, plan_rows
+from repro.farm.node import answer_plan, compiled_for_services, submit_order
+from repro.serve import ServeGateway
 from tests import pins as pinned
-from tests.farm_days import AtArrival, assignments, simulated
+from tests.farm_days import (
+    AtArrival,
+    HalfAtArrival,
+    assignments,
+    overlapping_nodes,
+    plan_columns,
+    simulated,
+)
 
 DIGESTS = pinned.PINS["farm"].load()["digests"]
 SCENARIOS = pinned.resilient_scenarios()
@@ -51,13 +66,16 @@ _submit_order = attrgetter("dispatch_cycle", "job.job_id")
 
 def node_rows(farm: Farm, dispatches) -> dict[int, bool]:
     """Per node with work in ``dispatches``: is it plan-exact?  Where it
-    is, its plan rows equal the simulated node's, in value and in order."""
+    is, :func:`answer_plan`'s rows for it equal the simulated node's."""
+    estimates = np.array(farm.view.estimates, np.int64)
+    rows, rest = answer_plan(submit_order(plan_columns(dispatches)), estimates)
     exact = {}
     for assignment in assignments(farm, dispatches):
-        rows = plan_rows(assignment, farm.view.estimates[assignment.node])
-        if rows is not None:
-            assert rows == simulate_node(assignment), f"node {assignment.node}"
-        exact[assignment.node] = rows is not None
+        node = assignment.node
+        exact[node] = node not in rest[2]
+        if exact[node]:
+            answered = sorted(map(tuple, rows[rows[:, 1] == node].tolist()))
+            assert answered == sorted(simulate_node(assignment)), f"node {node}"
     return exact
 
 
@@ -77,15 +95,18 @@ def test_pinned_serve_days_are_their_plans(scheduler, seed):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_pinned_resilient_days_simulate_only_chaos_nodes(name):
+def test_pinned_resilient_days_simulate_only_hang_nodes(name):
+    """A killed node only stops advancing, which its plan answers; only a
+    node that hangs (a kill with a ``heal_cycle``) is simulated."""
     make_farm, jobs, config, chaos = SCENARIOS[name]
     farm = make_farm()
     result = farm.serve_resilient(jobs, resilience=config, chaos=chaos)
     kills = chaos.node_kills() if chaos is not None else {}
+    hangs = {node for node, kill in kills.items() if kill.heal_cycle is not None}
     assert [system is not None for system in farm.node_systems] == [
-        node in kills for node in range(len(farm.node_configs))
+        node in hangs for node in range(len(farm.node_configs))
     ]
-    calm = [d for d in result.dispatches if d.node not in kills]  # submit order
+    calm = [d for d in result.dispatches if d.node not in hangs]  # submit order
     assert all(node_rows(farm, calm).values())
     oracle = make_farm()
     served = simulated(oracle, jobs, config, chaos)
@@ -97,8 +118,9 @@ def test_pinned_resilient_days_simulate_only_chaos_nodes(name):
 SCHEDULERS = {
     "fcfs": FcfsScheduler, "static-partition": StaticPartitionScheduler,
     "predictive": PredictiveScheduler, "feedback+predictive": FeedbackScheduler,
-    "at-arrival": AtArrival,
+    "at-arrival": AtArrival, "half-at-arrival": HalfAtArrival,
 }
+OVERLAPPING = {"at-arrival", "half-at-arrival"}  # the rest never overlap
 
 
 @st.composite
@@ -120,10 +142,18 @@ def drawn_days(draw):
     return draw(st.integers(1, 3)), generate_jobs(spec)
 
 
+def same_day(result, oracle) -> None:
+    assert result.outcomes == oracle.outcomes
+    assert result.report == oracle.report
+    assert result.dispatches == oracle.dispatches
+
+
 @given(day=drawn_days(), scheduler=st.sampled_from(sorted(SCHEDULERS)))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_drawn_days_match_the_simulated_farm(day, scheduler):
     nodes, jobs = day
+    if scheduler == "half-at-arrival":
+        nodes = max(nodes, 2)  # node 0 takes the overlaps, the rest the plan
     if scheduler == "at-arrival" and jobs:
         # A twin of the first job, at its arrival on its node: an overlap.
         first = jobs[0]
@@ -136,14 +166,83 @@ def test_drawn_days_match_the_simulated_farm(day, scheduler):
     farm = make()
     result = farm.serve(jobs)
     exact = node_rows(farm, sorted(result.dispatches, key=_submit_order))
-    assert all(exact.values()) == (scheduler != "at-arrival" or not jobs)
+    if scheduler not in OVERLAPPING:
+        assert all(exact.values())
+    if scheduler == "at-arrival" and jobs:
+        assert not all(exact.values())
     assert {node: system is None for node, system in enumerate(farm.node_systems)} == {
         node: exact.get(node, True) for node in range(nodes)
     }
-    oracle = simulated(make(), jobs)
-    assert result.outcomes == oracle.outcomes
-    assert result.report == oracle.report
-    assert result.dispatches == oracle.dispatches
+    same_day(result, simulated(make(), jobs))
+
+
+@pytest.mark.parametrize("scheduler, seed", [(AtArrival, 1), (HalfAtArrival, 2)])
+def test_fixed_days_on_a_gateway_match_the_simulated_farm(scheduler, seed, monkeypatch):
+    """``serve(max_workers=2)`` ships exactly the overlapping nodes, each
+    once, and the day equals the all-simulated farm."""
+    jobs = pinned.static_day(seed)
+    farm = Farm(default_design_grid(), pinned.SERVICES, scheduler())
+    overlapping = overlapping_nodes(farm, farm.plan(jobs))
+    assert 0 < len(overlapping) < 4 or scheduler is AtArrival
+    shipped: list[int] = []
+    submit = ServeGateway.submit
+
+    def spy(gateway, spec, **kwargs):
+        shipped.append(spec.assignment.node)
+        return submit(gateway, spec, **kwargs)
+
+    monkeypatch.setattr(ServeGateway, "submit", spy)
+    result = farm.serve(jobs, max_workers=2)
+    assert shipped == overlapping and farm.node_systems is None
+    same_day(result, simulated(Farm(default_design_grid(), pinned.SERVICES, scheduler()), jobs))
+
+
+# -- the column path's edges -----------------------------------------------------
+
+TWO_NODES = default_design_grid()[:2]
+A0 = Farm(TWO_NODES, pinned.SERVICES, PredictiveScheduler()).estimate(0, 0)
+
+
+class Scripted:
+    """Each job handed over as ``script[job_id]`` says: (node, cycle)."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+
+    def dispatch(self, jobs, view):
+        return [Dispatch(job, *self.script[job.job_id]) for job in jobs]
+
+
+COLUMN_EDGES = {
+    # name: (jobs as (job_id, service), script, simulated nodes)
+    "an-empty-day": ([], {}, set()),
+    "one-job": ([(0, 0)], {0: (0, 100)}, set()),
+    "a-node-with-no-jobs": ([(0, 0), (1, 2)], {0: (1, 100), 1: (1, 200_000)}, set()),
+    # Planned job 1 first: submit order puts job 0, the lower id, first.
+    "two-at-one-cycle": ([(1, 0), (0, 0), (2, 1)], {0: (0, 500), 1: (0, 500), 2: (1, 0)}, {0}),
+    "exactly-at-the-previous-completion": (
+        [(0, 0), (1, 0)], {0: (0, 100), 1: (0, 100 + A0)}, set()
+    ),
+    "a-cycle-early": ([(0, 0), (1, 0)], {0: (0, 100), 1: (0, 99 + A0)}, {0}),
+}
+
+
+@pytest.mark.parametrize("edge", COLUMN_EDGES)
+def test_a_column_edge_matches_the_simulated_farm(edge):
+    spec, script, simulated_nodes = COLUMN_EDGES[edge]
+    jobs = [Job(0, job_id, 0, service) for job_id, service in spec]
+
+    def make() -> Farm:
+        return Farm(TWO_NODES, pinned.SERVICES, Scripted(script))
+
+    farm = make()
+    result = farm.serve(jobs)
+    assert [system is not None for system in farm.node_systems] == [
+        node in simulated_nodes for node in range(len(TWO_NODES))
+    ]
+    same_day(result, simulated(make(), jobs))
 
 
 # -- the resilient loop's epoch ends ---------------------------------------------
