@@ -33,7 +33,7 @@ designs, two large networks each): it models the farm's real morning —
 many heterogeneous nodes coming up at once to serve a few early jobs.
 
 A second, in-process row isolates what a hit hydrates: one ResNet-50@112
-``vi`` program adopted from its stored ``INCAPROG`` frame against the pickle
+``vi`` program rebuilt from its stored columns against the pickle
 of ~69k ``Instruction`` objects entries held before cache format v4, at
 least :data:`HYDRATE_FLOOR` x faster and byte-identical.
 """
@@ -50,7 +50,7 @@ import zlib
 from pathlib import Path
 
 from benchmarks.conftest import write_result
-from repro.compiler.cache import MAGIC, VERSION, CompileCache, cache_key
+from repro.compiler.cache import MAGIC, VERSION, CompileCache, cache_key, unpack_program
 from repro.compiler.compile import compile_network
 from repro.container import unframe
 from repro.iau.fastpath import build_program_meta
@@ -263,11 +263,11 @@ def test_program_hydrate_vs_pickle_oracle(tmp_path, big_config):
     fresh = compile_network(graph, big_config, weights="zeros", cache=cache)
     golden = fresh.program_for("vi")
     entry = cache.path_for(cache_key(graph, big_config, weights="zeros"))
-    name, stored = pickle.loads(unframe(entry.read_bytes(), MAGIC, VERSION))["programs"]["vi"]
+    stored = pickle.loads(unframe(entry.read_bytes(), MAGIC, VERSION))["programs"]["vi"]
     # The oracle: the object graph a pre-v4 entry pickled for the same program.
     pickled = zlib.compress(pickle.dumps((golden.name, golden.instructions), protocol=5), 3)
 
-    words_s, adopted = timed(lambda: Program.from_bytes(zlib.decompress(stored), name))
+    words_s, adopted = timed(lambda: unpack_program(stored))
     pickle_s, unpickled = timed(lambda: pickle.loads(zlib.decompress(pickled)))
     assert adopted == golden and adopted.to_bytes() == golden.to_bytes()
     assert Program(*unpickled).to_bytes() == golden.to_bytes()
@@ -278,10 +278,10 @@ def test_program_hydrate_vs_pickle_oracle(tmp_path, big_config):
         f"workload: ResNet-50@112x112 `vi` on {big_config.name}, {len(golden):,} instructions",
         f"pickle oracle (zlib + unpickle objects) : {pickle_s * 1e3:>8.1f} ms   "
         f"({len(pickled):>9,} bytes stored)",
-        f"word frame (zlib + CRC + opcode check)  : {words_s * 1e3:>8.1f} ms   "
-        f"({len(stored):>9,} bytes stored, {speedup:.0f}x)",
+        f"columns (zlib + rebuild + opcode check) : {words_s * 1e3:>8.1f} ms   "
+        f"({len(stored[3]):>9,} bytes stored, {speedup:.0f}x)",
         "to_bytes()                              : identical, and equal to the fresh compile",
         f"acceptance floor                        : {HYDRATE_FLOOR:.0f}x",
     ]
     write_result("program_hydrate", "\n".join(lines))
-    assert speedup >= HYDRATE_FLOOR, f"word-frame hydrate only {speedup:.1f}x over the pickle"
+    assert speedup >= HYDRATE_FLOOR, f"column hydrate only {speedup:.1f}x over the pickle"

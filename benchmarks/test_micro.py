@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from repro.accel.runner import run_program
-from repro.compiler import compile_network
+from repro.compiler import CompileCache, cache_key, compile_network
 from repro.dslam import Camera, World, ransac_rigid_2d
+from benchmarks.perf.spec import SIZES
+from benchmarks.perf.workloads.common import build_graph
 from benchmarks.perf.workloads.farm import CHAOS_SERVICES, SERVING_SERVICES, day
 from repro.analysis.design_space import default_design_grid
 from repro.farm import (
@@ -28,6 +30,7 @@ from repro.farm import (
     run_assignment,
 )
 from repro.farm.node import NodeJobResult, decode_results, encode_results, results_array
+from repro.estimate import estimate_service_cycles
 from repro.hw.config import AcceleratorConfig
 from repro.isa import Instruction, Opcode, decode_stream, encode_stream
 from repro.quant import conv2d
@@ -84,6 +87,27 @@ def test_bench_compile_tiny(benchmark):
         )
     )
     assert len(result.program) > 0
+
+
+def test_bench_cache_warm_load(benchmark, tmp_path):
+    """``cache_warm_start``'s four networks loaded from a populated compile
+    cache and each priced by ``estimate_service_cycles`` (the compiles and
+    stores are done once, outside the timing)."""
+    config = AcceleratorConfig.big()
+    cache = CompileCache(tmp_path / "cache")
+    keys, expected = [], []
+    for net in SIZES["full"]["cache_warm_start"]["nets"]:
+        graph = build_graph(*net)
+        compiled = compile_network(graph, config, weights="zeros", cache=False)
+        keys.append(cache_key(graph, config, weights="zeros"))
+        cache.store(keys[-1], compiled)
+        expected.append(estimate_service_cycles(config, compiled))
+
+    def warm_load():
+        return [estimate_service_cycles(config, cache.load(key)) for key in keys]
+
+    assert benchmark(warm_load) == expected
+    assert cache.stats.corrupt == 0
 
 
 def test_bench_vo_ransac(benchmark):

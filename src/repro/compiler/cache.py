@@ -44,13 +44,17 @@ artefact — what ``entries()``/the CLI ``ls`` report.  ``body`` is a
 zlib-compressed pickle of the network shell (layout, layer configs,
 quantization, its meta table, each column of which is one buffer of narrow
 deltas; buffers whose bytes are all zero travel as their shape and dtype);
-``programs`` maps each vi-mode to ``(name, zlib-compressed INCAPROG
-frame)`` — the program's ``instruction.bin``, adopted on load as a word
-array with no per-instruction work, so all variants hydrate eagerly.
+``programs`` maps each vi-mode to a :data:`ProgramColumns` frame: the
+program's words stored field by field (:func:`pack_program`), a field that
+is constant over the program as one value and the others as one zlib
+stream of their little-endian columns.  A load rebuilds the word array
+field by field and adopts it with the opcode and reserved-field check of
+``instruction.bin`` (:func:`unpack_program`), so all variants hydrate
+eagerly and nothing is decoded.
 
 What a miss adds to the compile is the ``vi`` meta build
 (:func:`~repro.iau.fastpath.build_program_meta`) and the compression of
-the program frames and the body.  Both compress at zlib level 1
+the program columns and the body.  Both compress at zlib level 1
 (:data:`_LEVEL`): on program words it is faster than level 3 and smaller
 too.  The level is not part of the format, so an entry written at any
 level loads.
@@ -67,12 +71,13 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.compiler.vi_pass import DEFAULT_VI_POLICY
 from repro.container import frame, unframe, write_atomic
+from repro.isa.encoding import WORD_DTYPE
 from repro.isa.program import Program
 from repro.obs.events import EventKind
 
@@ -95,7 +100,9 @@ MAGIC = b"INCACCHE"
 #: own meta table (no sibling ``metas``) and no tiling plans are stored.
 #: v6: a :class:`ProgramMeta` pickles its integer columns as one narrow
 #: delta buffer each and its boundary tiles as an id column plus a table.
-VERSION = 6
+#: v7: programs are stored column by column (:data:`ProgramColumns`), not
+#: as ``INCAPROG`` frames.
+VERSION = 7
 
 #: Environment variable naming the default cache directory.  When set,
 #: every :func:`~repro.compiler.compile.compile_network` call without an
@@ -105,11 +112,20 @@ CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 
 _SUFFIX = ".inca"
 
-#: zlib level of the program frames and the body.  The twelve program
-#: variants of the four ``compile_cold`` networks (8.9 MB of words)
-#: compress to 759 KB in 48-56 ms at level 1 and to 871 KB in 79-98 ms at
-#: level 3 on a 2-vCPU guest, and inflate equally fast.
+#: zlib level of the program columns and the body.  On the 8.9 MB of words
+#: of the four ``compile_cold`` networks level 1 was both faster and smaller
+#: than level 3 (759 KB in 48-56 ms against 871 KB in 79-98 ms, row by row
+#: on a 2-vCPU guest), and inflated equally fast.
 _LEVEL = 1
+
+#: One stored program variant: its name, its word count, the
+#: :data:`~repro.isa.encoding.WORD_DTYPE` fields that hold one value over
+#: the whole program (field -> value), and one zlib stream of every other
+#: field's little-endian column, joined in ``WORD_DTYPE`` order.
+ProgramColumns = tuple[str, int, dict[str, int], bytes]
+
+#: The word fields, in layout order.
+_FIELDS: tuple[str, ...] = WORD_DTYPE.names or ()
 
 #: Program variants whose :class:`~repro.iau.fastpath.ProgramMeta` is built
 #: at store time (the deployment artefact's fast path is warm from the first
@@ -207,7 +223,52 @@ class CacheEntry:
         return max(0.0, time.time() - self.created_unix)
 
 
-def _zeros(shape: tuple, dtype: str) -> np.ndarray:
+def pack_program(program: Program) -> ProgramColumns:
+    """``program``'s words as :data:`ProgramColumns`.
+
+    A compiled program repeats most field values over long runs (an
+    unused field, a layer's address, a tile's channel range), so a column
+    compresses far better than the interleaved words, and a constant one
+    is not stored at all.
+    """
+    words = program.words
+    constants: dict[str, int] = {}
+    deflate = zlib.compressobj(_LEVEL)
+    parts: list[bytes] = []
+    for field in _FIELDS:
+        column = words[field]
+        first = column[0]
+        if (column == first).all():
+            constants[field] = int(first)
+        else:
+            parts.append(deflate.compress(np.ascontiguousarray(column)))
+    parts.append(deflate.flush())
+    return program.name, len(words), constants, b"".join(parts)
+
+
+def unpack_program(stored: ProgramColumns) -> Program:
+    """The :class:`~repro.isa.program.Program` of :func:`pack_program`'s
+    ``stored``, adopted under :meth:`Program.from_words`'s opcode and
+    reserved-field check.  A stream that does not hold exactly the
+    non-constant columns raises ``ValueError``."""
+    name, length, constants, blob = stored
+    raw = zlib.decompress(blob)
+    words = np.zeros(length, dtype=WORD_DTYPE)
+    offset = 0
+    for field in _FIELDS:
+        if field in constants:
+            if constants[field]:
+                words[field] = constants[field]
+        else:
+            dtype = WORD_DTYPE[field]
+            words[field] = np.frombuffer(raw, dtype, length, offset)
+            offset += length * dtype.itemsize
+    if offset != len(raw):
+        raise ValueError(f"program {name!r}: {len(raw) - offset} bytes past its columns")
+    return Program.from_words(name, words)
+
+
+def _zeros(shape: tuple[int, ...], dtype: str) -> np.ndarray:
     """Reconstructor for zero arrays elided by :class:`_BodyPickler`."""
     return np.zeros(shape, dtype=np.dtype(dtype))
 
@@ -225,7 +286,7 @@ class _BodyPickler(pickle.Pickler):
     three times faster than ``any`` over the values.
     """
 
-    def reducer_override(self, obj: Any):
+    def reducer_override(self, obj: Any) -> Any:
         if (
             isinstance(obj, np.ndarray)
             and obj.nbytes >= 4096
@@ -272,8 +333,8 @@ class CompileCache:
     def store(self, key: str, network: "CompiledNetwork") -> Path | None:
         """Write one compiled artefact atomically; returns its path.
 
-        Each program variant is stored as its compressed ``instruction.bin``
-        frame, which a loader adopts as a word array without building one
+        Each program variant is stored as its columns (:func:`pack_program`),
+        which a loader turns back into a word array without building one
         :class:`~repro.isa.instructions.Instruction`.
 
         Never raises on I/O trouble (a read-only or full cache directory
@@ -282,10 +343,7 @@ class CompileCache:
         """
         for mode in STORED_META_MODES:
             network.meta(mode)
-        programs = {
-            mode: (program.name, zlib.compress(program.to_bytes(), _LEVEL))
-            for mode, program in network.programs.items()
-        }
+        programs = {mode: pack_program(program) for mode, program in network.programs.items()}
         # Shallow clone with the programs detached: the body then carries
         # layout / configs / quantization / metas only (instructions are
         # flat records with no references into the rest of the artefact,
@@ -331,10 +389,10 @@ class CompileCache:
 
     def load(self, key: str) -> "CompiledNetwork | None":
         """The cached artefact for ``key``, or ``None`` (always a miss,
-        never an error).  Every program variant is adopted from its stored
-        frame (a damaged one — bad CRC, unknown opcode byte, reserved bits —
-        is a counted ``corrupt`` miss); the shell arrives with its meta
-        table, so nothing is built or planned here."""
+        never an error).  Every program variant is rebuilt from its stored
+        columns (a damaged one — a short or long stream, an unknown opcode
+        byte, reserved bits — is a counted ``corrupt`` miss); the shell
+        arrives with its meta table, so nothing is built or planned here."""
         document = self._read_document(self.path_for(key))
         if document is None:
             return None
@@ -344,8 +402,7 @@ class CompileCache:
         try:
             network: "CompiledNetwork" = pickle.loads(zlib.decompress(document["body"]))
             network.programs = {
-                mode: Program.from_bytes(zlib.decompress(blob), name=name)
-                for mode, (name, blob) in document["programs"].items()
+                mode: unpack_program(stored) for mode, stored in document["programs"].items()
             }
         except Exception:
             self.stats.corrupt += 1
@@ -617,7 +674,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not args.dir:
         parser.error(f"no cache directory: pass --dir or set ${CACHE_ENV_VAR}")
-    return args.run(CompileCache(args.dir), args)
+    run: Callable[[CompileCache, argparse.Namespace], int] = args.run
+    return run(CompileCache(args.dir), args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

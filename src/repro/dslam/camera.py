@@ -48,29 +48,31 @@ class Camera:
         scales (``0 + scale * z``); so a frame's bits and the generator's
         state after it are those of the per-landmark draws.
         """
-        visible = self.world.visible_from(pose, self.config.max_range, self.config.fov)
+        index = self.world.in_view(pose, self.config.max_range, self.config.fov)
         observations: dict[int, tuple[float, float]] = {}
         descriptors: dict[int, np.ndarray] = {}
-        if visible:
+        if len(index):
+            landmarks, xs, ys = self.world.columns()
             position_noise = _scale(self.config.position_noise)
             descriptor_noise = _scale(self.config.descriptor_noise)
-            appearance = np.stack([landmark.descriptor for landmark in visible])
-            z = self._rng.standard_normal((len(visible), 2 + appearance.shape[1]))
+            appearance = self.world.descriptors()[index]
+            z = self._rng.standard_normal((len(index), 2 + appearance.shape[1]))
             x, y, theta = pose
             cos_t, sin_t = np.cos(theta), np.sin(theta)
-            dx = np.array([landmark.x for landmark in visible]) - x
-            dy = np.array([landmark.y for landmark in visible]) - y
+            dx = xs[index] - x
+            dy = ys[index] - y
             local_x = cos_t * dx + sin_t * dy + (0.0 + position_noise * z[:, 0])
             local_y = -sin_t * dx + cos_t * dy + (0.0 + position_noise * z[:, 1])
             noisy = appearance + (0.0 + descriptor_noise * z[:, 2:])
             # |row| as np.linalg.norm takes it, through one BLAS dot per row.
             norms = np.sqrt((noisy[:, None, :] @ noisy[:, :, None])[:, 0, 0])
             unit = noisy / norms[:, None]
-            for landmark, local, descriptor in zip(
-                visible, zip(local_x.tolist(), local_y.tolist()), unit
+            for position, local, descriptor in zip(
+                index.tolist(), zip(local_x.tolist(), local_y.tolist()), unit
             ):
-                observations[landmark.landmark_id] = local
-                descriptors[landmark.landmark_id] = descriptor
+                landmark_id = landmarks[position].landmark_id
+                observations[landmark_id] = local
+                descriptors[landmark_id] = descriptor
         return CameraFrame(
             header=Header(seq=seq, stamp_cycles=stamp_cycles, frame_id=frame_id),
             observations=observations,

@@ -57,10 +57,11 @@ class World:
 
     config: WorldConfig
     landmarks: dict[int, Landmark] = field(default_factory=dict)
-    #: ``landmarks`` as (tuple, x column, y column) for :meth:`visible_from`;
-    #: built on first use, dropped by :meth:`_add`.
-    _columns: tuple[tuple[Landmark, ...], np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
+    #: ``landmarks`` as (tuple, x column, y column, descriptor matrix or
+    #: None): :meth:`columns` builds the first three on first use and
+    #: :meth:`descriptors` the matrix; :meth:`_add` drops all four.
+    _columns: tuple[tuple[Landmark, ...], np.ndarray, np.ndarray, np.ndarray | None] | None = (
+        field(default=None, init=False, repr=False, compare=False)
     )
 
     @classmethod
@@ -109,6 +110,46 @@ class World:
     def __len__(self) -> int:
         return len(self.landmarks)
 
+    def columns(self) -> tuple[tuple[Landmark, ...], np.ndarray, np.ndarray]:
+        """``landmarks`` in order, with their x and y columns."""
+        if self._columns is None:
+            landmarks = tuple(self.landmarks.values())
+            self._columns = (
+                landmarks,
+                np.array([landmark.x for landmark in landmarks]),
+                np.array([landmark.y for landmark in landmarks]),
+                None,
+            )
+        return self._columns[:3]
+
+    def descriptors(self) -> np.ndarray:
+        """The landmarks' descriptors as one matrix, a row per landmark in
+        :meth:`columns` order."""
+        matrix = None if self._columns is None else self._columns[3]
+        if matrix is None:
+            landmarks, xs, ys = self.columns()
+            matrix = np.stack([landmark.descriptor for landmark in landmarks])
+            self._columns = (landmarks, xs, ys, matrix)
+        return matrix
+
+    def in_view(
+        self,
+        pose: tuple[float, float, float],
+        max_range: float,
+        fov: float,
+    ) -> np.ndarray:
+        """Ascending :meth:`columns` indices of the landmarks within range
+        and field of view of ``pose`` = (x, y, theta)."""
+        _, xs, ys = self.columns()
+        x, y, theta = pose
+        dx = xs - x
+        dy = ys - y
+        distance = np.hypot(dx, dy)
+        bearing = np.arctan2(dy, dx) - theta
+        bearing = np.arctan2(np.sin(bearing), np.cos(bearing))
+        in_view = ~((distance > max_range) | (distance < 1e-6)) & (np.abs(bearing) <= fov / 2)
+        return np.flatnonzero(in_view)
+
     def visible_from(
         self,
         pose: tuple[float, float, float],
@@ -117,22 +158,8 @@ class World:
     ) -> list[Landmark]:
         """Landmarks within range and field of view of ``pose`` = (x, y, theta),
         in landmark order."""
-        if self._columns is None:
-            landmarks = tuple(self.landmarks.values())
-            self._columns = (
-                landmarks,
-                np.array([landmark.x for landmark in landmarks]),
-                np.array([landmark.y for landmark in landmarks]),
-            )
-        landmarks, xs, ys = self._columns
-        x, y, theta = pose
-        dx = xs - x
-        dy = ys - y
-        distance = np.hypot(dx, dy)
-        bearing = np.arctan2(dy, dx) - theta
-        bearing = np.arctan2(np.sin(bearing), np.cos(bearing))
-        in_view = ~((distance > max_range) | (distance < 1e-6)) & (np.abs(bearing) <= fov / 2)
-        return [landmarks[index] for index in np.flatnonzero(in_view)]
+        landmarks = self.columns()[0]
+        return [landmarks[index] for index in self.in_view(pose, max_range, fov).tolist()]
 
 
 def _perimeter_point(distance: float, width: float, height: float) -> tuple[float, float]:

@@ -43,6 +43,7 @@ conformance matrix, ``tests/conformance.py``.
 
 from __future__ import annotations
 
+import pickle
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import repeat
@@ -183,15 +184,22 @@ class ProgramMeta:
     """Precomputed execution metadata of one program on one accelerator.
 
     Every integer column is a :data:`COLUMN` ``array``; it pickles as one
-    narrow delta buffer per column (:func:`_pack`), which is how the compile
-    cache stores it.  Derived attributes (:attr:`length`, the stretch memo)
-    are rebuilt on load and never pickled.
+    narrow delta buffer per column (:func:`_pack`), and the event templates
+    and the tile table as one pickle each, which is how the compile cache
+    stores them.  A load decodes only :attr:`cum` (what a cycle estimate
+    reads); everything else stays packed until its first read.  Derived
+    attributes (:attr:`length`, the stretch memo) are rebuilt on load and
+    never pickled.
     """
 
-    #: Integer columns, and tables of them keyed by name (pickled packed).
+    #: Integer columns, tables of them keyed by name, and lists of records,
+    #: each pickled packed.
     _COLUMNS = ("cum", "boundaries", "_tile_ids")
     _TABLES = ("stats", "opportunities")
-    _DERIVED = ("length", "_stretches", "_shared")
+    _RECORDS = ("events", "_tiles")
+    #: What a load leaves packed in :attr:`_packed`, decoded on first read.
+    _LAZY = ("boundaries", "_tile_ids", *_TABLES, *_RECORDS)
+    _DERIVED = ("length", "_stretches", "_shared", "_packed")
 
     def __init__(
         self,
@@ -222,6 +230,9 @@ class ProgramMeta:
         #: armed path: ``opportunities[site][j]`` draws happen over
         #: instructions ``[0, j)``.  Length n+1 each, like :attr:`cum`.
         self.opportunities = opportunities
+        #: Name -> packed form of each :data:`_LAZY` attribute not yet
+        #: decoded (empty unless loaded).
+        self._packed: dict[str, Any] = {}
         self._derive()
 
     def _derive(self) -> None:
@@ -237,18 +248,41 @@ class ProgramMeta:
     def __getstate__(self) -> dict[str, Any]:
         state = {key: value for key, value in vars(self).items() if key not in self._DERIVED}
         for name in self._COLUMNS:
-            state[name] = _pack(state[name])
+            if name in state:
+                state[name] = _pack(state[name])
         for name in self._TABLES:
-            state[name] = {key: _pack(column) for key, column in state[name].items()}
-        return state
+            if name in state:
+                state[name] = {key: _pack(column) for key, column in state[name].items()}
+        for name in self._RECORDS:
+            if name in state:
+                state[name] = pickle.dumps(state[name], pickle.HIGHEST_PROTOCOL)
+        # What was never decoded travels exactly as it arrived.
+        return {**self._packed, **state}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        for name in self._COLUMNS:
-            state[name] = _unpack(state[name])
-        for name in self._TABLES:
-            state[name] = {key: _unpack(packed) for key, packed in state[name].items()}
+        state["cum"] = _unpack(state["cum"])
+        state["_packed"] = {name: state.pop(name) for name in self._LAZY}
         vars(self).update(state)
         self._derive()
+
+    if not TYPE_CHECKING:  # the attributes are declared in ``__init__``
+
+        def __getattr__(self, name: str) -> Any:
+            # Reached only for an attribute that is not set: a :data:`_LAZY`
+            # one a load left packed.  Decoded once, then an ordinary attribute.
+            packed = vars(self).get("_packed", {})
+            if name not in packed:
+                raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+            raw = packed[name]
+            if name in self._TABLES:
+                value = {key: _unpack(column) for key, column in raw.items()}
+            elif name in self._RECORDS:
+                value = pickle.loads(raw)
+            else:
+                value = _unpack(raw)
+            setattr(self, name, value)
+            packed.pop(name, None)
+            return value
 
     @property
     def total_cycles(self) -> int:

@@ -11,6 +11,7 @@ import multiprocessing
 import pickle
 import sys
 import zlib
+from array import array
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro import AcceleratorConfig, compile_network, estimate_job_cycles
 from repro.accel.reference import golden_output
 from repro.accel.runner import run_program
+from repro.compiler import VI_MODES
 from repro.compiler.cache import (
     CACHE_ENV_VAR,
     MAGIC,
@@ -28,6 +30,7 @@ from repro.compiler.cache import (
     compiler_fingerprint,
     default_cache,
     main as cache_main,
+    unpack_program,
 )
 from repro.compiler.vi_pass import ViPolicy
 from repro.container import frame, unframe
@@ -41,20 +44,31 @@ from repro.farm.node import (
 )
 from repro.farm.traffic import SloClass
 from repro.faults.plan import FaultPlan, FaultSite
-from repro.iau.fastpath import build_program_meta
+from repro.iau.fastpath import ProgramMeta, build_program_meta
+from repro.isa.encoding import WORD_DTYPE
 from repro.isa.program import Program
 from repro.nn import TensorShape
 from repro.obs import EventBus, EventKind
 from repro.obs.config import ObsConfig
-from repro.runtime.system import MultiTaskSystem
+from repro.runtime import ArrivalPolicy
+from repro.runtime.system import MultiTaskSystem, compile_tasks
 from repro.tools.report import MODELS
 from repro.verify.cli import main as verify_main
-from repro.zoo import build_resnet
+from repro.zoo import build_gem, build_mobilenet_v1, build_resnet, build_superpoint
 from tests.test_container import MUTATIONS
-from tests.test_isa import UNENCODABLE, reframed
+from tests.test_isa import UNENCODABLE
 
 BIG = AcceleratorConfig.big()
 SMALL = AcceleratorConfig.small()
+
+#: The four networks of the ``compile_cold`` / ``cache_warm_start``
+#: benchmark workloads, at their full sizes.
+COMPILE_COLD_NETS = (
+    ("gem-resnet18", lambda: build_gem(TensorShape(120, 160, 3), backbone="resnet18")),
+    ("resnet50", lambda: build_resnet("resnet50", TensorShape(112, 112, 3))),
+    ("mobilenet_v1", lambda: build_mobilenet_v1(TensorShape(112, 112, 3))),
+    ("superpoint", lambda: build_superpoint(TensorShape(60, 80, 1), head="detector")),
+)
 
 
 @pytest.fixture()
@@ -67,6 +81,43 @@ def graph():
     from repro.zoo import build_tiny_cnn
 
     return build_tiny_cnn()
+
+
+def program_columns(name: str, words: np.ndarray) -> tuple:
+    """The v7 stored form of ``words``, built here from its definition (a
+    field constant over the program is one value; the others' columns are
+    one zlib stream in ``WORD_DTYPE`` order), not by ``pack_program``."""
+    constants = {
+        field: int(words[field][0])
+        for field in WORD_DTYPE.names
+        if len(np.unique(words[field])) == 1
+    }
+    stream = b"".join(
+        words[field].tobytes() for field in WORD_DTYPE.names if field not in constants
+    )
+    return name, len(words), constants, zlib.compress(stream)
+
+
+def assert_meta_equal(loaded, fresh) -> None:
+    """Every column and table of ``loaded`` equals ``fresh``'s, as the
+    ``array('q')`` columns a build makes; reading them decodes them all."""
+    assert loaded is not None and loaded.fetch == fresh.fetch
+    pairs = [
+        (loaded.cum, fresh.cum),
+        (loaded.boundaries, fresh.boundaries),
+        (loaded._tile_ids, fresh._tile_ids),
+    ]
+    for table in ("stats", "opportunities"):
+        got, want = getattr(loaded, table), getattr(fresh, table)
+        assert list(got) == list(want)
+        pairs += [(got[name], column) for name, column in want.items()]
+    for got, want in pairs:
+        assert type(got) is array and got.typecode == want.typecode == "q"
+        assert got == want
+    assert loaded.events == fresh.events
+    assert loaded._tiles == fresh._tiles
+    assert not loaded._packed
+    assert type(loaded.total_cycles) is int
 
 
 def networks_identical(a, b) -> bool:
@@ -201,7 +252,8 @@ class TestRoundTrip:
 
         document["body"] = level_3(document["body"])
         document["programs"] = {
-            mode: (name, level_3(blob)) for mode, (name, blob) in document["programs"].items()
+            mode: (name, length, constants, level_3(blob))
+            for mode, (name, length, constants, blob) in document["programs"].items()
         }
         path.write_bytes(frame(MAGIC, VERSION, pickle.dumps(document)))
         warm = compile_network(graph, BIG, weights="zeros", cache=cache)
@@ -233,11 +285,23 @@ class TestRoundTrip:
         assert sorted(document) == ["body", "meta", "programs"]
 
     def test_loaded_network_pickles_as_plain_dict(self, cache, graph):
+        """A loaded meta that decoded nothing but ``cum`` re-pickles its
+        packed columns as they arrived, and one read part-way pickles both
+        halves: either clone decodes equal to a fresh build."""
         compile_network(graph, BIG, weights="zeros", cache=cache)
         warm = compile_network(graph, BIG, weights="zeros", cache=cache)
+        meta = warm.cached_mode_meta("vi")
+        assert meta is not None and sorted(meta._packed) == sorted(ProgramMeta._LAZY)
         clone = pickle.loads(pickle.dumps(warm))
+        assert sorted(meta._packed) == sorted(ProgramMeta._LAZY)  # pickling decodes nothing
         assert type(clone.programs) is dict
         assert networks_identical(warm, clone)
+        fresh = build_program_meta(warm, warm.program)
+        assert_meta_equal(clone.cached_mode_meta("vi"), fresh)
+        meta.stats, meta.events  # decode one table and one record list
+        assert "stats" not in meta._packed and "boundaries" in meta._packed
+        assert_meta_equal(pickle.loads(pickle.dumps(meta)), fresh)
+        assert_meta_equal(meta, fresh)
 
     def test_cache_false_disables_env_default(self, tmp_path, graph, monkeypatch):
         root = tmp_path / "envcache"
@@ -302,11 +366,12 @@ class TestCorruptionFallback:
         # a stale stretch table.  A v4 entry keeps its metas beside the
         # network and a plans blob; its shell has no table of its own.
         # A v5 entry pickles every meta column as one int per instruction.
-        # Stamping an on-disk entry with an old version must degrade to a
-        # clean miss, and the recompile must carry the new table.
-        assert VERSION == 6
+        # A v6 entry stores each program as an ``INCAPROG`` frame, not as
+        # columns.  Stamping an on-disk entry with an old version must
+        # degrade to a clean miss, and the recompile must carry the new table.
+        assert VERSION == 7
         path = self.entry_path(cache, graph)
-        for old_version in (1, 4, 5):
+        for old_version in (1, 4, 5, 6):
             raw = bytearray(path.read_bytes())
             raw[8:10] = old_version.to_bytes(2, "big")
             path.write_bytes(bytes(raw))
@@ -327,15 +392,21 @@ class TestCorruptionFallback:
 
     @pytest.mark.parametrize("damage", sorted(UNENCODABLE))
     def test_unencodable_program_inside_a_valid_entry(self, cache, graph, damage):
-        """An otherwise valid entry whose ``vi`` frame is CRC-clean but
-        carries a reserved bit / unknown opcode: counted miss + recompile."""
+        """An otherwise valid entry whose ``vi`` columns carry an unknown
+        opcode byte or a reserved bit in one word (the entry's CRC is
+        rebuilt, so only the word check can see it): counted miss +
+        recompile."""
         path = self.entry_path(cache, graph)
         document = pickle.loads(unframe(path.read_bytes(), MAGIC, VERSION))
-        name, blob = document["programs"]["vi"]
-        program = Program.from_bytes(zlib.decompress(blob), name)
-        document["programs"]["vi"] = (
-            name, zlib.compress(reframed(program, *UNENCODABLE[damage]))
-        )
+        stored = document["programs"]["vi"]
+        words = unpack_program(stored).words.copy()
+        offset, value = UNENCODABLE[damage]
+        words.view(np.uint8)[offset] = value
+        damaged = program_columns(stored[0], words)
+        # The damage lands in the opcode column, or makes a reserved field,
+        # constant in every compiled program, a stored column.
+        assert ("reserved0" in damaged[2]) is (damage == "unknown_opcode")
+        document["programs"]["vi"] = damaged
         path.write_bytes(frame(MAGIC, VERSION, pickle.dumps(document)))
         key = cache_key(graph, BIG, weights="zeros")
         before = cache.stats.corrupt
@@ -344,6 +415,26 @@ class TestCorruptionFallback:
         assert cache.stats.corrupt == before + 1
         self.recompiles_cleanly(cache, graph)
         assert cache.load(key) is not None  # and the bad entry was overwritten
+
+    @pytest.mark.parametrize("damage", ["short", "long", "constant"])
+    def test_damaged_columns_inside_a_valid_entry(self, cache, graph, damage):
+        """A column stream one byte short or long, or a constant out of its
+        field's range: counted miss, never an error."""
+        path = self.entry_path(cache, graph)
+        document = pickle.loads(unframe(path.read_bytes(), MAGIC, VERSION))
+        name, length, constants, blob = document["programs"]["vi"]
+        stream = zlib.decompress(blob)
+        if damage == "short":
+            blob = zlib.compress(stream[:-1])
+        elif damage == "long":
+            blob = zlib.compress(stream + b"\0")
+        else:
+            constants = {**constants, "reserved0": 1 << 16}
+        document["programs"]["vi"] = (name, length, constants, blob)
+        path.write_bytes(frame(MAGIC, VERSION, pickle.dumps(document)))
+        before = cache.stats.corrupt
+        assert cache.load(cache_key(graph, BIG, weights="zeros")) is None
+        assert cache.stats.corrupt == before + 1
 
     def test_foreign_fingerprint(self, cache, graph, monkeypatch):
         self.entry_path(cache, graph)
@@ -432,19 +523,85 @@ class TestStoredColumns:
         warm = compile_network(graph, BIG, weights="zeros", verify="off", cache=cache)
         assert cache.stats.hits == 1
         loaded, fresh = warm.cached_mode_meta("vi"), build_program_meta(warm, warm.program)
-        assert loaded is not None and loaded.fetch == fresh.fetch
-        pairs = [(loaded.cum, fresh.cum), (loaded.boundaries, fresh.boundaries)]
-        for table in ("stats", "opportunities"):
-            got, want = getattr(loaded, table), getattr(fresh, table)
-            assert list(got) == list(want)
-            pairs += [(got[name], column) for name, column in want.items()]
-        for got, want in pairs:
-            assert got.typecode == want.typecode == "q"
-            assert got == want
-        assert loaded.events == fresh.events
+        assert_meta_equal(loaded, fresh)
         for boundary in fresh.boundaries:
             assert loaded.tiles_at(boundary) == fresh.tiles_at(boundary), boundary
-        assert type(loaded.total_cycles) is int
+
+    @pytest.mark.parametrize("net", COMPILE_COLD_NETS, ids=lambda net: net[0])
+    def test_compile_cold_nets_load_equal_to_a_fresh_compile(self, cache, net):
+        """Every variant of ``compile_cold``'s networks, stored with all
+        three metas: the warm words are byte-identical to a fresh compile's,
+        a load decodes no meta column but ``cum``, and each column and table
+        equals a fresh build's after its first read."""
+        graph = net[1]()
+        stored = compile_network(graph, BIG, weights="zeros", cache=False)
+        for mode in VI_MODES:
+            stored.meta(mode)
+        key = cache_key(graph, BIG, weights="zeros")
+        cache.store(key, stored)
+        del stored
+        warm = cache.load(key)
+        fresh = compile_network(graph, BIG, weights="zeros", cache=False)
+        assert warm is not None and sorted(warm.metas) == sorted(VI_MODES)
+        for mode in VI_MODES:
+            program = warm.program_for(mode)
+            assert program.to_bytes() == fresh.program_for(mode).to_bytes(), mode
+            assert not program.words.flags.writeable
+            loaded = warm.cached_mode_meta(mode)
+            assert sorted(loaded._packed) == sorted(ProgramMeta._LAZY), mode
+            assert_meta_equal(loaded, build_program_meta(fresh, fresh.program_for(mode)))
+
+    def test_armed_pair_on_warm_networks_matches_the_cold_run(self, tmp_path):
+        """The ``pair_armed`` benchmark schedule at ``scale=1`` (ResNet-18
+        preempted by SuperPoint under a live fault plan, batched) on
+        networks loaded with their metas still packed: the engine's first
+        reads decode them, and the run equals the one on fresh compiles."""
+        graphs = [
+            build_resnet("resnet18", TensorShape(240, 320, 3)),
+            build_superpoint(TensorShape(120, 160, 1), head="detector"),
+        ]
+        rates = {
+            FaultSite.DDR_BIT_FLIP: 0.0002,
+            FaultSite.DDR_STALL: 0.01,
+            FaultSite.IAU_DROP_PREEMPT: 0.05,
+            FaultSite.IAU_SPURIOUS_PREEMPT: 0.005,
+            FaultSite.CHECKPOINT_CORRUPT: 0.02,
+        }
+
+        def run(compiled) -> tuple[dict, MultiTaskSystem]:
+            low, high = compiled
+            plan = FaultPlan(seed=5, rates=rates)
+            system = MultiTaskSystem(low.config, faults=plan)
+            system.add_task(0, high)
+            system.add_task(1, low)
+            system.submit(
+                1, at_cycle=0, policy=ArrivalPolicy.PERIODIC, period_cycles=600_000, count=6
+            )
+            system.submit(
+                0, at_cycle=150_000, policy=ArrivalPolicy.PERIODIC, period_cycles=450_000, count=8
+            )
+            system.run(batched=True)
+            outcome = {
+                "final": system.clock,
+                "jobs": [
+                    [(j.request_cycle, j.start_cycle, j.complete_cycle) for j in system.jobs(task)]
+                    for task in (0, 1)
+                ],
+                "faults": [(fault.site.value, fault.cycle) for fault in plan.injected],
+            }
+            return outcome, system
+
+        cold, _ = run(compile_tasks(graphs, BIG, cache=False))
+        cache = CompileCache(tmp_path / "cache")
+        compile_tasks(graphs, BIG, cache=cache)
+        warm_nets = compile_tasks(graphs, BIG, cache=cache)
+        assert cache.stats.hits == 2
+        metas = [net.cached_mode_meta("vi") for net in warm_nets]
+        assert all(sorted(meta._packed) == sorted(ProgramMeta._LAZY) for meta in metas)
+        warm, system = run(warm_nets)
+        assert warm == cold
+        assert system.iau.dispatch_counts["batched"] > 0 and cold["faults"]
+        assert not any(meta._packed for meta in metas)  # the run read every column
 
     def test_armed_functional_run_and_json_report_on_a_hit(self, tmp_path, monkeypatch, capsys):
         graph = MODELS["tiny_cnn"]()
