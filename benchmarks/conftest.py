@@ -15,7 +15,7 @@ import pytest
 from repro.hw.config import AcceleratorConfig
 from repro.nn import TensorShape
 from repro.runtime.system import compile_tasks
-from repro.zoo import build_gem, build_superpoint
+from repro.zoo import build_gem, build_superpoint, build_superpoint_qqvga
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -35,13 +35,13 @@ def big_config() -> AcceleratorConfig:
 @pytest.fixture(scope="session")
 def paper_workloads(big_config):
     """(PR, FE-vga, FE-dslam): GeM/ResNet-101 @480x640, SuperPoint @480x640,
-    SuperPoint @120x160 (the resolution the SuperPoint demo runs at on
-    embedded targets), compiled into disjoint DDR windows."""
+    SuperPoint @120x160 (:func:`~repro.zoo.build_superpoint_qqvga`),
+    compiled into disjoint DDR windows."""
     gem, superpoint_vga, superpoint_small = compile_tasks(
         [
             build_gem(TensorShape(480, 640, 3)),
             build_superpoint(TensorShape(480, 640, 1), head="detector"),
-            build_superpoint(TensorShape(120, 160, 1), head="detector"),
+            build_superpoint_qqvga(),
         ],
         big_config,
         weights="zeros",

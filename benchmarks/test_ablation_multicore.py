@@ -1,11 +1,12 @@
 """Ablation — multi-core multi-tasking (the paper's §VI future work).
 
-Deploys the DSLAM pair (SuperPoint FE at 20 fps, GeM PR continuously) on:
-one pre-emptive core (the paper's system), two statically-partitioned cores,
-and two dynamically-dispatched cores.  Shows the trade the paper's future
-work would explore: spatial isolation zeroes FE response latency but leaves
-silicon idle; the single pre-emptive core achieves full utilisation at a
-response cost of tens of microseconds.
+Deploys the DSLAM pair (SuperPoint@120x160 FE at 20 fps, GeM PR queued at
+the start) as three :class:`~repro.farm.Farm` days: one pre-emptive node
+(the paper's system), two statically partitioned nodes, and two nodes fed
+at arrival.  Shows the trade the paper's future work would explore:
+spatial isolation zeroes FE response latency but leaves silicon idle; the
+single pre-emptive core achieves full utilisation at a response cost of
+tens of microseconds.  The 1-core and static rows are pinned to the cycle.
 """
 
 from __future__ import annotations
@@ -13,17 +14,14 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_result
+from repro.analysis.experiments import experiment_multicore
 from repro.dslam.camera import frame_period_cycles
-from repro.multicore import compare_deployments
 
 
 @pytest.fixture(scope="module")
-def scaling_result(paper_workloads, big_config):
-    gem, _, superpoint_small = paper_workloads
+def scaling_result(big_config):
     period = frame_period_cycles(big_config.clock.hz, 20.0)
-    return compare_deployments(
-        superpoint_small, gem, high_period_cycles=period, high_count=12, low_count=2
-    )
+    return experiment_multicore(big_config, "superpoint_qqvga", "gem", period, 12, 2)
 
 
 def test_multicore_table(benchmark, scaling_result):
@@ -31,24 +29,25 @@ def test_multicore_table(benchmark, scaling_result):
     write_result("ablation_multicore", scaling_result.format())
 
 
-def test_single_core_meets_deadlines(benchmark, scaling_result):
-    benchmark(lambda: scaling_result.rows[0])
-    single = scaling_result.row("1-core (INCA, pre-emptive)")
+def test_single_core_row(benchmark, scaling_result):
+    single = benchmark(scaling_result.row, "1-core (INCA, pre-emptive)")
     assert single.high_deadline_misses == 0
-    # FE response on the shared core stays in the tens-of-us regime.
-    assert single.high_mean_response_cycles / 300 < 500  # < 500 us
+    assert single.high_mean_response_cycles == pytest.approx(115_900 / 12)  # 12 FE jobs: 32.2 us
+    assert single.makespan_cycles == 226_703_560
+    assert single.core_busy_cycles == (226_703_560,)  # 100 % utilisation
 
 
-def test_spatial_isolation_zero_response(benchmark, scaling_result):
-    benchmark(lambda: scaling_result.rows[1])
-    spatial = scaling_result.row("2-core (spatial isolation)")
+def test_spatial_isolation_row(benchmark, scaling_result):
+    spatial = benchmark(scaling_result.row, "2-core (spatial isolation)")
     assert spatial.high_mean_response_cycles == 0
+    assert spatial.makespan_cycles == 197_886_800
+    assert spatial.core_busy_cycles == (28_464_672, 197_886_800)
     single = scaling_result.row("1-core (INCA, pre-emptive)")
     assert spatial.utilisation() < single.utilisation()
 
 
-def test_two_cores_shrink_makespan(benchmark, scaling_result):
-    benchmark(lambda: scaling_result.rows)
-    single = scaling_result.row("1-core (INCA, pre-emptive)")
-    spatial = scaling_result.row("2-core (spatial isolation)")
-    assert spatial.makespan_cycles < single.makespan_cycles
+def test_dynamic_dispatch_row(benchmark, scaling_result):
+    dynamic = benchmark(scaling_result.row, "2-core (dynamic dispatch)")
+    assert dynamic.makespan_cycles == 167_372_056
+    assert dynamic.high_deadline_misses == 0
+    assert dynamic.low_jobs_completed == 2

@@ -1,30 +1,30 @@
 #!/usr/bin/env python
 """Multi-core multi-tasking — the paper's §VI future work, explored.
 
-Deploys the DSLAM pair (high-priority FE at 20 fps + low-priority PR) on
-three alternatives and prints the trade-off table:
+Deploys the DSLAM pair (high-priority FE + low-priority PR) as three farm
+days (:func:`repro.analysis.experiments.experiment_multicore`) and prints the
+trade-off table:
 
 * 1 pre-emptive core — the paper's INCA system,
 * 2 cores with static task placement — spatial isolation,
-* 2 cores with least-loaded dynamic dispatch.
+* 2 cores fed at arrival — each job to an idle core if there is one.
 
 Spatial isolation zeroes the FE response latency but strands silicon; the
 single interruptible core runs at full utilisation for a response cost of
-tens of microseconds.  Run with ``--small`` (default) for tiny stand-in
-networks or ``--full`` for SuperPoint + GeM (minutes).
+tens of microseconds.  By default tiny stand-in networks run (FE every
+three FE estimates); ``--full`` runs SuperPoint@120x160 at 20 fps + GeM.
 """
 
 from __future__ import annotations
 
 import argparse
 
+from repro.analysis.experiments import experiment_multicore
+from repro.compiler import compile_network
 from repro.dslam.camera import frame_period_cycles
+from repro.estimate import estimate_service_cycles
 from repro.hw.config import AcceleratorConfig
-from repro.interrupt import VIRTUAL_INSTRUCTION, run_alone
-from repro.multicore import compare_deployments
-from repro.nn import TensorShape
-from repro.runtime import compile_tasks
-from repro.zoo import build_gem, build_superpoint, build_tiny_cnn, build_tiny_conv
+from repro.zoo import build_tiny_conv
 
 
 def main() -> None:
@@ -35,24 +35,14 @@ def main() -> None:
 
     config = AcceleratorConfig.big()
     if args.full:
-        high_net = build_superpoint(TensorShape(120, 160, 1), head="detector")
-        low_net = build_gem(TensorShape(480, 640, 3))
-        high_count, low_count = 12, 2
-    else:
-        high_net, low_net = build_tiny_conv(), build_tiny_cnn()
-        high_count, low_count = 20, 6
-
-    print(f"compiling FE={high_net.name}, PR={low_net.name}...")
-    high, low = compile_tasks([high_net, low_net], config, weights="zeros")
-
-    if args.full:
+        fe, pr, fe_count, pr_count = "superpoint_qqvga", "gem", 12, 2
         period = frame_period_cycles(config.clock.hz, 20.0)
     else:
-        period = run_alone(high, VIRTUAL_INSTRUCTION) * 3
+        fe, pr, fe_count, pr_count = "tiny_conv", "tiny_cnn", 20, 6
+        period = 3 * estimate_service_cycles(config, compile_network(build_tiny_conv(), config))
 
-    result = compare_deployments(
-        high, low, high_period_cycles=period, high_count=high_count, low_count=low_count
-    )
+    print(f"serving FE={fe} every {period} cycles, PR={pr}...")
+    result = experiment_multicore(config, fe, pr, period, fe_count, pr_count)
     print()
     print(result.format())
     print()

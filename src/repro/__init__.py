@@ -5,10 +5,10 @@ zoo, 8-bit quantization, the original and virtual-instruction ISAs, a
 cycle-approximate Angel-Eye-style accelerator simulator, the Instruction
 Arrangement Unit (IAU), three interrupt methods (CPU-like, layer-by-layer,
 virtual-instruction), a preemptive multi-task runtime, a ROS-like
-discrete-event middleware, a synthetic two-agent DSLAM application, the
-paper's future-work multi-core extension, and a multi-tenant accelerator
-farm (``repro.farm``: heterogeneous nodes, seeded tenant traffic, and a
-PREMA-style predictive scheduler vs FCFS/static-partition baselines), and
+discrete-event middleware, a synthetic two-agent DSLAM application, a
+multi-tenant accelerator farm (``repro.farm``: heterogeneous nodes, seeded
+tenant traffic, and a PREMA-style predictive scheduler vs FCFS/static-partition
+baselines; it also runs the paper's future-work multi-core ablation), and
 a durable serving gateway (``repro.serve``: journaled jobs, full-system
 snapshot/restore, and kill-9 crash recovery).
 

@@ -1,4 +1,4 @@
-"""Experiment drivers: one function per paper table/figure (E1-E9).
+"""Experiment drivers: one function per paper table/figure (E1-E9, A3).
 
 Each driver returns structured results and offers a formatted rendering, so
 the benchmark suite, the examples and EXPERIMENTS.md all share one source of
@@ -13,6 +13,8 @@ them with small models while the benchmarks run the paper's full workloads
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Sequence
 
 from repro.analysis.latency import (
     PARTS,
@@ -22,6 +24,9 @@ from repro.analysis.latency import (
 )
 from repro.analysis.tables import format_table, format_us
 from repro.compiler.compile import CompiledNetwork
+from repro.farm.node import ServiceSpec
+from repro.farm.scheduler import Dispatch, FarmView, StaticPartitionScheduler
+from repro.farm.traffic import Job, SloClass
 from repro.hw.config import AcceleratorConfig
 from repro.hw.resources import ResourceEstimate, resource_table
 from repro.hw.timing import blob_cycles, transfer_cycles
@@ -39,6 +44,8 @@ from repro.interrupt.measure import (
     sample_positions,
 )
 from repro.isa.opcodes import INSTRUCTION_TABLE
+from repro.obs.config import ObsConfig
+from repro.runtime.stats import summarize_jobs
 
 
 # -- E1: interrupt latency & cost at sampled positions (Fig. barresult(a)) ----
@@ -511,3 +518,139 @@ def experiment_latency_ratio(compiled: CompiledNetwork) -> E9Result:
         layer_mean_cycles=layer.mean_cycles,
         vi_mean_parts=vi.mean_parts,
     )
+
+
+# -- A3: multi-core multi-tasking (the paper's §VI future work) ----------------------
+
+
+@dataclass(frozen=True)
+class ScalingRow:
+    """One deployment's outcome."""
+
+    label: str
+    num_cores: int
+    placement: str
+    high_mean_response_cycles: float
+    high_max_turnaround_cycles: int
+    high_deadline_misses: int
+    low_jobs_completed: int
+    makespan_cycles: int
+    core_busy_cycles: tuple[int, ...]
+
+    def utilisation(self) -> float:
+        return sum(self.core_busy_cycles) / (self.num_cores * self.makespan_cycles)
+
+
+@dataclass(frozen=True)
+class ScalingResult:
+    rows: list[ScalingRow]
+    clock_hz: float
+
+    def row(self, label: str) -> ScalingRow:
+        for candidate in self.rows:
+            if candidate.label == label:
+                return candidate
+        raise KeyError(f"no deployment {label!r}")
+
+    def format(self) -> str:
+        table = []
+        for row in self.rows:
+            table.append(
+                [
+                    row.label,
+                    row.num_cores,
+                    row.placement,
+                    f"{row.high_mean_response_cycles * 1e6 / self.clock_hz:.1f} us",
+                    row.high_deadline_misses,
+                    row.low_jobs_completed,
+                    f"{row.makespan_cycles * 1e3 / self.clock_hz:.1f} ms",
+                    f"{row.utilisation() * 100:.0f}%",
+                ]
+            )
+        return format_table(
+            ["deployment", "cores", "placement", "FE mean response", "FE misses",
+             "PR jobs done", "makespan", "utilisation"],
+            table,
+            title="Multi-core multi-tasking (paper future work)",
+        )
+
+
+class _AtArrival:
+    """Every job handed over at its arrival: to an idle node if one exists,
+    else to the node with the fewest unfinished jobs by estimate, ties to the
+    lower index.  A busy node's IAU pre-empts or queues: the farm simulates it."""
+
+    name = "at-arrival"
+
+    def dispatch(self, jobs: Sequence[Job], view: FarmView) -> list[Dispatch]:
+        nodes = range(view.num_nodes)
+        # Estimated completions per node, FIFO, after the cycle it frees up.
+        ends = [[free] for free in view.available]
+        plan = []
+        for job in jobs:
+            now = job.arrival_cycle
+            node = min(nodes, key=lambda n: (sum(end > now for end in ends[n]), n))
+            ends[node].append(max(now, ends[node][-1]) + view.estimate(node, job.service))
+            plan.append(Dispatch(job, node, now))
+        return plan
+
+
+def _fe_pr_day(
+    fe_model: str, pr_model: str, period_cycles: int, fe_count: int, pr_count: int
+) -> tuple[tuple[ServiceSpec, ServiceSpec], list[Job]]:
+    """A3's services and jobs, in arrival order: FE (rank 0, deadline one
+    period) arrives every period, ``fe_count`` times; PR (rank 1) has
+    ``pr_count`` jobs queued at cycle 0."""
+    services = (
+        ServiceSpec("fe", fe_model, SloClass("gold", rank=0, weight=8.0,
+                                             deadline_cycles=period_cycles)),
+        ServiceSpec("pr", pr_model, SloClass("best-effort", rank=1, weight=1.0,
+                                             deadline_cycles=period_cycles * fe_count)),
+    )
+    jobs = [Job(index * period_cycles, index, 0, 0) for index in range(fe_count)]
+    jobs += [Job(0, fe_count + index, 1, 1) for index in range(pr_count)]
+    return services, sorted(jobs, key=attrgetter("arrival_cycle", "job_id"))
+
+
+def experiment_multicore(
+    config: AcceleratorConfig,
+    fe_model: str,
+    pr_model: str,
+    period_cycles: int,
+    fe_count: int = 20,
+    pr_count: int = 4,
+) -> ScalingResult:
+    """A3: one pre-emptive core vs two spatially isolated cores vs two cores
+    fed at arrival, each a :class:`~repro.farm.Farm` day of :func:`_fe_pr_day`
+    whose node systems (per-node obs simulates every node) give its row."""
+    from repro.farm.farm import Farm  # repro.farm imports this package: late
+
+    services, jobs = _fe_pr_day(fe_model, pr_model, period_cycles, fe_count, pr_count)
+    deployments = [
+        ("1-core (INCA, pre-emptive)", "static", _AtArrival(), 1),
+        ("2-core (spatial isolation)", "static", StaticPartitionScheduler(), 2),
+        ("2-core (dynamic dispatch)", "least-loaded", _AtArrival(), 2),
+    ]
+    rows = []
+    for label, placement, scheduler, cores in deployments:
+        farm = Farm([config] * cores, services, scheduler, obs=ObsConfig())
+        farm.serve(jobs)
+        systems = farm.node_systems
+        assert systems is not None and None not in systems
+        high = [job for system in systems for job in system.jobs(0)]
+        stats = summarize_jobs(0, high, deadline_cycles=period_cycles)
+        rows.append(ScalingRow(
+            label=label,
+            num_cores=cores,
+            placement=placement,
+            high_mean_response_cycles=stats.mean_response,
+            high_max_turnaround_cycles=stats.max_turnaround,
+            high_deadline_misses=stats.deadline_misses,
+            low_jobs_completed=sum(len(system.jobs(1)) for system in systems),
+            makespan_cycles=max(system.clock for system in systems),
+            core_busy_cycles=tuple(
+                sum(context.busy_cycles for context in system.iau.contexts if context)
+                for system in systems
+            ),
+        ))
+    return ScalingResult(rows=rows, clock_hz=config.clock.hz)

@@ -89,7 +89,6 @@ class Iau(Stateful):
         mode: str = "virtual",
         *,
         bus: EventBus | None = None,
-        obs_scope: str | None = None,
         faults: FaultPlan | None = None,
         qos: QosConfig | None = None,
         admission: AdmissionController | None = None,
@@ -100,9 +99,6 @@ class Iau(Stateful):
         self.config = core.config
         self.mode = mode
         self.bus = bus
-        self.obs_scope = obs_scope
-        if bus is not None and core.bus is None:
-            core.bus = bus
         self.clock = 0
         self.contexts: list[TaskContext | None] = [None] * MAX_TASKS
         #: The attached slots in (priority, slot) order (:meth:`_winner`).
@@ -224,8 +220,6 @@ class Iau(Stateful):
         """Emit one bus event stamped at the IAU clock (callers gate on bus)."""
         bus = self.bus
         assert bus is not None  # every call site checks the bus first
-        if self.obs_scope is not None:
-            kwargs["scope"] = self.obs_scope
         cycle = kwargs.pop("cycle", self.clock)
         task_id = kwargs.pop("task_id", None)
         layer_id = kwargs.pop("layer_id", None)
@@ -529,9 +523,6 @@ class Iau(Stateful):
         assert bus is not None  # callers gate on an armed bus
         base = self.clock - meta.cum[start]
         fetch = meta.fetch
-        scope: dict[str, str] = (
-            {} if self.obs_scope is None else {"scope": self.obs_scope}
-        )
         upcoming = iter(stalls)
         stall_at = next(upcoming, stop)
         for j in range(start, stop):
@@ -543,8 +534,7 @@ class Iau(Stateful):
             if direction is not None:
                 # Mirror the step-wise path exactly: _execute() advances the
                 # bus (max-only) and the core stamps the fault and the burst
-                # at the *bus* clock, which on a shared multi-core bus may
-                # already sit past this core's local clock.
+                # at the *bus* clock.
                 bus.advance(cycle)
                 if j == stall_at:
                     stall = self._stall(meta, j)
@@ -568,7 +558,6 @@ class Iau(Stateful):
                 duration=cycles,
                 opcode=opcode_name,
                 program_index=j,
-                **scope,
             )
 
     # -- switching ------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exporters: Chrome trace, JSON lines, plain-text summary.
 
 All three consume the same bus event stream (`EventBus` or a plain event
-list), so any instrumented run — single task, preemptive multi-task,
-multi-core, full DSLAM — exports the same way.
+list), so any instrumented run — single task, preemptive multi-task, a
+farm node, full DSLAM — exports the same way.
 """
 
 from __future__ import annotations

@@ -104,8 +104,6 @@ class InvariantMonitor(Stateful):
     def handle(self, event: Event) -> None:
         if event.kind is EventKind.INVARIANT_VIOLATION:
             return  # our own mirror events; never re-check them
-        if event.data.get("scope") is not None:
-            return  # multi-core scoped streams interleave clocks; skip
         self._check_monotonic(event)
         kind = event.kind
         if kind is EventKind.DDR_BURST:

@@ -142,91 +142,7 @@ def decode_requests(column: array[int]) -> list[TimedRequest]:
     return list(map(TimedRequest, fields, fields, fields))
 
 
-class SubmitSurface:
-    """The :class:`ArrivalPolicy` request-injection surface.
-
-    One implementation shared by :class:`MultiTaskSystem` and
-    :class:`~repro.multicore.system.MultiCoreSystem`: subclasses provide
-    the primitive hooks (attachment check, current clock, per-task
-    busy/pending state) and inherit the full policy surface and the
-    request heap it fills.
-    """
-
-    _requests: list[TimedRequest]
-    _sequence: int
-    #: Undelivered requests per task (keeps NOW_IF_FREE cheap).
-    _pending: dict[int, int]
-
-    def _has_task(self, task_id: int) -> bool:
-        raise NotImplementedError
-
-    def _submit_clock(self) -> int:
-        """The clock a NOW_IF_FREE request is stamped with; nothing can be
-        submitted before it."""
-        raise NotImplementedError
-
-    def _task_busy(self, task_id: int) -> bool:
-        """Whether the task has work pending, queued, or running."""
-        raise NotImplementedError
-
-    def _schedule(self, task_id: int, at_cycle: int) -> None:
-        now = self._submit_clock()
-        if at_cycle < now:
-            raise SchedulerError(f"cannot submit in the past (at {at_cycle}, clock {now})")
-        # C-level construction: no Python-level ``__new__`` per request.
-        request = tuple.__new__(TimedRequest, (at_cycle, self._sequence, task_id))
-        heappush(self._requests, request)
-        self._sequence += 1
-        self._pending[task_id] += 1
-
-    def submit(
-        self,
-        task_id: int,
-        at_cycle: int = 0,
-        *,
-        policy: ArrivalPolicy = ArrivalPolicy.AT,
-        period_cycles: int | None = None,
-        count: int | None = None,
-    ) -> bool:
-        """Schedule inference request(s) for ``task_id``.
-
-        * ``policy=AT`` (default) — one request at ``at_cycle``;
-        * ``policy=NOW_IF_FREE`` — submit at the current clock unless the
-          task already has work pending or running (returns whether the
-          request was accepted);
-        * ``policy=PERIODIC`` — ``count`` requests ``period_cycles`` apart,
-          the first at ``at_cycle``.
-
-        Returns True when at least one request was scheduled.
-        """
-        if not self._has_task(task_id):
-            raise SchedulerError(f"no task attached at slot {task_id}")
-        if policy is ArrivalPolicy.AT:
-            if period_cycles is not None or count is not None:
-                raise SchedulerError("period_cycles/count require policy=PERIODIC")
-            self._schedule(task_id, at_cycle)
-            return True
-        if policy is ArrivalPolicy.NOW_IF_FREE:
-            if period_cycles is not None or count is not None:
-                raise SchedulerError("period_cycles/count require policy=PERIODIC")
-            if self._task_busy(task_id):
-                return False
-            self._schedule(task_id, self._submit_clock())
-            return True
-        if policy is ArrivalPolicy.PERIODIC:
-            if period_cycles is None or count is None:
-                raise SchedulerError("policy=PERIODIC requires period_cycles and count")
-            if period_cycles <= 0:
-                raise SchedulerError(f"period must be positive, got {period_cycles}")
-            if count <= 0:
-                raise SchedulerError(f"count must be positive, got {count}")
-            for index in range(count):
-                self._schedule(task_id, at_cycle + index * period_cycles)
-            return True
-        raise SchedulerError(f"unknown arrival policy {policy!r}")  # pragma: no cover
-
-
-class MultiTaskSystem(SubmitSurface, Stateful):
+class MultiTaskSystem(Stateful):
     """One accelerator, up to four prioritised tasks, timed job arrivals."""
 
     #: Scheduler bookkeeping; the request heap is a column field, captured
@@ -287,10 +203,11 @@ class MultiTaskSystem(SubmitSurface, Stateful):
         self.degradation = degradation
         #: Requests shed by the degradation policy, per task.
         self.shed: dict[int, int] = {}
-        self._requests = []
+        self._requests: list[TimedRequest] = []
         self._sequence = 0
         self._task_ids: list[int] = []
-        self._pending = {}
+        #: Undelivered requests per task (keeps NOW_IF_FREE cheap).
+        self._pending: dict[int, int] = {}
 
     # -- setup -------------------------------------------------------------
 
@@ -326,16 +243,61 @@ class MultiTaskSystem(SubmitSurface, Stateful):
             for region in compiled.layout.ddr.regions():
                 self.monitor.own_region(region.name, task_id)
 
-    # -- request injection (submit() inherited from SubmitSurface) -----------
+    # -- request injection ---------------------------------------------------
 
-    def _has_task(self, task_id: int) -> bool:
-        return task_id in self._task_ids
+    def _schedule(self, task_id: int, at_cycle: int) -> None:
+        now = self.iau.clock
+        if at_cycle < now:
+            raise SchedulerError(f"cannot submit in the past (at {at_cycle}, clock {now})")
+        # C-level construction: no Python-level ``__new__`` per request.
+        request = tuple.__new__(TimedRequest, (at_cycle, self._sequence, task_id))
+        heappush(self._requests, request)
+        self._sequence += 1
+        self._pending[task_id] += 1
 
-    def _submit_clock(self) -> int:
-        return self.iau.clock
+    def submit(
+        self,
+        task_id: int,
+        at_cycle: int = 0,
+        *,
+        policy: ArrivalPolicy = ArrivalPolicy.AT,
+        period_cycles: int | None = None,
+        count: int | None = None,
+    ) -> bool:
+        """Schedule inference request(s) for ``task_id``.
 
-    def _task_busy(self, task_id: int) -> bool:
-        return bool(self.iau.context(task_id).runnable or self._pending[task_id])
+        * ``policy=AT`` (default) — one request at ``at_cycle``;
+        * ``policy=NOW_IF_FREE`` — submit at the current clock unless the
+          task already has work pending, queued or running (returns whether
+          the request was accepted);
+        * ``policy=PERIODIC`` — ``count`` requests ``period_cycles`` apart,
+          the first at ``at_cycle``.
+
+        Returns True when at least one request was scheduled.  Nothing can
+        be submitted before the IAU clock.
+        """
+        if task_id not in self._task_ids:
+            raise SchedulerError(f"no task attached at slot {task_id}")
+        if policy is ArrivalPolicy.PERIODIC:
+            if period_cycles is None or count is None:
+                raise SchedulerError("policy=PERIODIC requires period_cycles and count")
+            if period_cycles <= 0:
+                raise SchedulerError(f"period must be positive, got {period_cycles}")
+            if count <= 0:
+                raise SchedulerError(f"count must be positive, got {count}")
+            for index in range(count):
+                self._schedule(task_id, at_cycle + index * period_cycles)
+            return True
+        if period_cycles is not None or count is not None:
+            raise SchedulerError("period_cycles/count require policy=PERIODIC")
+        if policy is ArrivalPolicy.NOW_IF_FREE:
+            if self._pending[task_id] or self.iau.context(task_id).runnable:
+                return False
+            at_cycle = self.iau.clock
+        elif policy is not ArrivalPolicy.AT:
+            raise SchedulerError(f"unknown arrival policy {policy!r}")  # pragma: no cover
+        self._schedule(task_id, at_cycle)
+        return True
 
     # -- simulation ---------------------------------------------------------------
 

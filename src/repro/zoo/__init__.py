@@ -8,6 +8,7 @@ from repro.zoo.superpoint import (
     DESCRIPTOR_DIM,
     DETECTOR_CHANNELS,
     build_superpoint,
+    build_superpoint_qqvga,
     superpoint_cell_size,
 )
 from repro.zoo.tiny import (
@@ -29,6 +30,7 @@ __all__ = [
     "build_resnet",
     "build_resnet101",
     "build_superpoint",
+    "build_superpoint_qqvga",
     "build_tiny_cnn",
     "build_tiny_conv",
     "build_tiny_residual",

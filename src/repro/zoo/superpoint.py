@@ -63,6 +63,12 @@ def build_superpoint(
     return builder.build()
 
 
+def build_superpoint_qqvga() -> NetworkGraph:
+    """The detector head at 120x160, as the SuperPoint demo runs on embedded
+    targets (the FE of A3 and of the benchmarks)."""
+    return build_superpoint(TensorShape(120, 160, 1), head="detector")
+
+
 def superpoint_cell_size() -> int:
     """Down-sampling factor between image and detector-head cells (8)."""
     return 2 ** (len(_ENCODER) - 1)

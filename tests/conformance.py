@@ -1,16 +1,14 @@
 """The engine's exactness contract, stated once: a matrix of cells.
 
 A :class:`Cell` is one way to drive one workload: the driver
-(``MultiTaskSystem``, ``MultiCoreSystem`` static / least-loaded / with one
-core, the ROS ``Executor``, the DSLAM agents), the program variant, the IAU
-discipline, what is armed, timing-only or functional cores, a fresh compile
-or a ``CompileCache`` hit, and how the run advances: once, in chunked
-``until_cycle`` pauses, or resumed from a snapshot (``capture_state`` ->
-pickle -> ``restore_state``, or ``snapshot_system`` / ``restore_system``
-through a file).  Every cell runs on the batched engine and must equal its
-*golden*: the same workload and seed, stepped (:func:`stepped`), freshly
-compiled and run once.  A one-core ``MultiCoreSystem`` is held to the
-``MultiTaskSystem`` golden on clock, job records and core stats.  Each
+(``MultiTaskSystem``, the ROS ``Executor``, the DSLAM agents), the program
+variant, the IAU discipline, what is armed, timing-only or functional
+cores, a fresh compile or a ``CompileCache`` hit, and how the run
+advances: once, in chunked ``until_cycle`` pauses, or resumed from a
+snapshot (``capture_state`` -> pickle -> ``restore_state``, or
+``snapshot_system`` / ``restore_system`` through a file).  Every cell runs
+on the batched engine and must equal its *golden*: the same workload and
+seed, stepped (:func:`stepped`), freshly compiled and run once.  Each
 golden is computed live by stepping the same driver, so it is itself held
 to a :func:`digest` pinned from a reference checkout (the ``golden`` pin
 of ``tests/pins.py``, ``tests/data/golden_digests.json``): a change to a
@@ -57,7 +55,6 @@ from repro.faults.campaign import default_rates
 from repro.hw.config import AcceleratorConfig
 from repro.iau.fastpath import BATCH_FAULT_SITES
 from repro.iau.unit import Iau
-from repro.multicore import MultiCoreSystem
 from repro.obs.config import ObsConfig
 from repro.qos import AdmissionPolicy, QosConfig
 from repro.qos.config import BackpressureProfile
@@ -77,8 +74,7 @@ def stepped(patch: pytest.MonkeyPatch) -> None:
 # -- the axes -----------------------------------------------------------------
 
 AXES: dict[str, tuple] = {
-    "driver": ("runtime", "multicore-static", "multicore-least-loaded", "multicore-1",
-               "ros", "dslam"),
+    "driver": ("runtime", "ros", "dslam"),
     "variant": ("vi", "layer", "none"),
     "iau": ("virtual", "cpu"),
     "armed": ("off", "obs", "faults", "qos", "all", "backpressure"),
@@ -100,9 +96,6 @@ ARMED = {
     "backpressure": {"events", "faults", "backpressure"},
 }
 RESUMED = ("pickled", "disk")
-#: What a one-core ``MultiCoreSystem`` shares with the ``MultiTaskSystem``
-#: golden (its events carry a ``core0`` scope, its stats sit per core).
-ONE_CORE = ("crash", "clock", "jobs", "stats", "outputs")
 
 
 @dataclass(frozen=True, order=True)
@@ -125,18 +118,15 @@ class Cell:
 
 def valid(cell: Cell) -> bool:
     """Whether ``cell`` exists; each clause names why a combination does not."""
-    multicore = cell.driver.startswith("multicore")
     armed = ARMED[cell.armed]
     return not (
-        # capture_state refuses an on_complete hook (every ROS executor sets
-        # one) and MultiCoreSystem has no capture at all.
+        # capture_state refuses an on_complete hook (every ROS executor,
+        # the DSLAM agents' included, sets one).
         (cell.advance in RESUMED and cell.driver != "runtime")
-        # MultiCoreSystem.run has no until_cycle.
-        or (cell.advance == "chunked" and multicore)
         # Backpressure is a ROS topic profile.
         or ("backpressure" in armed and cell.driver not in ("ros", "dslam"))
-        # Neither MultiCoreSystem nor DslamScenario takes a QosConfig.
-        or ("qos" in armed and (multicore or cell.driver == "dslam"))
+        # DslamScenario takes no QosConfig.
+        or ("qos" in armed and cell.driver == "dslam")
         # build_agent wires vi programs on the virtual discipline, and the
         # agents never load an input a functional core could compute on.
         or (cell.driver == "dslam" and (cell.variant, cell.iau, cell.core)
@@ -199,7 +189,7 @@ ROUND_TRIP_RATES = {
     FaultSite.JOB_OVERRUN: 0.1,
 }
 FRAMES = "frames"
-#: The high-priority arrival of the pinned one-core cells, by seed.
+#: The high-priority arrival of the pinned arrival cells, by seed.
 ARRIVALS = range(0, 40_001, 4_000)
 
 
@@ -451,9 +441,6 @@ WORKLOADS = {
     "single-jobs": Workload(
         scheduled(HIGH_LOW, lambda seed: [(1, 0), (0, 2_000 + 500 * seed)]), preempts=True
     ),
-    "two-cores": Workload(
-        scheduled(HIGH_LOW, lambda _: every(0, 0, 9_000, 4) + every(1, 2_000, 7_000, 5))
-    ),
     "arrival": Workload(
         scheduled(HIGH_LOW, lambda seed: [(1, 0), (0, ARRIVALS[seed % len(ARRIVALS)])])
     ),
@@ -549,13 +536,7 @@ def build(cell: Cell) -> Subject:
     armed = ARMED[cell.armed]
     plan = work.plan(cell.seed) if "faults" in armed else None
     subject = Subject(nets=networks, plan=plan)
-    if cell.driver.startswith("multicore"):
-        placement = cell.driver.removeprefix("multicore-")
-        subject.systems.append(MultiCoreSystem(
-            CONFIG, 1 if placement == "1" else 2, cell.iau,
-            "static" if placement == "1" else placement, obs=obs_config(cell), faults=plan,
-        ))
-    elif cell.driver != "dslam":  # agents() builds a system per agent
+    if cell.driver != "dslam":  # agents() builds a system per agent
         subject.systems.append(MultiTaskSystem(
             CONFIG, cell.iau, obs=obs_config(cell), faults=plan,
             qos=work.qos if "qos" in armed else None, degradation=work.degradation,
@@ -570,10 +551,6 @@ def build(cell: Cell) -> Subject:
 # -- running and observing ------------------------------------------------------
 
 
-def iaus(system) -> list[Iau]:
-    return system.cores if isinstance(system, MultiCoreSystem) else [system.iau]
-
-
 def surface(system) -> dict:
     """One system's observable state."""
 
@@ -581,14 +558,15 @@ def surface(system) -> dict:
         part = getattr(system, name, None)
         return None if part is None else read(part)
 
+    iau = system.iau
     return {
-        "clock": max(iau.clock for iau in iaus(system)),
+        "clock": iau.clock,
         "jobs": [
             [asdict(job) for job in context.completed]
-            for iau in iaus(system) for context in iau.contexts if context is not None
+            for context in iau.contexts if context is not None
         ],
-        "stats": [asdict(iau.core.stats) for iau in iaus(system)],
-        "iau": [{name: getattr(iau, name) for name in Iau.STATE} for iau in iaus(system)],
+        "stats": [asdict(iau.core.stats)],
+        "iau": [{name: getattr(iau, name) for name in Iau.STATE}],
         "events": optional("bus", lambda bus: list(bus.events)),
         "faults": optional("faults", lambda plan: list(plan.injected)),
         "pending_flips": system.ddr.pending_flip_count,
@@ -653,7 +631,7 @@ def run_cell(cell: Cell, golden: Subject | None = None) -> Subject:
         subject.crash = f"{type(exc).__name__}: {exc}"
     subject.observed = observe(subject, cell.core == "functional")
     subject.counts = sum(
-        (Counter(iau.dispatch_counts) for system in subject.systems for iau in iaus(system)),
+        (Counter(system.iau.dispatch_counts) for system in subject.systems),
         Counter(),
     )
     return subject
@@ -662,7 +640,6 @@ def run_cell(cell: Cell, golden: Subject | None = None) -> Subject:
 def golden_cell(cell: Cell) -> Cell:
     return replace(
         cell,
-        driver="runtime" if cell.driver == "multicore-1" else cell.driver,
         workload=workload_name(cell),
         artefact="fresh",
         advance="one",
@@ -807,8 +784,7 @@ def check(cell: Cell) -> Subject:
     than it runs jobs."""
     expected = golden(cell)
     subject = run_cell(cell, expected)
-    keys = ONE_CORE if cell.driver == "multicore-1" else expected.observed
-    for key in keys:
+    for key in expected.observed:
         assert subject.observed[key] == expected.observed[key], key
     seen(cell, subject)
 
@@ -818,7 +794,7 @@ def check(cell: Cell) -> Subject:
         assert subject.midrun  # snapshotted mid-run
     if (
         WORKLOADS[workload_name(cell)].preempts
-        and golden_cell(cell).driver == "runtime"
+        and cell.driver == "runtime"
         and (cell.variant != "none" or cell.iau == "cpu")  # interruptible mid-job
     ):
         jobs = sum(len(records) for system in expected.observed["jobs"] for records in system)
@@ -857,8 +833,8 @@ NAMED = {
                    for s in range(20)],
     "snapshot": [Cell("runtime", armed="all", advance=a, seed=11, workload="snapshot")
                  for a in RESUMED],
-    "arrival": [Cell("multicore-1", seed=s, workload="arrival") for s in range(len(ARRIVALS))],
-    "one-core": [Cell("multicore-1", workload="one-core")],
+    "arrival": [Cell("runtime", seed=s, workload="arrival") for s in range(len(ARRIVALS))],
+    "one-core": [Cell("runtime", workload="one-core")],
 }
 
 
@@ -868,8 +844,6 @@ def _pinned() -> list[Cell]:
         for iau in AXES["iau"]
     ]
     cells += [Cell("runtime", "none", armed="obs")]
-    cells += [Cell(f"multicore-{p}", armed="obs", workload="two-cores")
-              for p in ("static", "least-loaded")]
     cells += [Cell("runtime", armed="qos", workload="monitor")]
     cells += [Cell("ros", armed="obs", advance="chunked", seed=s, workload="pause-points")
               for s in range(3)]
@@ -925,7 +899,7 @@ FUNCTIONAL = [
 #: like :data:`FUNCTIONAL`.
 AT_COMPLETION = [
     Cell(driver, armed="obs", workload="at-completion")
-    for driver in ("runtime", "ros", "multicore-least-loaded")
+    for driver in ("runtime", "ros")
 ]
 
 #: Both resumed advances of the ``columns`` workload, each leg batched on
@@ -936,10 +910,17 @@ COLUMN_CODEC = [
     for advance in RESUMED for seed in (0, 1)
 ]
 
+#: A fault cell of the default workload that fires every site the batched
+#: engine hosts, spurious pre-emptions included: the cover's own fault
+#: cells on ``periodic`` need not.  Joined after the cover, like
+#: :data:`FUNCTIONAL`.
+FAULTS_FIRE = [Cell("runtime", armed="faults", advance="disk", seed=3)]
+
 PINNED = _pinned()
 TIER1 = sorted(
     dict.fromkeys(
         PINNED + pairwise_cover(PINNED) + FUNCTIONAL + AT_COMPLETION + COLUMN_CODEC
+        + FAULTS_FIRE
     ),
     key=lambda cell: (golden_cell(cell), cell),
 )

@@ -14,8 +14,8 @@ import pytest
 
 from repro.obs.events import EventKind
 from tests.conformance import (
-    ARMED, AT_COMPLETION, COLUMN_CODEC, FUNCTIONAL, MATRIX, PINNED, TIER1, WORKLOADS, Cell,
-    check, golden, golden_cell, pairs, seen, valid, valid_cells,
+    ARMED, AT_COMPLETION, COLUMN_CODEC, FAULTS_FIRE, FUNCTIONAL, MATRIX, PINNED, TIER1,
+    WORKLOADS, Cell, check, golden, golden_cell, pairs, seen, valid, valid_cells,
 )
 
 
@@ -66,7 +66,7 @@ def test_cells_engage_across_their_seeds():
 
 
 def test_tier1_holds_every_pinned_cell():
-    joined = PINNED + FUNCTIONAL + AT_COMPLETION + COLUMN_CODEC
+    joined = PINNED + FUNCTIONAL + AT_COMPLETION + COLUMN_CODEC + FAULTS_FIRE
     assert set(joined) <= set(TIER1)
     assert all(valid(cell) for cell in joined)
 
@@ -109,9 +109,8 @@ def test_every_valid_pair_occurs_in_a_tier1_cell():
     "cell",
     [
         Cell("ros", advance="pickled"), Cell("dslam", advance="disk"),
-        Cell("multicore-1", advance="pickled"), Cell("multicore-static", advance="chunked"),
-        Cell("runtime", armed="backpressure"), Cell("multicore-least-loaded", armed="qos"),
-        Cell("dslam", armed="all"), Cell("dslam", variant="layer"),
+        Cell("runtime", armed="backpressure"), Cell("dslam", armed="all"),
+        Cell("dslam", variant="layer"),
         Cell("dslam", core="functional"),
     ],
     ids=str,

@@ -92,12 +92,17 @@ class TestVirLoadWPath:
         assert len(system.iau.context(0).completed) == 1
 
 
-class TestMulticoreEquivalenceProperty:
-    def test_one_core_multicore_equals_single_system(self):
-        """Wherever the high-priority job lands in the low one, a 1-core
-        MultiCoreSystem runs exactly as the single-accelerator system."""
+class TestArrivalProperty:
+    def test_batched_equals_stepped_wherever_high_lands(self):
+        """Wherever the high-priority job lands in the low one, the batched
+        runtime runs exactly as its stepped golden."""
         for cell in NAMED["arrival"]:
             check(cell)
+
+    def test_fe_pr_pair_equals_its_stepped_golden(self):
+        """The tiny FE pre-empting the tiny PR (the A3 example's pair):
+        clock, job records, core stats and IAU state."""
+        check(*NAMED["one-core"])
 
 
 class TestProgramEdgeCases:

@@ -41,7 +41,6 @@ from repro.iau.context import JobRecord
 from repro.iau.fastpath import ProgramMeta, build_program_meta
 from repro.iau.unit import Iau
 from repro.isa.opcodes import Opcode
-from repro.multicore.system import MultiCoreSystem
 from repro.obs.config import ObsConfig
 from repro.qos.admission import AdmissionDenied
 from repro.qos.config import QosConfig
@@ -183,20 +182,10 @@ def test_single_core_rejects_past_submission(tiny_cnn_compiled, example_config):
         system.submit(0, at_cycle=0)
 
 
-def test_multicore_rejects_past_submission(tiny_cnn_compiled, example_config):
-    system = MultiCoreSystem(example_config, num_cores=1)
-    system.add_task(0, tiny_cnn_compiled)
-    system.submit(0, at_cycle=0)
-    system.run()
-    assert system.makespan() > 0
-    with pytest.raises(SchedulerError, match="past"):
-        system.submit(0, at_cycle=0)
-
-
-def test_multicore_accepts_future_submission_after_run(
+def test_single_core_accepts_future_submission_after_run(
     tiny_cnn_compiled, example_config
 ):
-    system = MultiCoreSystem(example_config, num_cores=1)
+    system = MultiTaskSystem(example_config)
     system.add_task(0, tiny_cnn_compiled)
     system.submit(0, at_cycle=0)
     first = system.run()

@@ -10,7 +10,6 @@ import pytest
 
 from repro.accel.runner import run_program
 from repro.errors import SchedulerError
-from repro.multicore.system import MultiCoreSystem
 from repro.obs import (
     CallbackSink,
     EventBus,
@@ -130,8 +129,6 @@ class TestObsConfig:
             MultiTaskSystem(low.config, trace=True)
         with pytest.raises(TypeError):  # nor is there an ObsConfig flag for it
             ObsConfig(trace=True)
-        with pytest.raises(TypeError):
-            MultiCoreSystem(low.config, num_cores=1, functional=True)
 
     def test_core_obsconfig_controls_functional(self, tiny_pair):
         from repro.accel.core import AcceleratorCore
@@ -328,31 +325,6 @@ class TestSubmitApi:
         system = self.make_system(tiny_pair)
         assert not hasattr(system, "submit_if_free")
         assert not hasattr(system, "submit_periodic")
-        low, _ = tiny_pair
-        multicore = MultiCoreSystem(low.config, num_cores=1)
-        assert not hasattr(multicore, "submit_periodic")
-
-    def test_multicore_periodic(self, tiny_pair):
-        low, _ = tiny_pair
-        system = MultiCoreSystem(low.config, num_cores=1)
-        system.add_task(0, low, core=0)
-        system.submit(0, policy=ArrivalPolicy.PERIODIC, period_cycles=60_000, count=2)
-        system.submit(0, 30_000, policy=ArrivalPolicy.PERIODIC, period_cycles=60_000, count=1)
-        system.run()
-        assert len(system.jobs(0)) == 3
-
-    def test_multicore_now_if_free_parity(self, tiny_pair):
-        # v2.0 parity: the multi-core dispatcher supports the same
-        # NOW_IF_FREE discipline as the single-core system.
-        low, _ = tiny_pair
-        system = MultiCoreSystem(low.config, num_cores=1)
-        system.add_task(0, low, core=0)
-        assert system.submit(0, policy=ArrivalPolicy.NOW_IF_FREE) is True
-        assert system.submit(0, policy=ArrivalPolicy.NOW_IF_FREE) is False
-        system.run()
-        assert len(system.jobs(0)) == 1
-        # Drained again: the task is free once more.
-        assert system.submit(0, policy=ArrivalPolicy.NOW_IF_FREE) is True
 
 
 class TestRosEvents:
@@ -377,30 +349,6 @@ class TestRosEvents:
         system = MultiTaskSystem(low.config, obs=ObsConfig(events=True))
         executor = Executor(system)
         assert executor.bus is system.bus
-
-
-class TestMulticoreObservability:
-    def test_shared_bus_tags_core_scope(self, tiny_pair):
-        low, high = tiny_pair
-        system = MultiCoreSystem(
-            low.config, num_cores=2, obs=ObsConfig(events=True)
-        )
-        system.add_task(0, high, core=0)
-        system.add_task(1, low, core=1)
-        system.submit(0, 0)
-        system.submit(1, 0)
-        system.run()
-        scopes = {
-            event.data.get("scope")
-            for event in system.bus.of_kind(EventKind.INSTR_RETIRE)
-        }
-        assert scopes == {"core0", "core1"}
-        assert "task" in system.summary()
-
-    def test_multicore_functional_via_obsconfig(self, tiny_pair):
-        low, _ = tiny_pair
-        system = MultiCoreSystem(low.config, num_cores=1, obs=ObsConfig(functional=True))
-        assert system.obs.functional is True
 
 
 class TestPackageSurface:

@@ -427,13 +427,6 @@ class TestInvariantMonitor:
         assert len(mirrored) == 1
         assert mirrored[0].data["check"] == "preempt_pairing"
 
-    def test_scoped_events_are_skipped(self):
-        events = [
-            _retire(100),
-            Event(EventKind.INSTR_RETIRE, cycle=10, task_id=0, data={"scope": "c1"}),
-        ]
-        assert scan_events(events) == []
-
     def test_live_preemptive_run_is_clean(self, example_config, tiny_pair):
         qos = QosConfig(
             admission=AdmissionPolicy.REJECT, queue_depth=3, monitor=True

@@ -6,7 +6,6 @@ from repro.errors import RosError, SchedulerError
 from repro.hw.config import AcceleratorConfig
 from repro.iau.context import JobRecord
 from repro.iau.unit import Iau
-from repro.multicore import MultiCoreSystem
 from repro.obs import EventKind, ObsConfig
 from repro.runtime import (
     ArrivalPolicy,
@@ -129,7 +128,7 @@ def _runtime(tiny_pair):
     system = _system(tiny_pair)
     for task_id, cycle in ((1, 0), (0, 3_000), (1, 150_000), (0, 400_000)):
         system.submit(task_id, cycle)
-    return system.run, True
+    return system.run
 
 
 def _ros(tiny_pair):
@@ -137,22 +136,11 @@ def _ros(tiny_pair):
     for task_id, cycle in ((1, 0), (0, 3_000), (1, 150_000), (0, 400_000)):
         executor.schedule(cycle, lambda task_id=task_id: executor.submit_job(task_id))
     executor.schedule(200_000, lambda: None)  # a dispatch is not engine work
-    return executor.run, True
+    return executor.run
 
 
-def _multicore(tiny_pair):
-    low, high = tiny_pair
-    system = MultiCoreSystem(low.config, 2, placement="least-loaded")
-    system.add_task(0, high)
-    system.add_task(1, low)
-    for task_id, cycle in ((1, 0), (0, 3_000), (1, 5_000), (0, 150_000), (1, 400_000)):
-        system.submit(task_id, cycle)
-    return system.run, False
-
-
-#: Each driver: a builder of ``(run, pausable)`` and its step-limit error.
-DRIVERS = {"runtime": (_runtime, SchedulerError), "ros": (_ros, RosError),
-           "multicore": (_multicore, SchedulerError)}
+#: Each driver: a builder of its ``run`` and its step-limit error.
+DRIVERS = {"runtime": (_runtime, SchedulerError), "ros": (_ros, RosError)}
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
@@ -170,8 +158,8 @@ def test_max_steps_counts_the_engine_calls_that_did_work_per_run(driver, tiny_pa
         return ran
 
     monkeypatch.setattr(Iau, "run_batched", counted)
-    run, pausable = build(tiny_pair)
-    legs = [{"until_cycle": 100_000}, {}] if pausable else [{}]
+    run = build(tiny_pair)
+    legs = [{"until_cycle": 100_000}, {}]
     counts = []
     for leg in legs:
         worked[0] = 0
@@ -179,10 +167,10 @@ def test_max_steps_counts_the_engine_calls_that_did_work_per_run(driver, tiny_pa
         counts.append(worked[0])
     assert min(counts) > 1
 
-    run, _ = build(tiny_pair)
+    run = build(tiny_pair)
     for leg, count in zip(legs, counts):
         run(max_steps=count, **leg)  # exactly enough, per call
-    run, _ = build(tiny_pair)
+    run = build(tiny_pair)
     for leg, count in zip(legs[:-1], counts):
         run(max_steps=count, **leg)
     with pytest.raises(error, match=f"{counts[-1] - 1} steps"):

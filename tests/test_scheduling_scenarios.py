@@ -1,12 +1,16 @@
-"""Scheduling scenario tests: queue pressure, bursts, and scaling."""
+"""Scheduling scenario tests: queue pressure, bursts, and A3's farm days."""
 
 import numpy as np
-import pytest
 
 from repro.accel.reference import golden_output
-from repro.multicore import MultiCoreSystem
+from repro.analysis.experiments import _AtArrival, _fe_pr_day, experiment_multicore
+from repro.estimate import estimate_service_cycles
+from repro.farm import Farm
 from repro.obs import ObsConfig
 from repro.runtime import MultiTaskSystem
+from repro.runtime.stats import summarize_jobs
+from repro.runtime.system import ArrivalPolicy, compile_tasks
+from repro.zoo import build_tiny_cnn, build_tiny_conv
 
 from tests.conftest import random_input
 
@@ -69,34 +73,52 @@ class TestBurstArrivals:
             assert later.start_cycle >= earlier.complete_cycle
 
 
-class TestMulticoreScaling:
-    @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_makespan_never_grows_with_cores(self, tiny_pair, cores):
-        _, high = tiny_pair
-        system = MultiCoreSystem(high.config, num_cores=cores, placement="least-loaded")
-        system.add_task(0, high)
-        for _ in range(8):
-            system.submit(0, 0)
-        makespan = system.run()
-        if not hasattr(TestMulticoreScaling, "_makespans"):
-            TestMulticoreScaling._makespans = {}
-        TestMulticoreScaling._makespans[cores] = makespan
-        baseline = TestMulticoreScaling._makespans.get(1)
-        if baseline is not None:
-            assert makespan <= baseline
+class TestA3OnTheFarm:
+    def test_rows_and_the_at_arrival_plan(self, example_config):
+        """A3 on the example's tiny pair (tiny_conv FE every three FE
+        estimates, tiny_cnn PR queued at 0): the 1-core row is a
+        MultiTaskSystem driven directly, spatial isolation never delays
+        FE, and the at-arrival plan hands every job over at its arrival,
+        to the lowest idle node whenever one exists."""
+        config = example_config
+        fe, pr = compile_tasks([build_tiny_conv(), build_tiny_cnn()], config)
+        period = 3 * estimate_service_cycles(config, fe)
+        fe_count, pr_count = 8, 3
+        result = experiment_multicore(config, "tiny_conv", "tiny_cnn", period, fe_count, pr_count)
 
-    def test_four_cores_quarter_ish_makespan(self, tiny_pair):
-        _, high = tiny_pair
+        direct = MultiTaskSystem(config)
+        direct.add_task(0, fe)
+        direct.add_task(1, pr)
+        direct.submit(0, policy=ArrivalPolicy.PERIODIC, period_cycles=period, count=fe_count)
+        for _ in range(pr_count):
+            direct.submit(1, 0)
+        direct.run()
+        services, jobs = _fe_pr_day("tiny_conv", "tiny_cnn", period, fe_count, pr_count)
+        farm = Farm([config], services, _AtArrival(), obs=ObsConfig())
+        farm.serve(jobs)
+        (node,) = farm.node_systems
+        assert node.clock == direct.clock
+        assert [node.jobs(slot) for slot in (0, 1)] == [direct.jobs(slot) for slot in (0, 1)]
+        stats = summarize_jobs(0, direct.jobs(0), deadline_cycles=period)
+        single = result.row("1-core (INCA, pre-emptive)")
+        assert single.high_mean_response_cycles == stats.mean_response > 0
+        assert single.makespan_cycles == direct.clock
+        assert single.core_busy_cycles == (
+            sum(context.busy_cycles for context in direct.iau.contexts if context),
+        )
 
-        def makespan(cores):
-            system = MultiCoreSystem(
-                high.config, num_cores=cores, placement="least-loaded"
-            )
-            system.add_task(0, high)
-            for _ in range(8):
-                system.submit(0, 0)
-            return system.run()
+        assert result.row("2-core (spatial isolation)").high_mean_response_cycles == 0
 
-        single = makespan(1)
-        quad = makespan(4)
-        assert quad < single / 2.5  # near-linear scaling on independent jobs
+        farm = Farm([config] * 2, services, _AtArrival())
+        free = [0, 0]  # each node's estimated free cycle, FIFO
+        idle_choices = busy_choices = 0
+        for job, chosen, cycle in farm.plan(jobs):
+            assert cycle == job.arrival_cycle
+            idle = [n for n in (0, 1) if free[n] <= cycle]
+            if idle:
+                assert chosen == idle[0], job
+                idle_choices += 1
+            else:
+                busy_choices += 1
+            free[chosen] = max(cycle, free[chosen]) + farm.estimate(chosen, job.service)
+        assert idle_choices and busy_choices  # both branches of the rule ran
