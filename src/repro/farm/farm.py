@@ -8,15 +8,16 @@ served by one loop (:meth:`Farm._serve`), epoch by epoch:
 
 1. **Plan** — the pluggable :class:`~repro.farm.scheduler.Scheduler`
    plans the epoch's arrivals (node, hand-over cycle) using only the
-   stable cycle estimator.  Sequential, fast, deterministic.
+   stable cycle estimator.  Sequential, fast, deterministic.  The plan
+   is read once into int64 columns and checked on them.
 2. **Measure** — every node advances through its hand-overs in
    ``(dispatch_cycle, job_id)`` order: a node whose hand-overs never
-   overlap is answered by its plan, any other (overlapping, hanging, or
-   under per-node obs) is an exact
+   overlap is answered by its plan, in numpy, any other (overlapping,
+   hanging, or under per-node obs) is an exact
    :class:`~repro.runtime.system.MultiTaskSystem` (see
-   :mod:`repro.farm.node`).  A one-epoch day is int64 columns, and one
-   :data:`Measure` call for the nodes to simulate; the resilient loop's
-   nodes persist across epochs (:class:`_InProcessNodes`).
+   :mod:`repro.farm.node`).  A one-epoch day makes one :data:`Measure`
+   call for the nodes to simulate; the resilient loop's simulated nodes
+   persist across epochs (:class:`_InProcessNodes`).
 3. **Harvest** — completions join their hand-overs per slot, FIFO; one
    exactly-once join and one report close the day.
 
@@ -31,8 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from tempfile import TemporaryDirectory
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
@@ -42,11 +43,9 @@ from repro.errors import SchedulerError
 from repro.estimate import estimate_service_cycles
 from repro.farm.metrics import FarmReport, JobOutcome, build_report, join_outcomes
 from repro.farm.node import (
-    NEVER_RUN,
     Int64s,
     NodeAssignment,
     NodeJobResult,
-    PlanNode,
     ServiceSpec,
     answer_plan,
     build_node_system,
@@ -95,25 +94,42 @@ class ServeResult:
 
 
 class NodeBackend(Protocol):
-    """What the resilient serving loop needs of the farm's nodes, epoch by
-    epoch.  :class:`_InProcessNodes` is the one backend (a one-epoch day
-    needs none: see :meth:`Farm._answer`).  The seam is an interface
-    for one reason — ``tests/test_farm_loop.py`` drives the real loop and
-    the real resilience policy over a thirty-line fake (a job completes at
-    ``dispatch_cycle + estimate``; a killed node stops advancing), with no
-    compile and no simulator.
+    """The nodes the resilient serving loop simulates, epoch by epoch: a
+    node whose hand-overs overlap (from its first overlap on), one that
+    hangs, and every node under per-node obs.  The loop answers every
+    other node by its plan.  :class:`_InProcessNodes` is the one backend
+    (a one-epoch day needs none: see :meth:`Farm._answer`).  The seam is
+    an interface for one reason — ``tests/test_farm_loop.py`` drives the
+    real loop and the real resilience policy over a fake that simulates
+    every node (a job completes at ``dispatch_cycle + estimate``; a
+    killed node stops advancing), with no compile and no simulator.
+
+    Hand-overs cross the seam as the plan's ``(4, n)`` int64 columns (job
+    id, service, node, dispatch cycle) in submit order, completions as
+    ``(n, 6)`` int64 result rows (:class:`~repro.farm.node.NodeJobResult`
+    field order).
     """
 
-    def submit(self, dispatch: Dispatch) -> None:
-        """Hand one job over to its node at its dispatch cycle."""
+    def simulates(self, node: int) -> bool:
+        """Whether ``node`` is simulated here."""
 
-    def advance(self, until_cycle: int | None, node: int | None = None) -> None:
-        """Run ``node`` (default: all) to ``until_cycle`` (None: until drained)."""
+    def take(
+        self, node: int, hand_overs: Int64s, harvested: int, until_cycle: int | None
+    ) -> None:
+        """Simulate ``node`` from now on: replay ``hand_overs`` (every one
+        so far, the first ``harvested`` of them already harvested) and run
+        to ``until_cycle``, where the loop last advanced it (None: never)."""
+
+    def submit(self, hand_overs: Int64s) -> None:
+        """Hand jobs over to their (simulated) nodes at their dispatch cycles."""
+
+    def advance(self, until_cycle: int | None, node: int) -> None:
+        """Run ``node`` to ``until_cycle`` (None: until drained)."""
 
     def hang(self, node: int, until_cycle: int) -> None:
         """``node`` does no work before ``until_cycle`` (a transient stall)."""
 
-    def harvest(self) -> list[NodeJobResult]:
+    def harvest(self) -> Int64s:
         """Completions since the last call: by node, then slot, then FIFO."""
 
     def clock(self, node: int) -> int:
@@ -121,88 +137,77 @@ class NodeBackend(Protocol):
 
 
 class _InProcessNodes:
-    """The resilient loop's nodes: persistent, in this process, for any
-    number of epochs, and with per-node obs.  A node is answered by its
-    plan (:class:`~repro.farm.node.PlanNode`) until a hand-over would
-    overlap the previous job; from then on it is simulated: its system
-    replays every hand-over so far, runs to where the node stood, and
-    skips the records already harvested.  Nodes in ``simulated`` (those
-    that hang), or all under obs, are simulated from the start.
-    ``farm.node_systems`` holds each node's system, ``None`` while its plan
-    answers it."""
+    """The resilient loop's simulated nodes: persistent, in this process,
+    for any number of epochs, and with per-node obs.  Nodes in
+    ``simulated`` (those that hang), or all under obs, are simulated from
+    the start; the loop hands any other node over (:meth:`take`) at its
+    first overlap.  ``farm.node_systems`` holds each node's system,
+    ``None`` while its plan answers it."""
 
     def __init__(self, farm: "Farm", simulated: Iterable[int] = ()):
         self._farm = farm
-        networks = [
-            compiled_for_services(config, farm.services) for config in farm.node_configs
-        ]
-        self.systems: list[MultiTaskSystem | None] = [None] * len(networks)
+        count = len(farm.node_configs)
+        self.systems: list[MultiTaskSystem | None] = [None] * count
         farm.node_systems = self.systems
-        self._nodes: list[PlanNode | MultiTaskSystem] = [
-            PlanNode(node, farm.view.estimates[node], compiled, farm.vi_mode)
-            for node, compiled in enumerate(networks)
-        ]
         #: Per node and slot: the ``(job_id, dispatch_cycle)`` hand-overs not
         #: yet completed, and how many completed records are already joined.
         self._pending: list[list[deque[tuple[int, int]]]] = [
-            [deque() for _ in farm.services] for _ in networks
+            [deque() for _ in farm.services] for _ in range(count)
         ]
-        self._joined = [[0] * len(farm.services) for _ in networks]
-        for node in range(len(networks)) if farm.obs is not None else simulated:
-            self._simulate(node)
+        self._joined = [[0] * len(farm.services) for _ in range(count)]
+        empty = np.empty((4, 0), np.int64)
+        for node in range(count) if farm.obs is not None else simulated:
+            self.take(node, empty, 0, None)
 
-    def _simulate(self, node: int) -> MultiTaskSystem:
-        """Hand ``node`` from its plan to a simulated system."""
+    def simulates(self, node: int) -> bool:
+        return self.systems[node] is not None
+
+    def take(
+        self, node: int, hand_overs: Int64s, harvested: int, until_cycle: int | None
+    ) -> None:
         farm = self._farm
-        plan = self._nodes[node]
-        assert isinstance(plan, PlanNode)
-        system = self.systems[node] = self._nodes[node] = build_node_system(
+        system = self.systems[node] = build_node_system(
             farm.node_configs[node], farm.services, farm.vi_mode, obs=farm.obs
         )
-        for index, row in enumerate(plan.rows):
-            system.submit(row.service, row.dispatch_cycle)
-            if index < plan.harvested:
-                self._joined[node][row.service] += 1
+        for index, (job_id, service, _, cycle) in enumerate(hand_overs.T.tolist()):
+            system.submit(service, cycle)
+            if index < harvested:
+                self._joined[node][service] += 1
             else:
-                self._pending[node][row.service].append((row.job_id, row.dispatch_cycle))
-        if plan.last_run is not NEVER_RUN:
-            system.run(until_cycle=plan.last_run)
+                self._pending[node][service].append((job_id, cycle))
+        if until_cycle is not None:
+            system.run(until_cycle=until_cycle)
+
+    def submit(self, hand_overs: Int64s) -> None:
+        for job_id, service, node, cycle in hand_overs.T.tolist():
+            self._system(node).submit(service, cycle)
+            self._pending[node][service].append((job_id, cycle))
+
+    def _system(self, node: int) -> MultiTaskSystem:
+        system = self.systems[node]
+        assert system is not None  # the loop answers the rest
         return system
 
-    def submit(self, dispatch: Dispatch) -> None:
-        job, node, cycle = dispatch
-        each = self._nodes[node]
-        if isinstance(each, PlanNode):
-            if each.submit(job.job_id, job.service, cycle):
-                return
-            each = self._simulate(node)
-        each.submit(job.service, cycle)
-        self._pending[node][job.service].append((job.job_id, cycle))
-
-    def advance(self, until_cycle: int | None, node: int | None = None) -> None:
-        for each in self._nodes if node is None else [self._nodes[node]]:
-            each.run(until_cycle=until_cycle)
+    def advance(self, until_cycle: int | None, node: int) -> None:
+        self._system(node).run(until_cycle=until_cycle)
 
     def hang(self, node: int, until_cycle: int) -> None:
-        system = self._nodes[node]
-        assert isinstance(system, MultiTaskSystem)  # a node that hangs
-        iau = system.iau
+        iau = self._system(node).iau
         iau.clock = max(iau.clock, until_cycle)
 
-    def harvest(self) -> list[NodeJobResult]:
+    def harvest(self) -> Int64s:
         results: list[NodeJobResult] = []
-        for node, each in enumerate(self._nodes):
-            if isinstance(each, PlanNode):
-                results += each.harvest()
+        for node, system in enumerate(self.systems):
+            if system is None:
                 continue
             for service, pending in enumerate(self._pending[node]):
-                records = each.jobs(service)[self._joined[node][service] :]
+                records = system.jobs(service)[self._joined[node][service] :]
                 self._joined[node][service] += len(records)
                 results.extend(join_slot(node, service, pending, records))
-        return results
+        return np.array(results, np.int64).reshape(-1, len(NodeJobResult._fields))
 
     def clock(self, node: int) -> int:
-        return self._nodes[node].clock
+        return self._system(node).clock
 
 
 #: Measures a one-epoch day's overlapping nodes, one :class:`NodeAssignment`
@@ -210,11 +215,22 @@ class _InProcessNodes:
 Measure = Callable[[list[NodeAssignment]], tuple[list[bytes], int]]
 
 
+_NO_PLAN: Int64s = np.empty((4, 0), np.int64)
+_NO_ROWS: Int64s = np.empty((0, len(NodeJobResult._fields)), np.int64)
 _arrival = attrgetter("arrival_cycle")  # of a Job
+_job_id = attrgetter("job_id")
 _arrival_order = attrgetter("arrival_cycle", "job_id")
-_submit_order = attrgetter("dispatch_cycle", "job.job_id")  # of a Dispatch
-#: A Dispatch's int64 plan columns: job id, service, node, dispatch cycle.
-_plan_fields = [attrgetter(f) for f in ("job.job_id", "job.service", "node", "dispatch_cycle")]
+_job, _node, _cycle = (itemgetter(i) for i in range(3))  # of a Dispatch
+_service = attrgetter("service")
+_job_fields = (_job_id, _service, _arrival)
+
+
+class _Plan(list[Dispatch]):
+    """A checked plan: its dispatches, and the same read once into
+    ``(4, n)`` int64 columns in plan order — job id, service, farm-wide
+    node, dispatch cycle."""
+
+    columns: Int64s = _NO_PLAN
 
 
 class Farm:
@@ -288,27 +304,52 @@ class Farm:
         jobs: Sequence[Job],
         nodes: Sequence[int] | None = None,
         available: Sequence[int] | None = None,
-    ) -> list[Dispatch]:
+    ) -> "_Plan":
         """The scheduler's dispatch plan for a job stream, validated.
 
         ``nodes`` offers the scheduler only those farm nodes, each free from
         its ``available`` cycle on — how the serving loop re-plans mid-day on
         the healthy survivors.  Dispatches name farm-wide node indexes.  A
         batch in which two arrivals share a ``job_id`` is refused before
-        anything is planned.
+        anything is planned.  The plan carries its int64 columns
+        (:attr:`_Plan.columns`).
         """
+        self._check_jobs(jobs)
+        plan, planned, columns = self._plan(jobs, nodes, available)
+        checked = _Plan(
+            plan if nodes is None
+            else map(tuple.__new__, repeat(Dispatch), zip(planned, *columns[2:].tolist()))
+        )
+        checked.columns = columns
+        return checked
+
+    def _check_jobs(self, jobs: Sequence[Job]) -> None:
+        """Refuse jobs the farm cannot plan: one that wants a service the
+        farm does not serve, or two arrivals sharing a ``job_id``."""
         services = len(self.services)
-        if not {job.service for job in jobs} <= set(range(services)):
+        if not set(map(_service, jobs)) <= set(range(services)):
             bad = next(job for job in jobs if not 0 <= job.service < services)
             raise SchedulerError(
                 f"job {bad.job_id} wants service {bad.service}, farm has {services}"
             )
-        if len({job.job_id for job in jobs}) != len(jobs):
+        if len(set(map(_job_id, jobs))) != len(jobs):
             seen: set[int] = set()
             for job in jobs:
                 if job.job_id in seen:
                     raise SchedulerError(f"job {job.job_id} arrived twice")
                 seen.add(job.job_id)
+
+    def _plan(
+        self,
+        jobs: Sequence[Job],
+        nodes: Sequence[int] | None,
+        available: Sequence[int] | None,
+    ) -> tuple[list[Dispatch], list[Job], Int64s]:
+        """:meth:`plan` of checked jobs, before its dispatches name
+        farm-wide nodes: the scheduler's plan, its jobs, and its ``(4, n)``
+        int64 columns in plan order — job id, service, farm-wide node,
+        dispatch cycle.  The plan is read once into the columns, and
+        checked on them, each check naming its first offending dispatch."""
         view = self._view
         if nodes is not None:
             view = view.restrict(nodes, available)
@@ -319,25 +360,26 @@ class Farm:
                 f"scheduler {name!r} planned {len(plan)} dispatches for "
                 f"{len(jobs)} jobs"
             )
-        offered = view.num_nodes
-        for dispatch in plan:
-            if dispatch.dispatch_cycle < dispatch.job.arrival_cycle:
+        planned = list(map(_job, plan))
+        ids, kinds, arrivals = (map(field, planned) for field in _job_fields)
+        fields = chain(ids, kinds, map(_node, plan), map(_cycle, plan), arrivals)
+        columns = np.fromiter(fields, np.int64, 5 * len(plan)).reshape(5, -1)
+        early = columns[3] < columns[4]
+        bad = early | (columns[2] < 0) | (columns[2] >= view.num_nodes)
+        if bad.any():
+            dispatch = plan[int(bad.argmax())]
+            if early[bad.argmax()]:
                 raise SchedulerError(
                     f"scheduler {name!r} dispatched job "
                     f"{dispatch.job.job_id} before it arrived"
                 )
-            if not 0 <= dispatch.node < offered:
-                raise SchedulerError(
-                    f"scheduler {name!r} used node {dispatch.node}, was "
-                    f"offered {offered}"
-                )
-        if view.nodes == self._view.nodes:
-            return plan
-        farm_node = view.nodes
-        new = tuple.__new__
-        return [
-            new(Dispatch, (d.job, farm_node[d.node], d.dispatch_cycle)) for d in plan
-        ]
+            raise SchedulerError(
+                f"scheduler {name!r} used node {dispatch.node}, was "
+                f"offered {view.num_nodes}"
+            )
+        if nodes is not None:
+            columns[2] = np.array(view.nodes, np.int64)[columns[2]]
+        return plan, planned, columns[:4]
 
     def serve(
         self, jobs: Sequence[Job], *, max_workers: int | None = None
@@ -432,8 +474,6 @@ class Farm:
         advance, and settles the harvest (first result wins, heartbeats,
         migration).
         """
-        results: list[NodeJobResult] = []  # settled, epoch by epoch
-        rows: Sequence[NodeJobResult] | Int64s = results
         shed: list[Job] = []
         epochs = retries = 0
         if not isinstance(how, ResiliencePolicy):
@@ -443,16 +483,21 @@ class Farm:
                     "the worker-process boundary"
                 )
             self.node_systems = None if how else [None] * len(self.node_configs)
-            dispatches = self.plan(jobs) if jobs else []
-            rows, retries = self._answer(dispatches, how or self._simulate_here)
+            plan = self.plan(jobs) if jobs else _Plan()
+            rows, retries = self._answer(plan.columns, how or self._simulate_here)
+            dispatches = tuple(plan)
+            del plan  # its columns freed before the outcomes exist: a lower peak
         else:
-            shed, dispatches = how.shed, how.log
-            ordered = sorted(jobs, key=_arrival_order)
+            self._check_jobs(jobs)  # once: each epoch plans a part of the day
+            shed = how.shed
+            by_arrival = np.lexsort((list(map(_job_id, jobs)), list(map(_arrival, jobs))))
+            ordered = list(map(jobs.__getitem__, by_arrival.tolist()))
             carry: list[Job] = []  # stranded, or no healthy node: planned next epoch
-            index = 0
-            while len(results) + len(shed) < len(ordered):
+            settled: list[Int64s] = []  # first results, epoch by epoch
+            index = served = 0
+            while served + len(shed) < len(ordered):
                 epochs += 1
-                unserved = len(ordered) - len(results) - len(shed)
+                unserved = len(ordered) - served - len(shed)
                 if epochs > MAX_EPOCHS:
                     raise SchedulerError(
                         f"serving loop did not converge in {MAX_EPOCHS} epochs "
@@ -469,13 +514,14 @@ class Farm:
                 elif batch:
                     if resort:
                         batch.sort(key=_arrival_order)
-                    for dispatch in sorted(
-                        self.plan(batch, offered, free_at), key=_submit_order
-                    ):
-                        how.submit(dispatch)
+                    _, planned, columns = self._plan(batch, offered, free_at)
+                    how.submit_plan(planned, columns)
                 how.hedge()
                 how.measure()
-                results.extend(how.settle(how.nodes.harvest(), carry))
+                settled.append(how.settle(how.nodes.harvest(), carry))
+                served += len(settled[-1])
+            rows = np.concatenate(settled) if settled else _NO_ROWS
+            dispatches = tuple(how.log)
         outcomes = join_outcomes(list(jobs), rows, shed=shed)
         report = build_report(
             self.scheduler.name,
@@ -488,10 +534,10 @@ class Farm:
         return ServeResult(
             report=report,
             outcomes=tuple(outcomes),
-            dispatches=tuple(dispatches),
+            dispatches=dispatches,
             shed=tuple(shed),
             resilience=(
-                how.ledger(epochs, results) if isinstance(how, ResiliencePolicy) else None
+                how.ledger(epochs, rows) if isinstance(how, ResiliencePolicy) else None
             ),
         )
 
@@ -508,19 +554,18 @@ class Farm:
             blocks.append(encode_results(run_assignment(assignment, system)))
         return blocks, 0
 
-    def _answer(self, plan: list[Dispatch], measure: Measure) -> tuple[Int64s, int]:
+    def _answer(self, plan: Int64s, measure: Measure) -> tuple[Int64s, int]:
         """A one-epoch plan's results as one int64 ``(n, 6)`` array, and
-        the worker retries measuring them took: the plan read once into
-        int64 columns, its plan-exact nodes answered by
+        the worker retries measuring them took: the plan's columns (see
+        :meth:`plan`) in submit order, its plan-exact nodes answered by
         :func:`~repro.farm.node.answer_plan`, the others (all, under
         per-node obs) in one ``measure`` call, if any."""
-        columns = chain.from_iterable(map(field, plan) for field in _plan_fields)
-        ordered = submit_order(np.fromiter(columns, np.int64, 4 * len(plan)).reshape(4, -1))
+        ordered = submit_order(plan)
         if self.obs is None:
             rows, rest = answer_plan(ordered, np.array(self._view.estimates, np.int64))
             simulated: list[int] = np.unique(rest[2]).tolist()
         else:  # per-node obs: every node is simulated
-            rows, rest = np.empty((0, 6), np.int64), ordered
+            rows, rest = _NO_ROWS, ordered
             simulated = list(range(len(self.node_configs)))
         if not simulated:
             return rows, 0

@@ -3,8 +3,10 @@
 The dispatch phase (:mod:`repro.farm.scheduler`) plans with estimates;
 this module measures.  A node whose every hand-over starts at or after
 the previous job's completion runs each job uninterrupted, in exactly its
-estimate: :func:`answer_plan` (a one-epoch day, as int64 columns) and
-:class:`PlanNode` (the resilient loop) read its results off the plan.
+estimate, and its results are read off the plan as int64 columns:
+:func:`answer_plan` for a one-epoch day, and the resilient loop's
+:class:`~repro.farm.resilience.ResiliencePolicy` epoch by epoch, with
+:func:`overlapping` given each node's carried busy-until cycle.
 The shipped schedulers never put two jobs on one node, so on a
 timing-only day without a hang no node is simulated.  Any other node is
 an unchanged :class:`~repro.runtime.system.MultiTaskSystem`, also the
@@ -32,13 +34,10 @@ cheap artefact load.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -299,84 +298,6 @@ def simulate_node(assignment: NodeAssignment) -> list[NodeJobResult]:
     return run_assignment(assignment, system)
 
 
-_complete = itemgetter(5)  # of a NodeJobResult
-_service = itemgetter(2)
-
-
-class _Never(Enum):
-    RUN = 0
-
-
-#: :attr:`PlanNode.last_run` of a node never run.
-NEVER_RUN = _Never.RUN
-
-
-class PlanNode:
-    """A node answered by its plan: it reports what its
-    :class:`~repro.runtime.system.MultiTaskSystem` would while each job
-    handed over starts at or after the previous one's completion
-    (:meth:`submit` refuses the first that does not).  A job is the row
-    ``(job_id, node, service, d, d, d + estimate)``.
-
-    At :meth:`run`'s ``until_cycle`` ``E`` (the system's pause contract) a
-    job counts as done once it completes *before* ``E``; the clock is, mid
-    job, its first instruction boundary at or past ``E`` (its meta's
-    ``cum``); idle with later work, that work's dispatch cycle; drained,
-    the last completion.
-    """
-
-    def __init__(
-        self,
-        node: int,
-        estimates: Sequence[int],
-        networks: Sequence[CompiledNetwork],
-        vi_mode: str,
-    ):
-        self.node, self.estimates = node, estimates
-        self.networks, self.vi_mode = networks, vi_mode
-        #: Every job handed over, in submit order (= completion order).
-        self.rows: list[NodeJobResult] = []
-        self.clock = self.free = 0
-        #: Rows done by the last :meth:`run`, and the harvested prefix.
-        self.done = self.harvested = 0
-        #: ``until_cycle`` of the last :meth:`run`; :data:`NEVER_RUN` before any.
-        self.last_run: int | None | _Never = NEVER_RUN
-
-    def submit(self, job_id: int, service: int, cycle: int) -> bool:
-        """Hand one job over; False, keeping nothing, if it would start
-        before the previous one completes."""
-        if cycle < self.free:
-            return False
-        self.free = end = cycle + self.estimates[service]
-        self.rows.append(
-            tuple.__new__(NodeJobResult, (job_id, self.node, service, cycle, cycle, end))
-        )
-        return True
-
-    def run(self, until_cycle: int | None = None) -> int:
-        """Advance to ``until_cycle`` (None: drain); returns the clock."""
-        rows = self.rows
-        self.last_run = until_cycle
-        if not rows or until_cycle is None or until_cycle > self.free:  # drained
-            self.done = len(rows)
-            self.clock = self.free if rows else self.clock
-            return self.clock
-        self.done = bisect_left(rows, until_cycle, key=_complete)
-        start, service = rows[self.done].start_cycle, rows[self.done].service
-        if start <= until_cycle:  # mid-job
-            cum = self.networks[service].meta(self.vi_mode).cum
-            self.clock = start + cum[bisect_left(cum, until_cycle - start)]
-        elif self.clock < until_cycle:  # idle: skip ahead to the next job
-            self.clock = start
-        return self.clock
-
-    def harvest(self) -> list[NodeJobResult]:
-        """Rows done since the last call: by slot, then FIFO."""
-        fresh = self.rows[self.harvested : self.done]
-        self.harvested = self.done
-        return sorted(fresh, key=_service)
-
-
 def submit_order(plan: Int64s) -> Int64s:
     """``plan`` — a one-epoch day's hand-overs as ``(4, n)`` int64 columns:
     job id, service, node, dispatch cycle — sorted node by node into
@@ -385,16 +306,27 @@ def submit_order(plan: Int64s) -> Int64s:
     return plan[:, np.lexsort((ids, cycles, nodes))]
 
 
+def overlapping(ordered: Int64s, ends: Int64s, free: Int64s | None = None) -> npt.NDArray[np.bool_]:
+    """Which hand-overs of ``ordered`` (a plan in :func:`submit_order`)
+    start before the job handed over before them on their node completes
+    at its ``ends`` (exactly at it counts as after).  ``free``, if given,
+    is each node's carried busy-until cycle: the first hand-over of a node
+    overlaps when it starts before it."""
+    _, _, nodes, cycles = ordered
+    previous = np.full(len(cycles), np.iinfo(np.int64).min) if free is None else free[nodes]
+    same = nodes[1:] == nodes[:-1]
+    previous[1:][same] = ends[:-1][same]
+    return cycles < previous
+
+
 def answer_plan(ordered: Int64s, estimates: Int64s) -> tuple[Int64s, Int64s]:
     """The plan-exact nodes of a plan in :func:`submit_order`, answered by
     arithmetic (``estimates[node, service]``: the cycles of one job): their
     int64 ``(n, 6)`` result rows, and the other nodes' hand-overs, which
-    must be simulated.  A node is plan-exact when each hand-over starts at
-    or after the previous one's ``dispatch + estimate`` (exactly at it
-    counts)."""
+    must be simulated.  A node is plan-exact when no hand-over on it is
+    :func:`overlapping`."""
     ids, services, nodes, cycles = ordered
     ends = cycles + estimates[nodes, services]
-    overlap = (nodes[1:] == nodes[:-1]) & (cycles[1:] < ends[:-1])
-    simulated = np.isin(nodes, nodes[1:][overlap])
+    simulated = np.isin(nodes, nodes[overlapping(ordered, ends)])
     rows = np.stack((ids, nodes, services, cycles, cycles, ends), axis=1)[~simulated]
     return rows, ordered[:, simulated]

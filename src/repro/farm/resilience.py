@@ -19,7 +19,9 @@ INCA's single accelerator survives, one level up:
   travel, exactly-once outcomes); overdue jobs on a *suspect* node are
   hedged (speculatively duplicated with first-result-wins dedup); and a
   MESC-style :class:`~repro.qos.config.ModeSwitchPolicy` sheds
-  low-criticality classes when surviving capacity drops;
+  low-criticality classes when surviving capacity drops.  Its copies in
+  flight are int64 columns, and a node whose hand-overs never overlap
+  is answered off them, epoch by epoch, with no per-job Python;
 * :class:`ChaosPlan` — a seeded, deterministic fault plan at farm level:
   kill (or transiently hang) a node at a simulated cycle;
 * :func:`run_chaos_campaign` — replays one day under a set of chaos plans
@@ -31,17 +33,27 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Callable, Mapping, Sequence, TYPE_CHECKING
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.analysis.tables import format_table
 from repro.container import HEADER
 from repro.errors import SchedulerError
 from repro.farm.metrics import build_report, join_outcomes
-from repro.farm.node import NodeJobResult, build_node_system
+from repro.farm.node import (
+    Int64s,
+    NodeJobResult,
+    build_node_system,
+    compiled_for_services,
+    overlapping,
+)
 from repro.farm.scheduler import (
     Dispatch,
     FarmView,
@@ -102,6 +114,7 @@ class NodeHealth:
         self.dead_after_cycles = dead_after_cycles
         self.bus = bus
         self._state = [HealthState.HEALTHY] * num_nodes
+        self._healthy = self._alive = list(range(num_nodes))
         self._last_clock = [-1] * num_nodes
         self._last_progress = [0] * num_nodes
         #: ``(cycle, node, state)`` transition log, in observation order.
@@ -114,19 +127,18 @@ class NodeHealth:
         return self._state[node] is not HealthState.DEAD
 
     def healthy_nodes(self) -> list[int]:
-        return [
-            node
-            for node in range(self.num_nodes)
-            if self._state[node] is HealthState.HEALTHY
-        ]
+        return self._healthy[:]
 
     def alive_nodes(self) -> list[int]:
-        return [node for node in range(self.num_nodes) if self.alive(node)]
+        return self._alive[:]
 
     def _transition(
         self, node: int, state: HealthState, cycle: int, **data: object
     ) -> None:
         self._state[node] = state
+        nodes = range(self.num_nodes)
+        self._healthy = [n for n in nodes if self._state[n] is HealthState.HEALTHY]
+        self._alive = [n for n in nodes if self.alive(n)]
         self.transitions.append((cycle, node, state))
         if self.bus is not None:
             if state is HealthState.SUSPECT:
@@ -285,6 +297,8 @@ class FeedbackScheduler:
         self._correction: dict[tuple[int, int], float] = dict(
             initial_correction or {}
         )
+        #: How many corrections are not exactly 1.0 (none: nothing to scale).
+        self._off = sum(factor != 1.0 for factor in self._correction.values())
 
     def correction(self, node: int, service: int) -> float:
         return self._correction.get((node, service), 1.0)
@@ -302,16 +316,19 @@ class FeedbackScheduler:
         ratio = measured / estimated
         key = (node, service)
         previous = self._correction.get(key)
-        self._correction[key] = (
+        factor = self._correction[key] = (
             ratio
             if previous is None
             else previous + self.alpha * (ratio - previous)
         )
+        self._off += (factor != 1.0) - (previous not in (None, 1.0))
 
     def corrected_view(self, view: FarmView) -> FarmView:
         """``view`` with every estimate scaled by its learned correction
         (keyed by farm-wide node index, so a restricted view corrects
         each surviving node by its own history)."""
+        if not self._off and all(est >= 1 for row in view.estimates for est in row):
+            return view  # every correction is 1.0: each estimate as it is
         rows = [
             [self.corrected(node, service, est) for service, est in enumerate(row)]
             for node, row in zip(view.nodes, view.estimates)
@@ -414,14 +431,17 @@ class ResilienceReport:
         return table
 
 
-class _InFlight(NamedTuple):
-    """One submitted copy of a job on one node (a tuple: one is made per
-    hand-over, and nothing changes it)."""
-
-    job: Job
-    dispatch_cycle: int
-    estimate: int
-    is_hedge: bool
+#: Rows of :attr:`ResiliencePolicy.flight`, one column per copy handed
+#: over and not yet settled.  The first four are a plan's columns (see
+#: :meth:`repro.farm.farm.Farm.plan`); then the scheduler's price of the
+#: job, its completion by the static estimate, whether it is a hedge copy,
+#: and its index in :attr:`ResiliencePolicy.log`.
+_JOB, _SERVICE, _NODE, _DISPATCH, _PRICE, _END, _HEDGE, _SEQ = range(8)
+#: A plan-answered result row, read off the in-flight table.
+_RESULT = np.array([_JOB, _NODE, _SERVICE, _DISPATCH, _DISPATCH, _END])
+#: :attr:`ResiliencePolicy.free` of a simulated node: every hand-over to it
+#: overlaps, so the backend takes it.
+_SIMULATED = np.iinfo(np.int64).max
 
 
 class ResiliencePolicy:
@@ -429,12 +449,21 @@ class ResiliencePolicy:
 
     :meth:`~repro.farm.farm.Farm._serve` calls one method per phase, in
     this order every epoch: :meth:`open_epoch`, :meth:`admit` (mode switch,
-    shedding, where the plan may land), :meth:`submit` per hand-over,
-    :meth:`hedge`, :meth:`measure` (advance under chaos), :meth:`settle`
-    (first result wins, heartbeats, migration); and :meth:`ledger` once at
-    the end.  The policy owns the state those phases share — the epoch
-    clock, the in-flight copies table, node health, the chaos freeze — so a
-    day served without a policy pays for none of it.
+    shedding, where the plan may land), :meth:`submit_plan` with the
+    epoch's plan, :meth:`hedge`, :meth:`measure` (advance under chaos),
+    :meth:`settle` (first result wins, heartbeats, migration); and
+    :meth:`ledger` once at the end.  The policy owns the state those
+    phases share — the epoch clock, the in-flight table, node health, the
+    chaos freeze — so a day served without a policy pays for none of it.
+
+    The in-flight table is int64 columns (:attr:`flight`).  A node whose
+    hand-overs never overlap is answered from it: a job completes at its
+    static end and counts once that is before the node's advance; its
+    clock follows the simulated node's pause contract (mid job, the job's
+    next instruction boundary; idle with later work, that work's dispatch;
+    drained, the last completion).  Any other node is simulated by the
+    backend ``nodes`` (:class:`NodeBackend`), which takes a node at its
+    first overlap.
     """
 
     def __init__(
@@ -444,14 +473,16 @@ class ResiliencePolicy:
         config: ResilienceConfig,
         chaos: ChaosPlan | None = None,
     ) -> None:
+        self.farm = farm
         self.nodes = nodes
         self.config = config
         self.view = farm.view
         self.bus = farm.bus
         scheduler = farm.scheduler
         self.feedback = scheduler if isinstance(scheduler, FeedbackScheduler) else None
+        count = self.view.num_nodes
         self.health = NodeHealth(
-            self.view.num_nodes,
+            count,
             suspect_after_cycles=config.suspect_after_cycles or config.epoch_cycles,
             dead_after_cycles=config.dead_after_cycles or 3 * config.epoch_cycles,
             bus=self.bus,
@@ -464,18 +495,33 @@ class ResiliencePolicy:
             len(row) / sum(row) if sum(row) else 0.0 for row in self.view.estimates
         ]
         self.now = self.epoch_end = 0
-        #: ``inflight[node][service]``: the copies handed over, FIFO.
-        self.inflight: list[list[deque[_InFlight]]] = [
-            [deque() for _ in self.view.slos] for _ in self.view.nodes
-        ]
-        self.busy_est = [0] * self.view.num_nodes
-        #: ``(node, service)`` -> :meth:`estimate`, filled on first use and
-        #: emptied where the corrections move (:meth:`settle`).
-        self._prices: dict[tuple[int, int], int] = {}
-        self.copies: dict[int, int] = {}  # live copies per job id
-        self.done: set[int] = set()
+        #: ``static[node, service]``: the cycles of one job; ``prices``: as
+        #: :meth:`estimate` prices it, repriced where :meth:`settle` moves a
+        #: correction; ``_quiet``: the pairs a ratio of 1.0 leaves as they
+        #: are (fed a completion before, and corrected by exactly 1.0).
+        self.static = np.array(self.view.estimates, np.int64).reshape(count, -1)
+        self.prices = self.static.copy()
+        self._quiet = np.zeros(self.static.shape, bool)
+        if self.feedback is not None:
+            for node, service in np.ndindex(self.static.shape):
+                self._reprice(node, service)
+        #: The copies handed over and not settled, in submit order per node.
+        self.flight = np.empty((8, 0), np.int64)
+        self.busy_est = np.zeros(count, np.int64)
+        #: Per node: the static end of its last hand-over (0 before any),
+        #: the cycle it was last advanced to (-1: never, or simulated) and
+        #: its clock, for the nodes the policy answers.
+        self.free = np.array(
+            [_SIMULATED if nodes.simulates(node) else 0 for node in range(count)], np.int64
+        )
+        self.reach = np.full(count, -1, np.int64)
+        self.clocks = [0] * count
+        self._advanced: list[int] = []  # this epoch's plan-answered advances
+        self._cums: dict[tuple[int, int], Sequence[int]] = {}
         self.hedged: set[int] = set()
+        self.won: set[int] = set()  # hedged jobs with a first result
         self.shed: list[Job] = []
+        #: Every hand-over, in submit order (:data:`_SEQ` indexes it).
         self.log: list[Dispatch] = []
         self.mode = "normal"
         self.mode_switches: list[tuple[int, str]] = []
@@ -484,18 +530,17 @@ class ResiliencePolicy:
 
     def estimate(self, node: int, service: int) -> int:
         """Cycles of one job as the scheduler currently prices it: the
-        static estimate times the learned correction.
+        static estimate times the learned correction."""
+        return int(self.prices[node, service])
 
-        Priced once per ``(node, service)`` per epoch: a correction moves
-        only in :meth:`settle`, which empties the table first."""
-        key = (node, service)
-        price = self._prices.get(key)
-        if price is None:
-            price = self.view.estimate(node, service)
-            if self.feedback is not None:
-                price = self.feedback.corrected(node, service, price)
-            self._prices[key] = price
-        return price
+    def _reprice(self, node: int, service: int) -> None:
+        assert self.feedback is not None
+        static = int(self.static[node, service])
+        self.prices[node, service] = self.feedback.corrected(node, service, static)
+
+    def clock(self, node: int) -> int:
+        """The cycle ``node`` has reached."""
+        return self.nodes.clock(node) if self.nodes.simulates(node) else self.clocks[node]
 
     def capacity_fraction(self) -> float:
         total = sum(self.weights)
@@ -519,7 +564,7 @@ class ResiliencePolicy:
         self.now = self.epoch_end
         self.epoch_end = self.now + epoch
         if idle_until is not None and idle_until >= self.epoch_end:
-            if not any(chain.from_iterable(self.inflight)):
+            if not self.flight.shape[1]:
                 self.epoch_end = (idle_until // epoch + 1) * epoch
         return self.epoch_end
 
@@ -559,54 +604,102 @@ class ResiliencePolicy:
                         action="mode_shed", tenant_id=job.tenant_id,
                     )
         healthy = self.health.healthy_nodes()
-        return batch, healthy, [self._free_at(node) for node in healthy]
+        return batch, healthy, self._free_at(healthy)
 
-    def _free_at(self, node: int) -> int:
-        return max(self.now, self.busy_est[node], self.nodes.clock(node))
+    def _free_at(self, nodes: list[int]) -> list[int]:
+        """When each of ``nodes`` can take new work."""
+        busy = self.busy_est.tolist()
+        return [max(self.now, busy[node], self.clock(node)) for node in nodes]
 
-    # -- submit: enter every hand-over in the copies table -------------------
+    # -- submit: enter every hand-over in the in-flight table ----------------
+
+    def submit_plan(self, jobs: list[Job], columns: Int64s) -> None:
+        """Hand an epoch's plan over in submit order, ``(dispatch_cycle,
+        job_id)``: ``jobs`` and ``columns``, its ``(4, n)`` plan columns,
+        in plan order.  Each enters :attr:`log` as a :class:`Dispatch`
+        naming its farm-wide node."""
+        ids, _, _, cycles = columns
+        order = np.lexsort((ids, cycles))
+        ordered = columns[:, order]
+        fields = zip(map(jobs.__getitem__, order.tolist()), *ordered[2:].tolist())
+        self.log.extend(map(tuple.__new__, repeat(Dispatch), fields))
+        self._hand_over(ordered, False)
 
     def submit(self, dispatch: Dispatch, is_hedge: bool = False) -> None:
+        """Hand one copy of a job over."""
         job, node, cycle = dispatch
-        service, job_id = job.service, job.job_id
-        estimate = self.estimate(node, service)
-        self.nodes.submit(dispatch)
-        self.inflight[node][service].append(
-            tuple.__new__(_InFlight, (job, cycle, estimate, is_hedge))
-        )
-        self.copies[job_id] = self.copies.get(job_id, 0) + 1
-        self.busy_est[node] = max(self.busy_est[node], cycle + estimate)
         self.log.append(dispatch)
+        columns = np.array([[job.job_id], [job.service], [node], [cycle]], np.int64)
+        self._hand_over(columns, is_hedge)
+
+    def _hand_over(self, hand_overs: Int64s, hedge: bool) -> None:
+        """Enter the last hand-overs of :attr:`log`, given as their plan
+        columns, in the in-flight table; those on simulated nodes go on to
+        the backend, which first takes each node they make overlap."""
+        count = hand_overs.shape[1]
+        _, services, nodes, cycles = hand_overs
+        table = np.empty((8, count), np.int64)
+        table[:4] = hand_overs
+        pairs = nodes * self.static.shape[1] + services
+        table[_PRICE] = self.prices.take(pairs)
+        table[_END] = cycles + self.static.take(pairs)
+        table[_HEDGE] = hedge
+        table[_SEQ] = np.arange(len(self.log) - count, len(self.log))
+        np.maximum.at(self.busy_est, nodes, cycles + table[_PRICE])
+        table = table[:, np.argsort(nodes, kind="stable")]  # node by node
+        overlap = overlapping(table[:4], table[_END], self.free)
+        handed = self._take(table, overlap) if overlap.any() else overlap
+        np.maximum.at(self.free, table[_NODE], table[_END])  # a plan-answered node's last
+        self.flight = np.concatenate((self.flight, table), axis=1)
+        if handed.any():
+            self.nodes.submit(table[:4, handed])
+
+    def _take(self, table: Int64s, overlap: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
+        """Hand each plan-answered node that overlaps in ``table`` (new
+        hand-overs, node by node) to the backend, which replays its
+        hand-overs so far and those of ``table`` before its first overlap;
+        which rows of ``table`` the backend is still to be handed."""
+        nodes = table[_NODE]
+        replayed = np.zeros(len(nodes), bool)
+        earlier = self.log[: len(self.log) - len(nodes)]
+        for node in np.unique(nodes[overlap]).tolist():
+            if self.free[node] == _SIMULATED:
+                continue
+            here = np.flatnonzero(nodes == node)
+            before = here[: int(overlap[here].argmax())]
+            replayed[before] = True
+            past = [(d.job.job_id, d.job.service, node, d.dispatch_cycle) for d in earlier if d.node == node]
+            mine = np.concatenate((np.array(past, np.int64).reshape(-1, 4).T, table[:4, before]), axis=1)
+            harvested = len(past) - int(np.count_nonzero(self.flight[_NODE] == node))
+            until = int(self.reach[node])
+            self.nodes.take(node, mine, harvested, None if until < 0 else until)
+            self.free[node], self.reach[node] = _SIMULATED, -1
+        return (self.free[nodes] == _SIMULATED) & ~replayed
 
     # -- hedge: duplicate overdue work held by suspect nodes ----------------
 
     def hedge(self) -> None:
         healthy = self.health.healthy_nodes()
-        if not self.config.hedge or not healthy:
-            return
+        alive = self.health.alive_nodes()
+        if not self.config.hedge or not healthy or len(healthy) == len(alive):
+            return  # no hedging, nowhere to hedge to, or no node suspect
         hedges_left = MAX_HEDGES_PER_EPOCH
-        for node in self.view.nodes:
-            if self.health.state(node) is not HealthState.SUSPECT:
-                continue
-            for entry in chain.from_iterable(self.inflight[node]):
+        for node in sorted(set(alive) - set(healthy)):
+            mine = self.flight[:, self.flight[_NODE] == node]
+            mine = mine[:, np.argsort(mine[_SERVICE], kind="stable")]  # slot, FIFO
+            for job_id, cycle, price, seq in mine[[_JOB, _DISPATCH, _PRICE, _SEQ]].T.tolist():
                 if hedges_left <= 0:
                     return
-                job = entry.job
-                grace = entry.estimate + self.config.epoch_cycles
-                if (
-                    self.now < entry.dispatch_cycle + grace
-                    or job.job_id in self.hedged
-                    or job.job_id in self.done
-                    or self.copies[job.job_id] > 1
-                ):
-                    continue
+                if self.now < cycle + price + self.config.epoch_cycles or job_id in self.hedged:
+                    continue  # not overdue, or already hedged (two copies)
+                job = self.log[seq].job
+                free_at = dict(zip(healthy, self._free_at(healthy)))
                 target = min(
                     healthy,
-                    key=lambda n: (self._free_at(n) + self.estimate(n, job.service), n),
+                    key=lambda n: (free_at[n] + self.estimate(n, job.service), n),
                 )
-                copy = Dispatch(job, target, self._free_at(target))
-                self.submit(copy, is_hedge=True)
-                self.hedged.add(job.job_id)
+                self.submit(Dispatch(job, target, free_at[target]), is_hedge=True)
+                self.hedged.add(job_id)
                 hedges_left -= 1
                 self._emit(
                     EventKind.HEDGE_DISPATCH, job, from_node=node, to_node=target
@@ -630,91 +723,191 @@ class ResiliencePolicy:
                     continue
                 elif kill.at_cycle < self.epoch_end:
                     # Run up to the kill point, then freeze.
-                    if self.nodes.clock(node) < kill.at_cycle:
-                        self.nodes.advance(kill.at_cycle, node)
+                    if self.clock(node) < kill.at_cycle:
+                        self._advance(kill.at_cycle, node)
                     self.frozen.add(node)
                     continue
-            self.nodes.advance(self.epoch_end, node)
+            self._advance(self.epoch_end, node)
+
+    def _advance(self, until_cycle: int, node: int) -> None:
+        if self.nodes.simulates(node):
+            self.nodes.advance(until_cycle, node)
+        else:  # settled, and its clock read, in settle()
+            self.reach[node] = until_cycle
+            self._advanced.append(node)
 
     # -- harvest: first result wins; then beat, and migrate off the dead ----
 
     def settle(
-        self, fresh: list[NodeJobResult], stranded: list[Job]
-    ) -> list[NodeJobResult]:
-        """The completions of ``fresh`` that count: per job, the first.
+        self, fresh: Int64s | Sequence[NodeJobResult], stranded: list[Job]
+    ) -> Int64s:
+        """The completions that count, as ``(n, 6)`` result rows: the
+        plan-answered copies that complete before their node's advance,
+        and the backend's ``fresh`` rows, each of which must be the oldest
+        copy on its slot; per job, the first (alive nodes in order, by
+        slot, FIFO).
 
         Node by node, each node's heartbeat follows its completions; a node
         the beat declares dead has its unfinished jobs appended to
         ``stranded``, for the next epoch's plan.
         """
         self.now = self.epoch_end
-        self._prices.clear()  # the first results below move the corrections
-        by_node: dict[int, list[NodeJobResult]] = {}
-        for result in fresh:
-            by_node.setdefault(result.node, []).append(result)
-        winners: list[NodeJobResult] = []
-        for node in self.health.alive_nodes():
-            winners += [r for r in by_node.get(node, ()) if self._first_result(r)]
+        alive = self.health.alive_nodes()
+        flight = self.flight
+        done = flight[_END] < self.reach[flight[_NODE]]
+        places = np.flatnonzero(done)
+        rows = flight[_RESULT][:, places].T
+        if len(fresh):
+            fresh = np.asarray(fresh, np.int64).reshape(-1, len(_RESULT))
+            fresh = fresh[np.isin(fresh[:, 1], alive)]
+            fresh = fresh[np.argsort(fresh[:, 1], kind="stable")]  # node by node
+            oldest = self._oldest(fresh)
+            done[oldest] = True
+            rows = np.concatenate((rows, fresh))
+            places = np.concatenate((places, oldest))
+        if self.feedback is not None and len(rows):
+            self._learn(rows)
+        events: dict[int, list[tuple[EventKind, Job, dict[str, object]]]] = {}
+        ids = rows[:, 0].tolist() if self.hedged else []
+        hedged = np.array([i for i, job_id in enumerate(ids) if job_id in self.hedged], np.intp)
+        if len(hedged):
+            first = np.ones(len(rows), bool)
+            order = np.lexsort((places[hedged], rows[hedged, 2], rows[hedged, 1]))
+            for index in hedged[order].tolist():
+                job_id, node = rows[index, :2].tolist()
+                place = places[index]
+                job = self.log[flight[_SEQ, place]].job
+                if job_id in self.won:
+                    first[index] = False
+                    events.setdefault(node, []).append(
+                        (EventKind.HEDGE_WASTED, job, {"node": node})
+                    )
+                    continue
+                self.won.add(job_id)
+                source = "hedge" if flight[_HEDGE, place] else "primary"
+                events.setdefault(node, []).append(
+                    (EventKind.HEDGE_WIN, job, {"node": node, "source": source})
+                )
+            rows = rows[first]
+        self.flight = flight[:, ~done]
+        held = self._read_clocks()
+        for node in alive:
+            for kind, job, data in events.get(node, ()):
+                self._emit(kind, job, **data)
             state = self.health.beat(
-                node,
-                clock=self.nodes.clock(node),
-                busy=any(self.inflight[node]),
-                now=self.now,
+                node, clock=self.clock(node), busy=node in held, now=self.now
             )
             if state is HealthState.DEAD:
                 self._migrate(node, stranded)
-        return winners
+        return rows
 
-    def _first_result(self, result: NodeJobResult) -> bool:
-        node, service, job_id = result.node, result.service, result.job_id
-        entry = self.inflight[node][service].popleft()
-        if entry.job.job_id != job_id:
-            raise SchedulerError(
-                f"node {node} slot {service} completed job {job_id}, not the "
-                f"oldest copy on it (job {entry.job.job_id})"
-            )
-        self.copies[job_id] -= 1
-        if self.feedback is not None:
-            self.feedback.observe(
-                node,
-                service,
-                estimated=self.view.estimate(node, service),
-                measured=result.complete_cycle - result.dispatch_cycle,
-            )
-        if job_id in self.done:
-            self._emit(EventKind.HEDGE_WASTED, entry.job, node=node)
-            return False
-        self.done.add(job_id)
-        if job_id in self.hedged:
-            source = "hedge" if entry.is_hedge else "primary"
-            self._emit(EventKind.HEDGE_WIN, entry.job, node=node, source=source)
-        return True
+    def _read_clocks(self) -> dict[int, int]:
+        """Where in :attr:`flight` each node's first copy left is; and the
+        clock of each plan-answered node advanced this epoch, read off it."""
+        flight = self.flight
+        nodes = flight[_NODE].tolist()
+        held = dict(zip(reversed(nodes), range(len(nodes) - 1, -1, -1)))
+        reach, free = self.reach.tolist(), self.free.tolist()
+        for node in self._advanced:
+            until = reach[node]
+            if node not in held:  # drained (or never handed a job)
+                self.clocks[node] = free[node]
+                continue
+            start, service = flight[[_DISPATCH, _SERVICE], held[node]].tolist()
+            if start <= until:  # mid-job: its next instruction boundary
+                cum = self._cum(node, service)
+                self.clocks[node] = start + cum[bisect_left(cum, until - start)]
+            elif self.clocks[node] < until:  # idle: skip to the next job
+                self.clocks[node] = start
+        self._advanced = []
+        return held
+
+    def _cum(self, node: int, service: int) -> Sequence[int]:
+        """The instruction boundaries of one ``service`` job on ``node``."""
+        cum = self._cums.get((node, service))
+        if cum is None:
+            farm = self.farm
+            network = compiled_for_services(farm.node_configs[node], farm.services)[service]
+            cum = self._cums[node, service] = network.meta(farm.vi_mode).cum
+        return cum
+
+    def _oldest(self, fresh: Int64s) -> npt.NDArray[np.intp]:
+        """Where in :attr:`flight` each of the backend's completions
+        ``fresh`` (node by node, each slot FIFO) is: its slot's oldest
+        copy that no earlier row of ``fresh`` took."""
+        flight = self.flight
+        slots: dict[tuple[int, int], deque[int]] = {}
+        for place, slot in enumerate(zip(flight[_NODE].tolist(), flight[_SERVICE].tolist())):
+            slots.setdefault(slot, deque()).append(place)
+        places = []
+        for job_id, node, service in fresh[:, :3].tolist():
+            held = slots.get((node, service))
+            if not held:
+                raise SchedulerError(
+                    f"node {node} slot {service} completed job {job_id}, which "
+                    f"it does not hold"
+                )
+            places.append(held.popleft())
+            if flight[_JOB, places[-1]] != job_id:
+                raise SchedulerError(
+                    f"node {node} slot {service} completed job {job_id}, not the "
+                    f"oldest copy on it (job {flight[_JOB, places[-1]]})"
+                )
+        return np.array(places, np.intp)
+
+    def _learn(self, rows: Int64s) -> None:
+        """Feed the completions ``rows`` to the scheduler's corrections as
+        :meth:`FeedbackScheduler.observe` row by row would.  A ratio of
+        exactly 1.0 leaves a quiet pair as it is, so only the rows of a
+        pair that is not quiet or has another ratio are fed, in order."""
+        feedback = self.feedback
+        assert feedback is not None
+        nodes, services = rows[:, 1], rows[:, 2]
+        width = self.static.shape[1]
+        pairs = nodes * width + services
+        estimated = self.static.take(pairs)
+        measured = rows[:, 5] - rows[:, 3]
+        moved = (measured != estimated) | ~self._quiet.take(pairs)
+        if not moved.any():
+            return
+        fed = np.isin(pairs, pairs[moved])
+        columns = (nodes, services, estimated, measured)
+        for node, service, cycles, took in zip(*(c[fed].tolist() for c in columns)):
+            feedback.observe(node, service, estimated=cycles, measured=took)
+        for pair in np.unique(pairs[fed]).tolist():
+            node, service = divmod(pair, width)
+            self._reprice(node, service)
+            self._quiet[node, service] = feedback.correction(node, service) == 1.0
 
     def _migrate(self, node: int, stranded: list[Job]) -> None:
-        for queue in self.inflight[node]:
-            while queue:
-                job = queue.popleft().job
-                self.copies[job.job_id] -= 1
-                if job.job_id in self.done or self.copies[job.job_id] > 0:
-                    continue  # a hedge copy already covers (or covered) it
-                stranded.append(job)
-                self._emit(EventKind.JOB_MIGRATED, job, from_node=node)
+        flight = self.flight
+        mine = flight[_NODE] == node
+        self.flight = flight[:, ~mine]
+        lost = flight[:, mine]
+        lost = lost[:, np.argsort(lost[_SERVICE], kind="stable")]  # slot, FIFO
+        copies = Counter(flight[_JOB].tolist())
+        for job_id, seq in lost[[_JOB, _SEQ]].T.tolist():
+            copies[job_id] -= 1
+            if job_id in self.won or copies[job_id] > 0:
+                continue  # a hedge copy already covers (or covered) it
+            job = self.log[seq].job
+            stranded.append(job)
+            self._emit(EventKind.JOB_MIGRATED, job, from_node=node)
 
     # -- the end-of-day ledger ----------------------------------------------
 
-    def ledger(self, epochs: int, results: Sequence[NodeJobResult]) -> ResilienceReport:
+    def ledger(self, epochs: int, results: Int64s) -> ResilienceReport:
         # Hedge copies still in flight when the day completes are abandoned
         # redundant work: count them as wasted.
-        copies = chain.from_iterable(chain.from_iterable(self.inflight))
-        abandoned = sum(1 for entry in copies if entry.is_hedge)
-        completed = Counter(result.node for result in results)
+        abandoned = int(np.count_nonzero(self.flight[_HEDGE]))
+        completed = np.bincount(results[:, 1], minlength=self.view.num_nodes).tolist()
         return ResilienceReport(
             epochs=epochs,
             nodes=tuple(
                 NodeSummary(
                     node=node,
                     state=self.health.state(node),
-                    final_cycle=self.nodes.clock(node),
+                    final_cycle=self.clock(node),
                     completed=completed[node],
                     killed_at=self.kills[node].at_cycle if node in self.kills else None,
                 )

@@ -1,9 +1,10 @@
 """Farm days whose nodes overlap, the all-simulated oracle they are
 checked against, and a gateway worker that dies once.
 
-A node whose hand-overs never overlap is answered by its plan
-(:func:`repro.farm.node.answer_plan`, :class:`repro.farm.node.PlanNode`);
-only the others are simulated, or shipped to a gateway.  The shipped
+A node whose hand-overs never overlap is answered by its plan, as int64
+columns (:func:`repro.farm.node.answer_plan` for a one-epoch day,
+:class:`repro.farm.resilience.ResiliencePolicy` epoch by epoch); only the
+others are simulated, or shipped to a gateway.  The shipped
 schedulers never overlap, so a test of the simulated or shipped paths
 serves one of the schedulers here.  Nothing runs at import.
 """
@@ -104,9 +105,9 @@ def simulated(farm: Farm, jobs, resilience=None, chaos=None):
     if resilience is not None:
         return farm._serve(jobs, ResiliencePolicy(farm, nodes, resilience, chaos))
     plan = farm.plan(jobs) if jobs else []
-    for dispatch in sorted(plan, key=_submit_order):
-        nodes.submit(dispatch)
-    nodes.advance(None)
+    nodes.submit(plan_columns(sorted(plan, key=_submit_order)))
+    for node in range(len(farm.node_configs)):
+        nodes.advance(None, node)
     outcomes = list(join_outcomes(list(jobs), nodes.harvest()))
     report = build_report(
         farm.scheduler.name, outcomes, farm.view.slos, estimates=farm.view.estimates

@@ -641,3 +641,19 @@ def test_a_day_with_a_repeated_job_id_is_refused_before_any_node_runs(
     farm = Farm(default_design_grid(), SERVICES, PredictiveScheduler())
     with pytest.raises(SchedulerError, match="^job 3 arrived twice$"):
         farm.serve(jobs, max_workers=max_workers)
+
+
+def test_a_resilient_day_with_a_repeated_job_id_is_refused_before_its_first_epoch(monkeypatch):
+    """Each epoch's plan checked only that epoch's arrivals, so a ``job_id``
+    repeated four epochs later was served twice and failed the join with
+    "job 3 completed twice"."""
+    jobs = generate_jobs(small_spec())[:20]
+    jobs.append(Job(jobs[-1].arrival_cycle + 1_000_000, 3, 0, 0))
+
+    def planned(*args, **kwargs):
+        raise AssertionError("an epoch was planned")
+
+    monkeypatch.setattr(PredictiveScheduler, "dispatch", planned)
+    farm = Farm(default_design_grid(), SERVICES, PredictiveScheduler())
+    with pytest.raises(SchedulerError, match="^job 3 arrived twice$"):
+        farm.serve_resilient(jobs)

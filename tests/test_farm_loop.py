@@ -14,6 +14,7 @@ import gc
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from repro.analysis.design_space import default_design_grid
@@ -191,39 +192,43 @@ class PaperFarm(Farm):
 
 
 class FakeNodes:
-    """A job completes at ``dispatch_cycle + estimate``; a node in
-    ``kill_at`` stops advancing at that cycle."""
-
-    retries = 0
+    """Simulates every node: a job completes at ``dispatch_cycle +
+    estimate``; a node in ``kill_at`` stops advancing at that cycle."""
 
     def __init__(self, view, kill_at=()):
         self.view, self.kill_at = view, dict(kill_at)
         self.clocks = [0] * view.num_nodes
-        self.running = [[] for _ in view.nodes]  # (complete_cycle, dispatch)
+        self.running = [[] for _ in view.nodes]  # (complete_cycle, job_id, service, cycle)
 
-    def submit(self, dispatch):
-        cycles = self.view.estimate(dispatch.node, dispatch.job.service)
-        self.running[dispatch.node].append((dispatch.dispatch_cycle + cycles, dispatch))
+    def simulates(self, node):
+        return True
 
-    def advance(self, until_cycle, node=None):
-        for n in self.view.nodes if node is None else [node]:
-            drained = max((done for done, _ in self.running[n]), default=0)
-            until = drained if until_cycle is None else until_cycle
-            self.clocks[n] = max(self.clocks[n], min(until, self.kill_at.get(n, until)))
+    def take(self, node, hand_overs, harvested, until_cycle):
+        raise AssertionError("every node is simulated from the start")
+
+    def submit(self, hand_overs):
+        for job_id, service, node, cycle in hand_overs.T.tolist():
+            done = cycle + self.view.estimate(node, service)
+            self.running[node].append((done, job_id, service, cycle))
+
+    def advance(self, until_cycle, node):
+        drained = max((entry[0] for entry in self.running[node]), default=0)
+        until = drained if until_cycle is None else until_cycle
+        self.clocks[node] = max(self.clocks[node], min(until, self.kill_at.get(node, until)))
 
     def hang(self, node, until_cycle):
         self.clocks[node] = max(self.clocks[node], until_cycle)
 
     def harvest(self):
-        results = []
+        rows = []
         for n, running in enumerate(self.running):
             ready = [entry for entry in running if entry[0] <= self.clocks[n]]
             self.running[n] = [entry for entry in running if entry not in ready]
-            results += [
-                NodeJobResult(d.job.job_id, n, d.job.service, d.dispatch_cycle, d.dispatch_cycle, done)
-                for done, d in sorted(ready, key=lambda entry: entry[1].job.service)
+            rows += [
+                (job_id, n, service, cycle, cycle, done)
+                for done, job_id, service, cycle in sorted(ready, key=lambda entry: entry[2])
             ]
-        return results
+        return np.array(rows, np.int64).reshape(-1, 6)
 
     def clock(self, node):
         return self.clocks[node]

@@ -3,10 +3,10 @@
 A node whose every hand-over starts at or after the previous job's
 completion never holds two jobs, so each job runs uninterrupted and
 completes ``estimate`` cycles after its dispatch.  Such a node is answered
-by :func:`~repro.farm.node.answer_plan` (a one-epoch day, as int64
-columns) or :class:`~repro.farm.node.PlanNode` (the resilient loop, epoch
-by epoch); every other node is simulated.  These cells hold the answers
-equal to simulation:
+by its plan, as int64 columns: :func:`~repro.farm.node.answer_plan` (a
+one-epoch day) or :class:`~repro.farm.resilience.ResiliencePolicy` (the
+resilient loop, epoch by epoch); every other node is simulated.  These
+cells hold the answers equal to simulation:
 
 * every pinned farm case of ``tests/pins.py``, node by node against
   :func:`~repro.farm.node.simulate_node`, and served whole with every node
@@ -19,8 +19,10 @@ equal to simulation:
   two hand-overs at one cycle, a hand-over exactly at the previous
   completion and one a cycle early;
 * the resilient loop's epoch ends — on a completion, inside a job's last
-  instruction, on a dispatch, idle with later work, drained — and a node
-  promoted to simulation mid-day.
+  instruction, on a dispatch, idle with later work, drained — a node
+  promoted to simulation mid-day, a day of permanent kills that builds no
+  system, and drawn chaos days (kills, a hang, hedging on and off,
+  pessimistic starting corrections) against the all-simulated farm.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.design_space import default_design_grid
+import repro.farm.farm as farm_module
 from repro.farm import (
+    ChaosAction,
+    ChaosPlan,
     Dispatch,
     Farm,
     FcfsScheduler,
@@ -40,6 +45,7 @@ from repro.farm import (
     Job,
     PredictiveScheduler,
     ResilienceConfig,
+    ResiliencePolicy,
     StaticPartitionScheduler,
     TenantSpec,
     TrafficSpec,
@@ -255,20 +261,23 @@ def one_node_farm(scheduler=None) -> Farm:
 
 
 def drive(script, simulate: bool):
-    """Hand a one-node backend ``script`` — a :class:`Dispatch` is
-    submitted, a cycle (or None) is an epoch end the node advances to —
-    and record the clock after every submit and ``(end, clock, harvest)``
-    at every end, plus the systems."""
+    """Hand a one-node resilient loop ``script`` — a :class:`Dispatch` is
+    submitted, a cycle is an epoch end the node advances to and settles
+    at — and record the clock after every submit and ``(end, clock,
+    settled rows)`` at every end, plus the systems."""
     farm = one_node_farm()
     nodes = _InProcessNodes(farm, [0] if simulate else [])
+    policy = ResiliencePolicy(farm, nodes, ResilienceConfig())
     seen = []
     for step in script:
         if isinstance(step, Dispatch):
-            nodes.submit(step)
-            seen.append(nodes.clock(0))
+            policy.submit(step)
+            seen.append(policy.clock(0))
         else:
-            nodes.advance(step)
-            seen.append((step, nodes.clock(0), nodes.harvest()))
+            policy.epoch_end = step
+            policy.measure()
+            settled = policy.settle(nodes.harvest(), []).tolist()
+            seen.append((step, policy.clock(0), settled))
     return seen, farm.node_systems
 
 
@@ -291,19 +300,20 @@ EDGES = {
     "on-the-last-completion": C_B,
     "idle-and-drained": C_B + 1,
 }
+LATER = 10 * C_B  # an epoch end long after the node drained
 
 
 @pytest.mark.parametrize("edge", EDGES)
 def test_an_epoch_end_reads_as_on_the_simulated_node(edge):
     end = EDGES[edge]
-    script = [*JOBS, end, end + 1, C_B + 5, None]
+    script = [*JOBS, end, end + 1, C_B + 5, LATER]
     planned, systems = drive(script, simulate=False)
     assert systems == [None]
     assert planned == drive(script, simulate=True)[0]
 
 
 def test_a_node_without_work_reads_as_simulated():
-    script = [0, 1_000, None]
+    script = [0, 1_000, LATER]
     assert drive(script, simulate=False)[0] == drive(script, simulate=True)[0]
 
 
@@ -311,7 +321,7 @@ def test_every_instruction_boundary_of_a_job_reads_as_simulated():
     network = compiled_for_services(ONE_NODE[0], pinned.SERVICES)[0]
     boundaries = [D_A + c for c in network.meta(FARM.vi_mode).cum]
     for end in sorted({b + delta for b in boundaries for delta in (-1, 0, 1)}):
-        script = [*JOBS, end, None]
+        script = [*JOBS, end, LATER]
         assert drive(script, simulate=False)[0] == drive(script, simulate=True)[0], end
 
 
@@ -319,11 +329,11 @@ def test_a_node_promoted_mid_day_skips_what_it_already_harvested():
     """Job C lands on the node while B runs: the node is simulated from
     then on, replaying A and B, and A is not harvested twice."""
     late = C_A + 1  # A harvested; the clock skipped ahead to B's dispatch
-    script = [*JOBS, late, Dispatch(Job(late, 2, 1, 1), 0, D_B + 10), C_B, None]
+    script = [*JOBS, late, Dispatch(Job(late, 2, 1, 1), 0, D_B + 10), C_B, LATER]
     planned, systems = drive(script, simulate=False)
     assert systems[0] is not None
     assert planned == drive(script, simulate=True)[0]
-    harvested = [row.job_id for step in planned if type(step) is tuple for row in step[2]]
+    harvested = [row[0] for step in planned if type(step) is tuple for row in step[2]]
     assert sorted(harvested) == [0, 1, 2]
 
 
@@ -367,21 +377,81 @@ def test_serve_resilient_promotes_an_overlapping_node_mid_day(monkeypatch):
     once.  The node is promoted after harvesting the first two, and the
     day equals the one served with the node simulated throughout."""
     promoted = []
-    simulate = _InProcessNodes._simulate
+    take = _InProcessNodes.take
 
-    def spy(self, node):
-        promoted.append(self._nodes[node].harvested)
-        return simulate(self, node)
+    def spy(self, node, hand_overs, harvested, until_cycle):
+        promoted.append(harvested)
+        return take(self, node, hand_overs, harvested, until_cycle)
 
     arrivals = [(0, 2), (300_000, 0), (500_000, 2), (500_001, 0)]
     jobs = [Job(cycle, job_id, 0, service) for job_id, (cycle, service) in enumerate(arrivals)]
     config = ResilienceConfig(epoch_cycles=200_000)
     farm = one_node_farm(AtArrival())
     with monkeypatch.context() as patch:
-        patch.setattr(_InProcessNodes, "_simulate", spy)
+        patch.setattr(_InProcessNodes, "take", spy)
         result = farm.serve_resilient(jobs, resilience=config)
     assert promoted == [2] and farm.node_systems[0] is not None
     oracle = one_node_farm(AtArrival())
     want = pinned.resilient_digest(oracle, simulated(oracle, jobs, config))
     assert pinned.resilient_digest(farm, result) == want
     assert result.outcomes[2].complete_cycle > 500_000 + B  # preempted by job 3
+
+
+def test_a_day_of_permanent_kills_builds_no_system(monkeypatch):
+    """A killed node only stops advancing, which its plan answers: a day
+    whose chaos is permanent kills builds no node system at all."""
+    make_farm, jobs, config, chaos = SCENARIOS["two-kills"]
+    built = []
+    monkeypatch.setattr(farm_module, "build_node_system", lambda *args, **kw: built.append(args))
+    farm = make_farm()
+    result = farm.serve_resilient(jobs, resilience=config, chaos=chaos)
+    assert result.resilience.nodes_lost == 2
+    assert built == [] and farm.node_systems == [None] * len(farm.node_configs)
+
+
+@st.composite
+def resilient_days(draw):
+    """A small resilient day: some nodes killed for good (one survives),
+    maybe a transient hang on a survivor, hedging on or off, and a
+    feedback scheduler whose starting corrections are pessimistic."""
+    nodes = draw(st.integers(2, 3))
+    spec = TrafficSpec(
+        tenants=tuple(
+            TenantSpec(i, service=i, mean_interarrival_cycles=draw(st.integers(20_000, 90_000)))
+            for i in range(3)
+        ),
+        duration_cycles=draw(st.integers(300_000, 900_000)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    cycles = st.integers(50_000, 800_000)
+    killed = draw(st.lists(st.booleans(), min_size=nodes - 1, max_size=nodes - 1))
+    actions = [ChaosAction("kill_node", node, at_cycle=draw(cycles)) for node, kill in enumerate(killed) if kill]
+    if draw(st.booleans()):  # the last node, a survivor, hangs for a while
+        at = draw(cycles)
+        actions.append(ChaosAction("kill_node", nodes - 1, at, heal_cycle=at + draw(cycles)))
+    corrections = {
+        (node, service): draw(st.sampled_from([1.0, 1.25, 1.5, 3.0]))
+        for node in range(nodes) for service in range(3)
+    }
+    config = ResilienceConfig(
+        epoch_cycles=draw(st.sampled_from([100_000, 200_000])),
+        dead_after_cycles=2_000_000,
+        hedge=draw(st.booleans()),
+    )
+    return nodes, generate_jobs(spec), config, ChaosPlan(tuple(actions)), corrections
+
+
+@given(day=resilient_days())
+@settings(max_examples=30, deadline=None)
+def test_drawn_resilient_days_match_the_simulated_farm(day):
+    nodes, jobs, config, chaos, corrections = day
+
+    def make() -> Farm:
+        scheduler = FeedbackScheduler(initial_correction=corrections)
+        return Farm(default_design_grid()[:nodes], pinned.SERVICES, scheduler)
+
+    farm = make()
+    result = farm.serve_resilient(jobs, resilience=config, chaos=chaos)
+    oracle = make()
+    want = pinned.resilient_digest(oracle, simulated(oracle, jobs, config, chaos))
+    assert pinned.resilient_digest(farm, result) == want

@@ -8,6 +8,7 @@ no-fault resilient loop agrees with itself run-to-run (determinism).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,24 @@ class TestFeedbackScheduler:
         assert corrected.estimates == ((200,), (100,))
         assert corrected.available == (5, 7)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.dictionaries(st.tuples(st.integers(0, 1), st.just(0)), st.sampled_from([1.0, 2.0])),
+        measured=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([100, 100, 50, 150])), max_size=12),
+        cycles=st.sampled_from([0, 1, 100]),
+    )
+    def test_corrected_view_is_corrected_after_every_observe(self, start, measured, cycles):
+        """The view a plan sees prices every pair as ``corrected`` does,
+        whichever corrections have moved off or back onto 1.0."""
+        scheduler = FeedbackScheduler(alpha=1.0, initial_correction=start)
+        view = FarmView(2, (GOLD,), [[cycles], [100]])
+        for node, took in [(0, 100), *measured]:
+            want = tuple(
+                (scheduler.corrected(node, 0, row[0]),) for node, row in enumerate(view.estimates)
+            )
+            assert scheduler.corrected_view(view).estimates == want
+            scheduler.observe(node, 0, estimated=100, measured=took)
+
     def test_alpha_validation(self):
         with pytest.raises(SchedulerError):
             FeedbackScheduler(alpha=0.0)
@@ -341,8 +360,9 @@ class TestServeResilient:
 
 
 class TestPriceTable:
-    """``ResiliencePolicy.estimate`` prices each ``(node, service)`` once
-    per epoch; the table must equal the live price whenever it is read."""
+    """``ResiliencePolicy.prices`` holds one price per ``(node, service)``,
+    repriced only where a settle moves a correction; it must equal the
+    live price whenever the loop reads it."""
 
     def test_cached_prices_are_the_live_ones(self, jobs, monkeypatch):
         reads = {"submit": 0, "hedge": 0}
@@ -350,13 +370,22 @@ class TestPriceTable:
 
         def check(policy, phase):
             feedback, view = policy.feedback, policy.view
-            for (node, service), price in policy._prices.items():
-                live = feedback.corrected(node, service, view.estimate(node, service))
-                assert price == live, (phase, node, service)
-                prices.setdefault((node, service), set()).add(price)
+            live = [
+                [feedback.corrected(node, service, estimate) for service, estimate in enumerate(row)]
+                for node, row in enumerate(view.estimates)
+            ]
+            assert policy.prices.tolist() == live, phase
+            for (node, service), price in np.ndenumerate(policy.prices):
+                prices.setdefault((node, service), set()).add(int(price))
             reads[phase] += 1
 
-        submit, hedge = ResiliencePolicy.submit, ResiliencePolicy.hedge
+        submit_plan, submit = ResiliencePolicy.submit_plan, ResiliencePolicy.submit
+        hedge = ResiliencePolicy.hedge
+
+        def spy_submit_plan(policy, plan, columns):
+            check(policy, "submit")
+            submit_plan(policy, plan, columns)
+            check(policy, "submit")
 
         def spy_submit(policy, dispatch, is_hedge=False):
             check(policy, "submit")
@@ -368,6 +397,7 @@ class TestPriceTable:
             hedge(policy)
             check(policy, "hedge")
 
+        monkeypatch.setattr(ResiliencePolicy, "submit_plan", spy_submit_plan)
         monkeypatch.setattr(ResiliencePolicy, "submit", spy_submit)
         monkeypatch.setattr(ResiliencePolicy, "hedge", spy_hedge)
         kill = ChaosPlan(actions=(ChaosAction("kill_node", 2, at_cycle=600_000),), seed=1)
@@ -387,8 +417,45 @@ class TestPriceTable:
         ]
         assert sum(ledger.migrations for ledger in ledgers) > 0
         assert sum(ledger.hedges_dispatched for ledger in ledgers) > 0
-        assert reads["submit"] > len(jobs) and reads["hedge"]
+        assert reads["submit"] and reads["hedge"]
         assert any(len(seen) > 1 for seen in prices.values())  # the prices moved
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        epochs=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 1), st.integers(0, 1), st.sampled_from([0, 0, -700, 900])
+                ),
+                max_size=8,
+            ),
+            max_size=5,
+        ),
+        start=st.dictionaries(
+            st.tuples(st.integers(0, 1), st.integers(0, 1)), st.sampled_from([1.0, 1.5])
+        ),
+    )
+    def test_learning_is_observe_row_by_row(self, epochs, start):
+        """Each epoch's completions move the corrections exactly as
+        ``observe`` fed them one by one: a pair seen only at ratio 1.0 and
+        then off it included."""
+        farm = Farm(default_design_grid()[:3], SERVICES, FeedbackScheduler(initial_correction=start))
+        policy = ResiliencePolicy(farm, _InProcessNodes(farm), CFG)
+        oracle = FeedbackScheduler(initial_correction=start)
+        static = farm.view.estimates
+        for completions in epochs:
+            rows = [
+                (0, node, service, 0, 0, static[node][service] + delta)
+                for node, service, delta in completions
+            ]
+            policy._learn(np.array(rows, np.int64).reshape(-1, 6))
+            for _, node, service, _, _, measured in rows:
+                oracle.observe(node, service, estimated=static[node][service], measured=measured)
+            assert policy.feedback._correction == oracle._correction
+            assert policy.prices.tolist() == [
+                [oracle.corrected(node, service, cycles) for service, cycles in enumerate(row)]
+                for node, row in enumerate(static)
+            ]
 
     def test_an_out_of_order_completion_is_refused(self, jobs):
         farm = make_farm()
