@@ -13,10 +13,11 @@ import pytest
 
 from benchmarks.conftest import write_result
 from repro.accel.runner import run_program
-from repro.analysis import format_table, whole_program_profile
+from repro.analysis import whole_program_profile
 from repro.compiler import ViPolicy, compile_network
 from repro.interrupt.base import VIRTUAL_INSTRUCTION
 from repro.nn import TensorShape
+from repro.tables import format_table
 from repro.zoo import build_gem
 
 STRIDES = (1, 2, 4, 16)

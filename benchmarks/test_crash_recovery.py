@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_result
-from repro.analysis.tables import format_table
 from repro.farm import (
     NodeAssignment,
     ServiceSpec,
@@ -41,6 +40,7 @@ from repro.obs.config import ObsConfig
 from repro.runtime.system import MultiTaskSystem, compile_tasks
 from repro.serve import JobSpec, ServeGateway
 from repro.serve.journal import RESUMED, WORKER_DEATH
+from repro.tables import format_table
 import repro.zoo as zoo
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=400_000)

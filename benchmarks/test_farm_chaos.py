@@ -25,7 +25,6 @@ import pytest
 
 from benchmarks.conftest import write_result
 from repro.analysis.design_space import default_design_grid
-from repro.analysis.tables import format_table
 from repro.farm import (
     ChaosPlan,
     Farm,
@@ -39,6 +38,7 @@ from repro.farm import (
     generate_jobs,
     run_chaos_campaign,
 )
+from repro.tables import format_table
 from tests.farm_days import AtArrival, kill_worker_once, plan_exact, simulated
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=150_000)

@@ -24,7 +24,6 @@ import time
 
 from benchmarks.conftest import write_result
 from repro.analysis.design_space import default_design_grid
-from repro.analysis.tables import format_table
 from repro.farm import (
     Farm,
     FcfsScheduler,
@@ -36,6 +35,7 @@ from repro.farm import (
     TrafficSpec,
     generate_jobs,
 )
+from repro.tables import format_table
 from tests.farm_days import overlapping_nodes
 
 GOLD = SloClass("gold", rank=0, weight=8.0, deadline_cycles=100_000)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 
 from repro import AcceleratorConfig, compile_network
-from repro.analysis import format_table
 from repro.nn import TensorShape
+from repro.tables import format_table
 from repro.zoo import build_resnet, build_superpoint, build_tiny_cnn
 
 

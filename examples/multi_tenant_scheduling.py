@@ -13,11 +13,11 @@ Run:  python examples/multi_tenant_scheduling.py
 
 from __future__ import annotations
 
-from repro.analysis import format_table
 from repro.hw.config import AcceleratorConfig
 from repro.nn import GraphBuilder, TensorShape
 from repro.obs import ObsConfig
 from repro.runtime import ArrivalPolicy, MultiTaskSystem, compile_tasks, summarize_jobs
+from repro.tables import format_table
 
 
 def make_workload(name: str, size: int, channels: int):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.accel.runner import run_program
 from repro.analysis.latency import whole_program_profile
-from repro.analysis.tables import format_table
 from repro.compiler.compile import compile_network
 from repro.errors import CompileError
 from repro.hw.config import AcceleratorConfig
@@ -21,6 +21,7 @@ from repro.hw.energy import EnergyModel, inference_energy
 from repro.hw.resources import estimate_accelerator
 from repro.interrupt.base import VIRTUAL_INSTRUCTION
 from repro.nn.graph import NetworkGraph
+from repro.tables import format_table
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,6 @@ def explore(
     Configurations whose buffers cannot fit the network are skipped (the
     compiler's capacity errors are the DSE's infeasibility oracle).
     """
-    from repro.accel.runner import run_program
-
     configs = configs if configs is not None else default_design_grid()
     points = []
     for config in configs:

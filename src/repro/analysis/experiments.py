@@ -16,14 +16,15 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
+from repro.accel.runner import run_program
 from repro.analysis.latency import (
     PARTS,
     LatencyProfile,
     layer_latency_profiles,
     whole_program_profile,
 )
-from repro.analysis.tables import format_table, format_us
 from repro.compiler.compile import CompiledNetwork
+from repro.farm.farm import Farm
 from repro.farm.node import ServiceSpec
 from repro.farm.scheduler import Dispatch, FarmView, StaticPartitionScheduler
 from repro.farm.traffic import Job, SloClass
@@ -46,6 +47,7 @@ from repro.interrupt.measure import (
 from repro.isa.opcodes import INSTRUCTION_TABLE
 from repro.obs.config import ObsConfig
 from repro.runtime.stats import summarize_jobs
+from repro.tables import format_table, format_us
 
 
 # -- E1: interrupt latency & cost at sampled positions (Fig. barresult(a)) ----
@@ -468,8 +470,6 @@ class E8Result:
 
 def experiment_degradation(compiled_networks: list[CompiledNetwork]) -> E8Result:
     """Measure the pure cost of deploying the VI-ISA (extra virtual fetches)."""
-    from repro.accel.runner import run_program
-
     rows = []
     for compiled in compiled_networks:
         baseline = run_program(compiled, vi_mode="none", functional=False).total_cycles
@@ -623,8 +623,6 @@ def experiment_multicore(
     """A3: one pre-emptive core vs two spatially isolated cores vs two cores
     fed at arrival, each a :class:`~repro.farm.Farm` day of :func:`_fe_pr_day`
     whose node systems (per-node obs simulates every node) give its row."""
-    from repro.farm.farm import Farm  # repro.farm imports this package: late
-
     services, jobs = _fe_pr_day(fe_model, pr_model, period_cycles, fe_count, pr_count)
     deployments = [
         ("1-core (INCA, pre-emptive)", "static", _AtArrival(), 1),

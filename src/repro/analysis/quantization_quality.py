@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.reference import golden_inference
-from repro.analysis.tables import format_table
 from repro.compiler.compile import CompiledNetwork
 from repro.compiler.weights import ACTIVATION_FRAC_BITS
 from repro.quant.float_ref import float_inference
+from repro.tables import format_table
 
 
 @dataclass(frozen=True)

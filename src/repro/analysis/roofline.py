@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.tables import format_table
 from repro.compiler.compile import CompiledNetwork
 from repro.hw.timing import kind_cycles
 from repro.isa.opcodes import Opcode
+from repro.tables import format_table
 
 
 @dataclass(frozen=True)

@@ -77,13 +77,14 @@ import numpy as np
 
 from repro.compiler.vi_pass import DEFAULT_VI_POLICY
 from repro.container import frame, unframe, write_atomic
+from repro.hw.config import AcceleratorConfig
 from repro.isa.encoding import WORD_DTYPE
 from repro.isa.program import Program
 from repro.obs.events import EventKind
+from repro.zoo import build_graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compile import CompiledNetwork
-    from repro.hw.config import AcceleratorConfig
     from repro.nn.graph import NetworkGraph
     from repro.obs.bus import EventBus
 
@@ -564,9 +565,7 @@ WARMABLE_MODELS = (
 _CONFIG_NAMES = ("big", "small", "worked_example")
 
 
-def _configs_for(name: str) -> list["AcceleratorConfig"]:
-    from repro.hw.config import AcceleratorConfig
-
+def _configs_for(name: str) -> list[AcceleratorConfig]:
     if name == "all":
         return [getattr(AcceleratorConfig, item)() for item in _CONFIG_NAMES]
     if name not in _CONFIG_NAMES:
@@ -578,7 +577,6 @@ def _configs_for(name: str) -> list["AcceleratorConfig"]:
 
 def _cmd_warm(cache: CompileCache, args: argparse.Namespace) -> int:
     from repro.compiler.compile import compile_network
-    from repro.farm.node import build_graph
 
     models = args.model or list(WARMABLE_MODELS)
     for config in _configs_for(args.config):

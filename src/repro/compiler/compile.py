@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from repro.compiler.allocator import NetworkLayout, allocate_network
+from repro.compiler.cache import CompileCache, cache_key, default_cache
 from repro.compiler.layer_config import LayerConfig
 from repro.compiler.lowering import build_layer_configs, lower_network
 from repro.compiler.tiling import LayerPlan, plan_layer
@@ -38,7 +39,6 @@ from repro.isa.validate import validate_program
 from repro.nn.graph import NetworkGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compiler.cache import CompileCache
     from repro.iau.fastpath import ProgramMeta
 
 #: Program variants a compile produces.
@@ -215,16 +215,12 @@ def compile_network(
             f"unknown verify mode {verify!r}; choose 'off', 'structural' or 'full'"
         )
     if cache is None:
-        from repro.compiler.cache import default_cache
-
         cache = default_cache()
     elif cache is False:
         cache = None
     key = ""
     start = 0.0
     if cache is not None:
-        from repro.compiler.cache import cache_key
-
         key = cache_key(
             graph,
             config,

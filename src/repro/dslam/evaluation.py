@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.tables import format_table
 from repro.dslam.camera import Camera, CameraConfig, perimeter_trajectory
 from repro.dslam.place_recognition import PlaceEncoder
 from repro.dslam.world import World
 from repro.errors import DslamError
+from repro.tables import format_table
 
 
 @dataclass(frozen=True)

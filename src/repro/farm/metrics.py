@@ -31,10 +31,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.analysis.tables import format_table
 from repro.errors import SchedulerError
 from repro.farm.node import Int64s, NodeJobResult
 from repro.farm.traffic import Job, SloClass
+from repro.tables import format_table
 
 
 class JobOutcome(NamedTuple):

@@ -35,7 +35,7 @@ cheap artefact load.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
@@ -43,17 +43,16 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 import numpy.typing as npt
 
-import repro.zoo as zoo
 from repro.errors import SchedulerError
 from repro.hw.config import AcceleratorConfig
 from repro.iau.context import JobRecord
 from repro.obs.config import ObsConfig
 from repro.runtime.system import MultiTaskSystem, compile_tasks
 from repro.farm.traffic import SloClass
+from repro.zoo import build_graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compile import CompiledNetwork
-    from repro.nn.graph import NetworkGraph
 
 
 @dataclass(frozen=True)
@@ -120,15 +119,6 @@ def decode_results(block: bytes) -> list[NodeJobResult]:
     ``__new__`` per row)."""
     ints = iter(np.frombuffer(block, _DTYPE).tolist())
     return list(map(tuple.__new__, repeat(NodeJobResult), zip(*[ints] * _WIDTH)))
-
-
-
-def build_graph(model: str) -> NetworkGraph:
-    """Resolve a zoo model name (``"tiny_cnn"``) to its network graph."""
-    builder: Callable[[], NetworkGraph] | None = getattr(zoo, f"build_{model}", None)
-    if builder is None:
-        raise SchedulerError(f"unknown zoo model {model!r}")
-    return builder()
 
 
 #: Process-wide memo of :func:`compile_tasks` results keyed by

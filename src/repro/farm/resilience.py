@@ -43,7 +43,6 @@ from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 import numpy as np
 import numpy.typing as npt
 
-from repro.analysis.tables import format_table
 from repro.container import HEADER
 from repro.errors import SchedulerError
 from repro.farm.metrics import build_report, join_outcomes
@@ -64,6 +63,7 @@ from repro.farm.traffic import Job
 from repro.obs.bus import EventBus
 from repro.obs.events import EventKind
 from repro.qos.config import ModeSwitchPolicy
+from repro.tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (farm imports us)
     from repro.farm.farm import Farm, NodeBackend, ServeResult

@@ -30,13 +30,14 @@ import numpy as np
 
 from repro.errors import CampaignError, IncaError
 from repro.faults.plan import FaultPlan, FaultSite
+from repro.hw.config import AcceleratorConfig
 from repro.obs.config import ObsConfig
 from repro.obs.metrics import Metrics
 from repro.qos.monitor import scan_events
+from repro.zoo import build_tiny_cnn, build_tiny_residual
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compile import CompiledNetwork
-    from repro.hw.config import AcceleratorConfig
     from repro.runtime.system import MultiTaskSystem
 
 #: Event kinds that count as the tolerance machinery *acting*.
@@ -223,9 +224,7 @@ def make_preemption_scenario(
     empty ``outputs``) — the regime where the armed batched fast path can
     engage.
     """
-    from repro.hw.config import AcceleratorConfig
     from repro.runtime.system import MultiTaskSystem, compile_tasks
-    from repro.zoo import build_tiny_cnn, build_tiny_residual
 
     if pair is None:
         if config is None:

@@ -11,6 +11,7 @@ them symbolically.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import HardwareError
@@ -142,3 +143,11 @@ class AcceleratorConfig:
             weight_buffer_bytes=256 * KIB,
             output_buffer_bytes=256 * KIB,
         )
+
+
+#: Named configurations the report and verifier CLIs accept.
+CONFIGS: dict[str, Callable[[], AcceleratorConfig]] = {
+    "big": AcceleratorConfig.big,
+    "small": AcceleratorConfig.small,
+    "example": AcceleratorConfig.worked_example,
+}

@@ -16,9 +16,10 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from repro.errors import EccError, MemoryMapError
+from repro.obs.events import EventKind
 from repro.state import Stateful
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> hw)
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.faults sits above repro.hw)
     from repro.faults.plan import FaultPlan
     from repro.obs.bus import EventBus
 
@@ -375,8 +376,6 @@ class Ddr(Stateful):
     def _emit_fault(self, kind_value: str, site, **detail) -> None:
         if self.bus is None:
             return
-        from repro.obs.events import EventKind
-
         self.bus.emit(EventKind(kind_value), site=site.value, **detail)
 
 

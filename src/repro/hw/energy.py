@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.hw.config import AcceleratorConfig
+from repro.isa.opcodes import Opcode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids hw<->compiler cycle)
     from repro.compiler.compile import CompiledNetwork
@@ -117,8 +118,6 @@ def cpu_like_switch_energy(config: AcceleratorConfig, model: EnergyModel | None 
 
 
 def _program_traffic_bytes(compiled: CompiledNetwork) -> int:
-    from repro.isa.opcodes import Opcode
-
     return sum(
         instruction.length
         for instruction in compiled.programs["none"]

@@ -16,9 +16,7 @@ from repro.isa.program import Program
 def validate_program(program: Program) -> None:
     """Raise :class:`~repro.errors.ProgramError` if ``program`` violates any
     structural invariant; the exception's ``report`` lists all findings."""
-    # Imported here, not at module top: repro.verify pulls in hw/timing
-    # modules, and importing them while ``repro.isa`` is still initializing
-    # would cycle (isa -> verify -> hw -> ... -> isa).
+    # An upward call: repro.verify sits above repro.isa (docs/architecture.md, "Layers").
     from repro.verify.engine import verify_program
 
     verify_program(program).raise_if_errors()

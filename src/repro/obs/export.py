@@ -15,6 +15,7 @@ from typing import Iterable
 from repro.obs.bus import EventBus
 from repro.obs.events import Event, EventKind
 from repro.obs.spans import job_spans
+from repro.tables import format_table
 from repro.units import Frequency
 
 #: Events rendered as Chrome duration ('X') rows when they span time.
@@ -158,7 +159,7 @@ def summarize(source) -> str:
             ]
         )
 
-    lines = _format_table(header, table, title="Observability summary (cycles)")
+    lines = format_table(header, table, title="Observability summary (cycles)", align="right")
     loads = sum(
         int(e.data.get("bytes", 0))
         for e in events
@@ -237,16 +238,3 @@ def summarize(source) -> str:
             lines += f"; {stalls} ddr.stall fire(s) retired in batches"
     return lines
 
-
-def _format_table(header: list[str], rows: list[list[str]], title: str) -> str:
-    widths = [
-        max(len(header[col]), *(len(row[col]) for row in rows)) if rows else len(header[col])
-        for col in range(len(header))
-    ]
-
-    def render(cells: list[str]) -> str:
-        return "  ".join(cell.rjust(width) for cell, width in zip(cells, widths))
-
-    out = [title, render(header), render(["-" * width for width in widths])]
-    out.extend(render(row) for row in rows)
-    return "\n".join(out)

@@ -1,20 +1,23 @@
-"""Plain-text table rendering for experiment outputs.
+"""Plain-text table rendering for every layer that prints a table.
 
-The benchmark harness prints the same rows the paper's tables/figures report;
-this module keeps the formatting in one place.
+The experiments print the rows the paper's tables/figures report, the farm
+and DSLAM reports and the observability summary print theirs; this leaf
+module (it imports nothing from :mod:`repro`) keeps the formatting in one
+place.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Literal, Sequence
 
 
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: str | None = None,
+    align: Literal["left", "right"] = "left",
 ) -> str:
-    """Render an aligned ASCII table."""
+    """Render an ASCII table, every column justified to ``align``."""
     columns = len(headers)
     for row in rows:
         if len(row) != columns:
@@ -24,13 +27,14 @@ def format_table(
         max(len(headers[index]), *(len(row[index]) for row in cells)) if cells else len(headers[index])
         for index in range(columns)
     ]
+    justify = str.ljust if align == "left" else str.rjust
     lines = []
     if title:
         lines.append(title)
-    lines.append("  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)))
+    lines.append("  ".join(justify(header, widths[i]) for i, header in enumerate(headers)))
     lines.append("  ".join("-" * width for width in widths))
     for row in cells:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(columns)))
+        lines.append("  ".join(justify(row[i], widths[i]) for i in range(columns)))
     return "\n".join(lines)
 
 

@@ -13,43 +13,18 @@ from __future__ import annotations
 
 import argparse
 
+from repro.accel.runner import run_program
 from repro.analysis.latency import whole_program_profile
 from repro.analysis.roofline import roofline_report
 from repro.compiler.compile import CompiledNetwork, compile_network
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import CONFIGS
 from repro.hw.energy import inference_energy
 from repro.interrupt.base import LAYER_BY_LAYER, VIRTUAL_INSTRUCTION
-from repro.nn import TensorShape
-
-#: Named model factories the CLI accepts.
-MODELS = {
-    "tiny_cnn": lambda: _zoo().build_tiny_cnn(),
-    "tiny_residual": lambda: _zoo().build_tiny_residual(),
-    "resnet18": lambda: _zoo().build_resnet("resnet18", TensorShape(120, 160, 3)),
-    "resnet50": lambda: _zoo().build_resnet("resnet50", TensorShape(120, 160, 3)),
-    "mobilenet": lambda: _zoo().build_mobilenet_v1(TensorShape(224, 224, 3)),
-    "darknet19": lambda: _zoo().build_darknet19(TensorShape(224, 224, 3)),
-    "superpoint": lambda: _zoo().build_superpoint(TensorShape(120, 160, 1)),
-    "vgg16": lambda: _zoo().build_vgg("vgg16", TensorShape(120, 160, 3)),
-}
-
-CONFIGS = {
-    "big": AcceleratorConfig.big,
-    "small": AcceleratorConfig.small,
-    "example": AcceleratorConfig.worked_example,
-}
-
-
-def _zoo():
-    from repro import zoo
-
-    return zoo
+from repro.zoo import MODELS
 
 
 def network_report(compiled: CompiledNetwork) -> str:
     """The full multi-section report for one compiled network."""
-    from repro.accel.runner import run_program
-
     sections = [compiled.report()]
 
     run = run_program(compiled, vi_mode="vi", functional=False)

@@ -21,18 +21,18 @@ import argparse
 import json
 from typing import Any
 
-from repro.tools.report import CONFIGS, MODELS
+from repro.compiler.compile import compile_network
+from repro.hw.config import CONFIGS
 from repro.verify.diagnostics import Report
 from repro.verify.engine import layer_table, verify_network
 from repro.verify.interference import StretchCoverage, stretch_coverage
 from repro.verify.wcirl import wcirl_bound
+from repro.zoo import MODELS
 
 
 def _verify_one(
     model: str, config_name: str, max_response_cycles: int | None
 ) -> tuple[Report, dict[str, Any], dict[str, StretchCoverage]]:
-    from repro.compiler.compile import compile_network
-
     graph = MODELS[model]()
     config = CONFIGS[config_name]()
     compiled = compile_network(graph, config, weights="zeros", verify="off")

@@ -15,8 +15,6 @@ from repro.analysis import (
     experiment_resource_table,
     experiment_t1_distribution,
     experiment_worked_example,
-    format_table,
-    format_us,
     instruction_cycles,
     layer_latency_profiles,
     response_at,
@@ -29,6 +27,7 @@ from repro.interrupt import (
     measure_interrupt,
     run_alone,
 )
+from repro.tables import format_table, format_us
 
 
 class TestInstructionCycles:

@@ -52,9 +52,8 @@ from repro.obs import EventBus, EventKind
 from repro.obs.config import ObsConfig
 from repro.runtime import ArrivalPolicy
 from repro.runtime.system import MultiTaskSystem, compile_tasks
-from repro.tools.report import MODELS
 from repro.verify.cli import main as verify_main
-from repro.zoo import build_gem, build_mobilenet_v1, build_resnet, build_superpoint
+from repro.zoo import MODELS, build_gem, build_mobilenet_v1, build_resnet, build_superpoint
 from tests.test_container import MUTATIONS
 from tests.test_isa import UNENCODABLE
 
@@ -769,6 +768,27 @@ class TestMaintenance:
         assert "tiny_cnn" in capsys.readouterr().out
         assert cache_main(["--dir", root, "gc", "--max-entries", "0"]) == 0
         assert cache_main(["--dir", root, "clear"]) == 0
+
+    @pytest.mark.parametrize(
+        "name, configs",
+        [
+            ("small", ["angel-eye-small"]),
+            ("all", ["angel-eye-zu9", "angel-eye-small", "worked-example"]),
+        ],
+    )
+    def test_cli_warm_config(self, tmp_path, capsys, name, configs):
+        root = str(tmp_path / "cli-cache")
+        argv = ["--dir", root, "warm", "--model", "tiny_cnn", "--config", name]
+        assert cache_main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in out if line.startswith("store")] == configs
+        assert sorted(entry.config for entry in CompileCache(root).entries()) == sorted(configs)
+
+    def test_cli_warm_refuses_an_unknown_config(self, tmp_path):
+        """``example`` is the report and verifier CLIs' name for the worked
+        example; the cache CLI spells it ``worked_example``."""
+        with pytest.raises(SystemExit, match="unknown config 'example'"):
+            cache_main(["--dir", str(tmp_path), "warm", "--config", "example"])
 
     def test_cli_requires_dir(self, monkeypatch):
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)

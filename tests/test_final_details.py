@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.tables import format_table
 from repro.dslam import World, WorldConfig
 from repro.nn.prototxt import parse_prototxt, to_prototxt
+from repro.tables import format_table
 from repro.tools.mapviz import render_merged
 from repro.zoo import build_gem
 from repro.nn import TensorShape

@@ -35,11 +35,11 @@ from repro.isa.encoding import WORD_DTYPE, decode_word, words_from_bytes
 from repro.nn import TensorShape
 from repro.obs.config import ObsConfig
 from repro.runtime.system import ArrivalPolicy, MultiTaskSystem, compile_tasks
-from repro.tools.report import MODELS
 from repro.verify.diagnostics import Report
 from repro.verify.engine import layer_table
 from repro.verify.structural import structural_pass
 from repro.zoo import (
+    MODELS,
     build_gem,
     build_medium_layer_net,
     build_superpoint,
